@@ -7,11 +7,11 @@
 //! while scaling to hyper-scale batches two ways:
 //!
 //! - **Parallel**: per-plan lints are independent, so they shard across a
-//!   `std::thread::scope` pool (the same deterministic fork-join pattern
-//!   `p4update-perf` uses) and merge in plan order. The waits-for graph is
-//!   built from a *link index* — only plan pairs that actually share a
-//!   directed link are examined — and cycle detection runs per
-//!   link-disjoint component, components in parallel.
+//!   `std::thread::scope` pool (a deterministic fork-join map) and merge
+//!   in plan order. The waits-for graph is built from a *link index* —
+//!   only plan pairs that actually share a directed link are examined —
+//!   and cycle detection runs per link-disjoint component, components in
+//!   parallel.
 //! - **Deterministic**: workers stash `(index, result)` pairs and the
 //!   merge sorts by index, so the output is identical for any worker
 //!   count; cycle sets merge through the same `BTreeSet` canonical order
@@ -33,10 +33,9 @@ use p4update_net::{NodeId, Version};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Deterministic fork-join map (the `p4update-perf` pool pattern,
-/// rehomed here because `perf` sits above `analysis` in the crate DAG):
-/// evaluate `f(0..jobs)` on up to `workers` threads and return results in
-/// input order, so the caller sees the same output for any worker count.
+/// Deterministic fork-join map: evaluate `f(0..jobs)` on up to `workers`
+/// threads and return results in input order, so the caller sees the same
+/// output for any worker count.
 fn parallel_map<T, F>(jobs: usize, workers: usize, f: F) -> Vec<T>
 where
     T: Send,

@@ -2,8 +2,7 @@
 //! offline, so this is hand-rolled rather than a serde dependency.
 //!
 //! It lives in the analysis crate because the on-disk dataset format
-//! ([`crate::dataset`]) is its primary consumer; `p4update-perf` reuses it
-//! for the `BENCH_p4update.json` artifact.
+//! ([`crate::dataset`]) is its consumer.
 
 use std::fmt::Write as _;
 

@@ -442,10 +442,14 @@ impl P4UpdateLogic {
                     self.blocked.insert(unm.flow, BlockedMove { from, unm });
                     // Raise the priority of flows that could free the
                     // contended link: active on it, staged to leave it.
+                    // Only flows whose priority actually rises are retried:
+                    // two flows each blocked on the link the other wants
+                    // would otherwise re-raise and retry each other forever.
                     let mut raised = Vec::new();
                     for g in state.uib.flows() {
                         let ge = state.uib.read(g);
                         if g != unm.flow
+                            && ge.priority != FlowPriority::High
                             && ge.active_next_hop == Some(new_hop)
                             && ge.uim_version > ge.applied_version
                             && ge.staged_next_hop != Some(new_hop)

@@ -16,7 +16,7 @@ use p4update_net::{FlowId, NodeId, Topology};
 pub struct Switch {
     /// Runtime state (UIB, capacities, counters).
     pub state: SwitchState,
-    logic: Box<dyn SwitchLogic + Send>,
+    logic: Box<dyn SwitchLogic>,
     /// FRMs already emitted, to report each new flow once.
     reported_flows: Vec<FlowId>,
     /// Two-phase-commit mode (§11): the ingress stamps each injected
@@ -27,7 +27,7 @@ pub struct Switch {
 
 impl Switch {
     /// Build a switch for node `id` with the given protocol logic.
-    pub fn new(id: NodeId, topo: &Topology, logic: Box<dyn SwitchLogic + Send>) -> Self {
+    pub fn new(id: NodeId, topo: &Topology, logic: Box<dyn SwitchLogic>) -> Self {
         Switch {
             state: SwitchState::new(id, topo),
             logic,

@@ -61,7 +61,7 @@ impl ChoiceKind {
 /// engine guarantees it asks the same questions in the same order for the
 /// same world and seed, which is what makes recorded choice sequences
 /// replayable.
-pub trait Chooser: Send {
+pub trait Chooser {
     /// Pick one of `arity` alternatives (`arity >= 1`). Must return a
     /// value in `[0, arity)`; `0` is the default behavior.
     fn choose(&mut self, kind: ChoiceKind, arity: usize) -> usize;

@@ -31,7 +31,6 @@ pub mod trace;
 pub use trace::{ChoiceRecord, ForcedChoice, FreePolicy, Trace, TraceChooser};
 
 use p4update_core::Violation;
-use p4update_net::Partitioner;
 use std::collections::BTreeMap;
 
 /// Outcome of one explored or replayed run.
@@ -75,158 +74,12 @@ pub fn run_with_backend(
     run_inner(scenario, seed, forced, free, Some(backend))
 }
 
-/// Like [`run`], but running the *merged sharded* event queue: the
-/// scheduler splits into `partitions` pod-partitioned shards plus a
-/// controller shard and pops the global `(time, seq)` minimum across
-/// them ([`p4update_des::Simulation::with_partitions`]). This keeps the
-/// fully general sequential semantics — faults, forced choices, paranoid
-/// checking — so every corpus trace must replay byte-identically at any
-/// partition count; `tests/partition_equivalence.rs` enforces that.
-pub fn run_partitioned(
-    scenario: &str,
-    seed: u64,
-    forced: BTreeMap<u64, ForcedChoice>,
-    free: FreePolicy,
-    partitions: usize,
-) -> Result<RunReport, String> {
-    run_full(scenario, seed, forced, free, None, Some(partitions))
-}
-
-/// Outcome of one deterministic scenario run through the windowed
-/// parallel engine ([`p4update_sim::PartitionedSim`]) or its sequential
-/// baseline (see [`run_windowed`]).
-///
-/// Equality of two reports means the runs were observationally
-/// identical: same event count, same drain status, and the same final
-/// world metrics (the `fingerprint` is the full debug rendering of
-/// [`p4update_sim::Metrics`], which captures every per-flow transition
-/// the run produced). The window counters are engine diagnostics and
-/// deliberately *not* part of the fingerprint — they vary with the
-/// partition count and coalescing setting while the observables must
-/// not.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WindowedReport {
-    /// Events delivered before the horizon (or queue drain).
-    pub events: u64,
-    /// Whether the event queue drained before the horizon.
-    pub drained: bool,
-    /// Synchronization rounds the windowed engine ran (0 for the
-    /// sequential baseline).
-    pub windows: u64,
-    /// Rounds that advanced past the fixed-lookahead window width via
-    /// coalescing or a serial phase (0 for the sequential baseline and
-    /// with coalescing disabled).
-    pub windows_coalesced: u64,
-    /// Debug rendering of the final world metrics.
-    pub fingerprint: String,
-}
-
-impl WindowedReport {
-    /// The observable portion of the report — everything except the
-    /// engine-diagnostic window counters. Two runs of the same scenario
-    /// must agree on this at every partition count, thread count, and
-    /// coalescing setting.
-    pub fn observables(&self) -> (u64, bool, &str) {
-        (self.events, self.drained, &self.fingerprint)
-    }
-}
-
-/// Run deterministic scenario `name` at `seed` through the windowed
-/// parallel engine with `partitions` partitions and `threads` worker
-/// threads, or — with `partitions == 0` — through the plain sequential
-/// engine as the baseline. `coalescing` toggles window coalescing and
-/// serial phases (ignored by the baseline).
-///
-/// Scenarios come from [`scenarios::build_deterministic`], so the world
-/// carries the engine-portable configuration (no faults, no paranoid
-/// oracle, analysis gate off) and the same name/seed builds the exact
-/// same world for every engine. Fat-tree topologies are cut per pod;
-/// topologies outside the fat-tree name grammar (where the pod
-/// partitioner lands everything in partition 0) fall back to the
-/// striped cut so the partition count is honoured.
-pub fn run_windowed(
-    name: &str,
-    seed: u64,
-    partitions: usize,
-    threads: usize,
-    coalescing: bool,
-) -> Result<WindowedReport, String> {
-    let det = scenarios::build_deterministic(name, seed)
-        .ok_or_else(|| format!("unknown or modified scenario {name:?}"))?;
-    if partitions == 0 {
-        let mut sim = p4update_sim::simulation(det.world);
-        sim.schedule_at(
-            det.trigger_at,
-            p4update_sim::Event::Trigger { batch: det.batch },
-        );
-        let outcome = sim.run_until(det.horizon);
-        let events = sim.events_delivered();
-        let world = sim.into_world();
-        return Ok(WindowedReport {
-            events,
-            drained: outcome.drained(),
-            windows: 0,
-            windows_coalesced: 0,
-            fingerprint: format!("{:?}", world.metrics()),
-        });
-    }
-    let pod = p4update_net::PodPartitioner::new(det.world.topology(), partitions);
-    let striped = partitions > 1
-        && det
-            .world
-            .topology()
-            .node_ids()
-            .all(|id| pod.partition_of(id) == 0);
-    let stripe = p4update_net::StripePartitioner::new(partitions);
-    let part: &dyn p4update_net::Partitioner = if striped { &stripe } else { &pod };
-    let mut sim =
-        p4update_sim::PartitionedSim::new(det.world, part, threads)?.with_coalescing(coalescing);
-    sim.schedule_at(
-        det.trigger_at,
-        p4update_sim::Event::Trigger { batch: det.batch },
-    );
-    let outcome = sim.run_until(det.horizon).map_err(|v| v.to_string())?;
-    let events = sim.events_delivered();
-    let windows = sim.windows();
-    let windows_coalesced = sim.windows_coalesced();
-    let world = sim.into_world();
-    Ok(WindowedReport {
-        events,
-        drained: outcome.drained(),
-        windows,
-        windows_coalesced,
-        fingerprint: format!("{:?}", world.metrics()),
-    })
-}
-
-/// [`replay`] through the merged sharded queue (see [`run_partitioned`]).
-pub fn replay_partitioned(trace: &Trace, partitions: usize) -> Result<RunReport, String> {
-    run_partitioned(
-        &trace.scenario,
-        trace.seed,
-        trace.choices.clone(),
-        FreePolicy::Default,
-        partitions,
-    )
-}
-
 fn run_inner(
     scenario: &str,
     seed: u64,
     forced: BTreeMap<u64, ForcedChoice>,
     free: FreePolicy,
     backend: Option<p4update_des::QueueBackend>,
-) -> Result<RunReport, String> {
-    run_full(scenario, seed, forced, free, backend, None)
-}
-
-fn run_full(
-    scenario: &str,
-    seed: u64,
-    forced: BTreeMap<u64, ForcedChoice>,
-    free: FreePolicy,
-    backend: Option<p4update_des::QueueBackend>,
-    partitions: Option<usize>,
 ) -> Result<RunReport, String> {
     let built =
         scenarios::build(scenario, seed).ok_or_else(|| format!("unknown scenario {scenario:?}"))?;
@@ -235,18 +88,11 @@ fn run_full(
     if let Some(backend) = backend {
         sim = sim.with_queue_backend(backend);
     }
-    if let Some(partitions) = partitions {
-        let topo = sim.world().topology();
-        let part = p4update_net::PodPartitioner::new(topo, partitions);
-        let router = p4update_sim::event_router(topo, &part);
-        // `partitions` switch shards + 1 controller shard.
-        sim = sim.with_partitions(partitions.max(1) + 1, router);
-    }
     let outcome = sim.run_until(built.horizon);
     let events = sim.events_delivered();
     let world = sim.into_world();
     let violations = world.violations.into_iter().map(|(_, v)| v).collect();
-    let choices = log.lock().expect("choice log lock").clone();
+    let choices = log.borrow().clone();
     Ok(RunReport {
         events,
         drained: outcome.drained(),
@@ -376,31 +222,6 @@ mod tests {
         assert!(t.choices.is_empty(), "stale entry should canonicalize away");
         assert!(t.expect_events.is_some());
         verify_replay(&t).unwrap();
-    }
-
-    #[test]
-    fn run_windowed_matches_the_sequential_baseline() {
-        // fig1 is outside the fat-tree name grammar, so this also
-        // exercises the striped-cut fallback.
-        let base = run_windowed("fig1-dual", 1, 0, 1, true).unwrap();
-        assert!(base.events > 0);
-        assert!(base.drained);
-        assert_eq!(base.windows, 0);
-        for coalescing in [true, false] {
-            let w = run_windowed("fig1-dual", 1, 2, 1, coalescing).unwrap();
-            assert_eq!(
-                w.observables(),
-                base.observables(),
-                "coalescing={coalescing}"
-            );
-            assert!(w.windows > 0);
-        }
-    }
-
-    #[test]
-    fn run_windowed_rejects_modified_scenarios() {
-        assert!(run_windowed("fig1-dual+repl2", 1, 2, 1, true).is_err());
-        assert!(run_windowed("nope", 1, 2, 1, true).is_err());
     }
 
     #[test]

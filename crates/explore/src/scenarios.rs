@@ -87,25 +87,6 @@ pub struct BuiltScenario {
     pub horizon: SimTime,
 }
 
-/// A scenario assembled for direct engine construction rather than as a
-/// ready [`p4update_des::Simulation`]: the world, its update batch, the
-/// trigger time, and the run horizon. Built by [`build_deterministic`]
-/// with the *deterministic* configuration (no paranoid oracle, no fault
-/// choice points, analysis gate off) — exactly the restrictions the
-/// windowed parallel engine ([`p4update_sim::PartitionedSim`]) imposes,
-/// so the same scenario can run sequentially and partitioned and be
-/// compared byte-for-byte.
-pub struct DeterministicScenario {
-    /// The assembled world (trigger not yet scheduled).
-    pub world: NetworkSim,
-    /// Batch id to trigger.
-    pub batch: usize,
-    /// When the update batch triggers.
-    pub trigger_at: SimTime,
-    /// Run horizon.
-    pub horizon: SimTime,
-}
-
 /// List the registered scenario names.
 pub fn names() -> Vec<&'static str> {
     SCENARIOS.iter().map(|s| s.name).collect()
@@ -129,61 +110,13 @@ pub fn names() -> Vec<&'static str> {
 /// while modifiers parameterize adversarial studies on top of them.
 pub fn build(name: &str, seed: u64) -> Option<BuiltScenario> {
     let (base, mods) = parse_mods(name)?;
-    let make = move |timing: TimingConfig, trigger_ms: f64| {
-        mods.apply(explore_config(timing, seed), trigger_ms)
-    };
-    let a = assemble(base, &make)?;
-    let mut sim = simulation(a.world);
-    sim.schedule_at(a.trigger_at, Event::Trigger { batch: a.batch });
-    Some(BuiltScenario {
-        sim,
-        horizon: a.horizon,
-    })
-}
-
-/// Build `name` at `seed` with the deterministic (engine-portable)
-/// configuration: no paranoid oracle, no fault choice points, analysis
-/// gate off. Rejects `+`-modified names — modifiers parameterize
-/// adversarial studies, which need the sequential engine's global
-/// machinery. The world otherwise matches [`build`] exactly (same
-/// topology, flows, batch, trigger, horizon).
-pub fn build_deterministic(name: &str, seed: u64) -> Option<DeterministicScenario> {
-    if name.contains('+') {
-        return None;
-    }
-    let make = move |timing: TimingConfig, _trigger_ms: f64| {
-        SimConfig::new(timing, seed).with_analysis_gate(false)
-    };
-    let a = assemble(name, &make)?;
-    Some(DeterministicScenario {
-        world: a.world,
-        batch: a.batch,
-        trigger_at: a.trigger_at,
-        horizon: a.horizon,
-    })
-}
-
-/// A scenario's world and schedule, before an engine is chosen.
-struct Assembled {
-    world: NetworkSim,
-    batch: usize,
-    trigger_at: SimTime,
-    horizon: SimTime,
-}
-
-/// Configuration factory: `(timing, trigger_ms) -> SimConfig`. The
-/// trigger offset is forwarded because replication modifiers key their
-/// failover off it.
-type MakeConfig<'a> = &'a dyn Fn(TimingConfig, f64) -> SimConfig;
-
-fn assemble(base: &str, make: MakeConfig) -> Option<Assembled> {
     match base {
-        "fig2-ez" => Some(fig2(System::EzSegway { congestion: false }, make)),
-        "fig2-p4" => Some(fig2(System::P4Update(Strategy::ForceSingle), make)),
-        "fig1-single" => Some(fig1(Strategy::ForceSingle, make)),
-        "fig1-dual" => Some(fig1(Strategy::ForceDual, make)),
-        "multigw-dual" => Some(multi_gateway(make)),
-        "ft512-dual" => Some(ft512(make)),
+        "fig2-ez" => Some(fig2(System::EzSegway { congestion: false }, seed, mods)),
+        "fig2-p4" => Some(fig2(System::P4Update(Strategy::ForceSingle), seed, mods)),
+        "fig1-single" => Some(fig1(Strategy::ForceSingle, seed, mods)),
+        "fig1-dual" => Some(fig1(Strategy::ForceDual, seed, mods)),
+        "multigw-dual" => Some(multi_gateway(seed, mods)),
+        "ft512-dual" => Some(ft512(seed, mods)),
         _ => None,
     }
 }
@@ -272,57 +205,69 @@ fn explore_config(timing: TimingConfig, seed: u64) -> SimConfig {
 /// `v3 → v1 → v2 → v3` loop. ez-Segway trusts the controller's stale
 /// view and walks into it; P4Update's local verification keeps upstream
 /// activation waiting for provably consistent downstream state.
-fn fig2(system: System, make: MakeConfig) -> Assembled {
+fn fig2(system: System, seed: u64, mods: Mods) -> BuiltScenario {
     let topo = topologies::fig2_chain_slow_detour();
     let flow = FlowId(0);
     let config_a = Path::new(topologies::fig2_config_a());
     let config_b = Path::new(topologies::fig2_config_b());
     let config_c = Path::new(topologies::fig2_config_c());
-    let config = make(TimingConfig::wan_multi_flow(topo.centroid()), 100.0);
+    let config = mods.apply(
+        explore_config(TimingConfig::wan_multi_flow(topo.centroid()), seed),
+        100.0,
+    );
     let mut world = NetworkSim::new(topo, system, config, None);
     world.install_initial_path(flow, &config_a, 1.0);
     let batch = world.add_batch(vec![FlowUpdate::new(flow, Some(config_b), config_c, 1.0)]);
-    Assembled {
-        world,
-        batch,
-        trigger_at: SimTime::ZERO + SimDuration::from_millis(100),
+    let mut sim = simulation(world);
+    sim.schedule_at(
+        SimTime::ZERO + SimDuration::from_millis(100),
+        Event::Trigger { batch },
+    );
+    BuiltScenario {
+        sim,
         horizon: SimTime::ZERO + SimDuration::from_secs(10),
     }
 }
 
 /// The Fig. 1 update (8 nodes, old `v0 v4 v2 v7`, new `v0 … v7`).
-fn fig1(strategy: Strategy, make: MakeConfig) -> Assembled {
+fn fig1(strategy: Strategy, seed: u64, mods: Mods) -> BuiltScenario {
     let topo = topologies::fig1();
     let flow = FlowId(0);
     let old = Path::new(topologies::fig1_old_path());
     let new = Path::new(topologies::fig1_new_path());
-    let config = make(TimingConfig::wan_multi_flow(topo.centroid()), 0.0);
+    let config = mods.apply(
+        explore_config(TimingConfig::wan_multi_flow(topo.centroid()), seed),
+        0.0,
+    );
     let mut world = NetworkSim::new(topo, System::P4Update(strategy), config, None);
     world.install_initial_path(flow, &old, 1.0);
     let batch = world.add_batch(vec![FlowUpdate::new(flow, Some(old.clone()), new, 1.0)]);
-    Assembled {
-        world,
-        batch,
-        trigger_at: SimTime::ZERO,
+    let mut sim = simulation(world);
+    sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
+    BuiltScenario {
+        sim,
         horizon: SimTime::ZERO + SimDuration::from_secs(120),
     }
 }
 
 /// The many-gateway dual-layer update (see
 /// [`p4update_net::topologies::multi_gateway`]).
-fn multi_gateway(make: MakeConfig) -> Assembled {
+fn multi_gateway(seed: u64, mods: Mods) -> BuiltScenario {
     let topo = topologies::multi_gateway();
     let flow = FlowId(0);
     let old = Path::new(topologies::multi_gateway_old_path());
     let new = Path::new(topologies::multi_gateway_new_path());
-    let config = make(TimingConfig::wan_multi_flow(topo.centroid()), 0.0);
+    let config = mods.apply(
+        explore_config(TimingConfig::wan_multi_flow(topo.centroid()), seed),
+        0.0,
+    );
     let mut world = NetworkSim::new(topo, System::P4Update(Strategy::ForceDual), config, None);
     world.install_initial_path(flow, &old, 1.0);
     let batch = world.add_batch(vec![FlowUpdate::new(flow, Some(old.clone()), new, 1.0)]);
-    Assembled {
-        world,
-        batch,
-        trigger_at: SimTime::ZERO,
+    let mut sim = simulation(world);
+    sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
+    BuiltScenario {
+        sim,
         horizon: SimTime::ZERO + SimDuration::from_secs(120),
     }
 }
@@ -333,10 +278,10 @@ fn multi_gateway(make: MakeConfig) -> Assembled {
 /// second-shortest (a different core), so updates overlap at the
 /// aggregation layer. The flow count is deliberately small — corpus
 /// traces replay in debug CI, and the topology itself is the point.
-fn ft512(make: MakeConfig) -> Assembled {
+fn ft512(seed: u64, mods: Mods) -> BuiltScenario {
     let topo = topologies::synthetic_fat_tree_512();
     let edges = topologies::fat_tree_edge_switches(&topo);
-    let config = make(TimingConfig::fat_tree(), 0.0);
+    let config = mods.apply(explore_config(TimingConfig::fat_tree(), seed), 0.0);
     let mut world = NetworkSim::new(
         topo.clone(),
         System::P4Update(Strategy::ForceDual),
@@ -361,10 +306,10 @@ fn ft512(make: MakeConfig) -> Assembled {
         updates.push(FlowUpdate::new(flow, Some(old), new, 1.0));
     }
     let batch = world.add_batch(updates);
-    Assembled {
-        world,
-        batch,
-        trigger_at: SimTime::ZERO,
+    let mut sim = simulation(world);
+    sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
+    BuiltScenario {
+        sim,
         horizon: SimTime::ZERO + SimDuration::from_secs(120),
     }
 }

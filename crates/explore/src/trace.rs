@@ -46,9 +46,10 @@
 
 use p4update_core::Violation;
 use p4update_des::{ChoiceKind, Chooser, SimRng};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 /// Format-version marker, first line of every trace file (version 1).
 pub const TRACE_HEADER: &str = "# p4update-explore choice trace v1";
@@ -273,12 +274,12 @@ pub struct TraceChooser {
     next_index: u64,
     forced: BTreeMap<u64, ForcedChoice>,
     free: FreePolicy,
-    log: Arc<Mutex<Vec<ChoiceRecord>>>,
+    log: Rc<RefCell<Vec<ChoiceRecord>>>,
 }
 
 impl TraceChooser {
     /// Chooser for a pure replay of `trace`.
-    pub fn replay(trace: &Trace) -> (Self, Arc<Mutex<Vec<ChoiceRecord>>>) {
+    pub fn replay(trace: &Trace) -> (Self, Rc<RefCell<Vec<ChoiceRecord>>>) {
         Self::with_policy(trace.choices.clone(), FreePolicy::Default)
     }
 
@@ -286,14 +287,14 @@ impl TraceChooser {
     pub fn with_policy(
         forced: BTreeMap<u64, ForcedChoice>,
         free: FreePolicy,
-    ) -> (Self, Arc<Mutex<Vec<ChoiceRecord>>>) {
-        let log = Arc::new(Mutex::new(Vec::new()));
+    ) -> (Self, Rc<RefCell<Vec<ChoiceRecord>>>) {
+        let log = Rc::new(RefCell::new(Vec::new()));
         (
             TraceChooser {
                 next_index: 0,
                 forced,
                 free,
-                log: Arc::clone(&log),
+                log: Rc::clone(&log),
             },
             log,
         )
@@ -329,15 +330,12 @@ impl Chooser for TraceChooser {
                 }
             },
         };
-        self.log
-            .lock()
-            .expect("choice log lock")
-            .push(ChoiceRecord {
-                index,
-                kind,
-                arity: arity as u32,
-                pick: pick as u32,
-            });
+        self.log.borrow_mut().push(ChoiceRecord {
+            index,
+            kind,
+            arity: arity as u32,
+            pick: pick as u32,
+        });
         pick
     }
 }
@@ -463,7 +461,7 @@ mod tests {
             chooser.choose(ChoiceKind::TieBreak, 2);
         }
         assert_eq!(chooser.choose(ChoiceKind::TieBreak, 2), 0); // pick 2 >= arity 2
-        let log = log.lock().unwrap();
+        let log = log.borrow();
         assert_eq!(log.len(), 24);
         assert_eq!(log[17].pick, 1);
         assert_eq!(log[23].pick, 0);
@@ -506,7 +504,7 @@ mod tests {
                 c.choose(ChoiceKind::Fault, 4);
                 c.choose(ChoiceKind::TieBreak, 3);
             }
-            let log = log.lock().unwrap().clone();
+            let log = log.borrow().clone();
             log
         };
         assert_eq!(run(5), run(5));

@@ -12,13 +12,9 @@
 pub mod flow;
 pub mod geo;
 pub mod graph;
-pub mod partition;
 pub mod path;
 pub mod topologies;
 
 pub use flow::{Flow, FlowId, FlowUpdate, Version};
 pub use graph::{DirectedLink, Link, LinkId, Node, NodeId, Topology, TopologyBuilder};
-pub use partition::{
-    min_cross_partition_latency, Partitioner, PodPartitioner, SinglePartition, StripePartitioner,
-};
 pub use path::{k_shortest_paths, latency_distances_from, shortest_path, Path};

@@ -219,7 +219,7 @@ pub fn fat_tree(k: usize) -> Topology {
 }
 
 /// Synthetic fat-tree with independently chosen core count, pod count, and
-/// per-pod width — the scale knob the perf harness turns. A strict
+/// per-pod width — the scale knob the benchmark turns. A strict
 /// [`fat_tree`]`(k)` only exists at sizes `k + k²` for even `k` (20, 80,
 /// 320, …), so hitting round node budgets like 64 or 512 needs the
 /// relaxed form: `cores + pods × (per_pod agg + per_pod edge)` switches,
@@ -261,27 +261,27 @@ pub fn synthetic_fat_tree(cores: usize, pods: usize, per_pod: usize) -> Topology
 }
 
 /// 64-switch synthetic fat-tree (8 cores, 4 pods × 7 agg + 7 edge) — the
-/// mid-scale perf-harness topology.
+/// benchmark's smoke-size topology.
 pub fn synthetic_fat_tree_64() -> Topology {
     synthetic_fat_tree(8, 4, 7)
 }
 
 /// 512-switch synthetic fat-tree (32 cores, 8 pods × 30 agg + 30 edge) —
-/// the large-scale perf-harness topology.
+/// the benchmark's `lint-churn` topology.
 pub fn synthetic_fat_tree_512() -> Topology {
     synthetic_fat_tree(32, 8, 30)
 }
 
 /// 4096-switch synthetic fat-tree (64 cores, 126 pods × 16 agg + 16 edge)
-/// — the beyond-ft512 scale the parallel perf harness measures.
+/// — the benchmark's `dc-scale` topology.
 pub fn synthetic_fat_tree_4096() -> Topology {
     synthetic_fat_tree(64, 126, 16)
 }
 
 /// 32768-switch synthetic fat-tree (128 cores, 240 pods × 68 agg + 68
-/// edge) — the hyper-scale topology only the partitioned engine can run:
-/// dense all-pairs path tables alone would need ~16 GiB at this node
-/// count, so the harness pairs it with lazily computed tables.
+/// edge) — the hyper-scale topology: dense all-pairs path tables alone
+/// would need ~16 GiB at this node count, which is why the simulator fills
+/// its path-table rows on first use.
 pub fn synthetic_fat_tree_32768() -> Topology {
     synthetic_fat_tree(128, 240, 68)
 }

@@ -13,7 +13,6 @@ pub mod checker;
 pub mod config;
 pub mod metrics;
 pub mod network;
-pub mod partition;
 pub mod table;
 
 pub use checker::{check, FlowSpec, Violation};
@@ -23,9 +22,7 @@ pub use config::{
 };
 pub use metrics::{Metrics, MetricsCounts, MetricsSink, NullMetrics, StreamingMetrics};
 pub use network::{
-    simulation, ByzDisposition, ByzOutcome, ControllerImpl, Event, GateStats, NetworkSim,
-    PathTables, System,
+    simulation, ByzDisposition, ByzOutcome, ControllerImpl, Event, GateStats, NetworkSim, System,
 };
 pub use p4update_messages::ByzVector;
-pub use partition::{event_router, LookaheadViolation, PartitionedSim};
 pub use table::SwitchTable;

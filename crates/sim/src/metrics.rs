@@ -56,7 +56,7 @@ pub struct MetricsCounts {
 /// and alarms are `O(#updates)`, so every sink (except the null sink)
 /// keeps them exact — the multi-flow completion-time metric must not
 /// depend on which fidelity was chosen.
-pub trait MetricsSink: Send {
+pub trait MetricsSink {
     /// A data packet arrived at a switch.
     fn record_arrival(&mut self, t: SimTime, node: NodeId, pkt: DataPacket);
     /// A data packet was delivered at its egress.

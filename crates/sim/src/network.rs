@@ -17,55 +17,14 @@ use p4update_dataplane::{ControllerLogic, CtrlEffect, Effect, Endpoint, Switch, 
 use p4update_des::{ChoiceKind, Scheduler, SimDuration, SimRng, SimTime, Simulation, World};
 use p4update_messages::{ByzDelivery, ByzVector, DataPacket, Message, RejectReason, UfmStatus};
 use p4update_net::{latency_distances_from, FlowId, FlowUpdate, NodeId, Path, Topology, Version};
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
 
-/// All-pairs shortest-path tables (latency and hop count) for a topology.
-///
-/// Computing these is O(n² log n) and was the dominant *setup* cost of a
-/// large-scale run (at ft4096 the tables hold 2 × 4096² entries); they
-/// depend only on the topology, so the scale harness computes them once
-/// per topology and shares them (`Arc`) across every run — and across the
-/// parallel runner's worker threads. The numbers are bit-identical to a
-/// per-run computation, so sharing cannot perturb determinism.
-///
-/// Two storage strategies exist behind one query interface:
-///
-/// - [`PathTables::compute`]: dense all-pairs matrices. Exact and O(1) per
-///   query, but O(n²) memory — at 32768 nodes that is ~16 GiB, which is
-///   what makes the hyper-scale topology infeasible with dense tables.
-/// - [`PathTables::lazy`]: rows are computed on first use and memoized.
-///   DC-style timing barely consults the tables (data forwarding is
-///   link-local and `ControlLatency::NormalMs` never reads them), so the
-///   working set stays tiny even at 32768 switches. Row values are the
-///   same Dijkstra/BFS results the dense path produces, so queries are
-///   bit-identical between the two strategies.
-pub struct PathTables {
-    inner: TablesInner,
-}
+/// One row: per-destination shortest-path latencies (ms) and hop counts
+/// from a single source node.
+type PathRow = (Vec<f64>, Vec<u32>);
 
-/// One memoized row: per-destination latencies and hop counts from a
-/// single source node.
-type PathRow = Arc<(Vec<f64>, Vec<u32>)>;
-
-enum TablesInner {
-    Dense {
-        /// Latency (ms) of the shortest path between every node pair.
-        sp_latency_ms: Vec<Vec<f64>>,
-        /// Hop count of the latency-shortest path between every node pair.
-        sp_hops: Vec<Vec<u32>>,
-    },
-    Lazy {
-        topo: Topology,
-        /// Memoized rows by source node (interior mutability so shared
-        /// `Arc<PathTables>` handles can fill the cache; a poisoned lock
-        /// can only come from a panic mid-row, which aborts the run
-        /// anyway).
-        rows: Mutex<BTreeMap<u32, PathRow>>,
-    },
-}
-
-fn path_row(topo: &Topology, v: NodeId) -> (Vec<f64>, Vec<u32>) {
+fn path_row(topo: &Topology, v: NodeId) -> PathRow {
     let n = topo.node_count();
     let lat = latency_distances_from(topo, v);
     // Hop counts via BFS (good enough for relay cost estimation).
@@ -83,78 +42,25 @@ fn path_row(topo: &Topology, v: NodeId) -> (Vec<f64>, Vec<u32>) {
     (lat, hops)
 }
 
+/// Shortest-path rows by source node, each filled on first use.
+///
+/// Only `ControlLatency::ShortestPathFrom` and switch-to-switch messages
+/// between non-adjacent switches consult the table, so a run touches one
+/// row under WAN timing and almost none under fat-tree timing. All-pairs
+/// tables would be 2 × n² entries — ~16 GiB at 32768 switches.
+struct PathTables {
+    rows: Vec<OnceCell<PathRow>>,
+}
+
 impl PathTables {
-    /// Compute dense tables for `topo` (Dijkstra per node for latencies,
-    /// BFS per node for hop counts).
-    pub fn compute(topo: &Topology) -> Self {
-        let n = topo.node_count();
-        let mut sp_latency_ms = Vec::with_capacity(n);
-        let mut sp_hops = Vec::with_capacity(n);
-        for v in topo.node_ids() {
-            let (lat, hops) = path_row(topo, v);
-            sp_latency_ms.push(lat);
-            sp_hops.push(hops);
-        }
+    fn new(nodes: usize) -> Self {
         PathTables {
-            inner: TablesInner::Dense {
-                sp_latency_ms,
-                sp_hops,
-            },
+            rows: (0..nodes).map(|_| OnceCell::new()).collect(),
         }
     }
 
-    /// Lazily-computed tables over `topo`: rows materialize on first query
-    /// and are memoized. This is what makes `synthetic_fat_tree_32768`
-    /// runnable at all — see the type-level docs.
-    pub fn lazy(topo: Topology) -> Self {
-        PathTables {
-            inner: TablesInner::Lazy {
-                topo,
-                rows: Mutex::new(BTreeMap::new()),
-            },
-        }
-    }
-
-    fn row(topo: &Topology, rows: &Mutex<BTreeMap<u32, PathRow>>, from: NodeId) -> PathRow {
-        let mut cache = rows.lock().expect("path-table cache lock");
-        cache
-            .entry(from.index() as u32)
-            .or_insert_with(|| Arc::new(path_row(topo, from)))
-            .clone()
-    }
-
-    /// Shortest-path latency (ms) from `from` to `to`.
-    pub fn latency_ms(&self, from: NodeId, to: NodeId) -> f64 {
-        match &self.inner {
-            TablesInner::Dense { sp_latency_ms, .. } => sp_latency_ms[from.index()][to.index()],
-            TablesInner::Lazy { topo, rows } => Self::row(topo, rows, from).0[to.index()],
-        }
-    }
-
-    /// Hop count of the latency-shortest path from `from` to `to`.
-    pub fn hops(&self, from: NodeId, to: NodeId) -> u32 {
-        match &self.inner {
-            TablesInner::Dense { sp_hops, .. } => sp_hops[from.index()][to.index()],
-            TablesInner::Lazy { topo, rows } => Self::row(topo, rows, from).1[to.index()],
-        }
-    }
-
-    /// Number of rows materialized so far (= node count for dense tables).
-    /// The hyper-scale smoke test asserts this stays far below the node
-    /// count, i.e. that lazy tables actually avoid the O(n²) bill.
-    pub fn rows_materialized(&self) -> usize {
-        match &self.inner {
-            TablesInner::Dense { sp_latency_ms, .. } => sp_latency_ms.len(),
-            TablesInner::Lazy { rows, .. } => rows.lock().expect("path-table cache lock").len(),
-        }
-    }
-
-    /// Number of nodes the tables were computed for.
-    pub fn node_count(&self) -> usize {
-        match &self.inner {
-            TablesInner::Dense { sp_latency_ms, .. } => sp_latency_ms.len(),
-            TablesInner::Lazy { topo, .. } => topo.node_count(),
-        }
+    fn row(&self, topo: &Topology, from: NodeId) -> &PathRow {
+        self.rows[from.index()].get_or_init(|| path_row(topo, from))
     }
 }
 
@@ -189,7 +95,7 @@ pub enum ControllerImpl {
 }
 
 impl ControllerImpl {
-    pub(crate) fn as_logic(&mut self) -> &mut dyn ControllerLogic {
+    fn as_logic(&mut self) -> &mut dyn ControllerLogic {
         match self {
             ControllerImpl::P4(c) => c,
             ControllerImpl::Ez(c) => c,
@@ -201,15 +107,15 @@ impl ControllerImpl {
 /// One in-flight byzantine-corrupted message: recorded when the lie is
 /// scheduled, consumed (and classified into a [`ByzOutcome`]) when the
 /// receiver processes it.
-pub(crate) struct ByzTaint {
+struct ByzTaint {
     /// Where the corrupted copy is headed.
-    pub(crate) dest: Endpoint,
+    dest: Endpoint,
     /// The corrupted payload (matched by equality at delivery).
-    pub(crate) msg: Message,
+    msg: Message,
     /// Which catalog vector produced it.
-    pub(crate) vector: ByzVector,
+    vector: ByzVector,
     /// The lying switch.
-    pub(crate) liar: NodeId,
+    liar: NodeId,
 }
 
 /// What a byzantine-corrupted message did at its receiver — the raw
@@ -284,9 +190,8 @@ pub enum Event {
     /// domain (only under [`ControlLatency::NormalMs`]): it left `from` at
     /// `sent_at` and this event fires at `sent_at + floor_ms`, where the
     /// *controller side* draws the actual latency and schedules the
-    /// [`Event::DeliverToController`]. Relocating the draw makes all RNG
-    /// consumption controller-local, which is what lets the partitioned
-    /// engine reproduce the sequential stream exactly.
+    /// [`Event::DeliverToController`], so every draw of the control-latency
+    /// model is made by a controller-side event.
     CtrlIngress {
         /// Sending switch.
         from: NodeId,
@@ -342,35 +247,31 @@ pub enum Event {
 }
 
 /// The simulated network world.
-///
-/// Fields the partitioned engine (`crate::partition`) splits across shards
-/// are `pub(crate)`: it dismantles a `NetworkSim` into per-partition state,
-/// runs the window loop, and reassembles an equivalent world.
 pub struct NetworkSim {
-    pub(crate) topo: Topology,
+    topo: Topology,
     /// Per-switch chassis, densely indexed by [`NodeId`].
     pub switches: SwitchTable,
     /// The controller.
     pub controller: ControllerImpl,
-    pub(crate) config: SimConfig,
-    pub(crate) rng: SimRng,
-    /// Shared all-pairs shortest-path tables (see [`PathTables`]).
-    pub(crate) tables: Arc<PathTables>,
+    config: SimConfig,
+    rng: SimRng,
+    /// Shortest-path rows, filled on first use (see [`PathTables`]).
+    tables: PathTables,
     /// Serial-processing horizon per switch, indexed by `NodeId::index`.
-    pub(crate) switch_busy: Vec<SimTime>,
+    switch_busy: Vec<SimTime>,
     /// Whether each switch has an armed resubmission poll loop.
-    pub(crate) polling: Vec<bool>,
+    polling: Vec<bool>,
     /// Serial-processing horizon of the controller.
-    pub(crate) ctrl_busy: SimTime,
+    ctrl_busy: SimTime,
     /// Update batches by trigger index.
-    pub(crate) batches: Vec<Vec<FlowUpdate>>,
+    batches: Vec<Vec<FlowUpdate>>,
     /// Flow specs for the checker and metrics.
     pub flows: BTreeMap<FlowId, FlowSpec>,
     /// Where measurements go; defaults to the full-recording [`Metrics`].
-    pub(crate) sink: Box<dyn MetricsSink>,
+    sink: Box<dyn MetricsSink>,
     /// Reusable effect buffer: taken at the top of each hot event arm and
     /// put back cleared, so the event loop allocates nothing per event.
-    pub(crate) scratch: Vec<Effect>,
+    scratch: Vec<Effect>,
     /// Violations found by per-event checking (paranoid mode).
     pub violations: Vec<(SimTime, Violation)>,
     /// Findings of the static analysis gate (`SimConfig::analysis_gate`):
@@ -380,20 +281,20 @@ pub struct NetworkSim {
     /// The previous gate pass, kept so the next triggered batch is
     /// revalidated incrementally ([`BatchAnalyzer::reanalyze`]) instead of
     /// re-linted from scratch.
-    pub(crate) gate_cache: Option<BatchAnalysis>,
+    gate_cache: Option<BatchAnalysis>,
     /// Work counters of the incremental analysis gate.
     pub gate_stats: GateStats,
     /// Switches that have taken a lying alternative at a byzantine choice
     /// point, in first-lie order (bounds enforcement for
     /// `ByzantineConfig::max_liars`).
-    pub(crate) liars: Vec<NodeId>,
+    liars: Vec<NodeId>,
     /// In-flight corrupted messages awaiting delivery classification.
-    pub(crate) byz_taints: Vec<ByzTaint>,
+    byz_taints: Vec<ByzTaint>,
     /// Per-lie classification log (see [`ByzOutcome`]).
     pub byz_outcomes: Vec<ByzOutcome>,
     /// Standby controller replicas (shadow state machines; see
     /// [`crate::config::ReplicationConfig`]).
-    pub(crate) standbys: Vec<ControllerImpl>,
+    standbys: Vec<ControllerImpl>,
     /// Whether [`Event::ControllerFailover`] has fired.
     pub failed_over: bool,
 }
@@ -421,27 +322,9 @@ impl NetworkSim {
         config: SimConfig,
         free_capacity: Option<BTreeMap<(NodeId, NodeId), f64>>,
     ) -> Self {
-        let tables = Arc::new(PathTables::compute(&topo));
-        Self::with_path_tables(topo, system, config, free_capacity, tables)
-    }
-
-    /// Like [`Self::new`], but reusing precomputed [`PathTables`] — the
-    /// scale harness shares one table set across all runs on a topology.
-    pub fn with_path_tables(
-        topo: Topology,
-        system: System,
-        config: SimConfig,
-        free_capacity: Option<BTreeMap<(NodeId, NodeId), f64>>,
-        tables: Arc<PathTables>,
-    ) -> Self {
-        assert_eq!(
-            tables.node_count(),
-            topo.node_count(),
-            "path tables were computed for a different topology"
-        );
         let mut rng = SimRng::new(config.seed);
         let switches = SwitchTable::build(&topo, |id| {
-            let logic: Box<dyn SwitchLogic + Send> = match system {
+            let logic: Box<dyn SwitchLogic> = match system {
                 System::P4Update(_) => Box::new(P4UpdateLogic::new()),
                 System::EzSegway { .. } => Box::new(EzSwitchLogic::new()),
                 System::Central { .. } => Box::new(CentralSwitchLogic::new()),
@@ -481,7 +364,7 @@ impl NetworkSim {
             controller,
             config,
             rng,
-            tables,
+            tables: PathTables::new(n),
             ctrl_busy: SimTime::ZERO,
             batches: Vec::new(),
             flows: BTreeMap::new(),
@@ -514,6 +397,17 @@ impl NetworkSim {
     /// The configuration this world was assembled with.
     pub fn config(&self) -> &SimConfig {
         &self.config
+    }
+
+    /// How many source nodes have had their shortest-path row computed so
+    /// far (rows are filled on first use; a run on the 32768-switch
+    /// fat-tree must stay far below the node count).
+    pub fn path_rows_filled(&self) -> usize {
+        self.tables
+            .rows
+            .iter()
+            .filter(|r| r.get().is_some())
+            .count()
     }
 
     /// Replace the metrics sink (builder form). The default is the
@@ -644,7 +538,9 @@ impl NetworkSim {
     /// Control latency between the controller and `node` (one way).
     fn control_latency(&mut self, node: NodeId) -> SimDuration {
         match self.config.timing.control {
-            ControlLatency::ShortestPathFrom(ctrl) => ms(self.tables.latency_ms(ctrl, node)),
+            ControlLatency::ShortestPathFrom(ctrl) => {
+                ms(self.tables.row(&self.topo, ctrl).0[node.index()])
+            }
             ControlLatency::NormalMs {
                 mean,
                 std_dev,
@@ -659,8 +555,9 @@ impl NetworkSim {
         if let Some(lat) = self.topo.latency_between(from, to) {
             return lat;
         }
-        let lat = ms(self.tables.latency_ms(from, to));
-        let hops = self.tables.hops(from, to).max(1);
+        let (latency_ms, hops) = self.tables.row(&self.topo, from);
+        let lat = ms(latency_ms[to.index()]);
+        let hops = hops[to.index()].max(1);
         lat + ms(self.config.timing.relay_hop_ms).saturating_mul(hops as u64)
     }
 

@@ -13,4 +13,4 @@ pub mod gravity;
 pub mod scenario;
 
 pub use gravity::TrafficMatrix;
-pub use scenario::{multi_flow, single_flow, Workload};
+pub use scenario::{bench_workload, multi_flow, single_flow, Workload};

@@ -326,10 +326,38 @@ pub fn multi_flow(topo: &Topology, rng: &mut SimRng, load_factor: f64) -> Worklo
     );
 }
 
+/// The deterministic scale workload for `seed`: one update per switch at
+/// load factor 0.55 (§9.1's near-capacity multi-flow setting), plus the
+/// post-allocation free capacity the congestion-aware controllers need.
+pub fn bench_workload(topo: &Topology, seed: u64) -> Workload {
+    multi_flow(topo, &mut SimRng::new(seed), 0.55)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use p4update_net::topologies;
+
+    #[test]
+    fn bench_workload_is_deterministic_and_covers_every_switch() {
+        let topo = topologies::fig1();
+        let a = bench_workload(&topo, 7);
+        let b = bench_workload(&topo, 7);
+        assert_eq!(a.updates.len(), topo.node_count());
+        assert_eq!(
+            a.updates.iter().map(|u| u.flow).collect::<Vec<_>>(),
+            b.updates.iter().map(|u| u.flow).collect::<Vec<_>>()
+        );
+        assert_eq!(a.free_capacity, b.free_capacity);
+    }
+
+    #[test]
+    fn bench_workload_generates_on_the_synthetic_fat_trees() {
+        let topo = topologies::synthetic_fat_tree_64();
+        let w = bench_workload(&topo, 1);
+        assert_eq!(w.updates.len(), 64);
+        assert!(w.updates.iter().all(|u| u.old_path.is_some()));
+    }
 
     #[test]
     fn single_flow_triggers_segmentation_on_b4() {

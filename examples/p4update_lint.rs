@@ -25,11 +25,12 @@
 //! of which must produce an error diagnostic.
 
 use p4update::analysis::{
-    analyze_batch_with, export_dataset, load_dataset, AnalysisContext, Diagnostic, Severity,
+    analyze_batch_with, bench_plans, export_dataset, load_dataset, AnalysisContext, Diagnostic,
+    Severity,
 };
 use p4update::core::{prepare_update, PreparedUpdate, Strategy};
 use p4update::net::{topologies, FlowId, FlowUpdate, NodeId, Path, Topology, Version};
-use p4update::perf::{bench_plans, bench_workload};
+use p4update::traffic::bench_workload;
 
 fn fig1_migration() -> FlowUpdate {
     FlowUpdate::new(
@@ -101,7 +102,7 @@ fn main() {
         // as a dataset, and lint it in memory with the sequential path.
         let scale = arg_value(&args, "--scale").unwrap_or_else(|| "ft64".into());
         let topo = fat_tree(&scale);
-        let (plans, installed) = bench_plans(&bench_workload(&topo, 1));
+        let (plans, installed) = bench_plans(&bench_workload(&topo, 1).updates);
         export_dataset(dir.as_ref(), Some(&topo), &plans, &installed)
             .unwrap_or_else(|e| panic!("export to {dir}: {e}"));
         let ctx = AnalysisContext::with_installed(Some(&topo), installed);

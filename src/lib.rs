@@ -64,7 +64,6 @@ pub use p4update_des as des;
 pub use p4update_explore as explore;
 pub use p4update_messages as messages;
 pub use p4update_net as net;
-pub use p4update_perf as perf;
 pub use p4update_pipeline as pipeline;
 pub use p4update_sim as sim;
 pub use p4update_traffic as traffic;

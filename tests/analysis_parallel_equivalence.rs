@@ -9,11 +9,13 @@
 //!    `reanalyze` path revalidates strictly fewer plans than a full
 //!    re-lint would, while still producing byte-identical diagnostics.
 
-use p4update::analysis::{analyze_batch_with, AnalysisContext, BatchAnalyzer, PlanDelta};
+use p4update::analysis::{
+    analyze_batch_with, bench_plans, AnalysisContext, BatchAnalyzer, PlanDelta,
+};
 use p4update::core::{prepare_update, PreparedUpdate, Strategy};
 use p4update::explore::scenarios;
 use p4update::net::{topologies, FlowId, Version};
-use p4update::perf::{bench_plans, bench_workload};
+use p4update::traffic::bench_workload;
 use std::collections::BTreeMap;
 
 /// Prepare a scenario batch the way the controller would: migrations of a
@@ -99,7 +101,7 @@ fn engine_matches_sequential_on_every_registry_scenario() {
 #[test]
 fn incremental_reanalysis_revalidates_strictly_fewer_plans() {
     let topo = topologies::synthetic_fat_tree_64();
-    let (plans, installed) = bench_plans(&bench_workload(&topo, 1));
+    let (plans, installed) = bench_plans(&bench_workload(&topo, 1).updates);
     let ctx = AnalysisContext::with_installed(Some(&topo), installed);
     let engine = BatchAnalyzer::new(2);
     let full = engine.analyze(&plans, &ctx);
@@ -136,7 +138,7 @@ fn incremental_reanalysis_revalidates_strictly_fewer_plans() {
 #[test]
 fn empty_delta_revalidates_nothing() {
     let topo = topologies::synthetic_fat_tree_64();
-    let (plans, installed) = bench_plans(&bench_workload(&topo, 1));
+    let (plans, installed) = bench_plans(&bench_workload(&topo, 1).updates);
     let ctx = AnalysisContext::with_installed(Some(&topo), installed);
     let engine = BatchAnalyzer::new(1);
     let full = engine.analyze(&plans, &ctx);

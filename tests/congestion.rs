@@ -123,3 +123,51 @@ fn fat_tree_multi_flow_is_consistent() {
         );
     }
 }
+
+/// Regression: under `ForceSingle`, two blocked flows that each sit on the
+/// link the other wants used to re-raise and retry each other without
+/// bound (`gate_and_install` <-> `process_unm`, a stack overflow at any
+/// stack size). The run must drain, stay consistent, and strand exactly the
+/// flows caught in the circular capacity wait EXPERIMENTS.md documents:
+/// each stranded flow lacks room on a link that another stranded flow
+/// still holds, so none of them can ever be the first to move.
+#[test]
+fn mutually_blocked_flows_park_instead_of_recursing() {
+    type MkTopo = fn() -> p4update::net::Topology;
+    for (mk_topo, seed, flows, completed) in [
+        (topologies::att_mpls as MkTopo, 123_478u64, 25, 23),
+        (topologies::b4 as MkTopo, 5656, 12, 10),
+        (topologies::internet2 as MkTopo, 12_129, 16, 12),
+    ] {
+        let mut world = run_workload(mk_topo(), Strategy::ForceSingle, seed, 0.55);
+        let name = world.topology().name.clone();
+        assert!(
+            world.violations.is_empty(),
+            "{name}: {:?}",
+            world.violations
+        );
+        assert_eq!(world.sink().counts().alarms, 0, "{name}");
+        let stranded = world.record_stranded_flows();
+        assert_eq!(world.flows.len(), flows, "{name}");
+        assert_eq!(flows - stranded.len(), completed, "{name}: {stranded:?}");
+        for &f in &stranded {
+            let waits_on_a_stranded_holder = world.switches.values().any(|sw| {
+                let uib = &sw.state.uib;
+                let e = uib.read(f);
+                let Some(wanted) = e.staged_next_hop else {
+                    return false;
+                };
+                e.uim_version > e.applied_version
+                    && e.active_next_hop != Some(wanted)
+                    && !sw.state.capacity_suffices(wanted, e.flow_size)
+                    && stranded
+                        .iter()
+                        .any(|&g| g != f && uib.read(g).active_next_hop == Some(wanted))
+            });
+            assert!(
+                waits_on_a_stranded_holder,
+                "{name}: {f:?} is stranded outside the circular capacity wait"
+            );
+        }
+    }
+}

@@ -329,8 +329,8 @@ fn fig2_reordering_loops_ez_segway_but_not_p4update() {
 /// what the benchmark artifact's `stranded_flows` column reports.
 #[test]
 fn ez_segway_strands_flow_214_at_ft512() {
-    use p4update::perf::bench_workload;
     use p4update::sim::StreamingMetrics;
+    use p4update::traffic::bench_workload;
 
     let topo = topologies::synthetic_fat_tree_512();
     let workload = bench_workload(&topo, 1);

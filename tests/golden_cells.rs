@@ -1,0 +1,117 @@
+//! The canonical bench cells as a cross-commit fixed point.
+//!
+//! These are the deterministic cells of the retired perf harness's
+//! `--smoke --strip-timing` artifact, recorded at the last commit that
+//! had it: gravity-model multi-flow updates at load factor 0.55 on
+//! `fig1` (seeds 1-2) and `ft64` (seed 1) for all four systems, on the
+//! sequential engine with every library default. They pin what no other
+//! test compares *across commits*: event counts, peak queue depth and the
+//! FCT percentiles. A change that moves any of them has changed simulated
+//! behaviour (timing model, path-table values, RNG stream, protocol
+//! logic), not just its implementation.
+
+use p4update::core::Strategy;
+use p4update::des::{Samples, SimDuration, SimRng, SimTime};
+use p4update::net::{topologies, Topology};
+use p4update::sim::{
+    simulation, Event, NetworkSim, SimConfig, StreamingMetrics, System, TimingConfig,
+};
+use p4update::traffic::multi_flow;
+
+struct Cell {
+    system: System,
+    events: u64,
+    completed_flows: usize,
+    stranded_flows: usize,
+    peak_queue_depth: usize,
+    fct_p50_ms: f64,
+    fct_p99_ms: f64,
+}
+
+const SL: System = System::P4Update(Strategy::ForceSingle);
+const DL: System = System::P4Update(Strategy::ForceDual);
+const EZ: System = System::EzSegway { congestion: true };
+const CENTRAL: System = System::Central { congestion: true };
+
+#[rustfmt::skip]
+const FIG1: [Cell; 4] = [
+    Cell { system: SL, events: 261, completed_flows: 16, stranded_flows: 0, peak_queue_depth: 35, fct_p50_ms: 208.19797, fct_p99_ms: 320.60632515 },
+    Cell { system: DL, events: 505, completed_flows: 16, stranded_flows: 0, peak_queue_depth: 36, fct_p50_ms: 213.3396865, fct_p99_ms: 326.79234125 },
+    Cell { system: EZ, events: 220, completed_flows: 16, stranded_flows: 0, peak_queue_depth: 36, fct_p50_ms: 215.02139499999998, fct_p99_ms: 346.60632515 },
+    Cell { system: CENTRAL, events: 215, completed_flows: 16, stranded_flows: 0, peak_queue_depth: 10, fct_p50_ms: 290.2380665, fct_p99_ms: 402.55549345 },
+];
+
+#[rustfmt::skip]
+const FT64: [Cell; 4] = [
+    Cell { system: SL, events: 1530, completed_flows: 64, stranded_flows: 0, peak_queue_depth: 254, fct_p50_ms: 1612.9529535000001, fct_p99_ms: 1863.54385309 },
+    Cell { system: DL, events: 2269, completed_flows: 64, stranded_flows: 0, peak_queue_depth: 254, fct_p50_ms: 1684.1752219999998, fct_p99_ms: 1934.75857709 },
+    Cell { system: EZ, events: 1162, completed_flows: 64, stranded_flows: 0, peak_queue_depth: 294, fct_p50_ms: 1758.60003, fct_p99_ms: 2037.9875990799999 },
+    Cell { system: CENTRAL, events: 955, completed_flows: 64, stranded_flows: 0, peak_queue_depth: 104, fct_p50_ms: 2014.9638235, fct_p99_ms: 2402.95875376 },
+];
+
+/// Run `cell.system` on `topo` for seeds `1..=seeds` and compare the
+/// aggregate against the pinned cell, bit for bit.
+fn check(scale: &str, topo: &Topology, timing: TimingConfig, seeds: u64, cell: &Cell) {
+    let (mut events, mut peak, mut stranded) = (0u64, 0usize, 0usize);
+    let mut fct = Samples::new();
+    for seed in 1..=seeds {
+        let workload = multi_flow(topo, &mut SimRng::new(seed), 0.55);
+        let config = SimConfig::new(timing, seed).with_analysis_gate(false);
+        let mut world = NetworkSim::new(
+            topo.clone(),
+            cell.system,
+            config,
+            Some(workload.free_capacity.clone()),
+        )
+        .with_metrics_sink(Box::new(StreamingMetrics::new()));
+        for u in &workload.updates {
+            if let Some(old) = &u.old_path {
+                world.install_initial_path(u.flow, old, u.size);
+            }
+        }
+        let batch = world.add_batch(workload.updates.clone());
+        let mut sim = simulation(world);
+        sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
+        let _ = sim.run_until(SimTime::ZERO + SimDuration::from_secs(600));
+        events += sim.events_delivered();
+        peak = peak.max(sim.peak_queue_depth());
+        let mut world = sim.into_world();
+        stranded += world.record_stranded_flows().len();
+        for u in &workload.updates {
+            let done = world
+                .sink()
+                .completions()
+                .iter()
+                .filter(|&&(_, f, _)| f == u.flow)
+                .map(|&(t, _, _)| t)
+                .max();
+            if let Some(t) = done {
+                fct.push(t.as_millis_f64());
+            }
+        }
+    }
+    let ps = fct.percentiles(&[50.0, 99.0]);
+    let got = (events, fct.len(), stranded, peak, ps[0], ps[1]);
+    let want = (
+        cell.events,
+        cell.completed_flows,
+        cell.stranded_flows,
+        cell.peak_queue_depth,
+        cell.fct_p50_ms,
+        cell.fct_p99_ms,
+    );
+    assert_eq!(got, want, "{scale} {:?}", cell.system);
+}
+
+#[test]
+fn canonical_cells_are_unchanged() {
+    let fig1 = topologies::fig1();
+    let wan = TimingConfig::wan_multi_flow(fig1.centroid());
+    for cell in &FIG1 {
+        check("fig1", &fig1, wan, 2, cell);
+    }
+    let ft64 = topologies::synthetic_fat_tree_64();
+    for cell in &FT64 {
+        check("ft64", &ft64, TimingConfig::fat_tree(), 1, cell);
+    }
+}

@@ -3,10 +3,7 @@
 //! keep test time reasonable).
 
 use p4update::core::Strategy;
-use p4update::des::SimTime;
-use p4update::explore::{replay, replay_partitioned, Trace};
-use p4update::net::{topologies, FlowId, FlowUpdate, NodeId, Partitioner, Path, Version};
-use p4update::sim::{event_router, simulation, Event, NetworkSim, SimConfig, System, TimingConfig};
+use p4update::sim::System;
 use p4update_experiments::{fig2, fig4, fig7, fig8};
 
 /// Fig. 2 (§4.1): under reordered updates, ez-Segway loops packets —
@@ -150,102 +147,6 @@ fn strategy_selection_follows_section_7_5() {
     );
     let prepared = prepare_update(&fig1, Version(2), Strategy::Auto);
     assert_eq!(prepared.kind, UpdateKind::Dual);
-}
-
-/// Round-robin cut by raw node id — the Fig. 1 topology has no pod
-/// structure, and the merged sharded engine must be correct under any
-/// assignment, including this adversarial one where nearly every link
-/// crosses shards.
-struct ModPartitioner(usize);
-
-impl Partitioner for ModPartitioner {
-    fn partitions(&self) -> usize {
-        self.0
-    }
-    fn partition_of(&self, node: NodeId) -> usize {
-        node.0 as usize % self.0
-    }
-}
-
-/// Run the Fig. 1 migration under `strategy`, optionally through the
-/// merged sharded engine, and return (flow-completion time, delivered
-/// events).
-fn fig1_migration(strategy: Strategy, partitions: Option<usize>) -> (SimTime, u64) {
-    let topo = topologies::fig1();
-    let old = Path::new(topologies::fig1_old_path());
-    let new = Path::new(topologies::fig1_new_path());
-    let config = SimConfig::new(TimingConfig::wan_single_flow(topo.centroid()), 11).paranoid();
-    let cut = partitions.map(|p| (p, event_router(&topo, &ModPartitioner(p))));
-    let mut world = NetworkSim::new(topo, System::P4Update(strategy), config, None);
-    world.install_initial_path(FlowId(0), &old, 1.0);
-    let batch = world.add_batch(vec![FlowUpdate::new(FlowId(0), Some(old), new, 1.0)]);
-    let mut sim = simulation(world);
-    if let Some((p, router)) = cut {
-        sim = sim.with_partitions(p + 1, router);
-    }
-    sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
-    assert!(sim.run().drained());
-    let events = sim.events_delivered();
-    let world = sim.into_world();
-    assert!(world.violations.is_empty(), "{:?}", world.violations);
-    let done = world
-        .metrics()
-        .completion_of(FlowId(0), Version(2))
-        .expect("Fig. 1 migration must complete");
-    (done, events)
-}
-
-/// Fig. 1 through the merged sharded engine: the dual layer's update-time
-/// advantage — the paper's headline claim — is exactly preserved when the
-/// event queue is sharded, because each strategy's run is byte-identical
-/// to its sequential twin at every partition count.
-#[test]
-fn fig1_dual_layer_advantage_survives_the_merged_sharded_engine() {
-    let single = fig1_migration(Strategy::ForceSingle, None);
-    let dual = fig1_migration(Strategy::ForceDual, None);
-    assert!(
-        dual.0 < single.0,
-        "dual-layer ({:?}) should finish before single-layer ({:?})",
-        dual.0,
-        single.0
-    );
-    for partitions in [2usize, 4] {
-        assert_eq!(
-            fig1_migration(Strategy::ForceSingle, Some(partitions)),
-            single,
-            "x{partitions}: single-layer run diverged from sequential"
-        );
-        assert_eq!(
-            fig1_migration(Strategy::ForceDual, Some(partitions)),
-            dual,
-            "x{partitions}: dual-layer run diverged from sequential"
-        );
-    }
-}
-
-/// Fig. 2 through the merged sharded engine: the committed ez-Segway loop
-/// counterexample (`tests/corpus/fig2-ez-loop.trace`) replays to the
-/// exact pinned violation list at every partition count — sharding can
-/// neither hide nor invent the paper's inconsistency.
-#[test]
-fn fig2_loop_counterexample_is_partition_invariant() {
-    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("corpus")
-        .join("fig2-ez-loop.trace");
-    let text = std::fs::read_to_string(&path).expect("committed fig2 trace");
-    let trace = Trace::parse(&text).expect("trace parses");
-    assert!(
-        !trace.expect_violations.is_empty(),
-        "the fig2 trace must pin the loop violations"
-    );
-    let seq = replay(&trace).expect("sequential replay");
-    assert_eq!(seq.violations, trace.expect_violations);
-    assert_eq!(Some(seq.events), trace.expect_events);
-    for partitions in [2usize, 4, 8] {
-        let par = replay_partitioned(&trace, partitions).expect("partitioned replay");
-        assert_eq!(par, seq, "x{partitions}: partitioned replay diverged");
-    }
 }
 
 /// Sanity: the system labels used across experiments match the paper's

@@ -4,23 +4,8 @@
 
 use p4update::core::Strategy;
 use p4update::des::{SimDuration, SimRng, SimTime};
-use p4update::net::{topologies, FlowId, FlowUpdate, NodeId, Partitioner, Path, Version};
-use p4update::sim::{event_router, simulation, Event, NetworkSim, SimConfig, System, TimingConfig};
-
-/// Round-robin cut by raw node id. The Fig. 1 topology has no pod
-/// structure for [`p4update::net::PodPartitioner`] to find, and the merged
-/// sharded engine is correct under *any* assignment — this is the most
-/// adversarial one (nearly every link crosses shards).
-struct ModPartitioner(usize);
-
-impl Partitioner for ModPartitioner {
-    fn partitions(&self) -> usize {
-        self.0
-    }
-    fn partition_of(&self, node: NodeId) -> usize {
-        node.0 as usize % self.0
-    }
-}
+use p4update::net::{topologies, FlowId, FlowUpdate, NodeId, Path, Version};
+use p4update::sim::{simulation, Event, NetworkSim, SimConfig, System, TimingConfig};
 
 fn fig1_update() -> FlowUpdate {
     FlowUpdate::new(
@@ -32,20 +17,15 @@ fn fig1_update() -> FlowUpdate {
 }
 
 /// Run a batch of updates under `strategy`, with the checker armed on
-/// every event; return the finished world. With `partitions = Some(p)`,
-/// the run goes through the merged sharded engine on a `p`-way
-/// round-robin cut instead of the sequential queue — the theorems must
-/// hold identically either way.
-fn run_batches_on(
+/// every event; return the finished world.
+fn run_batches(
     strategy: Strategy,
     seed: u64,
     batches: Vec<(u64, Vec<FlowUpdate>)>,
     topo: p4update::net::Topology,
     installed: &[(FlowId, Path, f64)],
-    partitions: Option<usize>,
 ) -> NetworkSim {
     let config = SimConfig::new(TimingConfig::wan_single_flow(topo.centroid()), seed).paranoid();
-    let cut = partitions.map(|p| (p, event_router(&topo, &ModPartitioner(p))));
     let mut world = NetworkSim::new(topo, System::P4Update(strategy), config, None);
     for (flow, path, size) in installed {
         world.install_initial_path(*flow, path, *size);
@@ -55,10 +35,6 @@ fn run_batches_on(
         idxs.push(world.add_batch(updates.clone()));
     }
     let mut sim = simulation(world);
-    if let Some((p, router)) = cut {
-        // One shard per partition plus the controller shard.
-        sim = sim.with_partitions(p + 1, router);
-    }
     for ((at_ms, _), idx) in batches.iter().zip(idxs) {
         sim.schedule_at(
             SimTime::ZERO + SimDuration::from_millis(*at_ms),
@@ -67,16 +43,6 @@ fn run_batches_on(
     }
     assert!(sim.run().drained());
     sim.into_world()
-}
-
-fn run_batches(
-    strategy: Strategy,
-    seed: u64,
-    batches: Vec<(u64, Vec<FlowUpdate>)>,
-    topo: p4update::net::Topology,
-    installed: &[(FlowId, Path, f64)],
-) -> NetworkSim {
-    run_batches_on(strategy, seed, batches, topo, installed, None)
 }
 
 /// Theorem 1 + 3: both mechanisms keep the network blackhole- and
@@ -119,56 +85,6 @@ fn theorem_2_and_4_convergence_to_highest_version() {
                 Version(2),
                 "{strategy:?}: node {node} did not converge"
             );
-        }
-    }
-}
-
-/// Theorems 1–4 survive the merged sharded engine verbatim: sharding the
-/// event queue — even on an adversarial round-robin cut where almost
-/// every message crosses shards — changes nothing observable. The checker
-/// stays silent, every switch converges to the pushed version, and the
-/// violation log and metrics match the sequential run exactly at every
-/// partition count.
-#[test]
-fn theorems_hold_identically_under_the_merged_sharded_engine() {
-    let scenario = |strategy, seed, partitions| {
-        run_batches_on(
-            strategy,
-            seed,
-            vec![(0, vec![fig1_update()])],
-            topologies::fig1(),
-            &[(FlowId(0), Path::new(topologies::fig1_old_path()), 1.0)],
-            partitions,
-        )
-    };
-    for strategy in [Strategy::ForceSingle, Strategy::ForceDual] {
-        for seed in [0, 5] {
-            let seq = scenario(strategy, seed, None);
-            let seq_fp = format!("{:?}|{:?}", seq.violations, seq.metrics());
-            for partitions in [2usize, 3, 7] {
-                let par = scenario(strategy, seed, Some(partitions));
-                assert!(
-                    par.violations.is_empty(),
-                    "{strategy:?} seed {seed} x{partitions}: {:?}",
-                    par.violations
-                );
-                for &node in &topologies::fig1_new_path() {
-                    assert_eq!(
-                        par.switches[&node]
-                            .state
-                            .uib
-                            .read(FlowId(0))
-                            .applied_version,
-                        Version(2),
-                        "{strategy:?} seed {seed} x{partitions}: node {node} did not converge"
-                    );
-                }
-                assert_eq!(
-                    format!("{:?}|{:?}", par.violations, par.metrics()),
-                    seq_fp,
-                    "{strategy:?} seed {seed} x{partitions}: observables diverged"
-                );
-            }
         }
     }
 }
