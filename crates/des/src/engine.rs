@@ -12,7 +12,7 @@
 //! thereby steer the run through a different interleaving.
 
 use crate::choice::{ChoiceKind, Chooser, FifoChooser};
-use crate::queue::{QueueBackend, QueueImpl};
+use crate::queue::CalendarQueue;
 use crate::time::{SimDuration, SimTime};
 
 /// A world that reacts to events of type `E`.
@@ -29,14 +29,10 @@ pub trait World {
 
 /// The event queue handed to [`World::handle`]; schedules future events.
 ///
-/// Event storage is a pluggable [`crate::EventQueue`] backend selected via
-/// [`QueueBackend`] (calendar queue by default, binary heap on request);
-/// both realize the identical `(time, seq)` delivery order. Pending/peak
-/// counters are tracked here, independent of the backend, so observability
-/// (e.g. [`Simulation::peak_queue_depth`]) is backend-invariant by
-/// construction.
+/// Events wait in a calendar queue and leave it in strict `(time, seq)`
+/// order, `seq` being the order they were scheduled in.
 pub struct Scheduler<E> {
-    queue: QueueImpl<E>,
+    queue: CalendarQueue<E>,
     next_seq: u64,
     now: SimTime,
     chooser: Box<dyn Chooser>,
@@ -53,16 +49,10 @@ impl<E> Default for Scheduler<E> {
 }
 
 impl<E> Scheduler<E> {
-    /// An empty scheduler at t = 0 with the default FIFO tie-break policy
-    /// and the default (calendar) queue backend.
+    /// An empty scheduler at t = 0 with the default FIFO tie-break policy.
     pub fn new() -> Self {
-        Self::with_backend(QueueBackend::default())
-    }
-
-    /// An empty scheduler using the given queue backend.
-    pub fn with_backend(backend: QueueBackend) -> Self {
         Scheduler {
-            queue: QueueImpl::new(backend),
+            queue: CalendarQueue::new(),
             next_seq: 0,
             now: SimTime::ZERO,
             chooser: Box::new(FifoChooser),
@@ -71,27 +61,8 @@ impl<E> Scheduler<E> {
         }
     }
 
-    /// The queue backend in use.
-    pub fn backend(&self) -> QueueBackend {
-        self.queue.backend()
-    }
-
-    /// Switch the queue backend, migrating any pending events (their
-    /// `(time, seq)` keys — and therefore delivery order — are preserved).
-    pub fn set_backend(&mut self, backend: QueueBackend) {
-        if self.queue.backend() == backend {
-            return;
-        }
-        let mut next = QueueImpl::new(backend);
-        next.reserve(self.queue.len());
-        while let Some((at, seq, event)) = self.queue.pop() {
-            next.push(at, seq, event);
-        }
-        self.queue = next;
-    }
-
     /// Reserve queue capacity up front so steady-state runs never reallocate
-    /// mid-simulation. The hint reaches whichever backend is installed.
+    /// mid-simulation.
     pub fn reserve(&mut self, capacity: usize) {
         self.queue.reserve(capacity);
     }
@@ -153,7 +124,7 @@ impl<E> Scheduler<E> {
 
     /// Remove and return the next event to deliver.
     ///
-    /// With the trivial (FIFO) chooser this is a plain heap pop. With an
+    /// With the trivial (FIFO) chooser this is a plain queue pop. With an
     /// exploring chooser, all events tied at the earliest timestamp are
     /// gathered in FIFO order and presented as a [`ChoiceKind::TieBreak`]
     /// choice point; the unchosen ones go back on the queue (their original
@@ -253,19 +224,6 @@ impl<W: World> Simulation<W> {
     pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
         self.sched.reserve(capacity);
         self
-    }
-
-    /// Select the event-queue backend (see [`Scheduler::set_backend`]).
-    /// Pending events migrate, so this may be called after seeding the
-    /// queue; delivery order is identical for every backend.
-    pub fn with_queue_backend(mut self, backend: QueueBackend) -> Self {
-        self.sched.set_backend(backend);
-        self
-    }
-
-    /// The event-queue backend in use.
-    pub fn queue_backend(&self) -> QueueBackend {
-        self.sched.backend()
     }
 
     /// Replace the choice-point policy (see [`Scheduler::set_chooser`]).
@@ -414,6 +372,23 @@ mod tests {
         assert_eq!(sim.world().seen.len(), 1);
         assert!(sim.run().drained());
         assert_eq!(sim.world().seen.len(), 2);
+    }
+
+    /// Stopping at a horizon pops the head and pushes it back; an event
+    /// scheduled afterwards for an earlier time is still delivered first,
+    /// whether the head sat in the queue's near window (20 ms) or had to
+    /// rotate the window to be popped (10 s).
+    #[test]
+    fn scheduling_before_a_pushed_back_head_keeps_time_order() {
+        for head in [ms(20), ms(10_000)] {
+            let mut sim = Simulation::new(Recorder { seen: vec![] });
+            sim.schedule_at(ms(1), 1);
+            sim.schedule_at(head, 3);
+            assert!(!sim.run_until(ms(5)).drained());
+            sim.schedule_at(ms(7), 2);
+            assert!(sim.run().drained());
+            assert_eq!(sim.world().seen, vec![(ms(1), 1), (ms(7), 2), (head, 3)]);
+        }
     }
 
     #[test]
@@ -590,57 +565,6 @@ mod tests {
         assert!(sim.run().drained());
         let order: Vec<u32> = sim.world().seen.iter().map(|&(_, e)| e).collect();
         assert_eq!(order, (0..10).collect::<Vec<_>>());
-    }
-
-    /// Both queue backends drive the identical delivery order, through the
-    /// trivial FIFO path and the tie-gathering chooser path alike.
-    #[test]
-    fn queue_backends_deliver_identically() {
-        let run = |backend: QueueBackend,
-                   chooser: Option<Box<dyn Chooser>>|
-         -> Vec<(SimTime, u32)> {
-            let mut sim = Simulation::new(Recorder { seen: vec![] }).with_queue_backend(backend);
-            if let Some(c) = chooser {
-                sim = sim.with_chooser(c);
-            }
-            for i in 0..40 {
-                sim.schedule_at(ms(u64::from(i % 7)), i);
-                sim.schedule_at(ms(5_000 + u64::from(i)), 1000 + i);
-            }
-            assert!(sim.run().drained());
-            sim.world().seen.clone()
-        };
-        assert_eq!(
-            run(QueueBackend::Heap, None),
-            run(QueueBackend::Calendar, None)
-        );
-        assert_eq!(
-            run(QueueBackend::Heap, Some(Box::new(Lifo))),
-            run(QueueBackend::Calendar, Some(Box::new(Lifo)))
-        );
-    }
-
-    /// Switching backends mid-configuration migrates pending events with
-    /// their keys, so delivery order (incl. FIFO ties) is unchanged.
-    #[test]
-    fn backend_swap_migrates_pending_events() {
-        let mut sim = Simulation::new(Recorder { seen: vec![] });
-        assert_eq!(sim.queue_backend(), QueueBackend::Calendar);
-        for i in 0..20 {
-            sim.schedule_at(ms(7), i);
-            sim.schedule_at(ms(3 + u64::from(i)), 100 + i);
-        }
-        sim = sim.with_queue_backend(QueueBackend::Heap);
-        assert_eq!(sim.queue_backend(), QueueBackend::Heap);
-        assert_eq!(sim.peak_queue_depth(), 40);
-        assert!(sim.run().drained());
-        let mut expected = Simulation::new(Recorder { seen: vec![] });
-        for i in 0..20 {
-            expected.schedule_at(ms(7), i);
-            expected.schedule_at(ms(3 + u64::from(i)), 100 + i);
-        }
-        assert!(expected.run().drained());
-        assert_eq!(sim.world().seen, expected.world().seen);
     }
 
     #[test]

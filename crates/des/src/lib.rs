@@ -16,10 +16,8 @@
 //! - [`SimTime`] / [`SimDuration`]: integer-nanosecond simulated time.
 //! - [`World`] / [`Simulation`] / [`Scheduler`]: the event loop. Ties are
 //!   broken FIFO by default, so same-instant events are delivered in
-//!   scheduling order.
-//! - [`EventQueue`] / [`QueueBackend`]: pluggable event storage — a
-//!   calendar queue (O(1) amortized, the default) and the original binary
-//!   heap, extracting the identical `(time, seq)` total order.
+//!   scheduling order; pending events wait in a calendar queue (O(1)
+//!   amortized schedule and pop).
 //! - [`Chooser`] / [`ChoiceKind`]: the choice-point seam. Tie-breaks (and
 //!   world-defined decisions like per-message faults) route through a
 //!   pluggable policy, which is how the `p4update-explore` crate drives
@@ -44,7 +42,6 @@ mod time;
 
 pub use choice::{ChoiceKind, Chooser, FifoChooser};
 pub use engine::{RunOutcome, Scheduler, Simulation, World};
-pub use queue::{CalendarQueue, EventQueue, HeapQueue, QueueBackend};
 pub use rng::SimRng;
 pub use stats::{Reservoir, Samples};
 pub use time::{SimDuration, SimTime};

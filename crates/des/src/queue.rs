@@ -1,64 +1,20 @@
-//! Pluggable event queues.
+//! The event queue.
 //!
-//! The engine extracts pending events in strict `(time, seq)` order; *how*
-//! that order is maintained is a backend choice behind the [`EventQueue`]
-//! trait. Two implementations exist:
+//! The engine extracts pending events in strict `(time, seq)` order, and
+//! [`CalendarQueue`] is what keeps that order: a calendar queue / timing
+//! wheel. The near future is a window of power-of-two-width buckets
+//! indexed by `time >> log2(width)` — O(1) amortized schedule and pop —
+//! and anything beyond the window overflows into a far-future binary heap
+//! that is drained into the wheel when the window rotates forward.
 //!
-//! - [`HeapQueue`]: the classic `BinaryHeap`, O(log n) per operation. Simple
-//!   and allocation-light, but at scale (ft512 peaks above 2 000 pending
-//!   events) the comparison-heavy pops dominate the hot loop.
-//! - [`CalendarQueue`]: a hierarchical calendar queue / timing wheel. The
-//!   near future is a window of power-of-two-width buckets indexed by
-//!   `time >> log2(width)` — O(1) amortized schedule and pop — and anything
-//!   beyond the window overflows into a far-future binary heap that is
-//!   drained into the wheel when the window rotates forward.
-//!
-//! Both backends realize the *same* strict total order: every pop returns
-//! the unique minimum `(time, seq)` key among pending events, so the event
-//! sequence delivered to the world is byte-identical whichever backend is
-//! installed (`tests/queue_equivalence.rs` proves this differentially on
-//! synthetic schedules; the workspace-level harness replays every corpus
-//! trace and registry scenario under both).
+//! Every pop returns the unique minimum `(time, seq)` key among pending
+//! events, so the delivery sequence is a pure function of the push/pop
+//! history. The unit tests below check that differentially against a
+//! plain binary heap of the same keys.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-
-/// Which [`EventQueue`] implementation a scheduler uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueBackend {
-    /// Binary-heap priority queue (the original backend).
-    Heap,
-    /// Calendar queue with a far-future heap overflow band (the default).
-    #[default]
-    Calendar,
-}
-
-/// A priority queue of events keyed by `(SimTime, seq)`, extracted in
-/// strictly increasing key order.
-///
-/// Implementations may assume keys are never pushed below the key most
-/// recently popped (the scheduler clamps to `now`), which is what lets the
-/// calendar backend keep only a forward-looking window exact.
-pub trait EventQueue<E> {
-    /// Insert an event with its total-order key.
-    fn push(&mut self, at: SimTime, seq: u64, event: E);
-    /// Remove and return the minimum-key event.
-    fn pop(&mut self) -> Option<(SimTime, u64, E)>;
-    /// The key the next `pop` would return. Takes `&mut self` so backends
-    /// may advance lazy internal cursors (the calendar queue sorts its
-    /// current bucket on demand).
-    fn peek_key(&mut self) -> Option<(SimTime, u64)>;
-    /// Number of pending events.
-    fn len(&self) -> usize;
-    /// True when no events are pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Pre-size internal storage for roughly `capacity` concurrently
-    /// pending events.
-    fn reserve(&mut self, capacity: usize);
-}
 
 /// An event with its scheduling key. Ordered *inverted* so Rust's max-heap
 /// `BinaryHeap` pops the earliest (then lowest-sequence) entry first.
@@ -88,48 +44,6 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
-/// The original binary-heap backend.
-pub struct HeapQueue<E> {
-    heap: BinaryHeap<Scheduled<E>>,
-}
-
-impl<E> Default for HeapQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> HeapQueue<E> {
-    /// An empty heap-backed queue.
-    pub fn new() -> Self {
-        HeapQueue {
-            heap: BinaryHeap::new(),
-        }
-    }
-}
-
-impl<E> EventQueue<E> for HeapQueue<E> {
-    fn push(&mut self, at: SimTime, seq: u64, event: E) {
-        self.heap.push(Scheduled { at, seq, event });
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, u64, E)> {
-        self.heap.pop().map(|s| (s.at, s.seq, s.event))
-    }
-
-    fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        self.heap.peek().map(|s| (s.at, s.seq))
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    fn reserve(&mut self, capacity: usize) {
-        self.heap.reserve(capacity);
-    }
-}
-
 /// Number of buckets in the wheel window (power of two).
 const NUM_BUCKETS: usize = 1024;
 /// log2 of the initial bucket width in nanoseconds: 2^16 ns ≈ 65.5 µs, a
@@ -144,21 +58,29 @@ const MAX_LOG2_WIDTH: u32 = 32;
 const SPARSE_WINDOW: u64 = (NUM_BUCKETS as u64) / 4;
 const DENSE_WINDOW: u64 = (NUM_BUCKETS as u64) * 8;
 
-/// Calendar-queue backend: near-future wheel + far-future heap.
+/// The scheduler's priority queue of events keyed by `(SimTime, seq)`,
+/// extracted in strictly increasing key order: a near-future wheel plus a
+/// far-future heap.
+///
+/// The scheduler clamps new events to `now`, so keys never go below the
+/// last *delivered* key, which is what lets the queue keep only a
+/// forward-looking window exact. The one event popped without being
+/// delivered — the head `run_until` pushes back at its horizon — may have
+/// taken the cursor, or the whole window, past `now`; `push` moves them
+/// back when a later key lands before them.
 ///
 /// The window covers `[win_start, win_start + NUM_BUCKETS << log2_width)`;
 /// an event lands in bucket `(at - win_start) >> log2_width`. Buckets are
 /// unsorted until the cursor reaches them, then sorted *descending* once so
-/// pops are O(1) `Vec::pop` calls from the back; an event scheduled into
-/// the already-sorted current bucket (always at a key ≥ the last pop, per
-/// the trait contract) is binary-inserted at its position. A 1-bit-per-
-/// bucket occupancy bitmap makes skipping empty buckets a `trailing_zeros`
-/// scan rather than a walk. When the wheel drains, the window rotates to
-/// the far heap's minimum and every far event now inside the window moves
-/// into its bucket; bucket width adapts (×2 / ÷2, deterministically — it
-/// is a pure function of the push/pop history) when a window turns out
-/// sparse or dense.
-pub struct CalendarQueue<E> {
+/// pops are O(1) `Vec::pop` calls from the back; an event pushed into the
+/// already-sorted current bucket is binary-inserted at its position. A
+/// 1-bit-per-bucket occupancy bitmap makes skipping empty buckets a
+/// `trailing_zeros` scan rather than a walk. When the wheel drains, the
+/// window rotates to the far heap's minimum and every far event now inside
+/// the window moves into its bucket; bucket width adapts (×2 / ÷2,
+/// deterministically — it is a pure function of the push/pop history)
+/// when a window turns out sparse or dense.
+pub(crate) struct CalendarQueue<E> {
     /// `buckets[i]` holds events for `[win_start + i·W, win_start + (i+1)·W)`.
     buckets: Vec<Vec<Scheduled<E>>>,
     /// One bit per bucket: set iff the bucket is non-empty.
@@ -170,7 +92,7 @@ pub struct CalendarQueue<E> {
     /// descending iff `cur_sorted`.
     cur: usize,
     cur_sorted: bool,
-    /// Events at or beyond the window end, keyed like the heap backend.
+    /// Events at or beyond the window end.
     far: BinaryHeap<Scheduled<E>>,
     /// Pending events in the wheel (excludes `far`).
     near_len: usize,
@@ -178,15 +100,9 @@ pub struct CalendarQueue<E> {
     delivered_this_window: u64,
 }
 
-impl<E> Default for CalendarQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<E> CalendarQueue<E> {
-    /// An empty calendar queue with the window at t = 0.
-    pub fn new() -> Self {
+    /// An empty queue with the window at t = 0.
+    pub(crate) fn new() -> Self {
         CalendarQueue {
             buckets: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
             occupied: [0; NUM_BUCKETS / 64],
@@ -279,7 +195,26 @@ impl<E> CalendarQueue<E> {
             .expect("rotate with far events")
             .at
             .as_nanos();
-        self.win_start = min_at & !((1u64 << self.log2_width) - 1);
+        self.set_window(min_at);
+        self.cur = self.next_occupied(0).expect("rotation moved ≥ 1 event");
+    }
+
+    /// Move the window back so it covers `ns`. Needed only after a head
+    /// that rotated the window forward was pushed back undelivered: the
+    /// next key scheduled at `now` can then lie before the window.
+    fn rewind(&mut self, ns: u64) {
+        for bucket in &mut self.buckets {
+            self.far.extend(bucket.drain(..));
+        }
+        self.occupied = [0; NUM_BUCKETS / 64];
+        self.near_len = 0;
+        self.set_window(ns);
+    }
+
+    /// Start the (empty) wheel at the bucket boundary at or below `ns` and
+    /// pull every far event now inside the window into its bucket.
+    fn set_window(&mut self, ns: u64) {
+        self.win_start = ns & !((1u64 << self.log2_width) - 1);
         self.cur = 0;
         self.cur_sorted = false;
         while let Some(head) = self.far.peek() {
@@ -293,18 +228,14 @@ impl<E> CalendarQueue<E> {
                 None => break,
             }
         }
-        self.cur = self.next_occupied(0).expect("rotation moved ≥ 1 event");
     }
-}
 
-impl<E> EventQueue<E> for CalendarQueue<E> {
-    fn push(&mut self, at: SimTime, seq: u64, event: E) {
+    /// Insert an event with its total-order key.
+    pub(crate) fn push(&mut self, at: SimTime, seq: u64, event: E) {
         let ns = at.as_nanos();
-        // Keys below the window start cannot occur for *new* events (the
-        // scheduler clamps to `now`), but the engine re-pushes a popped
-        // event when it lies beyond the run horizon; its key is ≥ now and
-        // therefore ≥ win_start as well.
-        debug_assert!(ns >= self.win_start, "push below the window start");
+        if ns < self.win_start {
+            self.rewind(ns);
+        }
         match self.bucket_of(ns) {
             Some(idx) => {
                 let s = Scheduled { at, seq, event };
@@ -318,10 +249,8 @@ impl<E> EventQueue<E> for CalendarQueue<E> {
                 } else {
                     self.buckets[idx].push(s);
                     if idx < self.cur {
-                        // Unreachable under the trait contract (keys never
-                        // go below the last pop, whose bucket the cursor is
-                        // at or before) — but rewinding keeps the queue
-                        // correct for any caller, not just the scheduler.
+                        // Only after an undelivered head was pushed back:
+                        // the cursor followed it past `now`.
                         self.cur = idx;
                         self.cur_sorted = false;
                     }
@@ -333,7 +262,8 @@ impl<E> EventQueue<E> for CalendarQueue<E> {
         }
     }
 
-    fn pop(&mut self) -> Option<(SimTime, u64, E)> {
+    /// Remove and return the minimum-key event.
+    pub(crate) fn pop(&mut self) -> Option<(SimTime, u64, E)> {
         if !self.advance_near() {
             if self.far.is_empty() {
                 return None;
@@ -353,7 +283,9 @@ impl<E> EventQueue<E> for CalendarQueue<E> {
         Some((s.at, s.seq, s.event))
     }
 
-    fn peek_key(&mut self) -> Option<(SimTime, u64)> {
+    /// The key the next `pop` would return. Takes `&mut self` because it
+    /// sorts the current bucket on demand.
+    pub(crate) fn peek_key(&mut self) -> Option<(SimTime, u64)> {
         if self.advance_near() {
             let s = self.buckets[self.cur]
                 .last()
@@ -365,11 +297,14 @@ impl<E> EventQueue<E> for CalendarQueue<E> {
         self.far.peek().map(|s| (s.at, s.seq))
     }
 
-    fn len(&self) -> usize {
+    /// Number of pending events.
+    pub(crate) fn len(&self) -> usize {
         self.near_len + self.far.len()
     }
 
-    fn reserve(&mut self, capacity: usize) {
+    /// Pre-size internal storage for roughly `capacity` concurrently
+    /// pending events.
+    pub(crate) fn reserve(&mut self, capacity: usize) {
         // Spread the hint across the wheel (the steady-state resting place
         // of pending events) and give the overflow band the rest.
         let per_bucket = capacity.div_ceil(NUM_BUCKETS);
@@ -380,71 +315,39 @@ impl<E> EventQueue<E> for CalendarQueue<E> {
     }
 }
 
-/// Enum-dispatched backend storage: static dispatch on the hot path (the
-/// engine's pop loop inlines through the match) without adding a type
-/// parameter to [`crate::Scheduler`].
-pub(crate) enum QueueImpl<E> {
-    Heap(HeapQueue<E>),
-    Calendar(Box<CalendarQueue<E>>),
-}
-
-impl<E> QueueImpl<E> {
-    pub(crate) fn new(backend: QueueBackend) -> Self {
-        match backend {
-            QueueBackend::Heap => QueueImpl::Heap(HeapQueue::new()),
-            QueueBackend::Calendar => QueueImpl::Calendar(Box::default()),
-        }
-    }
-
-    pub(crate) fn backend(&self) -> QueueBackend {
-        match self {
-            QueueImpl::Heap(_) => QueueBackend::Heap,
-            QueueImpl::Calendar(_) => QueueBackend::Calendar,
-        }
-    }
-
-    pub(crate) fn push(&mut self, at: SimTime, seq: u64, event: E) {
-        match self {
-            QueueImpl::Heap(q) => q.push(at, seq, event),
-            QueueImpl::Calendar(q) => q.push(at, seq, event),
-        }
-    }
-
-    pub(crate) fn pop(&mut self) -> Option<(SimTime, u64, E)> {
-        match self {
-            QueueImpl::Heap(q) => q.pop(),
-            QueueImpl::Calendar(q) => q.pop(),
-        }
-    }
-
-    pub(crate) fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        match self {
-            QueueImpl::Heap(q) => q.peek_key(),
-            QueueImpl::Calendar(q) => q.peek_key(),
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            QueueImpl::Heap(q) => q.len(),
-            QueueImpl::Calendar(q) => q.len(),
-        }
-    }
-
-    pub(crate) fn reserve(&mut self, capacity: usize) {
-        match self {
-            QueueImpl::Heap(q) => q.reserve(capacity),
-            QueueImpl::Calendar(q) => q.reserve(capacity),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::SimRng;
+    use std::cmp::Reverse;
 
-    fn drain<E, Q: EventQueue<E>>(q: &mut Q) -> Vec<(u64, u64)> {
+    /// The reference the calendar queue is compared against: a binary heap
+    /// of the bare `(time, seq)` keys (every test event carries its `seq`
+    /// as payload, so keys are all there is to compare).
+    #[derive(Default)]
+    struct HeapOracle {
+        heap: BinaryHeap<Reverse<(SimTime, u64)>>,
+    }
+
+    impl HeapOracle {
+        fn push(&mut self, at: SimTime, seq: u64) {
+            self.heap.push(Reverse((at, seq)));
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, u64)> {
+            self.heap.pop().map(|Reverse(key)| key)
+        }
+
+        fn peek_key(&self) -> Option<(SimTime, u64)> {
+            self.heap.peek().map(|&Reverse(key)| key)
+        }
+
+        fn len(&self) -> usize {
+            self.heap.len()
+        }
+    }
+
+    fn drain<E>(q: &mut CalendarQueue<E>) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
         while let Some((at, seq, _)) = q.pop() {
             out.push((at.as_nanos(), seq));
@@ -469,48 +372,78 @@ mod tests {
         assert_eq!(order, expect);
     }
 
+    /// Pop the head of both queues, assert they agree (key and payload),
+    /// and return the key.
+    fn pop_both(heap: &mut HeapOracle, cal: &mut CalendarQueue<u64>, seed: u64) -> (SimTime, u64) {
+        assert_eq!(heap.peek_key(), cal.peek_key(), "seed {seed}");
+        let key = heap.pop().expect("caller checked non-empty");
+        assert_eq!(cal.pop(), Some((key.0, key.1, key.1)), "seed {seed}");
+        key
+    }
+
     #[test]
     fn calendar_matches_heap_on_random_interleaved_workload() {
-        // Random mixture of pushes (with monotone-floored keys, as the
-        // scheduler guarantees) and pops, compared pop-for-pop.
+        // Random mixture of the four things the engine does to its queue,
+        // compared step for step: schedule (keys floored at the last pop,
+        // as the scheduler guarantees), deliver the head, gather every
+        // event tied at the head instant and re-push all but one under
+        // their original keys (`Scheduler::pop` with a non-trivial
+        // chooser; the re-push lands in the already sorted bucket), and
+        // pop the head only to push it straight back (`run_until` at its
+        // horizon).
         for seed in 0..20 {
             let mut rng = SimRng::new(seed);
-            let mut heap: HeapQueue<u64> = HeapQueue::new();
+            let mut heap = HeapOracle::default();
             let mut cal: CalendarQueue<u64> = CalendarQueue::new();
             let mut seq = 0u64;
             let mut now = 0u64;
+            let (mut gathered_ties, mut pushed_back) = (0, 0);
             for _ in 0..3_000 {
-                if rng.uniform_usize(3) > 0 || heap.is_empty() {
-                    // Delays spanning sub-bucket to far-band scales.
-                    let delay = match rng.uniform_usize(4) {
-                        0 => rng.uniform_usize(1_000) as u64,
-                        1 => rng.uniform_usize(1 << 16) as u64,
-                        2 => rng.uniform_usize(1 << 26) as u64,
+                let op = rng.uniform_usize(8);
+                if op < 5 || heap.peek_key().is_none() {
+                    // Delays spanning exact ties and sub-bucket to
+                    // far-band scales.
+                    let delay = match rng.uniform_usize(5) {
+                        0 => 0,
+                        1 => rng.uniform_usize(1_000) as u64,
+                        2 => rng.uniform_usize(1 << 16) as u64,
+                        3 => rng.uniform_usize(1 << 26) as u64,
                         _ => rng.uniform_usize(1 << 36) as u64,
                     };
                     let at = SimTime::from_nanos(now + delay);
-                    heap.push(at, seq, seq);
+                    heap.push(at, seq);
                     cal.push(at, seq, seq);
                     seq += 1;
-                } else {
-                    assert_eq!(heap.peek_key(), cal.peek_key(), "seed {seed}");
-                    let a = heap.pop();
-                    let b = cal.pop();
-                    match (&a, &b) {
-                        (Some((at, s1, e1)), Some((bt, s2, e2))) => {
-                            assert_eq!((at, s1, e1), (bt, s2, e2), "seed {seed}");
-                            now = at.as_nanos();
-                        }
-                        _ => panic!(
-                            "seed {seed}: heap {:?} vs calendar {:?}",
-                            a.is_some(),
-                            b.is_some()
-                        ),
+                } else if op == 5 {
+                    let (at, _) = pop_both(&mut heap, &mut cal, seed);
+                    now = at.as_nanos();
+                } else if op == 6 {
+                    let first = pop_both(&mut heap, &mut cal, seed);
+                    let mut tied = vec![first];
+                    while heap.peek_key().is_some_and(|(t, _)| t == first.0) {
+                        tied.push(pop_both(&mut heap, &mut cal, seed));
                     }
+                    gathered_ties += usize::from(tied.len() > 1);
+                    tied.remove(rng.uniform_usize(tied.len()));
+                    for (at, s) in tied {
+                        heap.push(at, s);
+                        cal.push(at, s, s);
+                    }
+                    now = first.0.as_nanos();
+                } else {
+                    // The head stays undelivered, so `now` does not move.
+                    let (at, s) = pop_both(&mut heap, &mut cal, seed);
+                    heap.push(at, s);
+                    cal.push(at, s, s);
+                    pushed_back += 1;
                 }
                 assert_eq!(heap.len(), cal.len(), "seed {seed}");
             }
-            assert_eq!(drain(&mut heap), drain(&mut cal), "seed {seed}");
+            assert!(gathered_ties > 0 && pushed_back > 0, "seed {seed}");
+            while heap.peek_key().is_some() {
+                pop_both(&mut heap, &mut cal, seed);
+            }
+            assert_eq!(cal.pop(), None, "seed {seed}");
         }
     }
 
@@ -549,16 +482,13 @@ mod tests {
     }
 
     #[test]
-    fn reserve_reaches_both_backends() {
-        // Smoke: the hint is accepted and does not disturb ordering.
-        for backend in [QueueBackend::Heap, QueueBackend::Calendar] {
-            let mut q = QueueImpl::new(backend);
-            q.reserve(4096);
-            q.push(SimTime::from_nanos(10), 0, 1u8);
-            q.push(SimTime::from_nanos(5), 1, 2u8);
-            assert_eq!(q.pop().map(|(t, s, _)| (t.as_nanos(), s)), Some((5, 1)));
-            assert_eq!(q.pop().map(|(t, s, _)| (t.as_nanos(), s)), Some((10, 0)));
-            assert!(q.pop().is_none());
-        }
+    fn reserve_does_not_disturb_ordering() {
+        let mut q = CalendarQueue::new();
+        q.reserve(4096);
+        q.push(SimTime::from_nanos(10), 0, 1u8);
+        q.push(SimTime::from_nanos(5), 1, 2u8);
+        assert_eq!(q.pop().map(|(t, s, _)| (t.as_nanos(), s)), Some((5, 1)));
+        assert_eq!(q.pop().map(|(t, s, _)| (t.as_nanos(), s)), Some((10, 0)));
+        assert!(q.pop().is_none());
     }
 }

@@ -56,38 +56,10 @@ pub fn run(
     forced: BTreeMap<u64, ForcedChoice>,
     free: FreePolicy,
 ) -> Result<RunReport, String> {
-    run_inner(scenario, seed, forced, free, None)
-}
-
-/// Like [`run`], but forcing the engine's event-queue backend. Both
-/// backends promise the same (time, seq) total order, so the report —
-/// event count, drain flag, violations, and the full choice-consultation
-/// sequence — must be identical; the workspace differential test replays
-/// the whole corpus through this to prove it.
-pub fn run_with_backend(
-    scenario: &str,
-    seed: u64,
-    forced: BTreeMap<u64, ForcedChoice>,
-    free: FreePolicy,
-    backend: p4update_des::QueueBackend,
-) -> Result<RunReport, String> {
-    run_inner(scenario, seed, forced, free, Some(backend))
-}
-
-fn run_inner(
-    scenario: &str,
-    seed: u64,
-    forced: BTreeMap<u64, ForcedChoice>,
-    free: FreePolicy,
-    backend: Option<p4update_des::QueueBackend>,
-) -> Result<RunReport, String> {
     let built =
         scenarios::build(scenario, seed).ok_or_else(|| format!("unknown scenario {scenario:?}"))?;
     let (chooser, log) = TraceChooser::with_policy(forced, free);
     let mut sim = built.sim.with_chooser(Box::new(chooser));
-    if let Some(backend) = backend {
-        sim = sim.with_queue_backend(backend);
-    }
     let outcome = sim.run_until(built.horizon);
     let events = sim.events_delivered();
     let world = sim.into_world();
@@ -110,21 +82,6 @@ pub fn replay(trace: &Trace) -> Result<RunReport, String> {
         trace.seed,
         trace.choices.clone(),
         FreePolicy::Default,
-    )
-}
-
-/// [`replay`] under an explicitly chosen event-queue backend (see
-/// [`run_with_backend`]).
-pub fn replay_with_backend(
-    trace: &Trace,
-    backend: p4update_des::QueueBackend,
-) -> Result<RunReport, String> {
-    run_with_backend(
-        &trace.scenario,
-        trace.seed,
-        trace.choices.clone(),
-        FreePolicy::Default,
-        backend,
     )
 }
 

@@ -17,4 +17,6 @@ pub mod topologies;
 
 pub use flow::{Flow, FlowId, FlowUpdate, Version};
 pub use graph::{DirectedLink, Link, LinkId, Node, NodeId, Topology, TopologyBuilder};
-pub use path::{k_shortest_paths, latency_distances_from, shortest_path, Path};
+pub use path::{
+    k_shortest_paths, latency_distances_from, shortest_path, shortest_path_avoiding, Path,
+};

@@ -216,10 +216,25 @@ fn shortest_path_filtered(
 
 /// Latency-weighted shortest path from `src` to `dst`.
 pub fn shortest_path(topo: &Topology, src: NodeId, dst: NodeId) -> Option<Path> {
+    shortest_path_avoiding(topo, src, dst, &[])
+}
+
+/// Latency-weighted shortest path from `src` to `dst` that visits none of
+/// the `banned` nodes.
+pub fn shortest_path_avoiding(
+    topo: &Topology,
+    src: NodeId,
+    dst: NodeId,
+    banned: &[NodeId],
+) -> Option<Path> {
     if src == dst {
         return None;
     }
-    shortest_path_filtered(topo, src, dst, &vec![false; topo.node_count()], &[])
+    let mut banned_nodes = vec![false; topo.node_count()];
+    for &v in banned {
+        banned_nodes[v.index()] = true;
+    }
+    shortest_path_filtered(topo, src, dst, &banned_nodes, &[])
 }
 
 /// Yen's algorithm: the `k` shortest loopless paths from `src` to `dst`, in

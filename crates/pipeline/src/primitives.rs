@@ -1,64 +1,10 @@
-//! Packet-level pipeline primitives: clone sessions and resubmission.
+//! Packet-level pipeline primitive: resubmission.
 //!
-//! The P4Update prototype "intensively uses clone to generate packets in the
-//! data plane" (§2.1) — UNMs and UFMs are clones of flow packets — and uses
-//! packet *resubmission* to wait in the data plane: "as the P4 data plane
-//! does not natively support a timer for waiting, P4Update uses packet
-//! resubmission to check repeatedly if UIM has arrived while processing UNM"
-//! (Appendix B). This module models both mechanisms and counts their use so
-//! the overhead ablation bench can report them.
-
-/// A clone session: binds a session id to an output port, the BMv2
-/// mechanism behind the "one-to-one port-based forwarding table used to
-/// determine the clone session of a UNM" (§8).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CloneSession {
-    /// Session identifier (as configured by the control plane).
-    pub id: u32,
-    /// Egress port the cloned packet leaves through.
-    pub port: u32,
-}
-
-/// Clone engine: session table plus a counter of generated clones.
-#[derive(Debug, Clone, Default)]
-pub struct CloneEngine {
-    sessions: Vec<CloneSession>,
-    clones_generated: u64,
-}
-
-impl CloneEngine {
-    /// Empty engine.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Configure (or reconfigure) a session.
-    pub fn configure(&mut self, session: CloneSession) {
-        if let Some(s) = self.sessions.iter_mut().find(|s| s.id == session.id) {
-            *s = session;
-        } else {
-            self.sessions.push(session);
-        }
-    }
-
-    /// Resolve a session to its port and count the clone. `None` when the
-    /// session was never configured (the clone is silently dropped, as on
-    /// BMv2).
-    pub fn clone_to(&mut self, session_id: u32) -> Option<u32> {
-        let port = self
-            .sessions
-            .iter()
-            .find(|s| s.id == session_id)
-            .map(|s| s.port)?;
-        self.clones_generated += 1;
-        Some(port)
-    }
-
-    /// Total clones generated (overhead metric).
-    pub fn clones_generated(&self) -> u64 {
-        self.clones_generated
-    }
-}
+//! The P4Update prototype uses packet *resubmission* to wait in the data
+//! plane: "as the P4 data plane does not natively support a timer for
+//! waiting, P4Update uses packet resubmission to check repeatedly if UIM has
+//! arrived while processing UNM" (Appendix B). This module models the
+//! mechanism and counts its use.
 
 /// Resubmission queue: packets parked in the pipeline awaiting a condition.
 ///
@@ -129,25 +75,6 @@ impl<K: PartialEq + Clone, P> ResubmitQueue<K, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn clone_sessions_resolve_ports() {
-        let mut eng = CloneEngine::new();
-        eng.configure(CloneSession { id: 1, port: 7 });
-        eng.configure(CloneSession { id: 2, port: 9 });
-        assert_eq!(eng.clone_to(1), Some(7));
-        assert_eq!(eng.clone_to(2), Some(9));
-        assert_eq!(eng.clone_to(3), None);
-        assert_eq!(eng.clones_generated(), 2);
-    }
-
-    #[test]
-    fn clone_session_reconfiguration() {
-        let mut eng = CloneEngine::new();
-        eng.configure(CloneSession { id: 1, port: 7 });
-        eng.configure(CloneSession { id: 1, port: 8 });
-        assert_eq!(eng.clone_to(1), Some(8));
-    }
 
     #[test]
     fn park_and_release_in_order() {

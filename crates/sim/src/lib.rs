@@ -22,7 +22,7 @@ pub use config::{
 };
 pub use metrics::{Metrics, MetricsCounts, MetricsSink, NullMetrics, StreamingMetrics};
 pub use network::{
-    simulation, ByzDisposition, ByzOutcome, ControllerImpl, Event, GateStats, NetworkSim, System,
+    simulation, ByzDisposition, ByzOutcome, ControllerImpl, Event, NetworkSim, System,
 };
 pub use p4update_messages::ByzVector;
 pub use table::SwitchTable;

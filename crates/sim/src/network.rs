@@ -10,7 +10,7 @@ use crate::checker::{check, FlowSpec, Violation};
 use crate::config::{ms, ControlLatency, InstallDelay, SimConfig};
 use crate::metrics::{Metrics, MetricsSink};
 use crate::table::SwitchTable;
-use p4update_analysis::{AnalysisContext, BatchAnalysis, BatchAnalyzer, Diagnostic, PlanDelta};
+use p4update_analysis::{AnalysisContext, BatchAnalyzer, Diagnostic};
 use p4update_baselines::{CentralController, CentralSwitchLogic, EzController, EzSwitchLogic};
 use p4update_core::{prepare_update, P4UpdateController, P4UpdateLogic, PreparedUpdate, Strategy};
 use p4update_dataplane::{ControllerLogic, CtrlEffect, Effect, Endpoint, Switch, SwitchLogic};
@@ -278,12 +278,6 @@ pub struct NetworkSim {
     /// every diagnostic the plan linter raised for triggered P4Update
     /// batches, warnings included.
     pub analysis_findings: Vec<Diagnostic>,
-    /// The previous gate pass, kept so the next triggered batch is
-    /// revalidated incrementally ([`BatchAnalyzer::reanalyze`]) instead of
-    /// re-linted from scratch.
-    gate_cache: Option<BatchAnalysis>,
-    /// Work counters of the incremental analysis gate.
-    pub gate_stats: GateStats,
     /// Switches that have taken a lying alternative at a byzantine choice
     /// point, in first-lie order (bounds enforcement for
     /// `ByzantineConfig::max_liars`).
@@ -297,19 +291,6 @@ pub struct NetworkSim {
     standbys: Vec<ControllerImpl>,
     /// Whether [`Event::ControllerFailover`] has fired.
     pub failed_over: bool,
-}
-
-/// Work counters of the sim's incremental analysis gate: how much linting
-/// the gate was asked for versus how much it actually performed.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct GateStats {
-    /// Triggered batches the gate linted.
-    pub batches: usize,
-    /// Plans that crossed the gate (sum of batch sizes).
-    pub plans: usize,
-    /// Plans the gate actually re-linted; the difference to `plans` was
-    /// revalidated from the previous batch's cached analysis.
-    pub relinted: usize,
 }
 
 impl NetworkSim {
@@ -371,8 +352,6 @@ impl NetworkSim {
             sink: Box::new(Metrics::default()),
             violations: Vec::new(),
             analysis_findings: Vec::new(),
-            gate_cache: None,
-            gate_stats: GateStats::default(),
             scratch: Vec::new(),
             liars: Vec::new(),
             byz_taints: Vec::new(),
@@ -1008,20 +987,8 @@ impl NetworkSim {
         );
         // One worker keeps the gate free of threads inside the event loop;
         // the engine is byte-identical at any worker count, so this is
-        // purely a scheduling choice. The previous pass's cache makes
-        // steady-state batches (unchanged plans, unchanged installed
-        // versions) revalidate instead of re-lint.
-        let engine = BatchAnalyzer::new(1);
-        let analysis = match self.gate_cache.take() {
-            Some(prev) => {
-                let delta = PlanDelta::diff(prev.plans(), &plans);
-                engine.reanalyze(&prev, &delta, &ctx)
-            }
-            None => engine.analyze(&plans, &ctx),
-        };
-        self.gate_stats.batches += 1;
-        self.gate_stats.plans += analysis.plan_count();
-        self.gate_stats.relinted += analysis.revalidated();
+        // purely a scheduling choice.
+        let analysis = BatchAnalyzer::new(1).analyze(&plans, &ctx);
         debug_assert!(
             !analysis.diagnostics().iter().any(Diagnostic::is_error),
             "analysis gate rejected a plan: {:?}",
@@ -1033,7 +1000,6 @@ impl NetworkSim {
         );
         self.analysis_findings
             .extend(analysis.diagnostics().iter().cloned());
-        self.gate_cache = Some(analysis);
     }
 
     fn run_checker(&mut self, now: SimTime) {
@@ -1265,11 +1231,9 @@ pub fn simulation(world: NetworkSim) -> Simulation<NetworkSim> {
     // count (serial pipelines bound per-switch fan-out), so a small
     // multiple of it avoids every steady-state reallocation.
     let capacity = world.topology().node_count() * 8 + 1024;
-    let backend = world.config().queue_backend;
     let replication = world.config().replication;
     let mut sim = Simulation::new(world)
         .with_event_budget(20_000_000)
-        .with_queue_backend(backend)
         .with_queue_capacity(capacity);
     if replication.enabled() && replication.failover_at_ms > 0.0 {
         sim.schedule_at(

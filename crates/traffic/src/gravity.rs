@@ -7,11 +7,19 @@
 use p4update_des::SimRng;
 use p4update_net::NodeId;
 
-/// A synthesized traffic matrix: `demand[i][j]` is the rate from node `i`
-/// to node `j` (zero on the diagonal), in link-capacity units.
+/// A synthesized traffic matrix: the rate from node `i` to node `j` (zero
+/// on the diagonal), in link-capacity units. A gravity matrix is an outer
+/// product, so only its two mass vectors and the normalizing scale are
+/// stored — O(n), not the n x n table (128 MiB at 4096 nodes) — and an
+/// entry is computed when asked for.
 #[derive(Debug, Clone)]
 pub struct TrafficMatrix {
-    demand: Vec<Vec<f64>>,
+    /// Per-node share of all outgoing mass.
+    out_share: Vec<f64>,
+    /// Per-node share of all incoming mass.
+    in_share: Vec<f64>,
+    /// Brings the off-diagonal sum to the requested total.
+    scale: f64,
 }
 
 impl TrafficMatrix {
@@ -21,6 +29,63 @@ impl TrafficMatrix {
         assert!(n >= 2, "a traffic matrix needs at least two nodes");
         assert!(total > 0.0, "total demand must be positive");
         // Per-node in/out masses: exponential, as in Roughan's synthesis.
+        let out_mass: Vec<f64> = (0..n).map(|_| rng.exponential(1.0)).collect();
+        let in_mass: Vec<f64> = (0..n).map(|_| rng.exponential(1.0)).collect();
+        let out_sum: f64 = out_mass.iter().sum();
+        let in_sum: f64 = in_mass.iter().sum();
+        let mut tm = TrafficMatrix {
+            out_share: out_mass.iter().map(|m| m / out_sum).collect(),
+            in_share: in_mass.iter().map(|m| m / in_sum).collect(),
+            scale: 1.0,
+        };
+        // Normalize to the requested total: at scale 1 the entries are the
+        // raw mass products, so `total()` is the sum to divide by.
+        tm.scale = total / tm.total();
+        tm
+    }
+
+    /// Number of nodes.
+    pub fn len(&self) -> usize {
+        self.out_share.len()
+    }
+
+    /// True for a zero-node matrix (never produced by [`Self::gravity`]).
+    pub fn is_empty(&self) -> bool {
+        self.out_share.is_empty()
+    }
+
+    /// Demand from `src` to `dst`.
+    pub fn demand(&self, src: NodeId, dst: NodeId) -> f64 {
+        self.entry(src.index(), dst.index())
+    }
+
+    fn entry(&self, i: usize, j: usize) -> f64 {
+        if i == j {
+            0.0
+        } else {
+            self.out_share[i] * self.in_share[j] * self.scale
+        }
+    }
+
+    /// Total demand across all pairs, summed row by row.
+    pub fn total(&self) -> f64 {
+        let n = self.len();
+        let mut sum = 0.0;
+        for i in 0..n {
+            for j in (0..n).filter(|&j| j != i) {
+                sum += self.entry(i, j);
+            }
+        }
+        sum
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The n x n table `gravity` used to materialize, entry for entry.
+    fn dense_reference(rng: &mut SimRng, n: usize, total: f64) -> Vec<Vec<f64>> {
         let out_mass: Vec<f64> = (0..n).map(|_| rng.exponential(1.0)).collect();
         let in_mass: Vec<f64> = (0..n).map(|_| rng.exponential(1.0)).collect();
         let out_sum: f64 = out_mass.iter().sum();
@@ -36,40 +101,35 @@ impl TrafficMatrix {
                 }
             }
         }
-        // Normalize to the requested total.
         let scale = total / sum;
-        for row in &mut demand {
-            for d in row.iter_mut() {
-                *d *= scale;
+        for d in demand.iter_mut().flatten() {
+            *d *= scale;
+        }
+        demand
+    }
+
+    #[test]
+    fn entries_and_total_match_the_dense_table_bit_for_bit() {
+        for n in 2..=12 {
+            for seed in 0..8 {
+                let total = 0.55 * (n * n) as f64;
+                let tm = TrafficMatrix::gravity(&mut SimRng::new(seed), n, total);
+                let dense = dense_reference(&mut SimRng::new(seed), n, total);
+                for (i, row) in dense.iter().enumerate() {
+                    for (j, d) in row.iter().enumerate() {
+                        let got = tm.demand(NodeId(i as u32), NodeId(j as u32));
+                        assert_eq!(got.to_bits(), d.to_bits(), "n {n} seed {seed} ({i},{j})");
+                    }
+                }
+                let dense_total: f64 = dense.iter().flatten().sum();
+                assert_eq!(
+                    tm.total().to_bits(),
+                    dense_total.to_bits(),
+                    "n {n} seed {seed}"
+                );
             }
         }
-        TrafficMatrix { demand }
     }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.demand.len()
-    }
-
-    /// True for a zero-node matrix (never produced by [`Self::gravity`]).
-    pub fn is_empty(&self) -> bool {
-        self.demand.is_empty()
-    }
-
-    /// Demand from `src` to `dst`.
-    pub fn demand(&self, src: NodeId, dst: NodeId) -> f64 {
-        self.demand[src.index()][dst.index()]
-    }
-
-    /// Total demand across all pairs.
-    pub fn total(&self) -> f64 {
-        self.demand.iter().flatten().sum()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     #[test]
     fn total_is_normalized() {

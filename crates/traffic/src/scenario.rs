@@ -9,7 +9,9 @@
 
 use crate::gravity::TrafficMatrix;
 use p4update_des::SimRng;
-use p4update_net::{k_shortest_paths, FlowId, FlowUpdate, NodeId, Path, Topology};
+use p4update_net::{
+    k_shortest_paths, shortest_path_avoiding, FlowId, FlowUpdate, NodeId, Path, Topology,
+};
 use std::collections::BTreeMap;
 
 /// A generated workload: per-flow updates plus the capacity view after the
@@ -22,11 +24,13 @@ pub struct Workload {
     pub free_capacity: BTreeMap<(NodeId, NodeId), f64>,
 }
 
-/// Allocate old paths against link capacities; `None` if any link
-/// overflows.
-fn allocate_old_paths(
+/// Free capacity per directed link once every update's path — picked by
+/// `path_of`; an update without one is skipped — carries the update's
+/// size; `None` if any link overflows.
+fn free_capacity_after(
     topo: &Topology,
     updates: &[FlowUpdate],
+    path_of: impl Fn(&FlowUpdate) -> Option<&Path>,
 ) -> Option<BTreeMap<(NodeId, NodeId), f64>> {
     let mut free: BTreeMap<(NodeId, NodeId), f64> = BTreeMap::new();
     for link in topo.links() {
@@ -34,38 +38,15 @@ fn allocate_old_paths(
         free.insert((link.b, link.a), link.capacity);
     }
     for u in updates {
-        if let Some(old) = &u.old_path {
-            for e in old.edges() {
-                let c = free.get_mut(&e).expect("path edges are links");
-                *c -= u.size;
-                if *c < -1e-9 {
-                    return None;
-                }
+        for e in path_of(u).into_iter().flat_map(Path::edges) {
+            let c = free.get_mut(&e).expect("path edges are links");
+            *c -= u.size;
+            if *c < -1e-9 {
+                return None;
             }
         }
     }
     Some(free)
-}
-
-/// Check that migrating every flow to its new path ends feasible (the
-/// generator's acceptance criterion: "if the new flow paths are not
-/// feasible w.r.t. capacity, we repeat the traffic generation").
-fn new_paths_feasible(topo: &Topology, updates: &[FlowUpdate]) -> bool {
-    let mut free: BTreeMap<(NodeId, NodeId), f64> = BTreeMap::new();
-    for link in topo.links() {
-        free.insert((link.a, link.b), link.capacity);
-        free.insert((link.b, link.a), link.capacity);
-    }
-    for u in updates {
-        for e in u.new_path.edges() {
-            let c = free.get_mut(&e).expect("path edges are links");
-            *c -= u.size;
-            if *c < -1e-9 {
-                return false;
-            }
-        }
-    }
-    true
 }
 
 /// Count the backward transitions among the nodes shared by old and new
@@ -118,53 +99,6 @@ fn join_legs(legs: &[&Path]) -> Option<Path> {
     (nodes.len() >= 2).then(|| Path::new(nodes))
 }
 
-/// Shortest path that avoids `banned` nodes entirely.
-fn shortest_avoiding(topo: &Topology, src: NodeId, dst: NodeId, banned: &[NodeId]) -> Option<Path> {
-    if banned.contains(&src) || banned.contains(&dst) || src == dst {
-        return None;
-    }
-    // Reuse Yen's machinery through the public API: compute k-shortest
-    // and filter. Cheaper: a dedicated filtered Dijkstra lives in
-    // p4update-net's internals; here a small local search suffices for the
-    // evaluated topology sizes.
-    // Integer-nanosecond costs keep the heap ordering exact.
-    let mut dist: Vec<u64> = vec![u64::MAX; topo.node_count()];
-    let mut prev: Vec<Option<NodeId>> = vec![None; topo.node_count()];
-    let mut heap = std::collections::BinaryHeap::new();
-    dist[src.index()] = 0;
-    heap.push((std::cmp::Reverse(0u64), src));
-    while let Some((std::cmp::Reverse(d), v)) = heap.pop() {
-        if v == dst {
-            break;
-        }
-        if d > dist[v.index()] {
-            continue;
-        }
-        for &(w, link) in topo.neighbors(v) {
-            if banned.contains(&w) {
-                continue;
-            }
-            let nd = dist[v.index()].saturating_add(topo.link(link).latency.as_nanos());
-            if nd < dist[w.index()] {
-                dist[w.index()] = nd;
-                prev[w.index()] = Some(v);
-                heap.push((std::cmp::Reverse(nd), w));
-            }
-        }
-    }
-    if dist[dst.index()] == u64::MAX {
-        return None;
-    }
-    let mut nodes = vec![dst];
-    let mut cur = dst;
-    while cur != src {
-        cur = prev[cur.index()]?;
-        nodes.push(cur);
-    }
-    nodes.reverse();
-    Some(Path::new(nodes))
-}
-
 /// The single-flow scenario. The paper intentionally selects old and new
 /// paths that "traverse a long distance within the topology and ... trigger
 /// segmentation" (§9.1) — i.e., a Fig. 1-shaped pair: the old path visits
@@ -190,13 +124,13 @@ pub fn single_flow(topo: &Topology) -> FlowUpdate {
                         continue;
                     }
                     // Old path: a -> x -> y -> b along shortest legs.
-                    let Some(l1) = shortest_avoiding(topo, a, x, &[y, b]) else {
+                    let Some(l1) = shortest_path_avoiding(topo, a, x, &[y, b]) else {
                         continue;
                     };
-                    let Some(l2) = shortest_avoiding(topo, x, y, &[a, b]) else {
+                    let Some(l2) = shortest_path_avoiding(topo, x, y, &[a, b]) else {
                         continue;
                     };
-                    let Some(l3) = shortest_avoiding(topo, y, b, &[a, x]) else {
+                    let Some(l3) = shortest_path_avoiding(topo, y, b, &[a, x]) else {
                         continue;
                     };
                     let Some(old) = join_legs(&[&l1, &l2, &l3]) else {
@@ -214,19 +148,19 @@ pub fn single_flow(topo: &Topology) -> FlowUpdate {
                     // other legs may reuse old-path nodes (they become
                     // extra gateways, splitting forward segments).
                     let ban_ay = [x, b];
-                    let Some(n1) = shortest_avoiding(topo, a, y, &ban_ay) else {
+                    let Some(n1) = shortest_path_avoiding(topo, a, y, &ban_ay) else {
                         continue;
                     };
                     let mut ban_yx: Vec<NodeId> = interior.clone();
                     ban_yx.extend(n1.nodes().iter().copied().filter(|&n| n != y));
                     ban_yx.push(b);
-                    let Some(n2) = shortest_avoiding(topo, y, x, &ban_yx) else {
+                    let Some(n2) = shortest_path_avoiding(topo, y, x, &ban_yx) else {
                         continue;
                     };
                     let mut ban_xb: Vec<NodeId> = Vec::new();
                     ban_xb.extend(n1.nodes().iter().copied().filter(|&n| n != x));
                     ban_xb.extend(n2.nodes().iter().copied().filter(|&n| n != x));
-                    let Some(n3) = shortest_avoiding(topo, x, b, &ban_xb) else {
+                    let Some(n3) = shortest_path_avoiding(topo, x, b, &ban_xb) else {
                         continue;
                     };
                     let Some(new) = join_legs(&[&n1, &n2, &n3]) else {
@@ -311,8 +245,9 @@ pub fn multi_flow(topo: &Topology, rng: &mut SimRng, load_factor: f64) -> Worklo
         if !ok {
             continue;
         }
-        if let Some(free) = allocate_old_paths(topo, &updates) {
-            if new_paths_feasible(topo, &updates) {
+        // Feasible before the migration and after it, or generate again.
+        if let Some(free) = free_capacity_after(topo, &updates, |u| u.old_path.as_ref()) {
+            if free_capacity_after(topo, &updates, |u| Some(&u.new_path)).is_some() {
                 return Workload {
                     updates,
                     free_capacity: free,
@@ -409,7 +344,7 @@ mod tests {
         let topo = topologies::b4();
         let mut rng = SimRng::new(9);
         let w = multi_flow(&topo, &mut rng, 0.3);
-        assert!(new_paths_feasible(&topo, &w.updates));
+        assert!(free_capacity_after(&topo, &w.updates, |u| Some(&u.new_path)).is_some());
     }
 
     #[test]

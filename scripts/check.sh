@@ -51,9 +51,6 @@ cmp "$tmpdir/lint-disk.txt" "$tmpdir/lint-par.txt"
 echo "==> trace corpus replays byte-exactly (release profile)"
 cargo test -q --release --test corpus_replay
 
-echo "==> heap and calendar queue backends agree on the full corpus"
-cargo test -q --release --test queue_equivalence
-
 echo "==> exploration smoke run (small budget; P4Update must stay clean)"
 cargo run -q --release --example explore -- fig2-ez fig2-p4 --runs 64 --walks 32
 

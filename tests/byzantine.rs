@@ -24,17 +24,16 @@
 //! shrunk counterexamples live in `tests/corpus/`).
 //!
 //! The file also holds the satellite walls: the no-drift differential
-//! (catalog installed but no lie taken ⇒ byte-identical behavior, under
-//! either queue backend),
-//! the replicated-controller failover scenarios, and the trace format
+//! (catalog installed but no lie taken ⇒ byte-identical behavior), the
+//! replicated-controller failover scenarios, and the trace format
 //! v2 round-trip property.
 
 use p4update::des::propcheck::{cases, forall};
-use p4update::des::{ChoiceKind, QueueBackend, SimRng};
+use p4update::des::{ChoiceKind, SimRng};
 use p4update::explore::scenarios::{self, SCENARIOS};
 use p4update::explore::search::{random_walk, WalkOptions};
 use p4update::explore::trace::{ForcedChoice, FreePolicy, Trace, TraceChooser};
-use p4update::explore::{run, run_with_backend, ChoiceRecord};
+use p4update::explore::{run, ChoiceRecord};
 use p4update::messages::RejectReason;
 use p4update::net::{FlowId, NodeId, Version};
 use p4update::sim::{ByzDisposition, ByzVector};
@@ -499,8 +498,7 @@ fn shape(choices: &[ChoiceRecord], keep_byz: bool) -> Vec<(ChoiceKind, u32, u32)
 /// move anything: for every registered scenario, the `+byz-any-k2`
 /// modifier under the default (honest) policy yields the same event
 /// count, drain flag, violation list, and non-byzantine choice sequence
-/// as the unmodified scenario — and the modified run itself replays
-/// identically through the heap queue backend.
+/// as the unmodified scenario.
 #[test]
 fn catalog_without_lies_is_behaviorally_invisible() {
     for s in SCENARIOS {
@@ -532,18 +530,6 @@ fn catalog_without_lies_is_behaviorally_invisible() {
                 shape(&byz.choices, false),
                 "{byz_name}@{seed}: non-byzantine choice sequence drifted"
             );
-            if seed != 1 {
-                continue; // the backend level once per scenario
-            }
-            let heap = run_with_backend(
-                &byz_name,
-                seed,
-                BTreeMap::new(),
-                FreePolicy::Default,
-                QueueBackend::Heap,
-            )
-            .expect("heap backend runs");
-            assert_eq!(byz, heap, "{byz_name}@{seed}: heap backend drifted");
         }
     }
 }
