@@ -15,7 +15,7 @@
 
 use p4update_core::Strategy;
 use p4update_des::{SimDuration, SimTime};
-use p4update_net::{k_shortest_paths, topologies, FlowId, FlowUpdate, Path};
+use p4update_net::{topologies, FlowId, FlowUpdate, Path, PathSolver};
 use p4update_sim::{
     simulation, ByzVector, ByzantineConfig, Event, FaultChoiceConfig, NetworkSim,
     ReplicationConfig, SimConfig, System, TimingConfig,
@@ -295,10 +295,11 @@ fn ft512(seed: u64, mods: Mods) -> BuiltScenario {
         (edges[edges.len() / 4], edges[edges.len() - 2]),
         (edges[2], edges[3 * edges.len() / 4]),
     ];
+    let mut solver = PathSolver::new(&topo);
     let mut updates = Vec::new();
     for (i, &(src, dst)) in pairs.iter().enumerate() {
         let flow = FlowId(i as u32);
-        let mut routes = k_shortest_paths(&topo, src, dst, 2);
+        let mut routes = solver.k_shortest(src, dst, 2);
         assert!(routes.len() >= 2, "fat-tree must offer two disjoint routes");
         let new = routes.pop().expect("second route");
         let old = routes.pop().expect("first route");

@@ -293,7 +293,7 @@ impl TopologyBuilder {
     /// True if a link between `a` and `b` exists already.
     pub fn has_link(&self, a: NodeId, b: NodeId) -> bool {
         let (a, b) = if a <= b { (a, b) } else { (b, a) };
-        self.links.iter().any(|l| l.a == a && l.b == b)
+        self.seen.contains(&(a, b))
     }
 
     /// Finalize into an immutable [`Topology`].
@@ -388,6 +388,15 @@ mod tests {
         assert!(!b.build().is_connected());
         let empty = TopologyBuilder::new("empty").build();
         assert!(!empty.is_connected());
+    }
+
+    #[test]
+    fn has_link_sees_either_endpoint_order() {
+        let mut b = TopologyBuilder::new("pair");
+        let v: Vec<_> = (0..3).map(|i| b.add_node(format!("n{i}"))).collect();
+        b.add_link(v[2], v[0], SimDuration::from_millis(1), 1.0);
+        assert!(b.has_link(v[0], v[2]) && b.has_link(v[2], v[0]));
+        assert!(!b.has_link(v[0], v[1]));
     }
 
     #[test]

@@ -9,9 +9,7 @@
 
 use crate::gravity::TrafficMatrix;
 use p4update_des::SimRng;
-use p4update_net::{
-    k_shortest_paths, shortest_path_avoiding, FlowId, FlowUpdate, NodeId, Path, Topology,
-};
+use p4update_net::{FlowId, FlowUpdate, NodeId, Path, PathSolver, Topology};
 use std::collections::BTreeMap;
 
 /// A generated workload: per-flow updates plus the capacity view after the
@@ -109,6 +107,7 @@ fn join_legs(legs: &[&Path]) -> Option<Path> {
 /// backward segment's interior, then total length.
 pub fn single_flow(topo: &Topology) -> FlowUpdate {
     let nodes: Vec<NodeId> = topo.node_ids().collect();
+    let mut solver = PathSolver::new(topo);
     let mut best: Option<((usize, usize, usize), Path, Path)> = None;
     for &a in &nodes {
         for &b in &nodes {
@@ -124,13 +123,13 @@ pub fn single_flow(topo: &Topology) -> FlowUpdate {
                         continue;
                     }
                     // Old path: a -> x -> y -> b along shortest legs.
-                    let Some(l1) = shortest_path_avoiding(topo, a, x, &[y, b]) else {
+                    let Some(l1) = solver.shortest_path_avoiding(a, x, &[y, b]) else {
                         continue;
                     };
-                    let Some(l2) = shortest_path_avoiding(topo, x, y, &[a, b]) else {
+                    let Some(l2) = solver.shortest_path_avoiding(x, y, &[a, b]) else {
                         continue;
                     };
-                    let Some(l3) = shortest_path_avoiding(topo, y, b, &[a, x]) else {
+                    let Some(l3) = solver.shortest_path_avoiding(y, b, &[a, x]) else {
                         continue;
                     };
                     let Some(old) = join_legs(&[&l1, &l2, &l3]) else {
@@ -148,19 +147,19 @@ pub fn single_flow(topo: &Topology) -> FlowUpdate {
                     // other legs may reuse old-path nodes (they become
                     // extra gateways, splitting forward segments).
                     let ban_ay = [x, b];
-                    let Some(n1) = shortest_path_avoiding(topo, a, y, &ban_ay) else {
+                    let Some(n1) = solver.shortest_path_avoiding(a, y, &ban_ay) else {
                         continue;
                     };
                     let mut ban_yx: Vec<NodeId> = interior.clone();
                     ban_yx.extend(n1.nodes().iter().copied().filter(|&n| n != y));
                     ban_yx.push(b);
-                    let Some(n2) = shortest_path_avoiding(topo, y, x, &ban_yx) else {
+                    let Some(n2) = solver.shortest_path_avoiding(y, x, &ban_yx) else {
                         continue;
                     };
                     let mut ban_xb: Vec<NodeId> = Vec::new();
                     ban_xb.extend(n1.nodes().iter().copied().filter(|&n| n != x));
                     ban_xb.extend(n2.nodes().iter().copied().filter(|&n| n != x));
-                    let Some(n3) = shortest_path_avoiding(topo, x, b, &ban_xb) else {
+                    let Some(n3) = solver.shortest_path_avoiding(x, b, &ban_xb) else {
                         continue;
                     };
                     let Some(new) = join_legs(&[&n1, &n2, &n3]) else {
@@ -191,7 +190,7 @@ pub fn single_flow(topo: &Topology) -> FlowUpdate {
             if src >= dst {
                 continue;
             }
-            let paths = k_shortest_paths(topo, src, dst, 2);
+            let paths = solver.k_shortest(src, dst, 2);
             if paths.len() < 2 {
                 continue;
             }
@@ -216,6 +215,7 @@ pub fn multi_flow(topo: &Topology, rng: &mut SimRng, load_factor: f64) -> Worklo
     let n = nodes.len();
     let total_capacity: f64 = topo.links().iter().map(|l| l.capacity).sum();
     let target_total = total_capacity * load_factor;
+    let mut solver = PathSolver::new(topo);
 
     for _attempt in 0..200 {
         let tm = TrafficMatrix::gravity(rng, n, target_total);
@@ -227,7 +227,7 @@ pub fn multi_flow(topo: &Topology, rng: &mut SimRng, load_factor: f64) -> Worklo
             while dst == src {
                 dst = nodes[rng.uniform_usize(n)];
             }
-            let paths = k_shortest_paths(topo, src, dst, 2);
+            let paths = solver.k_shortest(src, dst, 2);
             if paths.len() < 2 {
                 ok = false;
                 break;

@@ -7,8 +7,8 @@
 # static plan linter over its sample plans (including the mutated ones,
 # which must make it exit non-zero), the dataset round trip (an exported
 # on-disk batch must re-lint byte-identically to the in-memory analysis,
-# at any worker count), the corpus and explorer smokes, and the
-# benchmark package's own gate.
+# at any worker count), the corpus and explorer smokes, the large
+# fat-tree tests, and the benchmark package's own gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -65,19 +65,23 @@ else
     echo "==> byzantine smoke skipped (FAST=1)"
 fi
 
-# The 32768-switch fat-tree on the one engine (lazy path-table rows), and
-# the benchmark package's own gate: a library change that breaks the API
-# surface pinned in benchmark/README.md must fail here, not at the driver.
-# Both are slow, so FAST=1 skips them for quick local iteration — CI runs
-# them.
+# The 32768-switch fat-tree on the one engine (lazy path-table rows), the
+# `dc-scale` workload's digest (4096 k-shortest-path queries on ft4096),
+# and the benchmark package's own gate: a library change that breaks the
+# API surface pinned in benchmark/README.md must fail here, not at the
+# driver. All three are slow, so FAST=1 skips them for quick local
+# iteration — CI runs them.
 if [[ "${FAST:-0}" != 1 ]]; then
     echo "==> ft32768 on the sequential engine (ignored test, release)"
     cargo test -q --release --test ft32768 -- --ignored
 
+    echo "==> ft4096 workload digest (ignored test, release)"
+    cargo test -q --release --test workload_digest -- --ignored
+
     echo "==> benchmark/check.sh (the benchmark builds and smokes against this tree)"
     benchmark/check.sh
 else
-    echo "==> ft32768 test and benchmark/check.sh skipped (FAST=1)"
+    echo "==> ft32768, ft4096 digest and benchmark/check.sh skipped (FAST=1)"
 fi
 
 echo "All checks passed."

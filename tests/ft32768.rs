@@ -14,9 +14,11 @@ use p4update::sim::{
     simulation, Event, NetworkSim, SimConfig, StreamingMetrics, System, TimingConfig,
 };
 
-/// Hand-derived cross-pod migrations. The gravity-model generator runs
-/// Yen's k-shortest-paths per flow — prohibitive on a 1.1M-link graph — so
-/// the routes come straight from the topology's wiring rules
+/// Hand-derived cross-pod migrations. The gravity-model generator makes
+/// one flow per switch, and each of those 32,768 Yen queries starts with a
+/// Dijkstra from the destination over 2.2M arcs (~9 ms a query, ~5 minutes
+/// in all) where this test needs 192 flows — so the routes come straight
+/// from the topology's wiring rules
 /// (`agg{p}_{j}` uplinks to cores `(p+j) % 128` and `(p+j+1) % 128`; pods
 /// are internally complete bipartite): flow `i` moves from
 /// `edge{i}_0 → agg{i}_1 → core{(i+1)%128} → agg{i+1}_0 → edge{i+1}_0`

@@ -72,6 +72,14 @@ fn generated_workloads_are_unchanged() {
         "bench_workload(ft64, 1)"
     );
 
+    // The scale `lint-churn` runs at.
+    let ft512 = bench_workload(&topologies::synthetic_fat_tree_512(), 1);
+    assert_eq!(
+        workload_digest(&ft512),
+        0x6108_79fb_aa1d_107f,
+        "bench_workload(ft512, 1)"
+    );
+
     let b4 = multi_flow(&topologies::b4(), &mut SimRng::new(11), 0.3);
     assert_eq!(
         workload_digest(&b4),
@@ -91,5 +99,20 @@ fn generated_workloads_are_unchanged() {
         update_digest(&single_i2),
         0x8ba1_2ae2_a25a_02d4,
         "single_flow(internet2)"
+    );
+}
+
+/// The scale `dc-scale` runs at: 4096 Yen searches on a 72,576-arc graph.
+/// Ignored by default (seconds in release, minutes in debug);
+/// `scripts/check.sh` runs it in release:
+/// `cargo test --release --test workload_digest -- --ignored`.
+#[test]
+#[ignore = "4096 k-shortest-path searches on the 4096-switch fat-tree: release only"]
+fn ft4096_workload_is_unchanged() {
+    let ft4096 = bench_workload(&topologies::synthetic_fat_tree_4096(), 1);
+    assert_eq!(
+        workload_digest(&ft4096),
+        0x9219_aaed_607c_48ca,
+        "bench_workload(ft4096, 1)"
     );
 }
