@@ -183,15 +183,24 @@ impl Topology {
     pub fn centroid(&self) -> NodeId {
         let mut best = NodeId(0);
         let mut best_ecc = f64::INFINITY;
+        let mut dist = vec![f64::INFINITY; self.node_count()];
+        let mut heap = std::collections::BinaryHeap::new();
         for v in self.node_ids() {
-            let dist = crate::path::latency_distances_from(self, v);
-            let ecc = dist.iter().copied().fold(0.0f64, |acc, d| {
-                if d.is_finite() {
-                    acc.max(d)
-                } else {
-                    f64::INFINITY
-                }
-            });
+            dist.fill(f64::INFINITY);
+            // A source stops at the first cost that reaches the best
+            // eccentricity so far. A node left unsettled by then has a
+            // label, tentative or still infinite, of at least that cost,
+            // so the maximum below fails the strict comparison; with none
+            // left every label is final and the maximum is exact.
+            crate::path::sssp(
+                self,
+                |l| self.link(l).latency.as_millis_f64(),
+                v,
+                &mut dist,
+                &mut heap,
+                |cost, _| cost >= best_ecc,
+            );
+            let ecc = dist.iter().copied().fold(0.0, f64::max);
             if ecc < best_ecc {
                 best_ecc = ecc;
                 best = v;
@@ -425,5 +434,58 @@ mod tests {
             b.add_link(w[0], w[1], SimDuration::from_millis(10), 1.0);
         }
         assert_eq!(b.build().centroid(), NodeId(2));
+    }
+
+    /// `centroid` as it stood before it shared one buffer and stopped
+    /// hopeless sources early: a full Dijkstra from every node.
+    fn centroid_by_full_searches(topo: &Topology) -> NodeId {
+        let mut best = NodeId(0);
+        let mut best_ecc = f64::INFINITY;
+        for v in topo.node_ids() {
+            let dist = crate::path::latency_distances_from(topo, v);
+            let ecc = dist.iter().copied().fold(0.0f64, |acc, d| {
+                if d.is_finite() {
+                    acc.max(d)
+                } else {
+                    f64::INFINITY
+                }
+            });
+            if ecc < best_ecc {
+                best_ecc = ecc;
+                best = v;
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn centroid_is_the_one_full_searches_find() {
+        use crate::topologies as t;
+        for topo in [
+            t::b4(),
+            t::internet2(),
+            t::att_mpls(),
+            t::chinanet(),
+            t::fat_tree(4),
+            t::synthetic_fat_tree_64(),
+        ] {
+            assert_eq!(
+                topo.centroid(),
+                centroid_by_full_searches(&topo),
+                "{}",
+                topo.name
+            );
+        }
+    }
+
+    #[test]
+    fn centroid_of_a_disconnected_graph_is_node_zero() {
+        let mut b = TopologyBuilder::new("split");
+        let v: Vec<_> = (0..4).map(|i| b.add_node(format!("n{i}"))).collect();
+        b.add_link(v[0], v[1], SimDuration::from_millis(3), 1.0);
+        b.add_link(v[2], v[3], SimDuration::from_millis(1), 1.0);
+        let topo = b.build();
+        assert_eq!(topo.centroid(), NodeId(0));
+        assert_eq!(topo.centroid(), centroid_by_full_searches(&topo));
     }
 }

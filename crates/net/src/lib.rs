@@ -3,7 +3,8 @@
 //! Network topology substrate for the P4Update reproduction: the switch
 //! graph with latency/capacity-annotated links, path search (one
 //! [`PathSolver`] behind shortest-path, avoid-these-nodes and Yen's
-//! k-shortest queries, every tie resolved by one stated rule), the
+//! k-shortest queries, every tie resolved by one stated rule and every
+//! search bounded by what its answer can depend on), the
 //! flow/update model of the paper's §5, and all the evaluation topologies
 //! (Fig. 1/Fig. 2 synthetics, fat-tree, B4, Internet2, AttMpls, Chinanet).
 

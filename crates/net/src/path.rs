@@ -2,9 +2,11 @@
 //! each flow on its shortest path and migrates it to the 2nd-shortest
 //! (§9.1), so workload generation is one Yen's k-shortest query per switch;
 //! [`PathSolver`] answers those, and the single shortest-path queries, with
-//! one goal-directed search whose tie-break is a specification. The free
-//! functions are one query on a throw-away solver; callers with a batch
-//! build one solver and keep it.
+//! one goal-directed search whose tie-break is a specification and which
+//! stops where no answer can depend on what lies beyond: the potential is
+//! computed out to the source's distance, a spur search out to the best
+//! candidate in hand. The free functions are one query on a throw-away
+//! solver; callers with a batch build one solver and keep it.
 
 use crate::graph::{LinkId, NodeId, Topology};
 use p4update_des::SimDuration;
@@ -103,7 +105,7 @@ impl Path {
 }
 
 #[derive(PartialEq)]
-struct HeapEntry {
+pub(crate) struct HeapEntry {
     cost: f64,
     node: NodeId,
 }
@@ -124,14 +126,26 @@ impl Ord for HeapEntry {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Nodes settled by `sssp` on this thread.
+    static SETTLED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Dijkstra from `src` over `weight` (milliseconds per link) into `dist`,
-/// which the caller hands over filled with `f64::INFINITY`.
-fn sssp(
+/// which the caller hands over filled with `f64::INFINITY`. `stop` is asked
+/// at every pop, with the popped cost and the labels so far, and ends the
+/// search by returning true. Costs pop in nondecreasing order, so at that
+/// moment every label below the cost is final and every other node is at
+/// least that far away: `min(label, cost)` is `min(distance, cost)` at every
+/// node, whatever the cost the search was stopped at.
+pub(crate) fn sssp(
     topo: &Topology,
     weight: impl Fn(LinkId) -> f64,
     src: NodeId,
     dist: &mut [f64],
     heap: &mut BinaryHeap<HeapEntry>,
+    stop: impl Fn(f64, &[f64]) -> bool,
 ) {
     heap.clear();
     dist[src.index()] = 0.0;
@@ -140,9 +154,14 @@ fn sssp(
         node: src,
     });
     while let Some(HeapEntry { cost, node }) = heap.pop() {
+        if stop(cost, dist) {
+            break;
+        }
         if cost > dist[node.index()] {
             continue;
         }
+        #[cfg(test)]
+        SETTLED.set(SETTLED.get() + 1);
         for &(next, link) in topo.neighbors(node) {
             let nd = cost + weight(link);
             if nd < dist[next.index()] {
@@ -166,6 +185,7 @@ pub fn latency_distances_from(topo: &Topology, src: NodeId) -> Vec<f64> {
         src,
         &mut dist,
         &mut BinaryHeap::new(),
+        |_, _| false,
     );
     dist
 }
@@ -229,14 +249,24 @@ const TIE_SLACK: f64 = 1e-9;
 /// # How it is found
 ///
 /// Every search is A* with a potential that never overestimates the
-/// remaining distance — zero for a single query, the exact distances to
-/// `dst` (one Dijkstra from `dst`, bans ignored) for [`Self::k_shortest`],
-/// whose first search and every spur search share it. A label is expanded
-/// only while `f = g + potential` stays within [`TIE_SLACK`] of the
-/// destination's distance, which is exactly the set of nodes lying on some
-/// equally short path: every neighbour the walk-back rule could step to is
-/// among them and is expanded with its final distance, so `prev` ends up
-/// holding the rule's answer however the heap ordered the ties.
+/// remaining distance — zero for a single query; for [`Self::k_shortest`],
+/// whose first search and every spur search share it, the distance to
+/// `dst` (bans ignored) capped at the source's own: one Dijkstra from `dst`
+/// that stops as soon as the source's distance `D` is final, every node it
+/// did not settle taking `D`. That is `min(distance, D)` at every node,
+/// which differs across a link by no more than the distance does. A label
+/// is expanded only while `f = g + potential` stays within [`TIE_SLACK`] of
+/// the destination's distance; every node lying on some equally short path
+/// qualifies, so every neighbour the walk-back rule could step to is
+/// expanded with its final distance, and `prev` ends up holding the rule's
+/// answer however the heap ordered the ties.
+///
+/// A spur search of Yen's loop also starts under a limit: with `r` paths
+/// still to output and at least `r` candidates in hand, a spur path that
+/// would make a candidate dearer than the `r`-th cheapest of them is never
+/// output, so the search gives up where only such paths remain. The limit
+/// is not strict, leaving equally dear candidates to the `(cost, node
+/// list)` tie-break.
 pub struct PathSolver<'a> {
     topo: &'a Topology,
     /// Latency in milliseconds, by link id.
@@ -283,17 +313,24 @@ impl<'a> PathSolver<'a> {
     }
 
     /// The search every query runs: the latency-shortest `src → dst` path
-    /// that enters no `banned` node and does not leave `src` towards any of
-    /// `banned_hops`, ties resolved by the rule in the type's docs. Expects
-    /// `src != dst` and leaves `dist`/`prev` as it found them.
-    fn search(&mut self, src: NodeId, dst: NodeId, banned_hops: &[NodeId]) -> Option<Path> {
+    /// that enters no `banned` node, does not leave `src` towards any of
+    /// `banned_hops` and is no longer than `bound`, ties resolved by the
+    /// rule in the type's docs. Expects `src != dst` and leaves
+    /// `dist`/`prev` as it found them.
+    fn search(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        banned_hops: &[NodeId],
+        mut bound: f64,
+    ) -> Option<Path> {
         if self.banned[src.index()] || self.banned[dst.index()] {
             return None;
         }
         let topo = self.topo;
-        // `dist[dst] * (1 + TIE_SLACK)` once the destination has a label;
-        // until then anything with a finite potential may be on the path.
-        let mut bound = f64::MAX;
+        // `bound` falls to `dist[dst] * (1 + TIE_SLACK)` once the
+        // destination has a label; until then anything the caller's limit
+        // and the potential allow may be on the path.
         self.labels.clear();
         self.dist[src.index()] = 0.0;
         self.touched.push(src);
@@ -332,7 +369,7 @@ impl<'a> PathSolver<'a> {
                     self.dist[next.index()] = nd;
                     self.prev[next.index()] = node;
                     if next == dst {
-                        bound = nd * (1.0 + TIE_SLACK);
+                        bound = bound.min(nd * (1.0 + TIE_SLACK));
                     }
                     self.labels.push(Label {
                         f,
@@ -373,11 +410,12 @@ impl<'a> PathSolver<'a> {
         dst: NodeId,
         nodes: &[NodeId],
         banned_hops: &[NodeId],
+        bound: f64,
     ) -> Option<Path> {
         for &v in nodes {
             self.banned[v.index()] = true;
         }
-        let path = self.search(src, dst, banned_hops);
+        let path = self.search(src, dst, banned_hops, bound);
         for &v in nodes {
             self.banned[v.index()] = false;
         }
@@ -395,18 +433,23 @@ impl<'a> PathSolver<'a> {
         if src == dst {
             return None;
         }
-        self.search_avoiding(src, dst, banned, &[])
+        self.search_avoiding(src, dst, banned, &[], f64::MAX)
     }
 
     /// Yen's algorithm: the `k` shortest loopless paths from `src` to `dst`,
     /// in nondecreasing latency order. Returns fewer than `k` if the graph
     /// does not contain that many distinct simple paths.
     pub fn k_shortest(&mut self, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
-        if src == dst {
+        if src == dst || k == 0 {
             return Vec::new();
         }
-        // Exact distances to `dst` steer the first search and every spur
-        // search: a ban can only lengthen a path, so they stay lower bounds.
+        // The potential is the distance to `dst`, bans ignored, capped at
+        // the source's own distance `d`: the search from `dst` stops once
+        // `d` is final, which leaves `min(label, d)` equal to
+        // `min(distance, d)` everywhere. A ban can only lengthen a path, so
+        // that stays a lower bound for the first search and for every spur
+        // search. An unreachable source never stops the search, and the
+        // first search then fails on its own infinite potential.
         self.potential.fill(f64::INFINITY);
         let weight = &self.weight;
         sssp(
@@ -415,22 +458,31 @@ impl<'a> PathSolver<'a> {
             dst,
             &mut self.potential,
             &mut self.sssp_heap,
+            |cost, label| cost >= label[src.index()],
         );
+        let d = self.potential[src.index()];
+        for h in &mut self.potential {
+            *h = h.min(d);
+        }
         let result = self.yen(src, dst, k);
         self.potential.fill(0.0);
         result
     }
 
+    /// Yen's loop for `k >= 1`, on the potential `k_shortest` has laid out.
     fn yen(&mut self, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
-        let Some(first) = self.search(src, dst, &[]) else {
+        let Some(first) = self.search(src, dst, &[], f64::MAX) else {
             return Vec::new();
         };
         let mut result = vec![first];
-        let mut candidates: Vec<(f64, Path)> = Vec::new();
+        // Kept in the order they will be output: by cost in whole
+        // nanoseconds, then by node list.
+        let mut candidates: Vec<(SimDuration, Path)> = Vec::new();
         let mut banned_hops = Vec::new();
 
         while result.len() < k {
             let last = result.last().expect("result non-empty").clone();
+            let mut root_cost = SimDuration::ZERO;
             // Each node of the previous path (except egress) is a spur point.
             for spur_idx in 0..last.nodes().len() - 1 {
                 let spur_node = last.nodes()[spur_idx];
@@ -450,27 +502,42 @@ impl<'a> PathSolver<'a> {
                     }
                 }
 
+                // Only `k - result.len()` more paths will be output,
+                // cheapest first, so once that many candidates are held a
+                // path dearer than the dearest of them never will be, and
+                // the spur search need not find it. An equally dear one
+                // still reaches the node-list tie-break. The limit never
+                // rises (an output takes the cheapest candidate and one
+                // slot with it), so a path it hid from the scan above can
+                // later only be found and hidden again.
+                let limit = candidates
+                    .get(k - result.len() - 1)
+                    .map_or(f64::MAX, |(t, _)| {
+                        let spur = t.as_nanos().saturating_sub(root_cost.as_nanos());
+                        SimDuration::from_nanos(spur).as_millis_f64() * (1.0 + TIE_SLACK)
+                    });
                 if let Some(spur) =
-                    self.search_avoiding(spur_node, dst, &root[..spur_idx], &banned_hops)
+                    self.search_avoiding(spur_node, dst, &root[..spur_idx], &banned_hops, limit)
                 {
                     let mut total = root.to_vec();
                     total.extend_from_slice(&spur.nodes()[1..]);
                     let path = Path::new(total);
-                    let cost = path.total_latency(self.topo).as_millis_f64();
-                    if !candidates.iter().any(|(_, p)| *p == path) && !result.contains(&path) {
-                        candidates.push((cost, path));
+                    let cost = path.total_latency(self.topo);
+                    let at =
+                        candidates.partition_point(|(c, p)| (*c, p.nodes()) < (cost, path.nodes()));
+                    let held = candidates.get(at).is_some_and(|(_, p)| *p == path);
+                    if !held && !result.contains(&path) {
+                        candidates.insert(at, (cost, path));
                     }
                 }
+                root_cost += self
+                    .topo
+                    .latency_between(spur_node, last.nodes()[spur_idx + 1])
+                    .expect("path edge must be a topology link");
             }
             if candidates.is_empty() {
                 break;
             }
-            // Pop the cheapest candidate (deterministic tie-break on node list).
-            candidates.sort_by(|(c1, p1), (c2, p2)| {
-                c1.partial_cmp(c2)
-                    .expect("finite")
-                    .then_with(|| p1.nodes().cmp(p2.nodes()))
-            });
             result.push(candidates.remove(0).1);
         }
         result
@@ -684,6 +751,20 @@ mod tests {
         b.build()
     }
 
+    /// `n` nodes linked as listed, 1 ms a link.
+    fn unit_graph(name: &str, n: usize, links: &[(usize, usize)]) -> Topology {
+        let mut b = TopologyBuilder::new(name);
+        let v: Vec<_> = (0..n).map(|i| b.add_node(format!("n{i}"))).collect();
+        for &(i, j) in links {
+            b.add_link(v[i], v[j], SimDuration::from_millis(1), 1.0);
+        }
+        b.build()
+    }
+
+    fn path(nodes: &[u32]) -> Path {
+        Path::new(nodes.iter().map(|&i| NodeId(i)).collect())
+    }
+
     #[test]
     fn path_accessors() {
         let p = Path::new(vec![NodeId(0), NodeId(1), NodeId(3)]);
@@ -758,6 +839,17 @@ mod tests {
     }
 
     #[test]
+    fn yen_with_k_zero_is_empty_and_searches_nothing() {
+        let t = diamond();
+        assert!(k_shortest_paths(&t, NodeId(0), NodeId(3), 0).is_empty());
+        let mut solver = PathSolver::new(&t);
+        SETTLED.set(0);
+        assert!(solver.k_shortest(NodeId(0), NodeId(3), 0).is_empty());
+        assert_eq!((SETTLED.get(), solver.expanded), (0, 0));
+        solver.assert_idle();
+    }
+
+    #[test]
     fn yen_paths_are_simple_and_valid() {
         let t = crate::topologies::internet2();
         let paths = k_shortest_paths(&t, NodeId(0), NodeId(15), 4);
@@ -819,11 +911,24 @@ mod tests {
         solver.assert_idle();
     }
 
-    /// A random graph on `n` nodes: a spanning tree (minus one link when
+    /// The links `random_graph` starts from.
+    #[derive(Clone, Copy)]
+    enum Backbone {
+        /// A random spanning tree.
+        Tree,
+        /// The chain 0-1-..-(n-1) with its first `len` nodes closed into a
+        /// cycle: a ring when `len == n`, a lollipop below that. Between
+        /// neighbours on the cycle the 2nd path is the long way round,
+        /// nearly all of it farther from the destination than the source.
+        Cycle { len: usize },
+    }
+
+    /// A random graph on `n` nodes: a backbone (minus one link when
     /// `split`, leaving two components) plus `extra` more links.
     fn random_graph(
         rng: &mut SimRng,
         n: usize,
+        backbone: Backbone,
         extra: usize,
         split: bool,
         mut latency: impl FnMut(&mut SimRng) -> SimDuration,
@@ -838,10 +943,21 @@ mod tests {
             if split && i == cut {
                 continue;
             }
-            let lo = if side(i) { cut } else { 0 };
-            let j = lo + rng.uniform_usize(i - lo);
+            let j = match backbone {
+                Backbone::Tree => {
+                    let lo = if side(i) { cut } else { 0 };
+                    lo + rng.uniform_usize(i - lo)
+                }
+                Backbone::Cycle { .. } => i - 1,
+            };
             let lat = latency(rng);
             b.add_link(ids[i], ids[j], lat, 1.0);
+        }
+        if let Backbone::Cycle { len } = backbone {
+            if len >= 3 && side(len - 1) == side(0) {
+                let lat = latency(rng);
+                b.add_link(ids[len - 1], ids[0], lat, 1.0);
+            }
         }
         for _ in 0..extra {
             let (i, j) = (rng.uniform_usize(n), rng.uniform_usize(n));
@@ -857,22 +973,31 @@ mod tests {
     fn solver_agrees_with_the_oracle_on_random_graphs() {
         forall("path_solver_vs_oracle", cases(96), |rng| {
             let n = 2 + rng.uniform_usize(23);
-            let extra = rng.uniform_usize(3 * n);
             let split = n >= 4 && rng.chance(0.2);
+            // Half the graphs are dense, half a cycle with at most two
+            // chords, where leaving the shortest path is a long detour.
+            let (backbone, extra) = match rng.uniform_usize(4) {
+                0 => (Backbone::Cycle { len: n }, rng.uniform_usize(3)),
+                1 => {
+                    let len = 1 + rng.uniform_usize(n);
+                    (Backbone::Cycle { len }, rng.uniform_usize(3))
+                }
+                _ => (Backbone::Tree, rng.uniform_usize(3 * n)),
+            };
             let topo = match rng.uniform_usize(3) {
                 // Whole milliseconds from {1, 2, 3}: equally short paths
                 // everywhere, so every answer is a tie-break.
-                0 => random_graph(rng, n, extra, split, |r| {
+                0 => random_graph(rng, n, backbone, extra, split, |r| {
                     SimDuration::from_millis(1 + r.uniform_usize(3) as u64)
                 }),
                 // As many ties, but 0.05, 0.07 and 0.13 ms are inexact in
                 // floating point: equal sums taken in a different order
                 // differ in the last bit, which is what TIE_SLACK absorbs.
-                1 => random_graph(rng, n, extra, split, |r| {
+                1 => random_graph(rng, n, backbone, extra, split, |r| {
                     SimDuration::from_micros([50, 70, 130][r.uniform_usize(3)])
                 }),
                 // Geo-like: 50 us to 20 ms in whole nanoseconds.
-                _ => random_graph(rng, n, extra, split, |r| {
+                _ => random_graph(rng, n, backbone, extra, split, |r| {
                     SimDuration::from_nanos(50_000 + r.uniform_usize(20_000_000) as u64)
                 }),
             };
@@ -889,6 +1014,20 @@ mod tests {
         });
     }
 
+    /// `assert_agrees` on every ordered pair of `topo`, one solver for all.
+    fn assert_agrees_on_every_pair(topo: &Topology, max_k: usize) {
+        let mut solver = PathSolver::new(topo);
+        for src in topo.node_ids() {
+            for dst in topo.node_ids() {
+                // Two nodes picked by id stand in for the waypoints
+                // `single_flow` bans; they may coincide with the pair.
+                let n = topo.node_count() as u32;
+                let avoid = [NodeId((src.0 + 1) % n), NodeId((dst.0 + n - 1) % n)];
+                assert_agrees(&mut solver, src, dst, max_k, &avoid);
+            }
+        }
+    }
+
     #[test]
     fn solver_agrees_with_the_oracle_on_every_pair_of_the_evaluation_topologies() {
         use crate::topologies as t;
@@ -898,19 +1037,85 @@ mod tests {
             t::internet2(),
             t::att_mpls(),
             t::chinanet(),
-            t::synthetic_fat_tree_64(),
         ] {
-            let mut solver = PathSolver::new(&topo);
-            for src in topo.node_ids() {
-                for dst in topo.node_ids() {
-                    // Two nodes picked by id stand in for the waypoints
-                    // `single_flow` bans; they may coincide with the pair.
-                    let n = topo.node_count() as u32;
-                    let avoid = [NodeId((src.0 + 1) % n), NodeId((dst.0 + n - 1) % n)];
-                    assert_agrees(&mut solver, src, dst, 3, &avoid);
-                }
-            }
+            assert_agrees_on_every_pair(&topo, 5);
         }
+        assert_agrees_on_every_pair(&t::synthetic_fat_tree_64(), 3);
+    }
+
+    #[test]
+    fn second_path_may_lie_wholly_beyond_the_reverse_search() {
+        // 0 and 1 are neighbours on a ring of eight: the search from 1
+        // settles 1 alone before 0's distance is final, every other node
+        // gets that distance as its potential, and the 2nd path is the
+        // other seven links.
+        let ring: Vec<_> = (0..8).map(|i| (i, (i + 1) % 8)).collect();
+        let ring = unit_graph("ring", 8, &ring);
+        let mut solver = PathSolver::new(&ring);
+        SETTLED.set(0);
+        assert_eq!(
+            solver.k_shortest(NodeId(0), NodeId(1), 3),
+            [path(&[0, 1]), path(&[0, 7, 6, 5, 4, 3, 2, 1])]
+        );
+        assert_eq!(SETTLED.get(), 1);
+        assert_agrees_on_every_pair(&ring, 3);
+    }
+
+    #[test]
+    fn second_path_may_start_by_moving_away_from_the_destination() {
+        // A stick 5-4 on the cycle 4-0-3-2-1-4. From 5 to 0 the only 2nd
+        // path turns at 4 to 1, which is farther from 0 than 4 is and as
+        // far as 5: the search from 0 has stopped short of 1 and 2.
+        let links = [(5, 4), (4, 0), (0, 3), (3, 2), (2, 1), (1, 4)];
+        let lollipop = unit_graph("lollipop", 6, &links);
+        let mut solver = PathSolver::new(&lollipop);
+        SETTLED.set(0);
+        assert_eq!(
+            solver.k_shortest(NodeId(5), NodeId(0), 3),
+            [path(&[5, 4, 0]), path(&[5, 4, 1, 2, 3, 0])]
+        );
+        assert_eq!(SETTLED.get(), 3);
+        assert_agrees_on_every_pair(&lollipop, 3);
+    }
+
+    #[test]
+    fn unreachable_source_floods_and_leaves_the_solver_idle() {
+        let split = unit_graph("split", 5, &[(0, 1), (1, 2), (3, 4)]);
+        let mut solver = PathSolver::new(&split);
+        SETTLED.set(0);
+        assert!(solver.k_shortest(NodeId(0), NodeId(4), 2).is_empty());
+        // Nothing stopped the search from 4: it settled its whole side.
+        assert_eq!((SETTLED.get(), solver.expanded), (2, 0));
+        solver.assert_idle();
+        // And one that does stop early, 1 being a neighbour of 2.
+        assert_eq!(solver.k_shortest(NodeId(1), NodeId(2), 2), [path(&[1, 2])]);
+        assert_eq!(SETTLED.get(), 3);
+        solver.assert_idle();
+    }
+
+    #[test]
+    fn a_spur_search_stops_at_the_candidate_in_hand() {
+        // 0-1-3 and 0-2-3 cost 2 ms; leaving 0-1-3 at 1 means 1-4-5-3 and
+        // 4 ms in all.
+        let links = [(0, 1), (1, 3), (0, 2), (2, 3), (1, 4), (4, 5), (5, 3)];
+        let t = unit_graph("tie-then-detour", 6, &links);
+        let mut solver = PathSolver::new(&t);
+        assert_eq!(
+            solver.k_shortest(NodeId(0), NodeId(3), 2),
+            [path(&[0, 1, 3]), path(&[0, 2, 3])]
+        );
+        // Three labels for the first path (0, 1, 2), two for the spur at 0
+        // that finds the tie (0, 2), and for the spur at 1 only 1 itself:
+        // 1 ms of root and 1 ms to go fit under the 2 ms in hand, 4's
+        // 1 + 2 ms do not. Unbounded, that search expands 4 and 5 as well.
+        assert_eq!(solver.expanded, 6);
+        // With two slots left the same spur has no limit yet, so the
+        // detour is found, held, and comes out third.
+        assert_eq!(
+            solver.k_shortest(NodeId(0), NodeId(3), 3),
+            [path(&[0, 1, 3]), path(&[0, 2, 3]), path(&[0, 1, 4, 5, 3])]
+        );
+        assert_agrees_on_every_pair(&t, 5);
     }
 
     #[test]
@@ -924,10 +1129,24 @@ mod tests {
         let flooded = oracle::EXPANDED.get();
 
         let mut solver = PathSolver::new(&topo);
+        SETTLED.set(0);
         assert_eq!(solver.k_shortest(src, dst, 2), expected);
-        // Deterministic counts, pinned so a lost potential or bound shows
-        // as a number and not as a slow benchmark.
-        assert_eq!((flooded, solver.expanded), (2325, 389));
-        assert!(solver.expanded * 5 <= flooded);
+        // Deterministic counts, pinned so a lost potential, stop or bound
+        // shows as a number and not as a slow benchmark.
+        assert_eq!((flooded, solver.expanded, SETTLED.get()), (2325, 184, 301));
+        assert!(solver.expanded * 10 <= flooded);
+        assert!(SETTLED.get() < topo.node_count());
+    }
+
+    #[test]
+    fn reverse_search_stops_short_of_the_graph_on_ft4096() {
+        let topo = crate::topologies::synthetic_fat_tree_4096();
+        let edges = crate::topologies::fat_tree_edge_switches(&topo);
+        let (src, dst) = (edges[0], edges[edges.len() - 1]);
+        let mut solver = PathSolver::new(&topo);
+        SETTLED.set(0);
+        assert_eq!(solver.k_shortest(src, dst, 2).len(), 2);
+        assert_eq!((solver.expanded, SETTLED.get()), (90, 578));
+        assert!(SETTLED.get() < topo.node_count());
     }
 }

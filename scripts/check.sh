@@ -8,7 +8,8 @@
 # which must make it exit non-zero), the dataset round trip (an exported
 # on-disk batch must re-lint byte-identically to the in-memory analysis,
 # at any worker count), the corpus and explorer smokes, the large
-# fat-tree tests, and the benchmark package's own gate.
+# fat-tree tests, the path solver's differential against its oracle at 16x
+# the default case count, and the benchmark package's own gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -67,9 +68,11 @@ fi
 
 # The 32768-switch fat-tree on the one engine (lazy path-table rows), the
 # `dc-scale` workload's digest (4096 k-shortest-path queries on ft4096),
+# the path solver against its oracle on 16x the default random graphs (the
+# search prunes, and a pruning rule fails on a rare tie: 96 cases are thin),
 # and the benchmark package's own gate: a library change that breaks the
 # API surface pinned in benchmark/README.md must fail here, not at the
-# driver. All three are slow, so FAST=1 skips them for quick local
+# driver. All four are slow, so FAST=1 skips them for quick local
 # iteration — CI runs them.
 if [[ "${FAST:-0}" != 1 ]]; then
     echo "==> ft32768 on the sequential engine (ignored test, release)"
@@ -78,10 +81,13 @@ if [[ "${FAST:-0}" != 1 ]]; then
     echo "==> ft4096 workload digest (ignored test, release)"
     cargo test -q --release --test workload_digest -- --ignored
 
+    echo "==> path solver vs oracle, PROPCHECK_SCALE=16 (release)"
+    PROPCHECK_SCALE=16 cargo test -q --release -p p4update-net solver_agrees
+
     echo "==> benchmark/check.sh (the benchmark builds and smokes against this tree)"
     benchmark/check.sh
 else
-    echo "==> ft32768, ft4096 digest and benchmark/check.sh skipped (FAST=1)"
+    echo "==> ft32768, ft4096 digest, scaled solver differential and benchmark/check.sh skipped (FAST=1)"
 fi
 
 echo "All checks passed."
