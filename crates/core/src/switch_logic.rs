@@ -21,7 +21,7 @@ use p4update_dataplane::{Effect, Endpoint, FlowPriority, SwitchLogic, SwitchStat
 use p4update_des::SimTime;
 use p4update_messages::{Message, RejectReason, Ufm, UfmStatus, Uim, Unm, UnmLayer, UpdateKind};
 use p4update_net::{FlowId, NodeId, Version};
-use p4update_pipeline::ResubmitQueue;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// How an accepted update is applied at installation time.
@@ -62,6 +62,40 @@ struct BlockedMove {
     unm: Unm,
 }
 
+/// Bound on UNMs parked waiting for their UIM: the packet buffer of the
+/// software switch. A notification arriving at a full buffer is lost, and
+/// the controller's loss recovery re-triggers it.
+const UIM_WAITER_CAPACITY: usize = 4096;
+
+/// Notifications parked at this switch until something changes for their
+/// flow, in arrival order. Each keeps its wire sender, so re-verification
+/// re-passes the §7 sender binding.
+#[derive(Debug, Default)]
+struct Parked(Vec<(Endpoint, Unm)>);
+
+impl Parked {
+    fn push(&mut self, from: Endpoint, unm: Unm) {
+        self.0.push((from, unm));
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Remove and return `flow`'s notifications, in arrival order.
+    fn take(&mut self, flow: FlowId) -> Vec<(Endpoint, Unm)> {
+        let mut taken = Vec::new();
+        self.0.retain(|&parked| {
+            let keep = parked.1.flow != flow;
+            if !keep {
+                taken.push(parked);
+            }
+            keep
+        });
+        taken
+    }
+}
+
 /// Counters exposed for the overhead ablation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct P4UpdateCounters {
@@ -76,20 +110,22 @@ pub struct P4UpdateCounters {
 }
 
 /// The P4Update data-plane logic for one switch.
+#[derive(Default)]
 pub struct P4UpdateLogic {
-    /// UNMs waiting for their version's UIM (packet resubmission model).
-    waiting_for_uim: ResubmitQueue<FlowId, (Endpoint, Unm)>,
+    /// UNMs waiting for their version's UIM: the model of Appendix B's
+    /// data-plane waiting by packet resubmission, drained when the UIM
+    /// arrives and bounded by `UIM_WAITER_CAPACITY`.
+    waiting_for_uim: Parked,
     /// First-layer UNMs held at unsatisfied dual-layer gates; retried on
-    /// every state change of the flow (with the wire sender preserved, so
-    /// re-verification keeps the §7 sender binding).
-    held: Vec<(FlowId, Endpoint, Unm)>,
+    /// every state change of the flow.
+    held: Parked,
     pending: BTreeMap<u64, PendingInstall>,
     next_token: u64,
     /// Flows with a rule write in flight: further notifications for them
     /// are deferred and re-verified once the write completes (one table
     /// write at a time per flow, as on the real switch).
     installing: BTreeSet<FlowId>,
-    deferred: Vec<(FlowId, Endpoint, Unm)>,
+    deferred: Parked,
     scheduler: CongestionScheduler,
     blocked: BTreeMap<FlowId, BlockedMove>,
     ufm_sent: BTreeMap<FlowId, Version>,
@@ -97,27 +133,10 @@ pub struct P4UpdateLogic {
     pub counters: P4UpdateCounters,
 }
 
-impl Default for P4UpdateLogic {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl P4UpdateLogic {
-    /// Fresh logic (buffer capacity mirrors a software switch's queue).
+    /// Fresh logic.
     pub fn new() -> Self {
-        P4UpdateLogic {
-            waiting_for_uim: ResubmitQueue::new(4096),
-            held: Vec::new(),
-            pending: BTreeMap::new(),
-            next_token: 0,
-            installing: BTreeSet::new(),
-            deferred: Vec::new(),
-            scheduler: CongestionScheduler::new(),
-            blocked: BTreeMap::new(),
-            ufm_sent: BTreeMap::new(),
-            counters: P4UpdateCounters::default(),
-        }
+        Self::default()
     }
 
     /// Flows currently deferred by the congestion gate (diagnostics).
@@ -263,7 +282,7 @@ impl P4UpdateLogic {
 
         // The indication may unblock notifications that arrived early
         // (data-plane waiting via resubmission, Appendix B).
-        for (from, unm) in self.waiting_for_uim.release(&uim.flow) {
+        for (from, unm) in self.waiting_for_uim.take(uim.flow) {
             self.process_unm(now, state, from, unm, out);
         }
         self.retry_held(now, state, uim.flow, out);
@@ -308,7 +327,7 @@ impl P4UpdateLogic {
         // a write is in flight resubmit after it completes (they usually
         // become pass-alongs then).
         if self.installing.contains(&unm.flow) {
-            self.deferred.push((unm.flow, from, unm));
+            self.deferred.push(from, unm);
             return;
         }
         let entry = state.uib.read(unm.flow);
@@ -324,9 +343,9 @@ impl P4UpdateLogic {
         match verdict {
             Verdict::WaitForUim => {
                 self.counters.waits_for_uim += 1;
-                if !self.waiting_for_uim.park(unm.flow, (from, unm)) {
-                    // Buffer overflow: the notification is lost; the
-                    // controller's loss recovery will re-trigger.
+                if self.waiting_for_uim.len() < UIM_WAITER_CAPACITY {
+                    self.waiting_for_uim.push(from, unm);
+                } else {
                     self.counters.rejects += 1;
                 }
             }
@@ -335,7 +354,7 @@ impl P4UpdateLogic {
                 // actionable; second-layer holds are dropped (the first
                 // layer will carry better information).
                 if unm.layer == UnmLayer::Inter && unm.v_new > entry.applied_version {
-                    self.held.push((unm.flow, from, unm));
+                    self.held.push(from, unm);
                 }
             }
             Verdict::Reject(reason) => {
@@ -401,7 +420,7 @@ impl P4UpdateLogic {
     #[allow(clippy::too_many_arguments)]
     fn gate_and_install(
         &mut self,
-        _now: SimTime,
+        now: SimTime,
         state: &mut SwitchState,
         from: Endpoint,
         unm: Unm,
@@ -431,12 +450,14 @@ impl P4UpdateLogic {
                 |f| uib_priority(&state.uib, f),
             );
             match admission {
-                Admission::Go => {
-                    let ok = state.reserve_capacity(new_hop, entry.flow_size);
-                    debug_assert!(ok, "admission implies capacity");
+                Admission::Go if state.reserve_capacity(new_hop, entry.flow_size) => {
                     reserved = Some((new_hop, entry.flow_size));
                 }
-                Admission::Blocked(_) => {
+                // Blocked — or admitted but with nothing reserved (a size no
+                // link can hold, a staged hop that is not a port): recording
+                // `reserved` then would later hand back capacity this flow
+                // never took.
+                _ => {
                     self.counters.capacity_deferrals += 1;
                     self.scheduler.park(new_hop, unm.flow);
                     self.blocked.insert(unm.flow, BlockedMove { from, unm });
@@ -462,7 +483,7 @@ impl P4UpdateLogic {
                     // now pass: retry its move.
                     for g in raised {
                         if let Some(bm) = self.blocked.remove(&g) {
-                            self.process_unm(_now, state, bm.from, bm.unm, out);
+                            self.process_unm(now, state, bm.from, bm.unm, out);
                         }
                     }
                     return;
@@ -499,17 +520,7 @@ impl P4UpdateLogic {
         flow: FlowId,
         out: &mut Vec<Effect>,
     ) {
-        let mut i = 0;
-        let mut to_retry = Vec::new();
-        while i < self.deferred.len() {
-            if self.deferred[i].0 == flow {
-                let (_, from, unm) = self.deferred.remove(i);
-                to_retry.push((from, unm));
-            } else {
-                i += 1;
-            }
-        }
-        for (from, unm) in to_retry {
+        for (from, unm) in self.deferred.take(flow) {
             self.process_unm(now, state, from, unm, out);
         }
     }
@@ -555,17 +566,7 @@ impl P4UpdateLogic {
         flow: FlowId,
         out: &mut Vec<Effect>,
     ) {
-        let mut i = 0;
-        let mut to_retry = Vec::new();
-        while i < self.held.len() {
-            if self.held[i].0 == flow {
-                let (_, from, unm) = self.held.remove(i);
-                to_retry.push((from, unm));
-            } else {
-                i += 1;
-            }
-        }
-        for (from, unm) in to_retry {
+        for (from, unm) in self.held.take(flow) {
             self.process_unm(now, state, from, unm, out);
         }
     }
@@ -591,7 +592,7 @@ impl SwitchLogic for P4UpdateLogic {
     }
 
     fn parked_messages(&self) -> usize {
-        self.waiting_for_uim.parked() + self.held.len() + self.deferred.len()
+        self.waiting_for_uim.len() + self.held.len() + self.deferred.len()
     }
 
     fn debug_summary(&self) -> String {
@@ -601,7 +602,7 @@ impl SwitchLogic for P4UpdateLogic {
             self.counters.waits_for_uim,
             self.counters.rejects,
             self.counters.capacity_deferrals,
-            self.waiting_for_uim.parked(),
+            self.waiting_for_uim.len(),
             self.held.len(),
             self.deferred.len(),
             self.installing.len(),
@@ -618,10 +619,12 @@ impl SwitchLogic for P4UpdateLogic {
         token: u64,
         out: &mut Vec<Effect>,
     ) {
-        let Some(p) = self.pending.remove(&token) else {
-            return;
+        // A token names one flow's rule write. A completion quoting it for
+        // another flow is not that write finishing: leave it pending.
+        let p = match self.pending.entry(token) {
+            Entry::Occupied(e) if e.get().flow == flow => e.remove(),
+            _ => return,
         };
-        debug_assert_eq!(p.flow, flow);
         self.installing.remove(&flow);
         let entry = state.uib.read(flow);
 
@@ -748,6 +751,21 @@ mod tests {
         })
     }
 
+    /// A single-layer notification for `flow`: version `v_new`, from a
+    /// sender at distance `d_new`.
+    fn unm(flow: u32, v_new: u32, d_new: u32) -> Unm {
+        Unm {
+            flow: FlowId(flow),
+            v_new: Version(v_new),
+            v_old: Version(v_new - 1),
+            d_new,
+            d_old: 0,
+            counter: 0,
+            kind: UpdateKind::Single,
+            layer: UnmLayer::Intra,
+        }
+    }
+
     fn p4switch(topo: &Topology, id: u32) -> Switch {
         Switch::new(NodeId(id), topo, Box::new(P4UpdateLogic::new()))
     }
@@ -793,16 +811,7 @@ mod tests {
         );
         assert!(effects.is_empty(), "no action before the notification");
         // UNM from the egress.
-        let unm = Message::Unm(Unm {
-            flow: FlowId(0),
-            v_new: Version(1),
-            v_old: Version(0),
-            d_new: 0,
-            d_old: 0,
-            counter: 0,
-            kind: UpdateKind::Single,
-            layer: UnmLayer::Intra,
-        });
+        let unm = Message::Unm(unm(0, 1, 0));
         let effects = v1.handle_message(SimTime::ZERO, Endpoint::Switch(NodeId(2)), unm);
         assert_eq!(effects.len(), 1);
         let token = match effects[0] {
@@ -830,16 +839,7 @@ mod tests {
     fn unm_before_uim_waits_then_fires() {
         let t = line(3, 10.0);
         let mut v1 = p4switch(&t, 1);
-        let unm = Message::Unm(Unm {
-            flow: FlowId(0),
-            v_new: Version(1),
-            v_old: Version(0),
-            d_new: 0,
-            d_old: 0,
-            counter: 0,
-            kind: UpdateKind::Single,
-            layer: UnmLayer::Intra,
-        });
+        let unm = Message::Unm(unm(0, 1, 0));
         let effects = v1.handle_message(SimTime::ZERO, Endpoint::Switch(NodeId(2)), unm);
         assert!(effects.is_empty(), "parked waiting for the UIM");
         // The UIM releases it.
@@ -860,16 +860,7 @@ mod tests {
             Endpoint::Controller,
             uim(0, 1, 1, Some(1), None),
         );
-        let unm = Message::Unm(Unm {
-            flow: FlowId(0),
-            v_new: Version(1),
-            v_old: Version(0),
-            d_new: 0,
-            d_old: 0,
-            counter: 0,
-            kind: UpdateKind::Single,
-            layer: UnmLayer::Intra,
-        });
+        let unm = Message::Unm(unm(0, 1, 0));
         let effects = v0.handle_message(SimTime::ZERO, Endpoint::Switch(NodeId(1)), unm);
         let token = match effects[0] {
             Effect::BeginInstall { token, .. } => token,
@@ -899,16 +890,7 @@ mod tests {
             uim(0, 1, 1, Some(2), Some(0)),
         );
         // Parent claims distance 1 == ours → loop potential (Fig. 6b).
-        let unm = Message::Unm(Unm {
-            flow: FlowId(0),
-            v_new: Version(1),
-            v_old: Version(0),
-            d_new: 1,
-            d_old: 0,
-            counter: 0,
-            kind: UpdateKind::Single,
-            layer: UnmLayer::Intra,
-        });
+        let unm = Message::Unm(unm(0, 1, 1));
         let effects = v1.handle_message(SimTime::ZERO, Endpoint::Switch(NodeId(2)), unm);
         assert_eq!(effects.len(), 1);
         assert!(matches!(
@@ -934,16 +916,7 @@ mod tests {
         );
         // d_new = 1 satisfies `uim_distance == d_new + 1` exactly, but
         // the claim comes from node 3, not the staged child (node 2).
-        let unm = Message::Unm(Unm {
-            flow: FlowId(0),
-            v_new: Version(1),
-            v_old: Version(0),
-            d_new: 1,
-            d_old: 0,
-            counter: 0,
-            kind: UpdateKind::Single,
-            layer: UnmLayer::Intra,
-        });
+        let unm = Message::Unm(unm(0, 1, 1));
         let effects = v1.handle_message(SimTime::ZERO, Endpoint::Switch(NodeId(3)), unm);
         assert_eq!(effects.len(), 1);
         assert!(matches!(
@@ -989,16 +962,7 @@ mod tests {
             kind: UpdateKind::Single,
         });
         v1.handle_message(SimTime::ZERO, Endpoint::Controller, u);
-        let unm = Message::Unm(Unm {
-            flow: FlowId(1),
-            v_new: Version(2),
-            v_old: Version(1),
-            d_new: 0,
-            d_old: 0,
-            counter: 0,
-            kind: UpdateKind::Single,
-            layer: UnmLayer::Intra,
-        });
+        let unm = Message::Unm(unm(1, 2, 0));
         let effects = v1.handle_message(SimTime::ZERO, Endpoint::Switch(NodeId(2)), unm);
         assert!(effects.is_empty(), "deferred, not installed: {effects:?}");
         assert_eq!(v1.state.uib.read(FlowId(1)).applied_version, Version::NONE);
@@ -1042,16 +1006,7 @@ mod tests {
         v1.handle_message(
             SimTime::ZERO,
             Endpoint::Switch(NodeId(2)),
-            Message::Unm(Unm {
-                flow: FlowId(1),
-                v_new: Version(2),
-                v_old: Version(1),
-                d_new: 0,
-                d_old: 0,
-                counter: 0,
-                kind: UpdateKind::Single,
-                layer: UnmLayer::Intra,
-            }),
+            Message::Unm(unm(1, 2, 0)),
         );
 
         // Flow 0 moves to v3 (update to version 2): UIM + UNM + install.
@@ -1071,16 +1026,7 @@ mod tests {
         let effects = v1.handle_message(
             SimTime::ZERO,
             Endpoint::Switch(NodeId(3)),
-            Message::Unm(Unm {
-                flow: FlowId(0),
-                v_new: Version(2),
-                v_old: Version(1),
-                d_new: 0,
-                d_old: 0,
-                counter: 0,
-                kind: UpdateKind::Single,
-                layer: UnmLayer::Intra,
-            }),
+            Message::Unm(unm(0, 2, 0)),
         );
         let token = match effects[0] {
             Effect::BeginInstall { token, .. } => token,
@@ -1110,16 +1056,7 @@ mod tests {
         let effects = v1.handle_message(
             SimTime::ZERO,
             Endpoint::Switch(NodeId(2)),
-            Message::Unm(Unm {
-                flow: FlowId(0),
-                v_new: Version(1),
-                v_old: Version(0),
-                d_new: 0,
-                d_old: 0,
-                counter: 0,
-                kind: UpdateKind::Single,
-                layer: UnmLayer::Intra,
-            }),
+            Message::Unm(unm(0, 1, 0)),
         );
         let token = match effects[0] {
             Effect::BeginInstall { token, .. } => token,
@@ -1139,16 +1076,7 @@ mod tests {
         let effects = v1.handle_message(
             SimTime::ZERO,
             Endpoint::Switch(NodeId(2)),
-            Message::Unm(Unm {
-                flow: FlowId(0),
-                v_new: Version(2),
-                v_old: Version(1),
-                d_new: 0,
-                d_old: 0,
-                counter: 0,
-                kind: UpdateKind::Single,
-                layer: UnmLayer::Intra,
-            }),
+            Message::Unm(unm(0, 2, 0)),
         );
         let token = match effects[0] {
             Effect::BeginInstall { token, .. } => token,
@@ -1203,5 +1131,129 @@ mod tests {
             Effect::SendController { msg: Message::Ufm(u) }
                 if u.status == UfmStatus::Alarm(RejectReason::FlowSizeChanged)
         ));
+    }
+
+    /// The scheduler admits on `remaining + eps < size`, which a NaN size
+    /// passes, and the reservation then takes nothing: the move must park
+    /// as blocked rather than start an install that would later release
+    /// capacity it never held.
+    #[test]
+    fn admitted_move_that_reserves_nothing_is_blocked() {
+        let t = line(3, 10.0);
+        let mut state = SwitchState::new(NodeId(1), &t);
+        let mut logic = P4UpdateLogic::new();
+        let mut out = Vec::new();
+        let staged = Message::Uim(Uim {
+            flow: FlowId(0),
+            version: Version(1),
+            new_distance: 1,
+            flow_size: f64::NAN,
+            next_hop: Some(NodeId(2)),
+            upstream: Some(NodeId(0)),
+            kind: UpdateKind::Single,
+        });
+        logic.on_control(
+            SimTime::ZERO,
+            &mut state,
+            Endpoint::Controller,
+            staged,
+            &mut out,
+        );
+        logic.on_control(
+            SimTime::ZERO,
+            &mut state,
+            Endpoint::Switch(NodeId(2)),
+            Message::Unm(unm(0, 1, 0)),
+            &mut out,
+        );
+        assert!(out.is_empty(), "no install began: {out:?}");
+        assert_eq!(logic.counters.capacity_deferrals, 1);
+        assert_eq!(logic.blocked_flows(), vec![FlowId(0)]);
+        assert_eq!(state.remaining_capacity(NodeId(2)), Some(10.0));
+    }
+
+    /// `Switch::handle_installed` takes the flow and the token from its
+    /// caller: a token quoted for the wrong flow must neither flip that
+    /// flow's slot nor consume the real flow's pending install.
+    #[test]
+    fn completion_for_another_flow_leaves_the_install_pending() {
+        let t = line(3, 10.0);
+        let mut v1 = p4switch(&t, 1);
+        v1.handle_message(
+            SimTime::ZERO,
+            Endpoint::Controller,
+            uim(0, 1, 1, Some(2), Some(0)),
+        );
+        let effects = v1.handle_message(
+            SimTime::ZERO,
+            Endpoint::Switch(NodeId(2)),
+            Message::Unm(unm(0, 1, 0)),
+        );
+        let token = match effects[0] {
+            Effect::BeginInstall { token, .. } => token,
+            ref o => panic!("unexpected {o:?}"),
+        };
+        let effects = v1.handle_installed(SimTime::ZERO, FlowId(7), token);
+        assert!(effects.is_empty());
+        assert!(!v1.state.uib.knows(FlowId(7)));
+        assert_eq!(v1.state.uib.read(FlowId(0)).applied_version, Version::NONE);
+        // Flow 0's write is still in flight: a second notification defers.
+        v1.handle_message(
+            SimTime::ZERO,
+            Endpoint::Switch(NodeId(2)),
+            Message::Unm(unm(0, 1, 0)),
+        );
+        assert_eq!(v1.parked_messages(), 1);
+        // The real completion still flips it.
+        v1.handle_installed(SimTime::ZERO, FlowId(0), token);
+        assert_eq!(v1.state.uib.read(FlowId(0)).applied_version, Version(1));
+    }
+
+    /// 4,097 notifications ahead of their UIM: the buffer keeps the first
+    /// `UIM_WAITER_CAPACITY`, counts the overflow as a reject, and the
+    /// UIM's arrival re-verifies the kept ones in arrival order.
+    #[test]
+    fn uim_waiters_are_bounded_and_drain_in_arrival_order() {
+        let t = line(3, 10.0);
+        let mut state = SwitchState::new(NodeId(1), &t);
+        let mut logic = P4UpdateLogic::new();
+        let mut out = Vec::new();
+        // Distinct versions tell the notifications apart afterwards.
+        let sent = UIM_WAITER_CAPACITY as u32 + 1;
+        for v in 1..=sent {
+            logic.on_control(
+                SimTime::ZERO,
+                &mut state,
+                Endpoint::Switch(NodeId(2)),
+                Message::Unm(unm(0, v, 0)),
+                &mut out,
+            );
+        }
+        assert!(out.is_empty());
+        assert_eq!(logic.counters.waits_for_uim, u64::from(sent));
+        assert_eq!(logic.counters.rejects, 1);
+        assert_eq!(logic.parked_messages(), UIM_WAITER_CAPACITY);
+
+        // A UIM newer than all of them: each waiter re-verifies as
+        // outdated and alarms with its own version.
+        logic.on_control(
+            SimTime::ZERO,
+            &mut state,
+            Endpoint::Controller,
+            uim(0, sent + 1, 1, Some(2), Some(0)),
+            &mut out,
+        );
+        assert_eq!(logic.parked_messages(), 0);
+        assert_eq!(logic.counters.rejects, u64::from(sent));
+        let alarmed: Vec<u32> = out
+            .iter()
+            .map(|e| match e {
+                Effect::SendController {
+                    msg: Message::Ufm(u),
+                } if u.status == UfmStatus::Alarm(RejectReason::OutdatedVersion) => u.version.0,
+                other => panic!("unexpected effect {other:?}"),
+            })
+            .collect();
+        assert_eq!(alarmed, (1..sent).collect::<Vec<_>>());
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! The BMv2-like switch model the reproduction runs on:
 //!
-//! - [`Uib`] / [`UibEntry`]: the Update Information Base — the per-flow
-//!   register file of Table 1, built from `p4update-pipeline` register
-//!   arrays and an exact-match flow-index table.
+//! - [`Uib`] / [`UibEntry`]: the Update Information Base — Table 1's
+//!   registers as one record per flow, indexed by the flow's register
+//!   index.
 //! - [`SwitchState`]: UIB plus outgoing-link capacity accounting (the local
 //!   knowledge the congestion scheduler of §7.4 relies on).
 //! - [`Switch`]: the chassis — forwards data packets by the active rules

@@ -6,7 +6,7 @@ use p4update_net::{NodeId, Topology};
 use std::collections::BTreeMap;
 
 /// The mutable state of one switch, shared between the chassis (data-packet
-//  forwarding) and the pluggable update logic.
+/// forwarding) and the pluggable update logic.
 #[derive(Debug, Clone)]
 pub struct SwitchState {
     /// This switch's identity.

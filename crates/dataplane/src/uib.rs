@@ -1,11 +1,13 @@
 //! The Update Information Base (UIB): the per-flow register file of the
 //! P4Update data plane (§6, Table 1 / Appendix B).
 //!
-//! Every field of the paper's Table 1 is a separate [`RegisterArray`]
-//! indexed by the flow's register index, which an exact-match table maps
-//! flow identifiers to — the same structure the P4 program uses ("the
-//! distance, version number, and other helping variables are defined
-//! per-flow and indexed by the flow ID", §10).
+//! Table 1 is one record of proof labels per flow, and [`UibEntry`] is that
+//! record, one field per register; [`Uib`] keeps one entry per flow in a
+//! `Vec` indexed by the flow's register index, which a flow-index map
+//! assigns on first use — the P4 program's structure ("the distance,
+//! version number, and other helping variables are defined per-flow and
+//! indexed by the flow ID", §10) with the per-field register arrays
+//! transposed into an array of records.
 //!
 //! Register groups (the paper's Table 1 plus the "other helping variables"
 //! §10 mentions):
@@ -24,7 +26,7 @@
 
 use p4update_messages::UpdateKind;
 use p4update_net::{FlowId, NodeId, Version};
-use p4update_pipeline::{ExactTable, RegisterArray};
+use std::collections::btree_map::{BTreeMap, Entry};
 
 /// Congestion priority of a flow at this switch (§7.4): flows that must
 /// move away from a contended link are raised to high priority.
@@ -82,6 +84,11 @@ pub struct UibEntry {
     /// Hop counter for dual-layer symmetry breaking (Alg. 2).
     pub counter: u32,
 }
+
+// `read` returns the record by value on every message a switch handles,
+// and a switch's UIB memory is its flow count times this: a field that
+// pushes the record past 96 bytes is a decision to take knowingly.
+const _: () = assert!(std::mem::size_of::<UibEntry>() <= 96);
 
 impl Default for UibEntry {
     fn default() -> Self {
@@ -165,178 +172,73 @@ impl UibEntry {
     }
 }
 
-const INITIAL_FLOWS: usize = 64;
-
-/// The full UIB: one register array per field plus the flow-index table,
-/// wrapped in entry-level read/write.
-#[derive(Debug, Clone)]
+/// The full UIB: one [`UibEntry`] per flow seen at this switch, indexed by
+/// the flow's register index.
+#[derive(Debug, Clone, Default)]
 pub struct Uib {
-    index: ExactTable<FlowId, usize>,
-    next_slot: usize,
-    new_version: RegisterArray<Version>,
-    new_distance: RegisterArray<u32>,
-    egress_port_updated: RegisterArray<Option<NodeId>>,
-    staged_upstream: RegisterArray<Option<NodeId>>,
-    uim_kind: RegisterArray<Option<UpdateKind>>,
-    applied_version: RegisterArray<Version>,
-    applied_distance: RegisterArray<u32>,
-    egress_port: RegisterArray<Option<NodeId>>,
-    active_upstream: RegisterArray<Option<NodeId>>,
-    old_version: RegisterArray<Version>,
-    old_distance: RegisterArray<u32>,
-    prev_version: RegisterArray<Version>,
-    prev_next_hop: RegisterArray<Option<NodeId>>,
-    flow_size: RegisterArray<f64>,
-    flow_priority: RegisterArray<FlowPriority>,
-    last_update_type: RegisterArray<Option<UpdateKind>>,
-    counter: RegisterArray<u32>,
-}
-
-impl Default for Uib {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// Flow → register index (the P4 program computes this by hashing;
+    /// the model allocates densely, in order of first use).
+    index: BTreeMap<FlowId, u32>,
+    entries: Vec<UibEntry>,
 }
 
 impl Uib {
-    /// Fresh UIB with the default register sizing.
+    /// Fresh, empty UIB.
     pub fn new() -> Self {
-        Uib {
-            index: ExactTable::new("flow_index"),
-            next_slot: 0,
-            new_version: RegisterArray::new("new_version", INITIAL_FLOWS),
-            new_distance: RegisterArray::filled("new_distance", INITIAL_FLOWS, u32::MAX),
-            egress_port_updated: RegisterArray::new("egress_port_updated", INITIAL_FLOWS),
-            staged_upstream: RegisterArray::new("staged_upstream", INITIAL_FLOWS),
-            uim_kind: RegisterArray::new("uim_kind", INITIAL_FLOWS),
-            applied_version: RegisterArray::new("applied_version", INITIAL_FLOWS),
-            applied_distance: RegisterArray::filled("applied_distance", INITIAL_FLOWS, u32::MAX),
-            egress_port: RegisterArray::new("egress_port", INITIAL_FLOWS),
-            active_upstream: RegisterArray::new("active_upstream", INITIAL_FLOWS),
-            old_version: RegisterArray::new("old_version", INITIAL_FLOWS),
-            old_distance: RegisterArray::filled("old_distance", INITIAL_FLOWS, u32::MAX),
-            prev_version: RegisterArray::new("prev_version", INITIAL_FLOWS),
-            prev_next_hop: RegisterArray::new("prev_next_hop", INITIAL_FLOWS),
-            flow_size: RegisterArray::new("flow_size", INITIAL_FLOWS),
-            flow_priority: RegisterArray::new("flow_priority", INITIAL_FLOWS),
-            last_update_type: RegisterArray::new("t", INITIAL_FLOWS),
-            counter: RegisterArray::new("counter", INITIAL_FLOWS),
-        }
+        Self::default()
     }
 
-    /// The register index of a flow, allocating one on first use (the P4
-    /// program computes this by hashing; the model allocates densely).
-    fn slot(&mut self, flow: FlowId) -> usize {
-        if let Some(&i) = self.index.lookup(&flow).hit() {
-            return i;
-        }
-        let i = self.next_slot;
-        self.next_slot += 1;
-        self.index
-            .insert(flow, i)
-            .expect("flow index table is unbounded");
-        self.grow(i + 1);
-        i
-    }
-
-    fn grow(&mut self, size: usize) {
-        self.new_version.ensure(size);
-        self.new_distance.grow_to(size, u32::MAX);
-        self.egress_port_updated.ensure(size);
-        self.staged_upstream.ensure(size);
-        self.uim_kind.ensure(size);
-        self.applied_version.ensure(size);
-        self.applied_distance.grow_to(size, u32::MAX);
-        self.egress_port.ensure(size);
-        self.active_upstream.ensure(size);
-        self.old_version.ensure(size);
-        self.old_distance.grow_to(size, u32::MAX);
-        self.prev_version.ensure(size);
-        self.prev_next_hop.ensure(size);
-        self.flow_size.ensure(size);
-        self.flow_priority.ensure(size);
-        self.last_update_type.ensure(size);
-        self.counter.ensure(size);
+    fn get(&self, flow: FlowId) -> Option<&UibEntry> {
+        self.index.get(&flow).map(|&i| &self.entries[i as usize])
     }
 
     /// True when the flow has ever been seen at this switch.
     pub fn knows(&self, flow: FlowId) -> bool {
-        self.index.lookup(&flow).hit().is_some()
+        self.index.contains_key(&flow)
     }
 
     /// Snapshot a flow's registers ([`UibEntry::default`] for unknown
     /// flows, matching uninitialized register contents).
     pub fn read(&self, flow: FlowId) -> UibEntry {
-        let Some(&i) = self.index.lookup(&flow).hit() else {
-            return UibEntry::default();
-        };
-        UibEntry {
-            uim_version: *self.new_version.read(i),
-            uim_distance: *self.new_distance.read(i),
-            staged_next_hop: *self.egress_port_updated.read(i),
-            staged_upstream: *self.staged_upstream.read(i),
-            uim_kind: *self.uim_kind.read(i),
-            applied_version: *self.applied_version.read(i),
-            applied_distance: *self.applied_distance.read(i),
-            active_next_hop: *self.egress_port.read(i),
-            active_upstream: *self.active_upstream.read(i),
-            old_version: *self.old_version.read(i),
-            old_distance: *self.old_distance.read(i),
-            prev_version: *self.prev_version.read(i),
-            prev_next_hop: *self.prev_next_hop.read(i),
-            flow_size: *self.flow_size.read(i),
-            priority: *self.flow_priority.read(i),
-            last_update_type: *self.last_update_type.read(i),
-            counter: *self.counter.read(i),
-        }
+        self.get(flow).copied().unwrap_or_default()
     }
 
     /// Write a flow's registers wholesale.
     pub fn write(&mut self, flow: FlowId, e: UibEntry) {
-        let i = self.slot(flow);
-        self.new_version.write(i, e.uim_version);
-        self.new_distance.write(i, e.uim_distance);
-        self.egress_port_updated.write(i, e.staged_next_hop);
-        self.staged_upstream.write(i, e.staged_upstream);
-        self.uim_kind.write(i, e.uim_kind);
-        self.applied_version.write(i, e.applied_version);
-        self.applied_distance.write(i, e.applied_distance);
-        self.egress_port.write(i, e.active_next_hop);
-        self.active_upstream.write(i, e.active_upstream);
-        self.old_version.write(i, e.old_version);
-        self.old_distance.write(i, e.old_distance);
-        self.prev_version.write(i, e.prev_version);
-        self.prev_next_hop.write(i, e.prev_next_hop);
-        self.flow_size.write(i, e.flow_size);
-        self.flow_priority.write(i, e.priority);
-        self.last_update_type.write(i, e.last_update_type);
-        self.counter.write(i, e.counter);
+        self.update(flow, |slot| *slot = e);
     }
 
-    /// Read-modify-write a flow's registers.
+    /// Read-modify-write a flow's registers in place, allocating the
+    /// flow's register index on first use.
     pub fn update<R>(&mut self, flow: FlowId, f: impl FnOnce(&mut UibEntry) -> R) -> R {
-        let mut e = self.read(flow);
-        let r = f(&mut e);
-        self.write(flow, e);
-        r
+        let i = match self.index.entry(flow) {
+            Entry::Occupied(slot) => *slot.get(),
+            Entry::Vacant(slot) => {
+                let i = u32::try_from(self.entries.len())
+                    .expect("a switch holds fewer than 2^32 flows");
+                self.entries.push(UibEntry::default());
+                *slot.insert(i)
+            }
+        };
+        f(&mut self.entries[i as usize])
     }
 
     /// The active next hop data packets follow, if an active rule exists.
     pub fn active_next_hop(&self, flow: FlowId) -> Option<NodeId> {
-        self.read(flow).active_next_hop
+        self.get(flow).and_then(|e| e.active_next_hop)
     }
 
     /// All flows with allocated slots, sorted.
     pub fn flows(&self) -> Vec<FlowId> {
-        let mut v: Vec<FlowId> = self.index.iter().map(|(&f, _)| f).collect();
-        v.sort_unstable();
-        v
+        self.index.keys().copied().collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use p4update_des::propcheck::{cases, forall};
+    use p4update_des::SimRng;
 
     #[test]
     fn unknown_flow_reads_default() {
@@ -463,5 +365,95 @@ mod tests {
             uib.update(FlowId(i), |_| ());
         }
         assert_eq!(uib.flows(), vec![FlowId(1), FlowId(3), FlowId(5)]);
+    }
+
+    fn random_entry(rng: &mut SimRng) -> UibEntry {
+        let node = |rng: &mut SimRng| rng.chance(0.7).then(|| NodeId(rng.next_u32() % 8));
+        let kind = |rng: &mut SimRng| match rng.uniform_usize(3) {
+            0 => None,
+            1 => Some(UpdateKind::Single),
+            _ => Some(UpdateKind::Dual),
+        };
+        UibEntry {
+            uim_version: Version(rng.next_u32() % 6),
+            uim_distance: rng.next_u32() % 12,
+            staged_next_hop: node(rng),
+            staged_upstream: node(rng),
+            uim_kind: kind(rng),
+            applied_version: Version(rng.next_u32() % 6),
+            applied_distance: rng.next_u32() % 12,
+            active_next_hop: node(rng),
+            active_upstream: node(rng),
+            old_version: Version(rng.next_u32() % 6),
+            old_distance: rng.next_u32() % 12,
+            prev_version: Version(rng.next_u32() % 6),
+            prev_next_hop: node(rng),
+            flow_size: rng.uniform_range(0.0, 8.0),
+            priority: if rng.chance(0.5) {
+                FlowPriority::High
+            } else {
+                FlowPriority::Low
+            },
+            last_update_type: kind(rng),
+            counter: rng.next_u32() % 5,
+        }
+    }
+
+    /// Random `write`/`update`/`read`/`knows`/`flows` sequences against a
+    /// `BTreeMap` model: every flow reads back what was last stored under
+    /// it and nothing else, whatever order slots were allocated in.
+    #[test]
+    fn uib_agrees_with_map_model() {
+        forall("uib_agrees_with_map_model", cases(128), |rng| {
+            // Dense ids revisit the same few slots; sparse ones spread over
+            // the index map.
+            let id_space = if rng.chance(0.5) { 12 } else { u32::MAX };
+            let mut pool: Vec<FlowId> = Vec::new();
+            let mut uib = Uib::new();
+            let mut model: BTreeMap<FlowId, UibEntry> = BTreeMap::new();
+            for _ in 0..200 {
+                let flow = match rng.choose(&pool) {
+                    Some(&f) if rng.chance(0.6) => f,
+                    _ => FlowId(rng.next_u32() % id_space),
+                };
+                pool.push(flow);
+                match rng.uniform_usize(6) {
+                    0 => {
+                        let e = random_entry(rng);
+                        uib.write(flow, e);
+                        model.insert(flow, e);
+                    }
+                    1 => {
+                        let stage = |e: &mut UibEntry| {
+                            e.uim_version = e.uim_version.next();
+                            e.counter += 1;
+                            e.has_active_rule()
+                        };
+                        let got = uib.update(flow, stage);
+                        assert_eq!(got, stage(model.entry(flow).or_default()));
+                    }
+                    2 => {
+                        let flip = |e: &mut UibEntry| e.apply_single();
+                        uib.update(flow, flip);
+                        flip(model.entry(flow).or_default());
+                    }
+                    3 => {
+                        // `process_cleanup` resets a slot this way.
+                        uib.update(flow, |e| *e = UibEntry::default());
+                        model.insert(flow, UibEntry::default());
+                    }
+                    4 => {
+                        let want = model.get(&flow).copied().unwrap_or_default();
+                        assert_eq!(uib.read(flow), want);
+                        assert_eq!(uib.active_next_hop(flow), want.active_next_hop);
+                    }
+                    _ => assert_eq!(uib.knows(flow), model.contains_key(&flow)),
+                }
+            }
+            assert_eq!(uib.flows(), model.keys().copied().collect::<Vec<_>>());
+            for (&flow, want) in &model {
+                assert_eq!(uib.read(flow), *want);
+            }
+        });
     }
 }

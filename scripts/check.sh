@@ -8,8 +8,9 @@
 # which must make it exit non-zero), the dataset round trip (an exported
 # on-disk batch must re-lint byte-identically to the in-memory analysis,
 # at any worker count), the corpus and explorer smokes, the large
-# fat-tree tests, the path solver's differential against its oracle at 16x
-# the default case count, and the benchmark package's own gate.
+# fat-tree tests, the path solver's and the UIB's differentials against
+# their oracle and map model at 16x the default case count, and the
+# benchmark package's own gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -70,10 +71,10 @@ fi
 # `dc-scale` workload's digest (4096 k-shortest-path queries on ft4096),
 # the path solver against its oracle on 16x the default random graphs (the
 # search prunes, and a pruning rule fails on a rare tie: 96 cases are thin),
-# and the benchmark package's own gate: a library change that breaks the
-# API surface pinned in benchmark/README.md must fail here, not at the
-# driver. All four are slow, so FAST=1 skips them for quick local
-# iteration — CI runs them.
+# the UIB against its map model at the same scale, and the benchmark
+# package's own gate: a library change that breaks the API surface pinned
+# in benchmark/README.md must fail here, not at the driver. All five are
+# slow, so FAST=1 skips them for quick local iteration — CI runs them.
 if [[ "${FAST:-0}" != 1 ]]; then
     echo "==> ft32768 on the sequential engine (ignored test, release)"
     cargo test -q --release --test ft32768 -- --ignored
@@ -84,10 +85,13 @@ if [[ "${FAST:-0}" != 1 ]]; then
     echo "==> path solver vs oracle, PROPCHECK_SCALE=16 (release)"
     PROPCHECK_SCALE=16 cargo test -q --release -p p4update-net solver_agrees
 
+    echo "==> UIB vs map model, PROPCHECK_SCALE=16 (release)"
+    PROPCHECK_SCALE=16 cargo test -q --release -p p4update-dataplane uib_agrees_with_map_model
+
     echo "==> benchmark/check.sh (the benchmark builds and smokes against this tree)"
     benchmark/check.sh
 else
-    echo "==> ft32768, ft4096 digest, scaled solver differential and benchmark/check.sh skipped (FAST=1)"
+    echo "==> ft32768, ft4096 digest, scaled solver and UIB differentials and benchmark/check.sh skipped (FAST=1)"
 fi
 
 echo "All checks passed."

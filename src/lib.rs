@@ -44,7 +44,6 @@
 //! | [`core`] | the paper's contribution: labels, segmentation, Algorithms 1–2, the data-plane congestion scheduler, the controller |
 //! | [`analysis`] | static plan verifier: lints prepared updates against the proof-labeling invariants before they ship |
 //! | [`dataplane`] | BMv2-like switch chassis, the UIB register file (Table 1) |
-//! | [`pipeline`] | P4 primitives: registers, match-action tables, resubmit |
 //! | [`messages`] | FRM/UIM/UNM/UFM and data packets, with wire layouts |
 //! | [`net`] | topology graph, Dijkstra/Yen, the evaluation topologies |
 //! | [`baselines`] | ez-Segway and Central reimplementations |
@@ -64,6 +63,5 @@ pub use p4update_des as des;
 pub use p4update_explore as explore;
 pub use p4update_messages as messages;
 pub use p4update_net as net;
-pub use p4update_pipeline as pipeline;
 pub use p4update_sim as sim;
 pub use p4update_traffic as traffic;
