@@ -2,8 +2,8 @@
 //! and waits-for cycle detection between concurrent updates (P4U012).
 //!
 //! The graph construction, cycle finding, and diagnostic emission are kept
-//! as separable pieces so the sequential path ([`check_waits_for`]) and the
-//! link-sharded parallel path ([`crate::engine::BatchAnalyzer`]) share the
+//! as separable pieces so the pairwise reference ([`check_waits_for`]) and
+//! the link-indexed engine ([`crate::engine::BatchAnalyzer`]) share the
 //! exact cycle semantics — the differential suites assert the two emit
 //! byte-identical findings.
 
@@ -84,8 +84,8 @@ pub(crate) fn contended(
     }
 }
 
-/// Build the full waits-for adjacency by pairwise scan (the sequential
-/// reference construction): update `A` *waits for* update `B` when some
+/// Build the full waits-for adjacency by pairwise scan (the reference
+/// construction): update `A` *waits for* update `B` when some
 /// directed link on `A`'s new path lies on `B`'s old path but not on `B`'s
 /// new path — `A` moves onto capacity that only frees once `B` has moved
 /// off it — and the link cannot hold both flows.
@@ -119,11 +119,11 @@ pub(crate) fn build_waits_for(edges: &[PlanEdges], topo: Option<&Topology>) -> V
 /// order is the stable emission order.
 ///
 /// The DFS is iterative (an explicit stack mirroring the recursion
-/// exactly), so deep chains at hyper-scale batch sizes cannot overflow the
-/// thread stack. Because DFS from a vertex only ever reaches its own
-/// link-connected component, running this per component over the
-/// component's ascending vertex list reports the identical cycle set to
-/// one global pass — the property the sharded engine rests on.
+/// exactly), so deep chains in large batches cannot overflow the stack.
+/// Because DFS from a vertex only ever reaches its own link-connected
+/// component, running this per component over the component's ascending
+/// vertex list reports the identical cycle set to one global pass — the
+/// property the engine's per-component cache rests on.
 pub(crate) fn find_cycles(
     waits_for: &[Vec<usize>],
     vertices: impl IntoIterator<Item = usize>,

@@ -53,9 +53,9 @@ impl Dataset {
         }
     }
 
-    /// Lint the whole dataset with `workers` threads.
-    pub fn lint(&self, workers: usize) -> BatchAnalysis {
-        BatchAnalyzer::new(workers).analyze(&self.plans, &self.context())
+    /// Lint the whole dataset.
+    pub fn lint(&self) -> BatchAnalysis {
+        BatchAnalyzer::new(1).analyze(&self.plans, &self.context())
     }
 }
 
@@ -554,7 +554,7 @@ mod tests {
 
         let ctx = AnalysisContext::with_topo(&topo);
         let reference = crate::analyze_batch_with(&plans, &ctx);
-        assert_eq!(ds.lint(2).diagnostics(), &reference[..]);
+        assert_eq!(ds.lint().diagnostics(), &reference[..]);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! [`PlanDelta`]: the edit an evolving batch applies between two analysis
-//! passes, feeding [`crate::engine::BatchAnalyzer::reanalyze`] so
-//! steady-state callers (the sim's analysis gate, a long-running lint
-//! service) revalidate only what actually changed.
+//! passes, feeding [`crate::engine::BatchAnalyzer::reanalyze`] so a caller
+//! whose batch changes a few plans at a time revalidates only those.
 
 use p4update_core::PreparedUpdate;
 

@@ -1,27 +1,27 @@
-//! `BatchAnalyzer`: the hyper-scale batch verification engine.
+//! `BatchAnalyzer`: the link-indexed, incremental batch linter.
 //!
-//! The sequential entry points ([`crate::analyze_batch_with`]) lint one
-//! plan after another and build the waits-for graph by an O(n²) pairwise
+//! The reference entry point ([`crate::analyze_batch_with`]) lints one
+//! plan after another and builds the waits-for graph by an O(n²) pairwise
 //! scan. This engine produces the *byte-identical* diagnostic list (proved
-//! by the differential suites in `tests/analysis_parallel_equivalence.rs`)
-//! while scaling to hyper-scale batches two ways:
+//! by the differential suites in `tests/analysis_engine_equivalence.rs`)
+//! while keeping its cost proportional to what can interact and to what
+//! changed:
 //!
-//! - **Parallel**: per-plan lints are independent, so they shard across a
-//!   `std::thread::scope` pool (a deterministic fork-join map) and merge
-//!   in plan order. The waits-for graph is built from a *link index* —
+//! - **Link-indexed**: the waits-for graph is built from a *link index* —
 //!   only plan pairs that actually share a directed link are examined —
-//!   and cycle detection runs per link-disjoint component, components in
-//!   parallel.
-//! - **Deterministic**: workers stash `(index, result)` pairs and the
-//!   merge sorts by index, so the output is identical for any worker
-//!   count; cycle sets merge through the same `BTreeSet` canonical order
-//!   the sequential path emits in.
+//!   and cycle detection runs per link-disjoint component.
+//! - **Incremental**: every per-plan lint and every component's cycle set
+//!   is cached in the [`BatchAnalysis`], so [`BatchAnalyzer::reanalyze`]
+//!   re-lints only the plans a [`PlanDelta`] touched and re-searches only
+//!   the components whose membership changed.
 //!
-//! Why sharding by link is sound: a waits-for edge `A → B` requires a
+//! Why splitting by link is sound: a waits-for edge `A → B` requires a
 //! directed link on `A`'s new path that lies on `B`'s old path, so every
 //! edge stays inside one link-connected component, and a three-coloring
 //! DFS restricted to a component (vertices in ascending order) reports
-//! exactly the cycles the global DFS would. See `DESIGN.md` §13.
+//! exactly the cycles the global DFS would — which is what makes a cached
+//! component's cycles valid for as long as its members are unchanged. See
+//! `DESIGN.md` §13.
 
 use crate::conflicts::{
     check_batch_versions, contended, cycle_diagnostics, find_cycles, PlanEdges,
@@ -31,45 +31,6 @@ use crate::{analyze_with, AnalysisContext, Diagnostic};
 use p4update_core::PreparedUpdate;
 use p4update_net::{NodeId, Version};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Deterministic fork-join map: evaluate `f(0..jobs)` on up to `workers`
-/// threads and return results in input order, so the caller sees the same
-/// output for any worker count.
-fn parallel_map<T, F>(jobs: usize, workers: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = workers.clamp(1, jobs.max(1));
-    if workers == 1 {
-        return (0..jobs).map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut indexed: Vec<(usize, T)> = Vec::with_capacity(jobs);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= jobs {
-                            break;
-                        }
-                        local.push((i, f(i)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for h in handles {
-            indexed.extend(h.join().expect("analysis worker panicked"));
-        }
-    });
-    indexed.sort_by_key(|&(i, _)| i);
-    indexed.into_iter().map(|(_, t)| t).collect()
-}
 
 /// What one plan's lint saw and produced; cached so a delta can reuse it
 /// when the plan and its context inputs are unchanged.
@@ -82,37 +43,33 @@ struct PlanRecord {
     installed: Option<Version>,
 }
 
-/// The parallel, incremental batch verification engine. Stateless apart
-/// from its worker count; results (and the caches a delta reuses) live in
-/// the [`BatchAnalysis`] it returns.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchAnalyzer {
-    workers: usize,
-}
-
-impl BatchAnalyzer {
-    /// An engine running on `workers` threads (clamped to at least 1).
-    /// One worker runs everything inline — no threads are spawned — and
-    /// is still byte-identical to any other worker count.
-    pub fn new(workers: usize) -> Self {
-        BatchAnalyzer {
-            workers: workers.max(1),
+impl PlanRecord {
+    fn lint(plan: &PreparedUpdate, ctx: &AnalysisContext<'_>) -> Self {
+        PlanRecord {
+            diags: analyze_with(plan, ctx),
+            installed: ctx.installed.get(&plan.flow).copied(),
         }
     }
+}
 
-    /// The configured worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
+/// The link-indexed, incremental batch linter. Stateless: results (and
+/// the caches a delta reuses) live in the [`BatchAnalysis`] it returns.
+#[derive(Debug, Clone, Copy)]
+pub struct BatchAnalyzer;
+
+impl BatchAnalyzer {
+    /// The engine. It runs on the calling thread (`DESIGN.md` §13, "Why
+    /// there is no pool"); `_workers` is accepted and ignored because the
+    /// benchmark package pins this signature.
+    pub fn new(_workers: usize) -> Self {
+        BatchAnalyzer
     }
 
     /// Analyze a batch from scratch. The returned
     /// [`BatchAnalysis::diagnostics`] list is byte-identical to
     /// [`crate::analyze_batch_with`] on the same inputs.
     pub fn analyze(&self, plans: &[PreparedUpdate], ctx: &AnalysisContext<'_>) -> BatchAnalysis {
-        let records: Vec<PlanRecord> = parallel_map(plans.len(), self.workers, |i| PlanRecord {
-            diags: analyze_with(&plans[i], ctx),
-            installed: ctx.installed.get(&plans[i].flow).copied(),
-        });
+        let records = plans.iter().map(|p| PlanRecord::lint(p, ctx)).collect();
         self.assemble(plans.to_vec(), records, plans.len(), ctx, None)
     }
 
@@ -138,32 +95,22 @@ impl BatchAnalyzer {
         ctx: &AnalysisContext<'_>,
     ) -> BatchAnalysis {
         let (plans, origin) = delta.apply(&prev.plans);
-        // Decide, per plan, whether the cached record is still valid.
-        let reusable: Vec<Option<usize>> = plans
-            .iter()
-            .zip(&origin)
-            .map(|(plan, o)| {
-                o.filter(|&p| prev.per_plan[p].installed == ctx.installed.get(&plan.flow).copied())
-            })
-            .collect();
-        let misses: Vec<usize> = (0..plans.len())
-            .filter(|&i| reusable[i].is_none())
-            .collect();
-        let fresh: Vec<PlanRecord> = parallel_map(misses.len(), self.workers, |j| {
-            let i = misses[j];
-            PlanRecord {
-                diags: analyze_with(&plans[i], ctx),
-                installed: ctx.installed.get(&plans[i].flow).copied(),
-            }
-        });
-        let mut fresh = fresh.into_iter();
-        let records: Vec<PlanRecord> = (0..plans.len())
-            .map(|i| match reusable[i] {
-                Some(p) => prev.per_plan[p].clone(),
-                None => fresh.next().expect("one fresh record per miss"),
-            })
-            .collect();
-        let revalidated = misses.len();
+        let mut revalidated = 0;
+        let mut records = Vec::with_capacity(plans.len());
+        for (plan, o) in plans.iter().zip(&origin) {
+            // The cached record stands when the plan was carried over and
+            // its lint saw the installed version `ctx` holds now.
+            let cached = o
+                .map(|p| &prev.per_plan[p])
+                .filter(|r| r.installed == ctx.installed.get(&plan.flow).copied());
+            records.push(match cached {
+                Some(r) => r.clone(),
+                None => {
+                    revalidated += 1;
+                    PlanRecord::lint(plan, ctx)
+                }
+            });
+        }
         // Components are reusable only when every member is an unchanged
         // plan (origin preserved), independent of installed context —
         // the waits-for graph reads paths, sizes, and capacities only.
@@ -175,8 +122,8 @@ impl BatchAnalyzer {
     }
 
     /// Shared back half of [`Self::analyze`] / [`Self::reanalyze`]: batch
-    /// version check, link-sharded waits-for analysis, and final
-    /// diagnostic assembly in the sequential emission order.
+    /// version check, per-component waits-for analysis, and final
+    /// diagnostic assembly in the reference emission order.
     fn assemble(
         &self,
         plans: Vec<PreparedUpdate>,
@@ -207,7 +154,7 @@ impl BatchAnalyzer {
         }
     }
 
-    /// The link-sharded waits-for analysis. Returns each non-trivial
+    /// The link-indexed waits-for analysis. Returns each non-trivial
     /// component as `(ascending member indices, cycles in member-local
     /// positions)`, ordered by smallest member.
     fn waits_for_components(
@@ -220,7 +167,7 @@ impl BatchAnalyzer {
         if n < 2 {
             return BTreeMap::new();
         }
-        let edges: Vec<PlanEdges> = parallel_map(n, self.workers, |i| PlanEdges::of(&plans[i]));
+        let edges: Vec<PlanEdges> = plans.iter().map(PlanEdges::of).collect();
         // Link index: for every directed link, the plans whose *new* path
         // uses it (edge sources) and the plans moving *off* it (old but
         // not new — edge targets). Only these pairs can contend, so the
@@ -236,39 +183,24 @@ impl BatchAnalyzer {
                 }
             }
         }
-        // Shard adjacency construction by link: each worker scans a chunk
-        // of the link entries and emits candidate waits-for edges; the
-        // merge unions them into per-vertex sets (order-insensitive), so
-        // the adjacency is identical for any worker count — and identical
-        // to the pairwise reference construction, which admits an edge
-        // `a → b` iff *some* shared link contends.
-        type LinkEntry<'a> = (&'a (NodeId, NodeId), &'a (Vec<usize>, Vec<usize>));
-        let entries: Vec<LinkEntry<'_>> = by_link.iter().collect();
-        let chunks = self.workers.min(entries.len()).max(1);
-        let chunk_size = entries.len().div_ceil(chunks);
-        let edge_lists: Vec<Vec<(usize, usize)>> = parallel_map(chunks, self.workers, |c| {
-            let mut found = Vec::new();
-            let lo = (c * chunk_size).min(entries.len());
-            let hi = (lo + chunk_size).min(entries.len());
-            for (&link, (sources, targets)) in &entries[lo..hi] {
-                for &a in sources {
-                    for &b in targets {
-                        if a != b
-                            && edges[a].flow != edges[b].flow
-                            && contended(ctx.topo, link, &edges[a], &edges[b])
-                        {
-                            found.push((a, b));
-                        }
+        // Ordered per-vertex sets: a pair that contends on several links
+        // is one edge, and neighbours come out ascending — exactly the
+        // adjacency of the pairwise reference construction, which scans
+        // `b` upward and admits `a → b` iff *some* shared link contends.
+        let mut adj_sets: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
+        let mut dsu = Dsu::new(n);
+        for (&link, (sources, targets)) in &by_link {
+            for &a in sources {
+                for &b in targets {
+                    if a != b
+                        && edges[a].flow != edges[b].flow
+                        && contended(ctx.topo, link, &edges[a], &edges[b])
+                    {
+                        adj_sets[a].insert(b);
+                        dsu.union(a, b);
                     }
                 }
             }
-            found
-        });
-        let mut adj_sets: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
-        let mut dsu = Dsu::new(n);
-        for (a, b) in edge_lists.into_iter().flatten() {
-            adj_sets[a].insert(b);
-            dsu.union(a, b);
         }
         let adj: Vec<Vec<usize>> = adj_sets
             .into_iter()
@@ -281,31 +213,35 @@ impl BatchAnalyzer {
                 groups.entry(dsu.find(v)).or_default().push(v);
             }
         }
-        let comps: Vec<Vec<usize>> = groups.into_values().filter(|m| m.len() >= 2).collect();
-        // Cycle detection per component, components in parallel; reuse a
-        // previous component's cycles when the member sets correspond
-        // exactly through the delta's origin map.
-        let local_cycles: Vec<Vec<Vec<usize>>> = parallel_map(comps.len(), self.workers, |c| {
-            let members = &comps[c];
-            if let Some(cached) = cache.as_ref().and_then(|ca| ca.lookup(members)) {
-                return cached;
-            }
-            find_cycles(&adj, members.iter().copied())
-                .into_iter()
-                .map(|cycle| {
-                    cycle
-                        .iter()
-                        .map(|&g| {
-                            members
-                                .binary_search(&g)
-                                .expect("cycle vertex in component")
-                        })
-                        .collect()
-                })
-                .collect()
-        });
-        comps.into_iter().zip(local_cycles).collect()
+        // Cycle detection per component; reuse a previous component's
+        // cycles when the member sets correspond exactly through the
+        // delta's origin map.
+        groups
+            .into_values()
+            .filter(|members| members.len() >= 2)
+            .map(|members| {
+                let cycles = cache
+                    .as_ref()
+                    .and_then(|ca| ca.lookup(&members))
+                    .unwrap_or_else(|| local_cycles(&adj, &members));
+                (members, cycles)
+            })
+            .collect()
     }
+}
+
+/// The cycles of one component, vertices renamed to positions in the
+/// ascending `members` list (the form [`BatchAnalysis`] caches).
+fn local_cycles(adj: &[Vec<usize>], members: &[usize]) -> Vec<Vec<usize>> {
+    find_cycles(adj, members.iter().copied())
+        .into_iter()
+        .map(|cycle| {
+            cycle
+                .iter()
+                .map(|g| members.binary_search(g).expect("cycle vertex in component"))
+                .collect()
+        })
+        .collect()
 }
 
 /// The previous analysis' component cache plus the index mapping a delta
@@ -412,53 +348,110 @@ mod tests {
     use super::*;
     use crate::analyze_batch_with;
     use p4update_core::{prepare_update, Strategy};
+    use p4update_des::propcheck::{cases, forall};
+    use p4update_des::SimRng;
     use p4update_net::{FlowId, FlowUpdate, Path};
-
-    fn path(ids: &[u32]) -> Path {
-        Path::new(ids.iter().map(|&i| p4update_net::NodeId(i)).collect())
-    }
-
-    fn swap_batch() -> Vec<PreparedUpdate> {
-        let a = FlowUpdate::new(FlowId(1), Some(path(&[0, 1, 3])), path(&[0, 2, 3]), 1.0);
-        let b = FlowUpdate::new(FlowId(2), Some(path(&[0, 2, 3])), path(&[0, 1, 3]), 1.0);
-        vec![
-            prepare_update(&a, Version(2), Strategy::Auto),
-            prepare_update(&b, Version(2), Strategy::Auto),
-        ]
-    }
-
-    #[test]
-    fn engine_matches_sequential_on_a_cycle_batch() {
-        let plans = swap_batch();
-        let ctx = AnalysisContext::default();
-        let reference = analyze_batch_with(&plans, &ctx);
-        for workers in [1, 2, 4] {
-            let got = BatchAnalyzer::new(workers).analyze(&plans, &ctx);
-            assert_eq!(got.diagnostics(), &reference[..], "workers={workers}");
-            assert_eq!(got.revalidated(), plans.len());
-        }
-    }
+    use std::cell::Cell;
 
     #[test]
     fn empty_and_single_plan_batches_work() {
-        let engine = BatchAnalyzer::new(4);
+        let engine = BatchAnalyzer::new(1);
         let ctx = AnalysisContext::default();
         let empty = engine.analyze(&[], &ctx);
         assert!(empty.diagnostics().is_empty());
         assert_eq!(empty.plan_count(), 0);
-        let one = swap_batch().into_iter().take(1).collect::<Vec<_>>();
+        let one = [gen_swap(&mut SimRng::new(1), 0)];
         let got = engine.analyze(&one, &ctx);
         assert_eq!(got.diagnostics(), &analyze_batch_with(&one, &ctx)[..]);
     }
 
+    /// `flow` swapping between two of the `MIDS` parallel two-hop routes
+    /// of one of `REGIONS` node-disjoint regions. With no topology every
+    /// shared link contends, so `a` waits for `b` exactly when `a` moves
+    /// onto the route `b` leaves — few mid nodes make cycles common, and
+    /// the regions keep several components apart.
+    fn gen_swap(rng: &mut SimRng, flow: usize) -> PreparedUpdate {
+        const REGIONS: usize = 2;
+        const MIDS: usize = 3;
+        let base = 10 * rng.uniform_usize(REGIONS) as u32;
+        let old = rng.uniform_usize(MIDS);
+        let new = (old + 1 + rng.uniform_usize(MIDS - 1)) % MIDS;
+        let route =
+            |mid: usize| Path::new([base, base + 1 + mid as u32, base + 9].map(NodeId).to_vec());
+        let u = FlowUpdate::new(FlowId(flow as u32), Some(route(old)), route(new), 1.0);
+        prepare_update(&u, Version(2), Strategy::Auto)
+    }
+
+    /// `reanalyze` over batches *with* waits-for components: whatever the
+    /// delta removes, revises or appends, the result equals a fresh
+    /// `analyze` of the post-delta batch and the pairwise reference, and
+    /// over the run the component cache is hit — including through an
+    /// origin map shifted by a removal ahead of the reused component.
     #[test]
-    fn parallel_map_preserves_order() {
-        for workers in [1, 2, 3, 8] {
-            assert_eq!(
-                parallel_map(17, workers, |i| i * 3),
-                (0..17).map(|i| i * 3).collect::<Vec<_>>()
-            );
-        }
-        assert!(parallel_map(0, 4, |i| i).is_empty());
+    fn reanalyze_matches_analyze_on_batches_with_components() {
+        let (reused, shifted, with_cycles) = (Cell::new(0u32), Cell::new(0u32), Cell::new(0u32));
+        let bump = |c: &Cell<u32>| c.set(c.get() + 1);
+        let name = "reanalyze_matches_analyze_on_batches_with_components";
+        forall(name, cases(256), |rng| {
+            let n = 2 + rng.uniform_usize(7);
+            let plans: Vec<PreparedUpdate> = (0..n).map(|i| gen_swap(rng, i)).collect();
+            let ctx = AnalysisContext::default();
+            let engine = BatchAnalyzer::new(1);
+            let full = engine.analyze(&plans, &ctx);
+            assert_eq!(full.diagnostics(), &analyze_batch_with(&plans, &ctx)[..]);
+
+            // The delta, and beside it the batch it must produce and each
+            // new position's previous one when carried over unchanged.
+            let mut delta = PlanDelta::default();
+            let (mut next, mut origin) = (Vec::new(), Vec::new());
+            for (i, plan) in plans.iter().enumerate() {
+                match rng.uniform_usize(8) {
+                    0 => delta.removed.push(i),
+                    1 => {
+                        let revision = gen_swap(rng, i);
+                        delta.revised.push((i, revision.clone()));
+                        next.push(revision);
+                        origin.push(None);
+                    }
+                    _ => {
+                        next.push(plan.clone());
+                        origin.push(Some(i));
+                    }
+                }
+            }
+            for j in 0..rng.uniform_usize(3) {
+                let plan = gen_swap(rng, n + j);
+                delta.added.push(plan.clone());
+                next.push(plan);
+                origin.push(None);
+            }
+
+            let got = engine.reanalyze(&full, &delta, &ctx);
+            let fresh = engine.analyze(&next, &ctx);
+            assert_eq!(got.plans(), &next[..]);
+            assert_eq!(got.diagnostics(), fresh.diagnostics());
+            assert_eq!(got.diagnostics(), &analyze_batch_with(&next, &ctx)[..]);
+            assert_eq!(got.components, fresh.components);
+
+            let cache = ComponentCache {
+                origin: &origin,
+                prev: &full.components,
+            };
+            for members in got.components.keys() {
+                if cache.lookup(members).is_some() {
+                    bump(&reused);
+                    if members.iter().any(|&i| origin[i] != Some(i)) {
+                        bump(&shifted);
+                    }
+                }
+            }
+            let cyclic = |d: &Diagnostic| d.code == crate::Code::WaitsForCycle;
+            if got.diagnostics().iter().any(cyclic) {
+                bump(&with_cycles);
+            }
+        });
+        assert!(reused.get() > 0, "no case reused a cached component");
+        assert!(shifted.get() > 0, "no reuse went through shifted indices");
+        assert!(with_cycles.get() > 0, "no case reported a cycle");
     }
 }

@@ -37,10 +37,10 @@
 //! - [`analyze`] — one plan against an optional topology.
 //! - [`analyze_with`] — one plan with full context (installed versions).
 //! - [`analyze_batch`] — a batch: per-plan checks plus cross-update checks.
-//! - [`engine::BatchAnalyzer`] — the parallel, incremental engine:
-//!   byte-identical diagnostics on worker pools, delta-driven
-//!   revalidation ([`delta::PlanDelta`]), and on-disk datasets
-//!   ([`dataset`]).
+//! - [`engine::BatchAnalyzer`] — the link-indexed, incremental engine:
+//!   diagnostics byte-identical to [`analyze_batch_with`] without the
+//!   pairwise scan, delta-driven revalidation ([`delta::PlanDelta`]), and
+//!   on-disk datasets ([`dataset`]).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

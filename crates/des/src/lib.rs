@@ -43,5 +43,5 @@ mod time;
 pub use choice::{ChoiceKind, Chooser, FifoChooser};
 pub use engine::{RunOutcome, Scheduler, Simulation, World};
 pub use rng::SimRng;
-pub use stats::{Reservoir, Samples};
+pub use stats::Samples;
 pub use time::{SimDuration, SimTime};

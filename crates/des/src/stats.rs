@@ -21,13 +21,6 @@ impl Samples {
         Samples { values: Vec::new() }
     }
 
-    /// Build from a slice of values.
-    pub fn from_values(values: &[f64]) -> Self {
-        Samples {
-            values: values.to_vec(),
-        }
-    }
-
     /// Record a sample.
     pub fn push(&mut self, v: f64) {
         self.values.push(v);
@@ -165,129 +158,6 @@ fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
     sorted[lo] * (1.0 - frac) + sorted[hi] * frac
 }
 
-/// Fixed-memory uniform sample of an unbounded stream (Vitter's
-/// Algorithm R), plus exact running count / sum / min / max.
-///
-/// This is what lets the streaming metrics sink report p50/p99 completion
-/// or queueing figures for runs whose full sample series would not fit in
-/// memory: the reservoir holds at most `capacity` values no matter how
-/// many are pushed, every pushed value has equal probability of being
-/// retained, and the extremes and mean stay exact because they are
-/// tracked outside the reservoir. Deterministic for a given seed (driven
-/// by [`SimRng`]), so simulation runs remain reproducible.
-#[derive(Debug, Clone)]
-pub struct Reservoir {
-    buf: Vec<f64>,
-    capacity: usize,
-    seen: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-    rng: crate::SimRng,
-}
-
-impl Reservoir {
-    /// An empty reservoir retaining at most `capacity` samples.
-    ///
-    /// # Panics
-    /// If `capacity` is zero.
-    pub fn new(capacity: usize, seed: u64) -> Self {
-        assert!(capacity > 0, "reservoir capacity must be positive");
-        Reservoir {
-            buf: Vec::new(),
-            capacity,
-            seen: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            rng: crate::SimRng::new(seed),
-        }
-    }
-
-    /// Offer one sample to the reservoir.
-    pub fn push(&mut self, v: f64) {
-        self.seen += 1;
-        self.sum += v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-        if self.buf.len() < self.capacity {
-            self.buf.push(v);
-        } else {
-            // Keep v with probability capacity/seen by replacing a
-            // uniformly random slot; Algorithm R keeps the retained set
-            // uniform over everything seen so far.
-            let slot = (self.rng.next_u64() % self.seen) as usize;
-            if slot < self.capacity {
-                self.buf[slot] = v;
-            }
-        }
-    }
-
-    /// Total number of samples offered (not the number retained).
-    pub fn len(&self) -> u64 {
-        self.seen
-    }
-
-    /// True when nothing has been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.seen == 0
-    }
-
-    /// Number of samples currently retained (`min(len, capacity)`).
-    pub fn retained(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Exact running mean; 0.0 for an empty reservoir.
-    pub fn mean(&self) -> f64 {
-        if self.seen == 0 {
-            0.0
-        } else {
-            self.sum / self.seen as f64
-        }
-    }
-
-    /// Exact minimum over everything pushed; 0.0 when empty.
-    pub fn min(&self) -> f64 {
-        if self.seen == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Exact maximum over everything pushed; 0.0 when empty.
-    pub fn max(&self) -> f64 {
-        if self.seen == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// Percentile estimate from the retained sample, with the boundaries
-    /// (`p <= 0`, `p >= 100`) snapped to the exact running min/max.
-    pub fn percentile(&self, p: f64) -> f64 {
-        if self.seen == 0 {
-            return 0.0;
-        }
-        if p.is_nan() || p <= 0.0 {
-            return self.min();
-        }
-        if p >= 100.0 {
-            return self.max();
-        }
-        let mut sorted = self.buf.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
-        percentile_of_sorted(&sorted, p)
-    }
-
-    /// Snapshot the retained values as a [`Samples`] set (for CDFs etc.).
-    pub fn samples(&self) -> Samples {
-        Samples::from_values(&self.buf)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -388,68 +258,6 @@ mod tests {
             .map(|&p| s.percentile(p))
             .collect();
         assert_eq!(batch, single);
-    }
-
-    #[test]
-    fn reservoir_below_capacity_is_exact() {
-        let mut r = Reservoir::new(16, 1);
-        for v in [5.0, 1.0, 3.0] {
-            r.push(v);
-        }
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.retained(), 3);
-        assert_eq!(r.min(), 1.0);
-        assert_eq!(r.max(), 5.0);
-        assert!((r.mean() - 3.0).abs() < 1e-12);
-        assert_eq!(r.percentile(0.0), 1.0);
-        assert_eq!(r.percentile(100.0), 5.0);
-        assert!((r.percentile(50.0) - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reservoir_bounds_memory_and_keeps_exact_extremes() {
-        let mut r = Reservoir::new(64, 7);
-        for i in 0..100_000u64 {
-            r.push(i as f64);
-        }
-        assert_eq!(r.len(), 100_000);
-        assert_eq!(r.retained(), 64);
-        // min/max/mean are exact regardless of what the reservoir dropped.
-        assert_eq!(r.min(), 0.0);
-        assert_eq!(r.max(), 99_999.0);
-        assert!((r.mean() - 49_999.5).abs() < 1e-6);
-        assert_eq!(r.percentile(0.0), 0.0);
-        assert_eq!(r.percentile(100.0), 99_999.0);
-        // The retained sample is uniform, so the median estimate lands
-        // well inside the bulk of the distribution.
-        let p50 = r.percentile(50.0);
-        assert!((20_000.0..80_000.0).contains(&p50), "p50 = {p50}");
-    }
-
-    #[test]
-    fn reservoir_is_deterministic_per_seed() {
-        let run = |seed: u64| {
-            let mut r = Reservoir::new(8, seed);
-            for i in 0..1000u64 {
-                r.push(i as f64);
-            }
-            let mut s = r.samples().values().to_vec();
-            s.sort_by(f64::total_cmp);
-            s
-        };
-        assert_eq!(run(3), run(3));
-        assert_ne!(run(3), run(4));
-    }
-
-    #[test]
-    fn reservoir_empty_is_safe() {
-        let r = Reservoir::new(4, 0);
-        assert!(r.is_empty());
-        assert_eq!(r.mean(), 0.0);
-        assert_eq!(r.min(), 0.0);
-        assert_eq!(r.max(), 0.0);
-        assert_eq!(r.percentile(50.0), 0.0);
-        assert!(r.samples().is_empty());
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //!   delivery, and drop is kept as an event series. Tests and figure
 //!   regeneration depend on these series; memory grows with traffic.
 //! - [`StreamingMetrics`] — O(1)-memory sink for scale runs: per-packet
-//!   series become counters plus a fixed-size [`Reservoir`], while
-//!   completions and alarms (bounded by the number of flow updates, not
-//!   by traffic) stay exact.
+//!   series become counters, while completions and alarms (bounded by
+//!   the number of flow updates, not by traffic) stay exact.
 //! - [`NullMetrics`] — records nothing; pure-throughput measurements.
 //!
 //! Sinks are observation-only: no simulation decision reads a sink, so
@@ -18,7 +17,7 @@
 //! `tests/sink_equivalence.rs` pins this).
 
 use p4update_dataplane::DropReason;
-use p4update_des::{Reservoir, SimTime};
+use p4update_des::SimTime;
 use p4update_messages::{DataPacket, RejectReason};
 use p4update_net::{FlowId, NodeId, Version};
 
@@ -277,49 +276,21 @@ impl Metrics {
     }
 }
 
-/// O(1)-memory sink for scale runs: per-packet series become counters
-/// plus one bounded [`Reservoir`] of data-plane delivery latencies
-/// (delivery time minus the batch trigger time, in milliseconds), while
-/// completions and alarms stay exact event lists (bounded by the number
-/// of flow updates).
-#[derive(Debug, Clone)]
+/// O(1)-memory sink for scale runs: per-packet series become counters,
+/// while completions and alarms stay exact event lists (bounded by the
+/// number of flow updates).
+#[derive(Debug, Clone, Default)]
 pub struct StreamingMetrics {
     counts: MetricsCounts,
     completions: Vec<(SimTime, FlowId, Version)>,
     alarms: Vec<(SimTime, FlowId, RejectReason)>,
     stranded: Vec<FlowId>,
-    delivery_times: Reservoir,
-    first_trigger: Option<SimTime>,
-}
-
-impl Default for StreamingMetrics {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl StreamingMetrics {
-    /// Default reservoir: 1024 retained samples, fixed seed (the sink is
-    /// deterministic and independent of the simulation's RNG streams).
+    /// An empty sink.
     pub fn new() -> Self {
-        Self::with_reservoir(1024, 0x9e37_79b9_7f4a_7c15)
-    }
-
-    /// Choose the reservoir size and seed explicitly.
-    pub fn with_reservoir(capacity: usize, seed: u64) -> Self {
-        StreamingMetrics {
-            counts: MetricsCounts::default(),
-            completions: Vec::new(),
-            alarms: Vec::new(),
-            stranded: Vec::new(),
-            delivery_times: Reservoir::new(capacity, seed),
-            first_trigger: None,
-        }
-    }
-
-    /// The bounded sample of delivery latencies (ms since first trigger).
-    pub fn delivery_times(&self) -> &Reservoir {
-        &self.delivery_times
+        Self::default()
     }
 }
 
@@ -328,11 +299,8 @@ impl MetricsSink for StreamingMetrics {
         self.counts.arrivals += 1;
     }
 
-    fn record_delivery(&mut self, t: SimTime, _node: NodeId, _pkt: DataPacket) {
+    fn record_delivery(&mut self, _t: SimTime, _node: NodeId, _pkt: DataPacket) {
         self.counts.deliveries += 1;
-        let base = self.first_trigger.unwrap_or(SimTime::ZERO);
-        self.delivery_times
-            .push(t.saturating_since(base).as_millis_f64());
     }
 
     fn record_drop(&mut self, _t: SimTime, _node: NodeId, _pkt: DataPacket, reason: DropReason) {
@@ -352,9 +320,8 @@ impl MetricsSink for StreamingMetrics {
         self.alarms.push((t, flow, reason));
     }
 
-    fn record_trigger(&mut self, t: SimTime, _batch: usize) {
+    fn record_trigger(&mut self, _t: SimTime, _batch: usize) {
         self.counts.triggers += 1;
-        self.first_trigger.get_or_insert(t);
     }
 
     fn record_control_drop(&mut self) {
@@ -510,16 +477,13 @@ mod tests {
         assert_eq!(streaming.last_completion(&[FlowId(0)]), Some(at(6)));
         assert!(full.as_full().is_some());
         assert!(streaming.as_full().is_none());
-        // Delivery latency is measured from the first trigger.
-        assert_eq!(streaming.delivery_times().len(), 1);
-        assert!((streaming.delivery_times().max() - 3.0).abs() < 1e-9);
     }
 
-    /// The streaming sink's memory is bounded by its reservoir capacity no
-    /// matter how much traffic is recorded.
+    /// The streaming sink keeps nothing per packet, no matter how much
+    /// traffic is recorded.
     #[test]
     fn streaming_sink_memory_is_bounded() {
-        let mut s = StreamingMetrics::with_reservoir(32, 1);
+        let mut s = StreamingMetrics::new();
         s.record_trigger(at(0), 0);
         for i in 0..100_000u64 {
             s.record_arrival(at(i), NodeId(0), pkt(i as u32));
@@ -527,7 +491,6 @@ mod tests {
         }
         assert_eq!(s.counts().arrivals, 100_000);
         assert_eq!(s.counts().deliveries, 100_000);
-        assert_eq!(s.delivery_times().retained(), 32);
         assert!(s.completions.is_empty());
     }
 

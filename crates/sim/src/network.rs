@@ -418,21 +418,19 @@ impl NetworkSim {
     /// system under test (ez-Segway's circular capacity waits at ft512
     /// are the motivating case — see `tests/fault_injection.rs`).
     pub fn record_stranded_flows(&mut self) -> Vec<FlowId> {
-        let mut expected: BTreeMap<FlowId, u64> = BTreeMap::new();
-        for batch in &self.batches {
-            for u in batch {
-                *expected.entry(u.flow).or_insert(0) += 1;
+        // Updates scheduled per flow, less one per completion.
+        let mut outstanding: BTreeMap<FlowId, u64> = BTreeMap::new();
+        for u in self.batches.iter().flatten() {
+            *outstanding.entry(u.flow).or_insert(0) += 1;
+        }
+        for &(_, flow, _) in self.sink.completions() {
+            if let Some(left) = outstanding.get_mut(&flow) {
+                *left = left.saturating_sub(1);
             }
         }
         let mut stranded = Vec::new();
-        for (&flow, &want) in &expected {
-            let got = self
-                .sink
-                .completions()
-                .iter()
-                .filter(|&&(_, f, _)| f == flow)
-                .count() as u64;
-            if got < want {
+        for (flow, left) in outstanding {
+            if left > 0 {
                 stranded.push(flow);
                 self.sink.record_stranded(flow);
             }
@@ -564,6 +562,22 @@ impl NetworkSim {
             1 => FaultDecision::Drop,
             2 => FaultDecision::Delay(ms(fc.delay_ms)),
             _ => FaultDecision::Duplicate(ms(fc.delay_ms)),
+        }
+    }
+
+    /// Ship one honest control message: resolve its fault choice point,
+    /// then schedule `event` at `at` as the decision says (not at all,
+    /// late, or twice). Every honest send comes through here except a
+    /// switch's report under [`ControlLatency::NormalMs`] (see that arm).
+    fn deliver(&mut self, at: SimTime, event: Event, sched: &mut Scheduler<Event>) {
+        match self.fault_choice(sched) {
+            FaultDecision::Drop => self.sink.record_control_drop(),
+            FaultDecision::Deliver => sched.schedule_at(at, event),
+            FaultDecision::Delay(d) => sched.schedule_at(at + d, event),
+            FaultDecision::Duplicate(d) => {
+                sched.schedule_at(at, event.clone());
+                sched.schedule_at(at + d, event);
+            }
         }
     }
 
@@ -786,25 +800,17 @@ impl NetworkSim {
                         self.send_byz_switch(node, to, msg, vector, base, sched);
                         continue;
                     }
-                    let decision = if matches!(msg, Message::Data(_)) {
-                        FaultDecision::Deliver // data is never fault-injected
-                    } else {
-                        self.fault_choice(sched)
-                    };
                     let at = base + self.transit(node, to) + self.fault_jitter();
+                    let is_data = matches!(msg, Message::Data(_));
                     let event = Event::DeliverToSwitch {
                         node: to,
                         from: Endpoint::Switch(node),
                         msg,
                     };
-                    match decision {
-                        FaultDecision::Drop => self.sink.record_control_drop(),
-                        FaultDecision::Deliver => sched.schedule_at(at, event),
-                        FaultDecision::Delay(d) => sched.schedule_at(at + d, event),
-                        FaultDecision::Duplicate(d) => {
-                            sched.schedule_at(at, event.clone());
-                            sched.schedule_at(at + d, event);
-                        }
+                    if is_data {
+                        sched.schedule_at(at, event); // data is never fault-injected
+                    } else {
+                        self.deliver(at, event, sched);
                     }
                 }
                 Effect::SendController { mut msg } => {
@@ -826,8 +832,11 @@ impl NetworkSim {
                     if let ControlLatency::NormalMs { floor_ms, .. } = self.config.timing.control {
                         // The latency draw happens controller-side (see
                         // [`Event::CtrlIngress`]); the switch only knows the
-                        // message cannot arrive before the floor. A
-                        // duplicate becomes two ingresses and therefore two
+                        // message cannot arrive before the floor. This is
+                        // the one send that bypasses `deliver`: a fault's
+                        // delay is carried in the ingress event (`extra`),
+                        // not added to the timestamp, and a duplicate
+                        // becomes two ingresses and therefore two
                         // independent latency draws.
                         let at = base + ms(floor_ms);
                         let ingress = |extra| Event::CtrlIngress {
@@ -850,16 +859,7 @@ impl NetworkSim {
                         continue;
                     }
                     let at = base + self.control_latency(node);
-                    let event = Event::DeliverToController { from: node, msg };
-                    match self.fault_choice(sched) {
-                        FaultDecision::Drop => self.sink.record_control_drop(),
-                        FaultDecision::Deliver => sched.schedule_at(at, event),
-                        FaultDecision::Delay(d) => sched.schedule_at(at + d, event),
-                        FaultDecision::Duplicate(d) => {
-                            sched.schedule_at(at, event.clone());
-                            sched.schedule_at(at + d, event);
-                        }
-                    }
+                    self.deliver(at, Event::DeliverToController { from: node, msg }, sched);
                 }
                 Effect::BeginInstall { flow, token } => {
                     let at = base + self.install_delay();
@@ -919,15 +919,7 @@ impl NetworkSim {
                         from: Endpoint::Controller,
                         msg,
                     };
-                    match self.fault_choice(sched) {
-                        FaultDecision::Drop => self.sink.record_control_drop(),
-                        FaultDecision::Deliver => sched.schedule_at(at, event),
-                        FaultDecision::Delay(d) => sched.schedule_at(at + d, event),
-                        FaultDecision::Duplicate(d) => {
-                            sched.schedule_at(at, event.clone());
-                            sched.schedule_at(at + d, event);
-                        }
-                    }
+                    self.deliver(at, event, sched);
                 }
                 CtrlEffect::UpdateComplete { flow, version } => {
                     self.sink.record_completion(base, flow, version);
@@ -985,9 +977,6 @@ impl NetworkSim {
                 .iter()
                 .filter_map(|u| c.current_version(u.flow).map(|v| (u.flow, v))),
         );
-        // One worker keeps the gate free of threads inside the event loop;
-        // the engine is byte-identical at any worker count, so this is
-        // purely a scheduling choice.
         let analysis = BatchAnalyzer::new(1).analyze(&plans, &ctx);
         debug_assert!(
             !analysis.diagnostics().iter().any(Diagnostic::is_error),

@@ -7,16 +7,16 @@
 //! cargo run --example p4update_lint -- --export-dataset DIR [--scale ft64]
 //!                                # write a generated fat-tree batch as an
 //!                                # on-disk dataset, then lint it in memory
-//! cargo run --example p4update_lint -- --dataset DIR [--jobs N]
+//! cargo run --example p4update_lint -- --dataset DIR
 //!                                # standalone linting at scale: load the
 //!                                # dataset from disk and lint it with the
-//!                                # parallel BatchAnalyzer
+//!                                # link-indexed BatchAnalyzer
 //! ```
 //!
-//! `--export-dataset` prints the *in-memory sequential* analysis of the
-//! batch it wrote; `--dataset` prints the on-disk parallel analysis. The
-//! two outputs are byte-identical for the same batch (and identical for
-//! any `--jobs` value) — `scripts/check.sh` diffs them.
+//! `--export-dataset` prints the *in-memory pairwise reference* analysis
+//! of the batch it wrote; `--dataset` prints the on-disk engine analysis.
+//! The two outputs are byte-identical for the same batch —
+//! `scripts/check.sh` diffs them.
 //!
 //! The sample set covers the analyzer's surface: the paper's Fig. 1
 //! migration (clean), a forced single-layer deployment (advisory), a
@@ -93,13 +93,10 @@ fn arg_value(args: &[String], flag: &str) -> Option<String> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs: usize = arg_value(&args, "--jobs")
-        .map(|v| v.parse().expect("--jobs takes a number"))
-        .unwrap_or(1);
 
     if let Some(dir) = arg_value(&args, "--export-dataset") {
         // Generate a fat-tree batch (the perf workload recipe), write it
-        // as a dataset, and lint it in memory with the sequential path.
+        // as a dataset, and lint it in memory with the pairwise reference.
         let scale = arg_value(&args, "--scale").unwrap_or_else(|| "ft64".into());
         let topo = fat_tree(&scale);
         let (plans, installed) = bench_plans(&bench_workload(&topo, 1).updates);
@@ -116,7 +113,7 @@ fn main() {
             eprintln!("p4update-lint: {e}");
             std::process::exit(2);
         });
-        let analysis = ds.lint(jobs);
+        let analysis = ds.lint();
         report(analysis.plan_count(), analysis.diagnostics());
     }
 

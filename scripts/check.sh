@@ -6,11 +6,10 @@
 # Runs formatting, the clippy lint wall, the full offline test suite, the
 # static plan linter over its sample plans (including the mutated ones,
 # which must make it exit non-zero), the dataset round trip (an exported
-# on-disk batch must re-lint byte-identically to the in-memory analysis,
-# at any worker count), the corpus and explorer smokes, the large
-# fat-tree tests, the path solver's and the UIB's differentials against
-# their oracle and map model at 16x the default case count, and the
-# benchmark package's own gate.
+# on-disk batch must re-lint byte-identically to the in-memory analysis),
+# the corpus and explorer smokes, the large fat-tree tests, the path
+# solver's and the UIB's differentials against their oracle and map model
+# at 16x the default case count, and the benchmark package's own gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -42,13 +41,8 @@ echo "==> dataset round trip: export ft64 batch, re-lint from disk, diff"
 cargo run -q --release --example p4update_lint -- \
     --export-dataset "$tmpdir/dataset" --scale ft64 > "$tmpdir/lint-mem.txt"
 cargo run -q --release --example p4update_lint -- \
-    --dataset "$tmpdir/dataset" --jobs 1 > "$tmpdir/lint-disk.txt"
+    --dataset "$tmpdir/dataset" > "$tmpdir/lint-disk.txt"
 diff "$tmpdir/lint-mem.txt" "$tmpdir/lint-disk.txt"
-
-echo "==> parallel lint output is byte-identical to serial (--jobs 4)"
-cargo run -q --release --example p4update_lint -- \
-    --dataset "$tmpdir/dataset" --jobs 4 > "$tmpdir/lint-par.txt"
-cmp "$tmpdir/lint-disk.txt" "$tmpdir/lint-par.txt"
 
 echo "==> trace corpus replays byte-exactly (release profile)"
 cargo test -q --release --test corpus_replay

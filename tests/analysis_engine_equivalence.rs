@@ -1,13 +1,16 @@
-//! Differential tests for the parallel, incremental [`BatchAnalyzer`]:
+//! Differential tests for the link-indexed, incremental [`BatchAnalyzer`]:
 //!
-//! 1. **Parallel equivalence** — for every scenario in the explore
-//!    registry, across several seeds, the sharded engine at 1, 2 and 4
-//!    workers emits a diagnostic list *byte-identical* to the sequential
-//!    `analyze_batch_with` reference (same findings, same order, same
-//!    rendered text).
+//! 1. **Engine equivalence** — for every scenario in the explore
+//!    registry, across several seeds, the engine emits a diagnostic list
+//!    *byte-identical* to the pairwise `analyze_batch_with` reference
+//!    (same findings, same order, same rendered text).
 //! 2. **Incremental economy** — after a single-plan [`PlanDelta`], the
 //!    `reanalyze` path revalidates strictly fewer plans than a full
 //!    re-lint would, while still producing byte-identical diagnostics.
+//!
+//! These batches have no waits-for components; `reanalyze` over batches
+//! that do is covered by the propcheck differential in
+//! `crates/analysis/src/engine.rs`.
 
 use p4update::analysis::{
     analyze_batch_with, bench_plans, AnalysisContext, BatchAnalyzer, PlanDelta,
@@ -45,32 +48,27 @@ fn prepare_batch(
     (plans, snapshot)
 }
 
-/// Assert the parallel engine matches the sequential reference
-/// byte-for-byte at several worker counts.
+/// Assert the engine matches the pairwise reference byte-for-byte.
 fn assert_equivalent(plans: &[PreparedUpdate], ctx: &AnalysisContext<'_>, what: &str) {
-    let sequential = analyze_batch_with(plans, ctx);
-    let rendered: Vec<String> = sequential.iter().map(ToString::to_string).collect();
-    for workers in [1, 2, 4] {
-        let analysis = BatchAnalyzer::new(workers).analyze(plans, ctx);
-        assert_eq!(
-            analysis.diagnostics(),
-            sequential.as_slice(),
-            "{what}: {workers} workers diverged from the sequential analyzer"
-        );
-        let parallel_rendered: Vec<String> = analysis
-            .diagnostics()
-            .iter()
-            .map(ToString::to_string)
-            .collect();
-        assert_eq!(
-            parallel_rendered, rendered,
-            "{what}: {workers}-worker rendering is not byte-identical"
-        );
-    }
+    let reference = analyze_batch_with(plans, ctx);
+    let analysis = BatchAnalyzer::new(1).analyze(plans, ctx);
+    assert_eq!(
+        analysis.diagnostics(),
+        reference.as_slice(),
+        "{what}: the engine diverged from the reference analyzer"
+    );
+    let render = |ds: &[p4update::analysis::Diagnostic]| -> Vec<String> {
+        ds.iter().map(ToString::to_string).collect()
+    };
+    assert_eq!(
+        render(analysis.diagnostics()),
+        render(&reference),
+        "{what}: the engine's rendering is not byte-identical"
+    );
 }
 
 /// Every registry scenario × several seeds: the engine is equivalent to
-/// the sequential analyzer on each batch the scenario schedules.
+/// the reference analyzer on each batch the scenario schedules.
 #[test]
 fn engine_matches_sequential_on_every_registry_scenario() {
     let mut batches_seen = 0usize;
@@ -103,7 +101,7 @@ fn incremental_reanalysis_revalidates_strictly_fewer_plans() {
     let topo = topologies::synthetic_fat_tree_64();
     let (plans, installed) = bench_plans(&bench_workload(&topo, 1).updates);
     let ctx = AnalysisContext::with_installed(Some(&topo), installed);
-    let engine = BatchAnalyzer::new(2);
+    let engine = BatchAnalyzer::new(1);
     let full = engine.analyze(&plans, &ctx);
     assert_eq!(full.revalidated(), plans.len(), "cold run lints everything");
 

@@ -165,29 +165,27 @@ fn analysis_is_deterministic() {
     });
 }
 
-/// Run a batch through the sequential analyzer and through the parallel
-/// [`BatchAnalyzer`] at 1, 2 and 4 workers; assert all four diagnostic
-/// lists are identical and return one of them.
+/// Run a batch through the pairwise reference analyzer and through the
+/// link-indexed [`BatchAnalyzer`]; assert the two diagnostic lists are
+/// identical and return one of them.
 fn analyze_both_paths(
     plans: &[PreparedUpdate],
     ctx: &AnalysisContext<'_>,
 ) -> Vec<p4update::analysis::Diagnostic> {
-    let sequential = analyze_batch_with(plans, ctx);
-    for workers in [1, 2, 4] {
-        let parallel = BatchAnalyzer::new(workers).analyze(plans, ctx);
-        assert_eq!(
-            parallel.diagnostics(),
-            sequential.as_slice(),
-            "parallel path at {workers} workers diverged from sequential"
-        );
-    }
-    sequential
+    let reference = analyze_batch_with(plans, ctx);
+    let engine = BatchAnalyzer::new(1).analyze(plans, ctx);
+    assert_eq!(
+        engine.diagnostics(),
+        reference.as_slice(),
+        "the engine diverged from the reference analyzer"
+    );
+    reference
 }
 
 /// Batch-level mutation: duplicating a flow's plan at a non-increasing
 /// version must trip P4U011 (batch version conflict) as an error — on the
-/// sequential path and on the parallel engine at every worker count. The
-/// well-ordered batch (strictly increasing versions) must stay clean.
+/// reference path and on the engine. The well-ordered batch (strictly
+/// increasing versions) must stay clean.
 #[test]
 fn batch_version_regression_is_flagged_on_both_paths() {
     forall("batch_version_regression_is_flagged", n_cases(), |rng| {
@@ -226,7 +224,7 @@ fn batch_version_regression_is_flagged_on_both_paths() {
 
 /// Batch-level mutation: two flows exchanging routes form a waits-for
 /// cycle — each needs capacity the other frees — and must trip P4U012 on
-/// both the sequential path and the parallel engine.
+/// both the reference path and the engine.
 #[test]
 fn forced_waits_for_cycle_is_flagged_on_both_paths() {
     forall("forced_waits_for_cycle_is_flagged", n_cases(), |rng| {
