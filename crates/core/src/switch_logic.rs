@@ -22,7 +22,7 @@ use p4update_des::SimTime;
 use p4update_messages::{Message, RejectReason, Ufm, UfmStatus, Uim, Unm, UnmLayer, UpdateKind};
 use p4update_net::{FlowId, NodeId, Version};
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// How an accepted update is applied at installation time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,7 +40,8 @@ enum ApplyKind {
 /// A verified update waiting for its rule write to complete.
 #[derive(Debug, Clone)]
 struct PendingInstall {
-    flow: FlowId,
+    /// Names this write in its `BeginInstall` / completion pair.
+    token: u64,
     version: Version,
     apply: ApplyKind,
     /// Layer of the triggering UNM: decides whether the chain continues
@@ -119,12 +120,11 @@ pub struct P4UpdateLogic {
     /// First-layer UNMs held at unsatisfied dual-layer gates; retried on
     /// every state change of the flow.
     held: Parked,
-    pending: BTreeMap<u64, PendingInstall>,
+    /// The rule write in flight per flow — at most one, as on the real
+    /// switch: further notifications for the flow go to `deferred` and are
+    /// re-verified once the write completes.
+    pending: BTreeMap<FlowId, PendingInstall>,
     next_token: u64,
-    /// Flows with a rule write in flight: further notifications for them
-    /// are deferred and re-verified once the write completes (one table
-    /// write at a time per flow, as on the real switch).
-    installing: BTreeSet<FlowId>,
     deferred: Parked,
     scheduler: CongestionScheduler,
     blocked: BTreeMap<FlowId, BlockedMove>,
@@ -326,7 +326,7 @@ impl P4UpdateLogic {
         // One rule write at a time per flow: notifications arriving while
         // a write is in flight resubmit after it completes (they usually
         // become pass-alongs then).
-        if self.installing.contains(&unm.flow) {
+        if self.pending.contains_key(&unm.flow) {
             self.deferred.push(from, unm);
             return;
         }
@@ -494,9 +494,9 @@ impl P4UpdateLogic {
         let token = self.next_token;
         self.next_token += 1;
         self.pending.insert(
-            token,
+            unm.flow,
             PendingInstall {
-                flow: unm.flow,
+                token,
                 version: unm.v_new,
                 apply,
                 layer: unm.layer,
@@ -504,7 +504,6 @@ impl P4UpdateLogic {
                 reserved,
             },
         );
-        self.installing.insert(unm.flow);
         out.push(Effect::BeginInstall {
             flow: unm.flow,
             token,
@@ -595,22 +594,6 @@ impl SwitchLogic for P4UpdateLogic {
         self.waiting_for_uim.len() + self.held.len() + self.deferred.len()
     }
 
-    fn debug_summary(&self) -> String {
-        format!(
-            "unms_sent={} waits={} rejects={} deferrals={} parked_wait={} held={} deferred={} installing={} pending={} blocked={}",
-            self.counters.unms_sent,
-            self.counters.waits_for_uim,
-            self.counters.rejects,
-            self.counters.capacity_deferrals,
-            self.waiting_for_uim.len(),
-            self.held.len(),
-            self.deferred.len(),
-            self.installing.len(),
-            self.pending.len(),
-            self.blocked.len(),
-        )
-    }
-
     fn on_installed(
         &mut self,
         now: SimTime,
@@ -621,11 +604,10 @@ impl SwitchLogic for P4UpdateLogic {
     ) {
         // A token names one flow's rule write. A completion quoting it for
         // another flow is not that write finishing: leave it pending.
-        let p = match self.pending.entry(token) {
-            Entry::Occupied(e) if e.get().flow == flow => e.remove(),
+        let p = match self.pending.entry(flow) {
+            Entry::Occupied(e) if e.get().token == token => e.remove(),
             _ => return,
         };
-        self.installing.remove(&flow);
         let entry = state.uib.read(flow);
 
         // A newer indication superseded this install while the rule write

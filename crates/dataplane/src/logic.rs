@@ -109,11 +109,6 @@ pub trait SwitchLogic {
     fn parked_messages(&self) -> usize {
         0
     }
-
-    /// One-line diagnostic summary of the logic's internal state.
-    fn debug_summary(&self) -> String {
-        String::new()
-    }
 }
 
 /// An action requested by controller logic.

@@ -77,11 +77,6 @@ impl Switch {
         self.logic.parked_messages()
     }
 
-    /// Diagnostic summary of the plugged-in logic.
-    pub fn debug_summary(&self) -> String {
-        self.logic.debug_summary()
-    }
-
     /// A rule installation completed.
     pub fn handle_installed(&mut self, now: SimTime, flow: FlowId, token: u64) -> Vec<Effect> {
         let mut out = Vec::new();

@@ -123,7 +123,7 @@ pub fn run_system(system: System, seed: u64) -> Fig2Series {
         looped_at_v1: world.metrics().duplicate_arrivals_at(NodeId(1)),
         max_visits_v1: visit_counts.values().copied().max().unwrap_or(0),
         delivered_v4: world.metrics().delivered_seqs_at(NodeId(4)),
-        ttl_deaths: world.metrics().ttl_deaths(),
+        ttl_deaths: world.metrics().counts().ttl_deaths as usize,
         arrivals_v1,
     }
 }

@@ -20,7 +20,7 @@ pub use config::{
     ByzantineConfig, ControlLatency, FaultChoiceConfig, FaultConfig, InstallDelay,
     ReplicationConfig, SimConfig, TimingConfig,
 };
-pub use metrics::{Metrics, MetricsCounts, MetricsSink, NullMetrics, StreamingMetrics};
+pub use metrics::{Metrics, MetricsCounts, StreamingMetrics};
 pub use network::{
     simulation, ByzDisposition, ByzOutcome, ControllerImpl, Event, NetworkSim, System,
 };

@@ -1,27 +1,23 @@
 //! Measurement collection: packet traces (Fig. 2's sequence plots), flow
 //! update completion times (Fig. 4 / Fig. 7), alarms, and drop accounting.
 //!
-//! Collection goes through the [`MetricsSink`] seam so callers choose
-//! fidelity per run:
+//! Every run records into one [`Metrics`]. Completions, alarms and stranded
+//! flows are exact lists, bounded by the number of flow updates. The
+//! per-packet log (`arrivals`, `deliveries`, `drops`) is written
+//! unconditionally: its cost follows injected packets, and a run that
+//! injects none — every benchmark workload, `golden_cells`, `ft32768` —
+//! never touches it. Triggers, UNM deliveries and control drops are
+//! counters only. [`MetricsCounts`] is incremented on every record, so a
+//! count is always what its series implies.
 //!
-//! - [`Metrics`] — the full-recording sink: every packet arrival,
-//!   delivery, and drop is kept as an event series. Tests and figure
-//!   regeneration depend on these series; memory grows with traffic.
-//! - [`StreamingMetrics`] — O(1)-memory sink for scale runs: per-packet
-//!   series become counters, while completions and alarms (bounded by
-//!   the number of flow updates, not by traffic) stay exact.
-//! - [`NullMetrics`] — records nothing; pure-throughput measurements.
-//!
-//! Sinks are observation-only: no simulation decision reads a sink, so
-//! swapping sinks can never perturb event order (the equivalence test in
-//! `tests/sink_equivalence.rs` pins this).
+//! Recording is observation-only: no simulation decision reads the struct.
 
 use p4update_dataplane::DropReason;
 use p4update_des::SimTime;
 use p4update_messages::{DataPacket, RejectReason};
 use p4update_net::{FlowId, NodeId, Version};
 
-/// Aggregate counters every sink can report cheaply.
+/// Aggregate counters of one run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MetricsCounts {
     /// Data-packet arrivals at switches.
@@ -48,77 +44,10 @@ pub struct MetricsCounts {
     pub stranded_flows: u64,
 }
 
-/// Where the simulated network reports its measurements.
-///
-/// The `record_*` half is called by `sim::network` on the hot path; the
-/// query half is what experiment harnesses read afterwards. Completions
-/// and alarms are `O(#updates)`, so every sink (except the null sink)
-/// keeps them exact — the multi-flow completion-time metric must not
-/// depend on which fidelity was chosen.
-pub trait MetricsSink {
-    /// A data packet arrived at a switch.
-    fn record_arrival(&mut self, t: SimTime, node: NodeId, pkt: DataPacket);
-    /// A data packet was delivered at its egress.
-    fn record_delivery(&mut self, t: SimTime, node: NodeId, pkt: DataPacket);
-    /// A data packet was dropped.
-    fn record_drop(&mut self, t: SimTime, node: NodeId, pkt: DataPacket, reason: DropReason);
-    /// The controller learned a flow update completed.
-    fn record_completion(&mut self, t: SimTime, flow: FlowId, version: Version);
-    /// The controller received an alarm.
-    fn record_alarm(&mut self, t: SimTime, flow: FlowId, reason: RejectReason);
-    /// A batch trigger fired.
-    fn record_trigger(&mut self, t: SimTime, batch: usize);
-    /// A control message was lost to fault injection.
-    fn record_control_drop(&mut self);
-    /// An update notification (UNM) was delivered at a switch.
-    fn record_unm_delivery(&mut self, t: SimTime, node: NodeId);
-    /// A flow's triggered update never completed within the run (end-of-
-    /// run accounting; see `NetworkSim::record_stranded_flows`).
-    fn record_stranded(&mut self, flow: FlowId);
-
-    /// Aggregate counters.
-    fn counts(&self) -> MetricsCounts;
-    /// Completion events `(time, flow, version)`; empty for the null sink.
-    fn completions(&self) -> &[(SimTime, FlowId, Version)];
-    /// Alarm events `(time, flow, reason)`; empty for the null sink.
-    fn alarms(&self) -> &[(SimTime, FlowId, RejectReason)];
-    /// Flows recorded as stranded; empty for the null sink.
-    fn stranded(&self) -> &[FlowId];
-
-    /// Downcast to the full-recording sink, when this is one. The
-    /// harness's `NetworkSim::metrics()` convenience goes through here.
-    fn as_full(&self) -> Option<&Metrics> {
-        None
-    }
-
-    /// Completion time of `flow` at `version`, if it completed.
-    fn completion_of(&self, flow: FlowId, version: Version) -> Option<SimTime> {
-        self.completions()
-            .iter()
-            .find(|&&(_, f, v)| f == flow && v == version)
-            .map(|&(t, _, _)| t)
-    }
-
-    /// Completion time of the *last* flow among `flows` (the multi-flow
-    /// metric), if all completed.
-    fn last_completion(&self, flows: &[FlowId]) -> Option<SimTime> {
-        let mut last = SimTime::ZERO;
-        for &f in flows {
-            let t = self
-                .completions()
-                .iter()
-                .filter(|&&(_, g, _)| g == f)
-                .map(|&(t, _, _)| t)
-                .max()?;
-            last = last.max(t);
-        }
-        Some(last)
-    }
-}
-
 /// All measurements of one simulation run.
 #[derive(Debug, Clone, Default)]
 pub struct Metrics {
+    counts: MetricsCounts,
     /// Every data-packet arrival at a switch: `(time, switch, packet)`.
     /// Fig. 2b plots these for one switch.
     pub arrivals: Vec<(SimTime, NodeId, DataPacket)>,
@@ -130,87 +59,83 @@ pub struct Metrics {
     pub completions: Vec<(SimTime, FlowId, Version)>,
     /// Alarms the controller received.
     pub alarms: Vec<(SimTime, FlowId, RejectReason)>,
-    /// Trigger times per batch index.
-    pub triggers: Vec<(SimTime, usize)>,
-    /// Control messages lost to fault injection.
-    pub control_drops: u64,
-    /// Update-notification deliveries per switch (diagnostics for loss
-    /// recovery analysis).
-    pub unm_deliveries: Vec<(SimTime, NodeId)>,
     /// Flows whose triggered update never completed within the run.
     pub stranded: Vec<FlowId>,
 }
 
-impl MetricsSink for Metrics {
-    fn record_arrival(&mut self, t: SimTime, node: NodeId, pkt: DataPacket) {
+/// The benchmark's name for [`Metrics`] (`benchmark/README.md`, "Pinned API
+/// surface"); nothing else uses it.
+pub type StreamingMetrics = Metrics;
+
+impl Metrics {
+    /// An empty recorder (the benchmark's spelling of `default()`).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    pub(crate) fn record_arrival(&mut self, t: SimTime, node: NodeId, pkt: DataPacket) {
+        self.counts.arrivals += 1;
         self.arrivals.push((t, node, pkt));
     }
 
-    fn record_delivery(&mut self, t: SimTime, node: NodeId, pkt: DataPacket) {
+    pub(crate) fn record_delivery(&mut self, t: SimTime, node: NodeId, pkt: DataPacket) {
+        self.counts.deliveries += 1;
         self.deliveries.push((t, node, pkt));
     }
 
-    fn record_drop(&mut self, t: SimTime, node: NodeId, pkt: DataPacket, reason: DropReason) {
+    pub(crate) fn record_drop(
+        &mut self,
+        t: SimTime,
+        node: NodeId,
+        pkt: DataPacket,
+        reason: DropReason,
+    ) {
+        self.counts.drops += 1;
+        if reason == DropReason::TtlExpired {
+            self.counts.ttl_deaths += 1;
+        }
         self.drops.push((t, node, pkt, reason));
     }
 
-    fn record_completion(&mut self, t: SimTime, flow: FlowId, version: Version) {
+    pub(crate) fn record_completion(&mut self, t: SimTime, flow: FlowId, version: Version) {
+        self.counts.completions += 1;
         self.completions.push((t, flow, version));
     }
 
-    fn record_alarm(&mut self, t: SimTime, flow: FlowId, reason: RejectReason) {
+    pub(crate) fn record_alarm(&mut self, t: SimTime, flow: FlowId, reason: RejectReason) {
+        self.counts.alarms += 1;
         self.alarms.push((t, flow, reason));
     }
 
-    fn record_trigger(&mut self, t: SimTime, batch: usize) {
-        self.triggers.push((t, batch));
+    pub(crate) fn record_trigger(&mut self) {
+        self.counts.triggers += 1;
     }
 
-    fn record_control_drop(&mut self) {
-        self.control_drops += 1;
+    pub(crate) fn record_control_drop(&mut self) {
+        self.counts.control_drops += 1;
     }
 
-    fn record_unm_delivery(&mut self, t: SimTime, node: NodeId) {
-        self.unm_deliveries.push((t, node));
+    pub(crate) fn record_unm_delivery(&mut self) {
+        self.counts.unm_deliveries += 1;
     }
 
-    fn record_stranded(&mut self, flow: FlowId) {
-        self.stranded.push(flow);
+    /// End-of-run accounting (see `NetworkSim::record_stranded_flows`):
+    /// assigns, so a repeated call cannot double the list or its count.
+    pub(crate) fn set_stranded(&mut self, flows: Vec<FlowId>) {
+        self.counts.stranded_flows = flows.len() as u64;
+        self.stranded = flows;
     }
 
-    fn counts(&self) -> MetricsCounts {
-        MetricsCounts {
-            arrivals: self.arrivals.len() as u64,
-            deliveries: self.deliveries.len() as u64,
-            drops: self.drops.len() as u64,
-            ttl_deaths: self.ttl_deaths() as u64,
-            completions: self.completions.len() as u64,
-            alarms: self.alarms.len() as u64,
-            triggers: self.triggers.len() as u64,
-            control_drops: self.control_drops,
-            unm_deliveries: self.unm_deliveries.len() as u64,
-            stranded_flows: self.stranded.len() as u64,
-        }
+    /// Aggregate counters.
+    pub fn counts(&self) -> MetricsCounts {
+        self.counts
     }
 
-    fn completions(&self) -> &[(SimTime, FlowId, Version)] {
+    /// The `completions` list (the benchmark's spelling of the field).
+    pub fn completions(&self) -> &[(SimTime, FlowId, Version)] {
         &self.completions
     }
 
-    fn alarms(&self) -> &[(SimTime, FlowId, RejectReason)] {
-        &self.alarms
-    }
-
-    fn stranded(&self) -> &[FlowId] {
-        &self.stranded
-    }
-
-    fn as_full(&self) -> Option<&Metrics> {
-        Some(self)
-    }
-}
-
-impl Metrics {
     /// Completion time of `flow` at `version`, if it completed.
     pub fn completion_of(&self, flow: FlowId, version: Version) -> Option<SimTime> {
         self.completions
@@ -266,124 +191,6 @@ impl Metrics {
         v.sort();
         v.into_iter().map(|(_, s)| s).collect()
     }
-
-    /// Number of TTL-expiry drops (loop deaths).
-    pub fn ttl_deaths(&self) -> usize {
-        self.drops
-            .iter()
-            .filter(|&&(_, _, _, r)| r == DropReason::TtlExpired)
-            .count()
-    }
-}
-
-/// O(1)-memory sink for scale runs: per-packet series become counters,
-/// while completions and alarms stay exact event lists (bounded by the
-/// number of flow updates).
-#[derive(Debug, Clone, Default)]
-pub struct StreamingMetrics {
-    counts: MetricsCounts,
-    completions: Vec<(SimTime, FlowId, Version)>,
-    alarms: Vec<(SimTime, FlowId, RejectReason)>,
-    stranded: Vec<FlowId>,
-}
-
-impl StreamingMetrics {
-    /// An empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl MetricsSink for StreamingMetrics {
-    fn record_arrival(&mut self, _t: SimTime, _node: NodeId, _pkt: DataPacket) {
-        self.counts.arrivals += 1;
-    }
-
-    fn record_delivery(&mut self, _t: SimTime, _node: NodeId, _pkt: DataPacket) {
-        self.counts.deliveries += 1;
-    }
-
-    fn record_drop(&mut self, _t: SimTime, _node: NodeId, _pkt: DataPacket, reason: DropReason) {
-        self.counts.drops += 1;
-        if reason == DropReason::TtlExpired {
-            self.counts.ttl_deaths += 1;
-        }
-    }
-
-    fn record_completion(&mut self, t: SimTime, flow: FlowId, version: Version) {
-        self.counts.completions += 1;
-        self.completions.push((t, flow, version));
-    }
-
-    fn record_alarm(&mut self, t: SimTime, flow: FlowId, reason: RejectReason) {
-        self.counts.alarms += 1;
-        self.alarms.push((t, flow, reason));
-    }
-
-    fn record_trigger(&mut self, _t: SimTime, _batch: usize) {
-        self.counts.triggers += 1;
-    }
-
-    fn record_control_drop(&mut self) {
-        self.counts.control_drops += 1;
-    }
-
-    fn record_unm_delivery(&mut self, _t: SimTime, _node: NodeId) {
-        self.counts.unm_deliveries += 1;
-    }
-
-    fn record_stranded(&mut self, flow: FlowId) {
-        self.counts.stranded_flows += 1;
-        self.stranded.push(flow);
-    }
-
-    fn counts(&self) -> MetricsCounts {
-        self.counts
-    }
-
-    fn completions(&self) -> &[(SimTime, FlowId, Version)] {
-        &self.completions
-    }
-
-    fn alarms(&self) -> &[(SimTime, FlowId, RejectReason)] {
-        &self.alarms
-    }
-
-    fn stranded(&self) -> &[FlowId] {
-        &self.stranded
-    }
-}
-
-/// Records nothing; for pure-throughput measurements.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullMetrics;
-
-impl MetricsSink for NullMetrics {
-    fn record_arrival(&mut self, _t: SimTime, _node: NodeId, _pkt: DataPacket) {}
-    fn record_delivery(&mut self, _t: SimTime, _node: NodeId, _pkt: DataPacket) {}
-    fn record_drop(&mut self, _t: SimTime, _node: NodeId, _pkt: DataPacket, _reason: DropReason) {}
-    fn record_completion(&mut self, _t: SimTime, _flow: FlowId, _version: Version) {}
-    fn record_alarm(&mut self, _t: SimTime, _flow: FlowId, _reason: RejectReason) {}
-    fn record_trigger(&mut self, _t: SimTime, _batch: usize) {}
-    fn record_control_drop(&mut self) {}
-    fn record_unm_delivery(&mut self, _t: SimTime, _node: NodeId) {}
-    fn record_stranded(&mut self, _flow: FlowId) {}
-
-    fn counts(&self) -> MetricsCounts {
-        MetricsCounts::default()
-    }
-
-    fn completions(&self) -> &[(SimTime, FlowId, Version)] {
-        &[]
-    }
-
-    fn alarms(&self) -> &[(SimTime, FlowId, RejectReason)] {
-        &[]
-    }
-
-    fn stranded(&self) -> &[FlowId] {
-        &[]
-    }
 }
 
 #[cfg(test)]
@@ -434,76 +241,46 @@ mod tests {
         assert_eq!(m.delivered_seqs_at(NodeId(4)), vec![1, 2]);
     }
 
+    /// Every counter equals what its series implies, and the three
+    /// series-less counters equal the number of calls.
     #[test]
-    fn ttl_deaths_count_only_ttl_drops() {
+    fn counts_match_their_series() {
         let mut m = Metrics::default();
-        m.record_drop(at(1), NodeId(0), pkt(1), DropReason::TtlExpired);
-        m.record_drop(at(2), NodeId(0), pkt(2), DropReason::NoRule);
-        assert_eq!(m.ttl_deaths(), 1);
-    }
-
-    /// Feed the same event stream to the full and streaming sinks: the
-    /// aggregate counters, completions, and alarms must agree.
-    #[test]
-    fn streaming_sink_matches_full_sink_aggregates() {
-        let mut full = Metrics::default();
-        let mut streaming = StreamingMetrics::new();
-        let sinks: [&mut dyn MetricsSink; 2] = [&mut full, &mut streaming];
-        for sink in sinks {
-            sink.record_trigger(at(0), 0);
-            sink.record_arrival(at(1), NodeId(0), pkt(1));
-            sink.record_arrival(at(2), NodeId(1), pkt(1));
-            sink.record_delivery(at(3), NodeId(1), pkt(1));
-            sink.record_drop(at(4), NodeId(0), pkt(2), DropReason::TtlExpired);
-            sink.record_drop(at(5), NodeId(0), pkt(3), DropReason::NoRule);
-            sink.record_completion(at(6), FlowId(0), Version(2));
-            sink.record_alarm(at(7), FlowId(1), RejectReason::InsufficientCapacity);
-            sink.record_control_drop();
-            sink.record_unm_delivery(at(8), NodeId(1));
-            sink.record_stranded(FlowId(3));
-        }
-        assert_eq!(full.counts(), streaming.counts());
-        assert_eq!(full.counts().stranded_flows, 1);
+        m.record_trigger();
+        m.record_arrival(at(1), NodeId(0), pkt(1));
+        m.record_arrival(at(2), NodeId(1), pkt(1));
+        m.record_delivery(at(3), NodeId(1), pkt(1));
+        m.record_drop(at(4), NodeId(0), pkt(2), DropReason::TtlExpired);
+        m.record_drop(at(5), NodeId(0), pkt(3), DropReason::NoRule);
+        m.record_completion(at(6), FlowId(0), Version(2));
+        m.record_alarm(at(7), FlowId(1), RejectReason::InsufficientCapacity);
+        m.record_control_drop();
+        m.record_control_drop();
+        m.record_unm_delivery();
+        m.set_stranded(vec![FlowId(3), FlowId(4)]);
+        m.set_stranded(vec![FlowId(3)]);
+        let ttl_drops = m
+            .drops
+            .iter()
+            .filter(|&&(_, _, _, r)| r == DropReason::TtlExpired)
+            .count();
+        assert_eq!((m.drops.len(), ttl_drops), (2, 1));
         assert_eq!(
-            MetricsSink::completions(&full),
-            MetricsSink::completions(&streaming)
+            m.counts(),
+            MetricsCounts {
+                arrivals: m.arrivals.len() as u64,
+                deliveries: m.deliveries.len() as u64,
+                drops: m.drops.len() as u64,
+                ttl_deaths: ttl_drops as u64,
+                completions: m.completions.len() as u64,
+                alarms: m.alarms.len() as u64,
+                triggers: 1,
+                control_drops: 2,
+                unm_deliveries: 1,
+                stranded_flows: m.stranded.len() as u64,
+            }
         );
-        assert_eq!(MetricsSink::alarms(&full), MetricsSink::alarms(&streaming));
-        assert_eq!(
-            MetricsSink::stranded(&full),
-            MetricsSink::stranded(&streaming)
-        );
-        assert_eq!(streaming.completion_of(FlowId(0), Version(2)), Some(at(6)));
-        assert_eq!(streaming.last_completion(&[FlowId(0)]), Some(at(6)));
-        assert!(full.as_full().is_some());
-        assert!(streaming.as_full().is_none());
-    }
-
-    /// The streaming sink keeps nothing per packet, no matter how much
-    /// traffic is recorded.
-    #[test]
-    fn streaming_sink_memory_is_bounded() {
-        let mut s = StreamingMetrics::new();
-        s.record_trigger(at(0), 0);
-        for i in 0..100_000u64 {
-            s.record_arrival(at(i), NodeId(0), pkt(i as u32));
-            s.record_delivery(at(i + 1), NodeId(1), pkt(i as u32));
-        }
-        assert_eq!(s.counts().arrivals, 100_000);
-        assert_eq!(s.counts().deliveries, 100_000);
-        assert!(s.completions.is_empty());
-    }
-
-    #[test]
-    fn null_sink_records_nothing() {
-        let mut n = NullMetrics;
-        n.record_arrival(at(1), NodeId(0), pkt(1));
-        n.record_completion(at(2), FlowId(0), Version(2));
-        n.record_control_drop();
-        n.record_stranded(FlowId(0));
-        assert_eq!(n.counts(), MetricsCounts::default());
-        assert!(n.completions().is_empty());
-        assert!(n.stranded().is_empty());
-        assert_eq!(n.completion_of(FlowId(0), Version(2)), None);
+        assert_eq!(m.stranded, vec![FlowId(3)]);
+        assert_eq!(m.completions(), &[(at(6), FlowId(0), Version(2))]);
     }
 }

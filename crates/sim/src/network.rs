@@ -8,7 +8,7 @@
 
 use crate::checker::{check, FlowSpec, Violation};
 use crate::config::{ms, ControlLatency, InstallDelay, SimConfig};
-use crate::metrics::{Metrics, MetricsSink};
+use crate::metrics::Metrics;
 use crate::table::SwitchTable;
 use p4update_analysis::{AnalysisContext, BatchAnalyzer, Diagnostic};
 use p4update_baselines::{CentralController, CentralSwitchLogic, EzController, EzSwitchLogic};
@@ -267,10 +267,9 @@ pub struct NetworkSim {
     batches: Vec<Vec<FlowUpdate>>,
     /// Flow specs for the checker and metrics.
     pub flows: BTreeMap<FlowId, FlowSpec>,
-    /// Where measurements go; defaults to the full-recording [`Metrics`].
-    sink: Box<dyn MetricsSink>,
-    /// Reusable effect buffer: taken at the top of each hot event arm and
-    /// put back cleared, so the event loop allocates nothing per event.
+    /// The run's measurements.
+    metrics: Metrics,
+    /// Reusable effect buffer (see [`Self::switch_pass`]).
     scratch: Vec<Effect>,
     /// Violations found by per-event checking (paranoid mode).
     pub violations: Vec<(SimTime, Violation)>,
@@ -349,7 +348,7 @@ impl NetworkSim {
             ctrl_busy: SimTime::ZERO,
             batches: Vec::new(),
             flows: BTreeMap::new(),
-            sink: Box::new(Metrics::default()),
+            metrics: Metrics::default(),
             violations: Vec::new(),
             analysis_findings: Vec::new(),
             scratch: Vec::new(),
@@ -389,66 +388,48 @@ impl NetworkSim {
             .count()
     }
 
-    /// Replace the metrics sink (builder form). The default is the
-    /// full-recording [`Metrics`]; scale runs install
-    /// [`crate::StreamingMetrics`] or [`crate::NullMetrics`] instead.
-    /// Swap sinks *before* running: sinks are observation-only, so the
-    /// simulation itself is unaffected, but a fresh sink obviously does
-    /// not know about events recorded into its predecessor.
-    pub fn with_metrics_sink(mut self, sink: Box<dyn MetricsSink>) -> Self {
-        self.sink = sink;
+    /// The run's measurements.
+    pub fn metrics(&self) -> &Metrics {
+        &self.metrics
+    }
+
+    /// The benchmark's name for [`Self::metrics`] (`benchmark/README.md`,
+    /// "Pinned API surface"); nothing else uses it.
+    pub fn sink(&self) -> &Metrics {
+        &self.metrics
+    }
+
+    /// Pinned by the benchmark like [`Self::sink`]: starts the run from the
+    /// given (empty) recorder.
+    pub fn with_metrics_sink(mut self, sink: Box<Metrics>) -> Self {
+        self.metrics = *sink;
         self
     }
 
-    /// Replace the metrics sink in place (see [`Self::with_metrics_sink`]).
-    pub fn set_metrics_sink(&mut self, sink: Box<dyn MetricsSink>) {
-        self.sink = sink;
-    }
-
-    /// The installed metrics sink, for fidelity-agnostic queries
-    /// (counters, completions, alarms).
-    pub fn sink(&self) -> &dyn MetricsSink {
-        &*self.sink
-    }
-
     /// End-of-run accounting: record every flow whose scheduled updates
-    /// outnumber its completions as *stranded* in the metrics sink, and
-    /// return those flows (ascending). Call once after the run; a
-    /// non-empty result on a fault-free run is a liveness gap in the
-    /// system under test (ez-Segway's circular capacity waits at ft512
-    /// are the motivating case — see `tests/fault_injection.rs`).
+    /// outnumber its completions as *stranded* in the metrics, and return
+    /// those flows (ascending). Idempotent: a repeated call recomputes the
+    /// same list. A non-empty result on a fault-free run is a liveness gap
+    /// in the system under test (ez-Segway's circular capacity waits at
+    /// ft512 are the motivating case — see `tests/fault_injection.rs`).
     pub fn record_stranded_flows(&mut self) -> Vec<FlowId> {
         // Updates scheduled per flow, less one per completion.
         let mut outstanding: BTreeMap<FlowId, u64> = BTreeMap::new();
         for u in self.batches.iter().flatten() {
             *outstanding.entry(u.flow).or_insert(0) += 1;
         }
-        for &(_, flow, _) in self.sink.completions() {
+        for &(_, flow, _) in &self.metrics.completions {
             if let Some(left) = outstanding.get_mut(&flow) {
                 *left = left.saturating_sub(1);
             }
         }
-        let mut stranded = Vec::new();
-        for (flow, left) in outstanding {
-            if left > 0 {
-                stranded.push(flow);
-                self.sink.record_stranded(flow);
-            }
-        }
+        let stranded: Vec<FlowId> = outstanding
+            .into_iter()
+            .filter(|&(_, left)| left > 0)
+            .map(|(flow, _)| flow)
+            .collect();
+        self.metrics.set_stranded(stranded.clone());
         stranded
-    }
-
-    /// The full-recording metrics, when the full sink is installed (the
-    /// default). Tests and figure regeneration read event series through
-    /// this accessor.
-    ///
-    /// # Panics
-    /// If a streaming or null sink is installed — those runs must query
-    /// through [`Self::sink`] instead.
-    pub fn metrics(&self) -> &Metrics {
-        self.sink
-            .as_full()
-            .expect("metrics(): a non-full MetricsSink is installed; query via sink() instead")
     }
 
     /// Install a flow's initial path directly (scenario bootstrap: the old
@@ -571,7 +552,7 @@ impl NetworkSim {
     /// switch's report under [`ControlLatency::NormalMs`] (see that arm).
     fn deliver(&mut self, at: SimTime, event: Event, sched: &mut Scheduler<Event>) {
         match self.fault_choice(sched) {
-            FaultDecision::Drop => self.sink.record_control_drop(),
+            FaultDecision::Drop => self.metrics.record_control_drop(),
             FaultDecision::Deliver => sched.schedule_at(at, event),
             FaultDecision::Delay(d) => sched.schedule_at(at + d, event),
             FaultDecision::Duplicate(d) => {
@@ -790,7 +771,7 @@ impl NetworkSim {
             match effect {
                 Effect::SendSwitch { to, msg } => {
                     if self.fault_drop(self.config.faults.drop_switch_to_switch) {
-                        self.sink.record_control_drop();
+                        self.metrics.record_control_drop();
                         continue;
                     }
                     if let Some(vector) = self.byz_choice(node, &msg, sched) {
@@ -846,7 +827,7 @@ impl NetworkSim {
                             extra,
                         };
                         match self.fault_choice(sched) {
-                            FaultDecision::Drop => self.sink.record_control_drop(),
+                            FaultDecision::Drop => self.metrics.record_control_drop(),
                             FaultDecision::Deliver => {
                                 sched.schedule_at(at, ingress(SimDuration::ZERO));
                             }
@@ -881,10 +862,10 @@ impl NetworkSim {
                     );
                 }
                 Effect::PacketDelivered { pkt } => {
-                    self.sink.record_delivery(base, node, pkt);
+                    self.metrics.record_delivery(base, node, pkt);
                 }
                 Effect::PacketDropped { pkt, reason } => {
-                    self.sink.record_drop(base, node, pkt, reason);
+                    self.metrics.record_drop(base, node, pkt, reason);
                 }
             }
         }
@@ -905,7 +886,7 @@ impl NetworkSim {
                 CtrlEffect::Send { to, msg } => {
                     send_time += tx;
                     if self.fault_drop(self.config.faults.drop_ctrl_to_switch) {
-                        self.sink.record_control_drop();
+                        self.metrics.record_control_drop();
                         continue;
                     }
                     let mut at = send_time + self.control_latency(to) + self.fault_jitter();
@@ -922,10 +903,10 @@ impl NetworkSim {
                     self.deliver(at, event, sched);
                 }
                 CtrlEffect::UpdateComplete { flow, version } => {
-                    self.sink.record_completion(base, flow, version);
+                    self.metrics.record_completion(base, flow, version);
                 }
                 CtrlEffect::AlarmRaised { flow, reason } => {
-                    self.sink.record_alarm(base, flow, reason);
+                    self.metrics.record_alarm(base, flow, reason);
                 }
             }
         }
@@ -945,6 +926,80 @@ impl NetworkSim {
         }
         self.polling[node.index()] = true;
         sched.schedule_in(ms(interval), Event::PollTick { node });
+    }
+
+    /// One pass of `node`'s serial pipeline for a switch-side event
+    /// (`DeliverToSwitch`, `InstallComplete`, `InjectPacket`). While the
+    /// switch is busy the event is requeued at its horizon and `false`
+    /// comes back. Otherwise the horizon advances by `switch_proc_ms`, the
+    /// switch fills the reusable effect buffer (so the event loop allocates
+    /// nothing per event), and the effects are applied anchored at the
+    /// pass's end.
+    fn switch_pass(
+        &mut self,
+        now: SimTime,
+        node: NodeId,
+        event: Event,
+        sched: &mut Scheduler<Event>,
+    ) -> bool {
+        let busy = self.switch_busy[node.index()];
+        if busy > now {
+            sched.schedule_at(busy, event);
+            return false;
+        }
+        let done = now + ms(self.config.timing.switch_proc_ms);
+        self.switch_busy[node.index()] = done;
+        let mut effects = std::mem::take(&mut self.scratch);
+        let switch = self.switches.get_mut(node).expect("switch exists");
+        // Control events may park messages; an injected packet cannot.
+        let may_park = match event {
+            Event::DeliverToSwitch { from, msg, .. } => {
+                if let Message::Data(pkt) = &msg {
+                    self.metrics.record_arrival(now, node, *pkt);
+                }
+                if matches!(msg, Message::Unm(_)) {
+                    self.metrics.record_unm_delivery();
+                }
+                // Pull a matching taint *before* processing so the
+                // pre-delivery UIB entry can anchor the classification.
+                let taint = self
+                    .byz_taints
+                    .iter()
+                    .position(|t| {
+                        t.dest == Endpoint::Switch(node)
+                            && Endpoint::Switch(t.liar) == from
+                            && t.msg == msg
+                    })
+                    .map(|i| self.byz_taints.remove(i));
+                let before = taint
+                    .as_ref()
+                    .and_then(|t| t.msg.flow())
+                    .map(|f| switch.state.uib.read(f));
+                switch.handle_message_into(now, from, msg, &mut effects);
+                if let Some(t) = taint {
+                    self.classify_taint(now, node, t, before, &effects);
+                }
+                true
+            }
+            Event::InstallComplete { flow, token, .. } => {
+                switch.handle_installed_into(now, flow, token, &mut effects);
+                true
+            }
+            Event::InjectPacket {
+                pkt, egress_hint, ..
+            } => {
+                self.metrics.record_arrival(now, node, pkt);
+                switch.inject_packet_into(now, pkt, egress_hint, &mut effects);
+                false
+            }
+            other => unreachable!("not a switch-side event: {other:?}"),
+        };
+        self.apply_switch_effects(node, done, &mut effects, sched);
+        self.scratch = effects;
+        if may_park {
+            self.arm_poll(node, sched);
+        }
+        true
     }
 
     /// The static analysis gate: before a P4Update batch ships, re-prepare
@@ -1011,92 +1066,12 @@ impl World for NetworkSim {
 
     fn handle(&mut self, now: SimTime, event: Event, sched: &mut Scheduler<Event>) {
         match event {
-            Event::DeliverToSwitch { node, from, msg } => {
-                // Serial pipeline: requeue while the switch is busy.
-                let busy = self.switch_busy[node.index()];
-                if busy > now {
-                    sched.schedule_at(busy, Event::DeliverToSwitch { node, from, msg });
-                    return;
+            Event::DeliverToSwitch { node, .. }
+            | Event::InstallComplete { node, .. }
+            | Event::InjectPacket { node, .. } => {
+                if !self.switch_pass(now, node, event, sched) {
+                    return; // requeued: nothing changed, nothing to check
                 }
-                let done = now + ms(self.config.timing.switch_proc_ms);
-                self.switch_busy[node.index()] = done;
-                if let Message::Data(pkt) = &msg {
-                    self.sink.record_arrival(now, node, *pkt);
-                }
-                if matches!(msg, Message::Unm(_)) {
-                    self.sink.record_unm_delivery(now, node);
-                }
-                // Pull a matching taint *before* processing so the
-                // pre-delivery UIB entry can anchor the classification.
-                let taint = self
-                    .byz_taints
-                    .iter()
-                    .position(|t| {
-                        t.dest == Endpoint::Switch(node)
-                            && Endpoint::Switch(t.liar) == from
-                            && t.msg == msg
-                    })
-                    .map(|i| self.byz_taints.remove(i));
-                let before = taint
-                    .as_ref()
-                    .and_then(|t| t.msg.flow())
-                    .map(|f| self.switches[node].state.uib.read(f));
-                let mut effects = std::mem::take(&mut self.scratch);
-                self.switches
-                    .get_mut(node)
-                    .expect("switch exists")
-                    .handle_message_into(now, from, msg, &mut effects);
-                if let Some(t) = taint {
-                    self.classify_taint(now, node, t, before, &effects);
-                }
-                self.apply_switch_effects(node, done, &mut effects, sched);
-                self.scratch = effects;
-                self.arm_poll(node, sched);
-            }
-            Event::InstallComplete { node, flow, token } => {
-                let busy = self.switch_busy[node.index()];
-                if busy > now {
-                    sched.schedule_at(busy, Event::InstallComplete { node, flow, token });
-                    return;
-                }
-                let done = now + ms(self.config.timing.switch_proc_ms);
-                self.switch_busy[node.index()] = done;
-                let mut effects = std::mem::take(&mut self.scratch);
-                self.switches
-                    .get_mut(node)
-                    .expect("switch exists")
-                    .handle_installed_into(now, flow, token, &mut effects);
-                self.apply_switch_effects(node, done, &mut effects, sched);
-                self.scratch = effects;
-                self.arm_poll(node, sched);
-            }
-            Event::InjectPacket {
-                node,
-                pkt,
-                egress_hint,
-            } => {
-                let busy = self.switch_busy[node.index()];
-                if busy > now {
-                    sched.schedule_at(
-                        busy,
-                        Event::InjectPacket {
-                            node,
-                            pkt,
-                            egress_hint,
-                        },
-                    );
-                    return;
-                }
-                let done = now + ms(self.config.timing.switch_proc_ms);
-                self.switch_busy[node.index()] = done;
-                self.sink.record_arrival(now, node, pkt);
-                let mut effects = std::mem::take(&mut self.scratch);
-                self.switches
-                    .get_mut(node)
-                    .expect("switch exists")
-                    .inject_packet_into(now, pkt, egress_hint, &mut effects);
-                self.apply_switch_effects(node, done, &mut effects, sched);
-                self.scratch = effects;
             }
             Event::DeliverToController { from, msg } => {
                 // FIFO single-threaded controller: queue behind the busy
@@ -1166,7 +1141,7 @@ impl World for NetworkSim {
             }
             Event::Trigger { batch } => {
                 let updates = self.batches.get(batch).cloned().unwrap_or_default();
-                self.sink.record_trigger(now, batch);
+                self.metrics.record_trigger();
                 if self.config.analysis_gate {
                     self.run_analysis_gate(&updates);
                 }
@@ -1407,7 +1382,35 @@ mod tests {
         let world = sim.into_world();
         assert!(world.metrics().completions.is_empty());
         assert!(world.violations.is_empty(), "{:?}", world.violations);
-        assert!(world.metrics().control_drops > 0);
+        assert!(world.metrics().counts().control_drops > 0);
+    }
+
+    /// End-of-run accounting assigns: asked twice, a run with one completed
+    /// and one stranded flow still reports the stranded one once.
+    #[test]
+    fn record_stranded_flows_is_idempotent() {
+        let mut world = basic_sim(System::P4Update(Strategy::Auto));
+        let old = Path::new(topologies::fig1_old_path());
+        let new = Path::new(topologies::fig1_new_path());
+        world.install_initial_path(FlowId(0), &old, 1.0);
+        let batch = world.add_batch(vec![FlowUpdate::new(
+            FlowId(0),
+            Some(old),
+            new.clone(),
+            1.0,
+        )]);
+        // Flow 1's batch is never triggered, so it cannot complete.
+        world.add_batch(vec![FlowUpdate::new(FlowId(1), None, new, 1.0)]);
+        let mut sim = simulation(world);
+        sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
+        assert!(sim.run().drained());
+        let mut world = sim.into_world();
+        assert_eq!(world.metrics().counts().completions, 1);
+        for _ in 0..2 {
+            assert_eq!(world.record_stranded_flows(), vec![FlowId(1)]);
+            assert_eq!(world.metrics().stranded, vec![FlowId(1)]);
+            assert_eq!(world.metrics().counts().stranded_flows, 1);
+        }
     }
 
     /// Installing the byzantine catalog without ever taking a lying

@@ -125,8 +125,8 @@ fn run_cell(scenario: &str, seed: u64) -> CellOutcome {
         .iter()
         .any(|(_, v)| matches!(v, p4update::core::Violation::Loop { .. }));
     let completed = world
-        .sink()
-        .completions()
+        .metrics()
+        .completions
         .iter()
         .any(|&(_, f, _)| f == FlowId(0));
     let (rejections, breaches): (Vec<String>, Vec<String>) = world
@@ -561,8 +561,8 @@ fn replicated_controller_failover_still_completes() {
         );
         assert!(
             world
-                .sink()
-                .completions()
+                .metrics()
+                .completions
                 .iter()
                 .any(|&(_, f, _)| f == FlowId(0)),
             "{name}: update never completed after failover"

@@ -146,7 +146,7 @@ fn mutually_blocked_flows_park_instead_of_recursing() {
             "{name}: {:?}",
             world.violations
         );
-        assert_eq!(world.sink().counts().alarms, 0, "{name}");
+        assert_eq!(world.metrics().counts().alarms, 0, "{name}");
         let stranded = world.record_stranded_flows();
         assert_eq!(world.flows.len(), flows, "{name}");
         assert_eq!(flows - stranded.len(), completed, "{name}: {stranded:?}");

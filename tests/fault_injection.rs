@@ -329,7 +329,6 @@ fn fig2_reordering_loops_ez_segway_but_not_p4update() {
 /// what the benchmark artifact's `stranded_flows` column reports.
 #[test]
 fn ez_segway_strands_flow_214_at_ft512() {
-    use p4update::sim::StreamingMetrics;
     use p4update::traffic::bench_workload;
 
     let topo = topologies::synthetic_fat_tree_512();
@@ -342,8 +341,7 @@ fn ez_segway_strands_flow_214_at_ft512() {
             system,
             config,
             Some(workload.free_capacity.clone()),
-        )
-        .with_metrics_sink(Box::new(StreamingMetrics::new()));
+        );
         for u in &workload.updates {
             if let Some(old) = &u.old_path {
                 world.install_initial_path(u.flow, old, u.size);
@@ -360,7 +358,7 @@ fn ez_segway_strands_flow_214_at_ft512() {
 
     let (world, stranded) = run(System::EzSegway { congestion: true });
     assert_eq!(stranded, vec![FlowId(214)], "the deadlocked flow moved");
-    assert_eq!(world.sink().counts().stranded_flows, 1);
+    assert_eq!(world.metrics().counts().stranded_flows, 1);
 
     // The deadlock shape: only the aggregation hop changes.
     let u = workload
@@ -393,5 +391,5 @@ fn ez_segway_strands_flow_214_at_ft512() {
     // P4Update completes the identical workload with nothing stranded.
     let (world, stranded) = run(System::P4Update(Strategy::ForceSingle));
     assert!(stranded.is_empty(), "P4Update stranded {stranded:?}");
-    assert_eq!(world.sink().counts().stranded_flows, 0);
+    assert_eq!(world.metrics().counts().stranded_flows, 0);
 }

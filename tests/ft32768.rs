@@ -10,9 +10,7 @@
 use p4update::core::Strategy;
 use p4update::des::{SimDuration, SimTime};
 use p4update::net::{topologies, FlowId, FlowUpdate, Path, Topology};
-use p4update::sim::{
-    simulation, Event, NetworkSim, SimConfig, StreamingMetrics, System, TimingConfig,
-};
+use p4update::sim::{simulation, Event, NetworkSim, SimConfig, System, TimingConfig};
 
 /// Hand-derived cross-pod migrations. The gravity-model generator makes
 /// one flow per switch, and each of those 32,768 Yen queries starts with a
@@ -55,8 +53,7 @@ fn ft32768_runs_on_the_sequential_engine() {
     let nodes = topo.node_count();
     let updates = ft32768_updates(&topo, 192);
     let config = SimConfig::new(TimingConfig::fat_tree(), 1).with_analysis_gate(false);
-    let mut world = NetworkSim::new(topo, System::P4Update(Strategy::ForceDual), config, None)
-        .with_metrics_sink(Box::new(StreamingMetrics::new()));
+    let mut world = NetworkSim::new(topo, System::P4Update(Strategy::ForceDual), config, None);
     for u in &updates {
         let old = u.old_path.as_ref().expect("migrations have an old path");
         world.install_initial_path(u.flow, old, u.size);
@@ -68,8 +65,11 @@ fn ft32768_runs_on_the_sequential_engine() {
     assert_eq!(sim.events_delivered(), 8_348);
     let mut world = sim.into_world();
     assert!(world.record_stranded_flows().is_empty());
-    let counts = world.sink().counts();
+    let counts = world.metrics().counts();
     assert_eq!((counts.completions, counts.alarms), (192, 0));
+    // No packet is injected, so the per-packet log costs nothing here.
+    let m = world.metrics();
+    assert!(m.arrivals.is_empty() && m.deliveries.is_empty() && m.drops.is_empty());
     assert!(
         world.path_rows_filled() * 100 < nodes,
         "{} of {nodes} path rows filled: the table is not lazy",

@@ -13,9 +13,7 @@
 use p4update::core::Strategy;
 use p4update::des::{Samples, SimDuration, SimRng, SimTime};
 use p4update::net::{topologies, Topology};
-use p4update::sim::{
-    simulation, Event, NetworkSim, SimConfig, StreamingMetrics, System, TimingConfig,
-};
+use p4update::sim::{simulation, Event, NetworkSim, SimConfig, System, TimingConfig};
 use p4update::traffic::multi_flow;
 
 struct Cell {
@@ -62,8 +60,7 @@ fn check(scale: &str, topo: &Topology, timing: TimingConfig, seeds: u64, cell: &
             cell.system,
             config,
             Some(workload.free_capacity.clone()),
-        )
-        .with_metrics_sink(Box::new(StreamingMetrics::new()));
+        );
         for u in &workload.updates {
             if let Some(old) = &u.old_path {
                 world.install_initial_path(u.flow, old, u.size);
@@ -78,14 +75,7 @@ fn check(scale: &str, topo: &Topology, timing: TimingConfig, seeds: u64, cell: &
         let mut world = sim.into_world();
         stranded += world.record_stranded_flows().len();
         for u in &workload.updates {
-            let done = world
-                .sink()
-                .completions()
-                .iter()
-                .filter(|&&(_, f, _)| f == u.flow)
-                .map(|&(t, _, _)| t)
-                .max();
-            if let Some(t) = done {
+            if let Some(t) = world.metrics().last_completion(&[u.flow]) {
                 fct.push(t.as_millis_f64());
             }
         }
