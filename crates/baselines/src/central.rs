@@ -114,9 +114,6 @@ pub struct CentralController {
     /// Global per-directed-link free capacity (controller's view); present
     /// only when congestion awareness is enabled.
     capacity: Option<BTreeMap<(NodeId, NodeId), f64>>,
-    /// Completed `(flow, version)` pairs for the harness. Central does not
-    /// track versions; it reports `Version(2)` (the post-update config).
-    pub completed: Vec<(FlowId, Version)>,
 }
 
 impl CentralController {
@@ -125,7 +122,6 @@ impl CentralController {
         CentralController {
             flows: BTreeMap::new(),
             capacity: None,
-            completed: Vec::new(),
         }
     }
 
@@ -135,7 +131,6 @@ impl CentralController {
         CentralController {
             flows: BTreeMap::new(),
             capacity: Some(capacity),
-            completed: Vec::new(),
         }
     }
 
@@ -156,7 +151,8 @@ impl CentralController {
         if pending.is_empty() {
             let m = self.flows.get_mut(&flow).expect("checked above");
             m.complete = true;
-            self.completed.push((flow, Version(2)));
+            // Central does not track versions; it reports `Version(2)`
+            // (the post-update config).
             out.push(CtrlEffect::UpdateComplete {
                 flow,
                 version: Version(2),
@@ -459,7 +455,13 @@ mod tests {
         }
         // Fresh chain of 2 + ingress flip = 3 rounds.
         assert_eq!(total_rounds, 3);
-        assert_eq!(c.completed, vec![(FlowId(0), Version(2))]);
+        assert!(out.iter().any(|e| matches!(
+            e,
+            CtrlEffect::UpdateComplete {
+                flow: FlowId(0),
+                version: Version(2)
+            }
+        )));
     }
 
     #[test]

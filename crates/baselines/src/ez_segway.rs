@@ -314,8 +314,6 @@ pub struct EzController {
     /// Updates queued behind an unfinished one for the same flow — ez-Segway
     /// cannot fast-forward (§4.2) and waits for completion.
     queued: Vec<FlowUpdate>,
-    /// Completed flows (version is nominal; ez-Segway has no versioning).
-    pub completed: Vec<(FlowId, Version)>,
 }
 
 impl EzController {
@@ -325,7 +323,6 @@ impl EzController {
             capacity: None,
             pending: BTreeSet::new(),
             queued: Vec::new(),
-            completed: Vec::new(),
         }
     }
 
@@ -335,7 +332,6 @@ impl EzController {
             capacity: Some(capacity),
             pending: BTreeSet::new(),
             queued: Vec::new(),
-            completed: Vec::new(),
         }
     }
 
@@ -381,7 +377,7 @@ impl ControllerLogic for EzController {
             return;
         };
         if self.pending.remove(&flow) {
-            self.completed.push((flow, Version(2)));
+            // The version is nominal: ez-Segway has no versioning.
             out.push(CtrlEffect::UpdateComplete {
                 flow,
                 version: Version(2),

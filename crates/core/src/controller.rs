@@ -11,7 +11,7 @@ use crate::label::{label_path, uim_for};
 use crate::segment::{segment_update, Segmentation};
 use p4update_dataplane::{ControllerLogic, CtrlEffect};
 use p4update_des::SimTime;
-use p4update_messages::{Message, Ufm, UfmStatus, Uim, UpdateKind};
+use p4update_messages::{Message, UfmStatus, Uim, UpdateKind};
 use p4update_net::{FlowId, FlowUpdate, NodeId, Version};
 use std::collections::BTreeMap;
 
@@ -109,15 +109,39 @@ pub fn prepare_batch(updates: &[(FlowUpdate, Version)], strategy: Strategy) -> V
 /// Per-flow record in the controller's flow database.
 #[derive(Debug, Clone)]
 struct FlowRecord {
+    /// Newest acknowledged version.
     version: Version,
-    /// Version awaiting a success UFM, if any.
-    pending: Option<Version>,
+    /// The update awaiting a success UFM, if any.
+    in_flight: Option<InFlight>,
+}
+
+/// One unacknowledged update, kept for loss recovery (§11).
+#[derive(Debug, Clone)]
+struct InFlight {
+    version: Version,
+    /// The update's indications, as pushed.
+    uims: Vec<(NodeId, Message)>,
+    /// Recovery re-pushes spent so far.
+    retries: u32,
+}
+
+impl InFlight {
+    /// Push every indication of the update.
+    fn push(&self, out: &mut Vec<CtrlEffect>) {
+        out.extend(self.uims.iter().map(|(node, msg)| CtrlEffect::Send {
+            to: *node,
+            msg: msg.clone(),
+        }));
+    }
 }
 
 /// Maximum recovery re-triggers per pending update (§11). Each retry only
 /// needs to advance the chain past one more loss, so the budget is sized
 /// for heavy loss rates on long paths.
 pub const MAX_RETRIES: u32 = 25;
+
+/// Size bound assigned to flows set up from FRMs.
+const DEFAULT_FLOW_SIZE: f64 = 1.0;
 
 /// The P4Update controller.
 pub struct P4UpdateController {
@@ -127,15 +151,6 @@ pub struct P4UpdateController {
     /// to set up paths for flows reported via FRM (§6). Optional — update
     /// scenarios that pre-install flows do not need it.
     nib: Option<p4update_net::Topology>,
-    /// UIMs of in-flight updates, kept for loss recovery (§11).
-    pending_uims: BTreeMap<FlowId, Vec<(NodeId, Message)>>,
-    retries: BTreeMap<FlowId, u32>,
-    /// Default size bound assigned to flows set up from FRMs.
-    pub default_flow_size: f64,
-    /// Completed `(flow, version)` updates, for the harness to inspect.
-    pub completed: Vec<(FlowId, Version)>,
-    /// Alarms received, for the harness to inspect.
-    pub alarms: Vec<Ufm>,
 }
 
 impl P4UpdateController {
@@ -145,11 +160,6 @@ impl P4UpdateController {
             strategy,
             flows: BTreeMap::new(),
             nib: None,
-            pending_uims: BTreeMap::new(),
-            retries: BTreeMap::new(),
-            default_flow_size: 1.0,
-            completed: Vec::new(),
-            alarms: Vec::new(),
         }
     }
 
@@ -167,7 +177,7 @@ impl P4UpdateController {
             flow,
             FlowRecord {
                 version,
-                pending: None,
+                in_flight: None,
             },
         );
     }
@@ -178,7 +188,8 @@ impl P4UpdateController {
     /// the fast-forward case of §4.2).
     pub fn next_version(&self, flow: FlowId) -> Version {
         self.flows.get(&flow).map_or(Version(1), |r| {
-            r.version.max(r.pending.unwrap_or(Version::NONE)).next()
+            let issued = r.in_flight.as_ref().map_or(Version::NONE, |i| i.version);
+            r.version.max(issued).next()
         })
     }
 
@@ -187,14 +198,9 @@ impl P4UpdateController {
         self.flows.get(&flow).map(|r| r.version)
     }
 
-    /// Recovery retries spent for a flow (diagnostics).
-    pub fn retries_of(&self, flow: FlowId) -> u32 {
-        self.retries.get(&flow).copied().unwrap_or(0)
-    }
-
     /// Whether any flow still has an unacknowledged update.
     pub fn has_pending(&self) -> bool {
-        self.flows.values().any(|r| r.pending.is_some())
+        self.flows.values().any(|r| r.in_flight.is_some())
     }
 
     /// The mechanism strategy this controller prepares updates with.
@@ -210,21 +216,21 @@ impl ControllerLogic for P4UpdateController {
         for update in updates {
             let version = self.next_version(update.flow);
             let prepared = prepare_update(update, version, self.strategy);
+            let in_flight = InFlight {
+                version,
+                uims: prepared
+                    .uims
+                    .into_iter()
+                    .map(|(node, uim)| (node, Message::Uim(uim)))
+                    .collect(),
+                retries: 0,
+            };
+            in_flight.push(out);
             let rec = self.flows.entry(update.flow).or_insert(FlowRecord {
                 version: Version::NONE,
-                pending: None,
+                in_flight: None,
             });
-            rec.pending = Some(version);
-            let msgs: Vec<(NodeId, Message)> = prepared
-                .uims
-                .into_iter()
-                .map(|(node, uim)| (node, Message::Uim(uim)))
-                .collect();
-            self.pending_uims.insert(update.flow, msgs.clone());
-            self.retries.insert(update.flow, 0);
-            for (node, msg) in msgs {
-                out.push(CtrlEffect::Send { to: node, msg });
-            }
+            rec.in_flight = Some(in_flight);
         }
     }
 
@@ -239,23 +245,23 @@ impl ControllerLogic for P4UpdateController {
             Message::Ufm(ufm) => match ufm.status {
                 UfmStatus::Success => {
                     if let Some(rec) = self.flows.get_mut(&ufm.flow) {
-                        if rec.pending == Some(ufm.version) {
-                            rec.pending = None;
-                            self.pending_uims.remove(&ufm.flow);
-                            self.retries.remove(&ufm.flow);
+                        if rec
+                            .in_flight
+                            .as_ref()
+                            .is_some_and(|i| i.version == ufm.version)
+                        {
+                            rec.in_flight = None;
                         }
                         if ufm.version > rec.version {
                             rec.version = ufm.version;
                         }
                     }
-                    self.completed.push((ufm.flow, ufm.version));
                     out.push(CtrlEffect::UpdateComplete {
                         flow: ufm.flow,
                         version: ufm.version,
                     });
                 }
                 UfmStatus::Alarm(reason) => {
-                    self.alarms.push(ufm);
                     out.push(CtrlEffect::AlarmRaised {
                         flow: ufm.flow,
                         reason,
@@ -276,7 +282,7 @@ impl ControllerLogic for P4UpdateController {
                 let Some(path) = p4update_net::shortest_path(topo, frm.ingress, frm.egress) else {
                     return;
                 };
-                let update = FlowUpdate::new(frm.flow, None, path, self.default_flow_size);
+                let update = FlowUpdate::new(frm.flow, None, path, DEFAULT_FLOW_SIZE);
                 self.start_update(_now, &[update], out);
             }
             _ => {}
@@ -288,20 +294,14 @@ impl ControllerLogic for P4UpdateController {
     /// chain on the duplicate. Gives up after [`MAX_RETRIES`].
     fn on_timer(&mut self, _now: SimTime, out: &mut Vec<CtrlEffect>) -> bool {
         let mut any_pending = false;
-        let flows: Vec<FlowId> = self.pending_uims.keys().copied().collect();
-        for flow in flows {
-            let retries = self.retries.entry(flow).or_insert(0);
-            if *retries >= MAX_RETRIES {
+        // Ascending `FlowId`: the map's order is the re-push order.
+        for in_flight in self.flows.values_mut().filter_map(|r| r.in_flight.as_mut()) {
+            if in_flight.retries >= MAX_RETRIES {
                 continue;
             }
-            *retries += 1;
+            in_flight.retries += 1;
             any_pending = true;
-            for (node, msg) in self.pending_uims.get(&flow).into_iter().flatten() {
-                out.push(CtrlEffect::Send {
-                    to: *node,
-                    msg: msg.clone(),
-                });
-            }
+            in_flight.push(out);
         }
         any_pending
     }
@@ -310,6 +310,7 @@ impl ControllerLogic for P4UpdateController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use p4update_messages::Ufm;
     use p4update_net::Path;
 
     fn path(ids: &[u32]) -> Path {
@@ -449,7 +450,7 @@ mod tests {
             }),
             &mut out,
         );
-        assert_eq!(c.alarms.len(), 1);
+        assert_eq!(out.len(), 1);
         assert!(matches!(
             out[0],
             CtrlEffect::AlarmRaised {

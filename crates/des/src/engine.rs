@@ -61,12 +61,6 @@ impl<E> Scheduler<E> {
         }
     }
 
-    /// Reserve queue capacity up front so steady-state runs never reallocate
-    /// mid-simulation.
-    pub fn reserve(&mut self, capacity: usize) {
-        self.queue.reserve(capacity);
-    }
-
     /// Replace the choice-point policy (tie-breaks and world-level
     /// decisions). The default is [`FifoChooser`].
     pub fn set_chooser(&mut self, chooser: Box<dyn Chooser>) {
@@ -217,12 +211,6 @@ impl<W: World> Simulation<W> {
     /// Replace the livelock guard (delivered-event cap).
     pub fn with_event_budget(mut self, budget: u64) -> Self {
         self.event_budget = budget;
-        self
-    }
-
-    /// Pre-size the event queue (see [`Scheduler::reserve`]).
-    pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
-        self.sched.reserve(capacity);
         self
     }
 
@@ -541,7 +529,7 @@ mod tests {
     /// counts the seed events plus everything scheduled mid-run.
     #[test]
     fn peak_queue_depth_tracks_high_water_mark() {
-        let mut sim = Simulation::new(Recorder { seen: vec![] }).with_queue_capacity(64);
+        let mut sim = Simulation::new(Recorder { seen: vec![] });
         assert_eq!(sim.peak_queue_depth(), 0);
         for i in 0..7 {
             sim.schedule_at(ms(i), i as u32);

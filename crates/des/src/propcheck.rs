@@ -10,28 +10,18 @@
 //! `property 'labels_decrease' failed at case 17` replays exactly with no
 //! stored seed file.
 //!
-//! Case counts scale with [`cases`]: callers pass their default, and either
-//! the `PROPCHECK_CASES` environment variable or the facade crate's
-//! `proptest` cargo feature (which sets the env var multiplier at test time)
-//! can raise them for exhaustive runs.
+//! Case counts scale with [`cases`]: callers pass their default, and the
+//! `PROPCHECK_SCALE` environment variable multiplies it for exhaustive
+//! runs (`scripts/check.sh` runs the suites at 16x).
 
 use crate::SimRng;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 /// Resolve the number of cases to run for one property.
 ///
-/// Returns `default` unless the `PROPCHECK_CASES` environment variable is
-/// set to a positive integer, which overrides it. `PROPCHECK_SCALE`
-/// multiplies the default instead (used by the facade crate's `proptest`
-/// feature to run exhaustive suites without touching each call site).
+/// Returns `default`, multiplied by the `PROPCHECK_SCALE` environment
+/// variable when that is set to a positive integer.
 pub fn cases(default: u32) -> u32 {
-    if let Ok(v) = std::env::var("PROPCHECK_CASES") {
-        if let Ok(n) = v.trim().parse::<u32>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
     if let Ok(v) = std::env::var("PROPCHECK_SCALE") {
         if let Ok(k) = v.trim().parse::<u32>() {
             if k > 0 {
@@ -123,8 +113,8 @@ mod tests {
 
     #[test]
     fn cases_default_passthrough() {
-        // Neither env var is set in the test environment.
-        if std::env::var("PROPCHECK_CASES").is_err() && std::env::var("PROPCHECK_SCALE").is_err() {
+        // Unset in the default test environment.
+        if std::env::var("PROPCHECK_SCALE").is_err() {
             assert_eq!(cases(64), 64);
         }
     }

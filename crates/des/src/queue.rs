@@ -301,18 +301,6 @@ impl<E> CalendarQueue<E> {
     pub(crate) fn len(&self) -> usize {
         self.near_len + self.far.len()
     }
-
-    /// Pre-size internal storage for roughly `capacity` concurrently
-    /// pending events.
-    pub(crate) fn reserve(&mut self, capacity: usize) {
-        // Spread the hint across the wheel (the steady-state resting place
-        // of pending events) and give the overflow band the rest.
-        let per_bucket = capacity.div_ceil(NUM_BUCKETS);
-        for b in &mut self.buckets {
-            b.reserve(per_bucket);
-        }
-        self.far.reserve(capacity / 4);
-    }
 }
 
 #[cfg(test)]
@@ -479,16 +467,5 @@ mod tests {
             expect.push((ns, i));
         }
         assert_eq!(drain(&mut q), expect);
-    }
-
-    #[test]
-    fn reserve_does_not_disturb_ordering() {
-        let mut q = CalendarQueue::new();
-        q.reserve(4096);
-        q.push(SimTime::from_nanos(10), 0, 1u8);
-        q.push(SimTime::from_nanos(5), 1, 2u8);
-        assert_eq!(q.pop().map(|(t, s, _)| (t.as_nanos(), s)), Some((5, 1)));
-        assert_eq!(q.pop().map(|(t, s, _)| (t.as_nanos(), s)), Some((10, 0)));
-        assert!(q.pop().is_none());
     }
 }

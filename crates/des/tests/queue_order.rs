@@ -4,8 +4,7 @@
 //! near-future chatter, far-future timers — the mixture a network sim
 //! produces) and tags each with the index of its `schedule` call, so the
 //! transcript checks itself: no reference run is needed to see a
-//! misordering. Stopping at horizons and sizing the queue up front must
-//! not change that transcript.
+//! misordering. Stopping at horizons must not change that transcript.
 
 use p4update_des::{Scheduler, SimDuration, SimRng, SimTime, Simulation, World};
 
@@ -61,10 +60,8 @@ impl World for Churn {
 }
 
 /// A seeded simulation: `seeds` initial events spread over five instants.
-fn seeded(seed: u64, budget: u32, seeds: u64, capacity: usize) -> Simulation<Churn> {
-    let mut sim = Simulation::new(Churn::new(seed, budget))
-        .with_queue_capacity(capacity)
-        .with_event_budget(50_000);
+fn seeded(seed: u64, budget: u32, seeds: u64) -> Simulation<Churn> {
+    let mut sim = Simulation::new(Churn::new(seed, budget)).with_event_budget(50_000);
     for i in 0..seeds {
         let index = sim.world_mut().next_index();
         sim.schedule_at(SimTime::from_nanos((i % 5) * 1_000_000), index);
@@ -87,27 +84,11 @@ fn assert_strictly_increasing(seen: &[(u64, u64)], what: &str) {
 #[test]
 fn transcripts_are_strictly_increasing_in_time_then_schedule_order() {
     for seed in 0..25 {
-        let mut sim = seeded(seed, 4_000, 32, 0);
+        let mut sim = seeded(seed, 4_000, 32);
         assert!(sim.run().drained(), "seed {seed}");
         let world = sim.into_world();
         assert_eq!(world.seen.len() as u64, world.scheduled, "seed {seed}");
         assert_strictly_increasing(&world.seen, &format!("seed {seed}"));
-    }
-}
-
-/// The `with_queue_capacity` hint does not touch semantics: transcript and
-/// peak depth are invariant in it.
-#[test]
-fn capacity_hint_changes_neither_transcript_nor_peak_depth() {
-    let run = |capacity: usize| {
-        let mut sim = seeded(7, 4_000, 32, capacity);
-        assert!(sim.run().drained());
-        let peak = sim.peak_queue_depth();
-        (sim.into_world().seen, peak)
-    };
-    let base = run(0);
-    for capacity in [1, 64, 4096, 100_000] {
-        assert_eq!(run(capacity), base, "capacity {capacity}");
     }
 }
 
@@ -116,10 +97,10 @@ fn capacity_hint_changes_neither_transcript_nor_peak_depth() {
 /// run.
 #[test]
 fn chunked_run_until_equals_one_run() {
-    let mut whole = seeded(99, 2_000, 16, 0);
+    let mut whole = seeded(99, 2_000, 16);
     assert!(whole.run().drained());
 
-    let mut chunked = seeded(99, 2_000, 16, 0);
+    let mut chunked = seeded(99, 2_000, 16);
     for secs in [1u64, 2, 3, 5, 8, 13, 21, 400] {
         chunked.run_until(SimTime::ZERO + SimDuration::from_secs(secs));
     }

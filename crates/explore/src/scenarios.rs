@@ -17,8 +17,8 @@ use p4update_core::Strategy;
 use p4update_des::{SimDuration, SimTime};
 use p4update_net::{topologies, FlowId, FlowUpdate, Path, PathSolver};
 use p4update_sim::{
-    simulation, ByzVector, ByzantineConfig, Event, FaultChoiceConfig, NetworkSim,
-    ReplicationConfig, SimConfig, System, TimingConfig,
+    simulation, ByzVector, ByzantineConfig, Event, NetworkSim, ReplicationConfig, SimConfig,
+    System, TimingConfig,
 };
 
 /// A named scenario's metadata.
@@ -172,11 +172,7 @@ fn parse_mods(name: &str) -> Option<(&str, Mods)> {
                 "any" => None,
                 other => Some(ByzVector::from_name(other)?),
             };
-            mods.byzantine = Some(ByzantineConfig {
-                max_liars,
-                vector,
-                ..ByzantineConfig::default()
-            });
+            mods.byzantine = Some(ByzantineConfig { max_liars, vector });
         } else if let Some(r) = part.strip_prefix("repl") {
             let replicas: u8 = r.parse().ok().filter(|r| (2..=3).contains(r))?;
             mods.replicas = Some(replicas);
@@ -191,7 +187,7 @@ fn explore_config(timing: TimingConfig, seed: u64) -> SimConfig {
     SimConfig::new(timing, seed)
         .paranoid()
         .with_analysis_gate(false)
-        .with_fault_choices(FaultChoiceConfig::default())
+        .with_fault_choices()
 }
 
 /// The Fig. 2 deployment (§4.1), starting from the paper's inconsistent
@@ -372,7 +368,7 @@ mod tests {
             let cfg = built.sim.world().config();
             assert!(cfg.paranoid, "{}: paranoid off", info.name);
             assert!(!cfg.analysis_gate, "{}: gate on", info.name);
-            assert!(cfg.fault_choices.is_some(), "{}: no choices", info.name);
+            assert!(cfg.fault_choices, "{}: no choices", info.name);
         }
     }
 }

@@ -17,8 +17,8 @@ pub mod table;
 
 pub use checker::{check, FlowSpec, Violation};
 pub use config::{
-    ByzantineConfig, ControlLatency, FaultChoiceConfig, FaultConfig, InstallDelay,
-    ReplicationConfig, SimConfig, TimingConfig,
+    ByzantineConfig, ControlLatency, FaultConfig, InstallDelay, ReplicationConfig, SimConfig,
+    TimingConfig,
 };
 pub use metrics::{Metrics, MetricsCounts, StreamingMetrics};
 pub use network::{

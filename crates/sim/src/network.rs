@@ -7,7 +7,11 @@
 //! from protocol structure alone.
 
 use crate::checker::{check, FlowSpec, Violation};
-use crate::config::{ms, ControlLatency, InstallDelay, SimConfig};
+use crate::config::{
+    ms, ControlLatency, InstallDelay, SimConfig, ADVERSARY_DELAY_MS, CTRL_LATENCY_FLOOR_MS,
+    CTRL_LATENCY_MEAN_MS, CTRL_LATENCY_STD_DEV_MS, CTRL_SERVICE_MEAN_MS, CTRL_TX_MS,
+    INSTALL_MEAN_MS, RELAY_HOP_MS, RESUBMIT_POLL_MS,
+};
 use crate::metrics::Metrics;
 use crate::table::SwitchTable;
 use p4update_analysis::{AnalysisContext, BatchAnalyzer, Diagnostic};
@@ -155,16 +159,16 @@ pub struct ByzOutcome {
 }
 
 /// Outcome of a per-message fault choice point (see
-/// [`crate::config::FaultChoiceConfig`]).
+/// [`SimConfig::fault_choices`]).
 enum FaultDecision {
     /// Deliver untouched (the default alternative).
     Deliver,
     /// Lose the message.
     Drop,
-    /// Deliver after the configured extra delay.
-    Delay(SimDuration),
-    /// Deliver, plus a second copy after the configured delay.
-    Duplicate(SimDuration),
+    /// Deliver [`ADVERSARY_DELAY_MS`] late.
+    Delay,
+    /// Deliver, plus a second copy [`ADVERSARY_DELAY_MS`] later.
+    Duplicate,
 }
 
 /// Events of the simulated network.
@@ -187,8 +191,8 @@ pub enum Event {
         msg: Message,
     },
     /// A switch→controller message crosses into the controller's ingress
-    /// domain (only under [`ControlLatency::NormalMs`]): it left `from` at
-    /// `sent_at` and this event fires at `sent_at + floor_ms`, where the
+    /// domain (only under [`ControlLatency::Normal`]): it left `from` at
+    /// `sent_at` and this event fires at `sent_at + floor`, where the
     /// *controller side* draws the actual latency and schedules the
     /// [`Event::DeliverToController`], so every draw of the control-latency
     /// model is made by a controller-side event.
@@ -499,11 +503,11 @@ impl NetworkSim {
             ControlLatency::ShortestPathFrom(ctrl) => {
                 ms(self.tables.row(&self.topo, ctrl).0[node.index()])
             }
-            ControlLatency::NormalMs {
-                mean,
-                std_dev,
-                floor_ms,
-            } => ms(self.rng.normal_clamped(mean, std_dev, floor_ms)),
+            ControlLatency::Normal => ms(self.rng.normal_clamped(
+                CTRL_LATENCY_MEAN_MS,
+                CTRL_LATENCY_STD_DEV_MS,
+                CTRL_LATENCY_FLOOR_MS,
+            )),
         }
     }
 
@@ -516,13 +520,13 @@ impl NetworkSim {
         let (latency_ms, hops) = self.tables.row(&self.topo, from);
         let lat = ms(latency_ms[to.index()]);
         let hops = hops[to.index()].max(1);
-        lat + ms(self.config.timing.relay_hop_ms).saturating_mul(hops as u64)
+        lat + ms(RELAY_HOP_MS).saturating_mul(hops as u64)
     }
 
     fn install_delay(&mut self) -> SimDuration {
         match self.config.timing.install {
             InstallDelay::None => SimDuration::ZERO,
-            InstallDelay::ExponentialMs(mean) => ms(self.rng.exponential(mean)),
+            InstallDelay::Exponential => ms(self.rng.exponential(INSTALL_MEAN_MS)),
         }
     }
 
@@ -535,29 +539,29 @@ impl NetworkSim {
     /// Alternative 0 is always "deliver untouched", so a default chooser
     /// keeps the run fault-free.
     fn fault_choice(&mut self, sched: &mut Scheduler<Event>) -> FaultDecision {
-        let Some(fc) = self.config.fault_choices else {
+        if !self.config.fault_choices {
             return FaultDecision::Deliver;
-        };
+        }
         match sched.choose(ChoiceKind::Fault, 4) {
             0 => FaultDecision::Deliver,
             1 => FaultDecision::Drop,
-            2 => FaultDecision::Delay(ms(fc.delay_ms)),
-            _ => FaultDecision::Duplicate(ms(fc.delay_ms)),
+            2 => FaultDecision::Delay,
+            _ => FaultDecision::Duplicate,
         }
     }
 
     /// Ship one honest control message: resolve its fault choice point,
     /// then schedule `event` at `at` as the decision says (not at all,
     /// late, or twice). Every honest send comes through here except a
-    /// switch's report under [`ControlLatency::NormalMs`] (see that arm).
+    /// switch's report under [`ControlLatency::Normal`] (see that arm).
     fn deliver(&mut self, at: SimTime, event: Event, sched: &mut Scheduler<Event>) {
         match self.fault_choice(sched) {
             FaultDecision::Drop => self.metrics.record_control_drop(),
             FaultDecision::Deliver => sched.schedule_at(at, event),
-            FaultDecision::Delay(d) => sched.schedule_at(at + d, event),
-            FaultDecision::Duplicate(d) => {
+            FaultDecision::Delay => sched.schedule_at(at + ms(ADVERSARY_DELAY_MS), event),
+            FaultDecision::Duplicate => {
                 sched.schedule_at(at, event.clone());
-                sched.schedule_at(at + d, event);
+                sched.schedule_at(at + ms(ADVERSARY_DELAY_MS), event);
             }
         }
     }
@@ -608,7 +612,6 @@ impl NetworkSim {
         sched: &mut Scheduler<Event>,
     ) {
         let lie = vector.corrupt(&msg).expect("vector was applicable");
-        let delay = ms(self.config.byzantine.expect("byz config present").delay_ms);
         let at = base + self.transit(liar, to) + self.fault_jitter();
         let deliver = |msg| Event::DeliverToSwitch {
             node: to,
@@ -633,7 +636,7 @@ impl NetworkSim {
                     vector,
                     liar,
                 });
-                sched.schedule_at(at + delay, deliver(lie));
+                sched.schedule_at(at + ms(ADVERSARY_DELAY_MS), deliver(lie));
             }
             ByzDelivery::ExtraToOtherNeighbor => {
                 sched.schedule_at(at, deliver(msg));
@@ -810,7 +813,7 @@ impl NetworkSim {
                         });
                         msg = lie;
                     }
-                    if let ControlLatency::NormalMs { floor_ms, .. } = self.config.timing.control {
+                    if self.config.timing.control == ControlLatency::Normal {
                         // The latency draw happens controller-side (see
                         // [`Event::CtrlIngress`]); the switch only knows the
                         // message cannot arrive before the floor. This is
@@ -819,7 +822,8 @@ impl NetworkSim {
                         // not added to the timestamp, and a duplicate
                         // becomes two ingresses and therefore two
                         // independent latency draws.
-                        let at = base + ms(floor_ms);
+                        let at = base + ms(CTRL_LATENCY_FLOOR_MS);
+                        let late = ms(ADVERSARY_DELAY_MS);
                         let ingress = |extra| Event::CtrlIngress {
                             from: node,
                             msg: msg.clone(),
@@ -831,10 +835,10 @@ impl NetworkSim {
                             FaultDecision::Deliver => {
                                 sched.schedule_at(at, ingress(SimDuration::ZERO));
                             }
-                            FaultDecision::Delay(d) => sched.schedule_at(at, ingress(d)),
-                            FaultDecision::Duplicate(d) => {
+                            FaultDecision::Delay => sched.schedule_at(at, ingress(late)),
+                            FaultDecision::Duplicate => {
                                 sched.schedule_at(at, ingress(SimDuration::ZERO));
-                                sched.schedule_at(at, ingress(d));
+                                sched.schedule_at(at, ingress(late));
                             }
                         }
                         continue;
@@ -879,7 +883,7 @@ impl NetworkSim {
         effects: Vec<CtrlEffect>,
         sched: &mut Scheduler<Event>,
     ) {
-        let tx = ms(self.config.timing.ctrl_tx_ms);
+        let tx = ms(CTRL_TX_MS);
         let mut send_time = base;
         for effect in effects {
             match effect {
@@ -917,15 +921,11 @@ impl NetworkSim {
     /// messages (Appendix B's data-plane waiting): each poll round charges
     /// one pipeline pass per parked message.
     fn arm_poll(&mut self, node: NodeId, sched: &mut Scheduler<Event>) {
-        let interval = self.config.timing.resubmit_poll_ms;
-        if interval <= 0.0 || self.polling[node.index()] {
-            return;
-        }
-        if self.switches[node].parked_messages() == 0 {
+        if self.polling[node.index()] || self.switches[node].parked_messages() == 0 {
             return;
         }
         self.polling[node.index()] = true;
-        sched.schedule_in(ms(interval), Event::PollTick { node });
+        sched.schedule_in(ms(RESUBMIT_POLL_MS), Event::PollTick { node });
     }
 
     /// One pass of `node`'s serial pipeline for a switch-side event
@@ -1077,9 +1077,7 @@ impl World for NetworkSim {
                 // FIFO single-threaded controller: queue behind the busy
                 // horizon, then serve with an exponential service time.
                 let start = now.max(self.ctrl_busy);
-                let svc = ms(self
-                    .rng
-                    .exponential(self.config.timing.ctrl_service_mean_ms));
+                let svc = ms(self.rng.exponential(CTRL_SERVICE_MEAN_MS));
                 let done = start + svc;
                 self.ctrl_busy = done;
                 sched.schedule_at(done, Event::ControllerExec { from, msg });
@@ -1127,8 +1125,7 @@ impl World for NetworkSim {
             }
             Event::PollTick { node } => {
                 let parked = self.switches[node].parked_messages();
-                let interval = self.config.timing.resubmit_poll_ms;
-                if parked == 0 || interval <= 0.0 {
+                if parked == 0 {
                     self.polling[node.index()] = false;
                 } else {
                     // Each parked message makes one pipeline pass.
@@ -1136,7 +1133,7 @@ impl World for NetworkSim {
                     let spin = ms(self.config.timing.switch_proc_ms).saturating_mul(parked as u64);
                     let done = start + spin;
                     self.switch_busy[node.index()] = done;
-                    sched.schedule_at(done + ms(interval), Event::PollTick { node });
+                    sched.schedule_at(done + ms(RESUBMIT_POLL_MS), Event::PollTick { node });
                 }
             }
             Event::Trigger { batch } => {
@@ -1191,14 +1188,8 @@ impl World for NetworkSim {
 /// Convenience: wrap a [`NetworkSim`] into a ready-to-run simulation with
 /// a livelock guard sized for the evaluation scenarios.
 pub fn simulation(world: NetworkSim) -> Simulation<NetworkSim> {
-    // Pre-size the event queue: in-flight events scale with the switch
-    // count (serial pipelines bound per-switch fan-out), so a small
-    // multiple of it avoids every steady-state reallocation.
-    let capacity = world.topology().node_count() * 8 + 1024;
     let replication = world.config().replication;
-    let mut sim = Simulation::new(world)
-        .with_event_budget(20_000_000)
-        .with_queue_capacity(capacity);
+    let mut sim = Simulation::new(world).with_event_budget(20_000_000);
     if replication.enabled() && replication.failover_at_ms > 0.0 {
         sim.schedule_at(
             SimTime::ZERO + ms(replication.failover_at_ms),
@@ -1225,16 +1216,16 @@ mod tests {
         let mut sim = basic_sim(System::P4Update(Strategy::Auto));
         let path = Path::new(topologies::fig1_old_path());
         sim.install_initial_path(FlowId(0), &path, 2.0);
-        let e = sim.switches[&NodeId(0)].state.uib.read(FlowId(0));
+        let e = sim.switches[NodeId(0)].state.uib.read(FlowId(0));
         assert_eq!(e.active_next_hop, Some(NodeId(4)));
         assert_eq!(e.applied_distance, 3);
-        let remaining = sim.switches[&NodeId(0)]
+        let remaining = sim.switches[NodeId(0)]
             .state
             .remaining_capacity(NodeId(4))
             .unwrap();
         assert_eq!(remaining, topologies::DEFAULT_CAPACITY - 2.0);
         // Egress terminates.
-        assert!(sim.switches[&NodeId(7)]
+        assert!(sim.switches[NodeId(7)]
             .state
             .uib
             .read(FlowId(0))
@@ -1332,7 +1323,7 @@ mod tests {
             let mut config =
                 SimConfig::new(TimingConfig::wan_multi_flow(topo.centroid()), 1).paranoid();
             if fault_choices {
-                config = config.with_fault_choices(crate::config::FaultChoiceConfig::default());
+                config = config.with_fault_choices();
             }
             let mut world = NetworkSim::new(topo, System::P4Update(Strategy::Auto), config, None);
             let old = Path::new(topologies::fig1_old_path());
@@ -1370,7 +1361,7 @@ mod tests {
         let topo = topologies::fig1();
         let config = SimConfig::new(TimingConfig::wan_multi_flow(topo.centroid()), 1)
             .paranoid()
-            .with_fault_choices(crate::config::FaultChoiceConfig::default());
+            .with_fault_choices();
         let mut world = NetworkSim::new(topo, System::P4Update(Strategy::Auto), config, None);
         let old = Path::new(topologies::fig1_old_path());
         let new = Path::new(topologies::fig1_new_path());

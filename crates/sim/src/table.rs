@@ -1,11 +1,9 @@
 //! Dense per-switch storage for the hot forwarding path.
 //!
-//! The harness used to key switches with a `BTreeMap<NodeId, Switch>`;
-//! every packet hop then paid an `O(log n)` tree walk. [`NodeId`]s are
-//! dense indices assigned in creation order, so a `Vec` indexed by
-//! `NodeId::index()` serves the same lookups in `O(1)` while iterating in
-//! exactly the same (ascending `NodeId`) order — the replacement is
-//! behavior-identical for every deterministic trace the corpus pins.
+//! [`NodeId`]s are dense indices assigned in creation order, so the table
+//! is a `Vec` indexed by `NodeId::index()`: every lookup is `O(1)`, and
+//! iteration runs in ascending `NodeId` order, which the deterministic
+//! traces of the corpus depend on.
 
 use p4update_dataplane::Switch;
 use p4update_net::{NodeId, Topology};
@@ -82,21 +80,6 @@ impl IndexMut<NodeId> for SwitchTable {
     }
 }
 
-// `map[&node]` was the `BTreeMap` indexing syntax; keeping it valid makes
-// the dense swap a drop-in for existing scenario and test code.
-impl Index<&NodeId> for SwitchTable {
-    type Output = Switch;
-    fn index(&self, id: &NodeId) -> &Switch {
-        &self.switches[id.index()]
-    }
-}
-
-impl IndexMut<&NodeId> for SwitchTable {
-    fn index_mut(&mut self, id: &NodeId) -> &mut Switch {
-        &mut self.switches[id.index()]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,16 +103,5 @@ mod tests {
         let ids: Vec<NodeId> = t.iter().map(|(id, _)| id).collect();
         assert_eq!(ids, (0u32..8).map(NodeId).collect::<Vec<_>>());
         assert_eq!(t.values().count(), 8);
-    }
-
-    #[test]
-    fn both_index_syntaxes_reach_the_same_switch() {
-        let mut t = table();
-        let id = NodeId(3);
-        assert_eq!(t[id].id(), t[&id].id());
-        t[&id].state.uib.update(p4update_net::FlowId(0), |e| {
-            e.flow_size = 2.5;
-        });
-        assert_eq!(t[id].state.uib.read(p4update_net::FlowId(0)).flow_size, 2.5);
     }
 }

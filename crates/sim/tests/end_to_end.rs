@@ -34,7 +34,7 @@ fn run_fig1(system: System, seed: u64) -> NetworkSim {
 fn assert_new_path_active(world: &NetworkSim) {
     let new_path = topologies::fig1_new_path();
     for w in new_path.windows(2) {
-        let e = world.switches[&w[0]].state.uib.read(FlowId(0));
+        let e = world.switches[w[0]].state.uib.read(FlowId(0));
         assert_eq!(
             e.active_next_hop,
             Some(w[1]),
@@ -43,7 +43,7 @@ fn assert_new_path_active(world: &NetworkSim) {
             w[1]
         );
     }
-    assert!(world.switches[&NodeId(7)]
+    assert!(world.switches[NodeId(7)]
         .state
         .uib
         .read(FlowId(0))

@@ -65,8 +65,8 @@ fn main() {
     for &(t, flow, version) in &world.metrics().completions {
         println!("  {flow} reached {version} at {t}");
     }
-    let a = world.switches[&NodeId(1)].state.uib.read(flow_a);
-    let b = world.switches[&NodeId(1)].state.uib.read(flow_b);
+    let a = world.switches[NodeId(1)].state.uib.read(flow_a);
+    let b = world.switches[NodeId(1)].state.uib.read(flow_b);
     println!(
         "\nfinal next hops at v1:  flow A -> {:?},  flow B -> {:?}",
         a.active_next_hop, b.active_next_hop

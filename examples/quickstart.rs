@@ -60,7 +60,7 @@ fn main() {
 
     println!("\nfinal forwarding state:");
     for w in new.nodes().windows(2) {
-        let entry = world.switches[&w[0]].state.uib.read(FlowId(0));
+        let entry = world.switches[w[0]].state.uib.read(FlowId(0));
         println!(
             "  {} -> {}   (version {}, D_n = {})",
             w[0],

@@ -7,9 +7,10 @@
 # static plan linter over its sample plans (including the mutated ones,
 # which must make it exit non-zero), the dataset round trip (an exported
 # on-disk batch must re-lint byte-identically to the in-memory analysis),
-# the corpus and explorer smokes, the large fat-tree tests, the path
-# solver's and the UIB's differentials against their oracle and map model
-# at 16x the default case count, and the benchmark package's own gate.
+# the corpus and explorer smokes, the large fat-tree tests, the root
+# property suites and the path solver's and the UIB's differentials against
+# their oracle and map model at 16x the default case count, and the
+# benchmark package's own gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -70,12 +71,13 @@ fi
 # `dc-scale` workload's digest (4096 k-shortest-path queries on ft4096),
 # the path solver against its oracle on 16x the default random graphs (the
 # search prunes, and a pruning rule fails on a rare tie: 96 cases are thin),
-# the UIB against its map model at the same scale, and the benchmark
-# package's own gate: a library change that breaks the API surface pinned
-# in benchmark/README.md must fail here, not at the driver. All five are
-# slow, so FAST=1 skips them for quick local iteration — CI runs them —
-# and only type-checks the benchmark against the tree, which is what a
-# changed pinned signature breaks.
+# the UIB against its map model and the root property suites at the same
+# scale (nothing else ever runs them above their default counts), and the
+# benchmark package's own gate: a library change that breaks the API
+# surface pinned in benchmark/README.md must fail here, not at the driver.
+# All six are slow, so FAST=1 skips them for quick local iteration — CI
+# runs them — and only type-checks the benchmark against the tree, which is
+# what a changed pinned signature breaks.
 if [[ "${FAST:-0}" != 1 ]]; then
     echo "==> ft32768 on the sequential engine (ignored test, release)"
     cargo test -q --release --test ft32768 -- --ignored
@@ -89,10 +91,14 @@ if [[ "${FAST:-0}" != 1 ]]; then
     echo "==> UIB vs map model, PROPCHECK_SCALE=16 (release)"
     PROPCHECK_SCALE=16 cargo test -q --release -p p4update-dataplane uib_agrees_with_map_model
 
+    echo "==> root property suites, PROPCHECK_SCALE=16 (release)"
+    PROPCHECK_SCALE=16 cargo test -q --release \
+        --test properties --test version_monotonicity --test analysis_mutation --test byzantine
+
     echo "==> benchmark/check.sh (the benchmark builds and smokes against this tree)"
     benchmark/check.sh
 else
-    echo "==> ft32768, ft4096 digest, scaled solver and UIB differentials and benchmark/check.sh skipped (FAST=1)"
+    echo "==> ft32768, ft4096 digest, scaled differentials and property suites and benchmark/check.sh skipped (FAST=1)"
 
     echo "==> cargo check of the benchmark package (its pinned API surface still compiles)"
     cargo check -q --offline --manifest-path benchmark/Cargo.toml

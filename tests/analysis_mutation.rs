@@ -20,16 +20,6 @@ use p4update::des::{SimRng, SimTime};
 use p4update::net::{k_shortest_paths, topologies, FlowId, FlowUpdate, NodeId, Path, Version};
 use p4update::sim::{simulation, Event, NetworkSim, SimConfig, System, TimingConfig};
 
-/// Mutation rounds; the `proptest` feature multiplies by 16.
-fn n_cases() -> u32 {
-    let base = 128;
-    if cfg!(feature = "proptest") {
-        cases(base * 16)
-    } else {
-        cases(base)
-    }
-}
-
 /// A random migration: old and new path share endpoints, old interior is a
 /// random subset of the new interior (same generator family as
 /// `tests/properties.rs`, so both SL and DL plans with forward and backward
@@ -129,7 +119,7 @@ fn mutate(plan: &mut PreparedUpdate, rng: &mut SimRng) -> &'static str {
 /// pristine plan is error-free.
 #[test]
 fn every_mutation_is_flagged() {
-    forall("every_mutation_is_flagged", n_cases(), |rng| {
+    forall("every_mutation_is_flagged", cases(128), |rng| {
         let update = gen_update(rng);
         let version = Version(1 + rng.uniform_usize(9) as u32);
         let strategy = if rng.chance(0.5) {
@@ -156,7 +146,7 @@ fn every_mutation_is_flagged() {
 /// The analyzer is a pure function of the plan: same plan, same findings.
 #[test]
 fn analysis_is_deterministic() {
-    forall("analysis_is_deterministic", n_cases(), |rng| {
+    forall("analysis_is_deterministic", cases(128), |rng| {
         let mut plan = prepare_update(&gen_update(rng), Version(2), Strategy::Auto);
         if rng.chance(0.5) {
             mutate(&mut plan, rng);
@@ -188,7 +178,7 @@ fn analyze_both_paths(
 /// increasing versions) must stay clean.
 #[test]
 fn batch_version_regression_is_flagged_on_both_paths() {
-    forall("batch_version_regression_is_flagged", n_cases(), |rng| {
+    forall("batch_version_regression_is_flagged", cases(128), |rng| {
         let update = gen_update(rng);
         let base = 1 + rng.uniform_usize(9) as u32;
         let ordered = vec![
@@ -227,7 +217,7 @@ fn batch_version_regression_is_flagged_on_both_paths() {
 /// both the reference path and the engine.
 #[test]
 fn forced_waits_for_cycle_is_flagged_on_both_paths() {
-    forall("forced_waits_for_cycle_is_flagged", n_cases(), |rng| {
+    forall("forced_waits_for_cycle_is_flagged", cases(128), |rng| {
         // Random detour node so the swapped link pair varies per case.
         let via = 3 + rng.uniform_usize(29) as u32;
         let p = |ids: &[u32]| Path::new(ids.iter().map(|&i| NodeId(i)).collect());

@@ -586,16 +586,6 @@ fn failover_under_lies_stays_safe() {
 
 // ---------- trace format v2 ----------
 
-/// Default cases per property; the `proptest` feature multiplies by 16.
-fn n_cases() -> u32 {
-    let base = 128;
-    if cfg!(feature = "proptest") {
-        cases(base * 16)
-    } else {
-        cases(base)
-    }
-}
-
 /// A random trace: scenario, seed, optional event pin, and a sparse set
 /// of forced decisions across all three choice kinds.
 fn gen_trace(rng: &mut SimRng) -> Trace {
@@ -632,7 +622,7 @@ fn gen_trace(rng: &mut SimRng) -> Trace {
 /// only when) the trace forces a byzantine decision.
 #[test]
 fn trace_text_round_trips_across_versions() {
-    forall("byz_trace_round_trip", n_cases(), |rng| {
+    forall("byz_trace_round_trip", cases(128), |rng| {
         let t = gen_trace(rng);
         let text = t.to_text();
         let header = text.lines().next().expect("non-empty");

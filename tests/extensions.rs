@@ -26,7 +26,7 @@ fn cleanup_clears_abandoned_old_path() {
     let mut world = NetworkSim::new(topo, System::P4Update(Strategy::ForceSingle), config, None);
     world.install_initial_path(flow, &old, 2.0);
 
-    let before = world.switches[&NodeId(1)]
+    let before = world.switches[NodeId(1)]
         .state
         .remaining_capacity(NodeId(3))
         .expect("adjacent");
@@ -39,15 +39,15 @@ fn cleanup_clears_abandoned_old_path() {
     assert!(world.metrics().completion_of(flow, Version(2)).is_some());
     assert!(world.violations.is_empty(), "{:?}", world.violations);
     // Node 1 left the path: rule cleared, capacity released.
-    let e1 = world.switches[&NodeId(1)].state.uib.read(flow);
+    let e1 = world.switches[NodeId(1)].state.uib.read(flow);
     assert!(!e1.has_active_rule(), "abandoned node still holds a rule");
-    let after = world.switches[&NodeId(1)]
+    let after = world.switches[NodeId(1)]
         .state
         .remaining_capacity(NodeId(3))
         .expect("adjacent");
     assert_eq!(after, before + 2.0, "capacity was not released");
     // Nodes still on the path keep their rules.
-    assert!(world.switches[&NodeId(3)]
+    assert!(world.switches[NodeId(3)]
         .state
         .uib
         .read(flow)
@@ -184,7 +184,7 @@ fn frm_sets_up_a_new_flow_end_to_end() {
         world.metrics().completion_of(flow, Version(1)).is_some(),
         "controller never learned the setup completed"
     );
-    let e = world.switches[&ingress].state.uib.read(flow);
+    let e = world.switches[ingress].state.uib.read(flow);
     assert_eq!(e.applied_version, Version(1));
     // Earlier packets were lost while rules were absent (expected).
     assert!(delivered.len() < 40);

@@ -1,7 +1,7 @@
 //! Randomized property tests on the core data structures and algorithm
 //! invariants, driven by the in-tree `propcheck` harness (see
-//! `p4update::des::propcheck`). Enable the `proptest` cargo feature for
-//! exhaustive (~16x) case counts.
+//! `p4update::des::propcheck`). `PROPCHECK_SCALE=16` multiplies the case
+//! counts for an exhaustive run.
 
 use p4update::core::{label_path, segment_update, verify, verify_sl, Verdict};
 use p4update::dataplane::{FlowPriority, Uib, UibEntry};
@@ -12,16 +12,6 @@ use p4update::messages::{
     UpdateKind,
 };
 use p4update::net::{FlowId, FlowUpdate, NodeId, Path, Version};
-
-/// Default cases per property; the `proptest` feature multiplies by 16.
-fn n_cases() -> u32 {
-    let base = 256;
-    if cfg!(feature = "proptest") {
-        cases(base * 16)
-    } else {
-        cases(base)
-    }
-}
 
 // ---------- generators ----------
 
@@ -120,7 +110,7 @@ fn gen_entry(rng: &mut SimRng) -> UibEntry {
 /// upstreams mirror each other; egress-first ordering.
 #[test]
 fn labels_are_a_valid_distance_proof() {
-    forall("labels_are_a_valid_distance_proof", n_cases(), |rng| {
+    forall("labels_are_a_valid_distance_proof", cases(256), |rng| {
         let update = gen_update(rng);
         let labels = label_path(&update);
         assert_eq!(labels.len(), update.new_path.nodes().len());
@@ -138,7 +128,7 @@ fn labels_are_a_valid_distance_proof() {
 /// tile the new path exactly; interiors are fresh nodes.
 #[test]
 fn segmentation_tiles_the_new_path() {
-    forall("segmentation_tiles_the_new_path", n_cases(), |rng| {
+    forall("segmentation_tiles_the_new_path", cases(256), |rng| {
         let update = gen_update(rng);
         let seg = segment_update(&update);
         let old = update.old_path.as_ref().expect("generated with old path");
@@ -166,7 +156,7 @@ fn segmentation_tiles_the_new_path() {
 fn alg1_accepts_only_consistent_notifications() {
     forall(
         "alg1_accepts_only_consistent_notifications",
-        n_cases(),
+        cases(256),
         |rng| {
             let entry = gen_entry(rng);
             let unm = gen_unm(rng);
@@ -186,7 +176,7 @@ fn alg1_accepts_only_consistent_notifications() {
 fn alg2_accepts_only_consistent_notifications() {
     forall(
         "alg2_accepts_only_consistent_notifications",
-        n_cases(),
+        cases(256),
         |rng| {
             let entry = gen_entry(rng);
             let unm = gen_unm(rng);
@@ -222,7 +212,7 @@ fn alg2_accepts_only_consistent_notifications() {
 /// Verification is a pure function: same inputs, same verdict.
 #[test]
 fn verification_is_deterministic() {
-    forall("verification_is_deterministic", n_cases(), |rng| {
+    forall("verification_is_deterministic", cases(256), |rng| {
         let entry = gen_entry(rng);
         let unm = gen_unm(rng);
         assert_eq!(verify(&entry, &unm), verify(&entry, &unm));
@@ -232,7 +222,7 @@ fn verification_is_deterministic() {
 /// Wire codec: every encodable message round-trips bit-exactly.
 #[test]
 fn wire_roundtrip() {
-    forall("wire_roundtrip", n_cases(), |rng| {
+    forall("wire_roundtrip", cases(256), |rng| {
         let flow = gen_u32(rng, 1000);
         let seq = rng.next_u32();
         let ttl = (rng.next_u32() & 0xFF) as u8;
@@ -292,7 +282,7 @@ fn wire_roundtrip() {
 /// without crosstalk.
 #[test]
 fn uib_roundtrip_without_crosstalk() {
-    forall("uib_roundtrip_without_crosstalk", n_cases(), |rng| {
+    forall("uib_roundtrip_without_crosstalk", cases(256), |rng| {
         let entries: Vec<UibEntry> = (0..1 + rng.uniform_usize(19))
             .map(|_| gen_entry(rng))
             .collect();
@@ -309,7 +299,7 @@ fn uib_roundtrip_without_crosstalk() {
 /// Statistics: percentiles are monotone and bounded by min/max.
 #[test]
 fn percentiles_are_monotone() {
-    forall("percentiles_are_monotone", n_cases(), |rng| {
+    forall("percentiles_are_monotone", cases(256), |rng| {
         let values: Vec<f64> = (0..1 + rng.uniform_usize(199))
             .map(|_| rng.uniform_range(0.0, 1e9))
             .collect();
@@ -330,7 +320,7 @@ fn percentiles_are_monotone() {
 fn scheduler_drain_is_a_priority_ordered_permutation() {
     forall(
         "scheduler_drain_is_a_priority_ordered_permutation",
-        n_cases(),
+        cases(256),
         |rng| {
             use p4update::core::CongestionScheduler;
             let flows: Vec<u32> = (0..1 + rng.uniform_usize(29))

@@ -79,7 +79,7 @@ fn theorem_2_and_4_convergence_to_highest_version() {
             &[(FlowId(0), Path::new(topologies::fig1_old_path()), 1.0)],
         );
         for &node in &topologies::fig1_new_path() {
-            let e = world.switches[&node].state.uib.read(FlowId(0));
+            let e = world.switches[node].state.uib.read(FlowId(0));
             assert_eq!(
                 e.applied_version,
                 Version(2),
@@ -113,7 +113,7 @@ fn rapid_succession_converges_to_latest() {
             world.violations
         );
         // Converged to V3's route (the old path again).
-        let e = world.switches[&NodeId(0)].state.uib.read(FlowId(0));
+        let e = world.switches[NodeId(0)].state.uib.read(FlowId(0));
         assert_eq!(e.applied_version, Version(3), "seed {seed}");
         assert_eq!(e.active_next_hop, Some(NodeId(4)), "seed {seed}");
     }

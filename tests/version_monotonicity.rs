@@ -19,16 +19,6 @@ use p4update::explore::scenarios;
 use p4update::net::{FlowId, NodeId, Version};
 use std::collections::BTreeMap;
 
-/// Default cases per property; the `proptest` feature multiplies by 16.
-fn n_cases() -> u32 {
-    let base = 64;
-    if cfg!(feature = "proptest") {
-        cases(base * 16)
-    } else {
-        cases(base)
-    }
-}
-
 /// Random adversary. Tie-breaks are uniform (arbitrary interleavings);
 /// fault choices deliver with 70% probability and otherwise pick
 /// uniformly among drop / delay / duplicate, so runs make progress while
@@ -114,7 +104,7 @@ fn check_monotonicity(scenario: &str, rng: &mut SimRng) {
 
 #[test]
 fn applied_version_is_monotone_under_adversarial_schedules() {
-    forall("version_monotonicity", n_cases(), |rng| {
+    forall("version_monotonicity", cases(64), |rng| {
         // Rotate through the single-update P4Update scenarios; both
         // mechanisms (single- and dual-layer) face the adversary.
         let scenario = *rng
