@@ -157,23 +157,93 @@ impl Topology {
 
     /// True if the graph is connected (and non-empty).
     pub fn is_connected(&self) -> bool {
-        if self.nodes.is_empty() {
-            return false;
+        let component = self.bridge_classes().component;
+        !component.is_empty() && component.iter().all(|&c| c == 0)
+    }
+
+    /// Classify the nodes by what joins them, for
+    /// [`BridgeClasses::two_paths`]: one depth-first walk over
+    /// [`Self::neighbors`], O(nodes + links), computed when asked for and
+    /// not kept. The walk keeps its own stack — a 32,768-switch fat-tree,
+    /// let alone a long chain, is deeper than the call stack allows.
+    pub fn bridge_classes(&self) -> BridgeClasses {
+        /// One level of the walk.
+        struct Frame {
+            node: NodeId,
+            /// The parent, and the link the walk came down.
+            from: Option<(NodeId, LinkId)>,
+            /// Neighbours of `node` looked at so far.
+            looked_at: usize,
         }
-        let mut seen = vec![false; self.nodes.len()];
-        let mut stack = vec![NodeId(0)];
-        seen[0] = true;
-        let mut count = 1;
-        while let Some(v) = stack.pop() {
-            for &(w, _) in self.neighbors(v) {
-                if !seen[w.index()] {
-                    seen[w.index()] = true;
-                    count += 1;
-                    stack.push(w);
+        const UNSEEN: u32 = u32::MAX;
+        let n = self.node_count();
+        // `disc` numbers the nodes in the order the walk enters them;
+        // `low[v]` is the lowest number reachable from `v`'s subtree by
+        // tree links downwards and then at most one other link. The tree
+        // link into `v` is a bridge exactly when nothing below it reaches
+        // above `v`: `low[v] == disc[v]`.
+        let mut disc = vec![UNSEEN; n];
+        let mut low = vec![UNSEEN; n];
+        let mut component = vec![0; n];
+        let mut components = 0;
+        // Nodes in the order entered, each with its parent in the walk.
+        let mut entered: Vec<(NodeId, Option<NodeId>)> = Vec::with_capacity(n);
+        let mut stack: Vec<Frame> = Vec::new();
+        for root in self.node_ids() {
+            if disc[root.index()] != UNSEEN {
+                continue;
+            }
+            stack.push(Frame {
+                node: root,
+                from: None,
+                looked_at: 0,
+            });
+            while let Some(frame) = stack.last_mut() {
+                let (v, from) = (frame.node, frame.from);
+                if frame.looked_at == 0 {
+                    // First time at the top of the stack: enter `v`.
+                    disc[v.index()] = entered.len() as u32;
+                    low[v.index()] = entered.len() as u32;
+                    component[v.index()] = components;
+                    entered.push((v, from.map(|(parent, _)| parent)));
+                }
+                if let Some(&(w, link)) = self.neighbors(v).get(frame.looked_at) {
+                    frame.looked_at += 1;
+                    if disc[w.index()] == UNSEEN {
+                        stack.push(Frame {
+                            node: w,
+                            from: Some((v, link)),
+                            looked_at: 0,
+                        });
+                    } else if from.is_none_or(|(_, via)| via != link) {
+                        low[v.index()] = low[v.index()].min(disc[w.index()]);
+                    }
+                } else {
+                    stack.pop();
+                    if let Some((parent, _)) = from {
+                        low[parent.index()] = low[parent.index()].min(low[v.index()]);
+                    }
+                }
+            }
+            components += 1;
+        }
+        // Every bridge is a tree link, so a class — nodes joined by bridges
+        // alone — has one topmost node, entered before the rest of it: that
+        // one opens the class and the others inherit across their bridge.
+        let mut class = vec![0; n];
+        let mut classes = 0;
+        for (v, parent) in entered {
+            match parent {
+                Some(parent) if low[v.index()] == disc[v.index()] => {
+                    class[v.index()] = class[parent.index()];
+                }
+                _ => {
+                    class[v.index()] = classes;
+                    classes += 1;
                 }
             }
         }
-        count == self.nodes.len()
+        BridgeClasses { component, class }
     }
 
     /// The node minimizing the maximum shortest-path latency to all others —
@@ -207,6 +277,30 @@ impl Topology {
             }
         }
         best
+    }
+}
+
+/// Which node pairs have more than one simple path between them, from
+/// [`Topology::bridge_classes`]. A pair has exactly one iff bridges — links
+/// on no cycle — alone join its endpoints: if every link of a path is a
+/// bridge, each separates the endpoints, every path must cross them all in
+/// the same order and cannot leave the node two consecutive ones share;
+/// and a link of the path that does lie on a cycle can be replaced by the
+/// rest of that cycle, a walk that holds a different simple path.
+#[derive(Debug)]
+pub struct BridgeClasses {
+    /// Connected component, by node; components are numbered from 0.
+    component: Vec<u32>,
+    /// Component of the graph with only its bridges kept, by node.
+    class: Vec<u32>,
+}
+
+impl BridgeClasses {
+    /// True when at least two simple paths lead from `a` to `b` — when
+    /// `k_shortest(a, b, 2)` returns two. False for `a == b`.
+    pub fn two_paths(&self, a: NodeId, b: NodeId) -> bool {
+        let (a, b) = (a.index(), b.index());
+        self.component[a] == self.component[b] && self.class[a] != self.class[b]
     }
 }
 
@@ -326,7 +420,7 @@ impl TopologyBuilder {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn triangle() -> Topology {
@@ -397,6 +491,81 @@ mod tests {
         assert!(!b.build().is_connected());
         let empty = TopologyBuilder::new("empty").build();
         assert!(!empty.is_connected());
+    }
+
+    /// `n` nodes linked as listed, 1 ms a link.
+    pub(crate) fn unit_graph(name: &str, n: usize, links: &[(usize, usize)]) -> Topology {
+        let mut b = TopologyBuilder::new(name);
+        let v: Vec<_> = (0..n).map(|i| b.add_node(format!("n{i}"))).collect();
+        for &(i, j) in links {
+            b.add_link(v[i], v[j], SimDuration::from_millis(1), 1.0);
+        }
+        b.build()
+    }
+
+    /// The ordered pairs `two_paths` says yes to, as `(a, b)` with `a < b`
+    /// after checking that the answer is symmetric.
+    fn two_path_pairs(t: &Topology) -> Vec<(u32, u32)> {
+        let classes = t.bridge_classes();
+        let mut pairs = Vec::new();
+        for a in t.node_ids() {
+            assert!(!classes.two_paths(a, a));
+            for b in t.node_ids().filter(|&b| a < b) {
+                assert_eq!(classes.two_paths(a, b), classes.two_paths(b, a));
+                if classes.two_paths(a, b) {
+                    pairs.push((a.0, b.0));
+                }
+            }
+        }
+        pairs
+    }
+
+    #[test]
+    fn two_paths_needs_a_cycle_between_the_pair() {
+        // A cycle: every pair.
+        assert_eq!(two_path_pairs(&triangle()), [(0, 1), (0, 2), (1, 2)]);
+        // A tree: none.
+        let tree = unit_graph("tree", 5, &[(0, 1), (1, 2), (1, 3), (3, 4)]);
+        assert!(two_path_pairs(&tree).is_empty());
+        // Stick 0-1 on the cycle 1-2-3: 0 reaches 2 and 3 two ways (the
+        // cycle is on the way) but 1 only one way.
+        let lollipop = unit_graph("lollipop", 4, &[(0, 1), (1, 2), (2, 3), (3, 1)]);
+        assert_eq!(
+            two_path_pairs(&lollipop),
+            [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        );
+        // Two triangles joined by the bridge 2-3: its endpoints are the
+        // only pair with one path.
+        let links = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)];
+        let barbell = unit_graph("barbell", 6, &links);
+        assert_eq!(two_path_pairs(&barbell).len(), 14);
+        assert!(!barbell.bridge_classes().two_paths(NodeId(2), NodeId(3)));
+        // Two components, an isolated node: never across.
+        let links = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)];
+        let split = unit_graph("split", 7, &links);
+        assert_eq!(
+            two_path_pairs(&split),
+            [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
+        );
+    }
+
+    #[test]
+    fn bridge_walk_does_not_recurse() {
+        // A chain of 100,000 nodes closed into a cycle over its far half:
+        // the walk is 100,000 deep, and a bridge's class is inherited
+        // 50,000 times over.
+        let n = 100_000;
+        let mut links: Vec<_> = (1..n).map(|i| (i - 1, i)).collect();
+        links.push((n - 1, n / 2));
+        let t = unit_graph("half-closed chain", n, &links);
+        assert!(t.is_connected());
+        let classes = t.bridge_classes();
+        let node = |i: usize| NodeId(i as u32);
+        assert!(!classes.two_paths(node(0), node(n / 2)));
+        assert!(!classes.two_paths(node(17), node(n / 2 - 1)));
+        assert!(classes.two_paths(node(0), node(n / 2 + 1)));
+        assert!(classes.two_paths(node(n / 2), node(n - 1)));
+        assert!(classes.two_paths(node(n - 2), node(n - 1)));
     }
 
     #[test]

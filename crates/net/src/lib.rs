@@ -4,7 +4,9 @@
 //! graph with latency/capacity-annotated links, path search (one
 //! [`PathSolver`] behind shortest-path, avoid-these-nodes and Yen's
 //! k-shortest queries, every tie resolved by one stated rule and every
-//! search bounded by what its answer can depend on), the
+//! search bounded by what its answer can depend on), which node pairs have
+//! a second simple path at all, read off the bridges without a search
+//! ([`BridgeClasses`]), the
 //! flow/update model of the paper's §5, and all the evaluation topologies
 //! (Fig. 1/Fig. 2 synthetics, fat-tree, B4, Internet2, AttMpls, Chinanet).
 
@@ -18,7 +20,9 @@ pub mod path;
 pub mod topologies;
 
 pub use flow::{Flow, FlowId, FlowUpdate, Version};
-pub use graph::{DirectedLink, Link, LinkId, Node, NodeId, Topology, TopologyBuilder};
+pub use graph::{
+    BridgeClasses, DirectedLink, Link, LinkId, Node, NodeId, Topology, TopologyBuilder,
+};
 pub use path::{
     k_shortest_paths, latency_distances_from, shortest_path, shortest_path_avoiding, Path,
     PathSolver,

@@ -568,585 +568,5 @@ pub fn k_shortest_paths(topo: &Topology, src: NodeId, dst: NodeId, k: usize) -> 
     PathSolver::new(topo).k_shortest(src, dst, k)
 }
 
-/// The search as it stood before [`PathSolver`]: a full Dijkstra per query
-/// and per spur, kept verbatim (plus one counter) as the reference the
-/// solver is compared against.
 #[cfg(test)]
-mod oracle {
-    use super::*;
-    use std::cell::Cell;
-
-    thread_local! {
-        /// Nodes expanded by `shortest_path_filtered` on this thread.
-        pub static EXPANDED: Cell<usize> = const { Cell::new(0) };
-    }
-
-    /// Dijkstra over link latency, with an edge filter (needed by Yen's spur
-    /// computation). Ties broken deterministically by node id.
-    fn shortest_path_filtered(
-        topo: &Topology,
-        src: NodeId,
-        dst: NodeId,
-        banned_nodes: &[bool],
-        banned_edges: &[(NodeId, NodeId)],
-    ) -> Option<Path> {
-        let n = topo.node_count();
-        let mut dist = vec![f64::INFINITY; n];
-        let mut prev: Vec<Option<NodeId>> = vec![None; n];
-        let mut heap = BinaryHeap::new();
-        if banned_nodes[src.index()] || banned_nodes[dst.index()] {
-            return None;
-        }
-        dist[src.index()] = 0.0;
-        heap.push(HeapEntry {
-            cost: 0.0,
-            node: src,
-        });
-        while let Some(HeapEntry { cost, node }) = heap.pop() {
-            if cost > dist[node.index()] {
-                continue;
-            }
-            if node == dst {
-                break;
-            }
-            EXPANDED.with(|c| c.set(c.get() + 1));
-            for &(next, link) in topo.neighbors(node) {
-                if banned_nodes[next.index()] {
-                    continue;
-                }
-                if banned_edges
-                    .iter()
-                    .any(|&(a, b)| (a == node && b == next) || (a == next && b == node))
-                {
-                    continue;
-                }
-                let w = topo.link(link).latency.as_millis_f64();
-                let nd = cost + w;
-                if nd < dist[next.index()]
-                    || (nd == dist[next.index()] && prev[next.index()].is_some_and(|p| node < p))
-                {
-                    dist[next.index()] = nd;
-                    prev[next.index()] = Some(node);
-                    heap.push(HeapEntry {
-                        cost: nd,
-                        node: next,
-                    });
-                }
-            }
-        }
-        if !dist[dst.index()].is_finite() {
-            return None;
-        }
-        let mut nodes = vec![dst];
-        let mut cur = dst;
-        while cur != src {
-            cur = prev[cur.index()].expect("reachable node has a predecessor");
-            nodes.push(cur);
-        }
-        nodes.reverse();
-        Some(Path::new(nodes))
-    }
-
-    /// Latency-weighted shortest path from `src` to `dst`.
-    pub fn shortest_path(topo: &Topology, src: NodeId, dst: NodeId) -> Option<Path> {
-        shortest_path_avoiding(topo, src, dst, &[])
-    }
-
-    /// Latency-weighted shortest path from `src` to `dst` that visits none of
-    /// the `banned` nodes.
-    pub fn shortest_path_avoiding(
-        topo: &Topology,
-        src: NodeId,
-        dst: NodeId,
-        banned: &[NodeId],
-    ) -> Option<Path> {
-        if src == dst {
-            return None;
-        }
-        let mut banned_nodes = vec![false; topo.node_count()];
-        for &v in banned {
-            banned_nodes[v.index()] = true;
-        }
-        shortest_path_filtered(topo, src, dst, &banned_nodes, &[])
-    }
-
-    /// Yen's algorithm: the `k` shortest loopless paths from `src` to `dst`, in
-    /// nondecreasing latency order. Returns fewer than `k` if the graph does not
-    /// contain that many distinct simple paths.
-    pub fn k_shortest_paths(topo: &Topology, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
-        let Some(first) = shortest_path(topo, src, dst) else {
-            return Vec::new();
-        };
-        let mut result = vec![first];
-        let mut candidates: Vec<(f64, Path)> = Vec::new();
-
-        while result.len() < k {
-            let last = result.last().expect("result non-empty").clone();
-            // Each node of the previous path (except egress) is a spur point.
-            for spur_idx in 0..last.nodes().len() - 1 {
-                let spur_node = last.nodes()[spur_idx];
-                let root: Vec<NodeId> = last.nodes()[..=spur_idx].to_vec();
-
-                // Ban edges that would recreate an already-found path with the
-                // same root, and ban root nodes (except the spur) to keep the
-                // total path simple.
-                let mut banned_edges = Vec::new();
-                for p in result
-                    .iter()
-                    .map(Path::nodes)
-                    .chain(candidates.iter().map(|(_, p)| p.nodes()))
-                {
-                    if p.len() > spur_idx + 1 && p[..=spur_idx] == root[..] {
-                        banned_edges.push((p[spur_idx], p[spur_idx + 1]));
-                    }
-                }
-                let mut banned_nodes = vec![false; topo.node_count()];
-                for &v in &root[..spur_idx] {
-                    banned_nodes[v.index()] = true;
-                }
-
-                if let Some(spur) =
-                    shortest_path_filtered(topo, spur_node, dst, &banned_nodes, &banned_edges)
-                {
-                    let mut total = root.clone();
-                    total.extend_from_slice(&spur.nodes()[1..]);
-                    let path = Path::new(total);
-                    let cost = path.total_latency(topo).as_millis_f64();
-                    if !candidates.iter().any(|(_, p)| *p == path) && !result.contains(&path) {
-                        candidates.push((cost, path));
-                    }
-                }
-            }
-            if candidates.is_empty() {
-                break;
-            }
-            // Pop the cheapest candidate (deterministic tie-break on node list).
-            candidates.sort_by(|(c1, p1), (c2, p2)| {
-                c1.partial_cmp(c2)
-                    .expect("finite")
-                    .then_with(|| p1.nodes().cmp(p2.nodes()))
-            });
-            result.push(candidates.remove(0).1);
-        }
-        result
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::graph::TopologyBuilder;
-    use p4update_des::propcheck::{cases, forall};
-    use p4update_des::SimRng;
-
-    /// Diamond: 0-1-3 (fast) and 0-2-3 (slow), plus direct 0-3 (slowest).
-    fn diamond() -> Topology {
-        let mut b = TopologyBuilder::new("diamond");
-        let v: Vec<_> = (0..4).map(|i| b.add_node(format!("n{i}"))).collect();
-        b.add_link(v[0], v[1], SimDuration::from_millis(1), 10.0);
-        b.add_link(v[1], v[3], SimDuration::from_millis(1), 10.0);
-        b.add_link(v[0], v[2], SimDuration::from_millis(2), 10.0);
-        b.add_link(v[2], v[3], SimDuration::from_millis(2), 10.0);
-        b.add_link(v[0], v[3], SimDuration::from_millis(10), 10.0);
-        b.build()
-    }
-
-    /// `n` nodes linked as listed, 1 ms a link.
-    fn unit_graph(name: &str, n: usize, links: &[(usize, usize)]) -> Topology {
-        let mut b = TopologyBuilder::new(name);
-        let v: Vec<_> = (0..n).map(|i| b.add_node(format!("n{i}"))).collect();
-        for &(i, j) in links {
-            b.add_link(v[i], v[j], SimDuration::from_millis(1), 1.0);
-        }
-        b.build()
-    }
-
-    fn path(nodes: &[u32]) -> Path {
-        Path::new(nodes.iter().map(|&i| NodeId(i)).collect())
-    }
-
-    #[test]
-    fn path_accessors() {
-        let p = Path::new(vec![NodeId(0), NodeId(1), NodeId(3)]);
-        assert_eq!(p.ingress(), NodeId(0));
-        assert_eq!(p.egress(), NodeId(3));
-        assert_eq!(p.hop_count(), 2);
-        assert_eq!(p.distance_to_egress(NodeId(0)), Some(2));
-        assert_eq!(p.distance_to_egress(NodeId(3)), Some(0));
-        assert_eq!(p.distance_to_egress(NodeId(9)), None);
-        assert_eq!(p.successor(NodeId(1)), Some(NodeId(3)));
-        assert_eq!(p.successor(NodeId(3)), None);
-        assert_eq!(p.predecessor(NodeId(1)), Some(NodeId(0)));
-        assert_eq!(p.predecessor(NodeId(0)), None);
-        assert!(p.contains(NodeId(1)));
-        assert!(!p.contains(NodeId(2)));
-    }
-
-    #[test]
-    #[should_panic(expected = "twice")]
-    fn looping_path_panics() {
-        Path::new(vec![NodeId(0), NodeId(1), NodeId(0)]);
-    }
-
-    #[test]
-    fn dijkstra_picks_the_fast_branch() {
-        let t = diamond();
-        let p = shortest_path(&t, NodeId(0), NodeId(3)).unwrap();
-        assert_eq!(p.nodes(), &[NodeId(0), NodeId(1), NodeId(3)]);
-        assert_eq!(p.total_latency(&t).as_millis_f64(), 2.0);
-    }
-
-    #[test]
-    fn dijkstra_same_node_is_none() {
-        let t = diamond();
-        assert!(shortest_path(&t, NodeId(0), NodeId(0)).is_none());
-    }
-
-    #[test]
-    fn distances_from_source() {
-        let t = diamond();
-        let d = latency_distances_from(&t, NodeId(0));
-        assert_eq!(d[0], 0.0);
-        assert_eq!(d[1], 1.0);
-        assert_eq!(d[2], 2.0);
-        assert_eq!(d[3], 2.0);
-    }
-
-    #[test]
-    fn yen_orders_three_paths() {
-        let t = diamond();
-        let paths = k_shortest_paths(&t, NodeId(0), NodeId(3), 3);
-        assert_eq!(paths.len(), 3);
-        assert_eq!(paths[0].nodes(), &[NodeId(0), NodeId(1), NodeId(3)]);
-        assert_eq!(paths[1].nodes(), &[NodeId(0), NodeId(2), NodeId(3)]);
-        assert_eq!(paths[2].nodes(), &[NodeId(0), NodeId(3)]);
-        let costs: Vec<f64> = paths
-            .iter()
-            .map(|p| p.total_latency(&t).as_millis_f64())
-            .collect();
-        assert!(costs.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
-    fn yen_returns_fewer_when_exhausted() {
-        let mut b = TopologyBuilder::new("line");
-        let v: Vec<_> = (0..3).map(|i| b.add_node(format!("n{i}"))).collect();
-        b.add_link(v[0], v[1], SimDuration::from_millis(1), 1.0);
-        b.add_link(v[1], v[2], SimDuration::from_millis(1), 1.0);
-        let t = b.build();
-        let paths = k_shortest_paths(&t, v[0], v[2], 5);
-        assert_eq!(paths.len(), 1);
-    }
-
-    #[test]
-    fn yen_with_k_zero_is_empty_and_searches_nothing() {
-        let t = diamond();
-        assert!(k_shortest_paths(&t, NodeId(0), NodeId(3), 0).is_empty());
-        let mut solver = PathSolver::new(&t);
-        SETTLED.set(0);
-        assert!(solver.k_shortest(NodeId(0), NodeId(3), 0).is_empty());
-        assert_eq!((SETTLED.get(), solver.expanded), (0, 0));
-        solver.assert_idle();
-    }
-
-    #[test]
-    fn yen_paths_are_simple_and_valid() {
-        let t = crate::topologies::internet2();
-        let paths = k_shortest_paths(&t, NodeId(0), NodeId(15), 4);
-        assert!(paths.len() >= 2);
-        for p in &paths {
-            assert!(p.validate(&t));
-        }
-        // All distinct.
-        for i in 0..paths.len() {
-            for j in i + 1..paths.len() {
-                assert_ne!(paths[i], paths[j]);
-            }
-        }
-    }
-
-    #[test]
-    fn validate_rejects_non_adjacent_hops() {
-        let t = diamond();
-        let p = Path::new(vec![NodeId(1), NodeId(2)]); // not adjacent
-        assert!(!p.validate(&t));
-    }
-
-    impl PathSolver<'_> {
-        /// Everything a query may touch is back in its between-queries state.
-        fn assert_idle(&self) {
-            assert!(self.touched.is_empty());
-            assert!(self.dist.iter().all(|&d| d == f64::INFINITY));
-            assert!(self.prev.iter().all(|&p| p == NO_PREV));
-            assert!(self.banned.iter().all(|&b| !b));
-            assert!(self.potential.iter().all(|&h| h == 0.0));
-        }
-    }
-
-    /// Every query form on `(src, dst)` — `k` up to `max_k`, and one search
-    /// around `avoid` — answered by `solver` and by the oracle.
-    fn assert_agrees(
-        solver: &mut PathSolver<'_>,
-        src: NodeId,
-        dst: NodeId,
-        max_k: usize,
-        avoid: &[NodeId],
-    ) {
-        let topo = solver.topo;
-        for k in 1..=max_k {
-            assert_eq!(
-                solver.k_shortest(src, dst, k),
-                oracle::k_shortest_paths(topo, src, dst, k),
-                "{}: k_shortest({src}, {dst}, {k})",
-                topo.name
-            );
-            solver.assert_idle();
-        }
-        assert_eq!(
-            solver.shortest_path_avoiding(src, dst, avoid),
-            oracle::shortest_path_avoiding(topo, src, dst, avoid),
-            "{}: shortest_path_avoiding({src}, {dst}, {avoid:?})",
-            topo.name
-        );
-        solver.assert_idle();
-    }
-
-    /// The links `random_graph` starts from.
-    #[derive(Clone, Copy)]
-    enum Backbone {
-        /// A random spanning tree.
-        Tree,
-        /// The chain 0-1-..-(n-1) with its first `len` nodes closed into a
-        /// cycle: a ring when `len == n`, a lollipop below that. Between
-        /// neighbours on the cycle the 2nd path is the long way round,
-        /// nearly all of it farther from the destination than the source.
-        Cycle { len: usize },
-    }
-
-    /// A random graph on `n` nodes: a backbone (minus one link when
-    /// `split`, leaving two components) plus `extra` more links.
-    fn random_graph(
-        rng: &mut SimRng,
-        n: usize,
-        backbone: Backbone,
-        extra: usize,
-        split: bool,
-        mut latency: impl FnMut(&mut SimRng) -> SimDuration,
-    ) -> Topology {
-        let mut b = TopologyBuilder::new(format!("random-{n}"));
-        let ids: Vec<_> = (0..n).map(|i| b.add_node(format!("r{i}"))).collect();
-        let cut = n / 2;
-        // With a split, nodes below `cut` and nodes from `cut` on only ever
-        // link among themselves.
-        let side = |i: usize| split && i >= cut;
-        for i in 1..n {
-            if split && i == cut {
-                continue;
-            }
-            let j = match backbone {
-                Backbone::Tree => {
-                    let lo = if side(i) { cut } else { 0 };
-                    lo + rng.uniform_usize(i - lo)
-                }
-                Backbone::Cycle { .. } => i - 1,
-            };
-            let lat = latency(rng);
-            b.add_link(ids[i], ids[j], lat, 1.0);
-        }
-        if let Backbone::Cycle { len } = backbone {
-            if len >= 3 && side(len - 1) == side(0) {
-                let lat = latency(rng);
-                b.add_link(ids[len - 1], ids[0], lat, 1.0);
-            }
-        }
-        for _ in 0..extra {
-            let (i, j) = (rng.uniform_usize(n), rng.uniform_usize(n));
-            if i != j && side(i) == side(j) && !b.has_link(ids[i], ids[j]) {
-                let lat = latency(rng);
-                b.add_link(ids[i], ids[j], lat, 1.0);
-            }
-        }
-        b.build()
-    }
-
-    #[test]
-    fn solver_agrees_with_the_oracle_on_random_graphs() {
-        forall("path_solver_vs_oracle", cases(96), |rng| {
-            let n = 2 + rng.uniform_usize(23);
-            let split = n >= 4 && rng.chance(0.2);
-            // Half the graphs are dense, half a cycle with at most two
-            // chords, where leaving the shortest path is a long detour.
-            let (backbone, extra) = match rng.uniform_usize(4) {
-                0 => (Backbone::Cycle { len: n }, rng.uniform_usize(3)),
-                1 => {
-                    let len = 1 + rng.uniform_usize(n);
-                    (Backbone::Cycle { len }, rng.uniform_usize(3))
-                }
-                _ => (Backbone::Tree, rng.uniform_usize(3 * n)),
-            };
-            let topo = match rng.uniform_usize(3) {
-                // Whole milliseconds from {1, 2, 3}: equally short paths
-                // everywhere, so every answer is a tie-break.
-                0 => random_graph(rng, n, backbone, extra, split, |r| {
-                    SimDuration::from_millis(1 + r.uniform_usize(3) as u64)
-                }),
-                // As many ties, but 0.05, 0.07 and 0.13 ms are inexact in
-                // floating point: equal sums taken in a different order
-                // differ in the last bit, which is what TIE_SLACK absorbs.
-                1 => random_graph(rng, n, backbone, extra, split, |r| {
-                    SimDuration::from_micros([50, 70, 130][r.uniform_usize(3)])
-                }),
-                // Geo-like: 50 us to 20 ms in whole nanoseconds.
-                _ => random_graph(rng, n, backbone, extra, split, |r| {
-                    SimDuration::from_nanos(50_000 + r.uniform_usize(20_000_000) as u64)
-                }),
-            };
-            let mut solver = PathSolver::new(&topo);
-            for _ in 0..12 {
-                let src = NodeId(rng.uniform_usize(n) as u32);
-                let dst = NodeId(rng.uniform_usize(n) as u32);
-                // May name `src` or `dst` themselves: the search refuses.
-                let avoid: Vec<NodeId> = (0..rng.uniform_usize(4))
-                    .map(|_| NodeId(rng.uniform_usize(n) as u32))
-                    .collect();
-                assert_agrees(&mut solver, src, dst, 5, &avoid);
-            }
-        });
-    }
-
-    /// `assert_agrees` on every ordered pair of `topo`, one solver for all.
-    fn assert_agrees_on_every_pair(topo: &Topology, max_k: usize) {
-        let mut solver = PathSolver::new(topo);
-        for src in topo.node_ids() {
-            for dst in topo.node_ids() {
-                // Two nodes picked by id stand in for the waypoints
-                // `single_flow` bans; they may coincide with the pair.
-                let n = topo.node_count() as u32;
-                let avoid = [NodeId((src.0 + 1) % n), NodeId((dst.0 + n - 1) % n)];
-                assert_agrees(&mut solver, src, dst, max_k, &avoid);
-            }
-        }
-    }
-
-    #[test]
-    fn solver_agrees_with_the_oracle_on_every_pair_of_the_evaluation_topologies() {
-        use crate::topologies as t;
-        for topo in [
-            t::fat_tree(4),
-            t::b4(),
-            t::internet2(),
-            t::att_mpls(),
-            t::chinanet(),
-        ] {
-            assert_agrees_on_every_pair(&topo, 5);
-        }
-        assert_agrees_on_every_pair(&t::synthetic_fat_tree_64(), 3);
-    }
-
-    #[test]
-    fn second_path_may_lie_wholly_beyond_the_reverse_search() {
-        // 0 and 1 are neighbours on a ring of eight: the search from 1
-        // settles 1 alone before 0's distance is final, every other node
-        // gets that distance as its potential, and the 2nd path is the
-        // other seven links.
-        let ring: Vec<_> = (0..8).map(|i| (i, (i + 1) % 8)).collect();
-        let ring = unit_graph("ring", 8, &ring);
-        let mut solver = PathSolver::new(&ring);
-        SETTLED.set(0);
-        assert_eq!(
-            solver.k_shortest(NodeId(0), NodeId(1), 3),
-            [path(&[0, 1]), path(&[0, 7, 6, 5, 4, 3, 2, 1])]
-        );
-        assert_eq!(SETTLED.get(), 1);
-        assert_agrees_on_every_pair(&ring, 3);
-    }
-
-    #[test]
-    fn second_path_may_start_by_moving_away_from_the_destination() {
-        // A stick 5-4 on the cycle 4-0-3-2-1-4. From 5 to 0 the only 2nd
-        // path turns at 4 to 1, which is farther from 0 than 4 is and as
-        // far as 5: the search from 0 has stopped short of 1 and 2.
-        let links = [(5, 4), (4, 0), (0, 3), (3, 2), (2, 1), (1, 4)];
-        let lollipop = unit_graph("lollipop", 6, &links);
-        let mut solver = PathSolver::new(&lollipop);
-        SETTLED.set(0);
-        assert_eq!(
-            solver.k_shortest(NodeId(5), NodeId(0), 3),
-            [path(&[5, 4, 0]), path(&[5, 4, 1, 2, 3, 0])]
-        );
-        assert_eq!(SETTLED.get(), 3);
-        assert_agrees_on_every_pair(&lollipop, 3);
-    }
-
-    #[test]
-    fn unreachable_source_floods_and_leaves_the_solver_idle() {
-        let split = unit_graph("split", 5, &[(0, 1), (1, 2), (3, 4)]);
-        let mut solver = PathSolver::new(&split);
-        SETTLED.set(0);
-        assert!(solver.k_shortest(NodeId(0), NodeId(4), 2).is_empty());
-        // Nothing stopped the search from 4: it settled its whole side.
-        assert_eq!((SETTLED.get(), solver.expanded), (2, 0));
-        solver.assert_idle();
-        // And one that does stop early, 1 being a neighbour of 2.
-        assert_eq!(solver.k_shortest(NodeId(1), NodeId(2), 2), [path(&[1, 2])]);
-        assert_eq!(SETTLED.get(), 3);
-        solver.assert_idle();
-    }
-
-    #[test]
-    fn a_spur_search_stops_at_the_candidate_in_hand() {
-        // 0-1-3 and 0-2-3 cost 2 ms; leaving 0-1-3 at 1 means 1-4-5-3 and
-        // 4 ms in all.
-        let links = [(0, 1), (1, 3), (0, 2), (2, 3), (1, 4), (4, 5), (5, 3)];
-        let t = unit_graph("tie-then-detour", 6, &links);
-        let mut solver = PathSolver::new(&t);
-        assert_eq!(
-            solver.k_shortest(NodeId(0), NodeId(3), 2),
-            [path(&[0, 1, 3]), path(&[0, 2, 3])]
-        );
-        // Three labels for the first path (0, 1, 2), two for the spur at 0
-        // that finds the tie (0, 2), and for the spur at 1 only 1 itself:
-        // 1 ms of root and 1 ms to go fit under the 2 ms in hand, 4's
-        // 1 + 2 ms do not. Unbounded, that search expands 4 and 5 as well.
-        assert_eq!(solver.expanded, 6);
-        // With two slots left the same spur has no limit yet, so the
-        // detour is found, held, and comes out third.
-        assert_eq!(
-            solver.k_shortest(NodeId(0), NodeId(3), 3),
-            [path(&[0, 1, 3]), path(&[0, 2, 3]), path(&[0, 1, 4, 5, 3])]
-        );
-        assert_agrees_on_every_pair(&t, 5);
-    }
-
-    #[test]
-    fn goal_direction_confines_the_search_on_ft512() {
-        let topo = crate::topologies::synthetic_fat_tree_512();
-        let edges = crate::topologies::fat_tree_edge_switches(&topo);
-        let (src, dst) = (edges[0], edges[edges.len() - 1]);
-
-        oracle::EXPANDED.set(0);
-        let expected = oracle::k_shortest_paths(&topo, src, dst, 2);
-        let flooded = oracle::EXPANDED.get();
-
-        let mut solver = PathSolver::new(&topo);
-        SETTLED.set(0);
-        assert_eq!(solver.k_shortest(src, dst, 2), expected);
-        // Deterministic counts, pinned so a lost potential, stop or bound
-        // shows as a number and not as a slow benchmark.
-        assert_eq!((flooded, solver.expanded, SETTLED.get()), (2325, 184, 301));
-        assert!(solver.expanded * 10 <= flooded);
-        assert!(SETTLED.get() < topo.node_count());
-    }
-
-    #[test]
-    fn reverse_search_stops_short_of_the_graph_on_ft4096() {
-        let topo = crate::topologies::synthetic_fat_tree_4096();
-        let edges = crate::topologies::fat_tree_edge_switches(&topo);
-        let (src, dst) = (edges[0], edges[edges.len() - 1]);
-        let mut solver = PathSolver::new(&topo);
-        SETTLED.set(0);
-        assert_eq!(solver.k_shortest(src, dst, 2).len(), 2);
-        assert_eq!((solver.expanded, SETTLED.get()), (90, 578));
-        assert!(SETTLED.get() < topo.node_count());
-    }
-}
+mod tests;

@@ -204,34 +204,105 @@ pub fn single_flow(topo: &Topology) -> FlowUpdate {
     FlowUpdate::new(FlowId(0), Some(old), new, 1.0)
 }
 
+/// What [`multi_flow`] (and the loop it replaced, in the tests) did on this
+/// thread, so that the work is pinned as counts: an attempt thrown away
+/// after its searches, or searches run for an attempt that a draw had
+/// already doomed, shows as a number and not as a slow benchmark.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Work {
+    /// Attempts begun.
+    attempts: usize,
+    /// Attempts given up at a drawn pair that has one simple path.
+    one_path: usize,
+    /// Attempts whose old paths overflow a link.
+    old_infeasible: usize,
+    /// Attempts whose old paths fit and whose new paths overflow a link.
+    new_infeasible: usize,
+    /// `k_shortest` calls.
+    queries: usize,
+}
+
+#[cfg(test)]
+thread_local! {
+    static WORK: std::cell::Cell<Work> = std::cell::Cell::new(Work::default());
+}
+
+#[cfg(test)]
+fn count(add: impl FnOnce(&mut Work)) {
+    let mut work = WORK.get();
+    add(&mut work);
+    WORK.set(work);
+}
+
 /// The multiple-flows scenario: every node picks a distinct destination
 /// uniformly at random; old = shortest path, new = 2nd-shortest; sizes
 /// from a gravity matrix scaled to `load_factor` of the mean link
 /// capacity times the link count (i.e., near capacity at 0.3–0.5 for the
 /// evaluated WANs). Regenerates until old and new assignments are both
 /// feasible.
+///
+/// # Panics
+/// After 200 attempts without a feasible workload.
 pub fn multi_flow(topo: &Topology, rng: &mut SimRng, load_factor: f64) -> Workload {
+    try_multi_flow(topo, rng, load_factor).unwrap_or_else(|| {
+        panic!(
+            "could not generate a feasible workload for {} at load {load_factor}",
+            topo.name
+        )
+    })
+}
+
+/// [`multi_flow`], or `None` once the 200 attempts are spent.
+///
+/// An attempt is decided before it is searched. A pair with fewer than two
+/// simple paths voids the whole attempt, and whether a pair has two is
+/// read off [`Topology::bridge_classes`], not searched for; so the draws
+/// come first — the gravity masses, then one destination per node in node
+/// order, stopping at the first pair with one path — and the searches run
+/// only for an attempt none of whose pairs can fail. A search draws
+/// nothing, so the stream is consumed exactly as if each pair had been
+/// searched as it was drawn.
+fn try_multi_flow(topo: &Topology, rng: &mut SimRng, load_factor: f64) -> Option<Workload> {
     let nodes: Vec<NodeId> = topo.node_ids().collect();
     let n = nodes.len();
     let total_capacity: f64 = topo.links().iter().map(|l| l.capacity).sum();
     let target_total = total_capacity * load_factor;
     let mut solver = PathSolver::new(topo);
+    let classes = topo.bridge_classes();
+    let mut dsts: Vec<NodeId> = Vec::with_capacity(n);
 
-    for _attempt in 0..200 {
+    'attempt: for _attempt in 0..200 {
+        #[cfg(test)]
+        count(|w| w.attempts += 1);
         let tm = TrafficMatrix::gravity(rng, n, target_total);
-        let mut updates = Vec::new();
-        let mut ok = true;
-        for (i, &src) in nodes.iter().enumerate() {
+        dsts.clear();
+        for &src in &nodes {
             // Uniformly random destination other than the source.
             let mut dst = nodes[rng.uniform_usize(n)];
             while dst == src {
                 dst = nodes[rng.uniform_usize(n)];
             }
-            let paths = solver.k_shortest(src, dst, 2);
-            if paths.len() < 2 {
-                ok = false;
-                break;
+            if !classes.two_paths(src, dst) {
+                #[cfg(test)]
+                count(|w| w.one_path += 1);
+                continue 'attempt;
             }
+            dsts.push(dst);
+        }
+        let mut updates = Vec::with_capacity(n);
+        for (i, (&src, &dst)) in nodes.iter().zip(&dsts).enumerate() {
+            #[cfg(test)]
+            count(|w| w.queries += 1);
+            let paths = solver.k_shortest(src, dst, 2);
+            // Enforced in release too: skipping the pair instead would
+            // move the stream against its specification.
+            assert_eq!(
+                paths.len(),
+                2,
+                "{}: two_paths({src}, {dst}) holds, the search disagrees",
+                topo.name
+            );
             let size = tm
                 .demand(src, dst)
                 .max(target_total / (n as f64 * n as f64));
@@ -242,23 +313,23 @@ pub fn multi_flow(topo: &Topology, rng: &mut SimRng, load_factor: f64) -> Worklo
                 size,
             ));
         }
-        if !ok {
+        // Feasible before the migration and after it, or generate again.
+        let Some(free) = free_capacity_after(topo, &updates, |u| u.old_path.as_ref()) else {
+            #[cfg(test)]
+            count(|w| w.old_infeasible += 1);
+            continue;
+        };
+        if free_capacity_after(topo, &updates, |u| Some(&u.new_path)).is_none() {
+            #[cfg(test)]
+            count(|w| w.new_infeasible += 1);
             continue;
         }
-        // Feasible before the migration and after it, or generate again.
-        if let Some(free) = free_capacity_after(topo, &updates, |u| u.old_path.as_ref()) {
-            if free_capacity_after(topo, &updates, |u| Some(&u.new_path)).is_some() {
-                return Workload {
-                    updates,
-                    free_capacity: free,
-                };
-            }
-        }
+        return Some(Workload {
+            updates,
+            free_capacity: free,
+        });
     }
-    panic!(
-        "could not generate a feasible workload for {} at load {load_factor}",
-        topo.name
-    );
+    None
 }
 
 /// The deterministic scale workload for `seed`: one update per switch at
@@ -271,7 +342,172 @@ pub fn bench_workload(topo: &Topology, seed: u64) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use p4update_des::propcheck::{cases, forall};
     use p4update_net::topologies;
+
+    /// `try_multi_flow` as it stood while an attempt was searched as it was
+    /// drawn, kept verbatim (plus the counters, and `None` where
+    /// `multi_flow` panics) as the reference the draw-decide-search order
+    /// is compared against.
+    mod oracle {
+        use super::*;
+
+        pub fn try_multi_flow(
+            topo: &Topology,
+            rng: &mut SimRng,
+            load_factor: f64,
+        ) -> Option<Workload> {
+            let nodes: Vec<NodeId> = topo.node_ids().collect();
+            let n = nodes.len();
+            let total_capacity: f64 = topo.links().iter().map(|l| l.capacity).sum();
+            let target_total = total_capacity * load_factor;
+            let mut solver = PathSolver::new(topo);
+
+            for _attempt in 0..200 {
+                count(|w| w.attempts += 1);
+                let tm = TrafficMatrix::gravity(rng, n, target_total);
+                let mut updates = Vec::new();
+                let mut ok = true;
+                for (i, &src) in nodes.iter().enumerate() {
+                    // Uniformly random destination other than the source.
+                    let mut dst = nodes[rng.uniform_usize(n)];
+                    while dst == src {
+                        dst = nodes[rng.uniform_usize(n)];
+                    }
+                    count(|w| w.queries += 1);
+                    let paths = solver.k_shortest(src, dst, 2);
+                    if paths.len() < 2 {
+                        ok = false;
+                        break;
+                    }
+                    let size = tm
+                        .demand(src, dst)
+                        .max(target_total / (n as f64 * n as f64));
+                    updates.push(FlowUpdate::new(
+                        FlowId(i as u32),
+                        Some(paths[0].clone()),
+                        paths[1].clone(),
+                        size,
+                    ));
+                }
+                if !ok {
+                    continue;
+                }
+                // Feasible before the migration and after it, or generate again.
+                if let Some(free) = free_capacity_after(topo, &updates, |u| u.old_path.as_ref()) {
+                    if free_capacity_after(topo, &updates, |u| Some(&u.new_path)).is_some() {
+                        return Some(Workload {
+                            updates,
+                            free_capacity: free,
+                        });
+                    }
+                }
+            }
+            None
+        }
+    }
+
+    /// Both generators on the same seed: the same workload bit for bit and
+    /// the stream left at the same word, or neither finds one.
+    fn assert_agrees_with_the_oracle(topo: &Topology, seed: u64, load_factor: f64) {
+        let (mut rng, mut oracle_rng) = (SimRng::new(seed), SimRng::new(seed));
+        let got = try_multi_flow(topo, &mut rng, load_factor);
+        let expected = oracle::try_multi_flow(topo, &mut oracle_rng, load_factor);
+        let what = format!("{} seed {seed} load {load_factor}", topo.name);
+        assert_eq!(got.is_some(), expected.is_some(), "{what}");
+        if let (Some(got), Some(expected)) = (got, expected) {
+            assert_eq!(got.updates, expected.updates, "{what}");
+            assert_eq!(got.free_capacity, expected.free_capacity, "{what}");
+        }
+        assert_eq!(rng.next_u64(), oracle_rng.next_u64(), "{what}: next word");
+    }
+
+    #[test]
+    fn multi_flow_agrees_with_the_oracle_on_the_wan_topologies() {
+        for topo in [
+            topologies::b4(),
+            topologies::internet2(),
+            topologies::att_mpls(),
+            topologies::chinanet(),
+            topologies::fat_tree(4),
+        ] {
+            for seed in 1..=u64::from(cases(64)) {
+                assert_agrees_with_the_oracle(&topo, seed, 0.55);
+            }
+        }
+    }
+
+    #[test]
+    fn multi_flow_agrees_with_the_oracle_on_random_graphs() {
+        // At this load no link ever overflows: only the pair check decides
+        // an attempt. With as many links again as nodes on top of the
+        // spanning tree one case in twelve meets a one-path pair; with
+        // fewer most do, and the sparsest spend all 200 attempts on both
+        // sides.
+        forall("multi_flow_vs_oracle", cases(42), |rng| {
+            let n = 4 + rng.uniform_usize(21);
+            let extra = if rng.chance(0.5) {
+                n
+            } else {
+                rng.uniform_usize(n)
+            };
+            let topo = topologies::random_connected(rng, n, extra);
+            assert_agrees_with_the_oracle(&topo, rng.next_u64(), 0.05);
+        });
+    }
+
+    /// `Work` done by `generate` over seeds 1..=200 at load 0.55, the
+    /// cells `wan-sweep` runs.
+    fn work_over_the_sweep(
+        topo: &Topology,
+        generate: fn(&Topology, &mut SimRng, f64) -> Option<Workload>,
+    ) -> Work {
+        WORK.set(Work::default());
+        for seed in 1..=200 {
+            assert!(generate(topo, &mut SimRng::new(seed), 0.55).is_some());
+        }
+        WORK.get()
+    }
+
+    #[test]
+    fn an_attempt_is_searched_only_once_its_pairs_are_decided() {
+        // Deterministic counts, pinned so a lost pre-check shows as a
+        // number and not as a slow benchmark. Every searched attempt costs
+        // one query per node; the oracle also pays for the searches before
+        // the pair that voids an attempt.
+        let pinned = [
+            // (topology, attempts, one-path, old-, new-infeasible, oracle queries)
+            (topologies::chinanet(), 2_627, 2_424, 3, 0, 34_447),
+            (topologies::att_mpls(), 447, 232, 13, 2, 9_084),
+            (topologies::b4(), 219, 0, 14, 5, 2_628),
+            (topologies::internet2(), 203, 0, 1, 2, 3_248),
+            (topologies::fat_tree(4), 201, 0, 0, 1, 4_020),
+        ];
+        for (topo, attempts, one_path, old_infeasible, new_infeasible, oracle_queries) in pinned {
+            let work = work_over_the_sweep(&topo, try_multi_flow);
+            let expected = Work {
+                attempts,
+                one_path,
+                old_infeasible,
+                new_infeasible,
+                queries: (attempts - one_path) * topo.node_count(),
+            };
+            assert_eq!(work, expected, "{}", topo.name);
+            assert_eq!(
+                attempts - one_path - old_infeasible - new_infeasible,
+                200,
+                "{}",
+                topo.name
+            );
+            let oracle = work_over_the_sweep(&topo, oracle::try_multi_flow);
+            assert_eq!(
+                (oracle.attempts, oracle.queries),
+                (attempts, oracle_queries),
+                "{}: oracle",
+                topo.name
+            );
+        }
+    }
 
     #[test]
     fn bench_workload_is_deterministic_and_covers_every_switch() {

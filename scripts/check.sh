@@ -8,9 +8,10 @@
 # which must make it exit non-zero), the dataset round trip (an exported
 # on-disk batch must re-lint byte-identically to the in-memory analysis),
 # the corpus and explorer smokes, the large fat-tree tests, the root
-# property suites and the path solver's and the UIB's differentials against
-# their oracle and map model at 16x the default case count, and the
-# benchmark package's own gate.
+# property suites and the differentials — the path solver, the bridge
+# classification and `multi_flow` against their oracles, the UIB against its
+# map model — at 16x the default case count, and the benchmark package's own
+# gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -71,11 +72,14 @@ fi
 # `dc-scale` workload's digest (4096 k-shortest-path queries on ft4096),
 # the path solver against its oracle on 16x the default random graphs (the
 # search prunes, and a pruning rule fails on a rare tie: 96 cases are thin),
-# the UIB against its map model and the root property suites at the same
-# scale (nothing else ever runs them above their default counts), and the
-# benchmark package's own gate: a library change that breaks the API
-# surface pinned in benchmark/README.md must fail here, not at the driver.
-# All six are slow, so FAST=1 skips them for quick local iteration — CI
+# `two_paths` against that oracle and `multi_flow` against the
+# search-as-you-draw loop it replaced (workloads, free capacity and the RNG
+# word after them), the UIB against its map model and the root property
+# suites at the same scale (nothing else ever runs them above their default
+# counts), and the benchmark package's own gate: a library change that
+# breaks the API surface pinned in benchmark/README.md must fail here, not
+# at the driver.
+# All of them are slow, so FAST=1 skips them for quick local iteration — CI
 # runs them — and only type-checks the benchmark against the tree, which is
 # what a changed pinned signature breaks.
 if [[ "${FAST:-0}" != 1 ]]; then
@@ -88,6 +92,10 @@ if [[ "${FAST:-0}" != 1 ]]; then
     echo "==> path solver vs oracle, PROPCHECK_SCALE=16 (release)"
     PROPCHECK_SCALE=16 cargo test -q --release -p p4update-net solver_agrees
 
+    echo "==> two_paths vs oracle, multi_flow vs the loop it replaced, PROPCHECK_SCALE=16 (release)"
+    PROPCHECK_SCALE=16 cargo test -q --release -p p4update-net two_paths_agrees
+    PROPCHECK_SCALE=16 cargo test -q --release -p p4update-traffic multi_flow_agrees
+
     echo "==> UIB vs map model, PROPCHECK_SCALE=16 (release)"
     PROPCHECK_SCALE=16 cargo test -q --release -p p4update-dataplane uib_agrees_with_map_model
 
@@ -98,7 +106,7 @@ if [[ "${FAST:-0}" != 1 ]]; then
     echo "==> benchmark/check.sh (the benchmark builds and smokes against this tree)"
     benchmark/check.sh
 else
-    echo "==> ft32768, ft4096 digest, scaled differentials and property suites and benchmark/check.sh skipped (FAST=1)"
+    echo "==> ft32768, ft4096 digest, scaled differentials (path solver, two_paths, multi_flow, UIB) and property suites and benchmark/check.sh skipped (FAST=1)"
 
     echo "==> cargo check of the benchmark package (its pinned API surface still compiles)"
     cargo check -q --offline --manifest-path benchmark/Cargo.toml

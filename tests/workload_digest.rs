@@ -80,12 +80,14 @@ fn generated_workloads_are_unchanged() {
         "bench_workload(ft512, 1)"
     );
 
-    let b4 = multi_flow(&topologies::b4(), &mut SimRng::new(11), 0.3);
+    let mut rng = SimRng::new(11);
+    let b4 = multi_flow(&topologies::b4(), &mut rng, 0.3);
     assert_eq!(
         workload_digest(&b4),
         0xa600_b774_0948_70a9,
         "multi_flow(b4, 11, 0.3)"
     );
+    assert_eq!(rng.next_u64(), 0x0462_09cc_fb1b_3f8e, "next word after b4");
 
     let single_b4 = single_flow(&topologies::b4());
     assert_eq!(
@@ -99,6 +101,81 @@ fn generated_workloads_are_unchanged() {
         update_digest(&single_i2),
         0x8ba1_2ae2_a25a_02d4,
         "single_flow(internet2)"
+    );
+}
+
+/// The two evaluation topologies with bridges, where `multi_flow` abandons
+/// most attempts at a pair that has one simple path (seed 1: 12 attempts on
+/// chinanet). Fig. 8 threads one RNG through a whole batch of such calls,
+/// so the stream position each call leaves behind is part of the next
+/// workload: the word drawn after the call is pinned beside its digest.
+#[test]
+fn bridged_workloads_and_the_stream_after_them_are_unchanged() {
+    let pinned = [
+        (
+            topologies::att_mpls(),
+            1,
+            0x08ea_7657_a3ff_7c7f,
+            0x608c_6dea_08c3_a2c7,
+        ),
+        (
+            topologies::att_mpls(),
+            2,
+            0x91a2_a103_463b_530c,
+            0xe190_2c08_37d2_94a0,
+        ),
+        (
+            topologies::att_mpls(),
+            7,
+            0x5ae8_fe16_20ec_e637,
+            0xec9c_ece4_bc9c_8a17,
+        ),
+        (
+            topologies::chinanet(),
+            1,
+            0x1f02_32cb_9100_7682,
+            0xd153_0bd8_54fc_a39b,
+        ),
+        (
+            topologies::chinanet(),
+            2,
+            0x2675_16dc_83e4_5442,
+            0xb267_1517_bd39_d792,
+        ),
+        (
+            topologies::chinanet(),
+            7,
+            0xcd83_eade_e660_2537,
+            0xb8a9_6640_6f90_b18b,
+        ),
+    ];
+    for (topo, seed, digest, next_word) in pinned {
+        let mut rng = SimRng::new(seed);
+        let w = multi_flow(&topo, &mut rng, 0.55);
+        let what = format!("multi_flow({}, {seed}, 0.55)", topo.name);
+        assert_eq!(workload_digest(&w), digest, "{what}");
+        assert_eq!(rng.next_u64(), next_word, "next word after {what}");
+    }
+
+    // Shaped like `fig8::batch_for`: successive workloads off one stream.
+    let chinanet = topologies::chinanet();
+    let mut rng = SimRng::new(42);
+    let chain: Vec<u64> = (0..3)
+        .map(|_| workload_digest(&multi_flow(&chinanet, &mut rng, 0.55)))
+        .collect();
+    assert_eq!(
+        chain,
+        [
+            0xa649_52ea_49bd_b417,
+            0x7611_0ee9_ab9a_21ee,
+            0x6434_3330_6018_f4dd
+        ],
+        "three multi_flow(chinanet, 0.55) calls on SimRng::new(42)"
+    );
+    assert_eq!(
+        rng.next_u64(),
+        0x75de_2817_3788_f4b8,
+        "next word after the chain"
     );
 }
 
