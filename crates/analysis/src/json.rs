@@ -40,14 +40,6 @@ impl Json {
         }
     }
 
-    /// The boolean, if this is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The string, if this is one.
     pub fn as_str(&self) -> Option<&str> {
         match self {

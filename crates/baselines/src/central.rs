@@ -266,7 +266,7 @@ impl ControllerLogic for CentralController {
         let Message::Central(CentralMsg::Ack { flow, node, round }) = msg else {
             return;
         };
-        debug_assert_eq!(from, node);
+        assert_eq!(from, node);
         let Some(m) = self.flows.get_mut(&flow) else {
             return;
         };
@@ -345,7 +345,7 @@ impl SwitchLogic for CentralSwitchLogic {
         let Some((f, next_hop, round, size)) = self.pending.remove(&token) else {
             return;
         };
-        debug_assert_eq!(f, flow);
+        assert_eq!(f, flow);
         // Move capacity accounting from the old link to the new one.
         let entry = state.uib.read(flow);
         if let Some(old) = entry.active_next_hop {

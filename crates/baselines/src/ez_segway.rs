@@ -679,7 +679,7 @@ impl SwitchLogic for EzSwitchLogic {
         let Some((f, segment)) = self.pending.remove(&token) else {
             return;
         };
-        debug_assert_eq!(f, flow);
+        assert_eq!(f, flow);
         let Some(role) = self.roles.get(&(flow, segment)).cloned() else {
             return;
         };

@@ -108,24 +108,6 @@ impl CongestionScheduler {
         high.extend(low);
         high
     }
-
-    /// Flows currently parked for `to`.
-    pub fn parked(&self, to: NodeId) -> &[FlowId] {
-        self.waiting.get(&to).map_or(&[], |q| q.as_slice())
-    }
-
-    /// Total parked flows across all links.
-    pub fn total_parked(&self) -> usize {
-        self.waiting.values().map(Vec::len).sum()
-    }
-
-    /// Links that have at least one waiter.
-    pub fn contended_links(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.waiting
-            .iter()
-            .filter(|(_, q)| !q.is_empty())
-            .map(|(&n, _)| n)
-    }
 }
 
 #[cfg(test)]
@@ -215,8 +197,7 @@ mod tests {
         let mut s = CongestionScheduler::new();
         s.park(NodeId(0), FlowId(1));
         s.park(NodeId(0), FlowId(1));
-        assert_eq!(s.parked(NodeId(0)), &[FlowId(1)]);
-        assert_eq!(s.total_parked(), 1);
+        assert_eq!(s.waiting, BTreeMap::from([(NodeId(0), vec![FlowId(1)])]));
     }
 
     #[test]
@@ -234,16 +215,7 @@ mod tests {
         };
         let order = s.drain(NodeId(0), prio);
         assert_eq!(order, vec![FlowId(2), FlowId(4), FlowId(1), FlowId(3)]);
-        assert_eq!(s.total_parked(), 0);
+        assert!(s.waiting.is_empty());
         assert!(s.drain(NodeId(0), lows).is_empty());
-    }
-
-    #[test]
-    fn contended_links_lists_nonempty_queues() {
-        let mut s = CongestionScheduler::new();
-        s.park(NodeId(3), FlowId(1));
-        s.park(NodeId(5), FlowId(2));
-        let links: Vec<NodeId> = s.contended_links().collect();
-        assert_eq!(links, vec![NodeId(3), NodeId(5)]);
     }
 }

@@ -198,11 +198,6 @@ impl P4UpdateController {
         self.flows.get(&flow).map(|r| r.version)
     }
 
-    /// Whether any flow still has an unacknowledged update.
-    pub fn has_pending(&self) -> bool {
-        self.flows.values().any(|r| r.in_flight.is_some())
-    }
-
     /// The mechanism strategy this controller prepares updates with.
     /// Exposed so a harness can re-prepare a plan outside the controller
     /// (e.g. the simulator's debug analysis gate).
@@ -394,7 +389,7 @@ mod tests {
         let mut out = Vec::new();
         c.start_update(SimTime::ZERO, &[fig1_update()], &mut out);
         assert_eq!(out.len(), 8);
-        assert!(c.has_pending());
+        assert!(c.flows[&FlowId(0)].in_flight.is_some());
         assert!(out.iter().all(|e| matches!(
             e,
             CtrlEffect::Send {
@@ -422,7 +417,7 @@ mod tests {
             }),
             &mut out,
         );
-        assert!(!c.has_pending());
+        assert!(c.flows[&FlowId(0)].in_flight.is_none());
         assert_eq!(c.current_version(FlowId(0)), Some(Version(2)));
         assert_eq!(out.len(), 1);
         assert!(matches!(

@@ -81,11 +81,6 @@ impl Segmentation {
     pub fn forward_only(&self) -> bool {
         self.backward_count() == 0
     }
-
-    /// Whether `node` is a gateway.
-    pub fn is_gateway(&self, node: NodeId) -> bool {
-        self.gateways.contains(&node)
-    }
 }
 
 /// Segment an update: find the gateways (nodes on both paths, in new-path
@@ -195,8 +190,8 @@ mod tests {
 
         assert_eq!(seg.backward_count(), 1);
         assert!(!seg.forward_only());
-        assert!(seg.is_gateway(NodeId(2)));
-        assert!(!seg.is_gateway(NodeId(3)));
+        assert!(seg.gateways.contains(&NodeId(2)));
+        assert!(!seg.gateways.contains(&NodeId(3)));
     }
 
     #[test]

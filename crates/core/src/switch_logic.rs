@@ -139,11 +139,6 @@ impl P4UpdateLogic {
         Self::default()
     }
 
-    /// Flows currently deferred by the congestion gate (diagnostics).
-    pub fn blocked_flows(&self) -> Vec<FlowId> {
-        self.blocked.keys().copied().collect()
-    }
-
     fn unm_from_entry(entry: &UibEntry, flow: FlowId, kind: UpdateKind, layer: UnmLayer) -> Unm {
         Unm {
             flow,
@@ -1150,7 +1145,7 @@ mod tests {
         );
         assert!(out.is_empty(), "no install began: {out:?}");
         assert_eq!(logic.counters.capacity_deferrals, 1);
-        assert_eq!(logic.blocked_flows(), vec![FlowId(0)]);
+        assert_eq!(logic.blocked.keys().collect::<Vec<_>>(), [&FlowId(0)]);
         assert_eq!(state.remaining_capacity(NodeId(2)), Some(10.0));
     }
 

@@ -270,24 +270,20 @@ impl<W: World> Simulation<W> {
                     budget: self.event_budget,
                 };
             }
-            let Some((at, seq, event)) = self.sched.pop() else {
+            // Look before popping: what leaves the queue is delivered.
+            let Some((at, _)) = self.sched.queue.peek_key() else {
                 return RunOutcome::QueueDrained {
                     finished_at: self.sched.now(),
                     events: self.events_delivered,
                 };
             };
             if at > horizon {
-                // Push back (original key intact): a later `run_until` with
-                // a larger horizon must still see this event, in order.
-                self.sched.queue.push(at, seq, event);
                 return RunOutcome::HorizonReached {
                     horizon,
                     events: self.events_delivered,
                 };
             }
-            self.sched.now = at;
-            self.events_delivered += 1;
-            self.world.handle(at, event, &mut self.sched);
+            self.step();
         }
     }
 
@@ -362,12 +358,12 @@ mod tests {
         assert_eq!(sim.world().seen.len(), 2);
     }
 
-    /// Stopping at a horizon pops the head and pushes it back; an event
-    /// scheduled afterwards for an earlier time is still delivered first,
-    /// whether the head sat in the queue's near window (20 ms) or had to
-    /// rotate the window to be popped (10 s).
+    /// Stopping at a horizon looks at the head, which takes the queue's
+    /// cursor to it; an event scheduled afterwards for an earlier time is
+    /// still delivered first, whether the head sits in the queue's near
+    /// window (20 ms) or beyond it (10 s).
     #[test]
-    fn scheduling_before_a_pushed_back_head_keeps_time_order() {
+    fn a_later_schedule_below_a_looked_at_head_is_delivered_first() {
         for head in [ms(20), ms(10_000)] {
             let mut sim = Simulation::new(Recorder { seen: vec![] });
             sim.schedule_at(ms(1), 1);

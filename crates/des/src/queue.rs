@@ -62,12 +62,13 @@ const DENSE_WINDOW: u64 = (NUM_BUCKETS as u64) * 8;
 /// extracted in strictly increasing key order: a near-future wheel plus a
 /// far-future heap.
 ///
-/// The scheduler clamps new events to `now`, so keys never go below the
-/// last *delivered* key, which is what lets the queue keep only a
-/// forward-looking window exact. The one event popped without being
-/// delivered — the head `run_until` pushes back at its horizon — may have
-/// taken the cursor, or the whole window, past `now`; `push` moves them
-/// back when a later key lands before them.
+/// The scheduler clamps new events to `now` and pops only what it delivers
+/// (or re-pushes at the instant it delivers, when gathering ties), so keys
+/// never go below the last popped key and therefore never below the
+/// window, which moves only in `pop`: `push` asserts that. Looking at the
+/// head (`peek_key`) never moves the window but does move the cursor to
+/// the head's bucket, which may lie past `now`; `push` moves the cursor
+/// back when a later key lands before it.
 ///
 /// The window covers `[win_start, win_start + NUM_BUCKETS << log2_width)`;
 /// an event lands in bucket `(at - win_start) >> log2_width`. Buckets are
@@ -195,27 +196,9 @@ impl<E> CalendarQueue<E> {
             .expect("rotate with far events")
             .at
             .as_nanos();
-        self.set_window(min_at);
-        self.cur = self.next_occupied(0).expect("rotation moved ≥ 1 event");
-    }
-
-    /// Move the window back so it covers `ns`. Needed only after a head
-    /// that rotated the window forward was pushed back undelivered: the
-    /// next key scheduled at `now` can then lie before the window.
-    fn rewind(&mut self, ns: u64) {
-        for bucket in &mut self.buckets {
-            self.far.extend(bucket.drain(..));
-        }
-        self.occupied = [0; NUM_BUCKETS / 64];
-        self.near_len = 0;
-        self.set_window(ns);
-    }
-
-    /// Start the (empty) wheel at the bucket boundary at or below `ns` and
-    /// pull every far event now inside the window into its bucket.
-    fn set_window(&mut self, ns: u64) {
-        self.win_start = ns & !((1u64 << self.log2_width) - 1);
-        self.cur = 0;
+        // The (empty) wheel starts at the bucket boundary at or below the
+        // minimum.
+        self.win_start = min_at & !((1u64 << self.log2_width) - 1);
         self.cur_sorted = false;
         while let Some(head) = self.far.peek() {
             match self.bucket_of(head.at.as_nanos()) {
@@ -228,14 +211,18 @@ impl<E> CalendarQueue<E> {
                 None => break,
             }
         }
+        self.cur = self.next_occupied(0).expect("rotation moved ≥ 1 event");
     }
 
-    /// Insert an event with its total-order key.
+    /// Insert an event with its total-order key, which must not lie before
+    /// the window (see the type's documentation).
     pub(crate) fn push(&mut self, at: SimTime, seq: u64, event: E) {
         let ns = at.as_nanos();
-        if ns < self.win_start {
-            self.rewind(ns);
-        }
+        assert!(
+            ns >= self.win_start,
+            "key {ns} ns pushed before the window start {} ns",
+            self.win_start
+        );
         match self.bucket_of(ns) {
             Some(idx) => {
                 let s = Scheduled { at, seq, event };
@@ -249,8 +236,8 @@ impl<E> CalendarQueue<E> {
                 } else {
                     self.buckets[idx].push(s);
                     if idx < self.cur {
-                        // Only after an undelivered head was pushed back:
-                        // the cursor followed it past `now`.
+                        // Only after a look at the head (`peek_key`)
+                        // took the cursor past `now`.
                         self.cur = idx;
                         self.cur_sorted = false;
                     }
@@ -270,7 +257,7 @@ impl<E> CalendarQueue<E> {
             }
             self.rotate();
             let ready = self.advance_near();
-            debug_assert!(ready, "rotation populates the wheel");
+            assert!(ready, "rotation populates the wheel");
         }
         let s = self.buckets[self.cur]
             .pop()
@@ -377,15 +364,15 @@ mod tests {
         // event tied at the head instant and re-push all but one under
         // their original keys (`Scheduler::pop` with a non-trivial
         // chooser; the re-push lands in the already sorted bucket), and
-        // pop the head only to push it straight back (`run_until` at its
-        // horizon).
+        // look at the head without popping it (`run_until` at its
+        // horizon), after which a schedule may land below the cursor.
         for seed in 0..20 {
             let mut rng = SimRng::new(seed);
             let mut heap = HeapOracle::default();
             let mut cal: CalendarQueue<u64> = CalendarQueue::new();
             let mut seq = 0u64;
             let mut now = 0u64;
-            let (mut gathered_ties, mut pushed_back) = (0, 0);
+            let (mut gathered_ties, mut peeked) = (0, 0);
             for _ in 0..3_000 {
                 let op = rng.uniform_usize(8);
                 if op < 5 || heap.peek_key().is_none() {
@@ -419,20 +406,29 @@ mod tests {
                     }
                     now = first.0.as_nanos();
                 } else {
-                    // The head stays undelivered, so `now` does not move.
-                    let (at, s) = pop_both(&mut heap, &mut cal, seed);
-                    heap.push(at, s);
-                    cal.push(at, s, s);
-                    pushed_back += 1;
+                    // The head stays where it is, so `now` does not move.
+                    assert_eq!(heap.peek_key(), cal.peek_key(), "seed {seed}");
+                    peeked += 1;
                 }
                 assert_eq!(heap.len(), cal.len(), "seed {seed}");
             }
-            assert!(gathered_ties > 0 && pushed_back > 0, "seed {seed}");
+            assert!(gathered_ties > 0 && peeked > 0, "seed {seed}");
             while heap.peek_key().is_some() {
                 pop_both(&mut heap, &mut cal, seed);
             }
             assert_eq!(cal.pop(), None, "seed {seed}");
         }
+    }
+
+    /// Keys never go below the window: popping the 10 s head rotated the
+    /// window there, and nothing the scheduler does can then push 1 s.
+    #[test]
+    #[should_panic(expected = "pushed before the window")]
+    fn push_before_the_window_panics() {
+        let mut q: CalendarQueue<u64> = CalendarQueue::new();
+        q.push(SimTime::from_nanos(10_000_000_000), 0, 0);
+        q.pop();
+        q.push(SimTime::from_nanos(1_000_000_000), 1, 1);
     }
 
     #[test]

@@ -139,11 +139,11 @@ impl AddAssign for SimDuration {
 
 impl Sub for SimTime {
     type Output = SimDuration;
-    /// Panics in debug builds if `rhs > self`; use
-    /// [`SimTime::saturating_since`] when the ordering is not guaranteed.
+    /// Panics if `rhs > self`; use [`SimTime::saturating_since`] when the
+    /// ordering is not guaranteed.
     fn sub(self, rhs: SimTime) -> SimDuration {
-        debug_assert!(rhs.0 <= self.0, "SimTime subtraction underflow");
-        SimDuration(self.0.saturating_sub(rhs.0))
+        assert!(rhs.0 <= self.0, "SimTime subtraction underflow");
+        SimDuration(self.0 - rhs.0)
     }
 }
 
@@ -186,6 +186,12 @@ mod tests {
         let t2 = t + SimDuration::from_millis(5);
         assert_eq!((t2 - t).as_millis_f64(), 5.0);
         assert_eq!(t.saturating_since(t2), SimDuration::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "SimTime subtraction underflow")]
+    fn subtracting_a_later_time_panics() {
+        let _ = SimTime::from_nanos(1) - SimTime::from_nanos(2);
     }
 
     #[test]

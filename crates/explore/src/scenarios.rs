@@ -152,7 +152,6 @@ impl Mods {
                 .with_replication(ReplicationConfig {
                     replicas,
                     failover_at_ms: trigger_ms + 50.0,
-                    lag_ms: 25.0,
                 })
                 .with_retry_ms(200.0);
         }

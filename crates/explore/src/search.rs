@@ -91,7 +91,7 @@ pub fn random_walk(
         if breached(&report.violations) {
             let mut trace = Trace::from_choices(scenario, seed, &report.choices);
             let pinned = pin(&mut trace)?;
-            debug_assert_eq!(pinned.violations, report.violations);
+            assert_eq!(pinned.violations, report.violations);
             return Ok(Some(SearchOutcome {
                 trace,
                 report: pinned,

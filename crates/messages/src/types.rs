@@ -374,17 +374,6 @@ impl Message {
             | Message::Ez(EzMsg::Done { flow }) => Some(*flow),
         }
     }
-
-    /// True for control-plane-bound messages (FRM/UFM/acks/done).
-    pub fn is_controller_bound(&self) -> bool {
-        matches!(
-            self,
-            Message::Frm(_)
-                | Message::Ufm(_)
-                | Message::Central(CentralMsg::Ack { .. })
-                | Message::Ez(EzMsg::Done { .. })
-        )
-    }
 }
 
 #[cfg(test)]
@@ -408,41 +397,6 @@ mod tests {
             round: 1,
         });
         assert_eq!(m.flow(), Some(FlowId(4)));
-    }
-
-    #[test]
-    fn controller_bound_classification() {
-        assert!(Message::Ufm(Ufm {
-            flow: FlowId(0),
-            version: Version(1),
-            status: UfmStatus::Success,
-            reporter: NodeId(0),
-        })
-        .is_controller_bound());
-        assert!(Message::Frm(Frm {
-            flow: FlowId(0),
-            ingress: NodeId(0),
-            egress: NodeId(1),
-        })
-        .is_controller_bound());
-        assert!(!Message::Data(DataPacket {
-            flow: FlowId(0),
-            seq: 0,
-            ttl: 64,
-            tag: None,
-        })
-        .is_controller_bound());
-        assert!(!Message::Unm(Unm {
-            flow: FlowId(0),
-            v_new: Version(1),
-            v_old: Version(0),
-            d_new: 0,
-            d_old: 0,
-            counter: 0,
-            kind: UpdateKind::Single,
-            layer: UnmLayer::Intra,
-        })
-        .is_controller_bound());
     }
 
     #[test]

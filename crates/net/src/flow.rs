@@ -123,11 +123,6 @@ impl FlowUpdate {
             .copied()
             .filter(move |&n| n != egress)
     }
-
-    /// True when the update does not change the path at all.
-    pub fn is_noop(&self) -> bool {
-        self.old_path.as_ref() == Some(&self.new_path)
-    }
 }
 
 #[cfg(test)]
@@ -161,13 +156,6 @@ mod tests {
         let u = FlowUpdate::new(FlowId(0), Some(p(&[0, 4, 2, 7])), p(&[0, 1, 2, 3, 7]), 1.0);
         let nodes: Vec<_> = u.nodes_to_update().collect();
         assert_eq!(nodes, vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]);
-        assert!(!u.is_noop());
-    }
-
-    #[test]
-    fn noop_update_detected() {
-        let u = FlowUpdate::new(FlowId(0), Some(p(&[0, 1])), p(&[0, 1]), 1.0);
-        assert!(u.is_noop());
     }
 
     #[test]
@@ -186,6 +174,5 @@ mod tests {
     fn initial_deployment_has_no_old_path() {
         let u = FlowUpdate::new(FlowId(3), None, p(&[0, 1, 2]), 1.0);
         assert!(u.old_path.is_none());
-        assert!(!u.is_noop());
     }
 }

@@ -10,7 +10,7 @@ use crate::checker::{check, FlowSpec, Violation};
 use crate::config::{
     ms, ControlLatency, InstallDelay, SimConfig, ADVERSARY_DELAY_MS, CTRL_LATENCY_FLOOR_MS,
     CTRL_LATENCY_MEAN_MS, CTRL_LATENCY_STD_DEV_MS, CTRL_SERVICE_MEAN_MS, CTRL_TX_MS,
-    INSTALL_MEAN_MS, RELAY_HOP_MS, RESUBMIT_POLL_MS,
+    INSTALL_MEAN_MS, RELAY_HOP_MS, REPLICATION_LAG_MS, RESUBMIT_POLL_MS,
 };
 use crate::metrics::Metrics;
 use crate::table::SwitchTable;
@@ -275,6 +275,8 @@ pub struct NetworkSim {
     metrics: Metrics,
     /// Reusable effect buffer (see [`Self::switch_pass`]).
     scratch: Vec<Effect>,
+    /// Its controller-side twin (see [`Self::controller_pass`]).
+    ctrl_scratch: Vec<CtrlEffect>,
     /// Violations found by per-event checking (paranoid mode).
     pub violations: Vec<(SimTime, Violation)>,
     /// Findings of the static analysis gate (`SimConfig::analysis_gate`):
@@ -356,6 +358,7 @@ impl NetworkSim {
             violations: Vec::new(),
             analysis_findings: Vec::new(),
             scratch: Vec::new(),
+            ctrl_scratch: Vec::new(),
             liars: Vec::new(),
             byz_taints: Vec::new(),
             byz_outcomes: Vec::new(),
@@ -552,16 +555,29 @@ impl NetworkSim {
 
     /// Ship one honest control message: resolve its fault choice point,
     /// then schedule `event` at `at` as the decision says (not at all,
-    /// late, or twice). Every honest send comes through here except a
-    /// switch's report under [`ControlLatency::Normal`] (see that arm).
+    /// late, or twice). Every honest send comes through here.
     fn deliver(&mut self, at: SimTime, event: Event, sched: &mut Scheduler<Event>) {
+        // A late copy is scheduled [`ADVERSARY_DELAY_MS`] after `at` —
+        // except a `CtrlIngress`, which fires on time, carries the lateness
+        // in `extra` and adds it to the latency it draws (so a duplicate is
+        // two ingresses and two independent draws).
+        let schedule_late = |sched: &mut Scheduler<Event>, mut event: Event| {
+            let late = ms(ADVERSARY_DELAY_MS);
+            match &mut event {
+                Event::CtrlIngress { extra, .. } => {
+                    *extra = late;
+                    sched.schedule_at(at, event);
+                }
+                _ => sched.schedule_at(at + late, event),
+            }
+        };
         match self.fault_choice(sched) {
             FaultDecision::Drop => self.metrics.record_control_drop(),
             FaultDecision::Deliver => sched.schedule_at(at, event),
-            FaultDecision::Delay => sched.schedule_at(at + ms(ADVERSARY_DELAY_MS), event),
+            FaultDecision::Delay => schedule_late(sched, event),
             FaultDecision::Duplicate => {
                 sched.schedule_at(at, event.clone());
-                sched.schedule_at(at + ms(ADVERSARY_DELAY_MS), event);
+                schedule_late(sched, event);
             }
         }
     }
@@ -613,61 +629,37 @@ impl NetworkSim {
     ) {
         let lie = vector.corrupt(&msg).expect("vector was applicable");
         let at = base + self.transit(liar, to) + self.fault_jitter();
-        let deliver = |msg| Event::DeliverToSwitch {
-            node: to,
+        let deliver = |node, msg| Event::DeliverToSwitch {
+            node,
             from: Endpoint::Switch(liar),
             msg,
         };
-        match vector.delivery() {
-            ByzDelivery::Replace => {
-                self.byz_taints.push(ByzTaint {
-                    dest: Endpoint::Switch(to),
-                    msg: lie.clone(),
-                    vector,
-                    liar,
-                });
-                sched.schedule_at(at, deliver(lie));
-            }
-            ByzDelivery::ExtraDelayed => {
-                sched.schedule_at(at, deliver(msg));
-                self.byz_taints.push(ByzTaint {
-                    dest: Endpoint::Switch(to),
-                    msg: lie.clone(),
-                    vector,
-                    liar,
-                });
-                sched.schedule_at(at + ms(ADVERSARY_DELAY_MS), deliver(lie));
-            }
+        let delivery = vector.delivery();
+        if delivery != ByzDelivery::Replace {
+            sched.schedule_at(at, deliver(to, msg));
+        }
+        // Where and when the lie lands.
+        let (dest, lie_at) = match delivery {
+            ByzDelivery::Replace => (to, at),
+            ByzDelivery::ExtraDelayed => (to, at + ms(ADVERSARY_DELAY_MS)),
             ByzDelivery::ExtraToOtherNeighbor => {
-                sched.schedule_at(at, deliver(msg));
                 // Equivocate toward the lowest-id *other* neighbor; a
                 // degree-1 liar has nobody else to lie to.
-                let other = self
-                    .topo
-                    .neighbors(liar)
-                    .iter()
-                    .map(|&(n, _)| n)
-                    .filter(|&n| n != to)
-                    .min();
-                if let Some(other) = other {
-                    let at2 = base + self.transit(liar, other) + self.fault_jitter();
-                    self.byz_taints.push(ByzTaint {
-                        dest: Endpoint::Switch(other),
-                        msg: lie.clone(),
-                        vector,
-                        liar,
-                    });
-                    sched.schedule_at(
-                        at2,
-                        Event::DeliverToSwitch {
-                            node: other,
-                            from: Endpoint::Switch(liar),
-                            msg: lie,
-                        },
-                    );
-                }
+                let other = self.topo.neighbors(liar).iter().map(|&(n, _)| n);
+                let Some(other) = other.filter(|&n| n != to).min() else {
+                    return;
+                };
+                let at = base + self.transit(liar, other) + self.fault_jitter();
+                (other, at)
             }
-        }
+        };
+        self.byz_taints.push(ByzTaint {
+            dest: Endpoint::Switch(dest),
+            msg: lie.clone(),
+            vector,
+            liar,
+        });
+        sched.schedule_at(lie_at, deliver(dest, lie));
     }
 
     /// Classify what a just-delivered lie did at switch `node`, from the
@@ -740,16 +732,21 @@ impl NetworkSim {
         let r = self.config.replication;
         if !self.failed_over
             && r.failover_at_ms > 0.0
-            && now.as_millis_f64() >= r.failover_at_ms - r.lag_ms
+            && now.as_millis_f64() >= r.failover_at_ms - REPLICATION_LAG_MS
         {
             return; // lost in the dead primary's replication pipeline
         }
-        let mut discard = Vec::new();
+        self.feed_standbys(|c, out| c.on_message(now, from, msg.clone(), out));
+    }
+
+    /// Run `act` on every standby replica, outputs discarded.
+    fn feed_standbys(&mut self, act: impl Fn(&mut dyn ControllerLogic, &mut Vec<CtrlEffect>)) {
+        let mut discard = std::mem::take(&mut self.ctrl_scratch);
         for s in &mut self.standbys {
-            s.as_logic()
-                .on_message(now, from, msg.clone(), &mut discard);
+            act(s.as_logic(), &mut discard);
             discard.clear();
         }
+        self.ctrl_scratch = discard;
     }
 
     fn fault_jitter(&mut self) -> SimDuration {
@@ -813,38 +810,22 @@ impl NetworkSim {
                         });
                         msg = lie;
                     }
-                    if self.config.timing.control == ControlLatency::Normal {
+                    let (at, event) = if self.config.timing.control == ControlLatency::Normal {
                         // The latency draw happens controller-side (see
                         // [`Event::CtrlIngress`]); the switch only knows the
-                        // message cannot arrive before the floor. This is
-                        // the one send that bypasses `deliver`: a fault's
-                        // delay is carried in the ingress event (`extra`),
-                        // not added to the timestamp, and a duplicate
-                        // becomes two ingresses and therefore two
-                        // independent latency draws.
-                        let at = base + ms(CTRL_LATENCY_FLOOR_MS);
-                        let late = ms(ADVERSARY_DELAY_MS);
-                        let ingress = |extra| Event::CtrlIngress {
+                        // message cannot arrive before the floor.
+                        let ingress = Event::CtrlIngress {
                             from: node,
-                            msg: msg.clone(),
+                            msg,
                             sent_at: base,
-                            extra,
+                            extra: SimDuration::ZERO,
                         };
-                        match self.fault_choice(sched) {
-                            FaultDecision::Drop => self.metrics.record_control_drop(),
-                            FaultDecision::Deliver => {
-                                sched.schedule_at(at, ingress(SimDuration::ZERO));
-                            }
-                            FaultDecision::Delay => sched.schedule_at(at, ingress(late)),
-                            FaultDecision::Duplicate => {
-                                sched.schedule_at(at, ingress(SimDuration::ZERO));
-                                sched.schedule_at(at, ingress(late));
-                            }
-                        }
-                        continue;
-                    }
-                    let at = base + self.control_latency(node);
-                    self.deliver(at, Event::DeliverToController { from: node, msg }, sched);
+                        (base + ms(CTRL_LATENCY_FLOOR_MS), ingress)
+                    } else {
+                        let at = base + self.control_latency(node);
+                        (at, Event::DeliverToController { from: node, msg })
+                    };
+                    self.deliver(at, event, sched);
                 }
                 Effect::BeginInstall { flow, token } => {
                     let at = base + self.install_delay();
@@ -880,12 +861,12 @@ impl NetworkSim {
     fn apply_ctrl_effects(
         &mut self,
         base: SimTime,
-        effects: Vec<CtrlEffect>,
+        effects: &mut Vec<CtrlEffect>,
         sched: &mut Scheduler<Event>,
     ) {
         let tx = ms(CTRL_TX_MS);
         let mut send_time = base;
-        for effect in effects {
+        for effect in effects.drain(..) {
             match effect {
                 CtrlEffect::Send { to, msg } => {
                     send_time += tx;
@@ -915,6 +896,30 @@ impl NetworkSim {
             }
         }
         self.ctrl_busy = self.ctrl_busy.max(send_time);
+    }
+
+    /// One pass of the controller for a controller-side event
+    /// (`ControllerExec`, `Trigger`, `ControllerTimer`): `act` fills the
+    /// reusable effect buffer and the effects are applied anchored at
+    /// `base`. Returns what `act` returned.
+    fn controller_pass<R>(
+        &mut self,
+        base: SimTime,
+        sched: &mut Scheduler<Event>,
+        act: impl FnOnce(&mut dyn ControllerLogic, &mut Vec<CtrlEffect>) -> R,
+    ) -> R {
+        let mut effects = std::mem::take(&mut self.ctrl_scratch);
+        let result = act(self.controller.as_logic(), &mut effects);
+        self.apply_ctrl_effects(base, &mut effects, sched);
+        self.ctrl_scratch = effects;
+        result
+    }
+
+    /// Arm the §11 loss-recovery timer one period ahead, if recovery is on.
+    fn arm_retry(&self, sched: &mut Scheduler<Event>) {
+        if self.config.retry_ms > 0.0 {
+            sched.schedule_in(ms(self.config.retry_ms), Event::ControllerTimer);
+        }
     }
 
     /// Arm the resubmission poll loop at a switch that has parked
@@ -1117,11 +1122,7 @@ impl World for NetworkSim {
                     });
                 }
                 self.feed_standbys_msg(now, from, &msg);
-                let mut out = Vec::new();
-                self.controller
-                    .as_logic()
-                    .on_message(now, from, msg, &mut out);
-                self.apply_ctrl_effects(now, out, sched);
+                self.controller_pass(now, sched, |c, out| c.on_message(now, from, msg, out));
             }
             Event::PollTick { node } => {
                 let parked = self.switches[node].parked_messages();
@@ -1137,35 +1138,27 @@ impl World for NetworkSim {
                 }
             }
             Event::Trigger { batch } => {
-                let updates = self.batches.get(batch).cloned().unwrap_or_default();
+                // Taken out for the arm (no clone), put back below.
+                let slot = self.batches.get_mut(batch).unwrap_or_else(|| {
+                    panic!("Event::Trigger names batch {batch}, which add_batch never returned")
+                });
+                let updates = std::mem::take(slot);
                 self.metrics.record_trigger();
                 if self.config.analysis_gate {
                     self.run_analysis_gate(&updates);
                 }
-                let mut out = Vec::new();
+                // Shadow replicas see the same trigger so a post-failover
+                // primary holds the same pending state.
+                self.feed_standbys(|c, out| c.start_update(now, &updates, out));
                 let base = now.max(self.ctrl_busy);
-                self.controller
-                    .as_logic()
-                    .start_update(now, &updates, &mut out);
-                // Shadow replicas see the same trigger (outputs dropped)
-                // so a post-failover primary holds the same pending state.
-                let mut discard = Vec::new();
-                for s in &mut self.standbys {
-                    s.as_logic().start_update(now, &updates, &mut discard);
-                    discard.clear();
-                }
-                self.apply_ctrl_effects(base, out, sched);
-                if self.config.retry_ms > 0.0 {
-                    sched.schedule_in(ms(self.config.retry_ms), Event::ControllerTimer);
-                }
+                self.controller_pass(base, sched, |c, out| c.start_update(now, &updates, out));
+                self.batches[batch] = updates;
+                self.arm_retry(sched);
             }
             Event::ControllerTimer => {
-                let mut out = Vec::new();
-                let keep_going = self.controller.as_logic().on_timer(now, &mut out);
                 let base = now.max(self.ctrl_busy);
-                self.apply_ctrl_effects(base, out, sched);
-                if keep_going && self.config.retry_ms > 0.0 {
-                    sched.schedule_in(ms(self.config.retry_ms), Event::ControllerTimer);
+                if self.controller_pass(base, sched, |c, out| c.on_timer(now, out)) {
+                    self.arm_retry(sched);
                 }
             }
             Event::ControllerFailover => {
@@ -1175,9 +1168,7 @@ impl World for NetworkSim {
                     // The new primary's view may be stale (replication
                     // lag); the §11 recovery timer is what reconciles
                     // in-flight updates, so re-arm it immediately.
-                    if self.config.retry_ms > 0.0 {
-                        sched.schedule_in(ms(self.config.retry_ms), Event::ControllerTimer);
-                    }
+                    self.arm_retry(sched);
                 }
             }
         }
@@ -1501,7 +1492,6 @@ mod tests {
             .with_replication(crate::config::ReplicationConfig {
                 replicas: 2,
                 failover_at_ms: 50.0,
-                lag_ms: 25.0,
             });
         let mut world = NetworkSim::new(topo, System::P4Update(Strategy::Auto), config, None);
         let old = Path::new(topologies::fig1_old_path());
@@ -1523,6 +1513,104 @@ mod tests {
             "update did not complete after failover"
         );
         assert!(world.violations.is_empty(), "{:?}", world.violations);
+    }
+
+    /// A switch's report under [`ControlLatency::Normal`] travels as a
+    /// `CtrlIngress`, whose fault lateness rides in `extra` instead of in
+    /// its timestamp. Two back-to-back single-flow updates on `fat_tree(4)`
+    /// each end in exactly one report (the ingress's UFM, the update's last
+    /// fault choice point): the first is delayed, the second duplicated.
+    #[test]
+    fn delayed_and_duplicated_reports_under_normal_control_latency() {
+        use std::cell::Cell;
+        use std::rc::Rc;
+
+        /// Picks `faults[i]`'s alternative at the fault choice point it
+        /// names (counted from 0), the default everywhere else.
+        struct Script {
+            seen: Rc<Cell<usize>>,
+            faults: Vec<(usize, usize)>,
+        }
+        impl p4update_des::Chooser for Script {
+            fn choose(&mut self, kind: ChoiceKind, _arity: usize) -> usize {
+                if kind != ChoiceKind::Fault {
+                    return 0;
+                }
+                let i = self.seen.replace(self.seen.get() + 1);
+                self.faults
+                    .iter()
+                    .find(|&&(at, _)| at == i)
+                    .map_or(0, |&(_, alt)| alt)
+            }
+        }
+
+        // Returns the fault choice points seen by the end of each update,
+        // the events delivered and the completion times.
+        let run = |faults: Vec<(usize, usize)>| {
+            let topo = topologies::fat_tree(4);
+            let edges = topologies::fat_tree_edge_switches(&topo);
+            let paths = p4update_net::k_shortest_paths(&topo, edges[0], *edges.last().unwrap(), 2);
+            let (old, new) = (paths[0].clone(), paths[1].clone());
+            let config = SimConfig::new(TimingConfig::fat_tree(), 1)
+                .paranoid()
+                .with_fault_choices();
+            let mut world = NetworkSim::new(topo, System::P4Update(Strategy::Auto), config, None);
+            world.install_initial_path(FlowId(0), &old, 1.0);
+            let there = world.add_batch(vec![FlowUpdate::new(
+                FlowId(0),
+                Some(old.clone()),
+                new.clone(),
+                1.0,
+            )]);
+            let back = world.add_batch(vec![FlowUpdate::new(FlowId(0), Some(new), old, 1.0)]);
+            let seen = Rc::new(Cell::new(0));
+            let mut sim = simulation(world).with_chooser(Box::new(Script {
+                seen: Rc::clone(&seen),
+                faults,
+            }));
+            let second = SimTime::ZERO + SimDuration::from_secs(5);
+            sim.schedule_at(SimTime::ZERO, Event::Trigger { batch: there });
+            sim.schedule_at(second, Event::Trigger { batch: back });
+            assert!(!sim
+                .run_until(SimTime::ZERO + SimDuration::from_millis(4_999))
+                .drained());
+            let after_first = seen.get();
+            assert!(sim.run().drained());
+            let events = sim.events_delivered();
+            let world = sim.into_world();
+            assert!(world.violations.is_empty(), "{:?}", world.violations);
+            let done: Vec<u64> = world
+                .metrics()
+                .completions
+                .iter()
+                .map(|&(at, _, _)| at.as_nanos())
+                .collect();
+            (after_first, seen.get(), events, done)
+        };
+
+        let (first_end, second_end, clean_events, clean_done) = run(Vec::new());
+        let (_, _, events, done) = run(vec![(first_end - 1, 2), (second_end - 1, 3)]);
+        let late = ms(ADVERSARY_DELAY_MS).as_nanos();
+        // The delay adds no event and no draw: the first completion moves
+        // by exactly the adversary's delay. The duplicate is a second
+        // ingress (three more events) whose latency is drawn before the
+        // first copy's service time, and the controller completes on both.
+        assert_eq!(done[0], clean_done[0] + late);
+        assert_eq!(events, clean_events + 3);
+        assert_eq!((first_end, second_end), (12, 24));
+        assert_eq!(
+            (clean_events, clean_done),
+            (43, vec![134_687_585, 5_094_460_631])
+        );
+        assert_eq!(done, vec![534_687_585, 5_101_871_604, 5_523_859_112]);
+    }
+
+    #[test]
+    #[should_panic(expected = "which add_batch never returned")]
+    fn trigger_for_an_unknown_batch_panics() {
+        let mut sim = simulation(basic_sim(System::P4Update(Strategy::Auto)));
+        sim.schedule_at(SimTime::ZERO, Event::Trigger { batch: 0 });
+        sim.run();
     }
 
     #[test]

@@ -3,10 +3,11 @@
 #
 #   scripts/check.sh
 #
-# Runs formatting, the clippy lint wall, the full offline test suite, the
-# static plan linter over its sample plans (including the mutated ones,
-# which must make it exit non-zero), the dataset round trip (an exported
-# on-disk batch must re-lint byte-identically to the in-memory analysis),
+# Runs formatting, the debug-only-check count, the clippy lint wall, the
+# full offline test suite, the static plan linter over its sample plans
+# (including the mutated ones, which must make it exit non-zero), the
+# dataset round trip (an exported on-disk batch must re-lint
+# byte-identically to the in-memory analysis),
 # the corpus and explorer smokes, the large fat-tree tests, the root
 # property suites and the differentials — the path solver, the bridge
 # classification and `multi_flow` against their oracles, the UIB against its
@@ -25,6 +26,20 @@ trap 'cmp -s "$tmpdir/benchmark-Cargo.lock" benchmark/Cargo.lock \
 
 echo "==> cargo fmt --check"
 cargo fmt --check
+
+# Invariants hold in the release profile too: the only profile-dependent
+# checks allowed under crates/ are the analysis gate's two (DESIGN.md
+# section 7), so their count can only fall.
+echo "==> no debug-only check under crates/ beyond the two allow-listed lines"
+debug_only="$(grep -rn 'debug_assert\|cfg!(debug_assertions)' crates/ || true)"
+unlisted="$(grep -v \
+    -e '^crates/sim/src/config.rs:[0-9]*: *analysis_gate: cfg!(debug_assertions),$' \
+    -e '^crates/sim/src/network.rs:[0-9]*: *debug_assert!($' <<<"$debug_only" || true)"
+if [[ -n "$unlisted" || "$(grep -c . <<<"$debug_only")" -gt 2 ]]; then
+    echo "error: a check that holds in debug builds only (make it an assert!):" >&2
+    echo "$debug_only" >&2
+    exit 1
+fi
 
 echo "==> cargo clippy (workspace, all targets, -D warnings)"
 cargo clippy --workspace --all-targets -q -- -D warnings
