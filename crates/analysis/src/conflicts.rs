@@ -112,22 +112,15 @@ pub(crate) fn build_waits_for(edges: &[PlanEdges], topo: Option<&Topology>) -> V
     waits_for
 }
 
-/// Find the cycles a three-coloring DFS reports over `vertices` of the
-/// `waits_for` adjacency (vertex ids are indices into `waits_for`;
-/// `vertices` must be ascending). Cycles are canonicalized (rotated to
-/// start at the smallest participant) and deduplicated; the `BTreeSet`
-/// order is the stable emission order.
+/// Find the cycles a three-coloring DFS reports over the `waits_for`
+/// adjacency (vertex ids are indices into `waits_for`; roots are tried in
+/// ascending order). Cycles are canonicalized (rotated to start at the
+/// smallest participant) and deduplicated; the `BTreeSet` order is the
+/// stable emission order.
 ///
 /// The DFS is iterative (an explicit stack mirroring the recursion
 /// exactly), so deep chains in large batches cannot overflow the stack.
-/// Because DFS from a vertex only ever reaches its own link-connected
-/// component, running this per component over the component's ascending
-/// vertex list reports the identical cycle set to one global pass — the
-/// property the engine's per-component cache rests on.
-pub(crate) fn find_cycles(
-    waits_for: &[Vec<usize>],
-    vertices: impl IntoIterator<Item = usize>,
-) -> BTreeSet<Vec<usize>> {
+pub(crate) fn find_cycles(waits_for: &[Vec<usize>]) -> BTreeSet<Vec<usize>> {
     let n = waits_for.len();
     let mut reported: BTreeSet<Vec<usize>> = BTreeSet::new();
     let mut color = vec![0u8; n]; // 0 = white, 1 = on stack, 2 = done
@@ -135,7 +128,7 @@ pub(crate) fn find_cycles(
     // (vertex, index of the next neighbor to examine)
     let mut stack: Vec<(usize, usize)> = Vec::new();
 
-    for root in vertices {
+    for root in 0..n {
         if color[root] != 0 {
             continue;
         }
@@ -209,12 +202,11 @@ pub(crate) fn check_waits_for(
     topo: Option<&Topology>,
     out: &mut Vec<Diagnostic>,
 ) {
-    let n = plans.len();
-    if n < 2 {
+    if plans.len() < 2 {
         return;
     }
     let edges: Vec<PlanEdges> = plans.iter().map(PlanEdges::of).collect();
     let waits_for = build_waits_for(&edges, topo);
-    let cycles = find_cycles(&waits_for, 0..n);
+    let cycles = find_cycles(&waits_for);
     cycle_diagnostics(plans, &cycles, out);
 }

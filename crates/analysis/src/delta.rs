@@ -19,11 +19,6 @@ pub struct PlanDelta {
 }
 
 impl PlanDelta {
-    /// True when the delta changes nothing.
-    pub fn is_empty(&self) -> bool {
-        self.removed.is_empty() && self.revised.is_empty() && self.added.is_empty()
-    }
-
     /// Number of plans this delta touches (each counts once; a position
     /// both removed and revised would be ill-formed and counts never
     /// arise because [`Self::diff`] keeps the sets disjoint).
@@ -48,19 +43,10 @@ impl PlanDelta {
         }
     }
 
-    /// A delta that only appends plans.
-    pub fn extend(added: Vec<PreparedUpdate>) -> PlanDelta {
-        PlanDelta {
-            added,
-            ..PlanDelta::default()
-        }
-    }
-
     /// Apply the edit to `prev`, returning the new batch plus, per new
     /// position, the previous position it was carried over from unchanged
-    /// (`None` for revised and added plans). The carried-over mapping is
-    /// strictly increasing, which is what lets component caches match
-    /// ascending member lists through it.
+    /// (`None` for revised and added plans): the positions whose cached
+    /// lint the engine may reuse.
     pub(crate) fn apply(
         &self,
         prev: &[PreparedUpdate],
@@ -122,18 +108,9 @@ mod tests {
     fn identical_batches_diff_empty() {
         let batch = vec![plan(0, 2), plan(1, 2)];
         let delta = PlanDelta::diff(&batch, &batch.clone());
-        assert!(delta.is_empty());
+        assert_eq!(delta.touched(), 0);
         let (applied, origin) = delta.apply(&batch);
         assert_eq!(applied.len(), 2);
         assert_eq!(origin, vec![Some(0), Some(1)]);
-    }
-
-    #[test]
-    fn extend_appends_with_no_origin() {
-        let base = vec![plan(0, 2)];
-        let delta = PlanDelta::extend(vec![plan(1, 2), plan(2, 2)]);
-        let (applied, origin) = delta.apply(&base);
-        assert_eq!(applied.len(), 3);
-        assert_eq!(origin, vec![Some(0), None, None]);
     }
 }

@@ -12,8 +12,9 @@ use crate::segment::{segment_update, Segmentation};
 use p4update_dataplane::{ControllerLogic, CtrlEffect};
 use p4update_des::SimTime;
 use p4update_messages::{Message, UfmStatus, Uim, UpdateKind};
-use p4update_net::{FlowId, FlowUpdate, NodeId, Version};
+use p4update_net::{FlowId, FlowUpdate, NodeId, Topology, Version};
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 /// The §7.5 deployment strategy: single-layer for updates that install new
 /// rules on few nodes in forward-only segmentations, dual-layer otherwise.
@@ -149,8 +150,9 @@ pub struct P4UpdateController {
     flows: BTreeMap<FlowId, FlowRecord>,
     /// The Network Information Base: the controller's topology view, used
     /// to set up paths for flows reported via FRM (§6). Optional — update
-    /// scenarios that pre-install flows do not need it.
-    nib: Option<p4update_net::Topology>,
+    /// scenarios that pre-install flows do not need it. Shared: the
+    /// simulator hands every controller replica the topology it runs on.
+    nib: Option<Rc<Topology>>,
 }
 
 impl P4UpdateController {
@@ -165,7 +167,7 @@ impl P4UpdateController {
 
     /// Attach the Network Information Base, enabling path setup for flows
     /// reported through FRMs.
-    pub fn with_nib(mut self, topo: p4update_net::Topology) -> Self {
+    pub fn with_nib(mut self, topo: Rc<Topology>) -> Self {
         self.nib = Some(topo);
         self
     }

@@ -18,9 +18,6 @@ pub struct SwitchState {
     /// direction, which is what makes the paper's local congestion
     /// scheduling sound (§7.4).
     capacity: BTreeMap<NodeId, f64>,
-    /// Pipeline passes executed (overhead metric; each message handled is
-    /// at least one pass, resubmissions add more).
-    pub pipeline_passes: u64,
 }
 
 impl SwitchState {
@@ -36,7 +33,6 @@ impl SwitchState {
             id,
             uib: Uib::new(),
             capacity,
-            pipeline_passes: 0,
         }
     }
 

@@ -63,7 +63,6 @@ impl Switch {
         msg: Message,
         out: &mut Vec<Effect>,
     ) {
-        self.state.pipeline_passes += 1;
         match msg {
             Message::Data(pkt) => self.forward_data(pkt, out),
             other => self
@@ -92,7 +91,6 @@ impl Switch {
         token: u64,
         out: &mut Vec<Effect>,
     ) {
-        self.state.pipeline_passes += 1;
         self.logic
             .on_installed(now, &mut self.state, flow, token, out);
     }
@@ -120,7 +118,6 @@ impl Switch {
         egress_hint: NodeId,
         out: &mut Vec<Effect>,
     ) {
-        self.state.pipeline_passes += 1;
         let entry = self.state.uib.read(pkt.flow);
         if self.stamp_tags && pkt.tag.is_none() && entry.has_active_rule() {
             // Two-phase commit: stamp with the ingress's applied version;
@@ -358,18 +355,5 @@ mod tests {
                 pkt: pkt(9, 63)
             }]
         );
-    }
-
-    #[test]
-    fn pipeline_passes_are_counted() {
-        let t = line3();
-        let mut s = sw(&t, 0);
-        s.handle_message(
-            SimTime::ZERO,
-            Endpoint::Controller,
-            Message::Data(pkt(1, 1)),
-        );
-        s.handle_installed(SimTime::ZERO, FlowId(1), 0);
-        assert_eq!(s.state.pipeline_passes, 2);
     }
 }

@@ -67,8 +67,9 @@ pub trait Chooser {
     fn choose(&mut self, kind: ChoiceKind, arity: usize) -> usize;
 
     /// Fast-path hint: a trivial chooser always picks `0`, letting the
-    /// scheduler skip gathering tie sets entirely. Exploring choosers
-    /// must return `false` or they will never be consulted.
+    /// scheduler skip gathering tie sets and answer world-level choice
+    /// points itself. Exploring choosers must return `false` or they
+    /// will never be consulted.
     fn is_trivial(&self) -> bool {
         false
     }

@@ -36,8 +36,9 @@ pub struct Scheduler<E> {
     next_seq: u64,
     now: SimTime,
     chooser: Box<dyn Chooser>,
-    /// Cached [`Chooser::is_trivial`] so the hot pop path branches on a
-    /// plain bool instead of making a virtual call per event.
+    /// Cached [`Chooser::is_trivial`] so the hot pop path and every
+    /// world-level choice point branch on a plain bool instead of making
+    /// a virtual call.
     trivial: bool,
     peak_pending: usize,
 }
@@ -70,10 +71,12 @@ impl<E> Scheduler<E> {
 
     /// Resolve a world-level choice point (e.g., a per-message fault
     /// decision) through the installed chooser. `arity` must be at least 1;
-    /// the result is always in `[0, arity)`, and `0` means "default".
+    /// the result is always in `[0, arity)`, and `0` means "default". A
+    /// trivial chooser is not consulted: a world can emit a choice point
+    /// per message and pay a branch for it under the default policy.
     pub fn choose(&mut self, kind: ChoiceKind, arity: usize) -> usize {
         assert!(arity >= 1, "choice point with no alternatives");
-        if arity == 1 {
+        if arity == 1 || self.trivial {
             return 0;
         }
         let pick = self.chooser.choose(kind, arity);
@@ -519,6 +522,28 @@ mod tests {
         sched.set_chooser(Box::new(Lifo));
         assert_eq!(sched.choose(ChoiceKind::Fault, 4), 3);
         assert_eq!(sched.choose(ChoiceKind::Fault, 1), 0);
+    }
+
+    /// A trivial chooser is never consulted at a world-level choice point
+    /// (nor at a tie), so a world may ask at every message.
+    #[test]
+    fn a_trivial_chooser_is_never_consulted() {
+        struct Untouchable;
+        impl Chooser for Untouchable {
+            fn choose(&mut self, kind: ChoiceKind, _arity: usize) -> usize {
+                panic!("trivial chooser consulted at a {kind:?} choice point");
+            }
+            fn is_trivial(&self) -> bool {
+                true
+            }
+        }
+        let mut sim =
+            Simulation::new(Recorder { seen: vec![] }).with_chooser(Box::new(Untouchable));
+        assert_eq!(sim.sched.choose(ChoiceKind::Fault, 4), 0);
+        assert_eq!(sim.sched.choose(ChoiceKind::Byzantine, 2), 0);
+        sim.schedule_at(ms(5), 1);
+        sim.schedule_at(ms(5), 2);
+        assert!(sim.run().drained());
     }
 
     /// Peak queue depth is a high-water mark: it survives the drain and

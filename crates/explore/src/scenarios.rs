@@ -186,7 +186,6 @@ fn explore_config(timing: TimingConfig, seed: u64) -> SimConfig {
     SimConfig::new(timing, seed)
         .paranoid()
         .with_analysis_gate(false)
-        .with_fault_choices()
 }
 
 /// The Fig. 2 deployment (§4.1), starting from the paper's inconsistent
@@ -361,13 +360,12 @@ mod tests {
     }
 
     #[test]
-    fn scenarios_disable_the_analysis_gate_and_enable_choices() {
+    fn scenarios_are_paranoid_and_disable_the_analysis_gate() {
         for info in SCENARIOS {
             let built = build(info.name, 1).unwrap();
             let cfg = built.sim.world().config();
             assert!(cfg.paranoid, "{}: paranoid off", info.name);
             assert!(!cfg.analysis_gate, "{}: gate on", info.name);
-            assert!(cfg.fault_choices, "{}: no choices", info.name);
         }
     }
 }

@@ -23,18 +23,29 @@ pub struct SearchOutcome {
     pub runs_used: u32,
 }
 
+/// Per-tie probability of a non-FIFO pick in a random walk: light
+/// tie-break noise, so a hit is attributable to the faults or the lies.
+const WALK_TIE_P: f64 = 0.05;
+
+/// Search depth of [`systematic`]: the number of simultaneously forced
+/// decisions. Depth 1 suffices for the Fig. 2 loop (one lost or delayed
+/// configuration message, §4.1); 2 also reaches every pair of deviations
+/// inside the window.
+const SYSTEMATIC_DEPTH: usize = 2;
+
+/// Expansion window of [`systematic`]: from each explored run, only the
+/// first this many choice points *after* its last forced index are
+/// branched on. Keeps the frontier from exploding on long schedules while
+/// still reaching any bounded-depth combination eventually.
+const SYSTEMATIC_WINDOW: usize = 24;
+
 /// Random-walk search parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct WalkOptions {
     /// Maximum number of walks (simulation runs) before giving up.
     pub runs: u32,
-    /// Seed of the walk RNG (independent of the scenario seed; walk `i`
-    /// uses a fork derived from `walk_seed` and `i`).
-    pub walk_seed: u64,
     /// Per-choice-point probability of injecting a fault.
     pub fault_p: f64,
-    /// Per-tie probability of a non-FIFO pick.
-    pub tie_p: f64,
     /// Per-choice-point probability of lying at a byzantine choice point
     /// (only consulted when the scenario installs the byzantine catalog).
     pub byz_p: f64,
@@ -48,9 +59,7 @@ impl Default for WalkOptions {
         // forwarding state can form.
         WalkOptions {
             runs: 64,
-            walk_seed: 0,
             fault_p: 0.04,
-            tie_p: 0.05,
             // Byzantine points are rare (only applicable messages from
             // budget-eligible senders emit one), so lying can afford to be
             // much denser than fault injection without stalling the run.
@@ -70,21 +79,17 @@ fn breached(violations: &[p4update_core::Violation]) -> bool {
 /// Random-walk exploration: repeatedly run `scenario` with random
 /// deviations until the checker records a violation or the budget is
 /// spent. Returns `Ok(None)` when the budget runs out violation-free.
+/// Walk `i` draws from `SimRng::new(i)`, independent of the scenario seed.
 pub fn random_walk(
     scenario: &str,
     seed: u64,
     opts: WalkOptions,
 ) -> Result<Option<SearchOutcome>, String> {
     for i in 0..opts.runs {
-        let rng = SimRng::new(
-            opts.walk_seed
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(u64::from(i)),
-        );
         let free = FreePolicy::Random {
-            rng,
+            rng: SimRng::new(u64::from(i)),
             fault_p: opts.fault_p,
-            tie_p: opts.tie_p,
+            tie_p: WALK_TIE_P,
             byz_p: opts.byz_p,
         };
         let report = run(scenario, seed, BTreeMap::new(), free)?;
@@ -102,48 +107,20 @@ pub fn random_walk(
     Ok(None)
 }
 
-/// Bounded systematic search parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct SystematicOptions {
-    /// Maximum simulation runs.
-    pub runs: u32,
-    /// Maximum number of simultaneously forced decisions (search depth).
-    pub max_forced: usize,
-    /// Expansion window: from each explored run, only the first `window`
-    /// choice points *after* its last forced index are branched on. Keeps
-    /// the frontier from exploding on long schedules while still reaching
-    /// any bounded-depth combination eventually.
-    pub window: usize,
-}
-
-impl Default for SystematicOptions {
-    fn default() -> Self {
-        SystematicOptions {
-            runs: 256,
-            max_forced: 2,
-            window: 24,
-        }
-    }
-}
-
 /// Bounded systematic exploration (breadth-first over forced-decision
 /// sets): deterministically enumerates schedules with up to
-/// `opts.max_forced` deviations, branching each explored run on the
-/// alternatives of the choice points in its expansion window. Stops at
-/// the first violation or when the run budget is spent (`Ok(None)`).
+/// [`SYSTEMATIC_DEPTH`] deviations, branching each explored run on the
+/// alternatives of the choice points in its [`SYSTEMATIC_WINDOW`]. Stops
+/// at the first violation or after `runs` simulation runs (`Ok(None)`).
 ///
 /// Children only force indices strictly beyond the parent's last forced
 /// index, so every deviation *set* is visited at most once.
-pub fn systematic(
-    scenario: &str,
-    seed: u64,
-    opts: SystematicOptions,
-) -> Result<Option<SearchOutcome>, String> {
+pub fn systematic(scenario: &str, seed: u64, runs: u32) -> Result<Option<SearchOutcome>, String> {
     let mut frontier: VecDeque<BTreeMap<u64, ForcedChoice>> = VecDeque::new();
     frontier.push_back(BTreeMap::new());
     let mut runs_used = 0;
     while let Some(forced) = frontier.pop_front() {
-        if runs_used >= opts.runs {
+        if runs_used >= runs {
             return Ok(None);
         }
         runs_used += 1;
@@ -157,7 +134,7 @@ pub fn systematic(
                 runs_used: runs_used + 1,
             }));
         }
-        if forced.len() >= opts.max_forced {
+        if forced.len() >= SYSTEMATIC_DEPTH {
             continue;
         }
         let min_index = forced.keys().next_back().map_or(0, |last| last + 1);
@@ -165,7 +142,7 @@ pub fn systematic(
             .choices
             .iter()
             .filter(|r| r.index >= min_index)
-            .take(opts.window);
+            .take(SYSTEMATIC_WINDOW);
         for record in expand {
             for pick in 1..record.arity {
                 let mut child = forced.clone();
@@ -216,17 +193,13 @@ mod tests {
         );
     }
 
-    /// Systematic search with a single forced deviation also reaches the
-    /// Fig. 2 loop: one dropped or delayed configuration message is
-    /// enough, exactly as the paper's §4.1 narrative says.
+    /// Systematic search reaches the Fig. 2 loop with a single forced
+    /// deviation (breadth-first, so depth 1 is exhausted first): one
+    /// dropped or delayed configuration message is enough, exactly as the
+    /// paper's §4.1 narrative says.
     #[test]
     fn systematic_depth_one_finds_the_fig2_loop() {
-        let opts = SystematicOptions {
-            runs: 256,
-            max_forced: 1,
-            window: 48,
-        };
-        let hit = systematic("fig2-ez", 1, opts)
+        let hit = systematic("fig2-ez", 1, 256)
             .unwrap()
             .expect("one deviation must suffice");
         assert_eq!(hit.trace.forced_count(), 1);

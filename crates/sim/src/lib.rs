@@ -21,8 +21,6 @@ pub use config::{
     TimingConfig,
 };
 pub use metrics::{Metrics, MetricsCounts, StreamingMetrics};
-pub use network::{
-    simulation, ByzDisposition, ByzOutcome, ControllerImpl, Event, NetworkSim, System,
-};
+pub use network::{simulation, ByzDisposition, ByzOutcome, Event, NetworkSim, System};
 pub use p4update_messages::ByzVector;
 pub use table::SwitchTable;

@@ -23,6 +23,7 @@ use p4update_messages::{ByzDelivery, ByzVector, DataPacket, Message, RejectReaso
 use p4update_net::{latency_distances_from, FlowId, FlowUpdate, NodeId, Path, Topology, Version};
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 /// One row: per-destination shortest-path latencies (ms) and hop counts
 /// from a single source node.
@@ -87,9 +88,9 @@ pub enum System {
     },
 }
 
-/// The controller implementations, kept as an enum so scenario code can
+/// The controller implementations, kept as an enum so the world can
 /// reach system-specific state (e.g., flow registration).
-pub enum ControllerImpl {
+enum ControllerImpl {
     /// P4Update's controller.
     P4(P4UpdateController),
     /// ez-Segway's controller.
@@ -158,8 +159,14 @@ pub struct ByzOutcome {
     pub disposition: ByzDisposition,
 }
 
-/// Outcome of a per-message fault choice point (see
-/// [`SimConfig::fault_choices`]).
+/// Outcome of a per-message fault choice point: every honest
+/// control-message send is a `ChoiceKind::Fault` choice point with these
+/// four alternatives, so the schedule explorer can *search* over fault
+/// placements and a recorded trace can replay them exactly. Under the
+/// default chooser every one resolves to [`FaultDecision::Deliver`] and
+/// only the seeded faults of [`SimConfig::faults`] touch a control message.
+/// Data packets are never subject to choice points (same policy as the
+/// probabilistic injector).
 enum FaultDecision {
     /// Deliver untouched (the default alternative).
     Deliver,
@@ -252,11 +259,12 @@ pub enum Event {
 
 /// The simulated network world.
 pub struct NetworkSim {
-    topo: Topology,
+    /// Shared with the P4Update controllers' NIBs (primary and standbys).
+    topo: Rc<Topology>,
     /// Per-switch chassis, densely indexed by [`NodeId`].
     pub switches: SwitchTable,
     /// The controller.
-    pub controller: ControllerImpl,
+    controller: ControllerImpl,
     config: SimConfig,
     rng: SimRng,
     /// Shortest-path rows, filled on first use (see [`PathTables`]).
@@ -309,6 +317,7 @@ impl NetworkSim {
         free_capacity: Option<BTreeMap<(NodeId, NodeId), f64>>,
     ) -> Self {
         let mut rng = SimRng::new(config.seed);
+        let topo = Rc::new(topo);
         let switches = SwitchTable::build(&topo, |id| {
             let logic: Box<dyn SwitchLogic> = match system {
                 System::P4Update(_) => Box::new(P4UpdateLogic::new()),
@@ -321,7 +330,7 @@ impl NetworkSim {
             System::P4Update(strategy) => {
                 // The NIB lets the controller set up paths for flows the
                 // data plane reports via FRMs (§6).
-                ControllerImpl::P4(P4UpdateController::new(strategy).with_nib(topo.clone()))
+                ControllerImpl::P4(P4UpdateController::new(strategy).with_nib(Rc::clone(&topo)))
             }
             System::EzSegway { congestion } => ControllerImpl::Ez(if congestion {
                 EzController::with_congestion(free_capacity.clone().unwrap_or_default())
@@ -538,13 +547,9 @@ impl NetworkSim {
     }
 
     /// Resolve one control message's adversarial fault decision through
-    /// the choice-point seam (when `SimConfig::fault_choices` is enabled).
-    /// Alternative 0 is always "deliver untouched", so a default chooser
-    /// keeps the run fault-free.
-    fn fault_choice(&mut self, sched: &mut Scheduler<Event>) -> FaultDecision {
-        if !self.config.fault_choices {
-            return FaultDecision::Deliver;
-        }
+    /// the choice-point seam. Alternative 0 is always "deliver untouched",
+    /// so a default chooser keeps the run fault-free.
+    fn fault_choice(sched: &mut Scheduler<Event>) -> FaultDecision {
         match sched.choose(ChoiceKind::Fault, 4) {
             0 => FaultDecision::Deliver,
             1 => FaultDecision::Drop,
@@ -571,7 +576,7 @@ impl NetworkSim {
                 _ => sched.schedule_at(at + late, event),
             }
         };
-        match self.fault_choice(sched) {
+        match Self::fault_choice(sched) {
             FaultDecision::Drop => self.metrics.record_control_drop(),
             FaultDecision::Deliver => sched.schedule_at(at, event),
             FaultDecision::Delay => schedule_late(sched, event),
@@ -832,11 +837,7 @@ impl NetworkSim {
                     sched.schedule_at(at, Event::InstallComplete { node, flow, token });
                 }
                 Effect::ForwardData { to, pkt } => {
-                    let at = base
-                        + self
-                            .topo
-                            .latency_between(node, to)
-                            .unwrap_or_else(|| self.transit(node, to));
+                    let at = base + self.transit(node, to);
                     sched.schedule_at(
                         at,
                         Event::DeliverToSwitch {
@@ -1304,35 +1305,44 @@ mod tests {
         assert!(world.analysis_findings.iter().all(|d| !d.is_error()));
     }
 
-    /// Fault choice points with the default chooser alter nothing: every
-    /// decision resolves to "deliver", so the run is byte-identical to one
-    /// without choice points.
+    /// Every control message of a plain `SimConfig::new` world is a fault
+    /// choice point: an installed chooser sees them all, and one that
+    /// answers "deliver" at each leaves the run as the default chooser
+    /// (which is never asked) leaves it.
     #[test]
-    fn fault_choice_points_with_default_chooser_change_nothing() {
-        let run = |fault_choices: bool| {
-            let topo = topologies::fig1();
-            let mut config =
-                SimConfig::new(TimingConfig::wan_multi_flow(topo.centroid()), 1).paranoid();
-            if fault_choices {
-                config = config.with_fault_choices();
+    fn a_plain_world_asks_an_installed_chooser_at_every_control_message() {
+        use std::cell::Cell;
+        struct Deliver(Rc<Cell<usize>>);
+        impl p4update_des::Chooser for Deliver {
+            fn choose(&mut self, kind: ChoiceKind, arity: usize) -> usize {
+                if kind == ChoiceKind::Fault {
+                    assert_eq!(arity, 4);
+                    self.0.set(self.0.get() + 1);
+                }
+                0
             }
-            let mut world = NetworkSim::new(topo, System::P4Update(Strategy::Auto), config, None);
+        }
+        let run = |chooser: Option<Box<dyn p4update_des::Chooser>>| {
+            let mut world = basic_sim(System::P4Update(Strategy::Auto));
             let old = Path::new(topologies::fig1_old_path());
             let new = Path::new(topologies::fig1_new_path());
             world.install_initial_path(FlowId(0), &old, 1.0);
             let batch = world.add_batch(vec![FlowUpdate::new(FlowId(0), Some(old), new, 1.0)]);
             let mut sim = simulation(world);
+            if let Some(chooser) = chooser {
+                sim = sim.with_chooser(chooser);
+            }
             sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
             assert!(sim.run().drained());
-            let events = sim.events_delivered();
-            let world = sim.into_world();
-            (
-                events,
-                world.metrics().completions.clone(),
-                world.violations,
-            )
+            (sim.events_delivered(), sim.into_world().metrics)
         };
-        assert_eq!(run(false), run(true));
+        let asked = Rc::new(Cell::new(0));
+        let (events, metrics) = run(Some(Box::new(Deliver(Rc::clone(&asked)))));
+        let (default_events, default_metrics) = run(None);
+        assert_eq!(events, default_events);
+        assert_eq!(metrics.completions, default_metrics.completions);
+        assert_eq!(metrics.completions.len(), 1);
+        assert!(asked.get() > 0, "no fault choice point reached the chooser");
     }
 
     /// A chooser that drops every control message stalls the update (no
@@ -1350,9 +1360,7 @@ mod tests {
             }
         }
         let topo = topologies::fig1();
-        let config = SimConfig::new(TimingConfig::wan_multi_flow(topo.centroid()), 1)
-            .paranoid()
-            .with_fault_choices();
+        let config = SimConfig::new(TimingConfig::wan_multi_flow(topo.centroid()), 1).paranoid();
         let mut world = NetworkSim::new(topo, System::P4Update(Strategy::Auto), config, None);
         let old = Path::new(topologies::fig1_old_path());
         let new = Path::new(topologies::fig1_new_path());
@@ -1523,7 +1531,6 @@ mod tests {
     #[test]
     fn delayed_and_duplicated_reports_under_normal_control_latency() {
         use std::cell::Cell;
-        use std::rc::Rc;
 
         /// Picks `faults[i]`'s alternative at the fault choice point it
         /// names (counted from 0), the default everywhere else.
@@ -1551,9 +1558,7 @@ mod tests {
             let edges = topologies::fat_tree_edge_switches(&topo);
             let paths = p4update_net::k_shortest_paths(&topo, edges[0], *edges.last().unwrap(), 2);
             let (old, new) = (paths[0].clone(), paths[1].clone());
-            let config = SimConfig::new(TimingConfig::fat_tree(), 1)
-                .paranoid()
-                .with_fault_choices();
+            let config = SimConfig::new(TimingConfig::fat_tree(), 1).paranoid();
             let mut world = NetworkSim::new(topo, System::P4Update(Strategy::Auto), config, None);
             world.install_initial_path(FlowId(0), &old, 1.0);
             let there = world.add_batch(vec![FlowUpdate::new(

@@ -24,9 +24,7 @@
 //! ```
 
 use p4update::explore::scenarios::{base_name, SCENARIOS};
-use p4update::explore::search::{
-    random_walk, systematic, SearchOutcome, SystematicOptions, WalkOptions,
-};
+use p4update::explore::search::{random_walk, systematic, SearchOutcome, WalkOptions};
 use p4update::explore::shrink::shrink;
 use p4update::explore::{pin, Trace};
 
@@ -57,7 +55,7 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         scenarios: Vec::new(),
         seed: 1,
-        sys_runs: SystematicOptions::default().runs,
+        sys_runs: 256,
         walk_runs: WalkOptions::default().runs,
         corpus: None,
         byzantine: false,
@@ -126,13 +124,11 @@ fn write_trace(dir: &std::path::Path, stem: &str, trace: &Trace) -> std::io::Res
 /// Search one scenario; returns the counterexample, if any.
 fn search(name: &str, args: &Args) -> Result<Option<SearchOutcome>, String> {
     if args.byzantine {
-        // Byzantine-only walks: no faults and near-default tie-breaks, so
-        // any hit is attributable to the lies rather than message loss.
+        // Byzantine-only walks: no faults, so any hit is attributable to
+        // the lies rather than message loss.
         let walk = WalkOptions {
             runs: args.walk_runs,
-            walk_seed: 0,
             fault_p: 0.0,
-            tie_p: 0.05,
             byz_p: 0.5,
         };
         return match random_walk(name, args.seed, walk)? {
@@ -150,11 +146,7 @@ fn search(name: &str, args: &Args) -> Result<Option<SearchOutcome>, String> {
             }
         };
     }
-    let sys = SystematicOptions {
-        runs: args.sys_runs,
-        ..SystematicOptions::default()
-    };
-    if let Some(hit) = systematic(name, args.seed, sys)? {
+    if let Some(hit) = systematic(name, args.seed, args.sys_runs)? {
         println!(
             "  systematic search: violation after {} runs ({} forced decisions)",
             hit.runs_used,

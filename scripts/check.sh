@@ -11,8 +11,8 @@
 # the corpus and explorer smokes, the large fat-tree tests, the root
 # property suites and the differentials — the path solver, the bridge
 # classification and `multi_flow` against their oracles, the UIB against its
-# map model — at 16x the default case count, and the benchmark package's own
-# gate.
+# map model, `reanalyze` against `analyze` and the pairwise reference — at 16x
+# the default case count, and the benchmark package's own gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -89,9 +89,10 @@ fi
 # search prunes, and a pruning rule fails on a rare tie: 96 cases are thin),
 # `two_paths` against that oracle and `multi_flow` against the
 # search-as-you-draw loop it replaced (workloads, free capacity and the RNG
-# word after them), the UIB against its map model and the root property
-# suites at the same scale (nothing else ever runs them above their default
-# counts), and the benchmark package's own gate: a library change that
+# word after them), the UIB against its map model, the linter's `reanalyze`
+# over batches with waits-for cycles (the only differential that has any) and
+# the root property suites at the same scale (nothing else ever runs them
+# above their default counts), and the benchmark package's own gate: a library change that
 # breaks the API surface pinned in benchmark/README.md must fail here, not
 # at the driver.
 # All of them are slow, so FAST=1 skips them for quick local iteration — CI
@@ -114,6 +115,9 @@ if [[ "${FAST:-0}" != 1 ]]; then
     echo "==> UIB vs map model, PROPCHECK_SCALE=16 (release)"
     PROPCHECK_SCALE=16 cargo test -q --release -p p4update-dataplane uib_agrees_with_map_model
 
+    echo "==> reanalyze vs analyze vs the pairwise reference on batches with cycles, PROPCHECK_SCALE=16 (release)"
+    PROPCHECK_SCALE=16 cargo test -q --release -p p4update-analysis reanalyze_matches
+
     echo "==> root property suites, PROPCHECK_SCALE=16 (release)"
     PROPCHECK_SCALE=16 cargo test -q --release \
         --test properties --test version_monotonicity --test analysis_mutation --test byzantine
@@ -121,7 +125,7 @@ if [[ "${FAST:-0}" != 1 ]]; then
     echo "==> benchmark/check.sh (the benchmark builds and smokes against this tree)"
     benchmark/check.sh
 else
-    echo "==> ft32768, ft4096 digest, scaled differentials (path solver, two_paths, multi_flow, UIB) and property suites and benchmark/check.sh skipped (FAST=1)"
+    echo "==> ft32768, ft4096 digest, scaled differentials (path solver, two_paths, multi_flow, UIB, reanalyze) and property suites and benchmark/check.sh skipped (FAST=1)"
 
     echo "==> cargo check of the benchmark package (its pinned API surface still compiles)"
     cargo check -q --offline --manifest-path benchmark/Cargo.toml

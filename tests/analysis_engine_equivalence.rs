@@ -8,8 +8,8 @@
 //!    `reanalyze` path revalidates strictly fewer plans than a full
 //!    re-lint would, while still producing byte-identical diagnostics.
 //!
-//! These batches have no waits-for components; `reanalyze` over batches
-//! that do is covered by the propcheck differential in
+//! These batches have no waits-for edges; `reanalyze` over batches that
+//! do is covered by the propcheck differential in
 //! `crates/analysis/src/engine.rs`.
 
 use p4update::analysis::{

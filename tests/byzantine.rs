@@ -457,9 +457,7 @@ fn detector_completeness_no_vector_silently_passes() {
 fn search_splits_the_systems_on_forged_acks() {
     let walk = |runs| WalkOptions {
         runs,
-        walk_seed: 0,
         fault_p: 0.0,
-        tie_p: 0.05,
         byz_p: 0.5,
     };
     let hit = random_walk("fig2-ez+byz-ack-k1", 1, walk(16))
