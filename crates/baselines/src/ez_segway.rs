@@ -12,7 +12,7 @@
 
 use p4update_dataplane::{ControllerLogic, CtrlEffect, Effect, Endpoint, SwitchLogic, SwitchState};
 use p4update_des::SimTime;
-use p4update_messages::{EzMsg, EzPriority, EzSegmentKind, Message};
+use p4update_messages::{EzMsg, EzPriority, EzSegmentKind, EzUpdate, Message};
 use p4update_net::{FlowId, FlowUpdate, NodeId, Version};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -128,7 +128,7 @@ pub fn ez_prepare(update: &FlowUpdate, priority: EzPriority) -> EzPlan {
             };
             msgs.push((
                 node,
-                EzMsg::Update {
+                EzMsg::Update(Box::new(EzUpdate {
                     flow: update.flow,
                     next_hop,
                     upstream,
@@ -145,7 +145,7 @@ pub fn ez_prepare(update: &FlowUpdate, priority: EzPriority) -> EzPlan {
                     size: update.size,
                     notify_on_done,
                     total_segments: (node == global_ingress && is_finalizer).then_some(total),
-                },
+                })),
             ));
         }
     }
@@ -590,20 +590,21 @@ impl SwitchLogic for EzSwitchLogic {
             return;
         };
         match msg {
-            EzMsg::Update {
-                flow,
-                next_hop,
-                upstream,
-                segment,
-                kind,
-                depends_on,
-                initiator,
-                finalizer,
-                priority,
-                size,
-                notify_on_done,
-                total_segments,
-            } => {
+            EzMsg::Update(update) => {
+                let EzUpdate {
+                    flow,
+                    next_hop,
+                    upstream,
+                    segment,
+                    kind,
+                    depends_on,
+                    initiator,
+                    finalizer,
+                    priority,
+                    size,
+                    notify_on_done,
+                    total_segments,
+                } = *update;
                 self.roles.insert(
                     (flow, segment),
                     Role {
@@ -766,10 +767,7 @@ mod tests {
             .msgs
             .iter()
             .find_map(|(n, m)| match m {
-                EzMsg::Update {
-                    total_segments: Some(t),
-                    ..
-                } if *n == NodeId(0) => Some(*t),
+                EzMsg::Update(u) if *n == NodeId(0) => u.total_segments,
                 _ => None,
             })
             .expect("ingress message with total");
@@ -780,12 +778,9 @@ mod tests {
             .msgs
             .iter()
             .find_map(|(n, m)| match m {
-                EzMsg::Update {
-                    segment: 2,
-                    finalizer: true,
-                    notify_on_done,
-                    ..
-                } if *n == NodeId(4) => Some(notify_on_done.clone()),
+                EzMsg::Update(u) if *n == NodeId(4) && u.segment == 2 && u.finalizer => {
+                    Some(u.notify_on_done.clone())
+                }
                 _ => None,
             })
             .expect("v4 finalizer message");
@@ -850,7 +845,7 @@ mod tests {
         let t = b.build();
         let mut s1 = Switch::new(NodeId(1), &t, Box::new(EzSwitchLogic::new()));
 
-        let upd = Message::Ez(EzMsg::Update {
+        let upd = Message::Ez(EzMsg::Update(Box::new(EzUpdate {
             flow: FlowId(0),
             next_hop: Some(NodeId(2)),
             upstream: Some(NodeId(0)),
@@ -863,7 +858,7 @@ mod tests {
             size: 1.0,
             notify_on_done: vec![],
             total_segments: None,
-        });
+        })));
         let effects = s1.handle_message(SimTime::ZERO, Endpoint::Controller, upd);
         assert!(effects.is_empty(), "interior waits for GoodToMove");
         let effects = s1.handle_message(
@@ -910,7 +905,7 @@ mod tests {
             }),
         );
         assert!(effects.is_empty());
-        let upd = Message::Ez(EzMsg::Update {
+        let upd = Message::Ez(EzMsg::Update(Box::new(EzUpdate {
             flow: FlowId(0),
             next_hop: Some(NodeId(2)),
             upstream: Some(NodeId(0)),
@@ -923,7 +918,7 @@ mod tests {
             size: 1.0,
             notify_on_done: vec![],
             total_segments: None,
-        });
+        })));
         let effects = s1.handle_message(SimTime::ZERO, Endpoint::Controller, upd);
         assert!(matches!(effects[0], Effect::BeginInstall { .. }));
     }

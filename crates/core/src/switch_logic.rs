@@ -21,7 +21,6 @@ use p4update_dataplane::{Effect, Endpoint, FlowPriority, SwitchLogic, SwitchStat
 use p4update_des::SimTime;
 use p4update_messages::{Message, RejectReason, Ufm, UfmStatus, Uim, Unm, UnmLayer, UpdateKind};
 use p4update_net::{FlowId, NodeId, Version};
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// How an accepted update is applied at installation time.
@@ -122,8 +121,9 @@ pub struct P4UpdateLogic {
     held: Parked,
     /// The rule write in flight per flow — at most one, as on the real
     /// switch: further notifications for the flow go to `deferred` and are
-    /// re-verified once the write completes.
-    pending: BTreeMap<FlowId, PendingInstall>,
+    /// re-verified once the write completes. Probed by flow, removed by
+    /// `(flow, token)` and never iterated: a vector, not a map.
+    pending: Vec<(FlowId, PendingInstall)>,
     next_token: u64,
     deferred: Parked,
     scheduler: CongestionScheduler,
@@ -137,6 +137,10 @@ impl P4UpdateLogic {
     /// Fresh logic.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    fn has_pending(&self, flow: FlowId) -> bool {
+        self.pending.iter().any(|(f, _)| *f == flow)
     }
 
     fn unm_from_entry(entry: &UibEntry, flow: FlowId, kind: UpdateKind, layer: UnmLayer) -> Unm {
@@ -321,7 +325,7 @@ impl P4UpdateLogic {
         // One rule write at a time per flow: notifications arriving while
         // a write is in flight resubmit after it completes (they usually
         // become pass-alongs then).
-        if self.pending.contains_key(&unm.flow) {
+        if self.has_pending(unm.flow) {
             self.deferred.push(from, unm);
             return;
         }
@@ -488,7 +492,12 @@ impl P4UpdateLogic {
 
         let token = self.next_token;
         self.next_token += 1;
-        self.pending.insert(
+        assert!(
+            !self.has_pending(unm.flow),
+            "second rule write for {} while one is in flight",
+            unm.flow
+        );
+        self.pending.push((
             unm.flow,
             PendingInstall {
                 token,
@@ -498,7 +507,7 @@ impl P4UpdateLogic {
                 via_gateway,
                 reserved,
             },
-        );
+        ));
         out.push(Effect::BeginInstall {
             flow: unm.flow,
             token,
@@ -599,10 +608,14 @@ impl SwitchLogic for P4UpdateLogic {
     ) {
         // A token names one flow's rule write. A completion quoting it for
         // another flow is not that write finishing: leave it pending.
-        let p = match self.pending.entry(flow) {
-            Entry::Occupied(e) if e.get().token == token => e.remove(),
-            _ => return,
+        let Some(i) = self
+            .pending
+            .iter()
+            .position(|(f, p)| *f == flow && p.token == token)
+        else {
+            return;
         };
+        let (_, p) = self.pending.swap_remove(i);
         let entry = state.uib.read(flow);
 
         // A newer indication superseded this install while the rule write
@@ -1184,6 +1197,53 @@ mod tests {
         // The real completion still flips it.
         v1.handle_installed(SimTime::ZERO, FlowId(0), token);
         assert_eq!(v1.state.uib.read(FlowId(0)).applied_version, Version(1));
+    }
+
+    /// Two writes in flight: a completion carrying flow 0's token for
+    /// flow 1 matches neither `(flow, token)` pair, so both stay pending
+    /// and each real completion still flips its own flow.
+    #[test]
+    fn completion_with_another_flows_token_leaves_both_installs_pending() {
+        let t = line(3, 10.0);
+        let mut v1 = p4switch(&t, 1);
+        let mut tokens = Vec::new();
+        for flow in [0, 1] {
+            v1.handle_message(
+                SimTime::ZERO,
+                Endpoint::Controller,
+                uim(flow, 1, 1, Some(2), Some(0)),
+            );
+            let effects = v1.handle_message(
+                SimTime::ZERO,
+                Endpoint::Switch(NodeId(2)),
+                Message::Unm(unm(flow, 1, 0)),
+            );
+            match effects[0] {
+                Effect::BeginInstall { token, .. } => tokens.push(token),
+                ref o => panic!("unexpected {o:?}"),
+            }
+        }
+        assert_ne!(tokens[0], tokens[1]);
+        let effects = v1.handle_installed(SimTime::ZERO, FlowId(1), tokens[0]);
+        assert!(effects.is_empty());
+        for flow in [0, 1] {
+            assert_eq!(
+                v1.state.uib.read(FlowId(flow)).applied_version,
+                Version::NONE
+            );
+            // Still in flight: a second notification defers.
+            v1.handle_message(
+                SimTime::ZERO,
+                Endpoint::Switch(NodeId(2)),
+                Message::Unm(unm(flow, 1, 0)),
+            );
+        }
+        assert_eq!(v1.parked_messages(), 2);
+        // Completions in the other order than the writes began.
+        for flow in [1, 0] {
+            v1.handle_installed(SimTime::ZERO, FlowId(flow), tokens[flow as usize]);
+            assert_eq!(v1.state.uib.read(FlowId(flow)).applied_version, Version(1));
+        }
     }
 
     /// 4,097 notifications ahead of their UIM: the buffer keeps the first

@@ -78,6 +78,9 @@ pub enum Effect {
     },
 }
 
+// One word beside the message it carries.
+const _: () = assert!(std::mem::size_of::<Effect>() <= 48);
+
 /// Switch-side protocol logic.
 pub trait SwitchLogic {
     /// Handle a control-plane or switch-to-switch message.

@@ -3,7 +3,6 @@
 
 use crate::uib::Uib;
 use p4update_net::{NodeId, Topology};
-use std::collections::BTreeMap;
 
 /// The mutable state of one switch, shared between the chassis (data-packet
 /// forwarding) and the pluggable update logic.
@@ -16,19 +15,27 @@ pub struct SwitchState {
     /// Remaining capacity on each outgoing directed link `(self → neighbor)`
     /// in flow-size units. The sending endpoint exclusively controls its
     /// direction, which is what makes the paper's local congestion
-    /// scheduling sound (§7.4).
-    capacity: BTreeMap<NodeId, f64>,
+    /// scheduling sound (§7.4). Ascending `NodeId` order, one entry per
+    /// port, probed by binary search: a switch has a handful of ports and
+    /// the set never changes after construction.
+    capacity: Vec<(NodeId, f64)>,
 }
 
 impl SwitchState {
     /// State for switch `id` in `topo`, with full capacity on every
-    /// outgoing link.
+    /// outgoing link. `Topology::neighbors` is sorted by neighbor id and
+    /// `TopologyBuilder::add_link` rejects duplicate links, so the list is
+    /// taken as it comes: no two entries ever shared a neighbor.
     pub fn new(id: NodeId, topo: &Topology) -> Self {
-        let capacity = topo
+        let capacity: Vec<(NodeId, f64)> = topo
             .neighbors(id)
             .iter()
             .map(|&(n, l)| (n, topo.link(l).capacity))
             .collect();
+        assert!(
+            capacity.windows(2).all(|w| w[0].0 < w[1].0),
+            "neighbors of {id} are not strictly ascending"
+        );
         SwitchState {
             id,
             uib: Uib::new(),
@@ -36,9 +43,17 @@ impl SwitchState {
         }
     }
 
+    fn port(&self, neighbor: NodeId) -> Option<usize> {
+        self.capacity.binary_search_by_key(&neighbor, |e| e.0).ok()
+    }
+
     /// Remaining capacity toward `neighbor` (`None` if not adjacent).
     pub fn remaining_capacity(&self, neighbor: NodeId) -> Option<f64> {
-        self.capacity.get(&neighbor).copied()
+        self.port(neighbor).map(|i| self.capacity[i].1)
+    }
+
+    fn capacity_mut(&mut self, neighbor: NodeId) -> Option<&mut f64> {
+        self.port(neighbor).map(|i| &mut self.capacity[i].1)
     }
 
     /// Whether `size` units fit on the link toward `neighbor`. Non-adjacent
@@ -51,7 +66,7 @@ impl SwitchState {
     /// Reserve `size` units toward `neighbor`. Returns `false` (and
     /// reserves nothing) when capacity is insufficient.
     pub fn reserve_capacity(&mut self, neighbor: NodeId, size: f64) -> bool {
-        match self.capacity.get_mut(&neighbor) {
+        match self.capacity_mut(neighbor) {
             Some(c) if *c + 1e-9 >= size => {
                 *c -= size;
                 true
@@ -65,14 +80,14 @@ impl SwitchState {
     /// releases must balance reserves, and over-release indicates a logic
     /// bug that the consistency checker will flag.
     pub fn release_capacity(&mut self, neighbor: NodeId, size: f64) {
-        if let Some(c) = self.capacity.get_mut(&neighbor) {
+        if let Some(c) = self.capacity_mut(neighbor) {
             *c += size;
         }
     }
 
     /// Neighbors with tracked capacity (the switch's ports).
     pub fn neighbors(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.capacity.keys().copied()
+        self.capacity.iter().map(|e| e.0)
     }
 }
 

@@ -272,44 +272,51 @@ pub enum EzPriority {
     High,
 }
 
+/// One node's share of an ez-Segway flow update: the payload of
+/// [`EzMsg::Update`]. Boxed there because its two lists would otherwise
+/// set the size of every [`Message`] — P4Update's own messages are fixed
+/// headers of a few words.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EzUpdate {
+    /// Flow to update.
+    pub flow: FlowId,
+    /// New next hop on the new path (`None` at egress).
+    pub next_hop: Option<NodeId>,
+    /// Predecessor on the new path (where to send the in-segment
+    /// notification upstream); `None` at ingress.
+    pub upstream: Option<NodeId>,
+    /// Segment this node belongs to on the new path.
+    pub segment: u32,
+    /// Segment classification.
+    pub kind: EzSegmentKind,
+    /// Segments that must complete before this one may start
+    /// (non-empty only for `InLoop`).
+    pub depends_on: Vec<u32>,
+    /// True when this node initiates its segment's update (the
+    /// segment's egress gateway).
+    pub initiator: bool,
+    /// True when this node completes its segment (the segment's
+    /// ingress gateway / divergence point): it flips last and emits
+    /// the completion notification.
+    pub finalizer: bool,
+    /// Centrally assigned congestion priority.
+    pub priority: EzPriority,
+    /// Flow size for capacity checks.
+    pub size: f64,
+    /// Nodes to notify with `SegmentDone` once this node (as a
+    /// finalizer) flips: initiators of dependent segments plus the
+    /// global ingress (which tracks whole-flow completion).
+    pub notify_on_done: Vec<NodeId>,
+    /// At the global ingress only: total number of segments, so it can
+    /// report `Done` to the controller once all have completed.
+    pub total_segments: Option<u32>,
+}
+
 /// Control messages of the ez-Segway baseline.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EzMsg {
     /// Controller → switch: this node's share of a flow update.
-    Update {
-        /// Flow to update.
-        flow: FlowId,
-        /// New next hop on the new path (`None` at egress).
-        next_hop: Option<NodeId>,
-        /// Predecessor on the new path (where to send the in-segment
-        /// notification upstream); `None` at ingress.
-        upstream: Option<NodeId>,
-        /// Segment this node belongs to on the new path.
-        segment: u32,
-        /// Segment classification.
-        kind: EzSegmentKind,
-        /// Segments that must complete before this one may start
-        /// (non-empty only for `InLoop`).
-        depends_on: Vec<u32>,
-        /// True when this node initiates its segment's update (the
-        /// segment's egress gateway).
-        initiator: bool,
-        /// True when this node completes its segment (the segment's
-        /// ingress gateway / divergence point): it flips last and emits
-        /// the completion notification.
-        finalizer: bool,
-        /// Centrally assigned congestion priority.
-        priority: EzPriority,
-        /// Flow size for capacity checks.
-        size: f64,
-        /// Nodes to notify with `SegmentDone` once this node (as a
-        /// finalizer) flips: initiators of dependent segments plus the
-        /// global ingress (which tracks whole-flow completion).
-        notify_on_done: Vec<NodeId>,
-        /// At the global ingress only: total number of segments, so it can
-        /// report `Done` to the controller once all have completed.
-        total_segments: Option<u32>,
-    },
+    Update(Box<EzUpdate>),
     /// Switch → switch (upstream within a segment): parent installed its
     /// rule, child may proceed ("good to move").
     GoodToMove {
@@ -356,6 +363,10 @@ pub enum Message {
     Ez(EzMsg),
 }
 
+// Every queued event, effect and stored retry carries a `Message`: a fat
+// variant here is paid by all of them.
+const _: () = assert!(std::mem::size_of::<Message>() <= 40);
+
 impl Message {
     /// The flow a message concerns, when unambiguous.
     pub fn flow(&self) -> Option<FlowId> {
@@ -368,8 +379,8 @@ impl Message {
             Message::Cleanup(m) => Some(m.flow),
             Message::Central(CentralMsg::Install { flow, .. })
             | Message::Central(CentralMsg::Ack { flow, .. }) => Some(*flow),
-            Message::Ez(EzMsg::Update { flow, .. })
-            | Message::Ez(EzMsg::GoodToMove { flow, .. })
+            Message::Ez(EzMsg::Update(u)) => Some(u.flow),
+            Message::Ez(EzMsg::GoodToMove { flow, .. })
             | Message::Ez(EzMsg::SegmentDone { flow, .. })
             | Message::Ez(EzMsg::Done { flow }) => Some(*flow),
         }
@@ -379,6 +390,23 @@ impl Message {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn ez_update(flow: u32) -> Message {
+        Message::Ez(EzMsg::Update(Box::new(EzUpdate {
+            flow: FlowId(flow),
+            next_hop: Some(NodeId(2)),
+            upstream: None,
+            segment: 1,
+            kind: EzSegmentKind::InLoop,
+            depends_on: vec![0, 2],
+            initiator: true,
+            finalizer: false,
+            priority: EzPriority::Medium,
+            size: 1.5,
+            notify_on_done: vec![NodeId(0), NodeId(4)],
+            total_segments: Some(3),
+        })))
+    }
 
     #[test]
     fn message_flow_extraction() {
@@ -391,12 +419,27 @@ mod tests {
         assert_eq!(m.flow(), Some(FlowId(3)));
         let m = Message::Ez(EzMsg::Done { flow: FlowId(9) });
         assert_eq!(m.flow(), Some(FlowId(9)));
+        assert_eq!(ez_update(6).flow(), Some(FlowId(6)));
         let m = Message::Central(CentralMsg::Ack {
             flow: FlowId(4),
             node: NodeId(2),
             round: 1,
         });
         assert_eq!(m.flow(), Some(FlowId(4)));
+    }
+
+    /// Equality and `clone` go through the box to the lists behind it.
+    #[test]
+    fn boxed_update_clones_deeply_and_compares_by_value() {
+        let a = ez_update(6);
+        let mut b = a.clone();
+        assert_eq!(a, b);
+        let Message::Ez(EzMsg::Update(u)) = &mut b else {
+            unreachable!()
+        };
+        u.depends_on.push(7);
+        assert_ne!(a, b, "the clone owns its own lists");
+        assert_ne!(a, ez_update(5));
     }
 
     #[test]

@@ -257,6 +257,9 @@ pub enum Event {
     ControllerFailover,
 }
 
+// One cache line: the queue moves every event at least twice.
+const _: () = assert!(std::mem::size_of::<Event>() <= 64);
+
 /// The simulated network world.
 pub struct NetworkSim {
     /// Shared with the P4Update controllers' NIBs (primary and standbys).

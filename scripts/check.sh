@@ -8,7 +8,8 @@
 # (including the mutated ones, which must make it exit non-zero), the
 # dataset round trip (an exported on-disk batch must re-lint
 # byte-identically to the in-memory analysis),
-# the corpus and explorer smokes, the large fat-tree tests, the root
+# the corpus and explorer smokes, the ft512 world's heap-footprint bound,
+# the large fat-tree tests, the root
 # property suites and the differentials — the path solver, the bridge
 # classification and `multi_flow` against their oracles, the UIB against its
 # map model, `reanalyze` against `analyze` and the pairwise reference — at 16x
@@ -68,6 +69,13 @@ diff "$tmpdir/lint-mem.txt" "$tmpdir/lint-disk.txt"
 
 echo "==> trace corpus replays byte-exactly (release profile)"
 cargo test -q --release --test corpus_replay
+
+# A counted bound (tests/world_footprint.rs), not a timing: a per-switch
+# map or a retained buffer coming back fails here, where `peak_rss_mb` would
+# only drift. (A fat message variant fails `cargo build`: the size
+# assertions beside `Message`, `Effect` and `Event`.)
+echo "==> ft512 world heap footprint stays under its recorded bound (release profile)"
+cargo test -q --release --test world_footprint
 
 echo "==> exploration smoke run (small budget; P4Update must stay clean)"
 cargo run -q --release --example explore -- fig2-ez fig2-p4 --runs 64 --walks 32
