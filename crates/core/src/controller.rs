@@ -14,7 +14,6 @@ use p4update_des::SimTime;
 use p4update_messages::{Message, UfmStatus, Uim, UpdateKind};
 use p4update_net::{FlowId, FlowUpdate, NodeId, Topology, Version};
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 /// The §7.5 deployment strategy: single-layer for updates that install new
 /// rules on few nodes in forward-only segmentations, dual-layer otherwise.
@@ -150,9 +149,9 @@ pub struct P4UpdateController {
     flows: BTreeMap<FlowId, FlowRecord>,
     /// The Network Information Base: the controller's topology view, used
     /// to set up paths for flows reported via FRM (§6). Optional — update
-    /// scenarios that pre-install flows do not need it. Shared: the
-    /// simulator hands every controller replica the topology it runs on.
-    nib: Option<Rc<Topology>>,
+    /// scenarios that pre-install flows do not need it. A handle on the
+    /// graph the simulator runs on, like every replica's.
+    nib: Option<Topology>,
 }
 
 impl P4UpdateController {
@@ -167,7 +166,7 @@ impl P4UpdateController {
 
     /// Attach the Network Information Base, enabling path setup for flows
     /// reported through FRMs.
-    pub fn with_nib(mut self, topo: Rc<Topology>) -> Self {
+    pub fn with_nib(mut self, topo: Topology) -> Self {
         self.nib = Some(topo);
         self
     }
@@ -372,6 +371,14 @@ mod tests {
             .uims
             .iter()
             .all(|(_, u)| u.version == Version(2) && u.kind == UpdateKind::Dual));
+    }
+
+    #[test]
+    fn the_nib_is_a_handle_on_the_callers_graph() {
+        let topo = p4update_net::topologies::fig1();
+        let c = P4UpdateController::new(Strategy::Auto).with_nib(topo.clone());
+        let nib = c.nib.as_ref().expect("attached");
+        assert!(std::ptr::eq(nib.links().as_ptr(), topo.links().as_ptr()));
     }
 
     #[test]

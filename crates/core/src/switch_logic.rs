@@ -127,8 +127,13 @@ pub struct P4UpdateLogic {
     next_token: u64,
     deferred: Parked,
     scheduler: CongestionScheduler,
+    /// Moves the congestion gate deferred. A map, and empty on every switch
+    /// the gate never defers at — where it allocates nothing.
     blocked: BTreeMap<FlowId, BlockedMove>,
-    ufm_sent: BTreeMap<FlowId, Version>,
+    /// The newest version each flow's success was reported at, ascending by
+    /// flow and probed by binary search (one entry per flow this switch is
+    /// the ingress of).
+    ufm_sent: Vec<(FlowId, Version)>,
     /// Overhead counters.
     pub counters: P4UpdateCounters,
 }
@@ -173,10 +178,12 @@ impl P4UpdateLogic {
         out: &mut Vec<Effect>,
     ) {
         if status == UfmStatus::Success {
-            if self.ufm_sent.get(&flow) >= Some(&version) {
-                return;
+            // Suppressed unless strictly newer than the last one reported.
+            match self.ufm_sent.binary_search_by_key(&flow, |&(f, _)| f) {
+                Ok(at) if self.ufm_sent[at].1 >= version => return,
+                Ok(at) => self.ufm_sent[at].1 = version,
+                Err(at) => self.ufm_sent.insert(at, (flow, version)),
             }
-            self.ufm_sent.insert(flow, version);
         }
         out.push(Effect::SendController {
             msg: Message::Ufm(Ufm {
@@ -1244,6 +1251,48 @@ mod tests {
             v1.handle_installed(SimTime::ZERO, FlowId(flow), tokens[flow as usize]);
             assert_eq!(v1.state.uib.read(FlowId(flow)).applied_version, Version(1));
         }
+    }
+
+    /// The ingress reports a version's success once: the same version again
+    /// and an older one after a newer are suppressed, a strictly newer one is
+    /// sent — per flow, whatever order the flows first reported in. An alarm
+    /// is never suppressed and suppresses nothing.
+    #[test]
+    fn a_success_ufm_is_sent_once_per_version() {
+        let t = line(2, 10.0);
+        let state = SwitchState::new(NodeId(0), &t);
+        let mut logic = P4UpdateLogic::new();
+        let mut sent = |flow: u32, version: u32, status: UfmStatus| {
+            let mut out = Vec::new();
+            logic.send_ufm(&state, FlowId(flow), Version(version), status, &mut out);
+            match out.as_slice() {
+                [] => false,
+                [Effect::SendController {
+                    msg: Message::Ufm(u),
+                }] => {
+                    let want = (FlowId(flow), Version(version), status, NodeId(0));
+                    assert_eq!((u.flow, u.version, u.status, u.reporter), want);
+                    true
+                }
+                other => panic!("unexpected effects {other:?}"),
+            }
+        };
+        // First reports arrive descending, ascending and in between.
+        for flow in [7, 3, 9, 5, 4] {
+            assert!(sent(flow, 2, UfmStatus::Success));
+        }
+        let alarm = UfmStatus::Alarm(RejectReason::OutdatedVersion);
+        for flow in [3, 4, 5, 7, 9] {
+            assert!(!sent(flow, 2, UfmStatus::Success), "same version twice");
+            assert!(!sent(flow, 1, UfmStatus::Success), "older after newer");
+            assert!(sent(flow, 4, alarm) && sent(flow, 4, alarm));
+            assert!(sent(flow, 3, UfmStatus::Success), "strictly newer");
+            assert!(!sent(flow, 2, UfmStatus::Success));
+            assert!(!sent(flow, 3, UfmStatus::Success));
+        }
+        // A flow that never reported is not covered by its neighbours'.
+        assert!(sent(6, 1, UfmStatus::Success));
+        assert!(!sent(6, 1, UfmStatus::Success));
     }
 
     /// 4,097 notifications ahead of their UIM: the buffer keeps the first

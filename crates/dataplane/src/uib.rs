@@ -26,7 +26,6 @@
 
 use p4update_messages::UpdateKind;
 use p4update_net::{FlowId, NodeId, Version};
-use std::collections::btree_map::{BTreeMap, Entry};
 
 /// Congestion priority of a flow at this switch (§7.4): flows that must
 /// move away from a contended link are raised to high priority.
@@ -177,8 +176,10 @@ impl UibEntry {
 #[derive(Debug, Clone, Default)]
 pub struct Uib {
     /// Flow → register index (the P4 program computes this by hashing;
-    /// the model allocates densely, in order of first use).
-    index: BTreeMap<FlowId, u32>,
+    /// the model allocates densely, in order of first use). Ascending by
+    /// flow and probed by binary search: a switch holds a handful of flows,
+    /// for which a map's nodes weigh more than the registers they index.
+    index: Vec<(FlowId, u32)>,
     entries: Vec<UibEntry>,
 }
 
@@ -188,13 +189,19 @@ impl Uib {
         Self::default()
     }
 
+    /// Where `flow` is in `index`, or where it would be inserted.
+    fn probe(&self, flow: FlowId) -> Result<usize, usize> {
+        self.index.binary_search_by_key(&flow, |&(f, _)| f)
+    }
+
     fn get(&self, flow: FlowId) -> Option<&UibEntry> {
-        self.index.get(&flow).map(|&i| &self.entries[i as usize])
+        let at = self.probe(flow).ok()?;
+        Some(&self.entries[self.index[at].1 as usize])
     }
 
     /// True when the flow has ever been seen at this switch.
     pub fn knows(&self, flow: FlowId) -> bool {
-        self.index.contains_key(&flow)
+        self.probe(flow).is_ok()
     }
 
     /// Snapshot a flow's registers ([`UibEntry::default`] for unknown
@@ -211,13 +218,14 @@ impl Uib {
     /// Read-modify-write a flow's registers in place, allocating the
     /// flow's register index on first use.
     pub fn update<R>(&mut self, flow: FlowId, f: impl FnOnce(&mut UibEntry) -> R) -> R {
-        let i = match self.index.entry(flow) {
-            Entry::Occupied(slot) => *slot.get(),
-            Entry::Vacant(slot) => {
+        let i = match self.probe(flow) {
+            Ok(at) => self.index[at].1,
+            Err(at) => {
                 let i = u32::try_from(self.entries.len())
                     .expect("a switch holds fewer than 2^32 flows");
                 self.entries.push(UibEntry::default());
-                *slot.insert(i)
+                self.index.insert(at, (flow, i));
+                i
             }
         };
         f(&mut self.entries[i as usize])
@@ -230,7 +238,7 @@ impl Uib {
 
     /// All flows with allocated slots, sorted.
     pub fn flows(&self) -> Vec<FlowId> {
-        self.index.keys().copied().collect()
+        self.index.iter().map(|&(flow, _)| flow).collect()
     }
 }
 
@@ -239,6 +247,7 @@ mod tests {
     use super::*;
     use p4update_des::propcheck::{cases, forall};
     use p4update_des::SimRng;
+    use std::collections::BTreeMap;
 
     #[test]
     fn unknown_flow_reads_default() {
@@ -401,21 +410,32 @@ mod tests {
 
     /// Random `write`/`update`/`read`/`knows`/`flows` sequences against a
     /// `BTreeMap` model: every flow reads back what was last stored under
-    /// it and nothing else, whatever order slots were allocated in.
+    /// it and nothing else, whatever order slots were allocated in. First
+    /// uses come in descending runs, ascending runs and anywhere, with
+    /// known flows repeated in between — a new flow lands at the front, at
+    /// the back or inside the sorted index while register indices keep
+    /// first-use order — and `flows()` and `knows()` are compared after
+    /// every step, not only at the end.
     #[test]
     fn uib_agrees_with_map_model() {
         forall("uib_agrees_with_map_model", cases(128), |rng| {
             // Dense ids revisit the same few slots; sparse ones spread over
-            // the index map.
+            // the index.
             let id_space = if rng.chance(0.5) { 12 } else { u32::MAX };
             let mut pool: Vec<FlowId> = Vec::new();
+            let mut cursor = rng.next_u32() % id_space;
             let mut uib = Uib::new();
-            let mut model: BTreeMap<FlowId, UibEntry> = BTreeMap::new();
+            let mut model = BTreeMap::new();
             for _ in 0..200 {
-                let flow = match rng.choose(&pool) {
-                    Some(&f) if rng.chance(0.6) => f,
-                    _ => FlowId(rng.next_u32() % id_space),
+                // The cursor jumps, steps down or steps up; or a flow
+                // already drawn comes again.
+                let flow = match rng.uniform_usize(6) {
+                    0 => FlowId(rng.next_u32() % id_space),
+                    1 => FlowId(cursor.saturating_sub(1)),
+                    2 => FlowId((cursor + 1) % id_space),
+                    _ => rng.choose(&pool).copied().unwrap_or(FlowId(cursor)),
                 };
+                cursor = flow.0;
                 pool.push(flow);
                 match rng.uniform_usize(6) {
                     0 => {
@@ -447,10 +467,12 @@ mod tests {
                         assert_eq!(uib.read(flow), want);
                         assert_eq!(uib.active_next_hop(flow), want.active_next_hop);
                     }
-                    _ => assert_eq!(uib.knows(flow), model.contains_key(&flow)),
+                    // Drawn and not touched: a first use stays unknown.
+                    _ => (),
                 }
+                assert_eq!(uib.knows(flow), model.contains_key(&flow));
+                assert_eq!(uib.flows(), model.keys().copied().collect::<Vec<_>>());
             }
-            assert_eq!(uib.flows(), model.keys().copied().collect::<Vec<_>>());
             for (&flow, want) in &model {
                 assert_eq!(uib.read(flow), *want);
             }

@@ -3,6 +3,8 @@
 
 use p4update_des::SimDuration;
 use std::fmt;
+use std::ops::Deref;
+use std::rc::Rc;
 
 /// Identifier of a switch / node. Dense, assigned in insertion order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -80,19 +82,38 @@ impl Link {
     }
 }
 
-/// An immutable network topology.
-///
-/// Construction goes through [`TopologyBuilder`]; the built topology
-/// precomputes adjacency so path algorithms and the simulator can look up
-/// neighbors in O(degree).
-#[derive(Debug, Clone)]
-pub struct Topology {
+/// The graph a [`Topology`] is a handle on: built once by
+/// [`TopologyBuilder::build`], every `Vec` at its exact size, and never
+/// changed afterwards.
+#[derive(Debug)]
+pub struct Graph {
     /// Descriptive name ("B4", "Internet2", "fat-tree-k4", ...).
     pub name: String,
     nodes: Vec<Node>,
     links: Vec<Link>,
     /// adjacency[v] = sorted list of (neighbor, link id)
     adjacency: Vec<Vec<(NodeId, LinkId)>>,
+}
+
+/// An immutable network topology.
+///
+/// Construction goes through [`TopologyBuilder`]; the built topology
+/// precomputes adjacency so path algorithms and the simulator can look up
+/// neighbors in O(degree).
+///
+/// A `Topology` is a handle: `clone` bumps a reference count and every
+/// clone reads the same [`Graph`], so a world, its controllers' NIBs and
+/// whoever built them hold one copy of what none of them can change.
+/// (`Rc`, not `Arc`: the workspace runs on one thread.)
+#[derive(Debug, Clone)]
+pub struct Topology(Rc<Graph>);
+
+impl Deref for Topology {
+    type Target = Graph;
+
+    fn deref(&self) -> &Graph {
+        &self.0
+    }
 }
 
 impl Topology {
@@ -399,9 +420,19 @@ impl TopologyBuilder {
         self.seen.contains(&(a, b))
     }
 
-    /// Finalize into an immutable [`Topology`].
-    pub fn build(self) -> Topology {
-        let mut adjacency = vec![Vec::new(); self.nodes.len()];
+    /// Finalize into an immutable [`Topology`]. The builder's growth slack
+    /// is given back first: the graph outlives the builder by the whole
+    /// run, and on a fat-tree doubling leaves a third of it unused.
+    pub fn build(mut self) -> Topology {
+        self.nodes.shrink_to_fit();
+        self.links.shrink_to_fit();
+        let mut degree = vec![0usize; self.nodes.len()];
+        for link in &self.links {
+            degree[link.a.index()] += 1;
+            degree[link.b.index()] += 1;
+        }
+        let mut adjacency: Vec<Vec<(NodeId, LinkId)>> =
+            degree.into_iter().map(Vec::with_capacity).collect();
         for (i, link) in self.links.iter().enumerate() {
             let id = LinkId(i as u32);
             adjacency[link.a.index()].push((link.b, id));
@@ -410,12 +441,12 @@ impl TopologyBuilder {
         for adj in &mut adjacency {
             adj.sort_unstable_by_key(|&(n, _)| n);
         }
-        Topology {
+        Topology(Rc::new(Graph {
             name: self.name,
             nodes: self.nodes,
             links: self.links,
             adjacency,
-        }
+        }))
     }
 }
 
@@ -442,6 +473,39 @@ pub(crate) mod tests {
         assert_eq!(t.node(NodeId(1)).name, "b");
         assert_eq!(t.node_by_name("c"), Some(NodeId(2)));
         assert_eq!(t.node_by_name("zz"), None);
+    }
+
+    #[test]
+    fn a_clone_is_a_handle_on_the_same_graph() {
+        let t = triangle();
+        let c = t.clone();
+        assert!(std::ptr::eq(t.links().as_ptr(), c.links().as_ptr()));
+        for v in t.node_ids() {
+            assert!(std::ptr::eq(
+                t.neighbors(v).as_ptr(),
+                c.neighbors(v).as_ptr()
+            ));
+        }
+        // The graph lives as long as any handle on it.
+        drop(t);
+        assert_eq!(c.name, "tri");
+        assert_eq!((c.node_count(), c.link_count()), (3, 3));
+    }
+
+    #[test]
+    fn build_hands_over_no_growth_slack() {
+        // A ring of 40 with chords, degrees 2 to 4: grown by pushes, 58
+        // links sit in 64 slots and three neighbours in four.
+        let mut links: Vec<_> = (0..40).map(|i| (i, (i + 1) % 40)).collect();
+        links.extend((0..13).map(|i| (i, i + 20)));
+        links.extend((0..5).map(|i| (i, i + 10)));
+        let t = unit_graph("chorded ring", 40, &links);
+        assert_eq!(t.0.nodes.capacity(), 40);
+        assert_eq!(t.0.links.capacity(), 58);
+        for v in t.node_ids() {
+            let adj = &t.0.adjacency[v.index()];
+            assert_eq!(adj.capacity(), adj.len(), "{v}");
+        }
     }
 
     #[test]

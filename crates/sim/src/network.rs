@@ -23,7 +23,6 @@ use p4update_messages::{ByzDelivery, ByzVector, DataPacket, Message, RejectReaso
 use p4update_net::{latency_distances_from, FlowId, FlowUpdate, NodeId, Path, Topology, Version};
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 /// One row: per-destination shortest-path latencies (ms) and hop counts
 /// from a single source node.
@@ -262,8 +261,9 @@ const _: () = assert!(std::mem::size_of::<Event>() <= 64);
 
 /// The simulated network world.
 pub struct NetworkSim {
-    /// Shared with the P4Update controllers' NIBs (primary and standbys).
-    topo: Rc<Topology>,
+    /// The same graph as the P4Update controllers' NIBs (primary and
+    /// standbys) and the caller's own handle.
+    topo: Topology,
     /// Per-switch chassis, densely indexed by [`NodeId`].
     pub switches: SwitchTable,
     /// The controller.
@@ -320,7 +320,6 @@ impl NetworkSim {
         free_capacity: Option<BTreeMap<(NodeId, NodeId), f64>>,
     ) -> Self {
         let mut rng = SimRng::new(config.seed);
-        let topo = Rc::new(topo);
         let switches = SwitchTable::build(&topo, |id| {
             let logic: Box<dyn SwitchLogic> = match system {
                 System::P4Update(_) => Box::new(P4UpdateLogic::new()),
@@ -329,29 +328,30 @@ impl NetworkSim {
             };
             Switch::new(id, &topo, logic)
         });
-        let make_controller = || match system {
+        let make_controller = |free_capacity: Option<BTreeMap<_, _>>| match system {
             System::P4Update(strategy) => {
                 // The NIB lets the controller set up paths for flows the
                 // data plane reports via FRMs (§6).
-                ControllerImpl::P4(P4UpdateController::new(strategy).with_nib(Rc::clone(&topo)))
+                ControllerImpl::P4(P4UpdateController::new(strategy).with_nib(topo.clone()))
             }
             System::EzSegway { congestion } => ControllerImpl::Ez(if congestion {
-                EzController::with_congestion(free_capacity.clone().unwrap_or_default())
+                EzController::with_congestion(free_capacity.unwrap_or_default())
             } else {
                 EzController::new()
             }),
             System::Central { congestion } => ControllerImpl::Central(if congestion {
-                CentralController::with_congestion(free_capacity.clone().unwrap_or_default())
+                CentralController::with_congestion(free_capacity.unwrap_or_default())
             } else {
                 CentralController::new()
             }),
         };
-        let controller = make_controller();
         // Replicas beyond the primary are identically-constructed shadow
-        // state machines (capped at 3 total, per the model).
+        // state machines (capped at 3 total, per the model): each gets a
+        // copy of the capacity view, the primary takes the original.
         let standbys = (1..config.replication.replicas.min(3))
-            .map(|_| make_controller())
+            .map(|_| make_controller(free_capacity.clone()))
             .collect();
+        let controller = make_controller(free_capacity);
         let n = topo.node_count();
         let _ = rng.fork(0); // reserve a stream for future model components
         NetworkSim {
@@ -1156,6 +1156,10 @@ impl World for NetworkSim {
                 self.feed_standbys(|c, out| c.start_update(now, &updates, out));
                 let base = now.max(self.ctrl_busy);
                 self.controller_pass(base, sched, |c, out| c.start_update(now, &updates, out));
+                // The effect buffer now has room for every message of the
+                // batch; what is kept between passes is for the few effects
+                // of a steady-state one, so this one goes back to the heap.
+                self.ctrl_scratch = Vec::new();
                 self.batches[batch] = updates;
                 self.arm_retry(sched);
             }
@@ -1204,6 +1208,23 @@ mod tests {
         let topo = topologies::fig1();
         let config = SimConfig::new(TimingConfig::wan_multi_flow(topo.centroid()), 1);
         NetworkSim::new(topo, system, config, None)
+    }
+
+    /// The world reads the graph its caller built, not a copy of it; each
+    /// P4Update controller's NIB is a clone of the same handle (`new`; core's
+    /// `the_nib_is_a_handle_on_the_callers_graph`), three replicas or one.
+    #[test]
+    fn a_world_shares_its_callers_topology() {
+        let topo = topologies::fig1();
+        let config = SimConfig::new(TimingConfig::wan_multi_flow(topo.centroid()), 1)
+            .with_replication(crate::config::ReplicationConfig {
+                replicas: 3,
+                failover_at_ms: 0.0,
+            });
+        let world = NetworkSim::new(topo.clone(), System::P4Update(Strategy::Auto), config, None);
+        assert_eq!(world.standbys.len(), 2);
+        let (ours, theirs) = (topo.links(), world.topology().links());
+        assert!(std::ptr::eq(ours.as_ptr(), theirs.as_ptr()));
     }
 
     #[test]
@@ -1315,6 +1336,7 @@ mod tests {
     #[test]
     fn a_plain_world_asks_an_installed_chooser_at_every_control_message() {
         use std::cell::Cell;
+        use std::rc::Rc;
         struct Deliver(Rc<Cell<usize>>);
         impl p4update_des::Chooser for Deliver {
             fn choose(&mut self, kind: ChoiceKind, arity: usize) -> usize {
@@ -1534,6 +1556,7 @@ mod tests {
     #[test]
     fn delayed_and_duplicated_reports_under_normal_control_latency() {
         use std::cell::Cell;
+        use std::rc::Rc;
 
         /// Picks `faults[i]`'s alternative at the fault choice point it
         /// names (counted from 0), the default everywhere else.

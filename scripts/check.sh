@@ -3,13 +3,14 @@
 #
 #   scripts/check.sh
 #
-# Runs formatting, the debug-only-check count, the clippy lint wall, the
-# full offline test suite, the static plan linter over its sample plans
+# Runs formatting, the debug-only-check count, the `Rc<Topology>` grep, the
+# clippy lint wall, the full offline test suite, the static plan linter over its sample plans
 # (including the mutated ones, which must make it exit non-zero), the
 # dataset round trip (an exported on-disk batch must re-lint
 # byte-identically to the in-memory analysis),
-# the corpus and explorer smokes, the ft512 world's heap-footprint bound,
-# the large fat-tree tests, the root
+# the corpus and explorer smokes, the ft512 world's heap-footprint counts
+# (which a deep topology copy, a per-switch map or a retained batch-sized
+# buffer fails), the large fat-tree tests, the root
 # property suites and the differentials — the path solver, the bridge
 # classification and `multi_flow` against their oracles, the UIB against its
 # map model, `reanalyze` against `analyze` and the pairwise reference — at 16x
@@ -42,6 +43,11 @@ if [[ -n "$unlisted" || "$(grep -c . <<<"$debug_only")" -gt 2 ]]; then
     exit 1
 fi
 
+# A `Topology` is itself the shared handle (DESIGN.md section 3): a wrapper
+# around one is the second copy of the graph on its way back.
+echo "==> no Rc<Topology> under crates/ (clone the handle)"
+if grep -rn 'Rc<Topology>' crates/; then exit 1; fi
+
 echo "==> cargo clippy (workspace, all targets, -D warnings)"
 cargo clippy --workspace --all-targets -q -- -D warnings
 
@@ -70,11 +76,14 @@ diff "$tmpdir/lint-mem.txt" "$tmpdir/lint-disk.txt"
 echo "==> trace corpus replays byte-exactly (release profile)"
 cargo test -q --release --test corpus_replay
 
-# A counted bound (tests/world_footprint.rs), not a timing: a per-switch
-# map or a retained buffer coming back fails here, where `peak_rss_mb` would
-# only drift. (A fat message variant fails `cargo build`: the size
-# assertions beside `Message`, `Effect` and `Event`.)
-echo "==> ft512 world heap footprint stays under its recorded bound (release profile)"
+# Counts (tests/world_footprint.rs), not timings. Three things fail here
+# that `peak_rss_mb` would only drift on: a deep topology copy (a clone must
+# request 0 bytes, a built ft512 graph is pinned to the byte), a per-switch
+# map where a sorted vector is and a retained batch-sized buffer (the world
+# at rest is pinned to the byte; the peak has a bound). (A fat message
+# variant fails `cargo build`: the size assertions beside `Message`,
+# `Effect` and `Event`.)
+echo "==> ft512 world heap footprint: peak under its bound, topology and resting world at their counts (release profile)"
 cargo test -q --release --test world_footprint
 
 echo "==> exploration smoke run (small budget; P4Update must stay clean)"
