@@ -39,30 +39,29 @@
 //! - [`analyze_batch`] — a batch: per-plan checks plus cross-update checks.
 //! - [`engine::BatchAnalyzer`] — the link-indexed, incremental engine:
 //!   diagnostics byte-identical to [`analyze_batch_with`] without the
-//!   pairwise scan, delta-driven revalidation ([`delta::PlanDelta`]), and
-//!   on-disk datasets ([`dataset`]).
+//!   pairwise scan, and delta-driven revalidation ([`delta::PlanDelta`]).
+//!
+//! Plans are linted where they are made, in memory: the analyzer takes
+//! what `prepare_update` returned, as the paper's controller does before
+//! it ships the labels.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod conflicts;
-pub mod dataset;
 pub mod delta;
 mod diagnostic;
 pub mod engine;
-mod json;
 mod labels;
 mod segmentation;
 mod wire_check;
 
-pub use dataset::{export_dataset, load_dataset, Dataset};
 pub use delta::PlanDelta;
 pub use diagnostic::{Code, Diagnostic, Severity};
 pub use engine::{BatchAnalysis, BatchAnalyzer};
-pub use json::Json;
 
-use p4update_core::{prepare_update, PreparedUpdate, Strategy};
-use p4update_net::{FlowId, FlowUpdate, Topology, Version};
+use p4update_core::PreparedUpdate;
+use p4update_net::{FlowId, Topology, Version};
 use std::collections::BTreeMap;
 
 /// Everything the analyzer may know about the network a plan targets.
@@ -107,28 +106,6 @@ impl<'a> AnalysisContext<'a> {
         self.installed.insert(flow, version);
         self
     }
-}
-
-/// Prepare `updates` as an analyzable plan batch, replicating the
-/// controller's version assignment: migrations move from installed
-/// version 1 to version 2, fresh deployments start at version 1. Returns
-/// the batch plus the installed versions to lint it against
-/// ([`AnalysisContext::with_installed`]).
-pub fn bench_plans(updates: &[FlowUpdate]) -> (Vec<PreparedUpdate>, BTreeMap<FlowId, Version>) {
-    let mut installed = BTreeMap::new();
-    let plans = updates
-        .iter()
-        .map(|u| {
-            let version = if u.old_path.is_some() {
-                installed.insert(u.flow, Version(1));
-                Version(2)
-            } else {
-                Version(1)
-            };
-            prepare_update(u, version, Strategy::Auto)
-        })
-        .collect();
-    (plans, installed)
 }
 
 /// Analyze one prepared plan. `topo` enables routability checking; pass

@@ -5,9 +5,7 @@
 #
 # Runs formatting, the debug-only-check count, the `Rc<Topology>` grep, the
 # clippy lint wall, the full offline test suite, the static plan linter over its sample plans
-# (including the mutated ones, which must make it exit non-zero), the
-# dataset round trip (an exported on-disk batch must re-lint
-# byte-identically to the in-memory analysis),
+# (including the mutated ones, which must make it exit non-zero),
 # the corpus and explorer smokes, the ft512 world's heap-footprint counts
 # (which a deep topology copy, a per-switch map or a retained batch-sized
 # buffer fails), the large fat-tree tests, the root
@@ -65,13 +63,6 @@ if cargo run -q --example p4update_lint -- --mutate; then
     echo "error: the lint binary accepted corrupted plans" >&2
     exit 1
 fi
-
-echo "==> dataset round trip: export ft64 batch, re-lint from disk, diff"
-cargo run -q --release --example p4update_lint -- \
-    --export-dataset "$tmpdir/dataset" --scale ft64 > "$tmpdir/lint-mem.txt"
-cargo run -q --release --example p4update_lint -- \
-    --dataset "$tmpdir/dataset" > "$tmpdir/lint-disk.txt"
-diff "$tmpdir/lint-mem.txt" "$tmpdir/lint-disk.txt"
 
 echo "==> trace corpus replays byte-exactly (release profile)"
 cargo test -q --release --test corpus_replay

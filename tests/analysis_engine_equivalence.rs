@@ -1,7 +1,8 @@
 //! Differential tests for the link-indexed, incremental [`BatchAnalyzer`]:
 //!
 //! 1. **Engine equivalence** — for every scenario in the explore
-//!    registry, across several seeds, the engine emits a diagnostic list
+//!    registry, across several seeds, and for the generated fat-tree
+//!    batches the benchmark lints, the engine emits a diagnostic list
 //!    *byte-identical* to the pairwise `analyze_batch_with` reference
 //!    (same findings, same order, same rendered text).
 //! 2. **Incremental economy** — after a single-plan [`PlanDelta`], the
@@ -12,24 +13,23 @@
 //! do is covered by the propcheck differential in
 //! `crates/analysis/src/engine.rs`.
 
-use p4update::analysis::{
-    analyze_batch_with, bench_plans, AnalysisContext, BatchAnalyzer, PlanDelta,
-};
+use p4update::analysis::{analyze_batch_with, is_clean, AnalysisContext, BatchAnalyzer, PlanDelta};
 use p4update::core::{prepare_update, PreparedUpdate, Strategy};
 use p4update::explore::scenarios;
 use p4update::net::{topologies, FlowId, Version};
 use p4update::traffic::bench_workload;
 use std::collections::BTreeMap;
 
-/// Prepare a scenario batch the way the controller would: migrations of a
-/// known flow bump its installed version, fresh deployments start at 1.
-/// Returns the prepared batch plus the installed-version context in force
-/// when it was prepared.
+/// Prepare a batch the way the controller would: migrations of a known
+/// flow bump its installed version, a migration of an unseen flow moves
+/// installed version 1 to 2, fresh deployments start at 1. Returns the
+/// prepared batch plus the installed-version context in force when it was
+/// prepared.
 fn prepare_batch(
     batch: &[p4update::net::FlowUpdate],
     installed: &mut BTreeMap<FlowId, Version>,
 ) -> (Vec<PreparedUpdate>, BTreeMap<FlowId, Version>) {
-    let snapshot = installed.clone();
+    let mut snapshot = installed.clone();
     let plans = batch
         .iter()
         .map(|u| {
@@ -37,6 +37,7 @@ fn prepare_batch(
                 Some(v) => v.next(),
                 None if u.old_path.is_some() => {
                     installed.insert(u.flow, Version(1));
+                    snapshot.insert(u.flow, Version(1));
                     Version(2)
                 }
                 None => Version(1),
@@ -93,13 +94,33 @@ fn engine_matches_sequential_on_every_registry_scenario() {
     );
 }
 
+/// The generated fat-tree batches — ft64, and ft512, `lint-churn`'s size —
+/// prepared as the benchmark prepares them: the engine is equivalent to
+/// the reference on each, and each lints error-free.
+#[test]
+fn engine_matches_sequential_on_generated_fat_tree_batches() {
+    for (name, topo) in [
+        ("ft64", topologies::synthetic_fat_tree_64()),
+        ("ft512", topologies::synthetic_fat_tree_512()),
+    ] {
+        let (plans, installed) =
+            prepare_batch(&bench_workload(&topo, 1).updates, &mut BTreeMap::new());
+        let ctx = AnalysisContext::with_installed(Some(&topo), installed);
+        assert_equivalent(&plans, &ctx, name);
+        assert!(
+            is_clean(&analyze_batch_with(&plans, &ctx)),
+            "{name}: a generated batch must lint error-free"
+        );
+    }
+}
+
 /// Incremental re-analysis after a single-plan delta revalidates strictly
 /// fewer plans than the batch holds, and the result is byte-identical to
 /// a from-scratch analysis of the revised batch.
 #[test]
 fn incremental_reanalysis_revalidates_strictly_fewer_plans() {
     let topo = topologies::synthetic_fat_tree_64();
-    let (plans, installed) = bench_plans(&bench_workload(&topo, 1).updates);
+    let (plans, installed) = prepare_batch(&bench_workload(&topo, 1).updates, &mut BTreeMap::new());
     let ctx = AnalysisContext::with_installed(Some(&topo), installed);
     let engine = BatchAnalyzer::new(1);
     let full = engine.analyze(&plans, &ctx);
@@ -136,7 +157,7 @@ fn incremental_reanalysis_revalidates_strictly_fewer_plans() {
 #[test]
 fn empty_delta_revalidates_nothing() {
     let topo = topologies::synthetic_fat_tree_64();
-    let (plans, installed) = bench_plans(&bench_workload(&topo, 1).updates);
+    let (plans, installed) = prepare_batch(&bench_workload(&topo, 1).updates, &mut BTreeMap::new());
     let ctx = AnalysisContext::with_installed(Some(&topo), installed);
     let engine = BatchAnalyzer::new(1);
     let full = engine.analyze(&plans, &ctx);

@@ -16,9 +16,14 @@
 //!
 //! This test crate hosts a counting `#[global_allocator]`, which is why it
 //! contains an `unsafe` block and exactly one `#[test]` (a second test
-//! would share the counters).
+//! would share the counters). It counts only the thread that measures:
+//! libtest's main thread allocates some bookkeeping after it spawns the
+//! test thread, and whether that lands before or after the baseline is
+//! read is up to the scheduler, so counting every thread made the exact
+//! counts flaky.
 
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use p4update::core::Strategy;
@@ -33,9 +38,30 @@ struct CountingAlloc;
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// Set on the measuring thread only; every other thread goes uncounted.
+    /// `const`-initialized with no destructor, so reading it from inside
+    /// the allocator never allocates.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// False on a thread that does not count, and on one whose thread-local
+/// is not (or no longer) available.
+fn counting() -> bool {
+    COUNTING.try_with(Cell::get).unwrap_or(false)
+}
+
 fn grew(by: usize) {
-    let live = LIVE.fetch_add(by, Ordering::Relaxed) + by;
-    PEAK.fetch_max(live, Ordering::Relaxed);
+    if counting() {
+        let live = LIVE.fetch_add(by, Ordering::Relaxed) + by;
+        PEAK.fetch_max(live, Ordering::Relaxed);
+    }
+}
+
+fn shrank(by: usize) {
+    if counting() {
+        LIVE.fetch_sub(by, Ordering::Relaxed);
+    }
 }
 
 // SAFETY: every call is forwarded unchanged to the system allocator, which
@@ -48,7 +74,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         unsafe { SystemAlloc.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        shrank(layout.size());
         // SAFETY: as above.
         unsafe { SystemAlloc.dealloc(ptr, layout) }
     }
@@ -56,7 +82,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         if new_size >= layout.size() {
             grew(new_size - layout.size());
         } else {
-            LIVE.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
+            shrank(layout.size() - new_size);
         }
         // SAFETY: as above.
         unsafe { SystemAlloc.realloc(ptr, layout, new_size) }
@@ -101,6 +127,7 @@ fn mark() -> usize {
 
 #[test]
 fn ft512_world_stays_under_its_recorded_peak() {
+    COUNTING.with(|c| c.set(true));
     // Live bytes after each phase, printed at the end: a captured `println!`
     // allocates, and pushing within this capacity does not.
     let mut phases: Vec<(&str, usize)> = Vec::with_capacity(8);
