@@ -2,7 +2,7 @@
 //! mechanism-choice advisory (P4U008).
 
 use crate::diagnostic::{Code, Diagnostic};
-use p4update_core::{old_distances, PreparedUpdate, SegmentDir, SL_NODE_THRESHOLD};
+use p4update_core::{PreparedUpdate, SegmentDir, SL_NODE_THRESHOLD};
 use p4update_messages::UpdateKind;
 use p4update_net::NodeId;
 
@@ -10,11 +10,8 @@ use p4update_net::NodeId;
 /// distance to the egress on the old path, or the synthetic endpoint values
 /// for a fresh deployment (egress 0, ingress "infinitely far").
 fn expected_old_distance(plan: &PreparedUpdate, node: NodeId) -> Option<u32> {
-    if plan.update.old_path.is_some() {
-        old_distances(&plan.update)
-            .iter()
-            .find(|&&(n, _)| n == node)
-            .map(|&(_, d)| d)
+    if let Some(old) = &plan.update.old_path {
+        old.distance_to_egress(node)
     } else if node == plan.update.new_path.egress() {
         Some(0)
     } else if node == plan.update.new_path.ingress() {

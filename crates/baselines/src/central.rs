@@ -12,7 +12,7 @@
 use p4update_dataplane::{ControllerLogic, CtrlEffect, Effect, Endpoint, SwitchLogic, SwitchState};
 use p4update_des::SimTime;
 use p4update_messages::{CentralMsg, Message};
-use p4update_net::{FlowId, FlowUpdate, NodeId, Version};
+use p4update_net::{FlowId, FlowUpdate, NodeId, Version, CAPACITY_SLACK};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Per-flow migration state at the controller.
@@ -175,7 +175,7 @@ impl CentralController {
                 if let Some(nh) = new_hop {
                     if Some(nh) != old_hop {
                         let free = cap.get(&(node, nh)).copied().unwrap_or(f64::INFINITY);
-                        if free + 1e-9 < m.update.size {
+                        if free + CAPACITY_SLACK < m.update.size {
                             continue;
                         }
                     }

@@ -13,7 +13,9 @@
 use p4update_dataplane::{ControllerLogic, CtrlEffect, Effect, Endpoint, SwitchLogic, SwitchState};
 use p4update_des::SimTime;
 use p4update_messages::{EzMsg, EzPriority, EzSegmentKind, EzUpdate, Message};
-use p4update_net::{FlowId, FlowUpdate, NodeId, Version};
+use p4update_net::{
+    segment_update, FlowId, FlowUpdate, NodeId, SegmentDir, Version, CAPACITY_SLACK,
+};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One segment of an ez-Segway update plan.
@@ -40,56 +42,35 @@ pub struct EzPlan {
     pub msgs: Vec<(NodeId, EzMsg)>,
 }
 
-/// Compute the segments of an update: gateways are the nodes shared by the
-/// old and new path; a segment between consecutive gateways is `InLoop`
-/// when it does not decrease the old-path distance to the egress.
-fn compute_segments(update: &FlowUpdate) -> Vec<EzSegment> {
-    let new_nodes = update.new_path.nodes();
-    let old_dist = |n: NodeId| -> Option<u32> {
-        update
-            .old_path
-            .as_ref()
-            .and_then(|p| p.distance_to_egress(n))
-    };
-    let mut gateways: Vec<(usize, NodeId, u32)> = Vec::new();
-    for (i, &n) in new_nodes.iter().enumerate() {
-        if let Some(d) = old_dist(n) {
-            gateways.push((i, n, d));
-        } else if update.old_path.is_none() && (i == 0 || i == new_nodes.len() - 1) {
-            gateways.push((i, n, if i == 0 { u32::MAX } else { 0 }));
-        }
-    }
-    let mut segments = Vec::new();
-    for (sid, w) in gateways.windows(2).enumerate() {
-        let (i_in, _, d_in) = w[0];
-        let (i_out, _, d_out) = w[1];
-        let kind = if d_in > d_out {
-            EzSegmentKind::NotInLoop
-        } else {
-            EzSegmentKind::InLoop
-        };
-        segments.push(EzSegment {
-            id: sid as u32,
-            nodes: new_nodes[i_in..=i_out].to_vec(),
-            kind,
-            depends_on: Vec::new(),
-        });
-    }
-    // InLoop segments wait for every downstream segment.
+/// An update's segments as ez-Segway plans them: the segmentation P4Update
+/// uses ([`segment_update`]: gateways are the nodes shared by the old and
+/// new path), a backward segment becoming `InLoop` and waiting for every
+/// segment downstream of it.
+fn ez_segments(update: &FlowUpdate) -> Vec<EzSegment> {
+    let segments = segment_update(update).segments;
     let n = segments.len() as u32;
-    for s in &mut segments {
-        if s.kind == EzSegmentKind::InLoop {
-            s.depends_on = (s.id + 1..n).collect();
-        }
-    }
-    segments
+    (0..n)
+        .zip(segments)
+        .map(|(id, s)| {
+            let (kind, depends_on) = match s.direction() {
+                SegmentDir::Forward => (EzSegmentKind::NotInLoop, Vec::new()),
+                SegmentDir::Backward => (EzSegmentKind::InLoop, (id + 1..n).collect()),
+            };
+            EzSegment {
+                id,
+                nodes: s.nodes(),
+                kind,
+                depends_on,
+            }
+        })
+        .collect()
 }
 
 /// Prepare one flow update without congestion awareness: segmentation,
 /// dependency wiring, and the per-switch message set. This is the
 /// control-plane work Fig. 8a measures for ez-Segway.
 pub fn ez_prepare(update: &FlowUpdate, priority: EzPriority) -> EzPlan {
-    let segments = compute_segments(update);
+    let segments = ez_segments(update);
     let total = segments.len() as u32;
     let global_ingress = update.new_path.ingress();
 
@@ -109,11 +90,9 @@ pub fn ez_prepare(update: &FlowUpdate, priority: EzPriority) -> EzPlan {
         let len = s.nodes.len();
         for (i, &node) in s.nodes.iter().enumerate() {
             let is_finalizer = i == 0;
+            // A gateway's own flip belongs to the segment where it is the
+            // finalizer; as an initiator it only starts the chain.
             let is_initiator = i == len - 1;
-            if is_initiator && node != update.new_path.egress() && !is_finalizer {
-                // A gateway's own flip belongs to the segment where it is
-                // the finalizer; as an initiator it only starts the chain.
-            }
             let next_hop = update.new_path.successor(node);
             let upstream = update.new_path.predecessor(node);
             // Initiators need no rule change within this segment; their
@@ -185,7 +164,7 @@ pub fn ez_prepare_congestion(
             .map(|p| p.edges().collect())
             .unwrap_or_default();
         let new_edges: Vec<(NodeId, NodeId)> = u.new_path.edges().collect();
-        for seg in compute_segments(u) {
+        for seg in ez_segments(u) {
             let nodes = &seg.nodes;
             let claims: Vec<(NodeId, NodeId)> = nodes
                 .windows(2)
@@ -232,7 +211,7 @@ pub fn ez_prepare_congestion(
         let mut free = cap;
         for i in 0..m {
             if entities[i].claims.contains(&e) {
-                if free + 1e-9 < entities[i].size {
+                if free + CAPACITY_SLACK < entities[i].size {
                     for &j in &leaving {
                         if entities[i].flow != entities[j].flow {
                             base[i * m + j] = true;
@@ -481,7 +460,7 @@ impl EzSwitchLogic {
                     .get(&(f, s))
                     .is_some_and(|r| r.priority > my_prio)
             });
-            if remaining + 1e-9 < role.size || higher_waiting {
+            if remaining + CAPACITY_SLACK < role.size || higher_waiting {
                 let q = self.parked.entry(to).or_default();
                 if !q.contains(&(flow, segment)) {
                     q.push((flow, segment));
@@ -526,15 +505,10 @@ impl EzSwitchLogic {
         }
 
         // Whole-flow completion tracking at the global ingress.
-        self.check_flow_complete(state, flow, out);
+        self.check_flow_complete(flow, out);
     }
 
-    fn check_flow_complete(
-        &mut self,
-        state: &mut SwitchState,
-        flow: FlowId,
-        out: &mut Vec<Effect>,
-    ) {
+    fn check_flow_complete(&self, flow: FlowId, out: &mut Vec<Effect>) {
         let Some(total) = self
             .roles
             .iter()
@@ -545,7 +519,6 @@ impl EzSwitchLogic {
         };
         let done = self.done_segments.get(&flow).map_or(0, |s| s.len() as u32);
         if done >= total {
-            let _ = state;
             out.push(Effect::SendController {
                 msg: Message::Ez(EzMsg::Done { flow }),
             });
@@ -747,7 +720,7 @@ mod tests {
 
     #[test]
     fn segments_classify_like_the_paper() {
-        let segs = compute_segments(&fig1_update());
+        let segs = ez_segments(&fig1_update());
         assert_eq!(segs.len(), 3);
         assert_eq!(segs[0].kind, EzSegmentKind::NotInLoop);
         assert_eq!(segs[1].kind, EzSegmentKind::InLoop);

@@ -19,7 +19,7 @@
 //! drive it without a full switch.
 
 use p4update_dataplane::FlowPriority;
-use p4update_net::{FlowId, NodeId};
+use p4update_net::{FlowId, NodeId, CAPACITY_SLACK};
 use std::collections::BTreeMap;
 
 /// Why a move was not admitted.
@@ -64,7 +64,7 @@ impl CongestionScheduler {
         priority: FlowPriority,
         priority_of: impl Fn(FlowId) -> FlowPriority,
     ) -> Admission {
-        if remaining + 1e-9 < size {
+        if remaining + CAPACITY_SLACK < size {
             return Admission::Blocked(BlockReason::NoCapacity);
         }
         if priority == FlowPriority::High {

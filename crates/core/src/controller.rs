@@ -8,11 +8,10 @@
 //! needs *no* congestion dependency computation here, unlike ez-Segway.
 
 use crate::label::{label_path, uim_for};
-use crate::segment::{segment_update, Segmentation};
 use p4update_dataplane::{ControllerLogic, CtrlEffect};
 use p4update_des::SimTime;
 use p4update_messages::{Message, UfmStatus, Uim, UpdateKind};
-use p4update_net::{FlowId, FlowUpdate, NodeId, Topology, Version};
+use p4update_net::{segment_update, FlowId, FlowUpdate, NodeId, Segmentation, Topology, Version};
 use std::collections::BTreeMap;
 
 /// The §7.5 deployment strategy: single-layer for updates that install new
@@ -194,6 +193,25 @@ impl P4UpdateController {
         })
     }
 
+    /// The versions [`ControllerLogic::start_update`] assigns to `updates`,
+    /// in order: each entry gets [`Self::next_version`] of its flow,
+    /// counting the versions earlier entries of the same batch take. The
+    /// one statement of the version rule, for the controller and for
+    /// whoever re-prepares its plans (the simulator's analysis gate).
+    pub fn batch_versions(&self, updates: &[FlowUpdate]) -> Vec<Version> {
+        let mut issued: BTreeMap<FlowId, Version> = BTreeMap::new();
+        updates
+            .iter()
+            .map(|u| {
+                let v = issued
+                    .get(&u.flow)
+                    .map_or_else(|| self.next_version(u.flow), |v| v.next());
+                issued.insert(u.flow, v);
+                v
+            })
+            .collect()
+    }
+
     /// Current version of a flow, if known.
     pub fn current_version(&self, flow: FlowId) -> Option<Version> {
         self.flows.get(&flow).map(|r| r.version)
@@ -209,8 +227,7 @@ impl P4UpdateController {
 
 impl ControllerLogic for P4UpdateController {
     fn start_update(&mut self, _now: SimTime, updates: &[FlowUpdate], out: &mut Vec<CtrlEffect>) {
-        for update in updates {
-            let version = self.next_version(update.flow);
+        for (update, version) in updates.iter().zip(self.batch_versions(updates)) {
             let prepared = prepare_update(update, version, self.strategy);
             let in_flight = InFlight {
                 version,
@@ -389,6 +406,33 @@ mod tests {
         assert_eq!(c.next_version(FlowId(0)), Version(4));
         assert_eq!(c.current_version(FlowId(0)), Some(Version(3)));
         assert_eq!(c.current_version(FlowId(9)), None);
+    }
+
+    /// A flow named twice in one batch gets two successive versions, an
+    /// unknown flow starts at 1, and `start_update` issues exactly what
+    /// `batch_versions` promised.
+    #[test]
+    fn batch_versions_count_earlier_entries_of_the_batch() {
+        let mut c = P4UpdateController::new(Strategy::Auto);
+        c.register_flow(FlowId(0), Version(3));
+        let other = FlowUpdate::new(FlowId(5), None, path(&[0, 1]), 1.0);
+        let batch = [fig1_update(), other, fig1_update()];
+        let versions = c.batch_versions(&batch);
+        assert_eq!(versions, vec![Version(4), Version(1), Version(5)]);
+        let mut out = Vec::new();
+        c.start_update(SimTime::ZERO, &batch, &mut out);
+        let issued: Vec<Version> = out
+            .iter()
+            .filter_map(|e| match e {
+                CtrlEffect::Send {
+                    msg: Message::Uim(u),
+                    ..
+                } if u.next_hop.is_none() => Some(u.version),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(issued, versions);
+        assert_eq!(c.next_version(FlowId(0)), Version(6));
     }
 
     #[test]

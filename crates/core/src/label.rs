@@ -57,20 +57,6 @@ pub fn uim_for(update: &FlowUpdate, label: &NodeLabel, version: Version, kind: U
     }
 }
 
-/// Distances on the *old* path, used by tests and by the segmentation
-/// module: hop distance to the old egress for each old-path node.
-pub fn old_distances(update: &FlowUpdate) -> Vec<(NodeId, u32)> {
-    match &update.old_path {
-        None => Vec::new(),
-        Some(old) => old
-            .nodes()
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (n, (old.nodes().len() - 1 - i) as u32))
-            .collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,28 +97,6 @@ mod tests {
             assert_eq!(w[1].next_hop, Some(w[0].node));
             assert_eq!(w[0].upstream, Some(w[1].node));
         }
-    }
-
-    #[test]
-    fn old_distances_match_fig1() {
-        // Paper §3.2: segment IDs (old distances): v7 = 0, v2 = 1, v4 = 2,
-        // v0 = 3.
-        let d = old_distances(&fig1_update());
-        assert_eq!(
-            d,
-            vec![
-                (NodeId(0), 3),
-                (NodeId(4), 2),
-                (NodeId(2), 1),
-                (NodeId(7), 0)
-            ]
-        );
-    }
-
-    #[test]
-    fn old_distances_empty_for_fresh_flow() {
-        let u = FlowUpdate::new(FlowId(0), None, path(&[0, 1]), 1.0);
-        assert!(old_distances(&u).is_empty());
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //! - [`label`] — distance/version label computation (§3): the distributed
 //!   proof the controller attaches to each update.
 //! - [`segment`] — gateway detection and forward/backward segment
-//!   classification for the dual-layer mechanism (§3.2).
-//! - [`verify`] — Algorithms 1 and 2 as pure functions: each switch
+//!   classification for the dual-layer mechanism (§3.2); it lives beside
+//!   the update model in `p4update-net`, where ez-Segway and the workload
+//!   generator read the same segmentation, and is re-exported here.
+//! - [`verify`](mod@verify) — Algorithms 1 and 2 as pure functions: each switch
 //!   locally decides whether applying an update preserves blackhole and
 //!   loop freedom (§7.1).
 //! - [`congestion`] — the local, dynamic inter-flow dependency scheduler
@@ -29,7 +31,6 @@
 pub mod congestion;
 pub mod controller;
 pub mod label;
-pub mod segment;
 pub mod switch_logic;
 pub mod verify;
 pub mod violation;
@@ -38,8 +39,8 @@ pub use congestion::{Admission, BlockReason, CongestionScheduler};
 pub use controller::{
     prepare_batch, prepare_update, P4UpdateController, PreparedUpdate, Strategy, SL_NODE_THRESHOLD,
 };
-pub use label::{label_path, old_distances, uim_for, NodeLabel};
-pub use segment::{segment_update, Segment, SegmentDir, Segmentation};
+pub use label::{label_path, uim_for, NodeLabel};
+pub use p4update_net::segment::{self, segment_update, Segment, SegmentDir, Segmentation};
 pub use switch_logic::{P4UpdateCounters, P4UpdateLogic};
 pub use verify::{verify, verify_dl, verify_sl, Verdict};
 pub use violation::Violation;

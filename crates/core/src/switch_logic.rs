@@ -6,7 +6,7 @@
 //! - **UIM processing**: stage the labels into the UIB; at the egress,
 //!   apply directly and start the notification chain(s); at dual-layer
 //!   segment-egress gateways, start the segment's second-layer chain.
-//! - **UNM processing**: run Algorithm 1/2 ([`crate::verify`]), then act on
+//! - **UNM processing**: run Algorithm 1/2 ([`crate::verify`](mod@crate::verify)), then act on
 //!   the verdict — install & continue the chain, park until the UIM arrives
 //!   (packet resubmission, Appendix B), hold for a better notification, or
 //!   drop-and-alarm.

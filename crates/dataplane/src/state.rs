@@ -2,7 +2,7 @@
 //! accounting, and pipeline overhead counters.
 
 use crate::uib::Uib;
-use p4update_net::{NodeId, Topology};
+use p4update_net::{NodeId, Topology, CAPACITY_SLACK};
 
 /// The mutable state of one switch, shared between the chassis (data-packet
 /// forwarding) and the pluggable update logic.
@@ -60,14 +60,14 @@ impl SwitchState {
     /// targets never fit.
     pub fn capacity_suffices(&self, neighbor: NodeId, size: f64) -> bool {
         self.remaining_capacity(neighbor)
-            .is_some_and(|c| c + 1e-9 >= size)
+            .is_some_and(|c| c + CAPACITY_SLACK >= size)
     }
 
     /// Reserve `size` units toward `neighbor`. Returns `false` (and
     /// reserves nothing) when capacity is insufficient.
     pub fn reserve_capacity(&mut self, neighbor: NodeId, size: f64) -> bool {
         match self.capacity_mut(neighbor) {
-            Some(c) if *c + 1e-9 >= size => {
+            Some(c) if *c + CAPACITY_SLACK >= size => {
                 *c -= size;
                 true
             }

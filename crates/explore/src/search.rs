@@ -108,10 +108,11 @@ pub fn random_walk(
 }
 
 /// Bounded systematic exploration (breadth-first over forced-decision
-/// sets): deterministically enumerates schedules with up to
-/// [`SYSTEMATIC_DEPTH`] deviations, branching each explored run on the
-/// alternatives of the choice points in its [`SYSTEMATIC_WINDOW`]. Stops
-/// at the first violation or after `runs` simulation runs (`Ok(None)`).
+/// sets): deterministically enumerates schedules with up to two
+/// deviations (`SYSTEMATIC_DEPTH`), branching each explored run on the
+/// alternatives of the 24 choice points after its last forced one
+/// (`SYSTEMATIC_WINDOW`). Stops at the first violation or after `runs`
+/// simulation runs (`Ok(None)`).
 ///
 /// Children only force indices strictly beyond the parent's last forced
 /// index, so every deviation *set* is visited at most once.

@@ -50,7 +50,7 @@ pub enum ByzVector {
 /// How the corrupted message is to be injected, relative to the honest
 /// one. The distinction matters for the no-drift guarantee: `Replace`
 /// suppresses the honest message entirely, the other two deliver it
-/// unchanged and add a tainted extra.
+/// unchanged and add the corrupted copy as an extra delivery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ByzDelivery {
     /// The corrupted message takes the honest one's place.

@@ -1,10 +1,11 @@
 //! Wire layouts for the P4Update headers.
 //!
 //! The P4 prototype defines custom headers parsed/deparsed by the switch
-//! pipeline; this module fixes equivalent byte layouts so the pipeline
-//! crate's parser/deparser can operate on real buffers, and so corruption
-//! fault injection has bits to flip. All multi-byte fields are big-endian
-//! (network order). Layouts:
+//! pipeline; this module fixes equivalent byte layouts, so the plan linter
+//! can check that every prepared UIM survives the trip through real bytes
+//! (`p4update-analysis`'s wire check) and a corruption has bits to flip.
+//! The simulator itself passes typed `Message`s. All multi-byte fields are
+//! big-endian (network order). Layouts:
 //!
 //! ```text
 //! common   : msg_type:u8  flow_id:u32

@@ -48,33 +48,6 @@ impl fmt::Display for Version {
     }
 }
 
-/// A traffic flow: identifier, current route, and its size bound.
-///
-/// The congestion model assumes each flow has an immutable, ingress-enforced
-/// upper size bound known to the controller (§7.4), in the same units as
-/// link capacity.
-#[derive(Debug, Clone)]
-pub struct Flow {
-    /// Flow identifier.
-    pub id: FlowId,
-    /// The flow's route.
-    pub path: Path,
-    /// Upper bound on the flow's rate, in link-capacity units.
-    pub size: f64,
-}
-
-impl Flow {
-    /// Ingress switch.
-    pub fn ingress(&self) -> NodeId {
-        self.path.ingress()
-    }
-
-    /// Egress switch.
-    pub fn egress(&self) -> NodeId {
-        self.path.egress()
-    }
-}
-
 /// A requested route update for one flow: migrate from `old_path` to
 /// `new_path`. Old and new path share ingress and egress.
 ///
@@ -88,8 +61,10 @@ pub struct FlowUpdate {
     pub old_path: Option<Path>,
     /// Target route.
     pub new_path: Path,
-    /// Flow size bound (copied into the UIM so switches can do local
-    /// capacity checks).
+    /// Flow size bound, in link-capacity units: the congestion model
+    /// assumes an immutable, ingress-enforced upper bound on the flow's
+    /// rate that the controller knows (§7.4). Copied into the UIM so
+    /// switches can do local capacity checks.
     pub size: f64,
 }
 
@@ -138,17 +113,6 @@ mod tests {
         assert!(Version(2) > Version(1));
         assert_eq!(Version::NONE.next(), Version(1));
         assert_eq!(Version(7).next(), Version(8));
-    }
-
-    #[test]
-    fn flow_endpoints() {
-        let f = Flow {
-            id: FlowId(1),
-            path: p(&[0, 1, 2]),
-            size: 2.5,
-        };
-        assert_eq!(f.ingress(), NodeId(0));
-        assert_eq!(f.egress(), NodeId(2));
     }
 
     #[test]

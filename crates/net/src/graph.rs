@@ -34,17 +34,14 @@ impl LinkId {
     }
 }
 
-/// A directed view of a link: the capacity unit the congestion model tracks.
-/// Links are full-duplex; each direction has its own capacity budget and is
-/// controlled exclusively by the sending endpoint (which is what makes the
-/// paper's *local* congestion scheduling well-defined).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct DirectedLink {
-    /// Transmitting endpoint.
-    pub from: NodeId,
-    /// Receiving endpoint.
-    pub to: NodeId,
-}
+/// How far a flow's size may exceed a link direction's free capacity and
+/// the flow still fit: free capacity is an `f64` that reservations and
+/// releases move in whatever order the updates happen, so a flow that fits
+/// exactly can meet a remainder a rounding error short. Every capacity-fit
+/// test in the workspace — switch, congestion gate, baselines' controllers,
+/// workload generation — is `free + CAPACITY_SLACK >= size` (or its
+/// negation) with this one value.
+pub const CAPACITY_SLACK: f64 = 1e-9;
 
 /// A node: a P4 switch with an optional geographic position (used to derive
 /// propagation latency for WAN topologies).

@@ -255,7 +255,7 @@ const TIE_SLACK: f64 = 1e-9;
 /// that stops as soon as the source's distance `D` is final, every node it
 /// did not settle taking `D`. That is `min(distance, D)` at every node,
 /// which differs across a link by no more than the distance does. A label
-/// is expanded only while `f = g + potential` stays within [`TIE_SLACK`] of
+/// is expanded only while `f = g + potential` stays within `TIE_SLACK` of
 /// the destination's distance; every node lying on some equally short path
 /// qualifies, so every neighbour the walk-back rule could step to is
 /// expanded with its final distance, and `prev` ends up holding the rule's

@@ -1,4 +1,6 @@
-//! Path segmentation for the dual-layer mechanism (§3.2).
+//! Path segmentation (§3.2), the one both dual-layer P4Update and
+//! ez-Segway (whose idea it is) run on, and the one the single-flow
+//! workload is scored by.
 //!
 //! Gateway nodes are the nodes shared between the old path `P_o` and the new
 //! path `P_n`; they cut the new path into segments. A segment is *forward*
@@ -8,7 +10,8 @@
 //! increases that distance and must wait for downstream segments (gated by
 //! the inherited old distances at runtime).
 
-use p4update_net::{FlowUpdate, NodeId};
+use crate::flow::FlowUpdate;
+use crate::graph::NodeId;
 
 /// Direction class of a segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,12 +72,16 @@ pub struct Segmentation {
 }
 
 impl Segmentation {
-    /// Number of backward segments.
-    pub fn backward_count(&self) -> usize {
+    /// The backward segments, in new-path order.
+    pub fn backward(&self) -> impl Iterator<Item = &Segment> {
         self.segments
             .iter()
             .filter(|s| s.direction() == SegmentDir::Backward)
-            .count()
+    }
+
+    /// Number of backward segments.
+    pub fn backward_count(&self) -> usize {
+        self.backward().count()
     }
 
     /// True when every segment is forward.
@@ -88,53 +95,41 @@ impl Segmentation {
 ///
 /// For an initial deployment (no old path) the result has the whole new
 /// path as a single segment between ingress and egress — which both count
-/// as gateways by convention (they are shared by definition).
+/// as gateways by convention (they are shared by definition), with
+/// synthetic old distances: the ingress "infinitely far", the egress 0.
 pub fn segment_update(update: &FlowUpdate) -> Segmentation {
     let new_nodes = update.new_path.nodes();
-    let old_dist: Vec<(NodeId, u32)> = crate::label::old_distances(update);
-    let on_old = |n: NodeId| old_dist.iter().find(|&&(m, _)| m == n).map(|&(_, d)| d);
-
-    // Gateways: nodes of the new path that also lie on the old path.
-    // Ingress and egress are always shared (the update model requires it).
-    let mut gateways: Vec<(NodeId, u32)> = Vec::new();
-    for &n in new_nodes {
-        if let Some(d) = on_old(n) {
-            gateways.push((n, d));
-        } else if update.old_path.is_none()
-            && (n == update.new_path.ingress() || n == update.new_path.egress())
-        {
-            // Fresh deployment: endpoints act as gateways with synthetic
-            // old distances (ingress "far", egress 0).
-            let d = if n == update.new_path.egress() {
-                0
-            } else {
-                u32::MAX
+    let last = new_nodes.len() - 1;
+    // Gateways with their new-path positions and old distances.
+    let gateways: Vec<(usize, NodeId, u32)> = new_nodes
+        .iter()
+        .enumerate()
+        .filter_map(|(i, &n)| {
+            let d = match &update.old_path {
+                Some(old) => old.distance_to_egress(n),
+                None if i == 0 => Some(u32::MAX),
+                None if i == last => Some(0),
+                None => None,
             };
-            gateways.push((n, d));
-        }
-    }
-
-    let mut segments = Vec::new();
-    for w in gateways.windows(2) {
-        let (g_in, d_in) = w[0];
-        let (g_out, d_out) = w[1];
-        let i_in = update.new_path.position(g_in).expect("gateway on new path");
-        let i_out = update
-            .new_path
-            .position(g_out)
-            .expect("gateway on new path");
-        let interior = new_nodes[i_in + 1..i_out].to_vec();
-        segments.push(Segment {
-            ingress_gateway: g_in,
-            egress_gateway: g_out,
-            interior,
-            ingress_old_distance: d_in,
-            egress_old_distance: d_out,
-        });
-    }
-
+            d.map(|d| (i, n, d))
+        })
+        .collect();
+    let segments = gateways
+        .windows(2)
+        .map(|w| {
+            let (i_in, g_in, d_in) = w[0];
+            let (i_out, g_out, d_out) = w[1];
+            Segment {
+                ingress_gateway: g_in,
+                egress_gateway: g_out,
+                interior: new_nodes[i_in + 1..i_out].to_vec(),
+                ingress_old_distance: d_in,
+                egress_old_distance: d_out,
+            }
+        })
+        .collect();
     Segmentation {
-        gateways: gateways.into_iter().map(|(n, _)| n).collect(),
+        gateways: gateways.into_iter().map(|(_, n, _)| n).collect(),
         segments,
     }
 }
@@ -142,7 +137,7 @@ pub fn segment_update(update: &FlowUpdate) -> Segmentation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use p4update_net::{FlowId, FlowUpdate, Path};
+    use crate::{FlowId, Path};
 
     fn path(ids: &[u32]) -> Path {
         Path::new(ids.iter().map(|&i| NodeId(i)).collect())
@@ -170,7 +165,8 @@ mod tests {
     #[test]
     fn fig1_segments_match_the_paper() {
         // §3.2: {v0,v1,v2} forward, {v2,v3,v4} backward, {v4,v5,v6,v7}
-        // forward.
+        // forward; segment IDs (old distances) v0 = 3, v4 = 2, v2 = 1,
+        // v7 = 0.
         let seg = segment_update(&fig1_update());
         assert_eq!(seg.segments.len(), 3);
 
@@ -187,8 +183,10 @@ mod tests {
         let s2 = &seg.segments[2];
         assert_eq!(s2.nodes(), vec![NodeId(4), NodeId(5), NodeId(6), NodeId(7)]);
         assert_eq!(s2.direction(), SegmentDir::Forward);
+        assert_eq!((s2.ingress_old_distance, s2.egress_old_distance), (2, 0));
 
         assert_eq!(seg.backward_count(), 1);
+        assert_eq!(seg.backward().next(), Some(s1));
         assert!(!seg.forward_only());
         assert!(seg.gateways.contains(&NodeId(2)));
         assert!(!seg.gateways.contains(&NodeId(3)));
@@ -221,7 +219,12 @@ mod tests {
         let seg = segment_update(&u);
         assert_eq!(seg.gateways, vec![NodeId(0), NodeId(5)]);
         assert_eq!(seg.segments.len(), 1);
-        assert_eq!(seg.segments[0].direction(), SegmentDir::Forward);
+        let s = &seg.segments[0];
+        assert_eq!(
+            (s.ingress_old_distance, s.egress_old_distance),
+            (u32::MAX, 0)
+        );
+        assert_eq!(s.direction(), SegmentDir::Forward);
     }
 
     #[test]
@@ -239,7 +242,7 @@ mod tests {
             seg.gateways,
             vec![NodeId(0), NodeId(2), NodeId(1), NodeId(3)]
         );
-        let dirs: Vec<SegmentDir> = seg.segments.iter().map(super::Segment::direction).collect();
+        let dirs: Vec<SegmentDir> = seg.segments.iter().map(Segment::direction).collect();
         // 0(d=3) -> 2(d=1): forward; 2(d=1) -> 1(d=2): backward;
         // 1(d=2) -> 3(d=0): forward.
         assert_eq!(

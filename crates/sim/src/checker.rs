@@ -90,6 +90,10 @@ pub fn check(
             .link_between(*from, *to)
             .map(|l| topo.link(l).capacity)
             .unwrap_or(0.0);
+        // Not `CAPACITY_SLACK`: that bounds one fit test against a running
+        // remainder, while `load` is a fresh sum of every flow on the link,
+        // whose rounding grows with the number of terms; the oracle only
+        // has to tell a real overload from that.
         if load > capacity + 1e-6 {
             violations.push(Violation::Congestion {
                 from: *from,

@@ -108,20 +108,6 @@ impl ControllerImpl {
     }
 }
 
-/// One in-flight byzantine-corrupted message: recorded when the lie is
-/// scheduled, consumed (and classified into a [`ByzOutcome`]) when the
-/// receiver processes it.
-struct ByzTaint {
-    /// Where the corrupted copy is headed.
-    dest: Endpoint,
-    /// The corrupted payload (matched by equality at delivery).
-    msg: Message,
-    /// Which catalog vector produced it.
-    vector: ByzVector,
-    /// The lying switch.
-    liar: NodeId,
-}
-
 /// What a byzantine-corrupted message did at its receiver — the raw
 /// material of the detector-completeness suite: every lie a run injects
 /// must land in exactly one of these buckets; none may vanish silently.
@@ -144,6 +130,12 @@ pub enum ByzDisposition {
 }
 
 /// Classification record for one delivered lie (see [`ByzDisposition`]).
+///
+/// A lie is a delivery: the event that carries the corrupted message is
+/// tagged with its vector where the message is corrupted, and the receiver
+/// classifies exactly the tagged deliveries it processes — one outcome per
+/// delivered copy, so a lie the fault seam duplicates earns two and one it
+/// drops earns none.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ByzOutcome {
     /// When the lie was processed.
@@ -188,6 +180,9 @@ pub enum Event {
         from: Endpoint,
         /// Payload.
         msg: Message,
+        /// The catalog vector that corrupted `msg` when the sender lied
+        /// (then `from` is the lying switch), `None` for an honest message.
+        lie: Option<ByzVector>,
     },
     /// A message reaches the controller's input queue.
     DeliverToController {
@@ -195,6 +190,8 @@ pub enum Event {
         from: NodeId,
         /// Payload.
         msg: Message,
+        /// As on [`Event::DeliverToSwitch`].
+        lie: Option<ByzVector>,
     },
     /// A switch→controller message crosses into the controller's ingress
     /// domain (only under [`ControlLatency::Normal`]): it left `from` at
@@ -211,6 +208,8 @@ pub enum Event {
         sent_at: SimTime,
         /// Extra adversarial delay (fault-choice `Delay`/`Duplicate`).
         extra: SimDuration,
+        /// As on [`Event::DeliverToSwitch`].
+        lie: Option<ByzVector>,
     },
     /// The controller finishes processing one queued message.
     ControllerExec {
@@ -218,6 +217,8 @@ pub enum Event {
         from: NodeId,
         /// Payload.
         msg: Message,
+        /// As on [`Event::DeliverToSwitch`].
+        lie: Option<ByzVector>,
     },
     /// A rule write completes at a switch.
     InstallComplete {
@@ -298,8 +299,6 @@ pub struct NetworkSim {
     /// point, in first-lie order (bounds enforcement for
     /// `ByzantineConfig::max_liars`).
     liars: Vec<NodeId>,
-    /// In-flight corrupted messages awaiting delivery classification.
-    byz_taints: Vec<ByzTaint>,
     /// Per-lie classification log (see [`ByzOutcome`]).
     pub byz_outcomes: Vec<ByzOutcome>,
     /// Standby controller replicas (shadow state machines; see
@@ -353,7 +352,10 @@ impl NetworkSim {
             .collect();
         let controller = make_controller(free_capacity);
         let n = topo.node_count();
-        let _ = rng.fork(0); // reserve a stream for future model components
+        // One word is drawn and discarded: every stream the repository pins
+        // (golden cells, the trace corpus, the benchmark's statistics)
+        // starts after it.
+        rng.next_u64();
         NetworkSim {
             switch_busy: vec![SimTime::ZERO; n],
             polling: vec![false; n],
@@ -372,7 +374,6 @@ impl NetworkSim {
             scratch: Vec::new(),
             ctrl_scratch: Vec::new(),
             liars: Vec::new(),
-            byz_taints: Vec::new(),
             byz_outcomes: Vec::new(),
             standbys,
             failed_over: false,
@@ -624,8 +625,8 @@ impl NetworkSim {
     }
 
     /// Ship a lying switch's corrupted switch-to-switch message according
-    /// to the vector's delivery mode, recording the taint so the delivery
-    /// can be classified (see [`ByzOutcome`]).
+    /// to the vector's delivery mode, the lie's delivery tagged with its
+    /// vector (see [`ByzOutcome`]).
     fn send_byz_switch(
         &mut self,
         liar: NodeId,
@@ -637,14 +638,15 @@ impl NetworkSim {
     ) {
         let lie = vector.corrupt(&msg).expect("vector was applicable");
         let at = base + self.transit(liar, to) + self.fault_jitter();
-        let deliver = |node, msg| Event::DeliverToSwitch {
+        let deliver = |node, msg, lie| Event::DeliverToSwitch {
             node,
             from: Endpoint::Switch(liar),
             msg,
+            lie,
         };
         let delivery = vector.delivery();
         if delivery != ByzDelivery::Replace {
-            sched.schedule_at(at, deliver(to, msg));
+            sched.schedule_at(at, deliver(to, msg, None));
         }
         // Where and when the lie lands.
         let (dest, lie_at) = match delivery {
@@ -661,72 +663,52 @@ impl NetworkSim {
                 (other, at)
             }
         };
-        self.byz_taints.push(ByzTaint {
-            dest: Endpoint::Switch(dest),
-            msg: lie.clone(),
-            vector,
-            liar,
-        });
-        sched.schedule_at(lie_at, deliver(dest, lie));
+        sched.schedule_at(lie_at, deliver(dest, lie, Some(vector)));
     }
 
-    /// Classify what a just-delivered lie did at switch `node`, from the
-    /// effects its processing produced and the before/after UIB state.
+    /// What a just-delivered lie about `flow` did at switch `node`, from
+    /// the effects its processing produced and the before/after UIB state.
     /// A raised alarm is a local rejection — the defense the paper's
     /// verification promises — and is additionally recorded as a
     /// [`Violation::ForgedReject`] so traces can pin it.
-    fn classify_taint(
+    fn lie_disposition(
         &mut self,
         now: SimTime,
         node: NodeId,
-        taint: ByzTaint,
+        flow: Option<FlowId>,
         before: Option<p4update_dataplane::UibEntry>,
         effects: &[Effect],
-    ) {
-        let mut disposition = ByzDisposition::Ignored;
+    ) -> ByzDisposition {
         for e in effects {
             if let Effect::SendController {
                 msg: Message::Ufm(ufm),
             } = e
             {
                 if let UfmStatus::Alarm(reason) = ufm.status {
-                    disposition = ByzDisposition::Rejected(reason);
                     let v = Violation::ForgedReject {
                         flow: ufm.flow,
                         at: node,
                         reason,
                     };
-                    if !self.violations.iter().any(|(_, existing)| *existing == v) {
-                        self.violations.push((now, v));
-                    }
-                    break;
+                    self.record_violation(now, v);
+                    return ByzDisposition::Rejected(reason);
                 }
             }
         }
-        if disposition == ByzDisposition::Ignored {
-            let after = taint
-                .msg
-                .flow()
-                .map(|f| self.switches[node].state.uib.read(f));
-            let acted = effects.iter().any(|e| {
-                matches!(
-                    e,
-                    Effect::BeginInstall { .. }
-                        | Effect::SendSwitch { .. }
-                        | Effect::SendController { .. }
-                )
-            });
-            if before != after || acted {
-                disposition = ByzDisposition::Accepted;
-            }
-        }
-        self.byz_outcomes.push(ByzOutcome {
-            at: now,
-            liar: taint.liar,
-            receiver: Endpoint::Switch(node),
-            vector: taint.vector,
-            disposition,
+        let after = flow.map(|f| self.switches[node].state.uib.read(f));
+        let acted = effects.iter().any(|e| {
+            matches!(
+                e,
+                Effect::BeginInstall { .. }
+                    | Effect::SendSwitch { .. }
+                    | Effect::SendController { .. }
+            )
         });
+        if before != after || acted {
+            ByzDisposition::Accepted
+        } else {
+            ByzDisposition::Ignored
+        }
     }
 
     /// Mirror a delivered controller message into the standby replicas
@@ -795,6 +777,7 @@ impl NetworkSim {
                         node: to,
                         from: Endpoint::Switch(node),
                         msg,
+                        lie: None,
                     };
                     if is_data {
                         sched.schedule_at(at, event); // data is never fault-injected
@@ -803,20 +786,14 @@ impl NetworkSim {
                     }
                 }
                 Effect::SendController { mut msg } => {
-                    if let Some(vector) = self.byz_choice(node, &msg, sched) {
-                        // Controller-bound lies (forged UFMs) replace the
-                        // honest message and ride the normal delivery
-                        // path below; the controller has no label to
-                        // check them against, so the taint classifies as
-                        // locally undetectable on arrival.
-                        let lie = vector.corrupt(&msg).expect("vector was applicable");
-                        self.byz_taints.push(ByzTaint {
-                            dest: Endpoint::Controller,
-                            msg: lie.clone(),
-                            vector,
-                            liar: node,
-                        });
-                        msg = lie;
+                    // Controller-bound lies (forged UFMs) replace the honest
+                    // message and ride the normal delivery path below; the
+                    // controller has no label to check them against, so
+                    // each delivered copy classifies as locally
+                    // undetectable.
+                    let lie = self.byz_choice(node, &msg, sched);
+                    if let Some(vector) = lie {
+                        msg = vector.corrupt(&msg).expect("vector was applicable");
                     }
                     let (at, event) = if self.config.timing.control == ControlLatency::Normal {
                         // The latency draw happens controller-side (see
@@ -827,11 +804,17 @@ impl NetworkSim {
                             msg,
                             sent_at: base,
                             extra: SimDuration::ZERO,
+                            lie,
                         };
                         (base + ms(CTRL_LATENCY_FLOOR_MS), ingress)
                     } else {
                         let at = base + self.control_latency(node);
-                        (at, Event::DeliverToController { from: node, msg })
+                        let event = Event::DeliverToController {
+                            from: node,
+                            msg,
+                            lie,
+                        };
+                        (at, event)
                     };
                     self.deliver(at, event, sched);
                 }
@@ -847,6 +830,7 @@ impl NetworkSim {
                             node: to,
                             from: Endpoint::Switch(node),
                             msg: Message::Data(pkt),
+                            lie: None,
                         },
                     );
                 }
@@ -888,6 +872,7 @@ impl NetworkSim {
                         node: to,
                         from: Endpoint::Controller,
                         msg,
+                        lie: None,
                     };
                     self.deliver(at, event, sched);
                 }
@@ -962,31 +947,26 @@ impl NetworkSim {
         let switch = self.switches.get_mut(node).expect("switch exists");
         // Control events may park messages; an injected packet cannot.
         let may_park = match event {
-            Event::DeliverToSwitch { from, msg, .. } => {
+            Event::DeliverToSwitch { from, msg, lie, .. } => {
                 if let Message::Data(pkt) = &msg {
                     self.metrics.record_arrival(now, node, *pkt);
                 }
                 if matches!(msg, Message::Unm(_)) {
                     self.metrics.record_unm_delivery();
                 }
-                // Pull a matching taint *before* processing so the
-                // pre-delivery UIB entry can anchor the classification.
-                let taint = self
-                    .byz_taints
-                    .iter()
-                    .position(|t| {
-                        t.dest == Endpoint::Switch(node)
-                            && Endpoint::Switch(t.liar) == from
-                            && t.msg == msg
-                    })
-                    .map(|i| self.byz_taints.remove(i));
-                let before = taint
-                    .as_ref()
-                    .and_then(|t| t.msg.flow())
-                    .map(|f| switch.state.uib.read(f));
+                // A lie's pre-delivery UIB entry anchors its classification.
+                let flow = lie.and_then(|_| msg.flow());
+                let before = flow.map(|f| switch.state.uib.read(f));
                 switch.handle_message_into(now, from, msg, &mut effects);
-                if let Some(t) = taint {
-                    self.classify_taint(now, node, t, before, &effects);
+                if let (Some(vector), Endpoint::Switch(liar)) = (lie, from) {
+                    let disposition = self.lie_disposition(now, node, flow, before, &effects);
+                    self.byz_outcomes.push(ByzOutcome {
+                        at: now,
+                        liar,
+                        receiver: Endpoint::Switch(node),
+                        vector,
+                        disposition,
+                    });
                 }
                 true
             }
@@ -1021,19 +1001,10 @@ impl NetworkSim {
         let ControllerImpl::P4(c) = &self.controller else {
             return; // the baselines carry no proof labels to lint
         };
-        // Replicate the controller's per-batch version assignment: each
-        // entry gets one past the newest version of its flow, including
-        // versions assigned earlier in this very batch.
-        let mut assigned: BTreeMap<FlowId, Version> = BTreeMap::new();
         let plans: Vec<PreparedUpdate> = updates
             .iter()
-            .map(|u| {
-                let v = assigned
-                    .get(&u.flow)
-                    .map_or_else(|| c.next_version(u.flow), |v| v.next());
-                assigned.insert(u.flow, v);
-                prepare_update(u, v, c.strategy())
-            })
+            .zip(c.batch_versions(updates))
+            .map(|(u, v)| prepare_update(u, v, c.strategy()))
             .collect();
         let ctx = AnalysisContext::with_installed(
             Some(&self.topo),
@@ -1055,17 +1026,21 @@ impl NetworkSim {
             .extend(analysis.diagnostics().iter().cloned());
     }
 
+    /// Record `v` as found at `now`, unless it is already on record: a
+    /// violation that persists across events is recorded once, when it
+    /// first appears.
+    fn record_violation(&mut self, now: SimTime, v: Violation) {
+        if !self.violations.iter().any(|(_, recorded)| *recorded == v) {
+            self.violations.push((now, v));
+        }
+    }
+
     fn run_checker(&mut self, now: SimTime) {
         if !self.config.paranoid {
             return;
         }
         for v in check(&self.topo, &self.switches, &self.flows) {
-            // Deduplicate persistent violations: record state transitions
-            // only.
-            let already = self.violations.iter().any(|(_, existing)| *existing == v);
-            if !already {
-                self.violations.push((now, v));
-            }
+            self.record_violation(now, v);
         }
     }
 }
@@ -1082,20 +1057,21 @@ impl World for NetworkSim {
                     return; // requeued: nothing changed, nothing to check
                 }
             }
-            Event::DeliverToController { from, msg } => {
+            Event::DeliverToController { from, msg, lie } => {
                 // FIFO single-threaded controller: queue behind the busy
                 // horizon, then serve with an exponential service time.
                 let start = now.max(self.ctrl_busy);
                 let svc = ms(self.rng.exponential(CTRL_SERVICE_MEAN_MS));
                 let done = start + svc;
                 self.ctrl_busy = done;
-                sched.schedule_at(done, Event::ControllerExec { from, msg });
+                sched.schedule_at(done, Event::ControllerExec { from, msg, lie });
             }
             Event::CtrlIngress {
                 from,
                 msg,
                 sent_at,
                 extra,
+                lie,
             } => {
                 // Controller-side latency draw: the message left `from` at
                 // `sent_at`; now (= sent_at + floor) the actual normal-
@@ -1107,21 +1083,16 @@ impl World for NetworkSim {
                 let lat = self.control_latency(from);
                 sched.schedule_at(
                     sent_at + lat + extra,
-                    Event::DeliverToController { from, msg },
+                    Event::DeliverToController { from, msg, lie },
                 );
             }
-            Event::ControllerExec { from, msg } => {
-                if let Some(i) = self
-                    .byz_taints
-                    .iter()
-                    .position(|t| t.dest == Endpoint::Controller && t.liar == from && t.msg == msg)
-                {
-                    let t = self.byz_taints.remove(i);
+            Event::ControllerExec { from, msg, lie } => {
+                if let Some(vector) = lie {
                     self.byz_outcomes.push(ByzOutcome {
                         at: now,
-                        liar: t.liar,
+                        liar: from,
                         receiver: Endpoint::Controller,
-                        vector: t.vector,
+                        vector,
                         disposition: ByzDisposition::Undetectable,
                     });
                 }

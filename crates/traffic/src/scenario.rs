@@ -9,7 +9,9 @@
 
 use crate::gravity::TrafficMatrix;
 use p4update_des::SimRng;
-use p4update_net::{FlowId, FlowUpdate, NodeId, Path, PathSolver, Topology};
+use p4update_net::{
+    segment_update, FlowId, FlowUpdate, NodeId, Path, PathSolver, Topology, CAPACITY_SLACK,
+};
 use std::collections::BTreeMap;
 
 /// A generated workload: per-flow updates plus the capacity view after the
@@ -39,46 +41,12 @@ fn free_capacity_after(
         for e in path_of(u).into_iter().flat_map(Path::edges) {
             let c = free.get_mut(&e).expect("path edges are links");
             *c -= u.size;
-            if *c < -1e-9 {
+            if *c < -CAPACITY_SLACK {
                 return None;
             }
         }
     }
     Some(free)
-}
-
-/// Count the backward transitions among the nodes shared by old and new
-/// path: consecutive shared nodes (in new-path order) whose old-path
-/// distance to the egress *increases* create the loop potential the
-/// dual-layer mechanism exists for (§3.2).
-fn backward_transitions(old: &Path, new: &Path) -> usize {
-    let shared: Vec<u32> = new
-        .nodes()
-        .iter()
-        .filter_map(|&n| old.distance_to_egress(n))
-        .collect();
-    shared.windows(2).filter(|w| w[0] <= w[1]).count()
-}
-
-/// Total number of fresh interior nodes inside *backward* segments: the
-/// nodes whose rules the dual-layer mechanism can pre-install while the
-/// segment waits for its loop dependency — the paper's headline
-/// parallelization gain (§3.2, §10: "can also update the forwarding rules
-/// of nodes inside backward segments right away").
-fn backward_interior_size(old: &Path, new: &Path) -> usize {
-    // Positions of shared (gateway) nodes on the new path with their
-    // old-path distances.
-    let gateways: Vec<(usize, u32)> = new
-        .nodes()
-        .iter()
-        .enumerate()
-        .filter_map(|(i, &n)| old.distance_to_egress(n).map(|d| (i, d)))
-        .collect();
-    gateways
-        .windows(2)
-        .filter(|w| w[0].1 <= w[1].1)
-        .map(|w| w[1].0 - w[0].0 - 1)
-        .sum()
 }
 
 /// Concatenate path legs, dropping the duplicated junction nodes; `None`
@@ -108,7 +76,7 @@ fn join_legs(legs: &[&Path]) -> Option<Path> {
 pub fn single_flow(topo: &Topology) -> FlowUpdate {
     let nodes: Vec<NodeId> = topo.node_ids().collect();
     let mut solver = PathSolver::new(topo);
-    let mut best: Option<((usize, usize, usize), Path, Path)> = None;
+    let mut best: Option<((usize, usize, usize), FlowUpdate)> = None;
     for &a in &nodes {
         for &b in &nodes {
             if a == b {
@@ -165,23 +133,30 @@ pub fn single_flow(topo: &Topology) -> FlowUpdate {
                     let Some(new) = join_legs(&[&n1, &n2, &n3]) else {
                         continue;
                     };
-                    if backward_transitions(&old, &new) == 0 {
+                    // Scored by its backward segments (§3.2): first the
+                    // fresh interior nodes inside them — the rules the
+                    // dual-layer mechanism can pre-install while such a
+                    // segment waits for its loop dependency, the paper's
+                    // headline parallelization gain (§10) — then how many
+                    // there are, then length.
+                    let hops = old.hop_count() + new.hop_count();
+                    let update = FlowUpdate::new(FlowId(0), Some(old), new, 1.0);
+                    let seg = segment_update(&update);
+                    let backward = seg.backward_count();
+                    if backward == 0 {
                         continue;
                     }
-                    let score = (
-                        backward_interior_size(&old, &new).min(4),
-                        backward_transitions(&old, &new).min(3),
-                        old.hop_count() + new.hop_count(),
-                    );
-                    if best.as_ref().is_none_or(|(s, _, _)| score > *s) {
-                        best = Some((score, old, new));
+                    let fresh: usize = seg.backward().map(|s| s.interior.len()).sum();
+                    let score = (fresh.min(4), backward.min(3), hops);
+                    if best.as_ref().is_none_or(|(s, _)| score > *s) {
+                        best = Some((score, update));
                     }
                 }
             }
         }
     }
-    if let Some((_, old, new)) = best {
-        return FlowUpdate::new(FlowId(0), Some(old), new, 1.0);
+    if let Some((_, update)) = best {
+        return update;
     }
     // Fallback: longest shortest/2nd-shortest pair.
     let mut fallback: Option<(usize, Path, Path)> = None;

@@ -216,8 +216,6 @@ fn main() {
             failures.push(format!("{name}: base schedule already violates"));
             continue;
         }
-        let _ = expect_break;
-
         let hit = match search(name, &args) {
             Ok(h) => h,
             Err(e) => {

@@ -4,7 +4,7 @@
 #   scripts/check.sh
 #
 # Runs formatting, the debug-only-check count, the `Rc<Topology>` grep, the
-# clippy lint wall, the full offline test suite, the static plan linter over its sample plans
+# clippy lint wall, rustdoc with warnings denied, the full offline test suite, the static plan linter over its sample plans
 # (including the mutated ones, which must make it exit non-zero),
 # the corpus and explorer smokes, the ft512 world's heap-footprint counts
 # (which a deep topology copy, a per-switch map or a retained batch-sized
@@ -48,6 +48,10 @@ if grep -rn 'Rc<Topology>' crates/; then exit 1; fi
 
 echo "==> cargo clippy (workspace, all targets, -D warnings)"
 cargo clippy --workspace --all-targets -q -- -D warnings
+
+# A doc link to a renamed or deleted item is a warning rustdoc alone sees.
+echo "==> cargo doc (workspace, -D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 echo "==> cargo build --release"
 cargo build --release -q

@@ -28,16 +28,20 @@
 //! replicated-controller failover scenarios, and the trace format
 //! v2 round-trip property.
 
+use p4update::dataplane::Endpoint;
 use p4update::des::propcheck::{cases, forall};
-use p4update::des::{ChoiceKind, SimRng};
+use p4update::des::{ChoiceKind, Scheduler, SimDuration, SimRng, SimTime, Simulation, World};
 use p4update::explore::scenarios::{self, SCENARIOS};
 use p4update::explore::search::{random_walk, WalkOptions};
 use p4update::explore::trace::{ForcedChoice, FreePolicy, Trace, TraceChooser};
 use p4update::explore::{run, ChoiceRecord};
-use p4update::messages::RejectReason;
+use p4update::messages::{Message, RejectReason};
 use p4update::net::{FlowId, NodeId, Version};
-use p4update::sim::{ByzDisposition, ByzVector};
+use p4update::sim::config::ADVERSARY_DELAY_MS;
+use p4update::sim::{ByzDisposition, ByzVector, Event, NetworkSim};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 /// What one matrix cell actually did.
 #[derive(Debug)]
@@ -75,13 +79,11 @@ impl CellOutcome {
     }
 }
 
-/// Run one cell under an always-lie random policy (byzantine choice
-/// points always corrupt; faults and tie-breaks stay at the default, so
-/// whatever breaks is attributable to the lies alone).
-fn run_cell(scenario: &str, seed: u64) -> CellOutcome {
-    let built = scenarios::build(scenario, seed).expect("cell scenario must build");
-    let horizon = built.horizon;
-    let (chooser, log) = TraceChooser::with_policy(
+/// The always-lie random policy (byzantine choice points always corrupt;
+/// faults and tie-breaks stay at the default, so whatever breaks is
+/// attributable to the lies alone), and the log of what it chose.
+fn always_lie() -> (TraceChooser, Rc<RefCell<Vec<ChoiceRecord>>>) {
+    TraceChooser::with_policy(
         BTreeMap::new(),
         FreePolicy::Random {
             rng: SimRng::new(0xB12A17),
@@ -89,7 +91,14 @@ fn run_cell(scenario: &str, seed: u64) -> CellOutcome {
             tie_p: 0.0,
             byz_p: 1.0,
         },
-    );
+    )
+}
+
+/// Run one cell under the always-lie policy.
+fn run_cell(scenario: &str, seed: u64) -> CellOutcome {
+    let built = scenarios::build(scenario, seed).expect("cell scenario must build");
+    let horizon = built.horizon;
+    let (chooser, log) = always_lie();
     let mut sim = built.sim.with_chooser(Box::new(chooser));
 
     // Version monotonicity, checked after every event (the transient is
@@ -183,11 +192,14 @@ const REJ_VER: ByzDisposition = ByzDisposition::Rejected(RejectReason::OutdatedV
 
 /// The Fig. 2 matrix under the always-lie deterministic chooser: vector
 /// class × liar budget × system. ez-Segway swallows the lies (the
-/// dependency and forged-ack liars stall its update outright; the stale
-/// replays are *accepted* into its state); P4Update locally rejects the
-/// dependency lie with a pinned diagnostic, ignores the equivocation,
-/// never even sees an applicable stale replay, and classifies the forged
-/// controller-bound ack as undetectable-but-harmless.
+/// dependency and forged-ack liars stall its update outright; of the stale
+/// replays, which arrive [`ADVERSARY_DELAY_MS`] after the honest copies
+/// they duplicate, each `SegmentDone` is *accepted* — the global ingress
+/// counts the segment again and re-sends `Done` to the controller — and
+/// each `GoodToMove` is ignored, its role having acted already); P4Update
+/// locally rejects the dependency lie with a pinned diagnostic, ignores
+/// the equivocation, never even sees an applicable stale replay, and
+/// classifies the forged controller-bound ack as undetectable-but-harmless.
 const FIG2_MATRIX: &[Cell] = &[
     // ez-Segway -----------------------------------------------------
     Cell {
@@ -208,14 +220,14 @@ const FIG2_MATRIX: &[Cell] = &[
         name: "fig2-ez+byz-stale-k1",
         completed: true,
         liars: 1,
-        dispositions: &[Ignored, Accepted],
+        dispositions: &[Accepted, Ignored],
         rejections: &[],
     },
     Cell {
         name: "fig2-ez+byz-stale-k2",
         completed: true,
         liars: 2,
-        dispositions: &[Accepted, Ignored, Ignored, Accepted],
+        dispositions: &[Ignored, Accepted, Accepted, Ignored],
         rejections: &[],
     },
     Cell {
@@ -348,6 +360,73 @@ fn invariant_survival_matrix_fig2() {
     }
 }
 
+/// A world that logs every switch-bound delivery it handles: `(time,
+/// receiver, sender, message, whether it is a lie)`.
+struct Deliveries {
+    world: NetworkSim,
+    log: Vec<(SimTime, NodeId, Endpoint, Message, bool)>,
+}
+
+impl World for Deliveries {
+    type Event = Event;
+
+    fn handle(&mut self, now: SimTime, event: Event, sched: &mut Scheduler<Event>) {
+        if let Event::DeliverToSwitch {
+            node,
+            from,
+            msg,
+            lie,
+        } = &event
+        {
+            self.log
+                .push((now, *node, *from, msg.clone(), lie.is_some()));
+        }
+        self.world.handle(now, event, sched);
+    }
+}
+
+/// A lie is classified where it is delivered, not where an identical
+/// honest message is: every outcome of ez-Segway's stale replay (a
+/// verbatim duplicate, so equality cannot tell the two apart) is recorded
+/// at the replay's own delivery, at least [`ADVERSARY_DELAY_MS`] after
+/// the honest copy it replays arrived.
+#[test]
+fn ez_stale_replays_are_classified_at_their_own_delivery() {
+    let built = scenarios::build("fig2-ez+byz-stale-k1", 1).expect("scenario builds");
+    let horizon = built.horizon;
+    let mut sim = Simulation::new(Deliveries {
+        world: built.sim.into_world(),
+        log: Vec::new(),
+    })
+    .with_chooser(Box::new(always_lie().0));
+    // The trigger `scenarios::build` schedules for Fig. 2.
+    sim.schedule_at(
+        SimTime::ZERO + SimDuration::from_millis(100),
+        Event::Trigger { batch: 0 },
+    );
+    sim.run_until(horizon);
+    let Deliveries { world, log } = sim.into_world();
+    let dispositions: Vec<ByzDisposition> =
+        world.byz_outcomes.iter().map(|o| o.disposition).collect();
+    assert_eq!(dispositions, [Accepted, Ignored], "the matrix cell's run");
+    let lies: Vec<_> = log.iter().filter(|d| d.4).collect();
+    assert_eq!(lies.len(), world.byz_outcomes.len());
+    let late = SimDuration::from_millis(ADVERSARY_DELAY_MS as u64);
+    for (outcome, (at, node, from, msg, _)) in world.byz_outcomes.iter().zip(lies) {
+        assert_eq!(outcome.receiver, Endpoint::Switch(*node));
+        assert_eq!(Endpoint::Switch(outcome.liar), *from);
+        let honest = log
+            .iter()
+            .find(|d| !d.4 && (d.1, d.2, &d.3) == (*node, *from, msg))
+            .expect("a stale replay duplicates an honest delivery");
+        assert!(
+            outcome.at >= *at && *at >= honest.0 + late,
+            "{outcome:?} classifies a delivery at {at} replaying one at {}",
+            honest.0
+        );
+    }
+}
+
 /// The same always-lie chooser on the other registered topologies: the
 /// single- and dual-layer Fig. 1 updates and the multi-gateway overlap
 /// case. Dual-layer verification upgrades the stale replay from
@@ -404,16 +483,18 @@ fn other_topologies_pin_their_dispositions() {
 
 // ---------- detector completeness ----------
 
-/// Every catalog vector, against both systems, is *classified*: each lie
-/// told earns a disposition (rejected / accepted / ignored /
-/// undetectable), and the one combination with no disposition at all —
+/// Every catalog vector, against both systems, is *classified*: each
+/// delivered lie earns one disposition (rejected / accepted / ignored /
+/// undetectable) — a lie the fault seam duplicates earns two, one it drops
+/// none — and the one combination with no disposition at all —
 /// stale replay against P4Update — is inapplicable by construction
 /// (Algorithm 1 overwrites `old_version` with the staged version at
 /// apply time, so an honest UNM never carries `v_new != v_old` and the
 /// corruption has nothing to latch onto: zero byzantine choice points
 /// are even emitted). No vector silently passes: P4Update accepts no
 /// forged state, and the only acceptances anywhere are ez-Segway
-/// swallowing stale replays — the trust gap the paper closes.
+/// swallowing stale replays (a replayed `SegmentDone` re-sends `Done`) —
+/// the trust gap the paper closes.
 #[test]
 fn detector_completeness_no_vector_silently_passes() {
     for vector in ByzVector::ALL {
