@@ -41,6 +41,6 @@ pub use controller::{
 };
 pub use label::{label_path, uim_for, NodeLabel};
 pub use p4update_net::segment::{self, segment_update, Segment, SegmentDir, Segmentation};
-pub use switch_logic::{P4UpdateCounters, P4UpdateLogic};
+pub use switch_logic::P4UpdateLogic;
 pub use verify::{verify, verify_dl, verify_sl, Verdict};
 pub use violation::Violation;

@@ -96,19 +96,6 @@ impl Parked {
     }
 }
 
-/// Counters exposed for the overhead ablation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct P4UpdateCounters {
-    /// UNMs generated (clones).
-    pub unms_sent: u64,
-    /// UNMs parked waiting for their UIM (each is ≥ 1 BMv2 resubmission).
-    pub waits_for_uim: u64,
-    /// Notifications dropped after failed verification.
-    pub rejects: u64,
-    /// Moves deferred by the congestion gate.
-    pub capacity_deferrals: u64,
-}
-
 /// The P4Update data-plane logic for one switch.
 #[derive(Default)]
 pub struct P4UpdateLogic {
@@ -134,8 +121,6 @@ pub struct P4UpdateLogic {
     /// flow and probed by binary search (one entry per flow this switch is
     /// the ingress of).
     ufm_sent: Vec<(FlowId, Version)>,
-    /// Overhead counters.
-    pub counters: P4UpdateCounters,
 }
 
 impl P4UpdateLogic {
@@ -162,7 +147,6 @@ impl P4UpdateLogic {
     }
 
     fn send_unm(&mut self, to: NodeId, unm: Unm, out: &mut Vec<Effect>) {
-        self.counters.unms_sent += 1;
         out.push(Effect::SendSwitch {
             to,
             msg: Message::Unm(unm),
@@ -209,7 +193,6 @@ impl P4UpdateLogic {
         // Flow-size immutability (§A.2): a different size is an
         // inconsistency; discard and alarm.
         if entry.has_active_rule() && entry.flow_size > 0.0 && uim.flow_size != entry.flow_size {
-            self.counters.rejects += 1;
             self.send_ufm(
                 state,
                 uim.flow,
@@ -348,11 +331,8 @@ impl P4UpdateLogic {
         }
         match verdict {
             Verdict::WaitForUim => {
-                self.counters.waits_for_uim += 1;
                 if self.waiting_for_uim.len() < UIM_WAITER_CAPACITY {
                     self.waiting_for_uim.push(from, unm);
-                } else {
-                    self.counters.rejects += 1;
                 }
             }
             Verdict::Hold => {
@@ -364,7 +344,6 @@ impl P4UpdateLogic {
                 }
             }
             Verdict::Reject(reason) => {
-                self.counters.rejects += 1;
                 self.send_ufm(state, unm.flow, unm.v_new, UfmStatus::Alarm(reason), out);
             }
             Verdict::PassAlong => {
@@ -464,7 +443,6 @@ impl P4UpdateLogic {
                 // `reserved` then would later hand back capacity this flow
                 // never took.
                 _ => {
-                    self.counters.capacity_deferrals += 1;
                     self.scheduler.park(new_hop, unm.flow);
                     self.blocked.insert(unm.flow, BlockedMove { from, unm });
                     // Raise the priority of flows that could free the
@@ -1164,7 +1142,6 @@ mod tests {
             &mut out,
         );
         assert!(out.is_empty(), "no install began: {out:?}");
-        assert_eq!(logic.counters.capacity_deferrals, 1);
         assert_eq!(logic.blocked.keys().collect::<Vec<_>>(), [&FlowId(0)]);
         assert_eq!(state.remaining_capacity(NodeId(2)), Some(10.0));
     }
@@ -1296,7 +1273,7 @@ mod tests {
     }
 
     /// 4,097 notifications ahead of their UIM: the buffer keeps the first
-    /// `UIM_WAITER_CAPACITY`, counts the overflow as a reject, and the
+    /// `UIM_WAITER_CAPACITY` and loses the overflow silently, and the
     /// UIM's arrival re-verifies the kept ones in arrival order.
     #[test]
     fn uim_waiters_are_bounded_and_drain_in_arrival_order() {
@@ -1316,8 +1293,6 @@ mod tests {
             );
         }
         assert!(out.is_empty());
-        assert_eq!(logic.counters.waits_for_uim, u64::from(sent));
-        assert_eq!(logic.counters.rejects, 1);
         assert_eq!(logic.parked_messages(), UIM_WAITER_CAPACITY);
 
         // A UIM newer than all of them: each waiter re-verifies as
@@ -1330,7 +1305,6 @@ mod tests {
             &mut out,
         );
         assert_eq!(logic.parked_messages(), 0);
-        assert_eq!(logic.counters.rejects, u64::from(sent));
         let alarmed: Vec<u32> = out
             .iter()
             .map(|e| match e {

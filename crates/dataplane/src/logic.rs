@@ -33,9 +33,10 @@ pub enum DropReason {
 /// harness.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Effect {
-    /// Send a message to another switch. Adjacent targets take one link
-    /// hop; non-adjacent targets are routed along the latency-shortest
-    /// path (in-band multi-hop control traffic).
+    /// Send a control message to another switch. Adjacent targets take one
+    /// link hop; non-adjacent targets are routed along the latency-shortest
+    /// path (in-band multi-hop control traffic). Data packets never travel
+    /// this way: they leave through [`Effect::ForwardData`].
     SendSwitch {
         /// Destination switch.
         to: NodeId,

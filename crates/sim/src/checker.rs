@@ -19,10 +19,9 @@ pub use p4update_core::Violation;
 /// Static facts about a flow the checker needs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowSpec {
-    /// The flow's ingress switch.
+    /// The flow's ingress switch: the checker walks the flow from here
+    /// until some switch terminates it.
     pub ingress: NodeId,
-    /// The flow's egress switch.
-    pub egress: NodeId,
     /// The flow's size bound, in capacity units.
     pub size: f64,
 }
@@ -142,10 +141,9 @@ mod tests {
             });
     }
 
-    fn spec(ingress: u32, egress: u32, size: f64) -> FlowSpec {
+    fn spec(ingress: u32, size: f64) -> FlowSpec {
         FlowSpec {
             ingress: NodeId(ingress),
-            egress: NodeId(egress),
             size,
         }
     }
@@ -157,7 +155,7 @@ mod tests {
         set_rule(&mut sw, 0, 0, Some(1));
         set_rule(&mut sw, 1, 0, Some(2));
         set_rule(&mut sw, 2, 0, None);
-        let flows = BTreeMap::from([(FlowId(0), spec(0, 2, 1.0))]);
+        let flows = BTreeMap::from([(FlowId(0), spec(0, 1.0))]);
         assert!(check(&topo, &sw, &flows).is_empty());
     }
 
@@ -165,7 +163,7 @@ mod tests {
     fn undeployed_flow_is_skipped() {
         let topo = ring4();
         let sw = network(&topo);
-        let flows = BTreeMap::from([(FlowId(0), spec(0, 2, 1.0))]);
+        let flows = BTreeMap::from([(FlowId(0), spec(0, 1.0))]);
         assert!(check(&topo, &sw, &flows).is_empty());
     }
 
@@ -178,7 +176,7 @@ mod tests {
         set_rule(&mut sw, 1, 0, Some(2));
         set_rule(&mut sw, 2, 0, Some(3));
         set_rule(&mut sw, 3, 0, Some(1));
-        let flows = BTreeMap::from([(FlowId(0), spec(0, 2, 1.0))]);
+        let flows = BTreeMap::from([(FlowId(0), spec(0, 1.0))]);
         let v = check(&topo, &sw, &flows);
         assert_eq!(v.len(), 1);
         match &v[0] {
@@ -195,7 +193,7 @@ mod tests {
         let topo = ring4();
         let mut sw = network(&topo);
         set_rule(&mut sw, 0, 0, Some(1)); // 1 has no rule
-        let flows = BTreeMap::from([(FlowId(0), spec(0, 2, 1.0))]);
+        let flows = BTreeMap::from([(FlowId(0), spec(0, 1.0))]);
         let v = check(&topo, &sw, &flows);
         assert_eq!(
             v,
@@ -215,7 +213,7 @@ mod tests {
             set_rule(&mut sw, 0, f, Some(1));
             set_rule(&mut sw, 1, f, None);
         }
-        let flows = BTreeMap::from([(FlowId(0), spec(0, 1, 1.5)), (FlowId(1), spec(0, 1, 1.5))]);
+        let flows = BTreeMap::from([(FlowId(0), spec(0, 1.5)), (FlowId(1), spec(0, 1.5))]);
         let v = check(&topo, &sw, &flows);
         assert_eq!(v.len(), 1);
         match &v[0] {
@@ -243,7 +241,7 @@ mod tests {
         set_rule(&mut sw, 1, 0, None);
         set_rule(&mut sw, 1, 1, Some(0));
         set_rule(&mut sw, 0, 1, None);
-        let flows = BTreeMap::from([(FlowId(0), spec(0, 1, 1.5)), (FlowId(1), spec(1, 0, 1.5))]);
+        let flows = BTreeMap::from([(FlowId(0), spec(0, 1.5)), (FlowId(1), spec(1, 1.5))]);
         assert!(check(&topo, &sw, &flows).is_empty());
     }
 }

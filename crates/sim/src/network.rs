@@ -193,24 +193,6 @@ pub enum Event {
         /// As on [`Event::DeliverToSwitch`].
         lie: Option<ByzVector>,
     },
-    /// A switch→controller message crosses into the controller's ingress
-    /// domain (only under [`ControlLatency::Normal`]): it left `from` at
-    /// `sent_at` and this event fires at `sent_at + floor`, where the
-    /// *controller side* draws the actual latency and schedules the
-    /// [`Event::DeliverToController`], so every draw of the control-latency
-    /// model is made by a controller-side event.
-    CtrlIngress {
-        /// Sending switch.
-        from: NodeId,
-        /// Payload.
-        msg: Message,
-        /// When the message left the switch.
-        sent_at: SimTime,
-        /// Extra adversarial delay (fault-choice `Delay`/`Duplicate`).
-        extra: SimDuration,
-        /// As on [`Event::DeliverToSwitch`].
-        lie: Option<ByzVector>,
-    },
     /// The controller finishes processing one queued message.
     ControllerExec {
         /// Sending switch.
@@ -491,7 +473,6 @@ impl NetworkSim {
             flow,
             FlowSpec {
                 ingress: path.ingress(),
-                egress: path.egress(),
                 size,
             },
         );
@@ -566,27 +547,14 @@ impl NetworkSim {
     /// then schedule `event` at `at` as the decision says (not at all,
     /// late, or twice). Every honest send comes through here.
     fn deliver(&mut self, at: SimTime, event: Event, sched: &mut Scheduler<Event>) {
-        // A late copy is scheduled [`ADVERSARY_DELAY_MS`] after `at` —
-        // except a `CtrlIngress`, which fires on time, carries the lateness
-        // in `extra` and adds it to the latency it draws (so a duplicate is
-        // two ingresses and two independent draws).
-        let schedule_late = |sched: &mut Scheduler<Event>, mut event: Event| {
-            let late = ms(ADVERSARY_DELAY_MS);
-            match &mut event {
-                Event::CtrlIngress { extra, .. } => {
-                    *extra = late;
-                    sched.schedule_at(at, event);
-                }
-                _ => sched.schedule_at(at + late, event),
-            }
-        };
+        let late = at + ms(ADVERSARY_DELAY_MS);
         match Self::fault_choice(sched) {
             FaultDecision::Drop => self.metrics.record_control_drop(),
             FaultDecision::Deliver => sched.schedule_at(at, event),
-            FaultDecision::Delay => schedule_late(sched, event),
+            FaultDecision::Delay => sched.schedule_at(late, event),
             FaultDecision::Duplicate => {
                 sched.schedule_at(at, event.clone());
-                schedule_late(sched, event);
+                sched.schedule_at(late, event);
             }
         }
     }
@@ -772,18 +740,13 @@ impl NetworkSim {
                         continue;
                     }
                     let at = base + self.transit(node, to) + self.fault_jitter();
-                    let is_data = matches!(msg, Message::Data(_));
                     let event = Event::DeliverToSwitch {
                         node: to,
                         from: Endpoint::Switch(node),
                         msg,
                         lie: None,
                     };
-                    if is_data {
-                        sched.schedule_at(at, event); // data is never fault-injected
-                    } else {
-                        self.deliver(at, event, sched);
-                    }
+                    self.deliver(at, event, sched);
                 }
                 Effect::SendController { mut msg } => {
                     // Controller-bound lies (forged UFMs) replace the honest
@@ -795,26 +758,11 @@ impl NetworkSim {
                     if let Some(vector) = lie {
                         msg = vector.corrupt(&msg).expect("vector was applicable");
                     }
-                    let (at, event) = if self.config.timing.control == ControlLatency::Normal {
-                        // The latency draw happens controller-side (see
-                        // [`Event::CtrlIngress`]); the switch only knows the
-                        // message cannot arrive before the floor.
-                        let ingress = Event::CtrlIngress {
-                            from: node,
-                            msg,
-                            sent_at: base,
-                            extra: SimDuration::ZERO,
-                            lie,
-                        };
-                        (base + ms(CTRL_LATENCY_FLOOR_MS), ingress)
-                    } else {
-                        let at = base + self.control_latency(node);
-                        let event = Event::DeliverToController {
-                            from: node,
-                            msg,
-                            lie,
-                        };
-                        (at, event)
+                    let at = base + self.control_latency(node);
+                    let event = Event::DeliverToController {
+                        from: node,
+                        msg,
+                        lie,
                     };
                     self.deliver(at, event, sched);
                 }
@@ -1065,26 +1013,6 @@ impl World for NetworkSim {
                 let done = start + svc;
                 self.ctrl_busy = done;
                 sched.schedule_at(done, Event::ControllerExec { from, msg, lie });
-            }
-            Event::CtrlIngress {
-                from,
-                msg,
-                sent_at,
-                extra,
-                lie,
-            } => {
-                // Controller-side latency draw: the message left `from` at
-                // `sent_at`; now (= sent_at + floor) the actual normal-
-                // distributed latency is drawn and the delivery lands at
-                // `sent_at + latency (+ adversarial extra)`. The clamp in
-                // `schedule_at` is unreachable (latency ≥ floor), so the
-                // delivery time distribution matches the switch-side draw
-                // this replaces.
-                let lat = self.control_latency(from);
-                sched.schedule_at(
-                    sent_at + lat + extra,
-                    Event::DeliverToController { from, msg, lie },
-                );
             }
             Event::ControllerExec { from, msg, lie } => {
                 if let Some(vector) = lie {
@@ -1519,11 +1447,12 @@ mod tests {
         assert!(world.violations.is_empty(), "{:?}", world.violations);
     }
 
-    /// A switch's report under [`ControlLatency::Normal`] travels as a
-    /// `CtrlIngress`, whose fault lateness rides in `extra` instead of in
-    /// its timestamp. Two back-to-back single-flow updates on `fat_tree(4)`
-    /// each end in exactly one report (the ingress's UFM, the update's last
-    /// fault choice point): the first is delayed, the second duplicated.
+    /// A switch's report under [`ControlLatency::Normal`] draws its latency
+    /// when it is sent and reaches the controller through `deliver`, like
+    /// every other control message. Two back-to-back single-flow updates on
+    /// `fat_tree(4)` each end in exactly one report (the ingress's UFM, the
+    /// update's last fault choice point): the first is delayed, the second
+    /// duplicated.
     #[test]
     fn delayed_and_duplicated_reports_under_normal_control_latency() {
         use std::cell::Cell;
@@ -1594,17 +1523,19 @@ mod tests {
         let (_, _, events, done) = run(vec![(first_end - 1, 2), (second_end - 1, 3)]);
         let late = ms(ADVERSARY_DELAY_MS).as_nanos();
         // The delay adds no event and no draw: the first completion moves
-        // by exactly the adversary's delay. The duplicate is a second
-        // ingress (three more events) whose latency is drawn before the
-        // first copy's service time, and the controller completes on both.
+        // by exactly the adversary's delay. The duplicate is one latency
+        // draw and two deliveries (a queue entry and a service each: two
+        // more events), and the controller completes on both: the on-time
+        // copy exactly when the clean run does.
         assert_eq!(done[0], clean_done[0] + late);
-        assert_eq!(events, clean_events + 3);
+        assert_eq!(done[1], clean_done[1]);
+        assert_eq!(events, clean_events + 2);
         assert_eq!((first_end, second_end), (12, 24));
         assert_eq!(
             (clean_events, clean_done),
-            (43, vec![134_687_585, 5_094_460_631])
+            (41, vec![134_687_585, 5_094_460_631])
         );
-        assert_eq!(done, vec![534_687_585, 5_101_871_604, 5_523_859_112]);
+        assert_eq!(done, vec![534_687_585, 5_094_460_631, 5_532_636_841]);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 # (including the mutated ones, which must make it exit non-zero),
 # the corpus and explorer smokes, the ft512 world's heap-footprint counts
 # (which a deep topology copy, a per-switch map or a retained batch-sized
-# buffer fails), the large fat-tree tests, the root
+# buffer fails), the large fat-tree tests, the experiment means
+# EXPERIMENTS.md quotes, the root
 # property suites and the differentials — the path solver, the bridge
 # classification and `multi_flow` against their oracles, the UIB against its
 # map model, `reanalyze` against `analyze` and the pairwise reference — at 16x
@@ -97,8 +98,10 @@ fi
 
 # The 32768-switch fat-tree on the one engine (lazy path-table rows), the
 # `dc-scale` workload's digest (4096 k-shortest-path queries on ft4096),
-# the path solver against its oracle on 16x the default random graphs (the
-# search prunes, and a pruning rule fails on a rare tie: 96 cases are thin),
+# the Fig. 4 and Fig. 7 means EXPERIMENTS.md quotes (seven 30-run
+# experiments), the path solver against its oracle on 16x the default random
+# graphs (the search prunes, and a pruning rule fails on a rare tie: 96 cases
+# are thin),
 # `two_paths` against that oracle and `multi_flow` against the
 # search-as-you-draw loop it replaced (workloads, free capacity and the RNG
 # word after them), the UIB against its map model, the linter's `reanalyze`
@@ -116,6 +119,9 @@ if [[ "${FAST:-0}" != 1 ]]; then
 
     echo "==> ft4096 workload digest (ignored test, release)"
     cargo test -q --release --test workload_digest -- --ignored
+
+    echo "==> Fig. 4 and Fig. 7 means at 30 runs equal EXPERIMENTS.md's (ignored test, release)"
+    cargo test -q --release --test paper_scenarios -- --ignored
 
     echo "==> path solver vs oracle, PROPCHECK_SCALE=16 (release)"
     PROPCHECK_SCALE=16 cargo test -q --release -p p4update-net solver_agrees
@@ -137,7 +143,7 @@ if [[ "${FAST:-0}" != 1 ]]; then
     echo "==> benchmark/check.sh (the benchmark builds and smokes against this tree)"
     benchmark/check.sh
 else
-    echo "==> ft32768, ft4096 digest, scaled differentials (path solver, two_paths, multi_flow, UIB, reanalyze) and property suites and benchmark/check.sh skipped (FAST=1)"
+    echo "==> ft32768, ft4096 digest, experiment means, scaled differentials (path solver, two_paths, multi_flow, UIB, reanalyze) and property suites and benchmark/check.sh skipped (FAST=1)"
 
     echo "==> cargo check of the benchmark package (its pinned API surface still compiles)"
     cargo check -q --offline --manifest-path benchmark/Cargo.toml

@@ -62,7 +62,9 @@ fn ft32768_runs_on_the_sequential_engine() {
     let mut sim = simulation(world);
     sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
     let _ = sim.run_until(SimTime::ZERO + SimDuration::from_secs(600));
-    assert_eq!(sim.events_delivered(), 8_348);
+    // 8,348 while reports drew their latency at a controller-side event:
+    // one event fewer per switch report.
+    assert_eq!(sim.events_delivered(), 8_156);
     let mut world = sim.into_world();
     assert!(world.record_stranded_flows().is_empty());
     let counts = world.metrics().counts();
