@@ -435,6 +435,52 @@ mod tests {
         assert_eq!(c.next_version(FlowId(0)), Version(6));
     }
 
+    /// The simulator's trigger hands P4Update a batch one entry at a time:
+    /// that must issue exactly what one call over the batch issues — the
+    /// same targets, messages and versions in the same order — a flow named
+    /// twice included, because `next_version` counts the in-flight version.
+    #[test]
+    fn one_call_per_update_issues_what_one_call_per_batch_does() {
+        let other = FlowUpdate::new(FlowId(5), None, path(&[0, 1]), 1.0);
+        let batch = [fig1_update(), other, fig1_update()];
+        let fresh = || {
+            let mut c = P4UpdateController::new(Strategy::Auto);
+            c.register_flow(FlowId(0), Version(3));
+            c
+        };
+        let mut whole = Vec::new();
+        fresh().start_update(SimTime::ZERO, &batch, &mut whole);
+        let mut split = Vec::new();
+        let mut c = fresh();
+        for update in &batch {
+            c.start_update(SimTime::ZERO, std::slice::from_ref(update), &mut split);
+        }
+        assert_eq!(whole, split);
+        let sends = |out: &[CtrlEffect]| {
+            out.iter()
+                .map(|e| match e {
+                    CtrlEffect::Send {
+                        to,
+                        msg: Message::Uim(u),
+                    } => (*to, u.flow, u.version),
+                    other => panic!("unexpected effect {other:?}"),
+                })
+                .collect::<Vec<_>>()
+        };
+        let issued = sends(&split);
+        assert_eq!(issued.len(), 8 + 2 + 8);
+        assert!(issued[..8]
+            .iter()
+            .all(|&(_, f, v)| (f, v) == (FlowId(0), Version(4))));
+        assert!(issued[8..10]
+            .iter()
+            .all(|&(_, f, v)| (f, v) == (FlowId(5), Version(1))));
+        assert!(issued[10..]
+            .iter()
+            .all(|&(_, f, v)| (f, v) == (FlowId(0), Version(5))));
+        assert_eq!(c.next_version(FlowId(0)), Version(6));
+    }
+
     #[test]
     fn start_update_emits_one_uim_per_path_node() {
         let mut c = P4UpdateController::new(Strategy::Auto);

@@ -82,8 +82,13 @@ impl Parked {
         self.0.len()
     }
 
-    /// Remove and return `flow`'s notifications, in arrival order.
+    /// Remove and return `flow`'s notifications, in arrival order. When
+    /// they are all there is, the list itself moves out, so a switch whose
+    /// parked messages drained holds no buffer for them.
     fn take(&mut self, flow: FlowId) -> Vec<(Endpoint, Unm)> {
+        if self.0.iter().all(|(_, unm)| unm.flow == flow) {
+            return std::mem::take(&mut self.0);
+        }
         let mut taken = Vec::new();
         self.0.retain(|&parked| {
             let keep = parked.1.flow != flow;
@@ -601,6 +606,10 @@ impl SwitchLogic for P4UpdateLogic {
             return;
         };
         let (_, p) = self.pending.swap_remove(i);
+        if self.pending.is_empty() {
+            // No write in flight: the switch keeps no buffer for one.
+            self.pending = Vec::new();
+        }
         let entry = state.uib.read(flow);
 
         // A newer indication superseded this install while the rule write
@@ -1315,5 +1324,87 @@ mod tests {
             })
             .collect();
         assert_eq!(alarmed, (1..sent).collect::<Vec<_>>());
+    }
+
+    /// A switch whose update finished holds no buffer for it: a UNM parked
+    /// ahead of its UIM, a duplicate deferred behind the rule write and a
+    /// held second-layer UNM all drain when the write completes, and the
+    /// write's slot and the three lists are left with no capacity. (The
+    /// held notification is placed by hand: a real hold needs a dual-layer
+    /// gateway.)
+    #[test]
+    fn a_finished_update_leaves_no_buffer_behind() {
+        let t = line(3, 10.0);
+        let mut state = SwitchState::new(NodeId(1), &t);
+        let mut logic = P4UpdateLogic::new();
+        let mut out = Vec::new();
+        let from = Endpoint::Switch(NodeId(2));
+        logic.on_control(
+            SimTime::ZERO,
+            &mut state,
+            from,
+            Message::Unm(unm(0, 1, 0)),
+            &mut out,
+        );
+        assert_eq!(logic.waiting_for_uim.len(), 1);
+        logic.on_control(
+            SimTime::ZERO,
+            &mut state,
+            Endpoint::Controller,
+            uim(0, 1, 1, Some(2), Some(0)),
+            &mut out,
+        );
+        let token = match out.as_slice() {
+            [Effect::BeginInstall { token, .. }] => *token,
+            other => panic!("unexpected effects {other:?}"),
+        };
+        out.clear();
+        logic.on_control(
+            SimTime::ZERO,
+            &mut state,
+            from,
+            Message::Unm(unm(0, 1, 0)),
+            &mut out,
+        );
+        assert_eq!(logic.deferred.len(), 1);
+        let inter = Unm {
+            layer: UnmLayer::Inter,
+            ..unm(0, 1, 0)
+        };
+        logic.held.push(from, inter);
+        assert_eq!(logic.pending.len(), 1);
+
+        logic.on_installed(SimTime::ZERO, &mut state, FlowId(0), token, &mut out);
+        assert_eq!(state.uib.read(FlowId(0)).applied_version, Version(1));
+        assert!(
+            !out.iter().any(|e| matches!(e, Effect::BeginInstall { .. })),
+            "{out:?}"
+        );
+        assert_eq!(logic.parked_messages(), 0);
+        assert_eq!(logic.pending.capacity(), 0);
+        for parked in [&logic.waiting_for_uim, &logic.held, &logic.deferred] {
+            assert_eq!(parked.0.capacity(), 0);
+        }
+    }
+
+    /// Taking one flow out of a list that parks two returns that flow's
+    /// notifications in arrival order and keeps the other's in theirs.
+    #[test]
+    fn a_mixed_take_splits_the_flows_in_arrival_order() {
+        let mut parked = Parked::default();
+        for (flow, v) in [(0, 1), (1, 2), (0, 3), (1, 4), (0, 5)] {
+            parked.push(Endpoint::Switch(NodeId(v)), unm(flow, v, 0));
+        }
+        let versions = |list: &[(Endpoint, Unm)]| -> Vec<(u32, u32)> {
+            list.iter().map(|(_, u)| (u.flow.0, u.v_new.0)).collect()
+        };
+        let taken = parked.take(FlowId(0));
+        assert_eq!(versions(&taken), [(0, 1), (0, 3), (0, 5)]);
+        assert_eq!(versions(&parked.0), [(1, 2), (1, 4)]);
+        assert!(taken
+            .iter()
+            .all(|(from, u)| *from == Endpoint::Switch(NodeId(u.v_new.0))));
+        assert_eq!(versions(&parked.take(FlowId(1))), [(1, 2), (1, 4)]);
+        assert_eq!(parked.0.capacity(), 0);
     }
 }

@@ -106,6 +106,19 @@ impl ControllerImpl {
             ControllerImpl::Central(c) => c,
         }
     }
+
+    /// How many entries of a `len`-update batch one trigger pass hands
+    /// [`ControllerLogic::start_update`]. P4Update prepares every flow on
+    /// its own (one call per entry issues what one call over the batch
+    /// does), so it takes one at a time and the effect buffer never holds
+    /// more than one flow's UIMs. ez-Segway's congestion dependencies and
+    /// Central's rounds read the whole batch.
+    fn trigger_pass_len(&self, len: usize) -> usize {
+        match self {
+            ControllerImpl::P4(_) => 1,
+            ControllerImpl::Ez(_) | ControllerImpl::Central(_) => len.max(1),
+        }
+    }
 }
 
 /// What a byzantine-corrupted message did at its receiver — the raw
@@ -1053,11 +1066,16 @@ impl World for NetworkSim {
                 // Shadow replicas see the same trigger so a post-failover
                 // primary holds the same pending state.
                 self.feed_standbys(|c, out| c.start_update(now, &updates, out));
-                let base = now.max(self.ctrl_busy);
-                self.controller_pass(base, sched, |c, out| c.start_update(now, &updates, out));
-                // The effect buffer now has room for every message of the
-                // batch; what is kept between passes is for the few effects
-                // of a steady-state one, so this one goes back to the heap.
+                // Each pass queues behind the sends of the one before, so
+                // splitting the batch moves no send time.
+                for part in updates.chunks(self.controller.trigger_pass_len(updates.len())) {
+                    let base = now.max(self.ctrl_busy);
+                    self.controller_pass(base, sched, |c, out| c.start_update(now, part, out));
+                }
+                // A whole-batch pass leaves the effect buffer with room for
+                // every message of the batch; what is kept between passes is
+                // for the few effects of a steady-state one, so this one goes
+                // back to the heap.
                 self.ctrl_scratch = Vec::new();
                 self.batches[batch] = updates;
                 self.arm_retry(sched);
@@ -1188,6 +1206,77 @@ mod tests {
             let sim = basic_sim(system);
             assert_eq!(sim.switches.len(), 8);
         }
+    }
+
+    /// ez-Segway's controller still sees a trigger's batch in one call:
+    /// two flows swapping paths across a full link, where the one leaving
+    /// it gets `High` only because the other waits for it — a priority
+    /// neither flow gets from `ez_prepare_congestion` alone.
+    #[test]
+    fn ez_segway_prepares_a_triggered_batch_whole() {
+        use p4update_baselines::ez_prepare_congestion;
+        use p4update_messages::{EzMsg, EzPriority};
+        use p4update_net::TopologyBuilder;
+        // Records the priority of every ez-Segway update a switch receives.
+        struct Spy {
+            world: NetworkSim,
+            seen: Vec<(FlowId, EzPriority)>,
+        }
+        impl World for Spy {
+            type Event = Event;
+            fn handle(&mut self, now: SimTime, event: Event, sched: &mut Scheduler<Event>) {
+                if let Event::DeliverToSwitch {
+                    msg: Message::Ez(EzMsg::Update(u)),
+                    ..
+                } = &event
+                {
+                    self.seen.push((u.flow, u.priority));
+                }
+                self.world.handle(now, event, sched);
+            }
+        }
+        let mut b = TopologyBuilder::new("square");
+        let v: Vec<_> = (0..4).map(|i| b.add_node(format!("n{i}"))).collect();
+        for (x, y) in [(0, 1), (0, 2), (1, 3), (2, 3)] {
+            b.add_link(v[x], v[y], SimDuration::from_millis(1), 10.0);
+        }
+        let topo = b.build();
+        let p = |nodes: &[u32]| Path::new(nodes.iter().copied().map(NodeId).collect());
+        let leaves = FlowUpdate::new(FlowId(0), Some(p(&[0, 1, 3])), p(&[0, 2, 3]), 1.0);
+        let enters = FlowUpdate::new(FlowId(1), Some(p(&[0, 2, 3])), p(&[0, 1, 3]), 1.0);
+        let mut free: BTreeMap<_, _> = topo
+            .links()
+            .iter()
+            .flat_map(|l| [((l.a, l.b), 10.0), ((l.b, l.a), 10.0)])
+            .collect();
+        free.insert((NodeId(0), NodeId(1)), 0.0);
+        let batch = [leaves.clone(), enters.clone()];
+        let whole = ez_prepare_congestion(&batch, &free);
+        assert_eq!(whole[&FlowId(0)], EzPriority::High);
+        for alone in &batch {
+            let prio = ez_prepare_congestion(std::slice::from_ref(alone), &free);
+            assert!(prio.values().all(|&p| p != EzPriority::High), "{prio:?}");
+        }
+
+        let config = SimConfig::new(TimingConfig::wan_multi_flow(topo.centroid()), 1);
+        let system = System::EzSegway { congestion: true };
+        let mut world = NetworkSim::new(topo, system, config, Some(free));
+        for u in &batch {
+            world.install_initial_path(u.flow, u.old_path.as_ref().expect("old path"), u.size);
+        }
+        let batch = world.add_batch(batch.to_vec());
+        let mut sim = Simulation::new(Spy {
+            world,
+            seen: Vec::new(),
+        });
+        sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
+        assert!(sim.run().drained());
+        let seen = &sim.world().seen;
+        assert!(seen.iter().any(|s| s.0 == FlowId(0)) && seen.iter().any(|s| s.0 == FlowId(1)));
+        for &(flow, prio) in seen {
+            assert_eq!(prio, whole.get(&flow).copied().unwrap_or(EzPriority::Low));
+        }
+        assert!(seen.contains(&(FlowId(0), EzPriority::High)));
     }
 
     #[test]

@@ -75,8 +75,9 @@ cargo test -q --release --test corpus_replay
 # Counts (tests/world_footprint.rs), not timings. Three things fail here
 # that `peak_rss_mb` would only drift on: a deep topology copy (a clone must
 # request 0 bytes, a built ft512 graph is pinned to the byte), a per-switch
-# map where a sorted vector is and a retained batch-sized buffer (the world
-# at rest is pinned to the byte; the peak has a bound). (A fat message
+# map where a sorted vector is, a retained batch-sized buffer and a
+# per-switch buffer kept after it empties (the world at rest is pinned to
+# the byte; the peak has a bound). (A fat message
 # variant fails `cargo build`: the size assertions beside `Message`,
 # `Effect` and `Event`.)
 echo "==> ft512 world heap footprint: peak under its bound, topology and resting world at their counts (release profile)"

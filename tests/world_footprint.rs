@@ -100,19 +100,24 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// and `ufm_sent` sorted vectors and the trigger pass's effect buffer given
 /// back. The bound sits halfway between the last two. The peak has since
 /// fallen to 1,915,256 (reports draw their latency at the switch, the
-/// per-switch overhead counters are gone) and the bound stayed.
-const PEAK_BOUND: usize = 2_308_836;
+/// per-switch overhead counters are gone) and the bound stayed. Then
+/// 1,692,760 with `pending` and the `Parked` lists freed when they empty;
+/// the bound sits halfway between 1,915,256 and that. (The trigger pass
+/// shipping one P4Update flow at a time does not move this peak: at ft512
+/// the run, not the trigger, sets it.)
+const PEAK_BOUND: usize = 1_804_008;
 
 /// What the world holds above the baseline once the run is over and the
 /// queue is empty, to the byte: 2,519,872 at bad153b, 1,901,496 at dfbc3c2,
 /// then 68,064 fewer with reports drawing their latency at the switch and
 /// 16,384 fewer without the per-switch overhead counters (32 bytes on each
-/// of 512 switches). The peak's bound has room for any one of the things
-/// this count is for — a per-switch map back in place of a sorted vector is
-/// +37,280 (`Uib::index`) or +36,864 (`ufm_sent`), the trigger pass keeping
-/// its buffer +196,416 — so each fails here. Re-record it, on purpose, when
-/// the world's state changes.
-const REST_BYTES: usize = 1_817_048;
+/// of 512 switches), then 1,593,384: 223,664 fewer with `pending` and the
+/// `Parked` lists freed when they empty. The peak's bound has room for any
+/// one of the things this count is for — a per-switch map back in place of
+/// a sorted vector is +37,280 (`Uib::index`) or +36,864 (`ufm_sent`), a
+/// whole-batch trigger pass keeping its buffer +196,416 — so each fails
+/// here. Re-record it, on purpose, when the world's state changes.
+const REST_BYTES: usize = 1_593_384;
 
 /// What a built `synthetic_fat_tree_512` keeps live, to the byte: the
 /// handle's `Rc` box, `nodes`, `links` and the adjacency lists at their
