@@ -134,7 +134,7 @@ impl Diagnostic {
         }
     }
 
-    /// True for error-severity findings (the debug gate trips on these).
+    /// True for error-severity findings (a plan with one must not ship).
     pub fn is_error(&self) -> bool {
         self.severity == Severity::Error
     }

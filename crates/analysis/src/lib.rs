@@ -30,7 +30,10 @@
 //!
 //! Errors mean the plan violates an invariant the paper's correctness
 //! argument needs; warnings mean the plan is legal but leans on runtime
-//! machinery. The simulator's debug "analysis gate" trips on errors only.
+//! machinery. A plan with an error must not ship; the benchmark counts a
+//! batch with one as incorrect, and the test suite lints every batch the
+//! controller prepares for the paper's scenarios and the benchmark's
+//! workloads.
 //!
 //! ## Entry points
 //!
@@ -153,8 +156,8 @@ pub fn analyze_batch_with(plans: &[PreparedUpdate], ctx: &AnalysisContext<'_>) -
     out
 }
 
-/// True when no finding is an error (warnings allowed) — the condition the
-/// simulator's debug gate asserts before shipping a plan.
+/// True when no finding is an error (warnings allowed) — the condition a
+/// plan must meet before it ships.
 pub fn is_clean(diagnostics: &[Diagnostic]) -> bool {
     !diagnostics.iter().any(Diagnostic::is_error)
 }
@@ -207,7 +210,7 @@ mod tests {
         let diags = analyze(&plan, None);
         assert!(diags.iter().all(|d| d.code == Code::MechanismAdvisory));
         assert!(!diags.is_empty());
-        // Warnings do not trip the gate.
+        // Warnings do not make a plan unclean.
         assert!(is_clean(&diags));
     }
 

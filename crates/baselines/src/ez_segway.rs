@@ -619,7 +619,8 @@ impl SwitchLogic for EzSwitchLogic {
                     self.early.remove(pos);
                     self.act(state, flow, segment, out);
                 }
-                if let Some(pos) = self.early_done.iter().position(|&(f, _)| f == flow) {
+                // So can every SegmentDone of the flow, in arrival order.
+                while let Some(pos) = self.early_done.iter().position(|&(f, _)| f == flow) {
                     let (f, s) = self.early_done.remove(pos);
                     self.on_segment_done(state, f, s, out);
                 }
@@ -894,5 +895,71 @@ mod tests {
         })));
         let effects = s1.handle_message(SimTime::ZERO, Endpoint::Controller, upd);
         assert!(matches!(effects[0], Effect::BeginInstall { .. }));
+    }
+
+    /// Every SegmentDone that reaches the global ingress ahead of its
+    /// Update is replayed when the Update arrives: one left parked would
+    /// spin the switch until the horizon, and the flow would never report
+    /// Done.
+    #[test]
+    fn every_segment_done_before_update_is_replayed() {
+        use p4update_dataplane::Switch;
+        use p4update_des::SimDuration;
+        use p4update_net::TopologyBuilder;
+        let mut b = TopologyBuilder::new("t");
+        let v: Vec<_> = (0..2).map(|i| b.add_node(format!("n{i}"))).collect();
+        b.add_link(v[0], v[1], SimDuration::from_millis(1), 10.0);
+        let t = b.build();
+        let mut s0 = Switch::new(NodeId(0), &t, Box::new(EzSwitchLogic::new()));
+        // Segments 2 and 1 finish before the ingress learns its own role.
+        for segment in [2, 1] {
+            let done = Message::Ez(EzMsg::SegmentDone {
+                flow: FlowId(0),
+                segment,
+            });
+            let effects = s0.handle_message(SimTime::ZERO, Endpoint::Switch(NodeId(1)), done);
+            assert!(effects.is_empty());
+        }
+        assert_eq!(s0.parked_messages(), 2);
+        // The ingress finalizes segment 0 and tracks all three.
+        let upd = Message::Ez(EzMsg::Update(Box::new(EzUpdate {
+            flow: FlowId(0),
+            next_hop: Some(NodeId(1)),
+            upstream: None,
+            segment: 0,
+            kind: EzSegmentKind::NotInLoop,
+            depends_on: vec![],
+            initiator: false,
+            finalizer: true,
+            priority: EzPriority::Low,
+            size: 1.0,
+            notify_on_done: vec![NodeId(0)],
+            total_segments: Some(3),
+        })));
+        let effects = s0.handle_message(SimTime::ZERO, Endpoint::Controller, upd);
+        assert!(effects.is_empty(), "the finalizer waits for GoodToMove");
+        assert_eq!(s0.parked_messages(), 0);
+        let effects = s0.handle_message(
+            SimTime::ZERO,
+            Endpoint::Switch(NodeId(1)),
+            Message::Ez(EzMsg::GoodToMove {
+                flow: FlowId(0),
+                segment: 0,
+            }),
+        );
+        let token = match effects[0] {
+            Effect::BeginInstall { token, .. } => token,
+            ref o => panic!("unexpected {o:?}"),
+        };
+        let effects = s0.handle_installed(SimTime::ZERO, FlowId(0), token);
+        assert!(
+            effects.iter().any(|e| matches!(
+                e,
+                Effect::SendController {
+                    msg: Message::Ez(EzMsg::Done { flow: FlowId(0) })
+                }
+            )),
+            "{effects:?}"
+        );
     }
 }

@@ -196,8 +196,8 @@ impl P4UpdateController {
     /// The versions [`ControllerLogic::start_update`] assigns to `updates`,
     /// in order: each entry gets [`Self::next_version`] of its flow,
     /// counting the versions earlier entries of the same batch take. The
-    /// one statement of the version rule, for the controller and for
-    /// whoever re-prepares its plans (the simulator's analysis gate).
+    /// one statement of the version rule, for the controller and for a
+    /// test that prepares the controller's plans to lint them.
     pub fn batch_versions(&self, updates: &[FlowUpdate]) -> Vec<Version> {
         let mut issued: BTreeMap<FlowId, Version> = BTreeMap::new();
         updates
@@ -212,16 +212,11 @@ impl P4UpdateController {
             .collect()
     }
 
-    /// Current version of a flow, if known.
+    /// Current version of a flow, if known: the newest version its
+    /// switches acknowledged, which is the installed context a plan of
+    /// the flow is linted against.
     pub fn current_version(&self, flow: FlowId) -> Option<Version> {
         self.flows.get(&flow).map(|r| r.version)
-    }
-
-    /// The mechanism strategy this controller prepares updates with.
-    /// Exposed so a harness can re-prepare a plan outside the controller
-    /// (e.g. the simulator's debug analysis gate).
-    pub fn strategy(&self) -> Strategy {
-        self.strategy
     }
 }
 

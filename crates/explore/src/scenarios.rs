@@ -7,11 +7,10 @@
 //! [`crate::Trace`] then only needs `(scenario, seed, choices)` to
 //! reproduce a schedule bit-for-bit.
 //!
-//! Every scenario enables `paranoid` checking (the oracle), enables
-//! choice-point fault injection with the default delay, and *disables*
-//! the static analysis gate explicitly — the gate defaults to
-//! debug-builds-only, and a committed trace must replay identically in
-//! debug and release CI runs.
+//! Every scenario enables `paranoid` checking (the oracle). Every control
+//! message of any world is a fault choice point, and nothing a run does
+//! depends on the build profile, so a committed trace replays identically
+//! in debug and release.
 
 use p4update_core::Strategy;
 use p4update_des::{SimDuration, SimTime};
@@ -183,9 +182,7 @@ fn parse_mods(name: &str) -> Option<(&str, Mods)> {
 }
 
 fn explore_config(timing: TimingConfig, seed: u64) -> SimConfig {
-    SimConfig::new(timing, seed)
-        .paranoid()
-        .with_analysis_gate(false)
+    SimConfig::new(timing, seed).paranoid()
 }
 
 /// The Fig. 2 deployment (§4.1), starting from the paper's inconsistent
@@ -360,12 +357,11 @@ mod tests {
     }
 
     #[test]
-    fn scenarios_are_paranoid_and_disable_the_analysis_gate() {
+    fn scenarios_are_paranoid() {
         for info in SCENARIOS {
             let built = build(info.name, 1).unwrap();
             let cfg = built.sim.world().config();
             assert!(cfg.paranoid, "{}: paranoid off", info.name);
-            assert!(!cfg.analysis_gate, "{}: gate on", info.name);
         }
     }
 }

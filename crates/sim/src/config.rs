@@ -240,13 +240,6 @@ pub struct SimConfig {
     /// every period. `0.0` disables recovery (the evaluation scenarios run
     /// without it, matching the paper's setup).
     pub retry_ms: f64,
-    /// Run the static plan analyzer (`p4update-analysis`) over every
-    /// triggered P4Update batch before it ships, recording findings in
-    /// `NetworkSim::analysis_findings` and asserting (in debug builds) that
-    /// no error-severity diagnostic fired. Defaults to on in debug builds,
-    /// off in release (the gate re-prepares each plan, which would distort
-    /// timing-sensitive release measurements).
-    pub analysis_gate: bool,
     /// Byzantine message-corruption seam (see [`ByzantineConfig`]). `None`
     /// (the default) emits no byzantine choice points at all: every switch
     /// sends exactly what its logic produced.
@@ -264,17 +257,9 @@ impl SimConfig {
             seed,
             paranoid: false,
             retry_ms: 0.0,
-            analysis_gate: cfg!(debug_assertions),
             byzantine: None,
             replication: ReplicationConfig::NONE,
         }
-    }
-
-    /// Force the static analysis gate on or off (see
-    /// [`SimConfig::analysis_gate`]).
-    pub fn with_analysis_gate(mut self, enabled: bool) -> Self {
-        self.analysis_gate = enabled;
-        self
     }
 
     /// Enable the §11 loss-recovery timer with the given period.

@@ -14,9 +14,8 @@ use crate::config::{
 };
 use crate::metrics::Metrics;
 use crate::table::SwitchTable;
-use p4update_analysis::{AnalysisContext, BatchAnalyzer, Diagnostic};
 use p4update_baselines::{CentralController, CentralSwitchLogic, EzController, EzSwitchLogic};
-use p4update_core::{prepare_update, P4UpdateController, P4UpdateLogic, PreparedUpdate, Strategy};
+use p4update_core::{P4UpdateController, P4UpdateLogic, Strategy};
 use p4update_dataplane::{ControllerLogic, CtrlEffect, Effect, Endpoint, Switch, SwitchLogic};
 use p4update_des::{ChoiceKind, Scheduler, SimDuration, SimRng, SimTime, Simulation, World};
 use p4update_messages::{ByzDelivery, ByzVector, DataPacket, Message, RejectReason, UfmStatus};
@@ -286,10 +285,6 @@ pub struct NetworkSim {
     ctrl_scratch: Vec<CtrlEffect>,
     /// Violations found by per-event checking (paranoid mode).
     pub violations: Vec<(SimTime, Violation)>,
-    /// Findings of the static analysis gate (`SimConfig::analysis_gate`):
-    /// every diagnostic the plan linter raised for triggered P4Update
-    /// batches, warnings included.
-    pub analysis_findings: Vec<Diagnostic>,
     /// Switches that have taken a lying alternative at a byzantine choice
     /// point, in first-lie order (bounds enforcement for
     /// `ByzantineConfig::max_liars`).
@@ -365,7 +360,6 @@ impl NetworkSim {
             flows: BTreeMap::new(),
             metrics: Metrics::default(),
             violations: Vec::new(),
-            analysis_findings: Vec::new(),
             scratch: Vec::new(),
             ctrl_scratch: Vec::new(),
             liars: Vec::new(),
@@ -380,9 +374,8 @@ impl NetworkSim {
         &self.topo
     }
 
-    /// The scheduled update batches, in trigger order (what the analysis
-    /// gate will lint; exposed so differential test harnesses can prepare
-    /// and analyze the same batches out-of-band).
+    /// The scheduled update batches, in trigger order (exposed so a test
+    /// can prepare and lint the same batches the controller will ship).
     pub fn batches(&self) -> &[Vec<FlowUpdate>] {
         &self.batches
     }
@@ -952,41 +945,6 @@ impl NetworkSim {
         true
     }
 
-    /// The static analysis gate: before a P4Update batch ships, re-prepare
-    /// each plan exactly as the controller is about to (same strategy, same
-    /// version assignment) and lint it against the proof-labeling
-    /// invariants. Findings are recorded for the harness; error-severity
-    /// findings additionally trip a debug assertion — a plan the analyzer
-    /// rejects must never reach the switches in a test build.
-    fn run_analysis_gate(&mut self, updates: &[FlowUpdate]) {
-        let ControllerImpl::P4(c) = &self.controller else {
-            return; // the baselines carry no proof labels to lint
-        };
-        let plans: Vec<PreparedUpdate> = updates
-            .iter()
-            .zip(c.batch_versions(updates))
-            .map(|(u, v)| prepare_update(u, v, c.strategy()))
-            .collect();
-        let ctx = AnalysisContext::with_installed(
-            Some(&self.topo),
-            updates
-                .iter()
-                .filter_map(|u| c.current_version(u.flow).map(|v| (u.flow, v))),
-        );
-        let analysis = BatchAnalyzer::new(1).analyze(&plans, &ctx);
-        debug_assert!(
-            !analysis.diagnostics().iter().any(Diagnostic::is_error),
-            "analysis gate rejected a plan: {:?}",
-            analysis
-                .diagnostics()
-                .iter()
-                .filter(|d| d.is_error())
-                .collect::<Vec<_>>()
-        );
-        self.analysis_findings
-            .extend(analysis.diagnostics().iter().cloned());
-    }
-
     /// Record `v` as found at `now`, unless it is already on record: a
     /// violation that persists across events is recorded once, when it
     /// first appears.
@@ -1060,9 +1018,6 @@ impl World for NetworkSim {
                 });
                 let updates = std::mem::take(slot);
                 self.metrics.record_trigger();
-                if self.config.analysis_gate {
-                    self.run_analysis_gate(&updates);
-                }
                 // Shadow replicas see the same trigger so a post-failover
                 // primary holds the same pending state.
                 self.feed_standbys(|c, out| c.start_update(now, &updates, out));
@@ -1277,44 +1232,6 @@ mod tests {
             assert_eq!(prio, whole.get(&flow).copied().unwrap_or(EzPriority::Low));
         }
         assert!(seen.contains(&(FlowId(0), EzPriority::High)));
-    }
-
-    #[test]
-    fn analysis_gate_runs_clean_on_fig1_migration() {
-        let topo = topologies::fig1();
-        let config = SimConfig::new(TimingConfig::wan_multi_flow(topo.centroid()), 1)
-            .with_analysis_gate(true);
-        let mut world = NetworkSim::new(topo, System::P4Update(Strategy::Auto), config, None);
-        let old = Path::new(topologies::fig1_old_path());
-        let new = Path::new(topologies::fig1_new_path());
-        world.install_initial_path(FlowId(0), &old, 1.0);
-        let batch = world.add_batch(vec![FlowUpdate::new(FlowId(0), Some(old), new, 1.0)]);
-        let mut sim = simulation(world);
-        sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
-        assert!(sim.run().drained());
-        // A well-prepared plan produces no findings at all.
-        assert!(sim.into_world().analysis_findings.is_empty());
-    }
-
-    #[test]
-    fn analysis_gate_records_mechanism_advisories() {
-        let topo = topologies::fig1();
-        let config = SimConfig::new(TimingConfig::wan_multi_flow(topo.centroid()), 1)
-            .with_analysis_gate(true);
-        // ForceSingle on Fig. 1 violates the §7.5 rule (backward segment,
-        // 8 nodes): the gate warns but does not trip.
-        let mut world =
-            NetworkSim::new(topo, System::P4Update(Strategy::ForceSingle), config, None);
-        let old = Path::new(topologies::fig1_old_path());
-        let new = Path::new(topologies::fig1_new_path());
-        world.install_initial_path(FlowId(0), &old, 1.0);
-        let batch = world.add_batch(vec![FlowUpdate::new(FlowId(0), Some(old), new, 1.0)]);
-        let mut sim = simulation(world);
-        sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
-        assert!(sim.run().drained());
-        let world = sim.into_world();
-        assert!(!world.analysis_findings.is_empty());
-        assert!(world.analysis_findings.iter().all(|d| !d.is_error()));
     }
 
     /// Every control message of a plain `SimConfig::new` world is a fault

@@ -6,7 +6,7 @@
 
 use p4update::core::Strategy;
 use p4update::des::{SimDuration, SimRng, SimTime};
-use p4update::net::{topologies, FlowId};
+use p4update::net::{topologies, FlowId, NodeId};
 use p4update::sim::{simulation, Event, NetworkSim, SimConfig, System, TimingConfig, Violation};
 use p4update::traffic::multi_flow;
 
@@ -170,4 +170,59 @@ fn mutually_blocked_flows_park_instead_of_recursing() {
             );
         }
     }
+}
+
+/// A run without faults ends with no message parked at any switch: a
+/// parked message makes its switch re-circulate it until the horizon.
+/// Covered on `wan-sweep`'s cells — its five topologies × seeds 1-40,
+/// `multi_flow` at load 0.55 — under all four systems.
+#[test]
+fn fault_free_runs_end_with_no_parked_message() {
+    let systems = [
+        System::P4Update(Strategy::ForceSingle),
+        System::P4Update(Strategy::ForceDual),
+        System::EzSegway { congestion: true },
+        System::Central { congestion: true },
+    ];
+    let mut parked_runs = Vec::new();
+    for (name, topo) in [
+        ("b4", topologies::b4()),
+        ("internet2", topologies::internet2()),
+        ("att_mpls", topologies::att_mpls()),
+        ("chinanet", topologies::chinanet()),
+        ("fat_tree_k4", topologies::fat_tree(4)),
+    ] {
+        let timing = if name == "fat_tree_k4" {
+            TimingConfig::fat_tree()
+        } else {
+            TimingConfig::wan_multi_flow(topo.centroid())
+        };
+        for seed in 1..=40u64 {
+            let workload = multi_flow(&topo, &mut SimRng::new(seed), 0.55);
+            for system in systems {
+                let config = SimConfig::new(timing, seed);
+                let free = Some(workload.free_capacity.clone());
+                let mut world = NetworkSim::new(topo.clone(), system, config, free);
+                for u in &workload.updates {
+                    let old = u.old_path.as_ref().expect("generated");
+                    world.install_initial_path(u.flow, old, u.size);
+                }
+                let batch = world.add_batch(workload.updates.clone());
+                let mut sim = simulation(world);
+                sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
+                let _ = sim.run_until(SimTime::ZERO + SimDuration::from_secs(600));
+                let world = sim.into_world();
+                let parked: usize = (0..topo.node_count())
+                    .map(|i| world.switches[NodeId(i as u32)].parked_messages())
+                    .sum();
+                if parked > 0 {
+                    parked_runs.push(format!("{name} seed {seed} {system:?}: {parked}"));
+                }
+            }
+        }
+    }
+    assert!(
+        parked_runs.is_empty(),
+        "runs that end with parked messages: {parked_runs:#?}"
+    );
 }

@@ -52,7 +52,7 @@ fn ft32768_runs_on_the_sequential_engine() {
     let topo = topologies::synthetic_fat_tree_32768();
     let nodes = topo.node_count();
     let updates = ft32768_updates(&topo, 192);
-    let config = SimConfig::new(TimingConfig::fat_tree(), 1).with_analysis_gate(false);
+    let config = SimConfig::new(TimingConfig::fat_tree(), 1);
     let mut world = NetworkSim::new(topo, System::P4Update(Strategy::ForceDual), config, None);
     for u in &updates {
         let old = u.old_path.as_ref().expect("migrations have an old path");

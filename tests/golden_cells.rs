@@ -79,7 +79,7 @@ fn check(scale: &str, topo: &Topology, base: SimConfig, seeds: u64, cell: &Cell)
     let mut fct = Samples::new();
     for seed in 1..=seeds {
         let workload = multi_flow(topo, &mut SimRng::new(seed), 0.55);
-        let config = SimConfig { seed, ..base }.with_analysis_gate(false);
+        let config = SimConfig { seed, ..base };
         let mut world = NetworkSim::new(
             topo.clone(),
             cell.system,

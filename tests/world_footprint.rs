@@ -156,7 +156,7 @@ fn ft512_world_stays_under_its_recorded_peak() {
     let batch = multi_flow(&topo, &mut SimRng::new(1), 0.55);
     phases.push(("multi_flow", live() - start));
     let flows = batch.updates.len();
-    let config = SimConfig::new(TimingConfig::fat_tree(), 1).with_analysis_gate(false);
+    let config = SimConfig::new(TimingConfig::fat_tree(), 1);
 
     let before = mark();
     let mut world = NetworkSim::new(
