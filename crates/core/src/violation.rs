@@ -1,16 +1,14 @@
 //! Consistency violations: the paper's three safety properties (§5) as a
 //! reportable data type, with a stable one-line text encoding.
 //!
-//! The type used to live inside the simulation harness's checker; it moved
-//! here because *reporting* a violation is part of the framework's
-//! vocabulary, shared by the runtime checker (`p4update-sim`), the schedule
-//! explorer (`p4update-explore`, which stores expected violations in its
-//! trace files), and any future verification tooling. The text encoding is
-//! a compatibility contract: committed trace files must parse and compare
-//! identically across refactors, so changes here require regenerating the
-//! trace corpus.
+//! A violation is a loop, a blackhole or an overloaded link, found by the
+//! runtime checker (`p4update-sim`). The schedule explorer
+//! (`p4update-explore`) stores the violations it expects in its trace
+//! files, so the text encoding is a compatibility contract: committed trace
+//! files must parse and compare identically across refactors, and a change
+//! here regenerates the trace corpus. A lie a switch catches is not a
+//! violation; the simulator records it as a byzantine outcome.
 
-use p4update_messages::RejectReason;
 use p4update_net::{FlowId, NodeId};
 use std::fmt;
 
@@ -42,20 +40,6 @@ pub enum Violation {
         /// The link's capacity.
         capacity: f64,
     },
-    /// A switch locally rejected forged update state: a byzantine-
-    /// corrupted message failed the proof-labeling verification and was
-    /// reported to the controller with an alarm. Unlike the other
-    /// variants this records a *successful defense* — it exists so
-    /// byzantine traces can pin exactly which lie was caught, where, and
-    /// why.
-    ForgedReject {
-        /// Affected flow.
-        flow: FlowId,
-        /// The rejecting switch.
-        at: NodeId,
-        /// The verification failure the forgery tripped.
-        reason: RejectReason,
-    },
 }
 
 /// The stable text encoding, also used by `Display`:
@@ -64,7 +48,6 @@ pub enum Violation {
 /// loop flow=0 cycle=1>2>3
 /// blackhole flow=0 at=4
 /// congestion link=0>1 load=3 cap=2
-/// forged-reject flow=0 at=3 reason=distance-mismatch
 /// ```
 ///
 /// Node and flow identifiers are raw numeric ids (not display names) so the
@@ -95,15 +78,6 @@ impl fmt::Display for Violation {
                     f,
                     "congestion link={}>{} load={load} cap={capacity}",
                     from.0, to.0
-                )
-            }
-            Violation::ForgedReject { flow, at, reason } => {
-                write!(
-                    f,
-                    "forged-reject flow={} at={} reason={}",
-                    flow.0,
-                    at.0,
-                    reason.token()
                 )
             }
         }
@@ -153,26 +127,8 @@ impl Violation {
                     capacity,
                 })
             }
-            "forged-reject" => {
-                let flow = FlowId(field(tokens.next(), "flow")?.parse().ok()?);
-                let at = NodeId(field(tokens.next(), "at")?.parse().ok()?);
-                let reason = RejectReason::from_token(field(tokens.next(), "reason")?)?;
-                if tokens.next().is_some() {
-                    return None;
-                }
-                Some(Violation::ForgedReject { flow, at, reason })
-            }
             _ => None,
         }
-    }
-
-    /// True for the [`Violation::ForgedReject`] class: a *defense* record
-    /// (a lie was caught), not a consistency breach. Survival analysis —
-    /// the explorer's "does P4Update stay safe" verdicts — filters on
-    /// this: a run whose only violations are forgery rejections kept
-    /// every safety property.
-    pub fn is_forgery_rejection(&self) -> bool {
-        matches!(self, Violation::ForgedReject { .. })
     }
 }
 
@@ -196,11 +152,6 @@ mod tests {
                 to: NodeId(1),
                 load: 3.5,
                 capacity: 2.0,
-            },
-            Violation::ForgedReject {
-                flow: FlowId(2),
-                at: NodeId(5),
-                reason: RejectReason::OutdatedVersion,
             },
         ];
         for v in cases {
@@ -238,30 +189,6 @@ mod tests {
             .to_string(),
             "congestion link=0>1 load=3 cap=2"
         );
-        assert_eq!(
-            Violation::ForgedReject {
-                flow: FlowId(0),
-                at: NodeId(3),
-                reason: RejectReason::DistanceMismatch,
-            }
-            .to_string(),
-            "forged-reject flow=0 at=3 reason=distance-mismatch"
-        );
-    }
-
-    #[test]
-    fn only_forged_rejects_are_forgery_rejections() {
-        assert!(Violation::ForgedReject {
-            flow: FlowId(0),
-            at: NodeId(3),
-            reason: RejectReason::DistanceMismatch,
-        }
-        .is_forgery_rejection());
-        assert!(!Violation::Blackhole {
-            flow: FlowId(0),
-            at: NodeId(3),
-        }
-        .is_forgery_rejection());
     }
 
     #[test]
@@ -274,9 +201,6 @@ mod tests {
             "blackhole flow=0",
             "blackhole flow=0 at=1 extra",
             "congestion link=01 load=3 cap=2",
-            "forged-reject flow=0 at=3",
-            "forged-reject flow=0 at=3 reason=meltdown",
-            "forged-reject flow=0 at=3 reason=distance-mismatch extra",
             "meltdown flow=0",
         ] {
             assert_eq!(Violation::parse(s), None, "accepted: {s:?}");

@@ -68,14 +68,6 @@ impl Default for WalkOptions {
     }
 }
 
-/// The search oracle's "did the system actually break" predicate: forged-
-/// reject records are successful *defenses* (a lie was caught and
-/// reported), so a run whose only violations are forgery rejections kept
-/// every safety property and must not count as a counterexample.
-fn breached(violations: &[p4update_core::Violation]) -> bool {
-    violations.iter().any(|v| !v.is_forgery_rejection())
-}
-
 /// Random-walk exploration: repeatedly run `scenario` with random
 /// deviations until the checker records a violation or the budget is
 /// spent. Returns `Ok(None)` when the budget runs out violation-free.
@@ -93,7 +85,7 @@ pub fn random_walk(
             byz_p: opts.byz_p,
         };
         let report = run(scenario, seed, BTreeMap::new(), free)?;
-        if breached(&report.violations) {
+        if !report.violations.is_empty() {
             let mut trace = Trace::from_choices(scenario, seed, &report.choices);
             let pinned = pin(&mut trace)?;
             assert_eq!(pinned.violations, report.violations);
@@ -126,7 +118,7 @@ pub fn systematic(scenario: &str, seed: u64, runs: u32) -> Result<Option<SearchO
         }
         runs_used += 1;
         let report = run(scenario, seed, forced.clone(), FreePolicy::Default)?;
-        if breached(&report.violations) {
+        if !report.violations.is_empty() {
             let mut trace = Trace::from_choices(scenario, seed, &report.choices);
             let pinned = pin(&mut trace)?;
             return Ok(Some(SearchOutcome {

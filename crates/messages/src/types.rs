@@ -102,54 +102,17 @@ pub enum RejectReason {
     /// Notification version is older than the node's configuration:
     /// falling back could also create loops (Fig. 6c).
     OutdatedVersion,
-    /// Dual-layer gating: the old-distance invariant would be violated.
-    OldDistanceViolation,
     /// A dual-layer update arrived while the node's previous update was
     /// already dual-layer (needs an intervening single-layer, §7.3).
     DualAfterDual,
     /// The flow size in the update differs from the recorded immutable
     /// bound (§A.2).
     FlowSizeChanged,
-    /// The new outgoing link lacks remaining capacity; the update is
-    /// deferred, not dropped (§7.4).
-    InsufficientCapacity,
     /// The notification did not arrive from the node's staged child on
     /// the new path. Distance arithmetic alone can be satisfied by an
     /// equivocating neighbor's forged notification; binding acceptance to
     /// the staged next hop closes that hole (byzantine vector `equiv`).
     UnexpectedSender,
-}
-
-impl RejectReason {
-    /// Stable kebab-case token, used by the `forged-reject` violation
-    /// encoding (`p4update-core`) and in diagnostics. Committed trace
-    /// files depend on these exact strings.
-    pub fn token(self) -> &'static str {
-        match self {
-            RejectReason::DistanceMismatch => "distance-mismatch",
-            RejectReason::OutdatedVersion => "outdated-version",
-            RejectReason::OldDistanceViolation => "old-distance-violation",
-            RejectReason::DualAfterDual => "dual-after-dual",
-            RejectReason::FlowSizeChanged => "flow-size-changed",
-            RejectReason::InsufficientCapacity => "insufficient-capacity",
-            RejectReason::UnexpectedSender => "unexpected-sender",
-        }
-    }
-
-    /// Inverse of [`RejectReason::token`].
-    pub fn from_token(s: &str) -> Option<Self> {
-        [
-            RejectReason::DistanceMismatch,
-            RejectReason::OutdatedVersion,
-            RejectReason::OldDistanceViolation,
-            RejectReason::DualAfterDual,
-            RejectReason::FlowSizeChanged,
-            RejectReason::InsufficientCapacity,
-            RejectReason::UnexpectedSender,
-        ]
-        .into_iter()
-        .find(|r| r.token() == s)
-    }
 }
 
 /// Status carried by a UFM.
@@ -440,22 +403,6 @@ mod tests {
         u.depends_on.push(7);
         assert_ne!(a, b, "the clone owns its own lists");
         assert_ne!(a, ez_update(5));
-    }
-
-    #[test]
-    fn reject_reason_tokens_round_trip() {
-        for r in [
-            RejectReason::DistanceMismatch,
-            RejectReason::OutdatedVersion,
-            RejectReason::OldDistanceViolation,
-            RejectReason::DualAfterDual,
-            RejectReason::FlowSizeChanged,
-            RejectReason::InsufficientCapacity,
-            RejectReason::UnexpectedSender,
-        ] {
-            assert_eq!(RejectReason::from_token(r.token()), Some(r));
-        }
-        assert_eq!(RejectReason::from_token("meltdown"), None);
     }
 
     #[test]

@@ -149,10 +149,8 @@ fn reason_to_u8(r: RejectReason) -> u8 {
     match r {
         RejectReason::DistanceMismatch => 0,
         RejectReason::OutdatedVersion => 1,
-        RejectReason::OldDistanceViolation => 2,
         RejectReason::DualAfterDual => 3,
         RejectReason::FlowSizeChanged => 4,
-        RejectReason::InsufficientCapacity => 5,
         RejectReason::UnexpectedSender => 6,
     }
 }
@@ -161,10 +159,8 @@ fn reason_from_u8(b: u8) -> Result<RejectReason, WireError> {
     Ok(match b {
         0 => RejectReason::DistanceMismatch,
         1 => RejectReason::OutdatedVersion,
-        2 => RejectReason::OldDistanceViolation,
         3 => RejectReason::DualAfterDual,
         4 => RejectReason::FlowSizeChanged,
-        5 => RejectReason::InsufficientCapacity,
         6 => RejectReason::UnexpectedSender,
         _ => return Err(WireError::BadField("reason")),
     })
@@ -405,10 +401,8 @@ mod tests {
         for r in [
             RejectReason::DistanceMismatch,
             RejectReason::OutdatedVersion,
-            RejectReason::OldDistanceViolation,
             RejectReason::DualAfterDual,
             RejectReason::FlowSizeChanged,
-            RejectReason::InsufficientCapacity,
             RejectReason::UnexpectedSender,
         ] {
             roundtrip(Message::Ufm(Ufm {
@@ -459,6 +453,21 @@ mod tests {
         let last = raw.len() - 1;
         raw[last] = 9;
         assert_eq!(decode(&raw), Err(WireError::BadField("kind")));
+
+        // Corrupt the reason byte of an alarm UFM: 2 and 5 are retired
+        // codes, 7 was never assigned.
+        let msg = Message::Ufm(Ufm {
+            flow: FlowId(5),
+            version: Version(2),
+            status: UfmStatus::Alarm(RejectReason::DistanceMismatch),
+            reporter: NodeId(9),
+        });
+        let mut raw = encode(&msg).unwrap();
+        let reason = raw.len() - 5;
+        for b in [2, 5, 7] {
+            raw[reason] = b;
+            assert_eq!(decode(&raw), Err(WireError::BadField("reason")));
+        }
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! per-packet log (`arrivals`, `deliveries`, `drops`) is written
 //! unconditionally: its cost follows injected packets, and a run that
 //! injects none — every benchmark workload, `golden_cells`, `ft32768` —
-//! never touches it. Triggers, UNM deliveries and control drops are
-//! counters only. [`MetricsCounts`] is incremented on every record, so a
-//! count is always what its series implies.
+//! never touches it. Triggers, UNM deliveries and control drops are the
+//! only stored counters; every other count in [`MetricsCounts`] is the
+//! length of, or a filter over, its series, so a count is always what its
+//! series implies.
 //!
 //! Recording is observation-only: no simulation decision reads the struct.
 
@@ -47,7 +48,9 @@ pub struct MetricsCounts {
 /// All measurements of one simulation run.
 #[derive(Debug, Clone, Default)]
 pub struct Metrics {
-    counts: MetricsCounts,
+    triggers: u64,
+    control_drops: u64,
+    unm_deliveries: u64,
     /// Every data-packet arrival at a switch: `(time, switch, packet)`.
     /// Fig. 2b plots these for one switch.
     pub arrivals: Vec<(SimTime, NodeId, DataPacket)>,
@@ -74,12 +77,10 @@ impl Metrics {
     }
 
     pub(crate) fn record_arrival(&mut self, t: SimTime, node: NodeId, pkt: DataPacket) {
-        self.counts.arrivals += 1;
         self.arrivals.push((t, node, pkt));
     }
 
     pub(crate) fn record_delivery(&mut self, t: SimTime, node: NodeId, pkt: DataPacket) {
-        self.counts.deliveries += 1;
         self.deliveries.push((t, node, pkt));
     }
 
@@ -90,45 +91,54 @@ impl Metrics {
         pkt: DataPacket,
         reason: DropReason,
     ) {
-        self.counts.drops += 1;
-        if reason == DropReason::TtlExpired {
-            self.counts.ttl_deaths += 1;
-        }
         self.drops.push((t, node, pkt, reason));
     }
 
     pub(crate) fn record_completion(&mut self, t: SimTime, flow: FlowId, version: Version) {
-        self.counts.completions += 1;
         self.completions.push((t, flow, version));
     }
 
     pub(crate) fn record_alarm(&mut self, t: SimTime, flow: FlowId, reason: RejectReason) {
-        self.counts.alarms += 1;
         self.alarms.push((t, flow, reason));
     }
 
     pub(crate) fn record_trigger(&mut self) {
-        self.counts.triggers += 1;
+        self.triggers += 1;
     }
 
     pub(crate) fn record_control_drop(&mut self) {
-        self.counts.control_drops += 1;
+        self.control_drops += 1;
     }
 
     pub(crate) fn record_unm_delivery(&mut self) {
-        self.counts.unm_deliveries += 1;
+        self.unm_deliveries += 1;
     }
 
     /// End-of-run accounting (see `NetworkSim::record_stranded_flows`):
-    /// assigns, so a repeated call cannot double the list or its count.
+    /// assigns, so a repeated call cannot double the list.
     pub(crate) fn set_stranded(&mut self, flows: Vec<FlowId>) {
-        self.counts.stranded_flows = flows.len() as u64;
         self.stranded = flows;
     }
 
     /// Aggregate counters.
     pub fn counts(&self) -> MetricsCounts {
-        self.counts
+        let len = |n: usize| n as u64;
+        let ttl_deaths = self
+            .drops
+            .iter()
+            .filter(|&&(_, _, _, r)| r == DropReason::TtlExpired);
+        MetricsCounts {
+            arrivals: len(self.arrivals.len()),
+            deliveries: len(self.deliveries.len()),
+            drops: len(self.drops.len()),
+            ttl_deaths: len(ttl_deaths.count()),
+            completions: len(self.completions.len()),
+            alarms: len(self.alarms.len()),
+            triggers: self.triggers,
+            control_drops: self.control_drops,
+            unm_deliveries: self.unm_deliveries,
+            stranded_flows: len(self.stranded.len()),
+        }
     }
 
     /// The `completions` list (the benchmark's spelling of the field).
@@ -253,7 +263,7 @@ mod tests {
         m.record_drop(at(4), NodeId(0), pkt(2), DropReason::TtlExpired);
         m.record_drop(at(5), NodeId(0), pkt(3), DropReason::NoRule);
         m.record_completion(at(6), FlowId(0), Version(2));
-        m.record_alarm(at(7), FlowId(1), RejectReason::InsufficientCapacity);
+        m.record_alarm(at(7), FlowId(1), RejectReason::DistanceMismatch);
         m.record_control_drop();
         m.record_control_drop();
         m.record_unm_delivery();

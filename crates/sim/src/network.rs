@@ -126,8 +126,7 @@ impl ControllerImpl {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ByzDisposition {
     /// The receiver's local verification caught the lie and raised an
-    /// alarm UFM; a [`Violation::ForgedReject`] with the same reason is
-    /// recorded alongside.
+    /// alarm UFM with this reason.
     Rejected(RejectReason),
     /// The receiver acted on the lie — state changed, a rule install
     /// began, or follow-on messages were sent. For a system without
@@ -409,6 +408,7 @@ impl NetworkSim {
 
     /// Pinned by the benchmark like [`Self::sink`]: starts the run from the
     /// given (empty) recorder.
+    #[expect(clippy::boxed_local, reason = "the benchmark pins the boxed signature")]
     pub fn with_metrics_sink(mut self, sink: Box<Metrics>) -> Self {
         self.metrics = *sink;
         self
@@ -643,11 +643,9 @@ impl NetworkSim {
     /// What a just-delivered lie about `flow` did at switch `node`, from
     /// the effects its processing produced and the before/after UIB state.
     /// A raised alarm is a local rejection — the defense the paper's
-    /// verification promises — and is additionally recorded as a
-    /// [`Violation::ForgedReject`] so traces can pin it.
+    /// verification promises.
     fn lie_disposition(
-        &mut self,
-        now: SimTime,
+        &self,
         node: NodeId,
         flow: Option<FlowId>,
         before: Option<p4update_dataplane::UibEntry>,
@@ -659,12 +657,6 @@ impl NetworkSim {
             } = e
             {
                 if let UfmStatus::Alarm(reason) = ufm.status {
-                    let v = Violation::ForgedReject {
-                        flow: ufm.flow,
-                        at: node,
-                        reason,
-                    };
-                    self.record_violation(now, v);
                     return ByzDisposition::Rejected(reason);
                 }
             }
@@ -913,7 +905,7 @@ impl NetworkSim {
                 let before = flow.map(|f| switch.state.uib.read(f));
                 switch.handle_message_into(now, from, msg, &mut effects);
                 if let (Some(vector), Endpoint::Switch(liar)) = (lie, from) {
-                    let disposition = self.lie_disposition(now, node, flow, before, &effects);
+                    let disposition = self.lie_disposition(node, flow, before, &effects);
                     self.byz_outcomes.push(ByzOutcome {
                         at: now,
                         liar,
@@ -945,21 +937,16 @@ impl NetworkSim {
         true
     }
 
-    /// Record `v` as found at `now`, unless it is already on record: a
-    /// violation that persists across events is recorded once, when it
-    /// first appears.
-    fn record_violation(&mut self, now: SimTime, v: Violation) {
-        if !self.violations.iter().any(|(_, recorded)| *recorded == v) {
-            self.violations.push((now, v));
-        }
-    }
-
+    /// Record what the checker finds at `now`. A violation that persists
+    /// across events is recorded once, when it first appears.
     fn run_checker(&mut self, now: SimTime) {
         if !self.config.paranoid {
             return;
         }
         for v in check(&self.topo, &self.switches, &self.flows) {
-            self.record_violation(now, v);
+            if !self.violations.iter().any(|(_, recorded)| *recorded == v) {
+                self.violations.push((now, v));
+            }
         }
     }
 }
@@ -1368,8 +1355,7 @@ mod tests {
 
     /// A switch that always lies about its dependency labels is caught by
     /// its upstream neighbor's local verification: the lie is rejected
-    /// with an alarm, recorded as a `ForgedReject`, and no real
-    /// consistency breach occurs.
+    /// with an alarm, and no consistency breach occurs.
     #[test]
     fn p4update_rejects_a_dependency_lie_locally() {
         struct AlwaysLie;
@@ -1397,23 +1383,12 @@ mod tests {
         sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
         assert!(sim.run().drained());
         let world = sim.into_world();
-        assert!(
-            world
-                .byz_outcomes
-                .iter()
-                .any(|o| matches!(o.disposition, ByzDisposition::Rejected(_))),
-            "no lie was rejected: {:?}",
-            world.byz_outcomes
-        );
-        assert!(world
-            .violations
+        let rejected = world
+            .byz_outcomes
             .iter()
-            .any(|(_, v)| v.is_forgery_rejection()));
-        // Defense records only — no actual safety breach.
-        assert!(world
-            .violations
-            .iter()
-            .all(|(_, v)| v.is_forgery_rejection()));
+            .filter(|o| matches!(o.disposition, ByzDisposition::Rejected(_)));
+        assert_eq!(rejected.count(), 1, "{:?}", world.byz_outcomes);
+        assert!(world.violations.is_empty(), "{:?}", world.violations);
         assert_eq!(world.liars.len(), 1);
     }
 

@@ -3,7 +3,9 @@
 #
 #   scripts/check.sh
 #
-# Runs formatting, the debug-only-check grep, the `Rc<Topology>` grep, the
+# Runs the document budgets (CHANGES.md at most 40,000 bytes with no line
+# over 1,500, DESIGN.md at most 50,000: one home per fact, the raw runs live
+# in RUNS.md), formatting, the debug-only-check grep, the `Rc<Topology>` grep, the
 # clippy lint wall, rustdoc with warnings denied, the full offline test suite, the static plan linter over its sample plans
 # (including the mutated ones, which must make it exit non-zero),
 # the corpus and explorer smokes, the ft512 world's heap-footprint counts
@@ -24,6 +26,25 @@ tmpdir="$(mktemp -d)"
 cp benchmark/Cargo.lock "$tmpdir/benchmark-Cargo.lock"
 trap 'cmp -s "$tmpdir/benchmark-Cargo.lock" benchmark/Cargo.lock \
     || cp "$tmpdir/benchmark-Cargo.lock" benchmark/Cargo.lock; rm -rf "$tmpdir"' EXIT
+
+# The documents keep one home per fact: a PR's line in CHANGES.md says what
+# changed and points at RUNS.md for the runs, and DESIGN.md describes the
+# design as it is, not its history. Cheapest step first, and FAST=1 runs it.
+echo "==> document budgets (CHANGES.md <= 40000 bytes, lines <= 1500; DESIGN.md <= 50000)"
+budget_ok=1
+if (( $(wc -c < CHANGES.md) > 40000 )); then
+    echo "error: CHANGES.md is $(wc -c < CHANGES.md) bytes (budget 40000)" >&2
+    budget_ok=0
+fi
+if LC_ALL=C awk 'length($0) > 1500 { printf "error: CHANGES.md line %d is %d bytes (budget 1500)\n", NR, length($0); bad = 1 }
+        END { exit !bad }' CHANGES.md >&2; then
+    budget_ok=0
+fi
+if (( $(wc -c < DESIGN.md) > 50000 )); then
+    echo "error: DESIGN.md is $(wc -c < DESIGN.md) bytes (budget 50000)" >&2
+    budget_ok=0
+fi
+(( budget_ok )) || exit 1
 
 echo "==> cargo fmt --check"
 cargo fmt --check

@@ -12,7 +12,7 @@
 //!   version ever stepped backwards (checked after every event),
 //! - **completion** — whether the update finished by the horizon, and
 //! - **detection** — which [`ByzDisposition`] the lie earned: locally
-//!   rejected with a pinned `Violation::ForgedReject`, accepted,
+//!   rejected (the receiving switch and its reason are pinned), accepted,
 //!   ignored, or (controller-bound) undetectable.
 //!
 //! The headline claim mirrors the paper's §7 local-verification
@@ -57,10 +57,10 @@ struct CellOutcome {
     completed: bool,
     /// Dispositions of every lie told during the run.
     dispositions: Vec<ByzDisposition>,
-    /// Non-forgery-rejection violations (real breaches).
+    /// Violations the checker found (each one a breach).
     breaches: Vec<String>,
-    /// Forgery rejections (successful defenses).
-    rejections: Vec<String>,
+    /// Receiver and reason of every rejected lie, in delivery order.
+    rejections: Vec<(Endpoint, RejectReason)>,
     liars: usize,
     /// Byzantine choice points consulted (0 = the vector never found an
     /// applicable message: structurally inapplicable).
@@ -138,11 +138,14 @@ fn run_cell(scenario: &str, seed: u64) -> CellOutcome {
         .completions
         .iter()
         .any(|&(_, f, _)| f == FlowId(0));
-    let (rejections, breaches): (Vec<String>, Vec<String>) = world
-        .violations
+    let breaches = world.violations.iter().map(|(_, v)| v.to_string());
+    let rejections = world
+        .byz_outcomes
         .iter()
-        .map(|(_, v)| v.to_string())
-        .partition(|s| s.starts_with("forged-reject"));
+        .filter_map(|o| match o.disposition {
+            ByzDisposition::Rejected(reason) => Some((o.receiver, reason)),
+            _ => None,
+        });
     let liars = world
         .byz_outcomes
         .iter()
@@ -165,8 +168,8 @@ fn run_cell(scenario: &str, seed: u64) -> CellOutcome {
         staged_bound,
         completed,
         dispositions: world.byz_outcomes.iter().map(|o| o.disposition).collect(),
-        breaches,
-        rejections,
+        breaches: breaches.collect(),
+        rejections: rejections.collect(),
         liars,
         byz_points,
         byz_picks,
@@ -177,18 +180,21 @@ fn run_cell(scenario: &str, seed: u64) -> CellOutcome {
 
 /// One pinned matrix cell: scenario name, whether the update completes
 /// by the horizon, distinct liars observed, the exact disposition of
-/// every lie, and the exact forgery-rejection diagnostics.
+/// every lie, and the receiver and reason of every rejected one.
 struct Cell {
     name: &'static str,
     completed: bool,
     liars: usize,
     dispositions: &'static [ByzDisposition],
-    rejections: &'static [&'static str],
+    rejections: &'static [(Endpoint, RejectReason)],
 }
 
 use ByzDisposition::{Accepted, Ignored, Undetectable};
 const REJ_DIST: ByzDisposition = ByzDisposition::Rejected(RejectReason::DistanceMismatch);
 const REJ_VER: ByzDisposition = ByzDisposition::Rejected(RejectReason::OutdatedVersion);
+/// Switch 1 rejecting a distance that does not fit its label.
+const AT1_DIST: (Endpoint, RejectReason) =
+    (Endpoint::Switch(NodeId(1)), RejectReason::DistanceMismatch);
 
 /// The Fig. 2 matrix under the always-lie deterministic chooser: vector
 /// class × liar budget × system. ez-Segway swallows the lies (the
@@ -197,7 +203,7 @@ const REJ_VER: ByzDisposition = ByzDisposition::Rejected(RejectReason::OutdatedV
 /// they duplicate, each `SegmentDone` is *accepted* — the global ingress
 /// counts the segment again and re-sends `Done` to the controller — and
 /// each `GoodToMove` is ignored, its role having acted already); P4Update
-/// locally rejects the dependency lie with a pinned diagnostic, ignores
+/// locally rejects the dependency lie at switch 1, ignores
 /// the equivocation, never even sees an applicable stale replay, and
 /// classifies the forged controller-bound ack as undetectable-but-harmless.
 const FIG2_MATRIX: &[Cell] = &[
@@ -264,14 +270,14 @@ const FIG2_MATRIX: &[Cell] = &[
         completed: false,
         liars: 1,
         dispositions: &[REJ_DIST],
-        rejections: &["forged-reject flow=0 at=1 reason=distance-mismatch"],
+        rejections: &[AT1_DIST],
     },
     Cell {
         name: "fig2-p4+byz-dep-k2",
         completed: false,
         liars: 1,
         dispositions: &[REJ_DIST],
-        rejections: &["forged-reject flow=0 at=1 reason=distance-mismatch"],
+        rejections: &[AT1_DIST],
     },
     Cell {
         name: "fig2-p4+byz-stale-k1",
@@ -348,11 +354,7 @@ fn invariant_survival_matrix_fig2() {
             "{}: dispositions",
             cell.name
         );
-        assert_eq!(
-            out.rejections, cell.rejections,
-            "{}: forged-reject diagnostics",
-            cell.name
-        );
+        assert_eq!(out.rejections, cell.rejections, "{}: rejections", cell.name);
         // P4Update never *accepts* forged state into a switch.
         if p4 {
             assert_eq!(out.accepted(), 0, "{}: P4Update accepted a lie", cell.name);
@@ -433,28 +435,18 @@ fn ez_stale_replays_are_classified_at_their_own_delivery() {
 /// inapplicable to an explicit `OutdatedVersion` rejection.
 #[test]
 fn other_topologies_pin_their_dispositions() {
-    let cases: &[(&str, &[ByzDisposition], &str)] = &[
-        ("fig1-single+byz-dep-k1", &[REJ_DIST], "distance-mismatch"),
-        ("fig1-single+byz-equiv-k1", &[REJ_DIST], "distance-mismatch"),
-        ("fig1-single+byz-ack-k1", &[Undetectable], ""),
-        (
-            "fig1-dual+byz-stale-k1",
-            &[REJ_VER, REJ_VER],
-            "outdated-version",
-        ),
-        (
-            "fig1-dual+byz-equiv-k1",
-            &[REJ_DIST, REJ_DIST],
-            "distance-mismatch",
-        ),
-        ("multigw-dual+byz-equiv-k1", &[Ignored, Ignored], ""),
-        (
-            "multigw-dual+byz-stale-k1",
-            &[REJ_VER, REJ_VER],
-            "outdated-version",
-        ),
+    // Each case: scenario, dispositions, and the switch that rejected each
+    // rejected lie (the reason is the disposition's).
+    let cases: &[(&str, &[ByzDisposition], &[u32])] = &[
+        ("fig1-single+byz-dep-k1", &[REJ_DIST], &[5]),
+        ("fig1-single+byz-equiv-k1", &[REJ_DIST], &[2]),
+        ("fig1-single+byz-ack-k1", &[Undetectable], &[]),
+        ("fig1-dual+byz-stale-k1", &[REJ_VER, REJ_VER], &[6, 6]),
+        ("fig1-dual+byz-equiv-k1", &[REJ_DIST, REJ_DIST], &[2, 2]),
+        ("multigw-dual+byz-equiv-k1", &[Ignored, Ignored], &[]),
+        ("multigw-dual+byz-stale-k1", &[REJ_VER, REJ_VER], &[10, 10]),
     ];
-    for &(name, dispositions, reason) in cases {
+    for &(name, dispositions, rejected_at) in cases {
         let out = run_cell(name, 1);
         assert!(!out.looped, "{name}: looped");
         assert!(out.monotone, "{name}: version regressed");
@@ -465,19 +457,12 @@ fn other_topologies_pin_their_dispositions() {
             out.breaches
         );
         assert_eq!(out.dispositions, dispositions, "{name}: dispositions");
-        if reason.is_empty() {
-            assert!(out.rejections.is_empty(), "{name}: {:?}", out.rejections);
-        } else {
-            // The checker deduplicates identical violations, so two
-            // rejected lies may pin a single diagnostic.
-            assert!(!out.rejections.is_empty(), "{name}: no diagnostic pinned");
-            for r in &out.rejections {
-                assert!(
-                    r.starts_with("forged-reject") && r.ends_with(reason),
-                    "{name}: diagnostic {r:?} should pin reason {reason:?}"
-                );
-            }
-        }
+        let receivers: Vec<Endpoint> = out.rejections.iter().map(|&(r, _)| r).collect();
+        let expected: Vec<Endpoint> = rejected_at
+            .iter()
+            .map(|&n| Endpoint::Switch(NodeId(n)))
+            .collect();
+        assert_eq!(receivers, expected, "{name}: rejections");
     }
 }
 

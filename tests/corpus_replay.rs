@@ -91,14 +91,9 @@ fn corpus_covers_the_fig2_loop_and_clears_p4update() {
             .find(|s| s.name == base_name(&t.scenario))
             .unwrap_or_else(|| panic!("{}: unknown scenario {}", path.display(), t.scenario));
         if !info.vulnerable {
-            // Forged-reject records are successful local defenses (a
-            // byzantine lie was caught), not breaches; everything else
-            // would be a real P4Update violation.
             assert!(
-                t.expect_violations
-                    .iter()
-                    .all(Violation::is_forgery_rejection),
-                "{}: a P4Update scenario recorded a non-defense violation",
+                t.expect_violations.is_empty(),
+                "{}: a P4Update scenario recorded a violation",
                 path.display()
             );
         }
