@@ -23,7 +23,7 @@ use crate::delta::PlanDelta;
 use crate::{analyze_with, AnalysisContext, Diagnostic};
 use p4update_core::PreparedUpdate;
 use p4update_net::{NodeId, Version};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// What one plan's lint saw and produced; cached so a delta can reuse it
 /// when the plan and its context inputs are unchanged.
@@ -124,29 +124,34 @@ impl BatchAnalyzer {
     /// The waits-for adjacency, built from the link index.
     fn waits_for(&self, plans: &[PreparedUpdate], ctx: &AnalysisContext<'_>) -> Vec<Vec<usize>> {
         let edges: Vec<PlanEdges> = plans.iter().map(PlanEdges::of).collect();
-        // Link index: for every directed link, the plans whose *new* path
-        // uses it (edge sources) and the plans moving *off* it (old but
-        // not new — edge targets). Only these pairs can contend, so the
-        // construction never touches the n² pair space.
-        let mut by_link: BTreeMap<(NodeId, NodeId), (Vec<usize>, Vec<usize>)> = BTreeMap::new();
+        // Link index: one `(link, leaving, plan)` entry per directed link a
+        // plan moves onto (its new path: an edge source) or off (old but
+        // not new: an edge target), sorted, so that every link's entries
+        // are one run — its sources, then its targets, each in plan order.
+        // Only these pairs can contend, so the construction never touches
+        // the n² pair space.
+        let bound = edges
+            .iter()
+            .map(|e| e.new_edges.len() + e.old_edges.len())
+            .sum();
+        let mut index: Vec<((NodeId, NodeId), bool, u32)> = Vec::with_capacity(bound);
         for (i, e) in edges.iter().enumerate() {
-            for &l in &e.new_edges {
-                by_link.entry(l).or_default().0.push(i);
-            }
-            for &l in &e.old_edges {
-                if !e.new_edges.contains(&l) {
-                    by_link.entry(l).or_default().1.push(i);
-                }
-            }
+            let i = i as u32;
+            index.extend(e.new_edges.iter().map(|&l| (l, false, i)));
+            index.extend(e.old_edges.difference(&e.new_edges).map(|&l| (l, true, i)));
         }
+        index.sort_unstable();
         // Ordered per-vertex sets: a pair that contends on several links
         // is one edge, and neighbours come out ascending — exactly the
         // adjacency of the pairwise reference construction, which scans
         // `b` upward and admits `a → b` iff *some* shared link contends.
         let mut adj: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); plans.len()];
-        for (&link, (sources, targets)) in &by_link {
-            for &a in sources {
-                for &b in targets {
+        for run in index.chunk_by(|x, y| x.0 == y.0) {
+            let link = run[0].0;
+            let (sources, targets) = run.split_at(run.partition_point(|&(_, leaving, _)| !leaving));
+            for &(_, _, a) in sources {
+                for &(_, _, b) in targets {
+                    let (a, b) = (a as usize, b as usize);
                     if a != b
                         && edges[a].flow != edges[b].flow
                         && contended(ctx.topo, link, &edges[a], &edges[b])

@@ -12,7 +12,7 @@
 use p4update_dataplane::{ControllerLogic, CtrlEffect, Effect, Endpoint, SwitchLogic, SwitchState};
 use p4update_des::SimTime;
 use p4update_messages::{CentralMsg, Message};
-use p4update_net::{FlowId, FlowUpdate, NodeId, Version, CAPACITY_SLACK};
+use p4update_net::{ArcMap, FlowId, FlowUpdate, NodeId, Version, CAPACITY_SLACK};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Per-flow migration state at the controller.
@@ -112,8 +112,9 @@ impl FlowMigration {
 pub struct CentralController {
     flows: BTreeMap<FlowId, FlowMigration>,
     /// Global per-directed-link free capacity (controller's view); present
-    /// only when congestion awareness is enabled.
-    capacity: Option<BTreeMap<(NodeId, NodeId), f64>>,
+    /// only when congestion awareness is enabled. A pair that is not a
+    /// link has no capacity to respect: it reads as unbounded.
+    capacity: Option<ArcMap<f64>>,
 }
 
 impl CentralController {
@@ -127,7 +128,7 @@ impl CentralController {
 
     /// Controller with a global capacity view seeded from link capacities
     /// minus the old paths' allocations.
-    pub fn with_congestion(capacity: BTreeMap<(NodeId, NodeId), f64>) -> Self {
+    pub fn with_congestion(capacity: ArcMap<f64>) -> Self {
         CentralController {
             flows: BTreeMap::new(),
             capacity: Some(capacity),
@@ -174,7 +175,7 @@ impl CentralController {
                 let old_hop = m.update.old_path.as_ref().and_then(|p| p.successor(node));
                 if let Some(nh) = new_hop {
                     if Some(nh) != old_hop {
-                        let free = cap.get(&(node, nh)).copied().unwrap_or(f64::INFINITY);
+                        let free = cap.get(node, nh).copied().unwrap_or(f64::INFINITY);
                         if free + CAPACITY_SLACK < m.update.size {
                             continue;
                         }
@@ -187,7 +188,7 @@ impl CentralController {
                 let new_hop = m.update.new_path.successor(node);
                 let old_hop = m.update.old_path.as_ref().and_then(|p| p.successor(node));
                 if let (Some(nh), true) = (new_hop, new_hop != old_hop) {
-                    if let Some(c) = cap.get_mut(&(node, nh)) {
+                    if let Some(c) = cap.get_mut(node, nh) {
                         *c -= m.update.size;
                     }
                 }
@@ -280,7 +281,7 @@ impl ControllerLogic for CentralController {
                 let old_hop = m.update.old_path.as_ref().and_then(|p| p.successor(node));
                 let new_hop = m.update.new_path.successor(node);
                 if let (Some(oh), true) = (old_hop, old_hop != new_hop) {
-                    if let Some(c) = cap.get_mut(&(node, oh)) {
+                    if let Some(c) = cap.get_mut(node, oh) {
                         *c += m.update.size;
                     }
                 }
@@ -505,8 +506,13 @@ mod tests {
     #[test]
     fn congestion_awareness_defers_capacity_violations() {
         // Node 0 moves flow onto link (0,2) with free capacity 0.5 < 1.0.
-        let mut cap = BTreeMap::new();
-        cap.insert((NodeId(0), NodeId(2)), 0.5);
+        use p4update_des::SimDuration;
+        let mut b = p4update_net::TopologyBuilder::new("t");
+        let v: Vec<_> = (0..3).map(|i| b.add_node(format!("n{i}"))).collect();
+        b.add_link(v[0], v[1], SimDuration::from_millis(1), 10.0);
+        b.add_link(v[1], v[2], SimDuration::from_millis(1), 10.0);
+        b.add_link(v[0], v[2], SimDuration::from_millis(1), 0.5);
+        let cap = ArcMap::new(&b.build(), |l| l.capacity);
         let mut c = CentralController::with_congestion(cap);
         let mut out = Vec::new();
         c.start_update(SimTime::ZERO, &[update(&[0, 1, 2], &[0, 2])], &mut out);

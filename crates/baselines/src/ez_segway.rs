@@ -14,7 +14,7 @@ use p4update_dataplane::{ControllerLogic, CtrlEffect, Effect, Endpoint, SwitchLo
 use p4update_des::SimTime;
 use p4update_messages::{EzMsg, EzPriority, EzSegmentKind, EzUpdate, Message};
 use p4update_net::{
-    segment_update, FlowId, FlowUpdate, NodeId, SegmentDir, Version, CAPACITY_SLACK,
+    segment_update, ArcMap, FlowId, FlowUpdate, NodeId, SegmentDir, Version, CAPACITY_SLACK,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -147,7 +147,7 @@ pub fn ez_prepare(update: &FlowUpdate, priority: EzPriority) -> EzPlan {
 /// three-level flow priorities the switches use.
 pub fn ez_prepare_congestion(
     updates: &[FlowUpdate],
-    capacity: &BTreeMap<(NodeId, NodeId), f64>,
+    capacity: &ArcMap<f64>,
 ) -> BTreeMap<FlowId, EzPriority> {
     // Entity table: (flow index, claimed links, released links, size).
     struct Entity {
@@ -204,7 +204,7 @@ pub fn ez_prepare_congestion(
     // The published algorithm enumerates every (link, claiming segment,
     // releasing segment) combination; no fast paths.
     let mut base = vec![false; m * m];
-    for (&e, &cap) in capacity {
+    for (e, &cap) in capacity.iter() {
         let leaving: Vec<usize> = (0..m)
             .filter(|&j| entities[j].releases.contains(&e))
             .collect();
@@ -288,7 +288,7 @@ pub fn ez_prepare_congestion(
 /// The ez-Segway controller.
 pub struct EzController {
     /// Capacity view used only when congestion awareness is on.
-    capacity: Option<BTreeMap<(NodeId, NodeId), f64>>,
+    capacity: Option<ArcMap<f64>>,
     pending: BTreeSet<FlowId>,
     /// Updates queued behind an unfinished one for the same flow — ez-Segway
     /// cannot fast-forward (§4.2) and waits for completion.
@@ -306,7 +306,7 @@ impl EzController {
     }
 
     /// Controller with the global capacity view for priority computation.
-    pub fn with_congestion(capacity: BTreeMap<(NodeId, NodeId), f64>) -> Self {
+    pub fn with_congestion(capacity: ArcMap<f64>) -> Self {
         EzController {
             capacity: Some(capacity),
             pending: BTreeSet::new(),
@@ -765,17 +765,19 @@ mod tests {
     #[test]
     fn congestion_priorities_form_three_levels() {
         // f0 leaves link (0,1); f1 needs (0,1); f2 independent.
-        let mut cap = BTreeMap::new();
-        cap.insert((NodeId(0), NodeId(1)), 1.0);
-        cap.insert((NodeId(0), NodeId(2)), 10.0);
-        cap.insert((NodeId(1), NodeId(3)), 10.0);
-        cap.insert((NodeId(2), NodeId(3)), 10.0);
+        use p4update_des::SimDuration;
+        let mut b = p4update_net::TopologyBuilder::new("square");
+        let v: Vec<_> = (0..4).map(|i| b.add_node(format!("n{i}"))).collect();
+        for (x, y) in [(0, 1), (0, 2), (1, 3), (2, 3)] {
+            b.add_link(v[x], v[y], SimDuration::from_millis(1), 10.0);
+        }
+        let mut cap = ArcMap::new(&b.build(), |l| l.capacity);
         let f0 = FlowUpdate::new(FlowId(0), Some(path(&[0, 1, 3])), path(&[0, 2, 3]), 1.0);
         let f1 = FlowUpdate::new(FlowId(1), Some(path(&[0, 2, 3])), path(&[0, 1, 3]), 1.0);
         let f2 = FlowUpdate::new(FlowId(2), Some(path(&[2, 3])), path(&[2, 3]), 1.0);
         // Seed capacity as if old paths are allocated: (0,1) holds f0 → 0
         // free. f1 wants in → depends on f0.
-        cap.insert((NodeId(0), NodeId(1)), 0.0);
+        *cap.get_mut(NodeId(0), NodeId(1)).expect("a link") = 0.0;
         let prios = ez_prepare_congestion(&[f0, f1, f2], &cap);
         assert_eq!(prios[&FlowId(0)], EzPriority::High);
         assert_eq!(prios[&FlowId(2)], EzPriority::Low);

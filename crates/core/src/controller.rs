@@ -81,19 +81,27 @@ pub struct PreparedUpdate {
 pub fn prepare_update(update: &FlowUpdate, version: Version, strategy: Strategy) -> PreparedUpdate {
     let seg = segment_update(update);
     let kind = strategy.choose(update, &seg);
-    let labels = label_path(update);
-    let uims = labels
-        .iter()
-        .map(|l| (l.node, uim_for(update, l, version, kind)))
-        .collect();
     PreparedUpdate {
         flow: update.flow,
         update: update.clone(),
         version,
         kind,
         segmentation: seg,
-        uims,
+        uims: indications(update, version, kind).collect(),
     }
+}
+
+/// The `(switch, UIM)` pairs of `update` at `version` under `kind`, egress
+/// first: the one place a UIM is built, for a prepared plan and for every
+/// push of the controller's loss recovery alike.
+fn indications(
+    update: &FlowUpdate,
+    version: Version,
+    kind: UpdateKind,
+) -> impl Iterator<Item = (NodeId, Uim)> + '_ {
+    label_path(update)
+        .into_iter()
+        .map(move |l| (l.node, uim_for(update, &l, version, kind)))
 }
 
 /// Prepare a batch of updates (the Fig. 8 measurement unit). Versions are
@@ -110,27 +118,33 @@ pub fn prepare_batch(updates: &[(FlowUpdate, Version)], strategy: Strategy) -> V
 struct FlowRecord {
     /// Newest acknowledged version.
     version: Version,
-    /// The update awaiting a success UFM, if any.
-    in_flight: Option<InFlight>,
+    /// The update awaiting a success UFM, if any; boxed so that a record
+    /// at rest stays two words.
+    in_flight: Option<Box<InFlight>>,
 }
 
-/// One unacknowledged update, kept for loss recovery (§11).
+/// One unacknowledged update, kept for loss recovery (§11): what its
+/// indications are a function of, not the indications themselves.
 #[derive(Debug, Clone)]
 struct InFlight {
+    update: FlowUpdate,
     version: Version,
-    /// The update's indications, as pushed.
-    uims: Vec<(NodeId, Message)>,
+    kind: UpdateKind,
     /// Recovery re-pushes spent so far.
     retries: u32,
 }
 
 impl InFlight {
-    /// Push every indication of the update.
+    /// Push every indication of the update, built afresh.
     fn push(&self, out: &mut Vec<CtrlEffect>) {
-        out.extend(self.uims.iter().map(|(node, msg)| CtrlEffect::Send {
-            to: *node,
-            msg: msg.clone(),
-        }));
+        out.extend(
+            indications(&self.update, self.version, self.kind).map(|(node, uim)| {
+                CtrlEffect::Send {
+                    to: node,
+                    msg: Message::Uim(uim),
+                }
+            }),
+        );
     }
 }
 
@@ -223,16 +237,12 @@ impl P4UpdateController {
 impl ControllerLogic for P4UpdateController {
     fn start_update(&mut self, _now: SimTime, updates: &[FlowUpdate], out: &mut Vec<CtrlEffect>) {
         for (update, version) in updates.iter().zip(self.batch_versions(updates)) {
-            let prepared = prepare_update(update, version, self.strategy);
-            let in_flight = InFlight {
+            let in_flight = Box::new(InFlight {
+                update: update.clone(),
                 version,
-                uims: prepared
-                    .uims
-                    .into_iter()
-                    .map(|(node, uim)| (node, Message::Uim(uim)))
-                    .collect(),
+                kind: self.strategy.choose(update, &segment_update(update)),
                 retries: 0,
-            };
+            });
             in_flight.push(out);
             let rec = self.flows.entry(update.flow).or_insert(FlowRecord {
                 version: Version::NONE,
@@ -521,6 +531,72 @@ mod tests {
                 version: Version(2)
             }
         ));
+    }
+
+    /// Loss recovery re-pushes exactly what the start pushed — the same
+    /// targets and UIMs in the same order, which are the prepared plans'
+    /// — for every flow in flight, and a success UFM for the version in
+    /// flight ends it.
+    #[test]
+    fn a_recovery_push_is_the_first_push_again() {
+        let single = FlowUpdate::new(FlowId(5), Some(path(&[0, 1, 5])), path(&[0, 2, 3, 5]), 1.5);
+        let batch = [fig1_update(), single];
+        let mut c = P4UpdateController::new(Strategy::Auto);
+        c.register_flow(FlowId(0), Version(1));
+        let mut first = Vec::new();
+        c.start_update(SimTime::ZERO, &batch, &mut first);
+        let prepared = prepare_batch(
+            &[
+                (batch[0].clone(), Version(2)),
+                (batch[1].clone(), Version(1)),
+            ],
+            Strategy::Auto,
+        );
+        assert_eq!(
+            (prepared[0].kind, prepared[1].kind),
+            (UpdateKind::Dual, UpdateKind::Single)
+        );
+        let expected: Vec<CtrlEffect> = prepared
+            .into_iter()
+            .flat_map(|p| p.uims)
+            .map(|(to, uim)| CtrlEffect::Send {
+                to,
+                msg: Message::Uim(uim),
+            })
+            .collect();
+        assert_eq!(first, expected);
+        for _ in 0..3 {
+            let mut again = Vec::new();
+            assert!(c.on_timer(SimTime::ZERO, &mut again));
+            assert_eq!(again, first);
+        }
+        let success = |flow, version| {
+            Message::Ufm(Ufm {
+                flow,
+                version,
+                status: UfmStatus::Success,
+                reporter: NodeId(0),
+            })
+        };
+        let mut out = Vec::new();
+        c.on_message(
+            SimTime::ZERO,
+            NodeId(0),
+            success(FlowId(0), Version(2)),
+            &mut out,
+        );
+        let mut again = Vec::new();
+        assert!(c.on_timer(SimTime::ZERO, &mut again));
+        assert_eq!(again, first[8..]);
+        c.on_message(
+            SimTime::ZERO,
+            NodeId(0),
+            success(FlowId(5), Version(1)),
+            &mut out,
+        );
+        again.clear();
+        assert!(!c.on_timer(SimTime::ZERO, &mut again));
+        assert!(again.is_empty());
     }
 
     #[test]

@@ -96,7 +96,7 @@ fn systems(multi: bool) -> Vec<System> {
 
 /// Free-capacity view per directed link, as the congestion-aware
 /// controllers consume it.
-type FreeCapacity = std::collections::BTreeMap<(p4update_net::NodeId, p4update_net::NodeId), f64>;
+type FreeCapacity = p4update_net::ArcMap<f64>;
 
 /// The workload of one run of a panel.
 fn panel_updates(panel: Panel, seed: u64) -> (Vec<FlowUpdate>, Option<FreeCapacity>) {

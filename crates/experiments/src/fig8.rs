@@ -11,9 +11,8 @@ use p4update_baselines::{ez_prepare, ez_prepare_congestion};
 use p4update_core::{prepare_update, Strategy};
 use p4update_des::{Samples, SimRng};
 use p4update_messages::EzPriority;
-use p4update_net::{topologies, FlowUpdate, Topology, Version};
+use p4update_net::{topologies, ArcMap, FlowUpdate, Topology, Version};
 use p4update_traffic::multi_flow;
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// The four topologies of Fig. 8, with their (nodes, edges) signature.
@@ -56,21 +55,12 @@ fn batch_for(topo: &Topology, rng: &mut SimRng) -> Vec<Vec<FlowUpdate>> {
     groups
 }
 
-fn capacity_view(topo: &Topology) -> BTreeMap<(p4update_net::NodeId, p4update_net::NodeId), f64> {
-    let mut cap = BTreeMap::new();
-    for link in topo.links() {
-        cap.insert((link.a, link.b), link.capacity);
-        cap.insert((link.b, link.a), link.capacity);
-    }
-    cap
-}
-
 /// Measure one topology: `runs` repetitions of preparing a 1000-update
 /// batch with each system.
 pub fn measure(topo: &Topology, congestion: bool, runs: u64) -> RatioRow {
     let mut rng = SimRng::new(42);
     let groups = batch_for(topo, &mut rng);
-    let cap = capacity_view(topo);
+    let cap = ArcMap::new(topo, |link| link.capacity);
     let mut ratios = Samples::new();
     for _ in 0..runs {
         let t0 = Instant::now();

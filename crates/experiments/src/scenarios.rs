@@ -3,9 +3,8 @@
 
 use p4update_core::Strategy;
 use p4update_des::{SimDuration, SimTime};
-use p4update_net::{FlowId, FlowUpdate, Topology, Version};
+use p4update_net::{ArcMap, FlowId, FlowUpdate, Topology, Version};
 use p4update_sim::{simulation, Event, NetworkSim, SimConfig, System, TimingConfig};
-use std::collections::BTreeMap;
 
 /// Human label of a system variant as used in figure legends.
 pub fn system_label(system: System) -> &'static str {
@@ -26,7 +25,7 @@ pub fn build_run(
     system: System,
     config: SimConfig,
     updates: &[FlowUpdate],
-    free_capacity: Option<BTreeMap<(p4update_net::NodeId, p4update_net::NodeId), f64>>,
+    free_capacity: Option<ArcMap<f64>>,
 ) -> (NetworkSim, usize) {
     let mut world = NetworkSim::new(topo.clone(), system, config, free_capacity);
     for u in updates {
@@ -47,7 +46,7 @@ pub fn run_update_once(
     timing: TimingConfig,
     seed: u64,
     updates: &[FlowUpdate],
-    free_capacity: Option<BTreeMap<(p4update_net::NodeId, p4update_net::NodeId), f64>>,
+    free_capacity: Option<ArcMap<f64>>,
 ) -> Option<f64> {
     let config = SimConfig::new(timing, seed);
     let (world, batch) = build_run(topo, system, config, updates, free_capacity);

@@ -88,8 +88,12 @@ pub struct Graph {
     pub name: String,
     nodes: Vec<Node>,
     links: Vec<Link>,
-    /// adjacency[v] = sorted list of (neighbor, link id)
-    adjacency: Vec<Vec<(NodeId, LinkId)>>,
+    /// The adjacency in compressed-sparse-row form: `v`'s neighbours, each
+    /// with the connecting link and sorted by neighbour, are
+    /// `arcs[offsets[v]..offsets[v + 1]]`. A position in `arcs` is an *arc
+    /// id*, one per directed link `(v, w)`, ascending in `(v, w)` order.
+    offsets: Vec<u32>,
+    arcs: Vec<(NodeId, LinkId)>,
 }
 
 /// An immutable network topology.
@@ -154,18 +158,30 @@ impl Topology {
 
     /// Neighbors of `v` with the connecting link, sorted by neighbor id.
     pub fn neighbors(&self, v: NodeId) -> &[(NodeId, LinkId)] {
-        &self.adjacency[v.index()]
+        &self.arcs[self.arc_range(v)]
     }
 
-    /// The link between `a` and `b`, if they are adjacent. Binary search
-    /// over `a`'s sorted neighbor list — a couple of cache lines even on
-    /// the largest fat-trees, where this sits on the per-packet hot path
+    /// The arc ids of the links leaving `v`.
+    fn arc_range(&self, v: NodeId) -> std::ops::Range<usize> {
+        self.offsets[v.index()] as usize..self.offsets[v.index() + 1] as usize
+    }
+
+    /// The arc id of `a -> b`, if they are adjacent. Binary search over
+    /// `a`'s sorted neighbor list — a couple of cache lines even on the
+    /// largest fat-trees, where this sits on the per-packet hot path
     /// (`transit` resolves every switch-to-switch hop through it).
-    pub fn link_between(&self, a: NodeId, b: NodeId) -> Option<LinkId> {
-        let adj = self.adjacency.get(a.index())?;
-        adj.binary_search_by_key(&b, |&(n, _)| n)
+    fn arc(&self, a: NodeId, b: NodeId) -> Option<usize> {
+        let start = *self.offsets.get(a.index())? as usize;
+        let end = *self.offsets.get(a.index() + 1)? as usize;
+        self.arcs[start..end]
+            .binary_search_by_key(&b, |&(n, _)| n)
             .ok()
-            .map(|i| adj[i].1)
+            .map(|i| start + i)
+    }
+
+    /// The link between `a` and `b`, if they are adjacent.
+    pub fn link_between(&self, a: NodeId, b: NodeId) -> Option<LinkId> {
+        self.arc(a, b).map(|arc| self.arcs[arc].1)
     }
 
     /// One-way latency between two *adjacent* nodes.
@@ -298,6 +314,61 @@ impl Topology {
     }
 }
 
+/// One value per directed link of a topology, stored densely by arc id:
+/// the per-link state of a capacity view at 8 bytes an arc for an `f64`,
+/// where a map keyed by node pairs pays a tree node per entry. Iteration
+/// runs in ascending `(a, b)` order, the order of a `BTreeMap` keyed by
+/// `(a, b)`.
+#[derive(Clone)]
+pub struct ArcMap<T> {
+    topo: Topology,
+    /// By arc id.
+    values: Vec<T>,
+}
+
+impl<T> ArcMap<T> {
+    /// A map over `topo`'s arcs holding `value(link)` on both directions of
+    /// every link.
+    pub fn new(topo: &Topology, mut value: impl FnMut(&Link) -> T) -> Self {
+        let values = topo
+            .arcs
+            .iter()
+            .map(|&(_, l)| value(topo.link(l)))
+            .collect();
+        ArcMap {
+            topo: topo.clone(),
+            values,
+        }
+    }
+
+    /// The value on `a -> b`; `None` when the two are not adjacent.
+    pub fn get(&self, a: NodeId, b: NodeId) -> Option<&T> {
+        self.topo.arc(a, b).map(|arc| &self.values[arc])
+    }
+
+    /// The value on `a -> b`, mutably; `None` when the two are not adjacent.
+    pub fn get_mut(&mut self, a: NodeId, b: NodeId) -> Option<&mut T> {
+        self.topo.arc(a, b).map(|arc| &mut self.values[arc])
+    }
+
+    /// Every arc with its value, in ascending `(a, b)` order.
+    pub fn iter(&self) -> impl Iterator<Item = ((NodeId, NodeId), &T)> + '_ {
+        self.topo.node_ids().flat_map(move |a| {
+            let arcs = self.topo.arc_range(a);
+            self.topo.arcs[arcs.clone()]
+                .iter()
+                .zip(&self.values[arcs])
+                .map(move |(&(b, _), value)| ((a, b), value))
+        })
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for ArcMap<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
 /// Which node pairs have more than one simple path between them, from
 /// [`Topology::bridge_classes`]. A pair has exactly one iff bridges — links
 /// on no cycle — alone join its endpoints: if every link of a path is a
@@ -423,26 +494,35 @@ impl TopologyBuilder {
     pub fn build(mut self) -> Topology {
         self.nodes.shrink_to_fit();
         self.links.shrink_to_fit();
-        let mut degree = vec![0usize; self.nodes.len()];
+        // Degrees, then their prefix sums: `offsets[v]` is where `v`'s run
+        // of arcs starts.
+        let n = self.nodes.len();
+        let mut offsets = vec![0u32; n + 1];
         for link in &self.links {
-            degree[link.a.index()] += 1;
-            degree[link.b.index()] += 1;
+            offsets[link.a.index() + 1] += 1;
+            offsets[link.b.index() + 1] += 1;
         }
-        let mut adjacency: Vec<Vec<(NodeId, LinkId)>> =
-            degree.into_iter().map(Vec::with_capacity).collect();
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        let mut next: Vec<u32> = offsets[..n].to_vec();
+        let mut arcs = vec![(NodeId(0), LinkId(0)); 2 * self.links.len()];
         for (i, link) in self.links.iter().enumerate() {
             let id = LinkId(i as u32);
-            adjacency[link.a.index()].push((link.b, id));
-            adjacency[link.b.index()].push((link.a, id));
+            for (from, to) in [(link.a, link.b), (link.b, link.a)] {
+                arcs[next[from.index()] as usize] = (to, id);
+                next[from.index()] += 1;
+            }
         }
-        for adj in &mut adjacency {
-            adj.sort_unstable_by_key(|&(n, _)| n);
+        for v in 0..n {
+            arcs[offsets[v] as usize..offsets[v + 1] as usize].sort_unstable_by_key(|&(w, _)| w);
         }
         Topology(Rc::new(Graph {
             name: self.name,
             nodes: self.nodes,
             links: self.links,
-            adjacency,
+            offsets,
+            arcs,
         }))
     }
 }
@@ -499,10 +579,8 @@ pub(crate) mod tests {
         let t = unit_graph("chorded ring", 40, &links);
         assert_eq!(t.0.nodes.capacity(), 40);
         assert_eq!(t.0.links.capacity(), 58);
-        for v in t.node_ids() {
-            let adj = &t.0.adjacency[v.index()];
-            assert_eq!(adj.capacity(), adj.len(), "{v}");
-        }
+        assert_eq!(t.0.offsets.capacity(), 41);
+        assert_eq!(t.0.arcs.capacity(), 2 * 58);
     }
 
     #[test]
@@ -706,6 +784,68 @@ pub(crate) mod tests {
                 topo.name
             );
         }
+    }
+
+    /// The capacity view as it was built before arcs were dense: two
+    /// inserts per link into a map keyed by node pairs.
+    fn map_of_arcs(topo: &Topology) -> Vec<((NodeId, NodeId), f64)> {
+        let mut map = std::collections::BTreeMap::new();
+        for link in topo.links() {
+            map.insert((link.a, link.b), link.capacity);
+            map.insert((link.b, link.a), link.capacity);
+        }
+        map.into_iter().collect()
+    }
+
+    #[test]
+    fn arcs_are_the_map_keys_in_map_order() {
+        use crate::topologies as t;
+        for topo in [
+            t::fig1(),
+            t::fig2_chain(),
+            t::fig2_chain_slow_detour(),
+            t::multi_gateway(),
+            t::fig4_net(),
+            t::b4(),
+            t::internet2(),
+            t::att_mpls(),
+            t::chinanet(),
+            t::fat_tree(4),
+            t::synthetic_fat_tree_64(),
+            t::synthetic_fat_tree_512(),
+        ] {
+            let arcs = ArcMap::new(&topo, |l| l.capacity);
+            let dense: Vec<_> = arcs.iter().map(|(e, &c)| (e, c)).collect();
+            assert_eq!(dense, map_of_arcs(&topo), "{}", topo.name);
+            for a in topo.node_ids() {
+                for b in topo.node_ids() {
+                    let link = topo.link_between(a, b);
+                    let cap = arcs.get(a, b).copied();
+                    assert_eq!(cap, link.map(|l| topo.link(l).capacity), "{}", topo.name);
+                    if link.is_none() {
+                        assert_eq!(cap, None, "{}: {a} {b}", topo.name);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_arc_map_misses_off_the_graph() {
+        let t = triangle();
+        let mut arcs = ArcMap::new(&t, |l| l.latency);
+        let outside = NodeId(3);
+        assert_eq!(arcs.get(NodeId(0), outside), None);
+        assert_eq!(arcs.get(outside, NodeId(0)), None);
+        assert_eq!(arcs.get(NodeId(1), NodeId(1)), None);
+        assert!(arcs.get_mut(outside, outside).is_none());
+        *arcs.get_mut(NodeId(2), NodeId(0)).expect("adjacent") = SimDuration::ZERO;
+        assert_eq!(arcs.get(NodeId(2), NodeId(0)), Some(&SimDuration::ZERO));
+        assert_eq!(
+            arcs.get(NodeId(0), NodeId(2)),
+            Some(&SimDuration::from_millis(3))
+        );
+        assert_eq!(arcs.iter().count(), 6);
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub mod topologies;
 
 pub use flow::{FlowId, FlowUpdate, Version};
 pub use graph::{
-    BridgeClasses, Link, LinkId, Node, NodeId, Topology, TopologyBuilder, CAPACITY_SLACK,
+    ArcMap, BridgeClasses, Link, LinkId, Node, NodeId, Topology, TopologyBuilder, CAPACITY_SLACK,
 };
 pub use path::{
     k_shortest_paths, latency_distances_from, shortest_path, shortest_path_avoiding, Path,

@@ -19,7 +19,9 @@ use p4update_core::{P4UpdateController, P4UpdateLogic, Strategy};
 use p4update_dataplane::{ControllerLogic, CtrlEffect, Effect, Endpoint, Switch, SwitchLogic};
 use p4update_des::{ChoiceKind, Scheduler, SimDuration, SimRng, SimTime, Simulation, World};
 use p4update_messages::{ByzDelivery, ByzVector, DataPacket, Message, RejectReason, UfmStatus};
-use p4update_net::{latency_distances_from, FlowId, FlowUpdate, NodeId, Path, Topology, Version};
+use p4update_net::{
+    latency_distances_from, ArcMap, FlowId, FlowUpdate, NodeId, Path, Topology, Version,
+};
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
 
@@ -299,13 +301,16 @@ pub struct NetworkSim {
 
 impl NetworkSim {
     /// Assemble a network for `system` on `topo`. `free_capacity` seeds the
-    /// congestion-aware baselines' controller view (from
-    /// `p4update_traffic::Workload::free_capacity`).
+    /// controller view of the congestion-aware baselines, ez-Segway and
+    /// Central with `congestion` set (from
+    /// `p4update_traffic::Workload::free_capacity`); they alone read it,
+    /// so every other system drops it unread. A congestion-aware baseline
+    /// without one runs as its plain variant.
     pub fn new(
         topo: Topology,
         system: System,
         config: SimConfig,
-        free_capacity: Option<BTreeMap<(NodeId, NodeId), f64>>,
+        free_capacity: Option<ArcMap<f64>>,
     ) -> Self {
         let mut rng = SimRng::new(config.seed);
         let switches = SwitchTable::build(&topo, |id| {
@@ -316,30 +321,34 @@ impl NetworkSim {
             };
             Switch::new(id, &topo, logic)
         });
-        let make_controller = |free_capacity: Option<BTreeMap<_, _>>| match system {
+        let capacity_view = match system {
+            System::EzSegway { congestion } | System::Central { congestion } if congestion => {
+                free_capacity
+            }
+            _ => None,
+        };
+        let make_controller = |capacity: Option<ArcMap<f64>>| match system {
             System::P4Update(strategy) => {
                 // The NIB lets the controller set up paths for flows the
                 // data plane reports via FRMs (§6).
                 ControllerImpl::P4(P4UpdateController::new(strategy).with_nib(topo.clone()))
             }
-            System::EzSegway { congestion } => ControllerImpl::Ez(if congestion {
-                EzController::with_congestion(free_capacity.unwrap_or_default())
-            } else {
-                EzController::new()
+            System::EzSegway { .. } => ControllerImpl::Ez(match capacity {
+                Some(capacity) => EzController::with_congestion(capacity),
+                None => EzController::new(),
             }),
-            System::Central { congestion } => ControllerImpl::Central(if congestion {
-                CentralController::with_congestion(free_capacity.unwrap_or_default())
-            } else {
-                CentralController::new()
+            System::Central { .. } => ControllerImpl::Central(match capacity {
+                Some(capacity) => CentralController::with_congestion(capacity),
+                None => CentralController::new(),
             }),
         };
         // Replicas beyond the primary are identically-constructed shadow
         // state machines (capped at 3 total, per the model): each gets a
         // copy of the capacity view, the primary takes the original.
         let standbys = (1..config.replication.replicas.min(3))
-            .map(|_| make_controller(free_capacity.clone()))
+            .map(|_| make_controller(capacity_view.clone()))
             .collect();
-        let controller = make_controller(free_capacity);
+        let controller = make_controller(capacity_view);
         let n = topo.node_count();
         // One word is drawn and discarded: every stream the repository pins
         // (golden cells, the trace corpus, the benchmark's statistics)
@@ -1186,12 +1195,8 @@ mod tests {
         let p = |nodes: &[u32]| Path::new(nodes.iter().copied().map(NodeId).collect());
         let leaves = FlowUpdate::new(FlowId(0), Some(p(&[0, 1, 3])), p(&[0, 2, 3]), 1.0);
         let enters = FlowUpdate::new(FlowId(1), Some(p(&[0, 2, 3])), p(&[0, 1, 3]), 1.0);
-        let mut free: BTreeMap<_, _> = topo
-            .links()
-            .iter()
-            .flat_map(|l| [((l.a, l.b), 10.0), ((l.b, l.a), 10.0)])
-            .collect();
-        free.insert((NodeId(0), NodeId(1)), 0.0);
+        let mut free = ArcMap::new(&topo, |_| 10.0);
+        *free.get_mut(NodeId(0), NodeId(1)).expect("a link") = 0.0;
         let batch = [leaves.clone(), enters.clone()];
         let whole = ez_prepare_congestion(&batch, &free);
         assert_eq!(whole[&FlowId(0)], EzPriority::High);

@@ -10,9 +10,8 @@
 use crate::gravity::TrafficMatrix;
 use p4update_des::SimRng;
 use p4update_net::{
-    segment_update, FlowId, FlowUpdate, NodeId, Path, PathSolver, Topology, CAPACITY_SLACK,
+    segment_update, ArcMap, FlowId, FlowUpdate, NodeId, Path, PathSolver, Topology, CAPACITY_SLACK,
 };
-use std::collections::BTreeMap;
 
 /// A generated workload: per-flow updates plus the capacity view after the
 /// *old* paths are allocated (the state an experiment starts from).
@@ -21,7 +20,7 @@ pub struct Workload {
     /// One update per flow.
     pub updates: Vec<FlowUpdate>,
     /// Free capacity per directed link once every old path is allocated.
-    pub free_capacity: BTreeMap<(NodeId, NodeId), f64>,
+    pub free_capacity: ArcMap<f64>,
 }
 
 /// Free capacity per directed link once every update's path — picked by
@@ -31,15 +30,11 @@ fn free_capacity_after(
     topo: &Topology,
     updates: &[FlowUpdate],
     path_of: impl Fn(&FlowUpdate) -> Option<&Path>,
-) -> Option<BTreeMap<(NodeId, NodeId), f64>> {
-    let mut free: BTreeMap<(NodeId, NodeId), f64> = BTreeMap::new();
-    for link in topo.links() {
-        free.insert((link.a, link.b), link.capacity);
-        free.insert((link.b, link.a), link.capacity);
-    }
+) -> Option<ArcMap<f64>> {
+    let mut free = ArcMap::new(topo, |link| link.capacity);
     for u in updates {
-        for e in path_of(u).into_iter().flat_map(Path::edges) {
-            let c = free.get_mut(&e).expect("path edges are links");
+        for (a, b) in path_of(u).into_iter().flat_map(Path::edges) {
+            let c = free.get_mut(a, b).expect("path edges are links");
             *c -= u.size;
             if *c < -CAPACITY_SLACK {
                 return None;
@@ -321,17 +316,49 @@ mod tests {
     use p4update_net::topologies;
 
     /// `try_multi_flow` as it stood while an attempt was searched as it was
-    /// drawn, kept verbatim (plus the counters, and `None` where
-    /// `multi_flow` panics) as the reference the draw-decide-search order
-    /// is compared against.
+    /// drawn and free capacity was a map keyed by node pairs, kept verbatim
+    /// (plus the counters, and `None` where `multi_flow` panics) as the
+    /// reference the draw-decide-search order and the dense capacity view
+    /// are compared against.
     mod oracle {
         use super::*;
+        use std::collections::BTreeMap;
+
+        /// The oracle's workload: the updates, and the free capacity per
+        /// directed link in the map's key order.
+        pub struct Generated {
+            pub updates: Vec<FlowUpdate>,
+            pub free_capacity: Vec<((NodeId, NodeId), f64)>,
+        }
+
+        /// Free capacity per directed link, two map inserts per link.
+        fn free_capacity_after(
+            topo: &Topology,
+            updates: &[FlowUpdate],
+            path_of: impl Fn(&FlowUpdate) -> Option<&Path>,
+        ) -> Option<Vec<((NodeId, NodeId), f64)>> {
+            let mut free = BTreeMap::new();
+            for link in topo.links() {
+                free.insert((link.a, link.b), link.capacity);
+                free.insert((link.b, link.a), link.capacity);
+            }
+            for u in updates {
+                for e in path_of(u).into_iter().flat_map(Path::edges) {
+                    let c = free.get_mut(&e).expect("path edges are links");
+                    *c -= u.size;
+                    if *c < -CAPACITY_SLACK {
+                        return None;
+                    }
+                }
+            }
+            Some(free.into_iter().collect())
+        }
 
         pub fn try_multi_flow(
             topo: &Topology,
             rng: &mut SimRng,
             load_factor: f64,
-        ) -> Option<Workload> {
+        ) -> Option<Generated> {
             let nodes: Vec<NodeId> = topo.node_ids().collect();
             let n = nodes.len();
             let total_capacity: f64 = topo.links().iter().map(|l| l.capacity).sum();
@@ -371,7 +398,7 @@ mod tests {
                 // Feasible before the migration and after it, or generate again.
                 if let Some(free) = free_capacity_after(topo, &updates, |u| u.old_path.as_ref()) {
                     if free_capacity_after(topo, &updates, |u| Some(&u.new_path)).is_some() {
-                        return Some(Workload {
+                        return Some(Generated {
                             updates,
                             free_capacity: free,
                         });
@@ -382,8 +409,10 @@ mod tests {
         }
     }
 
-    /// Both generators on the same seed: the same workload bit for bit and
-    /// the stream left at the same word, or neither finds one.
+    /// Both generators on the same seed: the same workload bit for bit —
+    /// the dense free capacity equal to the oracle's map arc by arc, in its
+    /// key order — and the stream left at the same word, or neither finds
+    /// one.
     fn assert_agrees_with_the_oracle(topo: &Topology, seed: u64, load_factor: f64) {
         let (mut rng, mut oracle_rng) = (SimRng::new(seed), SimRng::new(seed));
         let got = try_multi_flow(topo, &mut rng, load_factor);
@@ -392,7 +421,17 @@ mod tests {
         assert_eq!(got.is_some(), expected.is_some(), "{what}");
         if let (Some(got), Some(expected)) = (got, expected) {
             assert_eq!(got.updates, expected.updates, "{what}");
-            assert_eq!(got.free_capacity, expected.free_capacity, "{what}");
+            let dense: Vec<_> = got
+                .free_capacity
+                .iter()
+                .map(|(e, c)| (e, c.to_bits()))
+                .collect();
+            let map: Vec<_> = expected
+                .free_capacity
+                .iter()
+                .map(|&(e, c)| (e, c.to_bits()))
+                .collect();
+            assert_eq!(dense, map, "{what}");
         }
         assert_eq!(rng.next_u64(), oracle_rng.next_u64(), "{what}: next word");
     }
@@ -433,9 +472,9 @@ mod tests {
 
     /// `Work` done by `generate` over seeds 1..=200 at load 0.55, the
     /// cells `wan-sweep` runs.
-    fn work_over_the_sweep(
+    fn work_over_the_sweep<T>(
         topo: &Topology,
-        generate: fn(&Topology, &mut SimRng, f64) -> Option<Workload>,
+        generate: fn(&Topology, &mut SimRng, f64) -> Option<T>,
     ) -> Work {
         WORK.set(Work::default());
         for seed in 1..=200 {
@@ -494,7 +533,7 @@ mod tests {
             a.updates.iter().map(|u| u.flow).collect::<Vec<_>>(),
             b.updates.iter().map(|u| u.flow).collect::<Vec<_>>()
         );
-        assert_eq!(a.free_capacity, b.free_capacity);
+        assert!(a.free_capacity.iter().eq(b.free_capacity.iter()));
     }
 
     #[test]
@@ -545,7 +584,7 @@ mod tests {
         let topo = topologies::internet2();
         let mut rng = SimRng::new(5);
         let w = multi_flow(&topo, &mut rng, 0.3);
-        for &free in w.free_capacity.values() {
+        for (_, &free) in w.free_capacity.iter() {
             assert!(free >= -1e-9, "over-allocated link: {free}");
         }
     }

@@ -5,12 +5,12 @@
 #
 # Runs the document budgets (CHANGES.md at most 40,000 bytes with no line
 # over 1,500, DESIGN.md at most 50,000: one home per fact, the raw runs live
-# in RUNS.md), formatting, the debug-only-check grep, the `Rc<Topology>` grep, the
-# clippy lint wall, rustdoc with warnings denied, the full offline test suite, the static plan linter over its sample plans
+# in RUNS.md), formatting, the debug-only-check grep, the `Rc<Topology>` grep,
+# the grep for per-link maps keyed by node pairs, the clippy lint wall, rustdoc with warnings denied, the full offline test suite, the static plan linter over its sample plans
 # (including the mutated ones, which must make it exit non-zero),
-# the corpus and explorer smokes, the ft512 world's heap-footprint counts
-# (which a deep topology copy, a per-switch map or a retained batch-sized
-# buffer fails), the large fat-tree tests, the experiment means
+# the corpus and explorer smokes, the ft512 lint pass's and world's
+# heap-footprint counts (which a deep topology copy, a per-switch map or a
+# retained batch-sized buffer fails), the large fat-tree tests, the experiment means
 # EXPERIMENTS.md quotes, the root
 # property suites and the differentials — the path solver, the bridge
 # classification and `multi_flow` against their oracles, the UIB against its
@@ -63,6 +63,18 @@ fi
 echo "==> no Rc<Topology> under crates/ (clone the handle)"
 if grep -rn 'Rc<Topology>' crates/; then exit 1; fi
 
+# Per-directed-link state is one value per arc id (`p4update_net::ArcMap`,
+# DESIGN.md section 3): a map keyed by node pairs is the tree node per link
+# on its way back. The one exemption is the checker: a forged next hop can
+# name a pair that is no link, and its per-call link load is what ROADMAP
+# item 2's incremental checker replaces.
+echo "==> no BTreeMap<(NodeId, NodeId) under crates/ src/ examples/ (use ArcMap)"
+if grep -rn 'BTreeMap<(NodeId, NodeId)' crates/ src/ examples/ \
+    | grep -v '^crates/sim/src/checker\.rs:'; then
+    echo "error: per-link state keyed by node pairs (use p4update_net::ArcMap)" >&2
+    exit 1
+fi
+
 echo "==> cargo clippy (workspace, all targets, -D warnings)"
 cargo clippy --workspace --all-targets -q -- -D warnings
 
@@ -88,15 +100,16 @@ fi
 echo "==> trace corpus replays byte-exactly (release profile)"
 cargo test -q --release --test corpus_replay
 
-# Counts (tests/world_footprint.rs), not timings. Three things fail here
-# that `peak_rss_mb` would only drift on: a deep topology copy (a clone must
+# Counts (tests/world_footprint.rs), not timings. The lint pass before the
+# world has a peak bound of its own. Three things fail here that
+# `peak_rss_mb` would only drift on: a deep topology copy (a clone must
 # request 0 bytes, a built ft512 graph is pinned to the byte), a per-switch
 # map where a sorted vector is, a retained batch-sized buffer and a
 # per-switch buffer kept after it empties (the world at rest is pinned to
 # the byte; the peak has a bound). (A fat message
 # variant fails `cargo build`: the size assertions beside `Message`,
 # `Effect` and `Event`.)
-echo "==> ft512 world heap footprint: peak under its bound, topology and resting world at their counts (release profile)"
+echo "==> ft512 lint and world heap footprint: peaks under their bounds, topology and resting world at their counts (release profile)"
 cargo test -q --release --test world_footprint
 
 echo "==> exploration smoke run (small budget; P4Update must stay clean)"

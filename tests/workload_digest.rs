@@ -49,7 +49,7 @@ fn workload_digest(w: &Workload) -> u64 {
     for u in &w.updates {
         d.update(u);
     }
-    for (&(a, b), free) in &w.free_capacity {
+    for ((a, b), free) in w.free_capacity.iter() {
         d.word(u64::from(a.0));
         d.word(u64::from(b.0));
         d.word(free.to_bits());

@@ -1,5 +1,5 @@
-//! Heap footprint of one simulated world: the regression oracle that the
-//! benchmark's `peak_rss_mb` cannot be.
+//! Heap footprint of one simulated world and of the lint pass before it:
+//! the regression oracle that the benchmark's `peak_rss_mb` cannot be.
 //!
 //! `peak_rss_mb` is a high-water mark of the whole process, page-granular
 //! and allocator-dependent; this is a deterministic count. One
@@ -8,7 +8,11 @@
 //! installed, one batch, 600 simulated seconds) and the test bounds the
 //! peak of *requested live bytes* above what was live before the world
 //! existed: switch state, the logics' per-switch tables, the event queue,
-//! the effect buffers and the controller's stores. Beside the bound, three
+//! the effect buffers and the controller's stores. Before the world, the
+//! batch is prepared and linted the way the benchmark does it, and the
+//! peak of that phase — topology, batch, plans and the linter's working
+//! set, `dc-scale`'s other high-water mark — has a bound of its own. Beside
+//! the bounds, three
 //! exact counts: a built topology is live at its pinned size (no builder
 //! slack), a clone of it requests nothing (the world holds a handle, not a
 //! copy), and the world at rest after the run weighs what was recorded.
@@ -26,11 +30,12 @@ use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use p4update::core::Strategy;
+use p4update::analysis::{AnalysisContext, BatchAnalyzer};
+use p4update::core::{prepare_batch, Strategy};
 use p4update::des::{SimDuration, SimRng, SimTime};
-use p4update::net::topologies;
+use p4update::net::{topologies, Topology, Version};
 use p4update::sim::{simulation, Event, NetworkSim, SimConfig, System, TimingConfig};
-use p4update::traffic::multi_flow;
+use p4update::traffic::{multi_flow, Workload};
 
 /// Tracks requested bytes: live now, and the most ever live.
 struct CountingAlloc;
@@ -104,8 +109,19 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// 1,692,760 with `pending` and the `Parked` lists freed when they empty;
 /// the bound sits halfway between 1,915,256 and that. (The trigger pass
 /// shipping one P4Update flow at a time does not move this peak: at ft512
-/// the run, not the trigger, sets it.)
-const PEAK_BOUND: usize = 1_804_008;
+/// the run, not the trigger, sets it.) Then 1,622,024 with an in-flight
+/// update kept as its update, version and mechanism, its UIMs built on
+/// every push; the bound sits halfway between 1,692,760 and that.
+const PEAK_BOUND: usize = 1_657_392;
+
+/// Peak live bytes of the lint pass above the start: the topology, the
+/// batch, its prepared plans and the linter's working set. 1,846,542 with
+/// the adjacency one vector per node, free capacity a map keyed by node
+/// pairs and the waits-for link index a map of two vectors per link;
+/// 1,305,994 with the adjacency one array, free capacity one value per arc
+/// and the link index one sorted vector of `(link, side, plan)` entries.
+/// The bound sits halfway between the two.
+const LINT_PEAK_BOUND: usize = 1_576_268;
 
 /// What the world holds above the baseline once the run is over and the
 /// queue is empty, to the byte: 2,519,872 at bad153b, 1,901,496 at dfbc3c2,
@@ -116,13 +132,40 @@ const PEAK_BOUND: usize = 1_804_008;
 /// one of the things this count is for — a per-switch map back in place of
 /// a sorted vector is +37,280 (`Uib::index`) or +36,864 (`ufm_sent`), a
 /// whole-batch trigger pass keeping its buffer +196,416 — so each fails
-/// here. Re-record it, on purpose, when the world's state changes.
-const REST_BYTES: usize = 1_593_384;
+/// here. Then 1,571,208: 22,176 fewer with the controller's in-flight part
+/// of a flow record boxed. Re-record it, on purpose, when the world's
+/// state changes.
+const REST_BYTES: usize = 1_571_208;
 
 /// What a built `synthetic_fat_tree_512` keeps live, to the byte: the
-/// handle's `Rc` box, `nodes`, `links` and the adjacency lists at their
-/// exact sizes, and the names (365,054 with the builder's growth slack).
-const FT512_TOPOLOGY_BYTES: usize = 348_782;
+/// handle's `Rc` box, `nodes`, `links` and the adjacency's offsets and arc
+/// array at their exact sizes, and the names (365,054 with the builder's
+/// growth slack, 348,782 with one adjacency vector per node).
+const FT512_TOPOLOGY_BYTES: usize = 338_570;
+
+/// What the controller does before the batch ships, as the benchmark does
+/// it: version the batch (a migration moves installed version 1 to 2),
+/// prepare every plan, lint them against the installed versions. Returns
+/// whether the lint came out clean.
+fn prepare_and_lint(topo: &Topology, batch: &Workload, strategy: Strategy) -> bool {
+    let mut installed = Vec::new();
+    let updates: Vec<_> = batch
+        .updates
+        .iter()
+        .map(|u| {
+            let version = if u.old_path.is_some() {
+                installed.push((u.flow, Version(1)));
+                Version(2)
+            } else {
+                Version(1)
+            };
+            (u.clone(), version)
+        })
+        .collect();
+    let plans = prepare_batch(&updates, strategy);
+    let ctx = AnalysisContext::with_installed(Some(topo), installed);
+    BatchAnalyzer::new(1).analyze(&plans, &ctx).is_clean()
+}
 
 fn live() -> usize {
     LIVE.load(Ordering::Relaxed)
@@ -140,7 +183,7 @@ fn ft512_world_stays_under_its_recorded_peak() {
     COUNTING.with(|c| c.set(true));
     // Live bytes after each phase, printed at the end: a captured `println!`
     // allocates, and pushing within this capacity does not.
-    let mut phases: Vec<(&str, usize)> = Vec::with_capacity(8);
+    let mut phases: Vec<(&str, usize)> = Vec::with_capacity(9);
     let start = live();
 
     let topo = topologies::synthetic_fat_tree_512();
@@ -156,12 +199,19 @@ fn ft512_world_stays_under_its_recorded_peak() {
     let batch = multi_flow(&topo, &mut SimRng::new(1), 0.55);
     phases.push(("multi_flow", live() - start));
     let flows = batch.updates.len();
+    let strategy = Strategy::ForceDual;
+
+    mark();
+    assert!(prepare_and_lint(&topo, &batch, strategy));
+    let lint_peak = PEAK.load(Ordering::Relaxed) - start;
+    phases.push(("lint peak", lint_peak));
+
     let config = SimConfig::new(TimingConfig::fat_tree(), 1);
 
     let before = mark();
     let mut world = NetworkSim::new(
         topo.clone(),
-        System::P4Update(Strategy::ForceDual),
+        System::P4Update(strategy),
         config,
         Some(batch.free_capacity.clone()),
     );
@@ -184,6 +234,7 @@ fn ft512_world_stays_under_its_recorded_peak() {
     for (name, bytes) in phases {
         println!("{name:>12}: {bytes:>9} bytes live");
     }
+    println!("ft512 lint: peak live heap {lint_peak} bytes");
     println!("ft512 world: peak live heap {peak} bytes over {flows} flows");
     assert_eq!(rest, REST_BYTES);
 
@@ -194,5 +245,9 @@ fn ft512_world_stays_under_its_recorded_peak() {
     assert!(
         peak <= PEAK_BOUND,
         "peak live heap of the ft512 world is {peak} bytes, bound {PEAK_BOUND}"
+    );
+    assert!(
+        lint_peak <= LINT_PEAK_BOUND,
+        "peak live heap of the ft512 lint pass is {lint_peak} bytes, bound {LINT_PEAK_BOUND}"
     );
 }
