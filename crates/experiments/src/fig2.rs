@@ -9,12 +9,13 @@
 //! every packet is seen exactly once at `v1` and all packets are delivered
 //! at `v4`.
 
-use crate::scenarios::build_run;
 use p4update_core::Strategy;
 use p4update_des::{SimDuration, SimTime};
 use p4update_messages::DataPacket;
 use p4update_net::{topologies, FlowId, FlowUpdate, NodeId, Path};
-use p4update_sim::{simulation, Event, FaultConfig, SimConfig, System, TimingConfig};
+use p4update_sim::{
+    batch_simulation, Event, FaultConfig, NetworkSim, SimConfig, System, TimingConfig,
+};
 
 /// Results of one Fig. 2 run for one system.
 #[derive(Debug, Clone)]
@@ -74,16 +75,12 @@ pub fn run_system(system: System, seed: u64) -> Fig2Series {
     };
     let config = SimConfig::new(timing, seed).with_faults(faults);
 
-    let (mut world, batch) = build_run(&topo, system, config, &[update_c], None);
+    let world = NetworkSim::new(topo, system, config, None);
+    let t_update_c = SimTime::ZERO + SimDuration::from_millis(T_UPDATE_C_MS);
+    let mut sim = batch_simulation(world, vec![update_c], t_update_c);
     // The *actual* data plane runs configuration (a) — overwrite the
     // bootstrap (which installed the controller's assumed (b) state).
-    world.install_initial_path(flow, &config_a, 1.0);
-
-    let mut sim = simulation(world);
-    sim.schedule_at(
-        SimTime::ZERO + SimDuration::from_millis(T_UPDATE_C_MS),
-        Event::Trigger { batch },
-    );
+    sim.world_mut().install_initial_path(flow, &config_a, 1.0);
     // 125 pps probe stream.
     let interval_ns = 1_000_000_000 / PPS;
     let mut t = T_TRAFFIC_START_MS * 1_000_000;

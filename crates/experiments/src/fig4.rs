@@ -6,11 +6,10 @@
 //! to `V3`. The measured quantity is `U3`'s completion time; the paper
 //! reports P4Update roughly 4× faster.
 
-use crate::scenarios::build_run;
 use p4update_core::Strategy;
 use p4update_des::{Samples, SimDuration, SimTime};
 use p4update_net::{topologies, FlowId, FlowUpdate, Path, Version};
-use p4update_sim::{simulation, Event, SimConfig, System, TimingConfig};
+use p4update_sim::{batch_simulation, Event, NetworkSim, SimConfig, System, TimingConfig};
 
 /// `U3` is triggered this long after `U2`.
 const U3_DELAY_MS: u64 = 50;
@@ -29,20 +28,17 @@ pub fn run_once(system: System, seed: u64) -> Option<f64> {
     let topo = topologies::fig4_net();
     let (v1, v2, v3) = paths();
     let flow = FlowId(0);
-    let u2 = FlowUpdate::new(flow, Some(v1.clone()), v2.clone(), 1.0);
+    // The data plane runs V1 (U2's old path) when the run starts.
+    let u2 = FlowUpdate::new(flow, Some(v1), v2.clone(), 1.0);
     let u3 = FlowUpdate::new(flow, Some(v2), v3, 1.0);
 
     // Single-flow style timing: installs are slowed (this is what makes
     // waiting for U2 expensive).
     let timing = TimingConfig::wan_single_flow(topo.centroid());
     let config = SimConfig::new(timing, seed);
-    let (mut world, batch2) = build_run(&topo, system, config, &[u2], None);
-    // The data plane actually runs V1.
-    world.install_initial_path(flow, &v1, 1.0);
-    let batch3 = world.add_batch(vec![u3]);
-
-    let mut sim = simulation(world);
-    sim.schedule_at(SimTime::ZERO, Event::Trigger { batch: batch2 });
+    let world = NetworkSim::new(topo, system, config, None);
+    let mut sim = batch_simulation(world, vec![u2], SimTime::ZERO);
+    let batch3 = sim.world_mut().add_batch(vec![u3]);
     let t3 = SimTime::ZERO + SimDuration::from_millis(U3_DELAY_MS);
     sim.schedule_at(t3, Event::Trigger { batch: batch3 });
     let _ = sim.run_until(SimTime::ZERO + SimDuration::from_secs(600));

@@ -4,7 +4,7 @@
 use p4update_core::Strategy;
 use p4update_des::{SimDuration, SimTime};
 use p4update_net::{ArcMap, FlowId, FlowUpdate, Topology, Version};
-use p4update_sim::{simulation, Event, NetworkSim, SimConfig, System, TimingConfig};
+use p4update_sim::{batch_simulation, NetworkSim, SimConfig, System, TimingConfig};
 
 /// Human label of a system variant as used in figure legends.
 pub fn system_label(system: System) -> &'static str {
@@ -17,29 +17,11 @@ pub fn system_label(system: System) -> &'static str {
     }
 }
 
-/// Build a network for one run: install every update's old path, register
-/// the batch, seed congestion-aware controllers with the post-allocation
-/// free capacity.
-pub fn build_run(
-    topo: &Topology,
-    system: System,
-    config: SimConfig,
-    updates: &[FlowUpdate],
-    free_capacity: Option<ArcMap<f64>>,
-) -> (NetworkSim, usize) {
-    let mut world = NetworkSim::new(topo.clone(), system, config, free_capacity);
-    for u in updates {
-        if let Some(old) = &u.old_path {
-            world.install_initial_path(u.flow, old, u.size);
-        }
-    }
-    let batch = world.add_batch(updates.to_vec());
-    (world, batch)
-}
-
-/// Run one update experiment: trigger at t=0, run to completion, return
-/// the last flow's completion time in milliseconds. `None` when any flow
-/// failed to complete (which the experiments treat as a hard error).
+/// Run one update experiment: trigger at t=0 ([`batch_simulation`]), with
+/// congestion-aware controllers seeded with the post-allocation free
+/// capacity, run to completion, return the last flow's completion time in
+/// milliseconds. `None` when any flow failed to complete (which the
+/// experiments treat as a hard error).
 pub fn run_update_once(
     topo: &Topology,
     system: System,
@@ -49,9 +31,8 @@ pub fn run_update_once(
     free_capacity: Option<ArcMap<f64>>,
 ) -> Option<f64> {
     let config = SimConfig::new(timing, seed);
-    let (world, batch) = build_run(topo, system, config, updates, free_capacity);
-    let mut sim = simulation(world);
-    sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
+    let world = NetworkSim::new(topo.clone(), system, config, free_capacity);
+    let mut sim = batch_simulation(world, updates.to_vec(), SimTime::ZERO);
     // Generous horizon: scenarios complete in seconds of simulated time.
     let _ = sim.run_until(SimTime::ZERO + SimDuration::from_secs(600));
     let world = sim.into_world();

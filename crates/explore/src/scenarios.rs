@@ -16,8 +16,8 @@ use p4update_core::Strategy;
 use p4update_des::{SimDuration, SimTime};
 use p4update_net::{topologies, FlowId, FlowUpdate, Path, PathSolver};
 use p4update_sim::{
-    simulation, ByzVector, ByzantineConfig, Event, NetworkSim, ReplicationConfig, SimConfig,
-    System, TimingConfig,
+    batch_simulation, simulation, ByzVector, ByzantineConfig, Event, NetworkSim, SimConfig, System,
+    TimingConfig,
 };
 
 /// A named scenario's metadata.
@@ -94,15 +94,14 @@ pub fn names() -> Vec<&'static str> {
 /// Build `name` at `seed`. Returns `None` for unknown names.
 ///
 /// Beyond the registered base names, `build` accepts `+`-separated
-/// modifier suffixes (e.g. `fig2-ez+byz-dep-k1`, `fig1-dual+repl2`):
+/// modifier suffixes (e.g. `fig2-ez+byz-dep-k1`, `fig1-dual+repl`):
 ///
 /// - `byz-<vec>-k<N>` installs the byzantine catalog with vector `<vec>`
 ///   (`dep`, `stale`, `equiv`, `ack`, or `any` for the full catalog) and
 ///   a liar budget of `N` switches.
-/// - `repl<R>` runs `R ∈ {2, 3}` controller replicas with a
-///   deterministic failover 50 ms after the update trigger (25 ms
-///   replication lag) and the §11 retry timer enabled so the promoted
-///   standby can finish the update.
+/// - `repl` runs a standby controller with a deterministic failover
+///   50 ms after the update trigger (25 ms replication lag) and the §11
+///   retry timer enabled so the promoted standby can finish the update.
 ///
 /// Modified names are deliberately *not* in [`SCENARIOS`]: the registry
 /// lists base scenarios whose default runs are clean and deterministic,
@@ -128,12 +127,12 @@ pub fn base_name(name: &str) -> &str {
 }
 
 /// Parsed modifier suffixes, applied to a scenario's [`SimConfig`] at
-/// construction time (controller standbys are built in the world
+/// construction time (the controller standby is built in the world
 /// constructor, so modifiers cannot be bolted on afterwards).
 #[derive(Debug, Clone, Copy, Default)]
 struct Mods {
     byzantine: Option<ByzantineConfig>,
-    replicas: Option<u8>,
+    failover: bool,
 }
 
 impl Mods {
@@ -142,16 +141,13 @@ impl Mods {
         if let Some(byz) = self.byzantine {
             config = config.with_byzantine(byz);
         }
-        if let Some(replicas) = self.replicas {
+        if self.failover {
             // Fail over mid-update (50 ms after the trigger), with the
             // last 25 ms of primary traffic lost to replication lag; the
             // retry timer lets the promoted standby re-drive stalled
             // switches (§11).
             config = config
-                .with_replication(ReplicationConfig {
-                    replicas,
-                    failover_at_ms: trigger_ms + 50.0,
-                })
+                .with_failover_at_ms(trigger_ms + 50.0)
                 .with_retry_ms(200.0);
         }
         config
@@ -171,9 +167,8 @@ fn parse_mods(name: &str) -> Option<(&str, Mods)> {
                 other => Some(ByzVector::from_name(other)?),
             };
             mods.byzantine = Some(ByzantineConfig { max_liars, vector });
-        } else if let Some(r) = part.strip_prefix("repl") {
-            let replicas: u8 = r.parse().ok().filter(|r| (2..=3).contains(r))?;
-            mods.replicas = Some(replicas);
+        } else if part == "repl" {
+            mods.failover = true;
         } else {
             return None;
         }
@@ -207,6 +202,8 @@ fn fig2(system: System, seed: u64, mods: Mods) -> BuiltScenario {
         100.0,
     );
     let mut world = NetworkSim::new(topo, system, config, None);
+    // Assembled by hand: (a) is installed while the update names (b) as
+    // the old path (the §4.1 premise).
     world.install_initial_path(flow, &config_a, 1.0);
     let batch = world.add_batch(vec![FlowUpdate::new(flow, Some(config_b), config_c, 1.0)]);
     let mut sim = simulation(world);
@@ -230,13 +227,10 @@ fn fig1(strategy: Strategy, seed: u64, mods: Mods) -> BuiltScenario {
         explore_config(TimingConfig::wan_multi_flow(topo.centroid()), seed),
         0.0,
     );
-    let mut world = NetworkSim::new(topo, System::P4Update(strategy), config, None);
-    world.install_initial_path(flow, &old, 1.0);
-    let batch = world.add_batch(vec![FlowUpdate::new(flow, Some(old.clone()), new, 1.0)]);
-    let mut sim = simulation(world);
-    sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
+    let world = NetworkSim::new(topo, System::P4Update(strategy), config, None);
+    let update = FlowUpdate::new(flow, Some(old), new, 1.0);
     BuiltScenario {
-        sim,
+        sim: batch_simulation(world, vec![update], SimTime::ZERO),
         horizon: SimTime::ZERO + SimDuration::from_secs(120),
     }
 }
@@ -252,13 +246,10 @@ fn multi_gateway(seed: u64, mods: Mods) -> BuiltScenario {
         explore_config(TimingConfig::wan_multi_flow(topo.centroid()), seed),
         0.0,
     );
-    let mut world = NetworkSim::new(topo, System::P4Update(Strategy::ForceDual), config, None);
-    world.install_initial_path(flow, &old, 1.0);
-    let batch = world.add_batch(vec![FlowUpdate::new(flow, Some(old.clone()), new, 1.0)]);
-    let mut sim = simulation(world);
-    sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
+    let world = NetworkSim::new(topo, System::P4Update(Strategy::ForceDual), config, None);
+    let update = FlowUpdate::new(flow, Some(old), new, 1.0);
     BuiltScenario {
-        sim,
+        sim: batch_simulation(world, vec![update], SimTime::ZERO),
         horizon: SimTime::ZERO + SimDuration::from_secs(120),
     }
 }
@@ -273,7 +264,7 @@ fn ft512(seed: u64, mods: Mods) -> BuiltScenario {
     let topo = topologies::synthetic_fat_tree_512();
     let edges = topologies::fat_tree_edge_switches(&topo);
     let config = mods.apply(explore_config(TimingConfig::fat_tree(), seed), 0.0);
-    let mut world = NetworkSim::new(
+    let world = NetworkSim::new(
         topo.clone(),
         System::P4Update(Strategy::ForceDual),
         config,
@@ -294,14 +285,10 @@ fn ft512(seed: u64, mods: Mods) -> BuiltScenario {
         assert!(routes.len() >= 2, "fat-tree must offer two disjoint routes");
         let new = routes.pop().expect("second route");
         let old = routes.pop().expect("first route");
-        world.install_initial_path(flow, &old, 1.0);
         updates.push(FlowUpdate::new(flow, Some(old), new, 1.0));
     }
-    let batch = world.add_batch(updates);
-    let mut sim = simulation(world);
-    sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
     BuiltScenario {
-        sim,
+        sim: batch_simulation(world, updates, SimTime::ZERO),
         horizon: SimTime::ZERO + SimDuration::from_secs(120),
     }
 }
@@ -326,33 +313,32 @@ mod tests {
         let byz = cfg.byzantine.expect("catalog installed");
         assert_eq!(byz.max_liars, 2);
         assert_eq!(byz.vector, Some(ByzVector::DependencyLie));
-        assert!(!cfg.replication.enabled());
+        assert_eq!(cfg.failover_at_ms, None);
 
-        let built = build("fig1-dual+repl2", 7).expect("repl modifier must build");
+        let built = build("fig1-dual+repl", 7).expect("repl modifier must build");
         let cfg = built.sim.world().config();
         assert!(cfg.byzantine.is_none());
-        assert_eq!(cfg.replication.replicas, 2);
-        assert_eq!(cfg.replication.failover_at_ms, 50.0);
+        assert_eq!(cfg.failover_at_ms, Some(50.0));
         assert!(cfg.retry_ms > 0.0, "failover recovery needs §11 retries");
 
-        let built = build("fig2-p4+byz-any-k1+repl2", 7).expect("stacked modifiers");
+        let built = build("fig2-p4+byz-any-k1+repl", 7).expect("stacked modifiers");
         let cfg = built.sim.world().config();
         assert_eq!(cfg.byzantine.expect("catalog").vector, None);
         // fig2 triggers at 100 ms, so failover lands at 150 ms.
-        assert_eq!(cfg.replication.failover_at_ms, 150.0);
+        assert_eq!(cfg.failover_at_ms, Some(150.0));
 
         for bad in [
             "fig2-ez+byz-bogus-k1",
             "fig2-ez+byz-dep-k0",
             "fig2-ez+byz-dep-k9",
-            "fig2-ez+repl1",
-            "fig2-ez+repl4",
+            "fig2-ez+repl2",
+            "fig2-ez+repl3",
             "fig2-ez+nonsense",
             "no-such-base+byz-dep-k1",
         ] {
             assert!(build(bad, 7).is_none(), "{bad} must not build");
         }
-        assert_eq!(base_name("fig2-ez+byz-dep-k1+repl2"), "fig2-ez");
+        assert_eq!(base_name("fig2-ez+byz-dep-k1+repl"), "fig2-ez");
         assert_eq!(base_name("fig2-ez"), "fig2-ez");
     }
 

@@ -15,7 +15,7 @@
 //! scenario fig2-ez
 //! seed 1
 //! expect-events 412
-//! expect-violation loop flow=0 cycle=3>1>2
+//! expect-violation loop flow=0 cycle=1>2>3
 //! choice 17 fault 4 1
 //! choice 23 tie 3 2
 //! ```

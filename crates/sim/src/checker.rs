@@ -27,7 +27,9 @@ pub struct FlowSpec {
 }
 
 /// Walk one flow's forwarding function from its ingress, collecting the
-/// traversed directed links; reports a loop or blackhole if found.
+/// traversed directed links; reports a loop or blackhole if found. A loop's
+/// cycle starts at its smallest node, so the same loop entered elsewhere
+/// is the same violation.
 fn walk_flow(
     flow: FlowId,
     spec: &FlowSpec,
@@ -39,10 +41,10 @@ fn walk_flow(
     let mut cur = spec.ingress;
     loop {
         if let Some(pos) = visited.iter().position(|&n| n == cur) {
-            out.push(Violation::Loop {
-                flow,
-                cycle: visited[pos..].to_vec(),
-            });
+            let mut cycle = visited.split_off(pos);
+            let smallest = (0..cycle.len()).min_by_key(|&i| cycle[i]).unwrap_or(0);
+            cycle.rotate_left(smallest);
+            out.push(Violation::Loop { flow, cycle });
             return;
         }
         visited.push(cur);
@@ -120,6 +122,8 @@ mod tests {
         b.add_link(v[1], v[2], SimDuration::from_millis(1), 2.0);
         b.add_link(v[2], v[3], SimDuration::from_millis(1), 2.0);
         b.add_link(v[3], v[1], SimDuration::from_millis(1), 2.0);
+        // A chord, so a walk from 0 can enter the ring (1 2 3) at 3 too.
+        b.add_link(v[0], v[3], SimDuration::from_millis(1), 2.0);
         b.build()
     }
 
@@ -186,6 +190,28 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// The same loop entered at a different node is the same violation
+    /// (the simulator records each distinct violation once).
+    #[test]
+    fn a_loop_entered_at_different_nodes_is_one_violation() {
+        let topo = ring4();
+        let loop_entered_at = |entry: u32| {
+            let mut sw = network(&topo);
+            set_rule(&mut sw, 0, 0, Some(entry));
+            set_rule(&mut sw, 1, 0, Some(2));
+            set_rule(&mut sw, 2, 0, Some(3));
+            set_rule(&mut sw, 3, 0, Some(1));
+            check(&topo, &sw, &BTreeMap::from([(FlowId(0), spec(0, 1.0))]))
+        };
+        let cycle = vec![NodeId(1), NodeId(2), NodeId(3)];
+        let expected = vec![Violation::Loop {
+            flow: FlowId(0),
+            cycle,
+        }];
+        assert_eq!(loop_entered_at(1), expected);
+        assert_eq!(loop_entered_at(3), expected);
     }
 
     #[test]

@@ -17,10 +17,11 @@ pub mod table;
 
 pub use checker::{check, FlowSpec, Violation};
 pub use config::{
-    ByzantineConfig, ControlLatency, FaultConfig, InstallDelay, ReplicationConfig, SimConfig,
-    TimingConfig,
+    ByzantineConfig, ControlLatency, FaultConfig, InstallDelay, SimConfig, TimingConfig,
 };
 pub use metrics::{Metrics, MetricsCounts, StreamingMetrics};
-pub use network::{simulation, ByzDisposition, ByzOutcome, Event, NetworkSim, System};
+pub use network::{
+    batch_simulation, simulation, ByzDisposition, ByzOutcome, Event, NetworkSim, System,
+};
 pub use p4update_messages::ByzVector;
 pub use table::SwitchTable;

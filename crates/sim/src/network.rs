@@ -246,9 +246,9 @@ pub enum Event {
     },
     /// The controller's loss-recovery timer fires (§11).
     ControllerTimer,
-    /// The primary controller fails; the first standby replica takes over
-    /// (see [`crate::config::ReplicationConfig`]). Scheduled once by
-    /// [`simulation`] when replication is configured with a failover time.
+    /// The primary controller fails; the standby takes over (see
+    /// [`SimConfig::failover_at_ms`]). Scheduled once by [`simulation`]
+    /// when a failover instant is set.
     ControllerFailover,
 }
 
@@ -258,7 +258,7 @@ const _: () = assert!(std::mem::size_of::<Event>() <= 64);
 /// The simulated network world.
 pub struct NetworkSim {
     /// The same graph as the P4Update controllers' NIBs (primary and
-    /// standbys) and the caller's own handle.
+    /// standby) and the caller's own handle.
     topo: Topology,
     /// Per-switch chassis, densely indexed by [`NodeId`].
     pub switches: SwitchTable,
@@ -292,11 +292,10 @@ pub struct NetworkSim {
     liars: Vec<NodeId>,
     /// Per-lie classification log (see [`ByzOutcome`]).
     pub byz_outcomes: Vec<ByzOutcome>,
-    /// Standby controller replicas (shadow state machines; see
-    /// [`crate::config::ReplicationConfig`]).
-    standbys: Vec<ControllerImpl>,
-    /// Whether [`Event::ControllerFailover`] has fired.
-    pub failed_over: bool,
+    /// The standby controller, a shadow state machine built only when a
+    /// failover is set and taken by [`Event::ControllerFailover`] (see
+    /// [`SimConfig::failover_at_ms`]).
+    standby: Option<ControllerImpl>,
 }
 
 impl NetworkSim {
@@ -342,12 +341,11 @@ impl NetworkSim {
                 None => CentralController::new(),
             }),
         };
-        // Replicas beyond the primary are identically-constructed shadow
-        // state machines (capped at 3 total, per the model): each gets a
-        // copy of the capacity view, the primary takes the original.
-        let standbys = (1..config.replication.replicas.min(3))
-            .map(|_| make_controller(capacity_view.clone()))
-            .collect();
+        // The standby is an identically-constructed shadow state machine
+        // with a copy of the capacity view; the primary takes the original.
+        let standby = config
+            .failover_at_ms
+            .map(|_| make_controller(capacity_view.clone()));
         let controller = make_controller(capacity_view);
         let n = topo.node_count();
         // One word is drawn and discarded: every stream the repository pins
@@ -372,8 +370,7 @@ impl NetworkSim {
             ctrl_scratch: Vec::new(),
             liars: Vec::new(),
             byz_outcomes: Vec::new(),
-            standbys,
-            failed_over: false,
+            standby,
         }
     }
 
@@ -391,6 +388,11 @@ impl NetworkSim {
     /// The configuration this world was assembled with.
     pub fn config(&self) -> &SimConfig {
         &self.config
+    }
+
+    /// Whether [`Event::ControllerFailover`] has promoted the standby.
+    pub fn failed_over(&self) -> bool {
+        self.config.failover_at_ms.is_some() && self.standby.is_none()
     }
 
     /// How many source nodes have had their shortest-path row computed so
@@ -477,12 +479,10 @@ impl NetworkSim {
         if let ControllerImpl::P4(c) = &mut self.controller {
             c.register_flow(flow, Version(1));
         }
-        // Standby replicas mirror the primary's flow registry so a
+        // The standby mirrors the primary's flow registry so a
         // post-failover controller assigns the same versions.
-        for s in &mut self.standbys {
-            if let ControllerImpl::P4(c) = s {
-                c.register_flow(flow, Version(1));
-            }
+        if let Some(ControllerImpl::P4(c)) = &mut self.standby {
+            c.register_flow(flow, Version(1));
         }
         self.flows.insert(
             flow,
@@ -686,32 +686,21 @@ impl NetworkSim {
         }
     }
 
-    /// Mirror a delivered controller message into the standby replicas
-    /// (outputs discarded — shadows don't talk), unless it falls inside
-    /// the replication-lag window just before a pending failover, in
-    /// which case the standbys never learn of it.
-    fn feed_standbys_msg(&mut self, now: SimTime, from: NodeId, msg: &Message) {
-        if self.standbys.is_empty() {
+    /// Mirror a delivered controller message into the standby (outputs
+    /// discarded — a shadow doesn't talk), unless it falls inside the
+    /// replication-lag window just before the failover, in which case the
+    /// standby never learns of it.
+    fn feed_standby_msg(&mut self, now: SimTime, from: NodeId, msg: &Message) {
+        let (Some(standby), Some(at_ms)) = (&mut self.standby, self.config.failover_at_ms) else {
             return;
-        }
-        let r = self.config.replication;
-        if !self.failed_over
-            && r.failover_at_ms > 0.0
-            && now.as_millis_f64() >= r.failover_at_ms - REPLICATION_LAG_MS
-        {
+        };
+        if now.as_millis_f64() >= at_ms - REPLICATION_LAG_MS {
             return; // lost in the dead primary's replication pipeline
         }
-        self.feed_standbys(|c, out| c.on_message(now, from, msg.clone(), out));
-    }
-
-    /// Run `act` on every standby replica, outputs discarded.
-    fn feed_standbys(&mut self, act: impl Fn(&mut dyn ControllerLogic, &mut Vec<CtrlEffect>)) {
-        let mut discard = std::mem::take(&mut self.ctrl_scratch);
-        for s in &mut self.standbys {
-            act(s.as_logic(), &mut discard);
-            discard.clear();
-        }
-        self.ctrl_scratch = discard;
+        standby
+            .as_logic()
+            .on_message(now, from, msg.clone(), &mut self.ctrl_scratch);
+        self.ctrl_scratch.clear();
     }
 
     fn fault_jitter(&mut self) -> SimDuration {
@@ -991,7 +980,7 @@ impl World for NetworkSim {
                         disposition: ByzDisposition::Undetectable,
                     });
                 }
-                self.feed_standbys_msg(now, from, &msg);
+                self.feed_standby_msg(now, from, &msg);
                 self.controller_pass(now, sched, |c, out| c.on_message(now, from, msg, out));
             }
             Event::PollTick { node } => {
@@ -1014,9 +1003,14 @@ impl World for NetworkSim {
                 });
                 let updates = std::mem::take(slot);
                 self.metrics.record_trigger();
-                // Shadow replicas see the same trigger so a post-failover
+                // The shadow sees the same trigger so a post-failover
                 // primary holds the same pending state.
-                self.feed_standbys(|c, out| c.start_update(now, &updates, out));
+                if let Some(standby) = &mut self.standby {
+                    standby
+                        .as_logic()
+                        .start_update(now, &updates, &mut self.ctrl_scratch);
+                    self.ctrl_scratch.clear();
+                }
                 // Each pass queues behind the sends of the one before, so
                 // splitting the batch moves no send time.
                 for part in updates.chunks(self.controller.trigger_pass_len(updates.len())) {
@@ -1038,9 +1032,8 @@ impl World for NetworkSim {
                 }
             }
             Event::ControllerFailover => {
-                if !self.failed_over && !self.standbys.is_empty() {
-                    self.failed_over = true;
-                    self.controller = self.standbys.remove(0);
+                if let Some(standby) = self.standby.take() {
+                    self.controller = standby;
                     // The new primary's view may be stale (replication
                     // lag); the §11 recovery timer is what reconciles
                     // in-flight updates, so re-arm it immediately.
@@ -1055,14 +1048,35 @@ impl World for NetworkSim {
 /// Convenience: wrap a [`NetworkSim`] into a ready-to-run simulation with
 /// a livelock guard sized for the evaluation scenarios.
 pub fn simulation(world: NetworkSim) -> Simulation<NetworkSim> {
-    let replication = world.config().replication;
+    let failover_at_ms = world.config().failover_at_ms;
     let mut sim = Simulation::new(world).with_event_budget(20_000_000);
-    if replication.enabled() && replication.failover_at_ms > 0.0 {
-        sim.schedule_at(
-            SimTime::ZERO + ms(replication.failover_at_ms),
-            Event::ControllerFailover,
-        );
+    if let Some(at_ms) = failover_at_ms {
+        sim.schedule_at(SimTime::ZERO + ms(at_ms), Event::ControllerFailover);
     }
+    sim
+}
+
+/// Start a batch run: the one statement of the bootstrap convention. Every
+/// update's old path exists before the run — installed at version 1 with
+/// its capacity reserved ([`NetworkSim::install_initial_path`]); an update
+/// without one is a fresh deployment and installs nothing — then the
+/// updates become one batch, the world is wrapped by [`simulation`], and
+/// the batch's [`Event::Trigger`] is scheduled at `at`, after every event
+/// `simulation` scheduled. A second batch in the same run goes through
+/// [`NetworkSim::add_batch`] and a trigger of its own.
+pub fn batch_simulation(
+    mut world: NetworkSim,
+    updates: Vec<FlowUpdate>,
+    at: SimTime,
+) -> Simulation<NetworkSim> {
+    for u in &updates {
+        if let Some(old) = &u.old_path {
+            world.install_initial_path(u.flow, old, u.size);
+        }
+    }
+    let batch = world.add_batch(updates);
+    let mut sim = simulation(world);
+    sim.schedule_at(at, Event::Trigger { batch });
     sim
 }
 
@@ -1073,24 +1087,36 @@ mod tests {
     use p4update_net::topologies;
 
     fn basic_sim(system: System) -> NetworkSim {
+        fig1_world(system, |c| c)
+    }
+
+    fn fig1_world(system: System, configure: impl FnOnce(SimConfig) -> SimConfig) -> NetworkSim {
         let topo = topologies::fig1();
-        let config = SimConfig::new(TimingConfig::wan_multi_flow(topo.centroid()), 1);
+        let config = configure(SimConfig::new(
+            TimingConfig::wan_multi_flow(topo.centroid()),
+            1,
+        ));
         NetworkSim::new(topo, system, config, None)
+    }
+
+    /// Flow 0's Fig. 1 update (old `v0 v4 v2 v7`), triggered at time zero.
+    fn fig1_run(world: NetworkSim) -> Simulation<NetworkSim> {
+        let old = Path::new(topologies::fig1_old_path());
+        let new = Path::new(topologies::fig1_new_path());
+        let update = FlowUpdate::new(FlowId(0), Some(old), new, 1.0);
+        batch_simulation(world, vec![update], SimTime::ZERO)
     }
 
     /// The world reads the graph its caller built, not a copy of it; each
     /// P4Update controller's NIB is a clone of the same handle (`new`; core's
-    /// `the_nib_is_a_handle_on_the_callers_graph`), three replicas or one.
+    /// `the_nib_is_a_handle_on_the_callers_graph`), standby or not.
     #[test]
     fn a_world_shares_its_callers_topology() {
         let topo = topologies::fig1();
         let config = SimConfig::new(TimingConfig::wan_multi_flow(topo.centroid()), 1)
-            .with_replication(crate::config::ReplicationConfig {
-                replicas: 3,
-                failover_at_ms: 0.0,
-            });
+            .with_failover_at_ms(50.0);
         let world = NetworkSim::new(topo.clone(), System::P4Update(Strategy::Auto), config, None);
-        assert_eq!(world.standbys.len(), 2);
+        assert!(world.standby.is_some() && !world.failed_over());
         let (ours, theirs) = (topo.links(), world.topology().links());
         assert!(std::ptr::eq(ours.as_ptr(), theirs.as_ptr()));
     }
@@ -1208,6 +1234,7 @@ mod tests {
         let config = SimConfig::new(TimingConfig::wan_multi_flow(topo.centroid()), 1);
         let system = System::EzSegway { congestion: true };
         let mut world = NetworkSim::new(topo, system, config, Some(free));
+        // Assembled by hand: the run's world is the `Spy` around this one.
         for u in &batch {
             world.install_initial_path(u.flow, u.old_path.as_ref().expect("old path"), u.size);
         }
@@ -1245,16 +1272,10 @@ mod tests {
             }
         }
         let run = |chooser: Option<Box<dyn p4update_des::Chooser>>| {
-            let mut world = basic_sim(System::P4Update(Strategy::Auto));
-            let old = Path::new(topologies::fig1_old_path());
-            let new = Path::new(topologies::fig1_new_path());
-            world.install_initial_path(FlowId(0), &old, 1.0);
-            let batch = world.add_batch(vec![FlowUpdate::new(FlowId(0), Some(old), new, 1.0)]);
-            let mut sim = simulation(world);
+            let mut sim = fig1_run(basic_sim(System::P4Update(Strategy::Auto)));
             if let Some(chooser) = chooser {
                 sim = sim.with_chooser(chooser);
             }
-            sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
             assert!(sim.run().drained());
             (sim.events_delivered(), sim.into_world().metrics)
         };
@@ -1281,15 +1302,8 @@ mod tests {
                 }
             }
         }
-        let topo = topologies::fig1();
-        let config = SimConfig::new(TimingConfig::wan_multi_flow(topo.centroid()), 1).paranoid();
-        let mut world = NetworkSim::new(topo, System::P4Update(Strategy::Auto), config, None);
-        let old = Path::new(topologies::fig1_old_path());
-        let new = Path::new(topologies::fig1_new_path());
-        world.install_initial_path(FlowId(0), &old, 1.0);
-        let batch = world.add_batch(vec![FlowUpdate::new(FlowId(0), Some(old), new, 1.0)]);
-        let mut sim = simulation(world).with_chooser(Box::new(DropAll));
-        sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
+        let world = fig1_world(System::P4Update(Strategy::Auto), SimConfig::paranoid);
+        let mut sim = fig1_run(world).with_chooser(Box::new(DropAll));
         assert!(sim.run().drained());
         let world = sim.into_world();
         assert!(world.metrics().completions.is_empty());
@@ -1301,20 +1315,11 @@ mod tests {
     /// and one stranded flow still reports the stranded one once.
     #[test]
     fn record_stranded_flows_is_idempotent() {
-        let mut world = basic_sim(System::P4Update(Strategy::Auto));
-        let old = Path::new(topologies::fig1_old_path());
-        let new = Path::new(topologies::fig1_new_path());
-        world.install_initial_path(FlowId(0), &old, 1.0);
-        let batch = world.add_batch(vec![FlowUpdate::new(
-            FlowId(0),
-            Some(old),
-            new.clone(),
-            1.0,
-        )]);
+        let mut sim = fig1_run(basic_sim(System::P4Update(Strategy::Auto)));
         // Flow 1's batch is never triggered, so it cannot complete.
-        world.add_batch(vec![FlowUpdate::new(FlowId(1), None, new, 1.0)]);
-        let mut sim = simulation(world);
-        sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
+        let new = Path::new(topologies::fig1_new_path());
+        sim.world_mut()
+            .add_batch(vec![FlowUpdate::new(FlowId(1), None, new, 1.0)]);
         assert!(sim.run().drained());
         let mut world = sim.into_world();
         assert_eq!(world.metrics().counts().completions, 1);
@@ -1332,19 +1337,15 @@ mod tests {
     #[test]
     fn byzantine_catalog_with_default_chooser_changes_nothing() {
         let run = |byz: bool| {
-            let topo = topologies::fig1();
-            let mut config =
-                SimConfig::new(TimingConfig::wan_multi_flow(topo.centroid()), 1).paranoid();
-            if byz {
-                config = config.with_byzantine(crate::config::ByzantineConfig::default());
-            }
-            let mut world = NetworkSim::new(topo, System::P4Update(Strategy::Auto), config, None);
-            let old = Path::new(topologies::fig1_old_path());
-            let new = Path::new(topologies::fig1_new_path());
-            world.install_initial_path(FlowId(0), &old, 1.0);
-            let batch = world.add_batch(vec![FlowUpdate::new(FlowId(0), Some(old), new, 1.0)]);
-            let mut sim = simulation(world);
-            sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
+            let world = fig1_world(System::P4Update(Strategy::Auto), |c| {
+                let c = c.paranoid();
+                if byz {
+                    c.with_byzantine(crate::config::ByzantineConfig::default())
+                } else {
+                    c
+                }
+            });
+            let mut sim = fig1_run(world);
             assert!(sim.run().drained());
             let events = sim.events_delivered();
             let world = sim.into_world();
@@ -1372,20 +1373,13 @@ mod tests {
                 }
             }
         }
-        let topo = topologies::fig1();
-        let config = SimConfig::new(TimingConfig::wan_multi_flow(topo.centroid()), 1)
-            .paranoid()
-            .with_byzantine(crate::config::ByzantineConfig {
+        let world = fig1_world(System::P4Update(Strategy::Auto), |c| {
+            c.paranoid().with_byzantine(crate::config::ByzantineConfig {
                 vector: Some(ByzVector::DependencyLie),
                 ..Default::default()
-            });
-        let mut world = NetworkSim::new(topo, System::P4Update(Strategy::Auto), config, None);
-        let old = Path::new(topologies::fig1_old_path());
-        let new = Path::new(topologies::fig1_new_path());
-        world.install_initial_path(FlowId(0), &old, 1.0);
-        let batch = world.add_batch(vec![FlowUpdate::new(FlowId(0), Some(old), new, 1.0)]);
-        let mut sim = simulation(world).with_chooser(Box::new(AlwaysLie));
-        sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
+            })
+        });
+        let mut sim = fig1_run(world).with_chooser(Box::new(AlwaysLie));
         assert!(sim.run().drained());
         let world = sim.into_world();
         let rejected = world
@@ -1397,31 +1391,18 @@ mod tests {
         assert_eq!(world.liars.len(), 1);
     }
 
-    /// Deterministic mid-update failover: the standby replica takes over
-    /// and the §11 recovery timer finishes the update, despite the
-    /// replication-lag window having swallowed part of the primary's
-    /// feedback.
+    /// Deterministic mid-update failover: the standby takes over and the
+    /// §11 recovery timer finishes the update, despite the replication-lag
+    /// window having swallowed part of the primary's feedback.
     #[test]
     fn controller_failover_mid_update_still_completes() {
-        let topo = topologies::fig1();
-        let config = SimConfig::new(TimingConfig::wan_multi_flow(topo.centroid()), 1)
-            .paranoid()
-            .with_retry_ms(40.0)
-            .with_replication(crate::config::ReplicationConfig {
-                replicas: 2,
-                failover_at_ms: 50.0,
-            });
-        let mut world = NetworkSim::new(topo, System::P4Update(Strategy::Auto), config, None);
-        let old = Path::new(topologies::fig1_old_path());
-        let new = Path::new(topologies::fig1_new_path());
-        world.install_initial_path(FlowId(0), &old, 1.0);
-        let batch = world.add_batch(vec![FlowUpdate::new(FlowId(0), Some(old), new, 1.0)]);
-        let mut sim = simulation(world);
-        sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
+        let world = fig1_world(System::P4Update(Strategy::Auto), |c| {
+            c.paranoid().with_retry_ms(40.0).with_failover_at_ms(50.0)
+        });
+        let mut sim = fig1_run(world);
         assert!(sim.run().drained());
         let world = sim.into_world();
-        assert!(world.failed_over);
-        assert!(world.standbys.is_empty());
+        assert!(world.failed_over());
         assert!(
             world
                 .metrics()
@@ -1471,22 +1452,19 @@ mod tests {
             let paths = p4update_net::k_shortest_paths(&topo, edges[0], *edges.last().unwrap(), 2);
             let (old, new) = (paths[0].clone(), paths[1].clone());
             let config = SimConfig::new(TimingConfig::fat_tree(), 1).paranoid();
-            let mut world = NetworkSim::new(topo, System::P4Update(Strategy::Auto), config, None);
-            world.install_initial_path(FlowId(0), &old, 1.0);
-            let there = world.add_batch(vec![FlowUpdate::new(
-                FlowId(0),
-                Some(old.clone()),
-                new.clone(),
-                1.0,
-            )]);
-            let back = world.add_batch(vec![FlowUpdate::new(FlowId(0), Some(new), old, 1.0)]);
+            let world = NetworkSim::new(topo, System::P4Update(Strategy::Auto), config, None);
+            let there = FlowUpdate::new(FlowId(0), Some(old.clone()), new.clone(), 1.0);
             let seen = Rc::new(Cell::new(0));
-            let mut sim = simulation(world).with_chooser(Box::new(Script {
-                seen: Rc::clone(&seen),
-                faults,
-            }));
+            let mut sim = batch_simulation(world, vec![there], SimTime::ZERO).with_chooser(
+                Box::new(Script {
+                    seen: Rc::clone(&seen),
+                    faults,
+                }),
+            );
+            let back =
+                sim.world_mut()
+                    .add_batch(vec![FlowUpdate::new(FlowId(0), Some(new), old, 1.0)]);
             let second = SimTime::ZERO + SimDuration::from_secs(5);
-            sim.schedule_at(SimTime::ZERO, Event::Trigger { batch: there });
             sim.schedule_at(second, Event::Trigger { batch: back });
             assert!(!sim
                 .run_until(SimTime::ZERO + SimDuration::from_millis(4_999))

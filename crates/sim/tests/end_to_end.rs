@@ -4,7 +4,7 @@
 use p4update_core::Strategy;
 use p4update_des::SimTime;
 use p4update_net::{topologies, FlowId, FlowUpdate, NodeId, Path, Version};
-use p4update_sim::{simulation, Event, NetworkSim, SimConfig, System, TimingConfig};
+use p4update_sim::{batch_simulation, NetworkSim, SimConfig, System, TimingConfig};
 
 fn fig1_update() -> FlowUpdate {
     FlowUpdate::new(
@@ -19,11 +19,8 @@ fn fig1_update() -> FlowUpdate {
 fn run_fig1(system: System, seed: u64) -> NetworkSim {
     let topo = topologies::fig1();
     let config = SimConfig::new(TimingConfig::wan_multi_flow(topo.centroid()), seed).paranoid();
-    let mut world = NetworkSim::new(topo, system, config, None);
-    world.install_initial_path(FlowId(0), &Path::new(topologies::fig1_old_path()), 1.0);
-    let batch = world.add_batch(vec![fig1_update()]);
-    let mut sim = simulation(world);
-    sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
+    let world = NetworkSim::new(topo, system, config, None);
+    let mut sim = batch_simulation(world, vec![fig1_update()], SimTime::ZERO);
     let outcome = sim.run();
     assert!(outcome.drained(), "simulation stalled: {outcome:?}");
     sim.into_world()
@@ -120,11 +117,8 @@ fn dual_layer_beats_single_layer_on_fig1_with_install_delays() {
             (Strategy::ForceDual, &mut dl_total),
         ] {
             let config = SimConfig::new(TimingConfig::wan_single_flow(topo.centroid()), 100 + seed);
-            let mut world = NetworkSim::new(topo.clone(), System::P4Update(strategy), config, None);
-            world.install_initial_path(FlowId(0), &Path::new(topologies::fig1_old_path()), 1.0);
-            let batch = world.add_batch(vec![fig1_update()]);
-            let mut sim = simulation(world);
-            sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
+            let world = NetworkSim::new(topo.clone(), System::P4Update(strategy), config, None);
+            let mut sim = batch_simulation(world, vec![fig1_update()], SimTime::ZERO);
             assert!(sim.run().drained());
             let world = sim.into_world();
             let t = world

@@ -25,7 +25,7 @@
 use p4update::core::Strategy;
 use p4update::des::{SimDuration, SimTime};
 use p4update::net::{FlowId, FlowUpdate, NodeId, Path, TopologyBuilder};
-use p4update::sim::{simulation, Event, NetworkSim, SimConfig, System, TimingConfig};
+use p4update::sim::{batch_simulation, NetworkSim, SimConfig, System, TimingConfig};
 
 fn main() {
     let mut b = TopologyBuilder::new("congestion-demo");
@@ -43,21 +43,17 @@ fn main() {
     let flow_b = FlowId(1);
 
     let config = SimConfig::new(TimingConfig::wan_multi_flow(topo.centroid()), 3).paranoid();
-    let mut world = NetworkSim::new(topo, System::P4Update(Strategy::Auto), config, None);
-    world.install_initial_path(flow_a, &p(&[0, 1, 2, 4]), 4.0);
-    world.install_initial_path(flow_b, &p(&[0, 1, 3, 4]), 3.0);
+    let world = NetworkSim::new(topo, System::P4Update(Strategy::Auto), config, None);
 
     // Swap the flows' second hops. The updates race: whoever's
     // notification reaches v1 first gets deferred (the target link still
     // carries the other flow), the scheduler raises the other flow's
     // priority, and the deferred move fires the moment capacity frees.
-    let batch = world.add_batch(vec![
+    let updates = vec![
         FlowUpdate::new(flow_a, Some(p(&[0, 1, 2, 4])), p(&[0, 1, 3, 4]), 4.0),
         FlowUpdate::new(flow_b, Some(p(&[0, 1, 3, 4])), p(&[0, 1, 2, 4]), 3.0),
-    ]);
-
-    let mut sim = simulation(world);
-    sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
+    ];
+    let mut sim = batch_simulation(world, updates, SimTime::ZERO);
     assert!(sim.run().drained());
     let world = sim.into_world();
 

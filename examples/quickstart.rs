@@ -10,7 +10,7 @@
 use p4update::core::{segment_update, Strategy};
 use p4update::des::SimTime;
 use p4update::net::{topologies, FlowId, FlowUpdate, Path, Version};
-use p4update::sim::{simulation, Event, NetworkSim, SimConfig, System, TimingConfig};
+use p4update::sim::{batch_simulation, NetworkSim, SimConfig, System, TimingConfig};
 
 fn main() {
     let topo = topologies::fig1();
@@ -23,7 +23,7 @@ fn main() {
 
     let old = Path::new(topologies::fig1_old_path());
     let new = Path::new(topologies::fig1_new_path());
-    let update = FlowUpdate::new(FlowId(0), Some(old.clone()), new.clone(), 1.0);
+    let update = FlowUpdate::new(FlowId(0), Some(old), new.clone(), 1.0);
 
     // What the controller will compute for this update (§3.2).
     let seg = segment_update(&update);
@@ -39,12 +39,8 @@ fn main() {
 
     // Assemble the network, install the old path, and trigger the update.
     let config = SimConfig::new(TimingConfig::wan_single_flow(topo.centroid()), 7).paranoid();
-    let mut world = NetworkSim::new(topo, System::P4Update(Strategy::Auto), config, None);
-    world.install_initial_path(FlowId(0), &old, 1.0);
-    let batch = world.add_batch(vec![update]);
-
-    let mut sim = simulation(world);
-    sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
+    let world = NetworkSim::new(topo, System::P4Update(Strategy::Auto), config, None);
+    let mut sim = batch_simulation(world, vec![update], SimTime::ZERO);
     assert!(sim.run().drained());
     let world = sim.into_world();
 

@@ -9,13 +9,13 @@
 use p4update::core::{segment_update, Strategy};
 use p4update::des::SimTime;
 use p4update::net::{topologies, Version};
-use p4update::sim::{simulation, Event, NetworkSim, SimConfig, System, TimingConfig};
+use p4update::sim::{batch_simulation, NetworkSim, SimConfig, System, TimingConfig};
 use p4update::traffic::single_flow;
 
 fn main() {
     let topo = topologies::b4();
     let update = single_flow(&topo);
-    let old = update.old_path.clone().expect("migration has an old path");
+    let old = update.old_path.as_ref().expect("migration has an old path");
 
     println!(
         "topology: {} ({} sites, {} links)",
@@ -57,11 +57,8 @@ fn main() {
         ("Central", System::Central { congestion: false }),
     ] {
         let config = SimConfig::new(TimingConfig::wan_single_flow(topo.centroid()), 11);
-        let mut world = NetworkSim::new(topo.clone(), system, config, None);
-        world.install_initial_path(update.flow, &old, update.size);
-        let batch = world.add_batch(vec![update.clone()]);
-        let mut sim = simulation(world);
-        sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
+        let world = NetworkSim::new(topo.clone(), system, config, None);
+        let mut sim = batch_simulation(world, vec![update.clone()], SimTime::ZERO);
         assert!(sim.run().drained());
         let world = sim.into_world();
         let t = world

@@ -7,7 +7,8 @@
 # over 1,500, DESIGN.md at most 50,000: one home per fact, the raw runs live
 # in RUNS.md), formatting, the debug-only-check grep, the `Rc<Topology>` grep,
 # the grep for per-link maps keyed by node pairs, the clippy lint wall, rustdoc with warnings denied, the full offline test suite, the static plan linter over its sample plans
-# (including the mutated ones, which must make it exit non-zero),
+# (including the mutated ones, which must make it exit non-zero), the five
+# examples that assert or print the paper's claims (any non-zero exit fails),
 # the corpus and explorer smokes, the ft512 lint pass's and world's
 # heap-footprint counts (which a deep topology copy, a per-switch map or a
 # retained batch-sized buffer fails), the large fat-tree tests, the experiment means
@@ -96,6 +97,14 @@ if cargo run -q --example p4update_lint -- --mutate; then
     echo "error: the lint binary accepted corrupted plans" >&2
     exit 1
 fi
+
+# `quickstart`, `inconsistent_update`, `wan_migration` and
+# `congestion_multiflow` assert the paper's claims and `fast_forward` prints
+# Fig. 4's; together they take well under a second, so FAST=1 runs them too.
+echo "==> the paper-claim examples run to a zero exit (release profile)"
+for example in quickstart inconsistent_update wan_migration congestion_multiflow fast_forward; do
+    cargo run -q --release --example "$example" > /dev/null
+done
 
 echo "==> trace corpus replays byte-exactly (release profile)"
 cargo test -q --release --test corpus_replay

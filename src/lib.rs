@@ -16,20 +16,18 @@
 //! ```
 //! use p4update::net::{topologies, FlowId, FlowUpdate, Path, Version};
 //! use p4update::core::Strategy;
-//! use p4update::sim::{simulation, Event, NetworkSim, SimConfig, System, TimingConfig};
+//! use p4update::sim::{batch_simulation, NetworkSim, SimConfig, System, TimingConfig};
 //! use p4update::des::SimTime;
 //!
 //! let topo = topologies::fig1();
 //! let config = SimConfig::new(TimingConfig::wan_multi_flow(topo.centroid()), 1).paranoid();
-//! let mut world = NetworkSim::new(topo, System::P4Update(Strategy::Auto), config, None);
+//! let world = NetworkSim::new(topo, System::P4Update(Strategy::Auto), config, None);
 //!
+//! // The old path is installed at version 1, then the update is triggered at t = 0.
 //! let old = Path::new(topologies::fig1_old_path());
 //! let new = Path::new(topologies::fig1_new_path());
-//! world.install_initial_path(FlowId(0), &old, 1.0);
-//! let batch = world.add_batch(vec![FlowUpdate::new(FlowId(0), Some(old), new, 1.0)]);
-//!
-//! let mut sim = simulation(world);
-//! sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
+//! let update = FlowUpdate::new(FlowId(0), Some(old), new, 1.0);
+//! let mut sim = batch_simulation(world, vec![update], SimTime::ZERO);
 //! assert!(sim.run().drained());
 //!
 //! let world = sim.into_world();

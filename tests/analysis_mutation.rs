@@ -18,7 +18,7 @@ use p4update::core::{prepare_update, PreparedUpdate, Strategy};
 use p4update::des::propcheck::{cases, forall};
 use p4update::des::{SimRng, SimTime};
 use p4update::net::{k_shortest_paths, topologies, FlowId, FlowUpdate, NodeId, Path, Version};
-use p4update::sim::{simulation, Event, NetworkSim, SimConfig, System, TimingConfig};
+use p4update::sim::{batch_simulation, NetworkSim, SimConfig, System, TimingConfig};
 
 /// A random migration: old and new path share endpoints, old interior is a
 /// random subset of the new interior (same generator family as
@@ -309,13 +309,9 @@ fn analyzer_clean_plans_run_violation_free() {
 
         // Then the dynamic pass: deploy it under the paranoid checker.
         let config = SimConfig::new(TimingConfig::wan_multi_flow(topo.centroid()), 1).paranoid();
-        let mut world = NetworkSim::new(topo, System::P4Update(Strategy::Auto), config, None);
-        let old = update.old_path.clone().expect("migration has an old path");
-        world.install_initial_path(update.flow, &old, update.size);
-        let batch = world.add_batch(vec![update.clone()]);
-
-        let mut sim = simulation(world);
-        sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
+        let world = NetworkSim::new(topo, System::P4Update(Strategy::Auto), config, None);
+        assert!(update.old_path.is_some(), "a migration has an old path");
+        let mut sim = batch_simulation(world, vec![update.clone()], SimTime::ZERO);
         assert!(sim.run().drained(), "simulation must drain");
 
         let world = sim.into_world();

@@ -600,37 +600,40 @@ fn catalog_without_lies_is_behaviorally_invisible() {
 
 // ---------- replicated controller ----------
 
-/// Deterministic mid-update failover: with 2–3 controller replicas the
-/// primary dies at the configured instant, a standby (fed by the lagged
-/// replication stream plus the §11 retry path) takes over, and the
-/// update still completes with no violations.
+/// Deterministic mid-update failover: the primary dies at the configured
+/// instant, the standby (fed by the lagged replication stream plus the
+/// §11 retry path) takes over, and the update still completes with no
+/// violations. Seed 1's event count and flow 0's completion instant are
+/// pinned.
 #[test]
 fn replicated_controller_failover_still_completes() {
-    for name in [
-        "fig1-single+repl2",
-        "fig1-dual+repl3",
-        "multigw-dual+repl2",
-        "fig2-p4+repl2",
+    for (name, events, done_ns) in [
+        ("fig1-single+repl", 66, 253_747_798),
+        ("fig1-dual+repl", 107, 257_747_798),
+        ("multigw-dual+repl", 66, 122_747_798),
+        ("fig2-p4+repl", 24, 194_747_798),
+        ("fig2-p4+byz-ack-k1+repl", 24, 194_747_798),
     ] {
         let built = scenarios::build(name, 1).expect("replicated scenario builds");
         let horizon = built.horizon;
         let mut sim = built.sim;
-        sim.run_until(horizon);
+        assert!(sim.run_until(horizon).drained(), "{name}: did not drain");
+        assert_eq!(sim.events_delivered(), events, "{name}: event count");
         let world = sim.into_world();
-        assert!(world.failed_over, "{name}: failover never fired");
+        assert!(world.failed_over(), "{name}: failover never fired");
         assert!(
             world.violations.is_empty(),
             "{name}: violations {:?}",
             world.violations
         );
-        assert!(
-            world
-                .metrics()
-                .completions
-                .iter()
-                .any(|&(_, f, _)| f == FlowId(0)),
-            "{name}: update never completed after failover"
-        );
+        let done: Vec<u64> = world
+            .metrics()
+            .completions
+            .iter()
+            .filter(|&&(_, f, _)| f == FlowId(0))
+            .map(|&(at, _, _)| at.as_nanos())
+            .collect();
+        assert_eq!(done, [done_ns], "{name}: flow 0's completion");
     }
 }
 
@@ -639,7 +642,7 @@ fn replicated_controller_failover_still_completes() {
 /// primary's verdict state and no breach or acceptance appears.
 #[test]
 fn failover_under_lies_stays_safe() {
-    for name in ["fig2-p4+byz-ack-k1+repl2", "fig2-p4+byz-equiv-k1+repl2"] {
+    for name in ["fig2-p4+byz-ack-k1+repl", "fig2-p4+byz-equiv-k1+repl"] {
         let out = run_cell(name, 1);
         assert!(!out.looped, "{name}: looped");
         assert!(out.monotone, "{name}: version regressed");
@@ -656,7 +659,7 @@ fn gen_trace(rng: &mut SimRng) -> Trace {
     let names = [
         "fig2-ez",
         "fig2-p4+byz-any-k1",
-        "fig1-dual+byz-ack-k2+repl2",
+        "fig1-dual+byz-ack-k2+repl",
         "ft512-dual",
     ];
     let mut t = Trace::new(

@@ -7,7 +7,7 @@
 use p4update::core::Strategy;
 use p4update::des::{SimDuration, SimRng, SimTime};
 use p4update::net::{topologies, FlowId, NodeId};
-use p4update::sim::{simulation, Event, NetworkSim, SimConfig, System, TimingConfig, Violation};
+use p4update::sim::{batch_simulation, NetworkSim, SimConfig, System, TimingConfig, Violation};
 use p4update::traffic::multi_flow;
 
 fn run_workload(
@@ -19,13 +19,8 @@ fn run_workload(
     let mut rng = SimRng::new(seed);
     let workload = multi_flow(&topo, &mut rng, load);
     let config = SimConfig::new(TimingConfig::wan_multi_flow(topo.centroid()), seed).paranoid();
-    let mut world = NetworkSim::new(topo, System::P4Update(strategy), config, None);
-    for u in &workload.updates {
-        world.install_initial_path(u.flow, u.old_path.as_ref().expect("generated"), u.size);
-    }
-    let batch = world.add_batch(workload.updates.clone());
-    let mut sim = simulation(world);
-    sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
+    let world = NetworkSim::new(topo, System::P4Update(strategy), config, None);
+    let mut sim = batch_simulation(world, workload.updates, SimTime::ZERO);
     let _ = sim.run_until(SimTime::ZERO + SimDuration::from_secs(300));
     sim.into_world()
 }
@@ -77,13 +72,8 @@ fn moderate_load_multi_flow_completes() {
         let workload = multi_flow(&topo, &mut rng, 0.25);
         let flows: Vec<FlowId> = workload.updates.iter().map(|u| u.flow).collect();
         let config = SimConfig::new(TimingConfig::wan_multi_flow(topo.centroid()), seed).paranoid();
-        let mut world = NetworkSim::new(topo, System::P4Update(Strategy::Auto), config, None);
-        for u in &workload.updates {
-            world.install_initial_path(u.flow, u.old_path.as_ref().expect("generated"), u.size);
-        }
-        let batch = world.add_batch(workload.updates.clone());
-        let mut sim = simulation(world);
-        sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
+        let world = NetworkSim::new(topo, System::P4Update(Strategy::Auto), config, None);
+        let mut sim = batch_simulation(world, workload.updates, SimTime::ZERO);
         let _ = sim.run_until(SimTime::ZERO + SimDuration::from_secs(300));
         let world = sim.into_world();
         assert!(
@@ -107,13 +97,8 @@ fn fat_tree_multi_flow_is_consistent() {
         let mut rng = SimRng::new(11_000 + seed);
         let workload = multi_flow(&topo, &mut rng, 0.3);
         let config = SimConfig::new(TimingConfig::fat_tree(), seed).paranoid();
-        let mut world = NetworkSim::new(topo, System::P4Update(Strategy::Auto), config, None);
-        for u in &workload.updates {
-            world.install_initial_path(u.flow, u.old_path.as_ref().expect("generated"), u.size);
-        }
-        let batch = world.add_batch(workload.updates.clone());
-        let mut sim = simulation(world);
-        sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
+        let world = NetworkSim::new(topo, System::P4Update(Strategy::Auto), config, None);
+        let mut sim = batch_simulation(world, workload.updates, SimTime::ZERO);
         let _ = sim.run_until(SimTime::ZERO + SimDuration::from_secs(300));
         let world = sim.into_world();
         assert!(
@@ -202,14 +187,8 @@ fn fault_free_runs_end_with_no_parked_message() {
             for system in systems {
                 let config = SimConfig::new(timing, seed);
                 let free = Some(workload.free_capacity.clone());
-                let mut world = NetworkSim::new(topo.clone(), system, config, free);
-                for u in &workload.updates {
-                    let old = u.old_path.as_ref().expect("generated");
-                    world.install_initial_path(u.flow, old, u.size);
-                }
-                let batch = world.add_batch(workload.updates.clone());
-                let mut sim = simulation(world);
-                sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
+                let world = NetworkSim::new(topo.clone(), system, config, free);
+                let mut sim = batch_simulation(world, workload.updates.clone(), SimTime::ZERO);
                 let _ = sim.run_until(SimTime::ZERO + SimDuration::from_secs(600));
                 let world = sim.into_world();
                 let parked: usize = (0..topo.node_count())

@@ -6,10 +6,21 @@ use p4update::core::Strategy;
 use p4update::des::{SimDuration, SimTime};
 use p4update::messages::DataPacket;
 use p4update::net::{topologies, FlowId, FlowUpdate, NodeId, Path, Version};
-use p4update::sim::{simulation, Event, FaultConfig, NetworkSim, SimConfig, System, TimingConfig};
+use p4update::sim::{
+    batch_simulation, simulation, Event, FaultConfig, NetworkSim, SimConfig, System, TimingConfig,
+};
 
 fn p(ids: &[u32]) -> Path {
     Path::new(ids.iter().map(|&i| NodeId(i)).collect())
+}
+
+fn fig1_update() -> FlowUpdate {
+    FlowUpdate::new(
+        FlowId(0),
+        Some(Path::new(topologies::fig1_old_path())),
+        Path::new(topologies::fig1_new_path()),
+        1.0,
+    )
 }
 
 /// Rule cleanup (§11): after a migration away from a node, the cleanup
@@ -23,16 +34,14 @@ fn cleanup_clears_abandoned_old_path() {
     let old = p(&[0, 1, 3, 5]);
     let new = p(&[0, 2, 3, 5]);
     let config = SimConfig::new(TimingConfig::wan_multi_flow(topo.centroid()), 5).paranoid();
-    let mut world = NetworkSim::new(topo, System::P4Update(Strategy::ForceSingle), config, None);
-    world.install_initial_path(flow, &old, 2.0);
+    let world = NetworkSim::new(topo, System::P4Update(Strategy::ForceSingle), config, None);
+    let update = FlowUpdate::new(flow, Some(old), new, 2.0);
+    let mut sim = batch_simulation(world, vec![update], SimTime::ZERO);
 
-    let before = world.switches[NodeId(1)]
+    let before = sim.world().switches[NodeId(1)]
         .state
         .remaining_capacity(NodeId(3))
         .expect("adjacent");
-    let batch = world.add_batch(vec![FlowUpdate::new(flow, Some(old), new, 2.0)]);
-    let mut sim = simulation(world);
-    sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
     assert!(sim.run().drained());
     let world = sim.into_world();
 
@@ -70,14 +79,8 @@ fn recovery_completes_update_despite_unm_loss() {
                 ..FaultConfig::NONE
             })
             .with_retry_ms(300.0);
-        let mut world =
-            NetworkSim::new(topo, System::P4Update(Strategy::ForceSingle), config, None);
-        let old = Path::new(topologies::fig1_old_path());
-        let new = Path::new(topologies::fig1_new_path());
-        world.install_initial_path(FlowId(0), &old, 1.0);
-        let batch = world.add_batch(vec![FlowUpdate::new(FlowId(0), Some(old), new, 1.0)]);
-        let mut sim = simulation(world);
-        sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
+        let world = NetworkSim::new(topo, System::P4Update(Strategy::ForceSingle), config, None);
+        let mut sim = batch_simulation(world, vec![fig1_update()], SimTime::ZERO);
         let _ = sim.run_until(SimTime::ZERO + SimDuration::from_secs(60));
         let world = sim.into_world();
         assert!(
@@ -116,14 +119,8 @@ fn without_recovery_unm_loss_stalls() {
                 drop_switch_to_switch: 0.2,
                 ..FaultConfig::NONE
             });
-        let mut world =
-            NetworkSim::new(topo, System::P4Update(Strategy::ForceSingle), config, None);
-        let old = Path::new(topologies::fig1_old_path());
-        let new = Path::new(topologies::fig1_new_path());
-        world.install_initial_path(FlowId(0), &old, 1.0);
-        let batch = world.add_batch(vec![FlowUpdate::new(FlowId(0), Some(old), new, 1.0)]);
-        let mut sim = simulation(world);
-        sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
+        let world = NetworkSim::new(topo, System::P4Update(Strategy::ForceSingle), config, None);
+        let mut sim = batch_simulation(world, vec![fig1_update()], SimTime::ZERO);
         let _ = sim.run_until(SimTime::ZERO + SimDuration::from_secs(60));
         if sim
             .into_world()

@@ -8,7 +8,8 @@ use p4update::core::Strategy;
 use p4update::des::{SimDuration, SimTime};
 use p4update::net::{topologies, FlowId, FlowUpdate, NodeId, Path, Version};
 use p4update::sim::{
-    simulation, Event, FaultConfig, NetworkSim, SimConfig, System, TimingConfig, Violation,
+    batch_simulation, simulation, Event, FaultConfig, NetworkSim, SimConfig, System, TimingConfig,
+    Violation,
 };
 
 fn fig1_update() -> FlowUpdate {
@@ -25,11 +26,8 @@ fn run_with_faults(strategy: Strategy, seed: u64, faults: FaultConfig) -> Networ
     let config = SimConfig::new(TimingConfig::wan_single_flow(topo.centroid()), seed)
         .paranoid()
         .with_faults(faults);
-    let mut world = NetworkSim::new(topo, System::P4Update(strategy), config, None);
-    world.install_initial_path(FlowId(0), &Path::new(topologies::fig1_old_path()), 1.0);
-    let batch = world.add_batch(vec![fig1_update()]);
-    let mut sim = simulation(world);
-    sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
+    let world = NetworkSim::new(topo, System::P4Update(strategy), config, None);
+    let mut sim = batch_simulation(world, vec![fig1_update()], SimTime::ZERO);
     let _ = sim.run_until(SimTime::ZERO + SimDuration::from_secs(120));
     sim.into_world()
 }
@@ -131,17 +129,12 @@ fn fast_forward_completes_under_unm_loss_with_controller_retry() {
                 ..FaultConfig::NONE
             })
             .with_retry_ms(retry_ms);
-        let mut world = NetworkSim::new(topo, System::P4Update(Strategy::Auto), config, None);
-        world.install_initial_path(flow, &v1, 1.0);
-        let b2 = world.add_batch(vec![FlowUpdate::new(
-            flow,
-            Some(v1.clone()),
-            v2.clone(),
-            1.0,
-        )]);
-        let b3 = world.add_batch(vec![FlowUpdate::new(flow, Some(v2), v3, 1.0)]);
-        let mut sim = simulation(world);
-        sim.schedule_at(SimTime::ZERO, Event::Trigger { batch: b2 });
+        let world = NetworkSim::new(topo, System::P4Update(Strategy::Auto), config, None);
+        let u2 = FlowUpdate::new(flow, Some(v1), v2.clone(), 1.0);
+        let mut sim = batch_simulation(world, vec![u2], SimTime::ZERO);
+        let b3 = sim
+            .world_mut()
+            .add_batch(vec![FlowUpdate::new(flow, Some(v2), v3, 1.0)]);
         sim.schedule_at(
             SimTime::ZERO + SimDuration::from_millis(50),
             Event::Trigger { batch: b3 },
@@ -208,11 +201,9 @@ fn multi_gateway_backward_segments_wait_for_inherited_distance() {
                 jitter_ms: 150.0,
                 ..FaultConfig::NONE
             });
-        let mut world = NetworkSim::new(topo, System::P4Update(Strategy::ForceDual), config, None);
-        world.install_initial_path(flow, &old, 1.0);
-        let batch = world.add_batch(vec![FlowUpdate::new(flow, Some(old.clone()), new, 1.0)]);
-        let mut sim = simulation(world);
-        sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
+        let world = NetworkSim::new(topo, System::P4Update(Strategy::ForceDual), config, None);
+        let update = FlowUpdate::new(flow, Some(old), new, 1.0);
+        let mut sim = batch_simulation(world, vec![update], SimTime::ZERO);
 
         let horizon = SimTime::ZERO + SimDuration::from_secs(120);
         let mut flips: std::collections::BTreeMap<u32, SimTime> = std::collections::BTreeMap::new();
@@ -294,6 +285,8 @@ fn fig2_reordering_loops_ez_segway_but_not_p4update() {
             .paranoid()
             .with_faults(faults);
         let mut world = NetworkSim::new(topo.clone(), system, config, None);
+        // Assembled by hand: (a) is installed while the update names (b) as
+        // the old path (the §4.1 premise).
         world.install_initial_path(flow, &config_a, 1.0);
         let batch = world.add_batch(vec![update_c.clone()]);
         let mut sim = simulation(world);
@@ -330,20 +323,9 @@ fn ez_segway_and_p4update_complete_the_ft512_batch() {
         System::P4Update(Strategy::ForceSingle),
     ] {
         let config = SimConfig::new(TimingConfig::fat_tree(), 1);
-        let mut world = NetworkSim::new(
-            topo.clone(),
-            system,
-            config,
-            Some(workload.free_capacity.clone()),
-        );
-        for u in &workload.updates {
-            if let Some(old) = &u.old_path {
-                world.install_initial_path(u.flow, old, u.size);
-            }
-        }
-        let batch = world.add_batch(workload.updates.clone());
-        let mut sim = simulation(world);
-        sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
+        let free = Some(workload.free_capacity.clone());
+        let world = NetworkSim::new(topo.clone(), system, config, free);
+        let mut sim = batch_simulation(world, workload.updates.clone(), SimTime::ZERO);
         let _ = sim.run_until(SimTime::ZERO + SimDuration::from_secs(600));
         let mut world = sim.into_world();
         let stranded = world.record_stranded_flows();

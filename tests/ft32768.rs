@@ -1,5 +1,5 @@
 //! The 32768-switch fat-tree on the one engine: 192 cross-pod dual-layer
-//! migrations through plain `NetworkSim::new` + `simulation()`. Dense
+//! migrations through plain `NetworkSim::new` + `batch_simulation()`. Dense
 //! all-pairs path tables would need ~16 GiB here, so this is also the
 //! test that the simulator's path-table rows really are filled on demand.
 //!
@@ -10,7 +10,7 @@
 use p4update::core::Strategy;
 use p4update::des::{SimDuration, SimTime};
 use p4update::net::{topologies, FlowId, FlowUpdate, Path, Topology};
-use p4update::sim::{simulation, Event, NetworkSim, SimConfig, System, TimingConfig};
+use p4update::sim::{batch_simulation, NetworkSim, SimConfig, System, TimingConfig};
 
 /// Hand-derived cross-pod migrations. The gravity-model generator makes
 /// one flow per switch, and each of those 32,768 Yen queries starts with a
@@ -53,14 +53,8 @@ fn ft32768_runs_on_the_sequential_engine() {
     let nodes = topo.node_count();
     let updates = ft32768_updates(&topo, 192);
     let config = SimConfig::new(TimingConfig::fat_tree(), 1);
-    let mut world = NetworkSim::new(topo, System::P4Update(Strategy::ForceDual), config, None);
-    for u in &updates {
-        let old = u.old_path.as_ref().expect("migrations have an old path");
-        world.install_initial_path(u.flow, old, u.size);
-    }
-    let batch = world.add_batch(updates);
-    let mut sim = simulation(world);
-    sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
+    let world = NetworkSim::new(topo, System::P4Update(Strategy::ForceDual), config, None);
+    let mut sim = batch_simulation(world, updates, SimTime::ZERO);
     let _ = sim.run_until(SimTime::ZERO + SimDuration::from_secs(600));
     // 8,348 while reports drew their latency at a controller-side event:
     // one event fewer per switch report.

@@ -19,7 +19,7 @@
 use p4update::core::Strategy;
 use p4update::des::{Samples, SimDuration, SimRng, SimTime};
 use p4update::net::{topologies, Topology};
-use p4update::sim::{simulation, Event, FaultConfig, NetworkSim, SimConfig, System, TimingConfig};
+use p4update::sim::{batch_simulation, FaultConfig, NetworkSim, SimConfig, System, TimingConfig};
 use p4update::traffic::multi_flow;
 
 struct Cell {
@@ -80,20 +80,9 @@ fn check(scale: &str, topo: &Topology, base: SimConfig, seeds: u64, cell: &Cell)
     for seed in 1..=seeds {
         let workload = multi_flow(topo, &mut SimRng::new(seed), 0.55);
         let config = SimConfig { seed, ..base };
-        let mut world = NetworkSim::new(
-            topo.clone(),
-            cell.system,
-            config,
-            Some(workload.free_capacity.clone()),
-        );
-        for u in &workload.updates {
-            if let Some(old) = &u.old_path {
-                world.install_initial_path(u.flow, old, u.size);
-            }
-        }
-        let batch = world.add_batch(workload.updates.clone());
-        let mut sim = simulation(world);
-        sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
+        let free = Some(workload.free_capacity.clone());
+        let world = NetworkSim::new(topo.clone(), cell.system, config, free);
+        let mut sim = batch_simulation(world, workload.updates.clone(), SimTime::ZERO);
         let _ = sim.run_until(SimTime::ZERO + SimDuration::from_secs(600));
         events += sim.events_delivered();
         peak = peak.max(sim.peak_queue_depth());

@@ -5,7 +5,7 @@
 use p4update::core::Strategy;
 use p4update::des::{SimDuration, SimRng, SimTime};
 use p4update::net::{topologies, FlowId, FlowUpdate, NodeId, Path, Version};
-use p4update::sim::{simulation, Event, NetworkSim, SimConfig, System, TimingConfig};
+use p4update::sim::{batch_simulation, Event, NetworkSim, SimConfig, System, TimingConfig};
 
 fn fig1_update() -> FlowUpdate {
     FlowUpdate::new(
@@ -16,30 +16,24 @@ fn fig1_update() -> FlowUpdate {
     )
 }
 
-/// Run a batch of updates under `strategy`, with the checker armed on
-/// every event; return the finished world.
+/// Run batches of updates under `strategy`, each triggered at its instant
+/// in ms and starting from the first batch's old paths, with the checker
+/// armed on every event; return the finished world.
 fn run_batches(
     strategy: Strategy,
     seed: u64,
     batches: Vec<(u64, Vec<FlowUpdate>)>,
     topo: p4update::net::Topology,
-    installed: &[(FlowId, Path, f64)],
 ) -> NetworkSim {
     let config = SimConfig::new(TimingConfig::wan_single_flow(topo.centroid()), seed).paranoid();
-    let mut world = NetworkSim::new(topo, System::P4Update(strategy), config, None);
-    for (flow, path, size) in installed {
-        world.install_initial_path(*flow, path, *size);
-    }
-    let mut idxs = Vec::new();
-    for (_, updates) in &batches {
-        idxs.push(world.add_batch(updates.clone()));
-    }
-    let mut sim = simulation(world);
-    for ((at_ms, _), idx) in batches.iter().zip(idxs) {
-        sim.schedule_at(
-            SimTime::ZERO + SimDuration::from_millis(*at_ms),
-            Event::Trigger { batch: idx },
-        );
+    let world = NetworkSim::new(topo, System::P4Update(strategy), config, None);
+    let at = |ms: u64| SimTime::ZERO + SimDuration::from_millis(ms);
+    let mut batches = batches.into_iter();
+    let (first_ms, first) = batches.next().expect("at least one batch");
+    let mut sim = batch_simulation(world, first, at(first_ms));
+    for (at_ms, updates) in batches {
+        let batch = sim.world_mut().add_batch(updates);
+        sim.schedule_at(at(at_ms), Event::Trigger { batch });
     }
     assert!(sim.run().drained());
     sim.into_world()
@@ -56,7 +50,6 @@ fn theorem_1_and_3_consistency_during_migration() {
                 seed,
                 vec![(0, vec![fig1_update()])],
                 topologies::fig1(),
-                &[(FlowId(0), Path::new(topologies::fig1_old_path()), 1.0)],
             );
             assert!(
                 world.violations.is_empty(),
@@ -76,7 +69,6 @@ fn theorem_2_and_4_convergence_to_highest_version() {
             3,
             vec![(0, vec![fig1_update()])],
             topologies::fig1(),
-            &[(FlowId(0), Path::new(topologies::fig1_old_path()), 1.0)],
         );
         for &node in &topologies::fig1_new_path() {
             let e = world.switches[node].state.uib.read(FlowId(0));
@@ -105,7 +97,6 @@ fn rapid_succession_converges_to_latest() {
             seed,
             vec![(0, vec![u2.clone()]), (40, vec![u3.clone()])],
             topo.clone(),
-            &[(FlowId(0), old.clone(), 1.0)],
         );
         assert!(
             world.violations.is_empty(),
@@ -134,7 +125,6 @@ fn dual_after_dual_requires_single_between() {
         9,
         vec![(0, vec![u2]), (3_000, vec![u3])],
         topo,
-        &[(FlowId(0), old, 1.0)],
     );
     // Consistency is never violated even though the second update cannot
     // proceed past dual-updated gateways.
@@ -166,13 +156,7 @@ fn random_topology_migrations_stay_consistent() {
         }
         let u = FlowUpdate::new(FlowId(0), Some(paths[0].clone()), paths[1].clone(), 1.0);
         for strategy in [Strategy::Auto, Strategy::ForceSingle, Strategy::ForceDual] {
-            let world = run_batches(
-                strategy,
-                round,
-                vec![(0, vec![u.clone()])],
-                topo.clone(),
-                &[(FlowId(0), paths[0].clone(), 1.0)],
-            );
+            let world = run_batches(strategy, round, vec![(0, vec![u.clone()])], topo.clone());
             assert!(
                 world.violations.is_empty(),
                 "round {round} {strategy:?} on {}: {:?}",

@@ -7,7 +7,7 @@ use p4update::core::Strategy;
 use p4update::des::{SimDuration, SimTime};
 use p4update::messages::DataPacket;
 use p4update::net::{FlowId, FlowUpdate, NodeId, Path, Topology, TopologyBuilder, Version};
-use p4update::sim::{simulation, Event, NetworkSim, SimConfig, System, TimingConfig};
+use p4update::sim::{batch_simulation, Event, NetworkSim, SimConfig, System, TimingConfig};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A topology where mixed walks are *detectable*: the old path has a
@@ -48,22 +48,12 @@ fn tagged_packets_never_mix_generations() {
     // long and heavily exercised by traffic.
     let config = SimConfig::new(TimingConfig::wan_single_flow(topo.centroid()), 21).paranoid();
     let mut world = NetworkSim::new(topo, System::P4Update(Strategy::ForceSingle), config, None);
-    world.install_initial_path(flow, &old, 1.0);
     world.enable_two_phase_commit();
-    let batch = world.add_batch(vec![FlowUpdate::new(
-        flow,
-        Some(old.clone()),
-        new.clone(),
-        1.0,
-    )]);
-
-    let mut sim = simulation(world);
     // Trigger at 100 ms; stream packets from 0 to 2 s (the migration takes
     // several hundred ms under exp(100 ms) installs).
-    sim.schedule_at(
-        SimTime::ZERO + SimDuration::from_millis(100),
-        Event::Trigger { batch },
-    );
+    let update = FlowUpdate::new(flow, Some(old.clone()), new.clone(), 1.0);
+    let trigger = SimTime::ZERO + SimDuration::from_millis(100);
+    let mut sim = batch_simulation(world, vec![update], trigger);
     for i in 0..200u64 {
         sim.schedule_at(
             SimTime::ZERO + SimDuration::from_millis(i * 10),
@@ -130,20 +120,11 @@ fn untagged_packets_do_mix_generations() {
     let (topo, old, new) = pivot_topology();
     let flow = FlowId(0);
     let config = SimConfig::new(TimingConfig::wan_single_flow(topo.centroid()), 21).paranoid();
-    let mut world = NetworkSim::new(topo, System::P4Update(Strategy::ForceSingle), config, None);
-    world.install_initial_path(flow, &old, 1.0);
     // No enable_two_phase_commit().
-    let batch = world.add_batch(vec![FlowUpdate::new(
-        flow,
-        Some(old.clone()),
-        new.clone(),
-        1.0,
-    )]);
-    let mut sim = simulation(world);
-    sim.schedule_at(
-        SimTime::ZERO + SimDuration::from_millis(100),
-        Event::Trigger { batch },
-    );
+    let world = NetworkSim::new(topo, System::P4Update(Strategy::ForceSingle), config, None);
+    let update = FlowUpdate::new(flow, Some(old.clone()), new.clone(), 1.0);
+    let trigger = SimTime::ZERO + SimDuration::from_millis(100);
+    let mut sim = batch_simulation(world, vec![update], trigger);
     for i in 0..200u64 {
         sim.schedule_at(
             SimTime::ZERO + SimDuration::from_millis(i * 10),

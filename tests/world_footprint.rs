@@ -216,6 +216,7 @@ fn ft512_world_stays_under_its_recorded_peak() {
         Some(batch.free_capacity.clone()),
     );
     phases.push(("world build", live() - start));
+    // Assembled by hand, not by `batch_simulation`: each step is measured.
     for u in &batch.updates {
         if let Some(old) = &u.old_path {
             world.install_initial_path(u.flow, old, u.size);
