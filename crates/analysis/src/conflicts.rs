@@ -35,20 +35,26 @@ pub(crate) fn check_batch_versions(plans: &[PreparedUpdate], out: &mut Vec<Diagn
     }
 }
 
-/// Directed edges traversed by a path, as ordered node pairs.
-pub(crate) fn edge_set(path: &p4update_net::Path) -> BTreeSet<(NodeId, NodeId)> {
-    path.edges().collect()
+/// Directed edges traversed by a path, as ordered node pairs: ascending,
+/// each once.
+fn edge_set(path: &p4update_net::Path) -> Vec<(NodeId, NodeId)> {
+    let mut edges: Vec<_> = path.edges().collect();
+    edges.sort_unstable();
+    edges.dedup();
+    edges
 }
 
 /// The per-plan inputs of the waits-for graph: the directed edge sets of a
 /// plan's new and old paths plus its flow identity and size. Precomputed
 /// once so both graph constructions (pairwise and link-indexed) read the
-/// same data.
+/// same data. Each set is a sorted vector probed by binary search: a path
+/// has a handful of edges, for which a tree's nodes weigh more than the
+/// pairs they hold.
 pub(crate) struct PlanEdges {
     pub(crate) flow: p4update_net::FlowId,
     pub(crate) size: f64,
-    pub(crate) new_edges: BTreeSet<(NodeId, NodeId)>,
-    pub(crate) old_edges: BTreeSet<(NodeId, NodeId)>,
+    pub(crate) new_edges: Vec<(NodeId, NodeId)>,
+    pub(crate) old_edges: Vec<(NodeId, NodeId)>,
 }
 
 impl PlanEdges {
@@ -64,6 +70,12 @@ impl PlanEdges {
                 .map(edge_set)
                 .unwrap_or_default(),
         }
+    }
+
+    /// Whether the plan moves off link `e`: on its old path, not on its
+    /// new one.
+    pub(crate) fn vacates(&self, e: &(NodeId, NodeId)) -> bool {
+        self.old_edges.binary_search(e).is_ok() && self.new_edges.binary_search(e).is_err()
     }
 }
 
@@ -97,10 +109,7 @@ pub(crate) fn build_waits_for(edges: &[PlanEdges], topo: Option<&Topology>) -> V
             if a == b || edges[a].flow == edges[b].flow {
                 continue;
             }
-            let shared = edges[a]
-                .new_edges
-                .iter()
-                .filter(|e| edges[b].old_edges.contains(e) && !edges[b].new_edges.contains(e));
+            let shared = edges[a].new_edges.iter().filter(|e| edges[b].vacates(e));
             for &e in shared {
                 if contended(topo, e, &edges[a], &edges[b]) {
                     waits_for[a].push(b);

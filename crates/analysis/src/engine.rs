@@ -138,7 +138,8 @@ impl BatchAnalyzer {
         for (i, e) in edges.iter().enumerate() {
             let i = i as u32;
             index.extend(e.new_edges.iter().map(|&l| (l, false, i)));
-            index.extend(e.old_edges.difference(&e.new_edges).map(|&l| (l, true, i)));
+            let vacated = e.old_edges.iter().filter(|l| e.vacates(l));
+            index.extend(vacated.map(|&l| (l, true, i)));
         }
         index.sort_unstable();
         // Ordered per-vertex sets: a pair that contends on several links

@@ -349,19 +349,19 @@ impl SwitchLogic for CentralSwitchLogic {
         assert_eq!(f, flow);
         // Move capacity accounting from the old link to the new one.
         let entry = state.uib.read(flow);
-        if let Some(old) = entry.active_next_hop {
+        if let Some(old) = entry.active_next_hop.get() {
             if Some(old) != next_hop {
                 state.release_capacity(old, entry.flow_size.max(size));
             }
         }
         if let Some(new) = next_hop {
-            if entry.active_next_hop != Some(new) {
+            if entry.active_next_hop.get() != Some(new) {
                 state.reserve_capacity(new, size);
             }
         }
         state.uib.update(flow, |e| {
             e.applied_version = Version(e.applied_version.0.max(1) + 1);
-            e.active_next_hop = next_hop;
+            e.active_next_hop = next_hop.into();
             if e.flow_size == 0.0 {
                 e.flow_size = size;
             }
@@ -552,9 +552,6 @@ mod tests {
                 msg: Message::Central(CentralMsg::Ack { node, round: 1, .. })
             } if *node == NodeId(1)
         ));
-        assert_eq!(
-            sw.state.uib.read(FlowId(0)).active_next_hop,
-            Some(NodeId(2))
-        );
+        assert_eq!(sw.state.uib.active_next_hop(FlowId(0)), Some(NodeId(2)));
     }
 }

@@ -450,7 +450,7 @@ impl EzSwitchLogic {
         // Interior or finalizer: install the new rule. Capacity gate first.
         let entry = state.uib.read(flow);
         let new_hop = role.next_hop;
-        let needs_capacity = new_hop.is_some() && entry.active_next_hop != new_hop;
+        let needs_capacity = new_hop.is_some() && entry.active_next_hop.get() != new_hop;
         if needs_capacity {
             let to = new_hop.expect("checked");
             let remaining = state.remaining_capacity(to).unwrap_or(0.0);
@@ -660,7 +660,7 @@ impl SwitchLogic for EzSwitchLogic {
         };
         // Move capacity off the old link and flip the rule.
         let entry = state.uib.read(flow);
-        let old_link = entry.active_next_hop;
+        let old_link = entry.active_next_hop.get();
         if let Some(old) = old_link {
             if role.next_hop != Some(old) {
                 state.release_capacity(old, entry.flow_size.max(role.size));
@@ -668,7 +668,7 @@ impl SwitchLogic for EzSwitchLogic {
         }
         state.uib.update(flow, |e| {
             e.applied_version = Version(e.applied_version.0.max(1) + 1);
-            e.active_next_hop = role.next_hop;
+            e.active_next_hop = role.next_hop.into();
         });
 
         if role.finalizer {
@@ -855,10 +855,7 @@ mod tests {
             Effect::SendSwitch { to, msg: Message::Ez(EzMsg::GoodToMove { .. }) }
                 if *to == NodeId(0)
         ));
-        assert_eq!(
-            s1.state.uib.read(FlowId(0)).active_next_hop,
-            Some(NodeId(2))
-        );
+        assert_eq!(s1.state.uib.active_next_hop(FlowId(0)), Some(NodeId(2)));
     }
 
     #[test]

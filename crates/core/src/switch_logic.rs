@@ -223,8 +223,8 @@ impl P4UpdateLogic {
         state.uib.update(uim.flow, |e| {
             e.uim_version = uim.version;
             e.uim_distance = uim.new_distance;
-            e.staged_next_hop = uim.next_hop;
-            e.staged_upstream = uim.upstream;
+            e.staged_next_hop = uim.next_hop.into();
+            e.staged_upstream = uim.upstream.into();
             e.uim_kind = Some(uim.kind);
             if e.flow_size == 0.0 {
                 e.flow_size = uim.flow_size;
@@ -331,7 +331,7 @@ impl P4UpdateLogic {
         // labels alone can be satisfied by an equivocating neighbor's
         // forged notification (it just claims a distance one further out);
         // the arrival port cannot be forged.
-        if verdict.accepts() && Some(from) != entry.staged_next_hop.map(Endpoint::Switch) {
+        if verdict.accepts() && Some(from) != entry.staged_next_hop.get().map(Endpoint::Switch) {
             verdict = Verdict::Reject(RejectReason::UnexpectedSender);
         }
         match verdict {
@@ -363,7 +363,7 @@ impl P4UpdateLogic {
                     });
                 }
                 let e = state.uib.read(unm.flow);
-                match e.active_upstream {
+                match e.active_upstream.get() {
                     Some(up) => {
                         let fwd = Self::unm_from_entry(&e, unm.flow, unm.kind, unm.layer);
                         self.send_unm(up, fwd, out);
@@ -421,12 +421,13 @@ impl P4UpdateLogic {
         let entry = state.uib.read(unm.flow);
         let new_hop = entry
             .staged_next_hop
+            .get()
             .expect("non-egress acceptance always has a staged next hop");
 
         // Capacity is already allocated when the flow keeps its link
         // (§A.2: "if the flow was routed on e under the prior forwarding
         // rules ... capacity is already allocated").
-        let needs_capacity = entry.active_next_hop != Some(new_hop);
+        let needs_capacity = entry.active_next_hop.get() != Some(new_hop);
         let mut reserved = None;
         if needs_capacity {
             let remaining = state.remaining_capacity(new_hop).unwrap_or(0.0);
@@ -456,15 +457,14 @@ impl P4UpdateLogic {
                     // two flows each blocked on the link the other wants
                     // would otherwise re-raise and retry each other forever.
                     let mut raised = Vec::new();
-                    for g in state.uib.flows() {
-                        let ge = state.uib.read(g);
+                    for (g, ge) in state.uib.iter_mut() {
                         if g != unm.flow
                             && ge.priority != FlowPriority::High
-                            && ge.active_next_hop == Some(new_hop)
+                            && ge.active_next_hop.get() == Some(new_hop)
                             && ge.uim_version > ge.applied_version
-                            && ge.staged_next_hop != Some(new_hop)
+                            && ge.staged_next_hop.get() != Some(new_hop)
                         {
-                            state.uib.update(g, |e| e.priority = FlowPriority::High);
+                            ge.priority = FlowPriority::High;
                             raised.push(g);
                         }
                     }
@@ -533,7 +533,7 @@ impl P4UpdateLogic {
         if entry.uim_version >= c.version || !entry.has_active_rule() {
             return; // still on the flow's path (or nothing to clean)
         }
-        if let Some(next) = entry.active_next_hop {
+        if let Some(next) = entry.active_next_hop.get() {
             state.release_capacity(next, entry.flow_size);
             out.push(Effect::SendSwitch {
                 to: next,
@@ -625,9 +625,10 @@ impl SwitchLogic for P4UpdateLogic {
         }
 
         // Release capacity on the link the flow moves away from.
-        let old_link = entry.active_next_hop;
-        let moves_off =
-            entry.has_active_rule() && old_link.is_some() && old_link != entry.staged_next_hop;
+        let old_link = entry.active_next_hop.get();
+        let moves_off = entry.has_active_rule()
+            && old_link.is_some()
+            && old_link != entry.staged_next_hop.get();
         if moves_off {
             state.release_capacity(old_link.expect("checked"), entry.flow_size);
         }
@@ -648,7 +649,7 @@ impl SwitchLogic for P4UpdateLogic {
         // Continue the chain upstream — except second-layer notifications
         // at gateways, which die here (§8).
         let continues = !(p.via_gateway && p.layer == UnmLayer::Intra);
-        match e.active_upstream {
+        match e.active_upstream.get() {
             Some(up) if continues => {
                 let kind = if p.apply == ApplyKind::Single {
                     UpdateKind::Single
@@ -811,7 +812,7 @@ mod tests {
         let effects = v1.handle_installed(SimTime::ZERO, FlowId(0), token);
         let e = v1.state.uib.read(FlowId(0));
         assert_eq!(e.applied_version, Version(1));
-        assert_eq!(e.active_next_hop, Some(NodeId(2)));
+        assert_eq!(e.active_next_hop.get(), Some(NodeId(2)));
         assert_eq!(effects.len(), 1);
         assert!(matches!(
             &effects[0],
@@ -930,7 +931,7 @@ mod tests {
             e.applied_distance = 1;
             e.old_version = Version(1);
             e.old_distance = 1;
-            e.active_next_hop = Some(NodeId(2));
+            e.active_next_hop = Some(NodeId(2)).into();
             e.flow_size = 6.0;
         });
         assert!(v1.state.reserve_capacity(NodeId(2), 6.0));
@@ -968,7 +969,7 @@ mod tests {
             e.applied_distance = 1;
             e.old_version = Version(1);
             e.old_distance = 1;
-            e.active_next_hop = Some(NodeId(2));
+            e.active_next_hop = Some(NodeId(2)).into();
             e.flow_size = 6.0;
         });
         assert!(v1.state.reserve_capacity(NodeId(2), 6.0));
@@ -1022,10 +1023,7 @@ mod tests {
         assert!(effects
             .iter()
             .any(|e| matches!(e, Effect::BeginInstall { flow, .. } if *flow == FlowId(1))));
-        assert_eq!(
-            v1.state.uib.read(FlowId(0)).active_next_hop,
-            Some(NodeId(3))
-        );
+        assert_eq!(v1.state.uib.active_next_hop(FlowId(0)), Some(NodeId(3)));
     }
 
     #[test]
@@ -1094,7 +1092,7 @@ mod tests {
         let mut v1 = p4switch(&t, 1);
         v1.state.uib.update(FlowId(0), |e| {
             e.applied_version = Version(1);
-            e.active_next_hop = Some(NodeId(2));
+            e.active_next_hop = Some(NodeId(2)).into();
             e.flow_size = 2.0;
         });
         let effects = v1.handle_message(

@@ -16,12 +16,12 @@ fn recovery_relay_through_applied_node() {
         e.uim_version = Version(2);
         e.uim_distance = 1;
         e.uim_kind = Some(UpdateKind::Single);
-        e.staged_next_hop = Some(NodeId(2));
-        e.staged_upstream = Some(NodeId(0));
+        e.staged_next_hop = Some(NodeId(2)).into();
+        e.staged_upstream = Some(NodeId(0)).into();
         e.applied_version = Version(2);
         e.applied_distance = 1;
-        e.active_next_hop = Some(NodeId(2));
-        e.active_upstream = Some(NodeId(0));
+        e.active_next_hop = Some(NodeId(2)).into();
+        e.active_upstream = Some(NodeId(0)).into();
         e.old_version = Version(2);
         e.old_distance = 1;
         e.last_update_type = Some(UpdateKind::Single);

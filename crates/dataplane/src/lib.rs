@@ -26,4 +26,4 @@ mod uib;
 pub use logic::{ControllerLogic, CtrlEffect, DropReason, Effect, Endpoint, SwitchLogic};
 pub use state::SwitchState;
 pub use switch::Switch;
-pub use uib::{FlowPriority, Uib, UibEntry};
+pub use uib::{FlowPriority, HopRegister, Uib, UibEntry};

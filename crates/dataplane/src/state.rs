@@ -1,8 +1,20 @@
-//! Per-switch runtime state: UIB registers, outgoing-link capacity
-//! accounting, and pipeline overhead counters.
+//! Per-switch runtime state: UIB registers and outgoing-link capacity
+//! accounting.
 
 use crate::uib::Uib;
 use p4update_net::{NodeId, Topology, CAPACITY_SLACK};
+
+/// One port: the neighbour it leads to and the remaining capacity on the
+/// outgoing directed link toward it, in flow-size units. Packed, so a port
+/// is 12 bytes and not 16; its fields are only read and written by value.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, packed)]
+struct Port {
+    to: NodeId,
+    capacity: f64,
+}
+
+const _: () = assert!(std::mem::size_of::<Port>() == 12);
 
 /// The mutable state of one switch, shared between the chassis (data-packet
 /// forwarding) and the pluggable update logic.
@@ -12,13 +24,12 @@ pub struct SwitchState {
     pub id: NodeId,
     /// The per-flow register file.
     pub uib: Uib,
-    /// Remaining capacity on each outgoing directed link `(self → neighbor)`
-    /// in flow-size units. The sending endpoint exclusively controls its
-    /// direction, which is what makes the paper's local congestion
-    /// scheduling sound (§7.4). Ascending `NodeId` order, one entry per
-    /// port, probed by binary search: a switch has a handful of ports and
-    /// the set never changes after construction.
-    capacity: Vec<(NodeId, f64)>,
+    /// The switch's ports, ascending by neighbour, probed by binary search:
+    /// a switch has a handful of ports and the set never changes after
+    /// construction. A switch alone accounts for the outgoing direction of
+    /// its links, which is what makes the paper's local congestion
+    /// scheduling sound (§7.4).
+    ports: Box<[Port]>,
 }
 
 impl SwitchState {
@@ -27,33 +38,32 @@ impl SwitchState {
     /// `TopologyBuilder::add_link` rejects duplicate links, so the list is
     /// taken as it comes: no two entries ever shared a neighbor.
     pub fn new(id: NodeId, topo: &Topology) -> Self {
-        let capacity: Vec<(NodeId, f64)> = topo
+        let ports: Box<[Port]> = topo
             .neighbors(id)
             .iter()
-            .map(|&(n, l)| (n, topo.link(l).capacity))
+            .map(|&(to, l)| Port {
+                to,
+                capacity: topo.link(l).capacity,
+            })
             .collect();
         assert!(
-            capacity.windows(2).all(|w| w[0].0 < w[1].0),
+            ports.windows(2).all(|w| { w[0].to } < { w[1].to }),
             "neighbors of {id} are not strictly ascending"
         );
         SwitchState {
             id,
             uib: Uib::new(),
-            capacity,
+            ports,
         }
     }
 
     fn port(&self, neighbor: NodeId) -> Option<usize> {
-        self.capacity.binary_search_by_key(&neighbor, |e| e.0).ok()
+        self.ports.binary_search_by_key(&neighbor, |p| p.to).ok()
     }
 
     /// Remaining capacity toward `neighbor` (`None` if not adjacent).
     pub fn remaining_capacity(&self, neighbor: NodeId) -> Option<f64> {
-        self.port(neighbor).map(|i| self.capacity[i].1)
-    }
-
-    fn capacity_mut(&mut self, neighbor: NodeId) -> Option<&mut f64> {
-        self.port(neighbor).map(|i| &mut self.capacity[i].1)
+        self.port(neighbor).map(|i| self.ports[i].capacity)
     }
 
     /// Whether `size` units fit on the link toward `neighbor`. Non-adjacent
@@ -66,9 +76,9 @@ impl SwitchState {
     /// Reserve `size` units toward `neighbor`. Returns `false` (and
     /// reserves nothing) when capacity is insufficient.
     pub fn reserve_capacity(&mut self, neighbor: NodeId, size: f64) -> bool {
-        match self.capacity_mut(neighbor) {
-            Some(c) if *c + CAPACITY_SLACK >= size => {
-                *c -= size;
+        match self.port(neighbor) {
+            Some(i) if self.ports[i].capacity + CAPACITY_SLACK >= size => {
+                self.ports[i].capacity -= size;
                 true
             }
             _ => false,
@@ -80,14 +90,14 @@ impl SwitchState {
     /// releases must balance reserves, and over-release indicates a logic
     /// bug that the consistency checker will flag.
     pub fn release_capacity(&mut self, neighbor: NodeId, size: f64) {
-        if let Some(c) = self.capacity_mut(neighbor) {
-            *c += size;
+        if let Some(i) = self.port(neighbor) {
+            self.ports[i].capacity += size;
         }
     }
 
     /// Neighbors with tracked capacity (the switch's ports).
     pub fn neighbors(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.capacity.iter().map(|e| e.0)
+        self.ports.iter().map(|p| p.to)
     }
 }
 

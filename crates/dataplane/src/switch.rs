@@ -14,7 +14,7 @@ use p4update_net::{FlowId, NodeId, Topology};
 
 /// A switch: state plus protocol logic.
 pub struct Switch {
-    /// Runtime state (UIB, capacities, counters).
+    /// Runtime state: the UIB and the ports' remaining capacities.
     pub state: SwitchState,
     logic: Box<dyn SwitchLogic>,
     /// FRMs already emitted, to report each new flow once.
@@ -157,7 +157,7 @@ impl Switch {
                 // of older generations were overwritten and cannot be
                 // served consistently.
                 if entry.prev_version > p4update_net::Version::NONE && v == entry.prev_version {
-                    entry.prev_next_hop
+                    entry.prev_next_hop.get()
                 } else {
                     out.push(Effect::PacketDropped {
                         pkt,
@@ -166,7 +166,7 @@ impl Switch {
                     return;
                 }
             }
-            _ => entry.active_next_hop,
+            _ => entry.active_next_hop.get(),
         };
         match next_hop {
             None => out.push(Effect::PacketDelivered { pkt }),
@@ -264,7 +264,7 @@ mod tests {
         let mut s = sw(&t, 1);
         s.state.uib.update(FlowId(5), |e| {
             e.applied_version = Version(1);
-            e.active_next_hop = Some(NodeId(2));
+            e.active_next_hop = Some(NodeId(2)).into();
         });
         let effects = s.handle_message(
             SimTime::ZERO,
@@ -286,7 +286,7 @@ mod tests {
         let mut s = sw(&t, 1);
         s.state.uib.update(FlowId(5), |e| {
             e.applied_version = Version(1);
-            e.active_next_hop = Some(NodeId(2));
+            e.active_next_hop = Some(NodeId(2)).into();
         });
         let effects = s.handle_message(
             SimTime::ZERO,
@@ -308,7 +308,7 @@ mod tests {
         let mut s = sw(&t, 2);
         s.state.uib.update(FlowId(5), |e| {
             e.applied_version = Version(1);
-            e.active_next_hop = None;
+            e.active_next_hop = None.into();
         });
         let effects = s.handle_message(
             SimTime::ZERO,
@@ -345,7 +345,7 @@ mod tests {
         let mut s = sw(&t, 0);
         s.state.uib.update(FlowId(9), |e| {
             e.applied_version = Version(1);
-            e.active_next_hop = Some(NodeId(1));
+            e.active_next_hop = Some(NodeId(1)).into();
         });
         let effects = s.inject_packet(SimTime::ZERO, pkt(9, 64), NodeId(2));
         assert_eq!(

@@ -45,11 +45,11 @@ fn two_generation_switch() -> Switch {
     sw.state.uib.update(FlowId(0), |e| {
         e.uim_version = Version(1);
         e.uim_distance = 1;
-        e.staged_next_hop = Some(NodeId(1));
+        e.staged_next_hop = Some(NodeId(1)).into();
         e.apply_single(); // generation 1 -> n1
         e.uim_version = Version(2);
         e.uim_distance = 1;
-        e.staged_next_hop = Some(NodeId(2));
+        e.staged_next_hop = Some(NodeId(2)).into();
         e.apply_single(); // generation 2 -> n2, previous saved
     });
     sw
@@ -109,7 +109,7 @@ fn ancient_tag_is_dropped_as_blackhole() {
         for (v, hop) in [(1u32, 1u32), (2, 2), (3, 1)] {
             e.uim_version = Version(v);
             e.uim_distance = 1;
-            e.staged_next_hop = Some(NodeId(hop));
+            e.staged_next_hop = Some(NodeId(hop)).into();
             e.apply_single();
         }
     });

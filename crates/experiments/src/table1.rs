@@ -26,7 +26,7 @@ const ROWS: &[Row] = &[
     Row {
         register: "egress_port_updated",
         paper_name: "egress_port_updated",
-        explanation: "egress port in P_n (staged next hop)",
+        explanation: "egress port in P_n (staged next hop, a 4-byte port register)",
     },
     Row {
         register: "old_distance",
@@ -41,7 +41,7 @@ const ROWS: &[Row] = &[
     Row {
         register: "egress_port",
         paper_name: "egress_port",
-        explanation: "egress port in P_o (active next hop)",
+        explanation: "egress port in P_o (active next hop, a 4-byte port register)",
     },
     Row {
         register: "flow_size",
@@ -71,12 +71,12 @@ const ROWS: &[Row] = &[
     Row {
         register: "staged_upstream / active_upstream",
         paper_name: "(clone-session port table, §8)",
-        explanation: "UNM clone-session ports per configuration",
+        explanation: "UNM clone-session ports per configuration (4-byte port registers)",
     },
     Row {
         register: "prev_version / prev_next_hop",
         paper_name: "(§11 two-phase commit)",
-        explanation: "previous rule generation for tagged packets",
+        explanation: "previous rule generation for tagged packets (port: 4-byte register)",
     },
 ];
 
@@ -94,10 +94,10 @@ pub fn print() {
     uib.update(FlowId(7), |e| {
         e.uim_version = Version(3);
         e.uim_distance = 4;
-        e.staged_next_hop = Some(NodeId(2));
+        e.staged_next_hop = Some(NodeId(2)).into();
         e.applied_version = Version(2);
         e.applied_distance = 5;
-        e.active_next_hop = Some(NodeId(9));
+        e.active_next_hop = Some(NodeId(9)).into();
         e.old_version = Version(2);
         e.old_distance = 5;
         e.flow_size = 2.5;

@@ -57,7 +57,7 @@ fn walk_flow(
             out.push(Violation::Blackhole { flow, at: cur });
             return;
         }
-        match entry.active_next_hop {
+        match entry.active_next_hop.get() {
             None => return, // delivered at this switch (egress role)
             Some(next) => {
                 *usage.entry((cur, next)).or_insert(0.0) += spec.size;
@@ -141,7 +141,7 @@ mod tests {
             .uib
             .update(FlowId(flow), |e| {
                 e.applied_version = Version(1);
-                e.active_next_hop = next.map(NodeId);
+                e.active_next_hop = next.map(NodeId).into();
             });
     }
 

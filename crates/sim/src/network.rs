@@ -464,8 +464,8 @@ impl NetworkSim {
             sw.state.uib.update(flow, |e| {
                 e.applied_version = Version(1);
                 e.applied_distance = dist;
-                e.active_next_hop = next;
-                e.active_upstream = prev;
+                e.active_next_hop = next.into();
+                e.active_upstream = prev.into();
                 e.old_version = Version(1);
                 e.old_distance = dist;
                 e.flow_size = size;
@@ -504,7 +504,36 @@ impl NetworkSim {
 
     /// Register an update batch; returns the batch index for
     /// [`Event::Trigger`].
+    ///
+    /// This is also where register files are sized, the way a P4 program
+    /// fixes its register arrays before traffic arrives: every switch on one
+    /// of the batch's paths gets room for exactly the flows it holds plus
+    /// the batch's flows whose new path crosses it and that it does not hold
+    /// yet ([`Uib::provision`](p4update_dataplane::Uib::provision)), so a
+    /// run grows no register file and none keeps growth slack. A flow the
+    /// count did not foresee still gets its record; one twice in a batch is
+    /// counted twice. The count is one counter per switch and two passes
+    /// over the batch's path nodes.
     pub fn add_batch(&mut self, updates: Vec<FlowUpdate>) -> usize {
+        // Per switch, the batch's flows it will hold for the first time;
+        // `u32::MAX` once the switch is provisioned.
+        let mut fresh = vec![0u32; self.switches.len()];
+        for u in &updates {
+            for &node in u.new_path.nodes() {
+                if !self.switches[node].state.uib.knows(u.flow) {
+                    fresh[node.index()] += 1;
+                }
+            }
+        }
+        for u in &updates {
+            let old = u.old_path.iter().flat_map(Path::nodes);
+            for &node in u.new_path.nodes().iter().chain(old) {
+                let count = std::mem::replace(&mut fresh[node.index()], u32::MAX);
+                if count != u32::MAX {
+                    self.switches[node].state.uib.provision(count as usize);
+                }
+            }
+        }
         self.batches.push(updates);
         self.batches.len() - 1
     }
@@ -1127,7 +1156,7 @@ mod tests {
         let path = Path::new(topologies::fig1_old_path());
         sim.install_initial_path(FlowId(0), &path, 2.0);
         let e = sim.switches[NodeId(0)].state.uib.read(FlowId(0));
-        assert_eq!(e.active_next_hop, Some(NodeId(4)));
+        assert_eq!(e.active_next_hop.get(), Some(NodeId(4)));
         assert_eq!(e.applied_distance, 3);
         let remaining = sim.switches[NodeId(0)]
             .state

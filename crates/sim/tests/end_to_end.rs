@@ -33,7 +33,7 @@ fn assert_new_path_active(world: &NetworkSim) {
     for w in new_path.windows(2) {
         let e = world.switches[w[0]].state.uib.read(FlowId(0));
         assert_eq!(
-            e.active_next_hop,
+            e.active_next_hop.get(),
             Some(w[1]),
             "node {} should forward to {}",
             w[0],

@@ -75,8 +75,8 @@ fn main() {
             .filter(|(_, v)| matches!(v, p4update::sim::Violation::Congestion { .. }))
             .count()
     );
-    assert_eq!(a.active_next_hop, Some(NodeId(3)));
-    assert_eq!(b.active_next_hop, Some(NodeId(2)));
+    assert_eq!(a.active_next_hop.get(), Some(NodeId(3)));
+    assert_eq!(b.active_next_hop.get(), Some(NodeId(2)));
     assert!(world.violations.is_empty());
     println!("\n=> the swap completed congestion-free with no controller scheduling.");
 }

@@ -62,6 +62,7 @@ fn main() {
             w[0],
             entry
                 .active_next_hop
+                .get()
                 .map_or("terminate".to_string(), |n| n.to_string()),
             entry.applied_version,
             entry.applied_distance

@@ -11,7 +11,8 @@
 # examples that assert or print the paper's claims (any non-zero exit fails),
 # the corpus and explorer smokes, the ft512 lint pass's and world's
 # heap-footprint counts (which a deep topology copy, a per-switch map or a
-# retained batch-sized buffer fails), the large fat-tree tests, the experiment means
+# retained batch-sized buffer fails), the large fat-tree tests (among them
+# `dc-scale`'s two heap high-water marks on ft4096), the experiment means
 # EXPERIMENTS.md quotes, the root
 # property suites and the differentials — the path solver, the bridge
 # classification and `multi_flow` against their oracles, the UIB against its
@@ -113,11 +114,11 @@ cargo test -q --release --test corpus_replay
 # world has a peak bound of its own. Three things fail here that
 # `peak_rss_mb` would only drift on: a deep topology copy (a clone must
 # request 0 bytes, a built ft512 graph is pinned to the byte), a per-switch
-# map where a sorted vector is, a retained batch-sized buffer and a
-# per-switch buffer kept after it empties (the world at rest is pinned to
-# the byte; the peak has a bound). (A fat message
-# variant fails `cargo build`: the size assertions beside `Message`,
-# `Effect` and `Event`.)
+# map where a sorted vector is, a retained batch-sized buffer, a
+# per-switch buffer kept after it empties and a register file left with its
+# growth slack (the world at rest is pinned to the byte; the peak has a
+# bound). (A fat message variant or UIB record fails `cargo build`: the
+# size assertions beside `Message`, `Effect`, `Event` and `UibEntry`.)
 echo "==> ft512 lint and world heap footprint: peaks under their bounds, topology and resting world at their counts (release profile)"
 cargo test -q --release --test world_footprint
 
@@ -136,7 +137,8 @@ else
 fi
 
 # The 32768-switch fat-tree on the one engine (lazy path-table rows), the
-# `dc-scale` workload's digest (4096 k-shortest-path queries on ft4096),
+# `dc-scale` workload's digest (4096 k-shortest-path queries on ft4096) and
+# its two heap high-water marks (the lint pass and the run, as counts),
 # the Fig. 4 and Fig. 7 means EXPERIMENTS.md quotes (seven 30-run
 # experiments), the path solver against its oracle on 16x the default random
 # graphs (the search prunes, and a pruning rule fails on a rare tie: 96 cases
@@ -158,6 +160,9 @@ if [[ "${FAST:-0}" != 1 ]]; then
 
     echo "==> ft4096 workload digest (ignored test, release)"
     cargo test -q --release --test workload_digest -- --ignored
+
+    echo "==> ft4096 lint-pass and run heap peaks under their bounds (ignored test, release)"
+    cargo test -q --release --test world_footprint -- --ignored
 
     echo "==> Fig. 4 and Fig. 7 means at 30 runs equal EXPERIMENTS.md's (ignored test, release)"
     cargo test -q --release --test paper_scenarios -- --ignored
@@ -182,7 +187,7 @@ if [[ "${FAST:-0}" != 1 ]]; then
     echo "==> benchmark/check.sh (the benchmark builds and smokes against this tree)"
     benchmark/check.sh
 else
-    echo "==> ft32768, ft4096 digest, experiment means, scaled differentials (path solver, two_paths, multi_flow, UIB, reanalyze) and property suites and benchmark/check.sh skipped (FAST=1)"
+    echo "==> ft32768, ft4096 digest and heap peaks, experiment means, scaled differentials (path solver, two_paths, multi_flow, UIB, reanalyze) and property suites and benchmark/check.sh skipped (FAST=1)"
 
     echo "==> cargo check of the benchmark package (its pinned API surface still compiles)"
     cargo check -q --offline --manifest-path benchmark/Cargo.toml

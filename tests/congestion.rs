@@ -139,15 +139,15 @@ fn mutually_blocked_flows_park_instead_of_recursing() {
             let waits_on_a_stranded_holder = world.switches.values().any(|sw| {
                 let uib = &sw.state.uib;
                 let e = uib.read(f);
-                let Some(wanted) = e.staged_next_hop else {
+                let Some(wanted) = e.staged_next_hop.get() else {
                     return false;
                 };
                 e.uim_version > e.applied_version
-                    && e.active_next_hop != Some(wanted)
+                    && e.active_next_hop.get() != Some(wanted)
                     && !sw.state.capacity_suffices(wanted, e.flow_size)
                     && stranded
                         .iter()
-                        .any(|&g| g != f && uib.read(g).active_next_hop == Some(wanted))
+                        .any(|&g| g != f && uib.read(g).active_next_hop.get() == Some(wanted))
             });
             assert!(
                 waits_on_a_stranded_holder,

@@ -214,12 +214,7 @@ fn multi_gateway_backward_segments_wait_for_inherited_distance() {
             for w in new_path.windows(2) {
                 let (node, succ) = (w[0], w[1]);
                 if !flips.contains_key(&node.0)
-                    && sim.world().switches[node]
-                        .state
-                        .uib
-                        .read(flow)
-                        .active_next_hop
-                        == Some(succ)
+                    && sim.world().switches[node].state.uib.active_next_hop(flow) == Some(succ)
                 {
                     flips.insert(node.0, t);
                 }

@@ -99,7 +99,7 @@ fn gen_entry(rng: &mut SimRng) -> UibEntry {
         old_distance: gen_u32(rng, 12),
         last_update_type: gen_opt_kind(rng),
         counter: gen_u32(rng, 20),
-        staged_next_hop: Some(NodeId(1)),
+        staged_next_hop: Some(NodeId(1)).into(),
         ..UibEntry::default()
     }
 }

@@ -106,7 +106,7 @@ fn rapid_succession_converges_to_latest() {
         // Converged to V3's route (the old path again).
         let e = world.switches[NodeId(0)].state.uib.read(FlowId(0));
         assert_eq!(e.applied_version, Version(3), "seed {seed}");
-        assert_eq!(e.active_next_hop, Some(NodeId(4)), "seed {seed}");
+        assert_eq!(e.active_next_hop.get(), Some(NodeId(4)), "seed {seed}");
     }
 }
 

@@ -2,33 +2,38 @@
 //! the regression oracle that the benchmark's `peak_rss_mb` cannot be.
 //!
 //! `peak_rss_mb` is a high-water mark of the whole process, page-granular
-//! and allocator-dependent; this is a deterministic count. One
-//! `synthetic_fat_tree_512` `p4update-dl` batch is built the way the
-//! benchmark builds `dc-scale`'s (`multi_flow` at 0.55, seed 1, old paths
-//! installed, one batch, 600 simulated seconds) and the test bounds the
-//! peak of *requested live bytes* above what was live before the world
-//! existed: switch state, the logics' per-switch tables, the event queue,
-//! the effect buffers and the controller's stores. Before the world, the
-//! batch is prepared and linted the way the benchmark does it, and the
-//! peak of that phase — topology, batch, plans and the linter's working
-//! set, `dc-scale`'s other high-water mark — has a bound of its own. Beside
-//! the bounds, three
-//! exact counts: a built topology is live at its pinned size (no builder
-//! slack), a clone of it requests nothing (the world holds a handle, not a
-//! copy), and the world at rest after the run weighs what was recorded.
-//! `--nocapture` prints live bytes after each phase.
+//! and allocator-dependent; this is a deterministic count. One fat-tree
+//! `p4update-dl` batch is built the way the benchmark builds `dc-scale`'s
+//! (`multi_flow` at 0.55, seed 1, old paths installed, one batch, 600
+//! simulated seconds) and the test bounds the peak of *requested live
+//! bytes* above what was live before the world existed: switch state, the
+//! logics' per-switch tables, the event queue, the effect buffers and the
+//! controller's stores. Before the world, the batch is prepared and linted
+//! the way the benchmark does it, and the peak of that phase — topology,
+//! batch, plans and the linter's working set, `dc-scale`'s other high-water
+//! mark — has a bound of its own. The default test does this on
+//! `synthetic_fat_tree_512` and pins, beside the bounds, three exact
+//! counts: a built topology is live at its pinned size (no builder slack),
+//! a clone of it requests nothing (the world holds a handle, not a copy),
+//! and the world at rest after the run weighs what was recorded — which
+//! includes register files with no growth slack, so a switch not
+//! provisioned where its batch is added fails there. The ignored test does
+//! it on `synthetic_fat_tree_4096`, `dc-scale`'s own topology, and bounds
+//! its two high-water marks. `--nocapture` prints live bytes after each
+//! phase.
 //!
 //! This test crate hosts a counting `#[global_allocator]`, which is why it
-//! contains an `unsafe` block and exactly one `#[test]` (a second test
-//! would share the counters). It counts only the thread that measures:
-//! libtest's main thread allocates some bookkeeping after it spawns the
-//! test thread, and whether that lands before or after the baseline is
-//! read is up to the scheduler, so counting every thread made the exact
-//! counts flaky.
+//! contains an `unsafe` block. The counters are global, so the two tests
+//! hold one lock while they count. Only the thread that measures is
+//! counted: libtest's main thread allocates some bookkeeping after it
+//! spawns the test thread, and whether that lands before or after the
+//! baseline is read is up to the scheduler, so counting every thread made
+//! the exact counts flaky.
 
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use p4update::analysis::{AnalysisContext, BatchAnalyzer};
 use p4update::core::{prepare_batch, Strategy};
@@ -54,6 +59,25 @@ thread_local! {
 /// is not (or no longer) available.
 fn counting() -> bool {
     COUNTING.try_with(Cell::get).unwrap_or(false)
+}
+
+/// Counts this thread's requests while it lives. Dropped when a
+/// measurement ends, even by a panic, so what the test harness does on the
+/// thread afterwards (while the other test may be counting) is not
+/// counted.
+struct Counting;
+
+impl Counting {
+    fn start() -> Self {
+        COUNTING.with(|c| c.set(true));
+        Counting
+    }
+}
+
+impl Drop for Counting {
+    fn drop(&mut self) {
+        COUNTING.with(|c| c.set(false));
+    }
 }
 
 fn grew(by: usize) {
@@ -103,45 +127,67 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// `capacity` and `pending`), 2,617,968 at bad153b (40-byte `Message`, the
 /// two vectors), 1,999,704 with the topology a shared handle, `Uib::index`
 /// and `ufm_sent` sorted vectors and the trigger pass's effect buffer given
-/// back. The bound sits halfway between the last two. The peak has since
-/// fallen to 1,915,256 (reports draw their latency at the switch, the
-/// per-switch overhead counters are gone) and the bound stayed. Then
-/// 1,692,760 with `pending` and the `Parked` lists freed when they empty;
-/// the bound sits halfway between 1,915,256 and that. (The trigger pass
-/// shipping one P4Update flow at a time does not move this peak: at ft512
-/// the run, not the trigger, sets it.) Then 1,622,024 with an in-flight
-/// update kept as its update, version and mechanism, its UIMs built on
-/// every push; the bound sits halfway between 1,692,760 and that.
-const PEAK_BOUND: usize = 1_657_392;
+/// back. The peak has since fallen to 1,915,256 (reports draw their latency
+/// at the switch, the per-switch overhead counters are gone), then
+/// 1,692,760 with `pending` and the `Parked` lists freed when they empty,
+/// then 1,622,024 with an in-flight update kept as its update, version and
+/// mechanism, its UIMs built on every push. Then 1,355,236 with the
+/// register files provisioned where the batch is added, a 64-byte UIB
+/// record and a 12-byte port; the bound sits halfway between 1,622,024 and
+/// that.
+const PEAK_BOUND: usize = 1_488_630;
 
 /// Peak live bytes of the lint pass above the start: the topology, the
 /// batch, its prepared plans and the linter's working set. 1,846,542 with
 /// the adjacency one vector per node, free capacity a map keyed by node
 /// pairs and the waits-for link index a map of two vectors per link;
 /// 1,305,994 with the adjacency one array, free capacity one value per arc
-/// and the link index one sorted vector of `(link, side, plan)` entries.
-/// The bound sits halfway between the two.
-const LINT_PEAK_BOUND: usize = 1_576_268;
+/// and the link index one sorted vector of `(link, side, plan)` entries;
+/// 1,226,266 with a plan's edge sets sorted vectors. The bound sits halfway
+/// between the last two.
+const LINT_PEAK_BOUND: usize = 1_266_130;
 
 /// What the world holds above the baseline once the run is over and the
 /// queue is empty, to the byte: 2,519,872 at bad153b, 1,901,496 at dfbc3c2,
 /// then 68,064 fewer with reports drawing their latency at the switch and
 /// 16,384 fewer without the per-switch overhead counters (32 bytes on each
 /// of 512 switches), then 1,593,384: 223,664 fewer with `pending` and the
-/// `Parked` lists freed when they empty. The peak's bound has room for any
-/// one of the things this count is for — a per-switch map back in place of
-/// a sorted vector is +37,280 (`Uib::index`) or +36,864 (`ufm_sent`), a
-/// whole-batch trigger pass keeping its buffer +196,416 — so each fails
-/// here. Then 1,571,208: 22,176 fewer with the controller's in-flight part
-/// of a flow record boxed. Re-record it, on purpose, when the world's
-/// state changes.
-const REST_BYTES: usize = 1_571_208;
+/// `Parked` lists freed when they empty, then 1,571,208: 22,176 fewer with
+/// the controller's in-flight part of a flow record boxed. Then 1,304,036:
+/// register files sized where the batch is added hold no growth slack, a
+/// record is 64 bytes, a flow's index entry 4, and a port 12. The peak's
+/// bound has room for any one of the things this count is for — a
+/// per-switch map back in place of a sorted vector, a whole-batch trigger
+/// pass keeping its buffer, register files left with their growth slack —
+/// so each fails here. Re-record it, on purpose, when the world's state
+/// changes.
+const REST_BYTES: usize = 1_304_036;
 
 /// What a built `synthetic_fat_tree_512` keeps live, to the byte: the
 /// handle's `Rc` box, `nodes`, `links` and the adjacency's offsets and arc
 /// array at their exact sizes, and the names (365,054 with the builder's
 /// growth slack, 348,782 with one adjacency vector per node).
 const FT512_TOPOLOGY_BYTES: usize = 338_570;
+
+/// `dc-scale`'s lint-pass high-water mark on ft4096, live bytes above the
+/// start (the phase table's "lint peak"): 11,684,930 with a plan's edge
+/// sets `BTreeSet`s, 11,223,474 with them sorted vectors. The bound sits
+/// halfway between the two.
+const FT4096_LINT_PEAK_BOUND: usize = 11_454_202;
+
+/// `dc-scale`'s run high-water mark on ft4096, live bytes above the start
+/// (the phase table's "run peak"): 14,239,914 with 88-byte UIB records
+/// grown by doubling (33,640 records in 46,552 slots) and a port's capacity
+/// stored beside its neighbour's id in one 16-byte entry; 11,735,370 with
+/// the register files provisioned where the batch is added (33,640 records
+/// in 33,640 slots), 64-byte records and 12 bytes a port. The bound sits
+/// halfway between the two.
+const FT4096_RUN_PEAK_BOUND: usize = 12_987_642;
+
+/// The counters are global: the test that counts holds this. It guards no
+/// data, so a test that panicked while holding it leaves nothing to repair
+/// and the next one takes it back from the poison.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 /// What the controller does before the batch ships, as the benchmark does
 /// it: version the batch (a migration moves installed version 1 to 2),
@@ -178,17 +224,34 @@ fn mark() -> usize {
     now
 }
 
-#[test]
-fn ft512_world_stays_under_its_recorded_peak() {
-    COUNTING.with(|c| c.set(true));
+/// One run's counts, in bytes.
+struct Footprint {
+    /// What the built topology keeps live.
+    topology: usize,
+    /// The lint pass's peak, above the start.
+    lint_peak: usize,
+    /// The world's peak, above what was live before it was built.
+    world_peak: usize,
+    /// The world's peak, above the start.
+    run_peak: usize,
+    /// What the world holds after the run, above what was live before it.
+    rest: usize,
+}
+
+/// Build the topology, draw and lint the batch, then build, provision and
+/// run the world, counting live bytes after each phase; the run must
+/// complete every flow.
+fn footprint(name: &str, build: fn() -> Topology) -> Footprint {
+    // Declared first, so it stops counting after the other locals drop.
+    let _counting = Counting::start();
     // Live bytes after each phase, printed at the end: a captured `println!`
     // allocates, and pushing within this capacity does not.
     let mut phases: Vec<(&str, usize)> = Vec::with_capacity(9);
     let start = live();
 
-    let topo = topologies::synthetic_fat_tree_512();
-    phases.push(("topology", live() - start));
-    assert_eq!(live() - start, FT512_TOPOLOGY_BYTES);
+    let topo = build();
+    let topology = live() - start;
+    phases.push(("topology", topology));
 
     // A clone is a handle: any request at all would lift the mark.
     let before_clone = mark();
@@ -228,27 +291,62 @@ fn ft512_world_stays_under_its_recorded_peak() {
     let mut sim = simulation(world);
     sim.schedule_at(SimTime::ZERO, Event::Trigger { batch: index });
     let _ = sim.run_until(SimTime::ZERO + SimDuration::from_secs(600));
-    let peak = PEAK.load(Ordering::Relaxed) - before;
+    let world_peak = PEAK.load(Ordering::Relaxed) - before;
     let rest = live() - before;
-    phases.push(("run peak", before + peak - start));
+    let run_peak = before + world_peak - start;
+    phases.push(("run peak", run_peak));
     phases.push(("after run", live() - start));
-    for (name, bytes) in phases {
-        println!("{name:>12}: {bytes:>9} bytes live");
+    for (phase, bytes) in phases {
+        println!("{phase:>12}: {bytes:>9} bytes live");
     }
-    println!("ft512 lint: peak live heap {lint_peak} bytes");
-    println!("ft512 world: peak live heap {peak} bytes over {flows} flows");
-    assert_eq!(rest, REST_BYTES);
+    println!("{name} lint: peak live heap {lint_peak} bytes");
+    println!("{name} world: peak live heap {world_peak} bytes over {flows} flows");
 
     // The run did its work: a world that completes nothing is small too.
     let mut world = sim.into_world();
     assert!(world.record_stranded_flows().is_empty());
     assert_eq!(world.metrics().counts().completions, flows as u64);
+    Footprint {
+        topology,
+        lint_peak,
+        world_peak,
+        run_peak,
+        rest,
+    }
+}
+
+#[test]
+fn ft512_world_stays_under_its_recorded_peak() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let f = footprint("ft512", topologies::synthetic_fat_tree_512);
+    assert_eq!(f.topology, FT512_TOPOLOGY_BYTES);
+    assert_eq!(f.rest, REST_BYTES);
     assert!(
-        peak <= PEAK_BOUND,
-        "peak live heap of the ft512 world is {peak} bytes, bound {PEAK_BOUND}"
+        f.world_peak <= PEAK_BOUND,
+        "peak live heap of the ft512 world is {} bytes, bound {PEAK_BOUND}",
+        f.world_peak
     );
     assert!(
-        lint_peak <= LINT_PEAK_BOUND,
-        "peak live heap of the ft512 lint pass is {lint_peak} bytes, bound {LINT_PEAK_BOUND}"
+        f.lint_peak <= LINT_PEAK_BOUND,
+        "peak live heap of the ft512 lint pass is {} bytes, bound {LINT_PEAK_BOUND}",
+        f.lint_peak
+    );
+}
+
+/// `dc-scale` itself: ft4096, a few seconds in release.
+#[test]
+#[ignore = "ft4096: run in release with --ignored"]
+fn ft4096_stays_under_its_recorded_peaks() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let f = footprint("ft4096", topologies::synthetic_fat_tree_4096);
+    assert!(
+        f.lint_peak <= FT4096_LINT_PEAK_BOUND,
+        "peak live heap of the ft4096 lint pass is {} bytes, bound {FT4096_LINT_PEAK_BOUND}",
+        f.lint_peak
+    );
+    assert!(
+        f.run_peak <= FT4096_RUN_PEAK_BOUND,
+        "peak live heap of the ft4096 run is {} bytes, bound {FT4096_RUN_PEAK_BOUND}",
+        f.run_peak
     );
 }
