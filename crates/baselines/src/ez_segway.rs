@@ -919,7 +919,7 @@ mod tests {
             let effects = s0.handle_message(SimTime::ZERO, Endpoint::Switch(NodeId(1)), done);
             assert!(effects.is_empty());
         }
-        assert_eq!(s0.parked_messages(), 2);
+        assert_eq!(s0.logic.parked_messages(), 2);
         // The ingress finalizes segment 0 and tracks all three.
         let upd = Message::Ez(EzMsg::Update(Box::new(EzUpdate {
             flow: FlowId(0),
@@ -937,7 +937,7 @@ mod tests {
         })));
         let effects = s0.handle_message(SimTime::ZERO, Endpoint::Controller, upd);
         assert!(effects.is_empty(), "the finalizer waits for GoodToMove");
-        assert_eq!(s0.parked_messages(), 0);
+        assert_eq!(s0.logic.parked_messages(), 0);
         let effects = s0.handle_message(
             SimTime::ZERO,
             Endpoint::Switch(NodeId(1)),

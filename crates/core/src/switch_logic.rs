@@ -751,7 +751,7 @@ mod tests {
         }
     }
 
-    fn p4switch(topo: &Topology, id: u32) -> Switch {
+    fn p4switch(topo: &Topology, id: u32) -> Switch<P4UpdateLogic> {
         Switch::new(NodeId(id), topo, Box::new(P4UpdateLogic::new()))
     }
 
@@ -1184,7 +1184,7 @@ mod tests {
             Endpoint::Switch(NodeId(2)),
             Message::Unm(unm(0, 1, 0)),
         );
-        assert_eq!(v1.parked_messages(), 1);
+        assert_eq!(v1.logic.parked_messages(), 1);
         // The real completion still flips it.
         v1.handle_installed(SimTime::ZERO, FlowId(0), token);
         assert_eq!(v1.state.uib.read(FlowId(0)).applied_version, Version(1));
@@ -1229,7 +1229,7 @@ mod tests {
                 Message::Unm(unm(flow, 1, 0)),
             );
         }
-        assert_eq!(v1.parked_messages(), 2);
+        assert_eq!(v1.logic.parked_messages(), 2);
         // Completions in the other order than the writes began.
         for flow in [1, 0] {
             v1.handle_installed(SimTime::ZERO, FlowId(flow), tokens[flow as usize]);

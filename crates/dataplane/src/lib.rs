@@ -9,7 +9,9 @@
 //!   knowledge the congestion scheduler of §7.4 relies on).
 //! - [`Switch`]: the chassis — forwards data packets by the active rules
 //!   (shared across all systems under test) and dispatches control traffic
-//!   to a pluggable [`SwitchLogic`].
+//!   to the [`SwitchLogic`] it holds by value. This crate cannot name the
+//!   systems, so the simulator's `SwitchImpl` enum of the three is the
+//!   logic every simulated switch holds.
 //! - [`SwitchLogic`] / [`ControllerLogic`]: the interface each system
 //!   (P4Update, ez-Segway, Central) implements; all timing is applied by
 //!   the harness to the returned [`Effect`]s, so protocol differences are

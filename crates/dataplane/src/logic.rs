@@ -1,4 +1,4 @@
-//! The pluggable update-logic interface.
+//! The update-logic interface.
 //!
 //! Every system the evaluation compares — P4Update (SL and DL), ez-Segway,
 //! and Central — is a [`SwitchLogic`] implementation on the switch side and

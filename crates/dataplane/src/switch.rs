@@ -1,10 +1,13 @@
 //! The switch chassis: owns the per-switch state, forwards data packets by
-//! the active UIB rules, and dispatches control messages to the plugged-in
-//! update logic.
+//! the active UIB rules, and dispatches control messages to its update
+//! logic.
 //!
 //! Data-packet forwarding is identical for every system under test — only
 //! the control-message handling differs — so it lives here, outside the
-//! pluggable logic.
+//! logic. The chassis holds its logic by value: the simulator names one
+//! enum of the three systems (`p4update_sim::SwitchImpl`), so a switch
+//! event is a `match`, not a virtual call, and the logic's state is a
+//! typed field anyone holding the switch can read.
 
 use crate::logic::{DropReason, Effect, Endpoint, SwitchLogic};
 use crate::state::SwitchState;
@@ -12,38 +15,43 @@ use p4update_des::SimTime;
 use p4update_messages::{DataPacket, Frm, Message};
 use p4update_net::{FlowId, NodeId, Topology};
 
-/// A switch: state plus protocol logic.
-pub struct Switch {
+/// A switch: state plus protocol logic. `L` is last so that a
+/// `&mut Switch<P4UpdateLogic>` coerces to a bare `&mut Switch`, whose
+/// default parameter is the type-erased logic.
+pub struct Switch<L: ?Sized = dyn SwitchLogic> {
     /// Runtime state: the UIB and the ports' remaining capacities.
     pub state: SwitchState,
-    logic: Box<dyn SwitchLogic>,
     /// FRMs already emitted, to report each new flow once.
     reported_flows: Vec<FlowId>,
     /// Two-phase-commit mode (§11): the ingress stamps each injected
     /// packet with its applied configuration version, and forwarding
     /// honors tags (tagged packets follow exactly one rule generation).
     stamp_tags: bool,
+    /// The system's control-message logic.
+    pub logic: L,
 }
 
-impl Switch {
-    /// Build a switch for node `id` with the given protocol logic.
-    pub fn new(id: NodeId, topo: &Topology, logic: Box<dyn SwitchLogic>) -> Self {
+impl<L: SwitchLogic + ?Sized> Switch<L> {
+    /// Build a switch for node `id` with the given protocol logic, which
+    /// the switch unboxes and holds by value.
+    // `benchmark/` passes a box, and only a change to the benchmark
+    // itself may edit it (ROADMAP, "The benchmark-category PR").
+    #[allow(clippy::boxed_local)]
+    pub fn new(id: NodeId, topo: &Topology, logic: Box<L>) -> Self
+    where
+        L: Sized,
+    {
         Switch {
             state: SwitchState::new(id, topo),
-            logic,
             reported_flows: Vec::new(),
             stamp_tags: false,
+            logic: *logic,
         }
     }
 
     /// Enable the §11 two-phase-commit mode on this switch.
     pub fn enable_two_phase_commit(&mut self) {
         self.stamp_tags = true;
-    }
-
-    /// This switch's node id.
-    pub fn id(&self) -> NodeId {
-        self.state.id
     }
 
     /// A message arrived (from a neighbor switch or the controller).
@@ -71,11 +79,6 @@ impl Switch {
         }
     }
 
-    /// Messages parked in this switch's pipeline (resubmission load).
-    pub fn parked_messages(&self) -> usize {
-        self.logic.parked_messages()
-    }
-
     /// A rule installation completed.
     pub fn handle_installed(&mut self, now: SimTime, flow: FlowId, token: u64) -> Vec<Effect> {
         let mut out = Vec::new();
@@ -95,22 +98,11 @@ impl Switch {
             .on_installed(now, &mut self.state, flow, token, out);
     }
 
-    /// A data packet enters the network at this switch (host-facing port).
-    /// Unknown flows are reported to the controller via FRM — the ingress
-    /// clones the first packet and stamps the flow id (Appendix B) — and the
-    /// packet itself blackholes until rules exist.
-    pub fn inject_packet(
-        &mut self,
-        now: SimTime,
-        pkt: DataPacket,
-        egress_hint: NodeId,
-    ) -> Vec<Effect> {
-        let mut out = Vec::new();
-        self.inject_packet_into(now, pkt, egress_hint, &mut out);
-        out
-    }
-
-    /// [`Self::inject_packet`] writing into a caller-owned buffer.
+    /// A data packet enters the network at this switch (host-facing port),
+    /// its effects written into `out`. Unknown flows are reported to the
+    /// controller via FRM — the ingress clones the first packet and stamps
+    /// the flow id (Appendix B) — and the packet itself blackholes until
+    /// rules exist.
     pub fn inject_packet_into(
         &mut self,
         _now: SimTime,
@@ -227,8 +219,14 @@ mod tests {
         b.build()
     }
 
-    fn sw(topo: &Topology, id: u32) -> Switch {
+    fn sw(topo: &Topology, id: u32) -> Switch<NullLogic> {
         Switch::new(NodeId(id), topo, Box::new(NullLogic))
+    }
+
+    fn inject(s: &mut Switch<NullLogic>, pkt: DataPacket, egress_hint: NodeId) -> Vec<Effect> {
+        let mut out = Vec::new();
+        s.inject_packet_into(SimTime::ZERO, pkt, egress_hint, &mut out);
+        out
     }
 
     fn pkt(flow: u32, ttl: u8) -> DataPacket {
@@ -322,7 +320,7 @@ mod tests {
     fn injection_of_unknown_flow_reports_once() {
         let t = line3();
         let mut s = sw(&t, 0);
-        let effects = s.inject_packet(SimTime::ZERO, pkt(9, 64), NodeId(2));
+        let effects = inject(&mut s, pkt(9, 64), NodeId(2));
         assert_eq!(effects.len(), 2);
         assert!(
             matches!(effects[0], Effect::SendController { msg: Message::Frm(f) } if f.flow == FlowId(9) && f.ingress == NodeId(0) && f.egress == NodeId(2))
@@ -335,7 +333,7 @@ mod tests {
             }
         ));
         // Second injection: no new FRM.
-        let effects = s.inject_packet(SimTime::ZERO, pkt(9, 64), NodeId(2));
+        let effects = inject(&mut s, pkt(9, 64), NodeId(2));
         assert_eq!(effects.len(), 1);
     }
 
@@ -347,7 +345,7 @@ mod tests {
             e.applied_version = Version(1);
             e.active_next_hop = Some(NodeId(1)).into();
         });
-        let effects = s.inject_packet(SimTime::ZERO, pkt(9, 64), NodeId(2));
+        let effects = inject(&mut s, pkt(9, 64), NodeId(2));
         assert_eq!(
             effects,
             vec![Effect::ForwardData {

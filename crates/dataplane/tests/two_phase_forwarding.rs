@@ -39,7 +39,7 @@ fn star4() -> Topology {
 
 /// A switch with generation 2 active (-> n2) and generation 1 saved
 /// (-> n1).
-fn two_generation_switch() -> Switch {
+fn two_generation_switch() -> Switch<NullLogic> {
     let topo = star4();
     let mut sw = Switch::new(NodeId(0), &topo, Box::new(NullLogic));
     sw.state.uib.update(FlowId(0), |e| {
@@ -131,7 +131,8 @@ fn ancient_tag_is_dropped_as_blackhole() {
 fn stamping_happens_at_injection_when_enabled() {
     let mut sw = two_generation_switch();
     sw.enable_two_phase_commit();
-    let effects = sw.inject_packet(SimTime::ZERO, pkt(None), NodeId(2));
+    let mut effects = Vec::new();
+    sw.inject_packet_into(SimTime::ZERO, pkt(None), NodeId(2), &mut effects);
     match effects.as_slice() {
         [Effect::ForwardData { pkt, .. }] => {
             assert_eq!(pkt.tag, Some(Version(2)), "ingress must stamp");
@@ -143,7 +144,8 @@ fn stamping_happens_at_injection_when_enabled() {
 #[test]
 fn no_stamping_without_the_mode() {
     let mut sw = two_generation_switch();
-    let effects = sw.inject_packet(SimTime::ZERO, pkt(None), NodeId(2));
+    let mut effects = Vec::new();
+    sw.inject_packet_into(SimTime::ZERO, pkt(None), NodeId(2), &mut effects);
     match effects.as_slice() {
         [Effect::ForwardData { pkt, .. }] => assert_eq!(pkt.tag, None),
         other => panic!("unexpected effects {other:?}"),

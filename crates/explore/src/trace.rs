@@ -8,10 +8,10 @@
 //! `0`), plus the expected outcome, so a committed counterexample can be
 //! re-executed and checked on every CI run.
 //!
-//! ## File format (version 1)
+//! ## File format (version 2)
 //!
 //! ```text
-//! # p4update-explore choice trace v1
+//! # p4update-explore choice trace v2
 //! scenario fig2-ez
 //! seed 1
 //! expect-events 412
@@ -27,22 +27,13 @@
 //!   encoding from `p4update_core::Violation`) it pins the replay outcome
 //!   exactly.
 //! - `choice <index> <kind> <arity> <pick>` forces consultation `<index>`
-//!   to `<pick>`. Kind and arity document the decision; replay applies the
+//!   to `<pick>`; the kinds are `fault`, `tie` and `byz` (a byzantine
+//!   lying decision, `p4update_des::ChoiceKind`). Kind and arity document the decision; replay applies the
 //!   pick by index and ignores a forced entry whose pick is out of range
 //!   for the arity actually encountered (that only happens to stale or
 //!   hand-edited traces — the shrinker relies on this no-op semantic while
 //!   it perturbs prefixes).
 //! - `#`-prefixed lines and blank lines are comments.
-//!
-//! ## Version 2
-//!
-//! Format version 2 is version 1 plus the `byz` choice kind (byzantine
-//! lying decisions, `p4update_des::ChoiceKind::Byzantine`). Serialization
-//! picks the *lowest* version that can express the trace — a trace with no
-//! byzantine choices emits the v1 header byte-for-byte — so the committed
-//! v1 corpus is untouched by the format extension. The parser accepts both
-//! headers; a `byz` choice under an explicit v1 header is a parse error
-//! (the file lies about its own version).
 
 use p4update_core::Violation;
 use p4update_des::{ChoiceKind, Chooser, SimRng};
@@ -51,11 +42,8 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::rc::Rc;
 
-/// Format-version marker, first line of every trace file (version 1).
-pub const TRACE_HEADER: &str = "# p4update-explore choice trace v1";
-
-/// Version-2 marker: v1 plus byzantine (`byz`) choices (see module docs).
-pub const TRACE_HEADER_V2: &str = "# p4update-explore choice trace v2";
+/// Format-version marker, first line of every trace file.
+pub const TRACE_HEADER: &str = "# p4update-explore choice trace v2";
 
 /// One consulted choice point: its consultation index, what kind of
 /// decision it was, how many alternatives existed, and which was taken.
@@ -136,25 +124,11 @@ impl Trace {
         self.choices.len()
     }
 
-    /// True when the trace needs format version 2 (it forces at least one
-    /// byzantine decision).
-    pub fn needs_v2(&self) -> bool {
-        self.choices
-            .values()
-            .any(|c| c.kind == ChoiceKind::Byzantine)
-    }
-
-    /// Serialize to the text format, under the lowest format version that
-    /// can express the trace. `parse` of the result yields an equal trace,
-    /// and serializing that parses back byte-identically.
+    /// Serialize to the text format. `parse` of the result yields an equal
+    /// trace, and serializing that parses back byte-identically.
     pub fn to_text(&self) -> String {
         let mut s = String::new();
-        let header = if self.needs_v2() {
-            TRACE_HEADER_V2
-        } else {
-            TRACE_HEADER
-        };
-        let _ = writeln!(s, "{header}");
+        let _ = writeln!(s, "{TRACE_HEADER}");
         let _ = writeln!(s, "scenario {}", self.scenario);
         let _ = writeln!(s, "seed {}", self.seed);
         if let Some(ev) = self.expect_events {
@@ -183,19 +157,10 @@ impl Trace {
         let mut expect_events = None;
         let mut expect_violations = Vec::new();
         let mut choices = BTreeMap::new();
-        // Declared format version, when a header comment is present.
-        // Headerless traces (hand-written tests) are treated leniently as
-        // the newest version.
-        let mut declared: Option<u8> = None;
         for (lineno, raw) in text.lines().enumerate() {
             let line = raw.trim();
             let err = |what: &str| format!("line {}: {what}: {raw:?}", lineno + 1);
             if line.is_empty() || line.starts_with('#') {
-                if line == TRACE_HEADER {
-                    declared = Some(1);
-                } else if line == TRACE_HEADER_V2 {
-                    declared = Some(2);
-                }
                 continue;
             }
             let (key, rest) = line.split_once(' ').ok_or_else(|| err("missing value"))?;
@@ -217,9 +182,6 @@ impl Trace {
                         return Err(err("expected: choice <index> <kind> <arity> <pick>"));
                     };
                     let kind = ChoiceKind::from_token(kind).ok_or_else(|| err("bad kind"))?;
-                    if kind == ChoiceKind::Byzantine && declared == Some(1) {
-                        return Err(err("byzantine choice in a trace declared v1"));
-                    }
                     let arity: u32 = arity.parse().map_err(|_| err("bad arity"))?;
                     let pick: u32 = pick.parse().map_err(|_| err("bad pick"))?;
                     if arity < 2 || pick == 0 || pick >= arity {
@@ -380,17 +342,12 @@ mod tests {
         assert_eq!(parsed.to_text(), text);
     }
 
-    /// Traces without byzantine choices keep emitting the v1 header
-    /// byte-for-byte; a byzantine choice upgrades the header to v2 and
-    /// still round-trips.
+    /// A byzantine choice serializes under the same header and
+    /// round-trips.
     #[test]
-    fn version_is_the_lowest_that_expresses_the_trace() {
-        let v1 = sample_trace();
-        assert!(!v1.needs_v2());
-        assert!(v1.to_text().starts_with(TRACE_HEADER));
-
-        let mut v2 = sample_trace();
-        v2.choices.insert(
+    fn byzantine_choices_round_trip() {
+        let mut t = sample_trace();
+        t.choices.insert(
             40,
             ForcedChoice {
                 kind: ChoiceKind::Byzantine,
@@ -398,25 +355,11 @@ mod tests {
                 pick: 1,
             },
         );
-        assert!(v2.needs_v2());
-        let text = v2.to_text();
-        assert!(text.starts_with(TRACE_HEADER_V2));
+        let text = t.to_text();
+        assert!(text.starts_with(TRACE_HEADER));
         let parsed = Trace::parse(&text).unwrap();
-        assert_eq!(parsed, v2);
+        assert_eq!(parsed, t);
         assert_eq!(parsed.to_text(), text);
-    }
-
-    /// A `byz` choice under an explicit v1 header is a lie about the
-    /// file's own version and must be rejected; headerless hand-written
-    /// traces stay lenient.
-    #[test]
-    fn byzantine_choices_are_rejected_under_a_v1_header() {
-        let bad = format!("{TRACE_HEADER}\nscenario x\nseed 1\nchoice 0 byz 2 1\n");
-        assert!(Trace::parse(&bad).unwrap_err().contains("v1"));
-        let ok = "scenario x\nseed 1\nchoice 0 byz 2 1\n";
-        assert_eq!(Trace::parse(ok).unwrap().forced_count(), 1);
-        let ok2 = format!("{TRACE_HEADER_V2}\nscenario x\nseed 1\nchoice 0 byz 2 1\n");
-        assert!(Trace::parse(&ok2).is_ok());
     }
 
     #[test]

@@ -110,8 +110,8 @@ pub fn check(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::SwitchImpl;
     use p4update_core::P4UpdateLogic;
-    use p4update_dataplane::Switch;
     use p4update_des::SimDuration;
     use p4update_net::{TopologyBuilder, Version};
 
@@ -128,21 +128,14 @@ mod tests {
     }
 
     fn network(topo: &Topology) -> SwitchTable {
-        SwitchTable::build(topo, |id| {
-            Switch::new(id, topo, Box::new(P4UpdateLogic::new()))
-        })
+        SwitchTable::build(topo, || SwitchImpl::P4(P4UpdateLogic::new()))
     }
 
     fn set_rule(switches: &mut SwitchTable, node: u32, flow: u32, next: Option<u32>) {
-        switches
-            .get_mut(NodeId(node))
-            .unwrap()
-            .state
-            .uib
-            .update(FlowId(flow), |e| {
-                e.applied_version = Version(1);
-                e.active_next_hop = next.map(NodeId).into();
-            });
+        switches[NodeId(node)].state.uib.update(FlowId(flow), |e| {
+            e.applied_version = Version(1);
+            e.active_next_hop = next.map(NodeId).into();
+        });
     }
 
     fn spec(ingress: u32, size: f64) -> FlowSpec {

@@ -21,7 +21,7 @@ pub use config::{
 };
 pub use metrics::{Metrics, MetricsCounts, StreamingMetrics};
 pub use network::{
-    batch_simulation, simulation, ByzDisposition, ByzOutcome, Event, NetworkSim, System,
+    batch_simulation, simulation, ByzDisposition, ByzOutcome, Event, NetworkSim, SwitchImpl, System,
 };
 pub use p4update_messages::ByzVector;
 pub use table::SwitchTable;

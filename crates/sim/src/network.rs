@@ -16,7 +16,7 @@ use crate::metrics::Metrics;
 use crate::table::SwitchTable;
 use p4update_baselines::{CentralController, CentralSwitchLogic, EzController, EzSwitchLogic};
 use p4update_core::{P4UpdateController, P4UpdateLogic, Strategy};
-use p4update_dataplane::{ControllerLogic, CtrlEffect, Effect, Endpoint, Switch, SwitchLogic};
+use p4update_dataplane::{ControllerLogic, CtrlEffect, Effect, Endpoint, SwitchLogic, SwitchState};
 use p4update_des::{ChoiceKind, Scheduler, SimDuration, SimRng, SimTime, Simulation, World};
 use p4update_messages::{ByzDelivery, ByzVector, DataPacket, Message, RejectReason, UfmStatus};
 use p4update_net::{
@@ -118,6 +118,58 @@ impl ControllerImpl {
         match self {
             ControllerImpl::P4(_) => 1,
             ControllerImpl::Ez(_) | ControllerImpl::Central(_) => len.max(1),
+        }
+    }
+}
+
+/// The switch-side twin of `ControllerImpl`: each switch holds its
+/// system's logic by value, and [`NetworkSim`] reaches it through this
+/// enum only, so `world.switches[n].logic` is a typed value.
+pub enum SwitchImpl {
+    /// P4Update's switch logic.
+    P4(P4UpdateLogic),
+    /// ez-Segway's switch logic.
+    Ez(EzSwitchLogic),
+    /// Central's switch logic.
+    Central(CentralSwitchLogic),
+}
+
+impl SwitchLogic for SwitchImpl {
+    fn on_control(
+        &mut self,
+        now: SimTime,
+        state: &mut SwitchState,
+        from: Endpoint,
+        msg: Message,
+        out: &mut Vec<Effect>,
+    ) {
+        match self {
+            SwitchImpl::P4(l) => l.on_control(now, state, from, msg, out),
+            SwitchImpl::Ez(l) => l.on_control(now, state, from, msg, out),
+            SwitchImpl::Central(l) => l.on_control(now, state, from, msg, out),
+        }
+    }
+
+    fn on_installed(
+        &mut self,
+        now: SimTime,
+        state: &mut SwitchState,
+        flow: FlowId,
+        token: u64,
+        out: &mut Vec<Effect>,
+    ) {
+        match self {
+            SwitchImpl::P4(l) => l.on_installed(now, state, flow, token, out),
+            SwitchImpl::Ez(l) => l.on_installed(now, state, flow, token, out),
+            SwitchImpl::Central(l) => l.on_installed(now, state, flow, token, out),
+        }
+    }
+
+    fn parked_messages(&self) -> usize {
+        match self {
+            SwitchImpl::P4(l) => l.parked_messages(),
+            SwitchImpl::Ez(l) => l.parked_messages(),
+            SwitchImpl::Central(l) => l.parked_messages(),
         }
     }
 }
@@ -312,13 +364,10 @@ impl NetworkSim {
         free_capacity: Option<ArcMap<f64>>,
     ) -> Self {
         let mut rng = SimRng::new(config.seed);
-        let switches = SwitchTable::build(&topo, |id| {
-            let logic: Box<dyn SwitchLogic> = match system {
-                System::P4Update(_) => Box::new(P4UpdateLogic::new()),
-                System::EzSegway { .. } => Box::new(EzSwitchLogic::new()),
-                System::Central { .. } => Box::new(CentralSwitchLogic::new()),
-            };
-            Switch::new(id, &topo, logic)
+        let switches = SwitchTable::build(&topo, || match system {
+            System::P4Update(_) => SwitchImpl::P4(P4UpdateLogic::new()),
+            System::EzSegway { .. } => SwitchImpl::Ez(EzSwitchLogic::new()),
+            System::Central { .. } => SwitchImpl::Central(CentralSwitchLogic::new()),
         });
         let capacity_view = match system {
             System::EzSegway { congestion } | System::Central { congestion } if congestion => {
@@ -460,7 +509,7 @@ impl NetworkSim {
             let next = path.nodes().get(i + 1).copied();
             let prev = i.checked_sub(1).map(|j| path.nodes()[j]);
             let dist = (path.nodes().len() - 1 - i) as u32;
-            let sw = self.switches.get_mut(node).expect("node exists");
+            let sw = &mut self.switches[node];
             sw.state.uib.update(flow, |e| {
                 e.applied_version = Version(1);
                 e.applied_distance = dist;
@@ -517,7 +566,7 @@ impl NetworkSim {
     pub fn add_batch(&mut self, updates: Vec<FlowUpdate>) -> usize {
         // Per switch, the batch's flows it will hold for the first time;
         // `u32::MAX` once the switch is provisioned.
-        let mut fresh = vec![0u32; self.switches.len()];
+        let mut fresh = vec![0u32; self.topo.node_count()];
         for u in &updates {
             for &node in u.new_path.nodes() {
                 if !self.switches[node].state.uib.knows(u.flow) {
@@ -888,7 +937,7 @@ impl NetworkSim {
     /// messages (Appendix B's data-plane waiting): each poll round charges
     /// one pipeline pass per parked message.
     fn arm_poll(&mut self, node: NodeId, sched: &mut Scheduler<Event>) {
-        if self.polling[node.index()] || self.switches[node].parked_messages() == 0 {
+        if self.polling[node.index()] || self.switches[node].logic.parked_messages() == 0 {
             return;
         }
         self.polling[node.index()] = true;
@@ -917,7 +966,7 @@ impl NetworkSim {
         let done = now + ms(self.config.timing.switch_proc_ms);
         self.switch_busy[node.index()] = done;
         let mut effects = std::mem::take(&mut self.scratch);
-        let switch = self.switches.get_mut(node).expect("switch exists");
+        let switch = &mut self.switches[node];
         // Control events may park messages; an injected packet cannot.
         let may_park = match event {
             Event::DeliverToSwitch { from, msg, lie, .. } => {
@@ -1013,7 +1062,7 @@ impl World for NetworkSim {
                 self.controller_pass(now, sched, |c, out| c.on_message(now, from, msg, out));
             }
             Event::PollTick { node } => {
-                let parked = self.switches[node].parked_messages();
+                let parked = self.switches[node].logic.parked_messages();
                 if parked == 0 {
                     self.polling[node.index()] = false;
                 } else {
@@ -1210,7 +1259,16 @@ mod tests {
             System::Central { congestion: false },
         ] {
             let sim = basic_sim(system);
-            assert_eq!(sim.switches.len(), 8);
+            assert_eq!(sim.switches.values().count(), 8);
+            for sw in sim.switches.values() {
+                let named = matches!(
+                    (system, &sw.logic),
+                    (System::P4Update(_), SwitchImpl::P4(_))
+                        | (System::EzSegway { .. }, SwitchImpl::Ez(_))
+                        | (System::Central { .. }, SwitchImpl::Central(_))
+                );
+                assert!(named, "{system:?} built another system's switch logic");
+            }
         }
     }
 

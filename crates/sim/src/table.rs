@@ -5,61 +5,49 @@
 //! iteration runs in ascending `NodeId` order, which the deterministic
 //! traces of the corpus depend on.
 
+use crate::network::SwitchImpl;
 use p4update_dataplane::Switch;
 use p4update_net::{NodeId, Topology};
 use std::ops::{Index, IndexMut};
 
-/// All switches of a simulated network, indexed by [`NodeId`].
+/// All switches of a simulated network, indexed by [`NodeId`], each
+/// holding its system's logic by value.
 pub struct SwitchTable {
-    switches: Vec<Switch>,
+    switches: Vec<Switch<SwitchImpl>>,
 }
 
 impl SwitchTable {
-    /// Build one switch per topology node via `make`, in `NodeId` order.
-    pub fn build(topo: &Topology, mut make: impl FnMut(NodeId) -> Switch) -> Self {
-        let switches: Vec<Switch> = topo
+    /// Build one switch per topology node, in `NodeId` order, each
+    /// holding a logic `make` returns.
+    pub fn build(topo: &Topology, mut make: impl FnMut() -> SwitchImpl) -> Self {
+        let switches = topo
             .node_ids()
             .enumerate()
             .map(|(i, id)| {
                 assert_eq!(i, id.index(), "topology node ids must be dense");
-                make(id)
+                Switch::new(id, topo, Box::new(make()))
             })
             .collect();
         SwitchTable { switches }
     }
 
-    /// Number of switches.
-    pub fn len(&self) -> usize {
-        self.switches.len()
-    }
-
-    /// True when the table holds no switches.
-    pub fn is_empty(&self) -> bool {
-        self.switches.is_empty()
-    }
-
     /// The switch at `id`, if `id` is in range.
-    pub fn get(&self, id: NodeId) -> Option<&Switch> {
+    pub fn get(&self, id: NodeId) -> Option<&Switch<SwitchImpl>> {
         self.switches.get(id.index())
     }
 
-    /// Mutable access to the switch at `id`, if `id` is in range.
-    pub fn get_mut(&mut self, id: NodeId) -> Option<&mut Switch> {
-        self.switches.get_mut(id.index())
-    }
-
     /// All switches in ascending `NodeId` order.
-    pub fn values(&self) -> impl Iterator<Item = &Switch> {
+    pub fn values(&self) -> impl Iterator<Item = &Switch<SwitchImpl>> {
         self.switches.iter()
     }
 
     /// Mutable iteration in ascending `NodeId` order.
-    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut Switch> {
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut Switch<SwitchImpl>> {
         self.switches.iter_mut()
     }
 
     /// `(id, switch)` pairs in ascending `NodeId` order.
-    pub fn iter(&self) -> impl Iterator<Item = (NodeId, &Switch)> {
+    pub fn iter(&self) -> impl Iterator<Item = (NodeId, &Switch<SwitchImpl>)> {
         self.switches
             .iter()
             .enumerate()
@@ -68,14 +56,14 @@ impl SwitchTable {
 }
 
 impl Index<NodeId> for SwitchTable {
-    type Output = Switch;
-    fn index(&self, id: NodeId) -> &Switch {
+    type Output = Switch<SwitchImpl>;
+    fn index(&self, id: NodeId) -> &Switch<SwitchImpl> {
         &self.switches[id.index()]
     }
 }
 
 impl IndexMut<NodeId> for SwitchTable {
-    fn index_mut(&mut self, id: NodeId) -> &mut Switch {
+    fn index_mut(&mut self, id: NodeId) -> &mut Switch<SwitchImpl> {
         &mut self.switches[id.index()]
     }
 }
@@ -88,16 +76,12 @@ mod tests {
 
     fn table() -> SwitchTable {
         let topo = topologies::fig1();
-        SwitchTable::build(&topo, |id| {
-            Switch::new(id, &topo, Box::new(P4UpdateLogic::new()))
-        })
+        SwitchTable::build(&topo, || SwitchImpl::P4(P4UpdateLogic::new()))
     }
 
     #[test]
     fn lookup_and_iteration_follow_node_id_order() {
         let t = table();
-        assert_eq!(t.len(), 8);
-        assert!(!t.is_empty());
         assert!(t.get(NodeId(7)).is_some());
         assert!(t.get(NodeId(8)).is_none());
         let ids: Vec<NodeId> = t.iter().map(|(id, _)| id).collect();

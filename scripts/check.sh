@@ -5,7 +5,8 @@
 #
 # Runs the document budgets (CHANGES.md at most 40,000 bytes with no line
 # over 1,500, DESIGN.md at most 50,000: one home per fact, the raw runs live
-# in RUNS.md), formatting, the debug-only-check grep, the `Rc<Topology>` grep,
+# in RUNS.md), formatting, the debug-only-check grep, the `Rc<Topology>` and
+# `dyn SwitchLogic` greps,
 # the grep for per-link maps keyed by node pairs, the clippy lint wall, rustdoc with warnings denied, the full offline test suite, the static plan linter over its sample plans
 # (including the mutated ones, which must make it exit non-zero), the five
 # examples that assert or print the paper's claims (any non-zero exit fails),
@@ -65,11 +66,21 @@ fi
 echo "==> no Rc<Topology> under crates/ (clone the handle)"
 if grep -rn 'Rc<Topology>' crates/; then exit 1; fi
 
+# A switch holds its system's logic by value (`p4update_sim::SwitchImpl`,
+# DESIGN.md section 10). The trait object survives only as the chassis's
+# default type parameter, which the benchmark's bare `&mut Switch` needs.
+echo "==> no dyn SwitchLogic under crates/ src/ tests/ examples/ (use SwitchImpl)"
+if grep -rn 'dyn SwitchLogic' crates/ src/ tests/ examples/ \
+    | grep -v '^crates/dataplane/src/switch\.rs:'; then
+    echo "error: a boxed or borrowed switch logic trait object (hold the logic by value)" >&2
+    exit 1
+fi
+
 # Per-directed-link state is one value per arc id (`p4update_net::ArcMap`,
 # DESIGN.md section 3): a map keyed by node pairs is the tree node per link
 # on its way back. The one exemption is the checker: a forged next hop can
-# name a pair that is no link, and its per-call link load is what ROADMAP
-# item 2's incremental checker replaces.
+# name a pair that is no link, and its per-call link load is what ROADMAP's
+# "A checker cheap enough to leave on" replaces.
 echo "==> no BTreeMap<(NodeId, NodeId) under crates/ src/ examples/ (use ArcMap)"
 if grep -rn 'BTreeMap<(NodeId, NodeId)' crates/ src/ examples/ \
     | grep -v '^crates/sim/src/checker\.rs:'; then

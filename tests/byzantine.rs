@@ -684,59 +684,15 @@ fn gen_trace(rng: &mut SimRng) -> Trace {
     t
 }
 
-/// v2 text round-trip: serialize → parse → equal trace, re-serialize →
-/// byte-identical text, and the header version is exactly v2 when (and
-/// only when) the trace forces a byzantine decision.
+/// Text round-trip: serialize → parse → equal trace, re-serialize →
+/// byte-identical text.
 #[test]
 fn trace_text_round_trips_across_versions() {
     forall("byz_trace_round_trip", cases(128), |rng| {
         let t = gen_trace(rng);
         let text = t.to_text();
-        let header = text.lines().next().expect("non-empty");
-        assert_eq!(
-            header.ends_with("v2"),
-            t.needs_v2(),
-            "header {header:?} vs needs_v2={}",
-            t.needs_v2()
-        );
         let parsed = Trace::parse(&text).expect("own serialization parses");
         assert_eq!(parsed, t, "parse(to_text) round trip");
         assert_eq!(parsed.to_text(), text, "to_text idempotence");
     });
-}
-
-/// Strict v1 backward compatibility: a byzantine decision under an
-/// explicit v1 header is a parse error, while a v2 header over a
-/// byz-free body still parses (v2 is a superset).
-#[test]
-fn v1_header_refuses_byzantine_choices() {
-    let mut t = Trace::new("fig2-ez", 1);
-    t.choices.insert(
-        3,
-        ForcedChoice {
-            kind: ChoiceKind::Byzantine,
-            arity: 2,
-            pick: 1,
-        },
-    );
-    let v2_text = t.to_text();
-    let v1_text = v2_text.replacen("trace v2", "trace v1", 1);
-    let err = Trace::parse(&v1_text).expect_err("byz choice under v1 header must fail");
-    assert!(
-        err.contains("v2") || err.contains("byz"),
-        "unhelpful diagnostic: {err}"
-    );
-
-    let mut honest = Trace::new("fig2-ez", 1);
-    honest.choices.insert(
-        2,
-        ForcedChoice {
-            kind: ChoiceKind::TieBreak,
-            arity: 3,
-            pick: 1,
-        },
-    );
-    let upgraded = honest.to_text().replacen("trace v1", "trace v2", 1);
-    let parsed = Trace::parse(&upgraded).expect("v2 header accepts a byz-free body");
-    assert_eq!(parsed, honest);
 }

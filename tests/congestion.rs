@@ -5,8 +5,9 @@
 //! mechanism.
 
 use p4update::core::Strategy;
+use p4update::dataplane::SwitchLogic;
 use p4update::des::{SimDuration, SimRng, SimTime};
-use p4update::net::{topologies, FlowId, NodeId};
+use p4update::net::{topologies, FlowId};
 use p4update::sim::{batch_simulation, NetworkSim, SimConfig, System, TimingConfig, Violation};
 use p4update::traffic::multi_flow;
 
@@ -191,8 +192,10 @@ fn fault_free_runs_end_with_no_parked_message() {
                 let mut sim = batch_simulation(world, workload.updates.clone(), SimTime::ZERO);
                 let _ = sim.run_until(SimTime::ZERO + SimDuration::from_secs(600));
                 let world = sim.into_world();
-                let parked: usize = (0..topo.node_count())
-                    .map(|i| world.switches[NodeId(i as u32)].parked_messages())
+                let parked: usize = world
+                    .switches
+                    .values()
+                    .map(|sw| sw.logic.parked_messages())
                     .sum();
                 if parked > 0 {
                     parked_runs.push(format!("{name} seed {seed} {system:?}: {parked}"));

@@ -99,35 +99,3 @@ fn corpus_covers_the_fig2_loop_and_clears_p4update() {
         }
     }
 }
-
-/// Byzantine traces are the only version-2 files: every trace without a
-/// byzantine choice must stay in the version-1 text format, so the
-/// pre-byzantine corpus remains byte-identical under the v2 parser.
-#[test]
-fn non_byzantine_traces_keep_the_v1_format() {
-    use p4update::des::ChoiceKind;
-    let mut saw_v1 = false;
-    for (path, trace) in corpus_traces() {
-        let text = std::fs::read_to_string(&path).unwrap();
-        let byz = trace
-            .choices
-            .values()
-            .any(|c| c.kind == ChoiceKind::Byzantine);
-        let header = text.lines().next().unwrap_or_default().to_string();
-        if byz {
-            assert!(
-                header.ends_with("v2"),
-                "{}: byzantine trace must declare v2",
-                path.display()
-            );
-        } else {
-            assert!(
-                header.ends_with("v1"),
-                "{}: v1 must stay the lowest expressible version",
-                path.display()
-            );
-            saw_v1 = true;
-        }
-    }
-    assert!(saw_v1, "corpus lost its v1 regression anchors");
-}
