@@ -283,28 +283,49 @@ impl Topology {
     /// The node minimizing the maximum shortest-path latency to all others —
     /// where the evaluation places the controller ("the physical controller
     /// resides at the centroid node, to minimize worst-case control
-    /// latency", §9.1).
+    /// latency", §9.1); the lowest id among equals, node 0 when the graph
+    /// is disconnected.
     pub fn centroid(&self) -> NodeId {
+        use crate::path::TIE_SLACK;
+        let n = self.node_count();
+        let weight = crate::path::link_weights(self);
         let mut best = NodeId(0);
         let mut best_ecc = f64::INFINITY;
-        let mut dist = vec![f64::INFINITY; self.node_count()];
+        let mut dist = vec![f64::INFINITY; n];
+        // A lower bound on each node's eccentricity. Links are undirected,
+        // so a search from `v` that reaches `u` at `d` says `u` is at least
+        // `d` from `v`, and one stopped at `stop` says so of `min(d, stop)`.
+        let mut lower = vec![0.0; n];
         let mut heap = std::collections::BinaryHeap::new();
         for v in self.node_ids() {
+            // The same distance summed from the other end may round apart
+            // (parts in 10¹⁶, `TIE_SLACK`'s argument): a node is skipped
+            // only when its bound clears the best by more than that, and
+            // then its own search could not have beaten the best either.
+            if lower[v.index()] > best_ecc * (1.0 + TIE_SLACK) {
+                continue;
+            }
+            #[cfg(test)]
+            CENTROID_SOURCES.set(CENTROID_SOURCES.get() + 1);
             dist.fill(f64::INFINITY);
             // A source stops at the first cost that reaches the best
             // eccentricity so far. A node left unsettled by then has a
             // label, tentative or still infinite, of at least that cost,
             // so the maximum below fails the strict comparison; with none
             // left every label is final and the maximum is exact.
-            crate::path::sssp(
+            let stop = crate::path::sssp(
                 self,
-                |l| self.link(l).latency.as_millis_f64(),
+                |l| weight[l.index()],
                 v,
                 &mut dist,
                 &mut heap,
                 |cost, _| cost >= best_ecc,
             );
-            let ecc = dist.iter().copied().fold(0.0, f64::max);
+            let mut ecc = 0.0f64;
+            for (d, low) in dist.iter().zip(&mut lower) {
+                ecc = ecc.max(*d);
+                *low = d.min(stop).max(*low);
+            }
             if ecc < best_ecc {
                 best_ecc = ecc;
                 best = v;
@@ -312,6 +333,12 @@ impl Topology {
         }
         best
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Sources `centroid` searched from on this thread.
+    static CENTROID_SOURCES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// One value per directed link of a topology, stored densely by arc id:
@@ -764,6 +791,54 @@ pub(crate) mod tests {
             }
         }
         best
+    }
+
+    #[test]
+    fn centroid_agrees_with_full_searches_on_random_graphs() {
+        use crate::path::tests::{random_graph, Backbone};
+        use p4update_des::propcheck::{cases, forall};
+        forall("centroid_vs_full_searches", cases(1024), |rng| {
+            let n = 1 + rng.uniform_usize(14);
+            let split = n >= 4 && rng.chance(0.2);
+            let (backbone, extra) = if rng.chance(0.5) {
+                let len = 1 + rng.uniform_usize(n);
+                (Backbone::Cycle { len }, rng.uniform_usize(3))
+            } else {
+                (Backbone::Tree, rng.uniform_usize(2 * n))
+            };
+            let topo = match rng.uniform_usize(3) {
+                // Inexact in floating point: one distance summed from
+                // its two ends may differ in the last bit.
+                0 => random_graph(rng, n, backbone, extra, split, |r| {
+                    SimDuration::from_micros([50, 70, 130][r.uniform_usize(3)])
+                }),
+                // Ties everywhere.
+                1 => random_graph(rng, n, backbone, extra, split, |r| {
+                    SimDuration::from_millis(1 + r.uniform_usize(3) as u64)
+                }),
+                _ => random_graph(rng, n, backbone, extra, split, |r| {
+                    SimDuration::from_nanos(50_000 + r.uniform_usize(20_000_000) as u64)
+                }),
+            };
+            assert_eq!(topo.centroid(), centroid_by_full_searches(&topo));
+        });
+    }
+
+    #[test]
+    fn centroid_searches_few_sources_on_the_wans() {
+        use crate::topologies as t;
+        // Deterministic counts, pinned so a lost bound shows as a number
+        // and not as a slow benchmark: without it every node is a source.
+        for (topo, sources) in [
+            (t::b4(), 8),
+            (t::internet2(), 6),
+            (t::att_mpls(), 18),
+            (t::chinanet(), 23),
+        ] {
+            CENTROID_SOURCES.set(0);
+            topo.centroid();
+            assert_eq!(CENTROID_SOURCES.get(), sources, "{}", topo.name);
+        }
     }
 
     #[test]

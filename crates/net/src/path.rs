@@ -91,17 +91,22 @@ impl Path {
 
     /// Sum of link latencies along the path.
     pub fn total_latency(&self, topo: &Topology) -> SimDuration {
-        self.edges().fold(SimDuration::ZERO, |acc, (a, b)| {
-            acc + topo
-                .latency_between(a, b)
-                .expect("path edge must be a topology link")
-        })
+        latency_along(topo, &self.nodes)
     }
 
     /// Check that every consecutive pair is adjacent in `topo`.
     pub fn validate(&self, topo: &Topology) -> bool {
         self.edges().all(|(a, b)| topo.link_between(a, b).is_some())
     }
+}
+
+/// Sum of link latencies along the walk `nodes`.
+fn latency_along(topo: &Topology, nodes: &[NodeId]) -> SimDuration {
+    nodes.windows(2).fold(SimDuration::ZERO, |acc, w| {
+        acc + topo
+            .latency_between(w[0], w[1])
+            .expect("path edge must be a topology link")
+    })
 }
 
 #[derive(PartialEq)]
@@ -138,7 +143,9 @@ thread_local! {
 /// search by returning true. Costs pop in nondecreasing order, so at that
 /// moment every label below the cost is final and every other node is at
 /// least that far away: `min(label, cost)` is `min(distance, cost)` at every
-/// node, whatever the cost the search was stopped at.
+/// node, whatever the cost the search was stopped at. Returns that cost,
+/// or `f64::INFINITY` when the search ran out of labels and every one is
+/// final.
 pub(crate) fn sssp(
     topo: &Topology,
     weight: impl Fn(LinkId) -> f64,
@@ -146,7 +153,7 @@ pub(crate) fn sssp(
     dist: &mut [f64],
     heap: &mut BinaryHeap<HeapEntry>,
     stop: impl Fn(f64, &[f64]) -> bool,
-) {
+) -> f64 {
     heap.clear();
     dist[src.index()] = 0.0;
     heap.push(HeapEntry {
@@ -155,7 +162,7 @@ pub(crate) fn sssp(
     });
     while let Some(HeapEntry { cost, node }) = heap.pop() {
         if stop(cost, dist) {
-            break;
+            return cost;
         }
         if cost > dist[node.index()] {
             continue;
@@ -173,6 +180,16 @@ pub(crate) fn sssp(
             }
         }
     }
+    f64::INFINITY
+}
+
+/// Latency in milliseconds, by link id, converted once for a caller that
+/// searches more than once.
+pub(crate) fn link_weights(topo: &Topology) -> Vec<f64> {
+    topo.links()
+        .iter()
+        .map(|l| l.latency.as_millis_f64())
+        .collect()
 }
 
 /// Latency-weighted shortest-path distances (in milliseconds) from `src` to
@@ -228,7 +245,7 @@ const NO_PREV: NodeId = NodeId(u32::MAX);
 /// the next possible value is 10⁻⁶ ms away, and the slack only has to
 /// absorb the rounding between a sum taken from the source and one taken
 /// from the destination (parts in 10¹⁶).
-const TIE_SLACK: f64 = 1e-9;
+pub(crate) const TIE_SLACK: f64 = 1e-9;
 
 /// Shortest and k-shortest path queries over one topology, for callers
 /// that make many: link weights are converted to milliseconds once, and the
@@ -295,11 +312,7 @@ impl<'a> PathSolver<'a> {
         let n = topo.node_count();
         PathSolver {
             topo,
-            weight: topo
-                .links()
-                .iter()
-                .map(|l| l.latency.as_millis_f64())
-                .collect(),
+            weight: link_weights(topo),
             potential: vec![0.0; n],
             dist: vec![f64::INFINITY; n],
             prev: vec![NO_PREV; n],
@@ -315,17 +328,19 @@ impl<'a> PathSolver<'a> {
     /// The search every query runs: the latency-shortest `src → dst` path
     /// that enters no `banned` node, does not leave `src` towards any of
     /// `banned_hops` and is no longer than `bound`, ties resolved by the
-    /// rule in the type's docs. Expects `src != dst` and leaves
-    /// `dist`/`prev` as it found them.
+    /// rule in the type's docs. Appends the path's nodes, `src` first, to
+    /// `out` and returns true if there is one. Expects `src != dst` and
+    /// leaves `dist`/`prev` as it found them.
     fn search(
         &mut self,
         src: NodeId,
         dst: NodeId,
         banned_hops: &[NodeId],
         mut bound: f64,
-    ) -> Option<Path> {
+        out: &mut Vec<NodeId>,
+    ) -> bool {
         if self.banned[src.index()] || self.banned[dst.index()] {
-            return None;
+            return false;
         }
         let topo = self.topo;
         // `bound` falls to `dist[dst] * (1 + TIE_SLACK)` once the
@@ -386,21 +401,22 @@ impl<'a> PathSolver<'a> {
                 }
             }
         }
-        let path = self.dist[dst.index()].is_finite().then(|| {
-            let mut nodes = vec![dst];
+        let found = self.dist[dst.index()].is_finite();
+        if found {
+            let start = out.len();
             let mut cur = dst;
+            out.push(dst);
             while cur != src {
                 cur = self.prev[cur.index()];
-                nodes.push(cur);
+                out.push(cur);
             }
-            nodes.reverse();
-            Path::new(nodes)
-        });
+            out[start..].reverse();
+        }
         for v in self.touched.drain(..) {
             self.dist[v.index()] = f64::INFINITY;
             self.prev[v.index()] = NO_PREV;
         }
-        path
+        found
     }
 
     /// Run `search` with `nodes` banned, and lift the ban again.
@@ -411,15 +427,16 @@ impl<'a> PathSolver<'a> {
         nodes: &[NodeId],
         banned_hops: &[NodeId],
         bound: f64,
-    ) -> Option<Path> {
+        out: &mut Vec<NodeId>,
+    ) -> bool {
         for &v in nodes {
             self.banned[v.index()] = true;
         }
-        let path = self.search(src, dst, banned_hops, bound);
+        let found = self.search(src, dst, banned_hops, bound, out);
         for &v in nodes {
             self.banned[v.index()] = false;
         }
-        path
+        found
     }
 
     /// Latency-weighted shortest path from `src` to `dst` that visits none
@@ -433,7 +450,9 @@ impl<'a> PathSolver<'a> {
         if src == dst {
             return None;
         }
-        self.search_avoiding(src, dst, banned, &[], f64::MAX)
+        let mut nodes = Vec::new();
+        self.search_avoiding(src, dst, banned, &[], f64::MAX, &mut nodes)
+            .then(|| Path::new(nodes))
     }
 
     /// Yen's algorithm: the `k` shortest loopless paths from `src` to `dst`,
@@ -471,17 +490,18 @@ impl<'a> PathSolver<'a> {
 
     /// Yen's loop for `k >= 1`, on the potential `k_shortest` has laid out.
     fn yen(&mut self, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
-        let Some(first) = self.search(src, dst, &[], f64::MAX) else {
+        let mut total = Vec::new();
+        if !self.search(src, dst, &[], f64::MAX, &mut total) {
             return Vec::new();
-        };
-        let mut result = vec![first];
+        }
+        let mut result = vec![Path::new(total.clone())];
         // Kept in the order they will be output: by cost in whole
         // nanoseconds, then by node list.
         let mut candidates: Vec<(SimDuration, Path)> = Vec::new();
         let mut banned_hops = Vec::new();
 
         while result.len() < k {
-            let last = result.last().expect("result non-empty").clone();
+            let last = result.last().expect("result non-empty");
             let mut root_cost = SimDuration::ZERO;
             // Each node of the previous path (except egress) is a spur point.
             for spur_idx in 0..last.nodes().len() - 1 {
@@ -516,18 +536,24 @@ impl<'a> PathSolver<'a> {
                         let spur = t.as_nanos().saturating_sub(root_cost.as_nanos());
                         SimDuration::from_nanos(spur).as_millis_f64() * (1.0 + TIE_SLACK)
                     });
-                if let Some(spur) =
-                    self.search_avoiding(spur_node, dst, &root[..spur_idx], &banned_hops, limit)
-                {
-                    let mut total = root.to_vec();
-                    total.extend_from_slice(&spur.nodes()[1..]);
-                    let path = Path::new(total);
-                    let cost = path.total_latency(self.topo);
-                    let at =
-                        candidates.partition_point(|(c, p)| (*c, p.nodes()) < (cost, path.nodes()));
-                    let held = candidates.get(at).is_some_and(|(_, p)| *p == path);
-                    if !held && !result.contains(&path) {
-                        candidates.insert(at, (cost, path));
+                // The candidate is assembled in `total`, root then spur
+                // path, and becomes a `Path` only if it is kept.
+                total.clear();
+                total.extend_from_slice(&root[..spur_idx]);
+                if self.search_avoiding(
+                    spur_node,
+                    dst,
+                    &root[..spur_idx],
+                    &banned_hops,
+                    limit,
+                    &mut total,
+                ) {
+                    let cost = root_cost + latency_along(self.topo, &total[spur_idx..]);
+                    let at = candidates
+                        .partition_point(|(c, p)| (*c, p.nodes()) < (cost, total.as_slice()));
+                    let held = candidates.get(at).is_some_and(|(_, p)| p.nodes() == total);
+                    if !held && !result.iter().any(|p| p.nodes() == total) {
+                        candidates.insert(at, (cost, Path::new(total.clone())));
                     }
                 }
                 root_cost += self
@@ -569,4 +595,4 @@ pub fn k_shortest_paths(topo: &Topology, src: NodeId, dst: NodeId, k: usize) -> 
 }
 
 #[cfg(test)]
-mod tests;
+pub(crate) mod tests;

@@ -333,7 +333,7 @@ fn assert_agrees(
 
 /// The links `random_graph` starts from.
 #[derive(Clone, Copy)]
-enum Backbone {
+pub(crate) enum Backbone {
     /// A random spanning tree.
     Tree,
     /// The chain 0-1-..-(n-1) with its first `len` nodes closed into a
@@ -345,7 +345,7 @@ enum Backbone {
 
 /// A random graph on `n` nodes: a backbone (minus one link when
 /// `split`, leaving two components) plus `extra` more links.
-fn random_graph(
+pub(crate) fn random_graph(
     rng: &mut SimRng,
     n: usize,
     backbone: Backbone,

@@ -12,14 +12,14 @@
 //!
 //! WAN link latencies derive from great-circle distance at 2·10⁵ km/s
 //! (§9.1). Node/edge counts match what the paper reports in Fig. 8. Site
-//! coordinates are approximations of the real locations; for `att_mpls` and
-//! `chinanet` the exact Topology-Zoo edge lists are not embedded — instead
-//! [`geo_mesh`] deterministically augments a minimum spanning tree with the
-//! geographically shortest remaining edges until the published edge count is
-//! reached, which preserves node count, edge count, degree distribution
-//! scale, and latency realism (substitution documented in DESIGN.md §2).
+//! coordinates are approximations of the real locations. `att_mpls` and
+//! `chinanet` keep Topology Zoo's node and edge counts and city sets, but
+//! their edge lists are derived, not the Zoo's: a minimum spanning tree
+//! over great-circle distance, then the shortest remaining site pairs until
+//! the Zoo's edge count is reached (DESIGN.md §2). The derived lists are
+//! embedded as data, like B4's and Internet2's; the tests keep the
+//! derivation and check the tables against it.
 
-use crate::geo::haversine_km;
 use crate::graph::{NodeId, Topology, TopologyBuilder};
 use p4update_des::{SimDuration, SimRng};
 
@@ -297,7 +297,6 @@ pub fn fat_tree_edge_switches(topo: &Topology) -> Vec<NodeId> {
 /// Google's B4 inter-DC WAN as reconstructed from Jain et al. (SIGCOMM '13):
 /// 12 sites, 19 links (counts as reported in the paper's Fig. 8).
 pub fn b4() -> Topology {
-    let mut b = TopologyBuilder::new("B4");
     let sites: [(&str, f64, f64); 12] = [
         ("TheDalles-OR", 45.60, -121.18),
         ("CouncilBluffs-IA", 41.26, -95.86),
@@ -312,11 +311,7 @@ pub fn b4() -> Topology {
         ("Changhua-TW", 24.08, 120.54),
         ("Tokyo-JP", 35.68, 139.69),
     ];
-    let ids: Vec<NodeId> = sites
-        .iter()
-        .map(|&(name, lat, lon)| b.add_site(name, lat, lon))
-        .collect();
-    let edges: [(usize, usize); 19] = [
+    let edges: [(u32, u32); 19] = [
         // North America mesh
         (0, 1),
         (1, 2),
@@ -340,16 +335,12 @@ pub fn b4() -> Topology {
         (8, 9),
         (10, 9),
     ];
-    for (x, y) in edges {
-        b.add_geo_link(ids[x], ids[y], DEFAULT_CAPACITY);
-    }
-    b.build()
+    geo_wan("B4", &sites, &edges)
 }
 
 /// The Internet2 US research backbone: 16 nodes, 26 edges (counts as in the
 /// paper's Fig. 8).
 pub fn internet2() -> Topology {
-    let mut b = TopologyBuilder::new("Internet2");
     let sites: [(&str, f64, f64); 16] = [
         ("Seattle", 47.61, -122.33),
         ("Sunnyvale", 37.37, -122.04),
@@ -368,11 +359,7 @@ pub fn internet2() -> Topology {
         ("WashingtonDC", 38.91, -77.04),
         ("NewYork", 40.71, -74.01),
     ];
-    let ids: Vec<NodeId> = sites
-        .iter()
-        .map(|&(name, lat, lon)| b.add_site(name, lat, lon))
-        .collect();
-    let edges: [(usize, usize); 26] = [
+    let edges: [(u32, u32); 26] = [
         (0, 1),
         (0, 3),
         (0, 9),
@@ -400,154 +387,130 @@ pub fn internet2() -> Topology {
         (13, 14),
         (14, 15),
     ];
-    for (x, y) in edges {
-        b.add_geo_link(ids[x], ids[y], DEFAULT_CAPACITY);
-    }
-    b.build()
-}
-
-/// Deterministically build a geographic mesh: minimum spanning tree over
-/// great-circle distance, then the shortest remaining site pairs until
-/// `target_edges` links exist. Used to reconstruct Topology-Zoo backbones
-/// where only node/edge counts and city sets are reproduced.
-///
-/// # Panics
-/// Panics if `target_edges` is below `n - 1` (tree) or above `n(n-1)/2`.
-pub fn geo_mesh(name: &str, sites: &[(&str, f64, f64)], target_edges: usize) -> Topology {
-    let n = sites.len();
-    assert!(
-        target_edges >= n.saturating_sub(1),
-        "too few edges to connect"
-    );
-    assert!(target_edges <= n * (n - 1) / 2, "more edges than pairs");
-    let mut b = TopologyBuilder::new(name);
-    let ids: Vec<NodeId> = sites
-        .iter()
-        .map(|&(name, lat, lon)| b.add_site(name, lat, lon))
-        .collect();
-
-    // All pairs sorted by distance (ties by index pair → deterministic).
-    let mut pairs: Vec<(f64, usize, usize)> = Vec::with_capacity(n * (n - 1) / 2);
-    for i in 0..n {
-        for j in i + 1..n {
-            let d = haversine_km((sites[i].1, sites[i].2), (sites[j].1, sites[j].2));
-            pairs.push((d, i, j));
-        }
-    }
-    pairs.sort_by(|a, b| {
-        a.0.partial_cmp(&b.0)
-            .expect("finite distances")
-            .then(a.1.cmp(&b.1))
-            .then(a.2.cmp(&b.2))
-    });
-
-    // Kruskal MST.
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut Vec<usize>, x: usize) -> usize {
-        if parent[x] != x {
-            let root = find(parent, parent[x]);
-            parent[x] = root;
-        }
-        parent[x]
-    }
-    for &(_, i, j) in &pairs {
-        let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
-        if ri != rj {
-            parent[ri] = rj;
-            b.add_geo_link(ids[i], ids[j], DEFAULT_CAPACITY);
-        }
-    }
-    // Augment with shortest non-tree pairs.
-    for &(_, i, j) in &pairs {
-        if b.link_count() >= target_edges {
-            break;
-        }
-        if !b.has_link(ids[i], ids[j]) {
-            b.add_geo_link(ids[i], ids[j], DEFAULT_CAPACITY);
-        }
-    }
-    b.build()
+    geo_wan("Internet2", &sites, &edges)
 }
 
 /// AT&T North America MPLS backbone (Topology Zoo "AttMpls"): 25 nodes,
-/// 56 edges. City set approximates the published PoPs; see [`geo_mesh`].
+/// 56 edges. City set approximates the published PoPs; the links are the
+/// derived list of the module docs.
 pub fn att_mpls() -> Topology {
-    let sites: [(&str, f64, f64); 25] = [
-        ("NewYork", 40.71, -74.01),
-        ("Washington", 38.91, -77.04),
-        ("Atlanta", 33.75, -84.39),
-        ("Orlando", 28.54, -81.38),
-        ("Miami", 25.76, -80.19),
-        ("Nashville", 36.16, -86.78),
-        ("Chicago", 41.88, -87.63),
-        ("Detroit", 42.33, -83.05),
-        ("Cleveland", 41.50, -81.69),
-        ("Philadelphia", 39.95, -75.17),
-        ("Boston", 42.36, -71.06),
-        ("StLouis", 38.63, -90.20),
-        ("KansasCity", 39.10, -94.58),
-        ("Dallas", 32.78, -96.80),
-        ("Houston", 29.76, -95.37),
-        ("SanAntonio", 29.42, -98.49),
-        ("NewOrleans", 29.95, -90.07),
-        ("Denver", 39.74, -104.99),
-        ("Phoenix", 33.45, -112.07),
-        ("Albuquerque", 35.08, -106.65),
-        ("LosAngeles", 34.05, -118.24),
-        ("SanDiego", 32.72, -117.16),
-        ("SanFrancisco", 37.77, -122.42),
-        ("Sacramento", 38.58, -121.49),
-        ("Seattle", 47.61, -122.33),
-    ];
-    geo_mesh("AttMpls", &sites, 56)
+    geo_wan("AttMpls", &ATT_MPLS_SITES, &ATT_MPLS_LINKS)
 }
 
 /// Chinanet backbone (Topology Zoo "Chinanet"): 38 nodes, 62 edges. City
-/// set approximates the provincial capitals the published map shows; see
-/// [`geo_mesh`].
+/// set approximates the provincial capitals the published map shows; the
+/// links are the derived list of the module docs.
 pub fn chinanet() -> Topology {
-    let sites: [(&str, f64, f64); 38] = [
-        ("Beijing", 39.90, 116.41),
-        ("Shanghai", 31.23, 121.47),
-        ("Guangzhou", 23.13, 113.26),
-        ("Shenzhen", 22.54, 114.06),
-        ("Chengdu", 30.57, 104.07),
-        ("Chongqing", 29.56, 106.55),
-        ("Wuhan", 30.59, 114.31),
-        ("Xian", 34.34, 108.94),
-        ("Nanjing", 32.06, 118.80),
-        ("Hangzhou", 30.27, 120.16),
-        ("Tianjin", 39.34, 117.36),
-        ("Shenyang", 41.81, 123.43),
-        ("Harbin", 45.80, 126.53),
-        ("Changchun", 43.82, 125.32),
-        ("Jinan", 36.65, 117.12),
-        ("Qingdao", 36.07, 120.38),
-        ("Zhengzhou", 34.75, 113.63),
-        ("Changsha", 28.23, 112.94),
-        ("Nanchang", 28.68, 115.86),
-        ("Fuzhou", 26.07, 119.30),
-        ("Xiamen", 24.48, 118.09),
-        ("Kunming", 24.88, 102.83),
-        ("Guiyang", 26.65, 106.63),
-        ("Nanning", 22.82, 108.37),
-        ("Haikou", 20.04, 110.34),
-        ("Lanzhou", 36.06, 103.83),
-        ("Xining", 36.62, 101.78),
-        ("Urumqi", 43.83, 87.62),
-        ("Lhasa", 29.65, 91.14),
-        ("Yinchuan", 38.49, 106.23),
-        ("Hohhot", 40.84, 111.75),
-        ("Taiyuan", 37.87, 112.55),
-        ("Shijiazhuang", 38.04, 114.51),
-        ("Hefei", 31.82, 117.23),
-        ("Wenzhou", 28.00, 120.70),
-        ("Dalian", 38.91, 121.61),
-        ("Suzhou", 31.30, 120.58),
-        ("Dongguan", 23.02, 113.75),
-    ];
-    geo_mesh("Chinanet", &sites, 62)
+    geo_wan("Chinanet", &CHINANET_SITES, &CHINANET_LINKS)
 }
+
+/// A WAN of `sites`, node `i` being `sites[i]`, joined by `links` in list
+/// order (so `LinkId(j)` is `links[j]`), each link's latency derived from
+/// its endpoints' great-circle distance.
+fn geo_wan(name: &str, sites: &[(&str, f64, f64)], links: &[(u32, u32)]) -> Topology {
+    let mut b = TopologyBuilder::new(name);
+    for &(site, lat, lon) in sites {
+        b.add_site(site, lat, lon);
+    }
+    for &(x, y) in links {
+        b.add_geo_link(NodeId(x), NodeId(y), DEFAULT_CAPACITY);
+    }
+    b.build()
+}
+
+const ATT_MPLS_SITES: [(&str, f64, f64); 25] = [
+    ("NewYork", 40.71, -74.01),
+    ("Washington", 38.91, -77.04),
+    ("Atlanta", 33.75, -84.39),
+    ("Orlando", 28.54, -81.38),
+    ("Miami", 25.76, -80.19),
+    ("Nashville", 36.16, -86.78),
+    ("Chicago", 41.88, -87.63),
+    ("Detroit", 42.33, -83.05),
+    ("Cleveland", 41.50, -81.69),
+    ("Philadelphia", 39.95, -75.17),
+    ("Boston", 42.36, -71.06),
+    ("StLouis", 38.63, -90.20),
+    ("KansasCity", 39.10, -94.58),
+    ("Dallas", 32.78, -96.80),
+    ("Houston", 29.76, -95.37),
+    ("SanAntonio", 29.42, -98.49),
+    ("NewOrleans", 29.95, -90.07),
+    ("Denver", 39.74, -104.99),
+    ("Phoenix", 33.45, -112.07),
+    ("Albuquerque", 35.08, -106.65),
+    ("LosAngeles", 34.05, -118.24),
+    ("SanDiego", 32.72, -117.16),
+    ("SanFrancisco", 37.77, -122.42),
+    ("Sacramento", 38.58, -121.49),
+    ("Seattle", 47.61, -122.33),
+];
+
+/// The spanning tree's 24 links first, then the 32 shortest others.
+#[rustfmt::skip]
+const ATT_MPLS_LINKS: [(u32, u32); 56] = [
+    (22, 23), (0, 9), (7, 8), (20, 21), (1, 9), (14, 15), (0, 10), (3, 4),
+    (2, 5), (13, 14), (6, 7), (11, 12), (5, 11), (6, 11), (18, 21), (1, 8),
+    (14, 16), (18, 19), (17, 19), (20, 22), (2, 3), (2, 16), (12, 17), (23, 24),
+    (0, 1), (13, 15), (9, 10), (6, 8), (18, 20), (8, 9), (20, 23), (1, 10),
+    (1, 7), (5, 6), (0, 8), (6, 12), (7, 9), (13, 16), (12, 13), (7, 11),
+    (21, 22), (5, 8), (2, 11), (5, 16), (5, 7), (21, 23), (5, 12), (0, 7),
+    (8, 11), (15, 16), (3, 16), (1, 2), (11, 13), (8, 10), (2, 8), (1, 5),
+];
+
+const CHINANET_SITES: [(&str, f64, f64); 38] = [
+    ("Beijing", 39.90, 116.41),
+    ("Shanghai", 31.23, 121.47),
+    ("Guangzhou", 23.13, 113.26),
+    ("Shenzhen", 22.54, 114.06),
+    ("Chengdu", 30.57, 104.07),
+    ("Chongqing", 29.56, 106.55),
+    ("Wuhan", 30.59, 114.31),
+    ("Xian", 34.34, 108.94),
+    ("Nanjing", 32.06, 118.80),
+    ("Hangzhou", 30.27, 120.16),
+    ("Tianjin", 39.34, 117.36),
+    ("Shenyang", 41.81, 123.43),
+    ("Harbin", 45.80, 126.53),
+    ("Changchun", 43.82, 125.32),
+    ("Jinan", 36.65, 117.12),
+    ("Qingdao", 36.07, 120.38),
+    ("Zhengzhou", 34.75, 113.63),
+    ("Changsha", 28.23, 112.94),
+    ("Nanchang", 28.68, 115.86),
+    ("Fuzhou", 26.07, 119.30),
+    ("Xiamen", 24.48, 118.09),
+    ("Kunming", 24.88, 102.83),
+    ("Guiyang", 26.65, 106.63),
+    ("Nanning", 22.82, 108.37),
+    ("Haikou", 20.04, 110.34),
+    ("Lanzhou", 36.06, 103.83),
+    ("Xining", 36.62, 101.78),
+    ("Urumqi", 43.83, 87.62),
+    ("Lhasa", 29.65, 91.14),
+    ("Yinchuan", 38.49, 106.23),
+    ("Hohhot", 40.84, 111.75),
+    ("Taiyuan", 37.87, 112.55),
+    ("Shijiazhuang", 38.04, 114.51),
+    ("Hefei", 31.82, 117.23),
+    ("Wenzhou", 28.00, 120.70),
+    ("Dalian", 38.91, 121.61),
+    ("Suzhou", 31.30, 120.58),
+    ("Dongguan", 23.02, 113.75),
+];
+
+/// The spanning tree's 37 links first, then the 25 shortest others.
+#[rustfmt::skip]
+const CHINANET_LINKS: [(u32, u32); 62] = [
+    (2, 37), (3, 37), (1, 36), (0, 10), (9, 36), (8, 33), (31, 32), (8, 36),
+    (25, 26), (19, 20), (12, 13), (19, 34), (9, 34), (6, 18), (4, 5), (0, 32),
+    (11, 13), (14, 32), (17, 18), (14, 15), (6, 33), (5, 22), (15, 35), (30, 31),
+    (25, 29), (11, 35), (16, 31), (23, 24), (21, 22), (7, 16), (2, 24), (22, 23),
+    (3, 20), (6, 16), (7, 25), (4, 28), (26, 27), (2, 3), (1, 9), (8, 9),
+    (1, 8), (10, 32), (6, 17), (10, 14), (33, 36), (9, 33), (0, 14), (1, 34),
+    (34, 36), (10, 35), (18, 33), (16, 32), (14, 16), (30, 32), (0, 31), (1, 33),
+    (0, 30), (14, 31), (26, 29), (18, 19), (10, 31), (10, 15),
+];
 
 /// Random connected topology for property-based tests: a random spanning
 /// tree plus `extra_edges` random additional links, 1–30 ms latencies.
@@ -579,6 +542,7 @@ pub fn random_connected(rng: &mut SimRng, n: usize, extra_edges: usize) -> Topol
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::geo::haversine_km;
 
     #[test]
     fn fig1_matches_the_paper() {
@@ -750,13 +714,80 @@ mod tests {
         assert!(pacific > us.saturating_mul(2));
     }
 
+    /// The derivation the AttMpls and Chinanet link tables came from:
+    /// Kruskal's minimum spanning tree over great-circle distance, then the
+    /// shortest remaining site pairs until `target_edges` links exist.
+    fn geo_mesh(name: &str, sites: &[(&str, f64, f64)], target_edges: usize) -> Topology {
+        let n = sites.len();
+        assert!(
+            target_edges >= n.saturating_sub(1),
+            "too few edges to connect"
+        );
+        assert!(target_edges <= n * (n - 1) / 2, "more edges than pairs");
+        let mut b = TopologyBuilder::new(name);
+        let ids: Vec<NodeId> = sites
+            .iter()
+            .map(|&(name, lat, lon)| b.add_site(name, lat, lon))
+            .collect();
+
+        // All pairs sorted by distance (ties by index pair → deterministic).
+        let mut pairs: Vec<(f64, usize, usize)> = Vec::with_capacity(n * (n - 1) / 2);
+        for i in 0..n {
+            for j in i + 1..n {
+                let d = haversine_km((sites[i].1, sites[i].2), (sites[j].1, sites[j].2));
+                pairs.push((d, i, j));
+            }
+        }
+        pairs.sort_by(|a, b| {
+            a.0.partial_cmp(&b.0)
+                .expect("finite distances")
+                .then(a.1.cmp(&b.1))
+                .then(a.2.cmp(&b.2))
+        });
+
+        // Kruskal MST.
+        let mut parent: Vec<usize> = (0..n).collect();
+        fn find(parent: &mut Vec<usize>, x: usize) -> usize {
+            if parent[x] != x {
+                let root = find(parent, parent[x]);
+                parent[x] = root;
+            }
+            parent[x]
+        }
+        for &(_, i, j) in &pairs {
+            let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
+            if ri != rj {
+                parent[ri] = rj;
+                b.add_geo_link(ids[i], ids[j], DEFAULT_CAPACITY);
+            }
+        }
+        // Augment with shortest non-tree pairs.
+        for &(_, i, j) in &pairs {
+            if b.link_count() >= target_edges {
+                break;
+            }
+            if !b.has_link(ids[i], ids[j]) {
+                b.add_geo_link(ids[i], ids[j], DEFAULT_CAPACITY);
+            }
+        }
+        b.build()
+    }
+
     #[test]
-    fn geo_mesh_is_deterministic() {
-        let a = att_mpls();
-        let b = att_mpls();
-        assert_eq!(a.link_count(), b.link_count());
-        for (la, lb) in a.links().iter().zip(b.links()) {
-            assert_eq!((la.a, la.b), (lb.a, lb.b));
+    fn the_link_tables_are_the_derivation() {
+        let derived = [
+            geo_mesh("AttMpls", &ATT_MPLS_SITES, 56),
+            geo_mesh("Chinanet", &CHINANET_SITES, 62),
+        ];
+        for (table, derived) in [att_mpls(), chinanet()].iter().zip(&derived) {
+            assert_eq!(table.name, derived.name);
+            let links = |t: &Topology| -> Vec<_> {
+                t.links()
+                    .iter()
+                    .map(|l| (l.a, l.b, l.latency.as_nanos(), l.capacity))
+                    .collect()
+            };
+            assert_eq!(links(table), links(derived), "{}", table.name);
         }
     }
 

@@ -26,22 +26,35 @@ impl TrafficMatrix {
     /// Synthesize a gravity-model matrix for `n` nodes, scaled so the total
     /// demand equals `total`.
     pub fn gravity(rng: &mut SimRng, n: usize, total: f64) -> Self {
+        Self::draw(rng, n).scaled_to(total)
+    }
+
+    /// Draw the per-node masses for `n` nodes, all the randomness of
+    /// [`Self::gravity`]: the matrix at scale 1, whose entries are the raw
+    /// share products.
+    pub(crate) fn draw(rng: &mut SimRng, n: usize) -> Self {
         assert!(n >= 2, "a traffic matrix needs at least two nodes");
-        assert!(total > 0.0, "total demand must be positive");
         // Per-node in/out masses: exponential, as in Roughan's synthesis.
         let out_mass: Vec<f64> = (0..n).map(|_| rng.exponential(1.0)).collect();
         let in_mass: Vec<f64> = (0..n).map(|_| rng.exponential(1.0)).collect();
         let out_sum: f64 = out_mass.iter().sum();
         let in_sum: f64 = in_mass.iter().sum();
-        let mut tm = TrafficMatrix {
+        TrafficMatrix {
             out_share: out_mass.iter().map(|m| m / out_sum).collect(),
             in_share: in_mass.iter().map(|m| m / in_sum).collect(),
             scale: 1.0,
-        };
-        // Normalize to the requested total: at scale 1 the entries are the
-        // raw mass products, so `total()` is the sum to divide by.
-        tm.scale = total / tm.total();
-        tm
+        }
+    }
+
+    /// A drawn matrix normalized so the total demand equals `total`: at
+    /// scale 1 the entries are the raw share products, so `total()`, an
+    /// O(n²) sum, is what to divide by.
+    pub(crate) fn scaled_to(mut self, total: f64) -> Self {
+        assert!(total > 0.0, "total demand must be positive");
+        #[cfg(test)]
+        crate::scenario::count(|w| w.scaled += 1);
+        self.scale = total / self.total();
+        self
     }
 
     /// Number of nodes.

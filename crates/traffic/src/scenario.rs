@@ -180,9 +180,11 @@ pub fn single_flow(topo: &Topology) -> FlowUpdate {
 /// already doomed, shows as a number and not as a slow benchmark.
 #[cfg(test)]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct Work {
+pub(crate) struct Work {
     /// Attempts begun.
     attempts: usize,
+    /// Traffic matrices scaled to their total demand.
+    pub(crate) scaled: usize,
     /// Attempts given up at a drawn pair that has one simple path.
     one_path: usize,
     /// Attempts whose old paths overflow a link.
@@ -199,7 +201,7 @@ thread_local! {
 }
 
 #[cfg(test)]
-fn count(add: impl FnOnce(&mut Work)) {
+pub(crate) fn count(add: impl FnOnce(&mut Work)) {
     let mut work = WORK.get();
     add(&mut work);
     WORK.set(work);
@@ -229,10 +231,10 @@ pub fn multi_flow(topo: &Topology, rng: &mut SimRng, load_factor: f64) -> Worklo
 /// simple paths voids the whole attempt, and whether a pair has two is
 /// read off [`Topology::bridge_classes`], not searched for; so the draws
 /// come first — the gravity masses, then one destination per node in node
-/// order, stopping at the first pair with one path — and the searches run
-/// only for an attempt none of whose pairs can fail. A search draws
-/// nothing, so the stream is consumed exactly as if each pair had been
-/// searched as it was drawn.
+/// order, stopping at the first pair with one path — and the matrix is
+/// scaled and the searches run only for an attempt none of whose pairs
+/// can fail. Neither draws anything, so the stream is consumed exactly as
+/// if each pair had been searched as it was drawn.
 fn try_multi_flow(topo: &Topology, rng: &mut SimRng, load_factor: f64) -> Option<Workload> {
     let nodes: Vec<NodeId> = topo.node_ids().collect();
     let n = nodes.len();
@@ -245,7 +247,7 @@ fn try_multi_flow(topo: &Topology, rng: &mut SimRng, load_factor: f64) -> Option
     'attempt: for _attempt in 0..200 {
         #[cfg(test)]
         count(|w| w.attempts += 1);
-        let tm = TrafficMatrix::gravity(rng, n, target_total);
+        let masses = TrafficMatrix::draw(rng, n);
         dsts.clear();
         for &src in &nodes {
             // Uniformly random destination other than the source.
@@ -260,6 +262,7 @@ fn try_multi_flow(topo: &Topology, rng: &mut SimRng, load_factor: f64) -> Option
             }
             dsts.push(dst);
         }
+        let tm = masses.scaled_to(target_total);
         let mut updates = Vec::with_capacity(n);
         for (i, (&src, &dst)) in nodes.iter().zip(&dsts).enumerate() {
             #[cfg(test)]
@@ -487,8 +490,9 @@ mod tests {
     fn an_attempt_is_searched_only_once_its_pairs_are_decided() {
         // Deterministic counts, pinned so a lost pre-check shows as a
         // number and not as a slow benchmark. Every searched attempt costs
-        // one query per node; the oracle also pays for the searches before
-        // the pair that voids an attempt.
+        // one scaled matrix and one query per node; the oracle scales every
+        // matrix and also pays for the searches before the pair that voids
+        // an attempt.
         let pinned = [
             // (topology, attempts, one-path, old-, new-infeasible, oracle queries)
             (topologies::chinanet(), 2_627, 2_424, 3, 0, 34_447),
@@ -501,6 +505,7 @@ mod tests {
             let work = work_over_the_sweep(&topo, try_multi_flow);
             let expected = Work {
                 attempts,
+                scaled: attempts - one_path,
                 one_path,
                 old_infeasible,
                 new_infeasible,
@@ -515,8 +520,8 @@ mod tests {
             );
             let oracle = work_over_the_sweep(&topo, oracle::try_multi_flow);
             assert_eq!(
-                (oracle.attempts, oracle.queries),
-                (attempts, oracle_queries),
+                (oracle.attempts, oracle.scaled, oracle.queries),
+                (attempts, attempts, oracle_queries),
                 "{}: oracle",
                 topo.name
             );

@@ -15,10 +15,11 @@
 # retained batch-sized buffer fails), the large fat-tree tests (among them
 # `dc-scale`'s two heap high-water marks on ft4096), the experiment means
 # EXPERIMENTS.md quotes, the root
-# property suites and the differentials — the path solver, the bridge
-# classification and `multi_flow` against their oracles, the UIB against its
-# map model, `reanalyze` against `analyze` and the pairwise reference — at 16x
-# the default case count, and the benchmark package's own gate.
+# property suites and the differentials — the path solver, the pruned
+# centroid, the bridge classification and `multi_flow` against their oracles,
+# the UIB against its map model, `reanalyze` against `analyze` and the
+# pairwise reference — at 16x the default case count, and the benchmark
+# package's own gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -151,9 +152,9 @@ fi
 # `dc-scale` workload's digest (4096 k-shortest-path queries on ft4096) and
 # its two heap high-water marks (the lint pass and the run, as counts),
 # the Fig. 4 and Fig. 7 means EXPERIMENTS.md quotes (seven 30-run
-# experiments), the path solver against its oracle on 16x the default random
-# graphs (the search prunes, and a pruning rule fails on a rare tie: 96 cases
-# are thin),
+# experiments), the path solver and the pruned centroid against their
+# oracles on 16x the default random graphs (both prune, and a pruning rule
+# fails on a rare tie: 96 cases are thin),
 # `two_paths` against that oracle and `multi_flow` against the
 # search-as-you-draw loop it replaced (workloads, free capacity and the RNG
 # word after them), the UIB against its map model, the linter's `reanalyze`
@@ -181,6 +182,9 @@ if [[ "${FAST:-0}" != 1 ]]; then
     echo "==> path solver vs oracle, PROPCHECK_SCALE=16 (release)"
     PROPCHECK_SCALE=16 cargo test -q --release -p p4update-net solver_agrees
 
+    echo "==> pruned centroid vs one full search per source, PROPCHECK_SCALE=16 (release)"
+    PROPCHECK_SCALE=16 cargo test -q --release -p p4update-net centroid_agrees
+
     echo "==> two_paths vs oracle, multi_flow vs the loop it replaced, PROPCHECK_SCALE=16 (release)"
     PROPCHECK_SCALE=16 cargo test -q --release -p p4update-net two_paths_agrees
     PROPCHECK_SCALE=16 cargo test -q --release -p p4update-traffic multi_flow_agrees
@@ -198,7 +202,7 @@ if [[ "${FAST:-0}" != 1 ]]; then
     echo "==> benchmark/check.sh (the benchmark builds and smokes against this tree)"
     benchmark/check.sh
 else
-    echo "==> ft32768, ft4096 digest and heap peaks, experiment means, scaled differentials (path solver, two_paths, multi_flow, UIB, reanalyze) and property suites and benchmark/check.sh skipped (FAST=1)"
+    echo "==> ft32768, ft4096 digest and heap peaks, experiment means, scaled differentials (path solver, centroid, two_paths, multi_flow, UIB, reanalyze) and property suites and benchmark/check.sh skipped (FAST=1)"
 
     echo "==> cargo check of the benchmark package (its pinned API surface still compiles)"
     cargo check -q --offline --manifest-path benchmark/Cargo.toml
