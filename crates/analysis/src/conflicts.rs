@@ -1,38 +1,45 @@
 //! Cross-update checks over a batch: duplicate/monotone versions (P4U011)
 //! and waits-for cycle detection between concurrent updates (P4U012).
 //!
-//! The graph construction, cycle finding, and diagnostic emission are kept
-//! as separable pieces so the pairwise reference ([`check_waits_for`]) and
-//! the link-indexed engine ([`crate::engine::BatchAnalyzer`]) share the
-//! exact cycle semantics — the differential suites assert the two emit
-//! byte-identical findings.
+//! The engine ([`crate::engine::BatchAnalyzer`]) builds the waits-for graph
+//! from a link index; the cycle search and the diagnostics are shared
+//! pieces here. The test-only `oracle` module builds the same graph by a
+//! pairwise O(n²) scan, and the engine's differentials assert that both
+//! emit byte-identical findings.
 
 use crate::diagnostic::{Code, Diagnostic};
 use p4update_core::PreparedUpdate;
-use p4update_net::{NodeId, Topology};
+use p4update_net::{NodeId, Topology, Version};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Duplicate-flow entries in one batch must carry strictly increasing
 /// versions in batch order; otherwise the later plan is dead on arrival
-/// (switches keep the highest version, §3).
+/// (switches keep the highest version, §3). Each entry is compared with
+/// the highest version of its flow before it.
 pub(crate) fn check_batch_versions(plans: &[PreparedUpdate], out: &mut Vec<Diagnostic>) {
-    let mut last: BTreeMap<_, _> = BTreeMap::new();
+    let mut highest: BTreeMap<_, _> = BTreeMap::new();
     for plan in plans {
-        if let Some(prev) = last.insert(plan.flow, plan.version) {
-            if plan.version <= prev {
-                out.push(Diagnostic::new(
-                    Code::BatchVersionConflict,
-                    plan.flow,
-                    None,
-                    format!(
-                        "batch contains {} twice with non-increasing versions \
-                         ({prev} then {})",
-                        plan.flow, plan.version
-                    ),
-                ));
+        match highest.get(&plan.flow) {
+            Some(&prev) if plan.version <= prev => out.push(version_conflict(plan, prev)),
+            _ => {
+                highest.insert(plan.flow, plan.version);
             }
         }
     }
+}
+
+/// The `P4U011` finding for `plan`, whose version does not exceed `prev`.
+fn version_conflict(plan: &PreparedUpdate, prev: Version) -> Diagnostic {
+    Diagnostic::new(
+        Code::BatchVersionConflict,
+        plan.flow,
+        None,
+        format!(
+            "batch contains {} twice with non-increasing versions \
+             ({prev} then {})",
+            plan.flow, plan.version
+        ),
+    )
 }
 
 /// Directed edges traversed by a path, as ordered node pairs: ascending,
@@ -96,31 +103,6 @@ pub(crate) fn contended(
     }
 }
 
-/// Build the full waits-for adjacency by pairwise scan (the reference
-/// construction): update `A` *waits for* update `B` when some
-/// directed link on `A`'s new path lies on `B`'s old path but not on `B`'s
-/// new path — `A` moves onto capacity that only frees once `B` has moved
-/// off it — and the link cannot hold both flows.
-pub(crate) fn build_waits_for(edges: &[PlanEdges], topo: Option<&Topology>) -> Vec<Vec<usize>> {
-    let n = edges.len();
-    let mut waits_for: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for a in 0..n {
-        for b in 0..n {
-            if a == b || edges[a].flow == edges[b].flow {
-                continue;
-            }
-            let shared = edges[a].new_edges.iter().filter(|e| edges[b].vacates(e));
-            for &e in shared {
-                if contended(topo, e, &edges[a], &edges[b]) {
-                    waits_for[a].push(b);
-                    break;
-                }
-            }
-        }
-    }
-    waits_for
-}
-
 /// Find the cycles a three-coloring DFS reports over the `waits_for`
 /// adjacency (vertex ids are indices into `waits_for`; roots are tried in
 /// ascending order). Cycles are canonicalized (rotated to start at the
@@ -179,6 +161,12 @@ pub(crate) fn find_cycles(waits_for: &[Vec<usize>]) -> BTreeSet<Vec<usize>> {
 
 /// Render the canonical cycle set as `P4U012` diagnostics, one per cycle,
 /// reported at the cycle's smallest flow id in `BTreeSet` order.
+///
+/// A cycle means every update in it waits on another — the deadlock
+/// ez-Segway resolves with global dependency graphs and P4Update leaves to
+/// the local congestion scheduler (§7.4), which breaks ties by priority but
+/// may serialize or park flows. That is a legal but noteworthy plan, so the
+/// finding is a warning.
 pub(crate) fn cycle_diagnostics(
     plans: &[PreparedUpdate],
     cycles: &BTreeSet<Vec<usize>>,
@@ -199,23 +187,71 @@ pub(crate) fn cycle_diagnostics(
     }
 }
 
-/// Build the waits-for graph over the batch and flag cycles.
-///
-/// A cycle means every update in it waits on another — the deadlock
-/// ez-Segway resolves with global dependency graphs and P4Update leaves to
-/// the local congestion scheduler (§7.4), which breaks ties by priority but
-/// may serialize or park flows. That is a legal but noteworthy plan, so the
-/// finding is a warning, reported once per cycle at its smallest flow id.
-pub(crate) fn check_waits_for(
-    plans: &[PreparedUpdate],
-    topo: Option<&Topology>,
-    out: &mut Vec<Diagnostic>,
-) {
-    if plans.len() < 2 {
-        return;
+/// The engine's test oracle: the batch checks by pairwise scan, with no
+/// index and no running state.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+    use crate::{analyze_with, AnalysisContext};
+
+    /// What the engine's diagnostic list must equal: every plan's
+    /// findings in plan order, then `P4U011`, then `P4U012`.
+    pub(crate) fn lint_batch(
+        plans: &[PreparedUpdate],
+        ctx: &AnalysisContext<'_>,
+    ) -> Vec<Diagnostic> {
+        let mut out: Vec<Diagnostic> = plans.iter().flat_map(|p| analyze_with(p, ctx)).collect();
+        check_batch_versions(plans, &mut out);
+        check_waits_for(plans, ctx.topo, &mut out);
+        out
     }
-    let edges: Vec<PlanEdges> = plans.iter().map(PlanEdges::of).collect();
-    let waits_for = build_waits_for(&edges, topo);
-    let cycles = find_cycles(&waits_for);
-    cycle_diagnostics(plans, &cycles, out);
+
+    /// `P4U011` by comparing each plan with every earlier plan of its
+    /// flow.
+    fn check_batch_versions(plans: &[PreparedUpdate], out: &mut Vec<Diagnostic>) {
+        for (i, plan) in plans.iter().enumerate() {
+            let earlier = plans[..i].iter().filter(|p| p.flow == plan.flow);
+            if let Some(prev) = earlier.map(|p| p.version).max() {
+                if plan.version <= prev {
+                    out.push(version_conflict(plan, prev));
+                }
+            }
+        }
+    }
+
+    /// Build the full waits-for adjacency by pairwise scan: update `A`
+    /// *waits for* update `B` when some directed link on `A`'s new path
+    /// lies on `B`'s old path but not on `B`'s new path — `A` moves onto
+    /// capacity that only frees once `B` has moved off it — and the link
+    /// cannot hold both flows.
+    fn build_waits_for(edges: &[PlanEdges], topo: Option<&Topology>) -> Vec<Vec<usize>> {
+        let n = edges.len();
+        let mut waits_for: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for a in 0..n {
+            for b in 0..n {
+                if a == b || edges[a].flow == edges[b].flow {
+                    continue;
+                }
+                let shared = edges[a].new_edges.iter().filter(|e| edges[b].vacates(e));
+                for &e in shared {
+                    if contended(topo, e, &edges[a], &edges[b]) {
+                        waits_for[a].push(b);
+                        break;
+                    }
+                }
+            }
+        }
+        waits_for
+    }
+
+    /// Build the waits-for graph over the batch and flag its cycles.
+    fn check_waits_for(
+        plans: &[PreparedUpdate],
+        topo: Option<&Topology>,
+        out: &mut Vec<Diagnostic>,
+    ) {
+        let edges: Vec<PlanEdges> = plans.iter().map(PlanEdges::of).collect();
+        let cycles = find_cycles(&build_waits_for(&edges, topo));
+        cycle_diagnostics(plans, &cycles, out);
+    }
 }

@@ -12,37 +12,14 @@ use p4update_core::PreparedUpdate;
 pub struct PlanDelta {
     /// Previous-batch positions dropped from the batch (ascending).
     pub removed: Vec<usize>,
-    /// Previous-batch positions replaced by a new plan.
+    /// Previous-batch positions replaced by a new plan (none of them
+    /// removed).
     pub revised: Vec<(usize, PreparedUpdate)>,
     /// Plans appended after the retained ones.
     pub added: Vec<PreparedUpdate>,
 }
 
 impl PlanDelta {
-    /// Number of plans this delta touches (each counts once; a position
-    /// both removed and revised would be ill-formed and counts never
-    /// arise because [`Self::diff`] keeps the sets disjoint).
-    pub fn touched(&self) -> usize {
-        self.removed.len() + self.revised.len() + self.added.len()
-    }
-
-    /// The positional edit from `old` to `new`: positions present in both
-    /// are revised where the plans differ, surplus old positions are
-    /// removed, surplus new positions are added. Positional (not a
-    /// minimal-edit diff) because batch producers keep stable plan order;
-    /// an ill-matched ordering only costs reuse, never correctness.
-    pub fn diff(old: &[PreparedUpdate], new: &[PreparedUpdate]) -> PlanDelta {
-        let common = old.len().min(new.len());
-        PlanDelta {
-            removed: (common..old.len()).collect(),
-            revised: (0..common)
-                .filter(|&i| old[i] != new[i])
-                .map(|i| (i, new[i].clone()))
-                .collect(),
-            added: new[common..].to_vec(),
-        }
-    }
-
     /// Apply the edit to `prev`, returning the new batch plus, per new
     /// position, the previous position it was carried over from unchanged
     /// (`None` for revised and added plans): the positions whose cached
@@ -88,29 +65,23 @@ mod tests {
     }
 
     #[test]
-    fn diff_classifies_positions() {
+    fn apply_drops_substitutes_keeps_and_appends() {
         let old = vec![plan(0, 2), plan(1, 2), plan(2, 2)];
-        let new = vec![plan(0, 2), plan(1, 3)];
-        let delta = PlanDelta::diff(&old, &new);
-        assert_eq!(delta.removed, vec![2]);
-        assert_eq!(delta.revised.len(), 1);
-        assert_eq!(delta.revised[0].0, 1);
-        assert!(delta.added.is_empty());
-        assert_eq!(delta.touched(), 2);
-
+        let delta = PlanDelta {
+            removed: vec![0],
+            revised: vec![(2, plan(2, 3))],
+            added: vec![plan(3, 2)],
+        };
         let (applied, origin) = delta.apply(&old);
-        assert_eq!(applied.len(), 2);
-        assert_eq!(origin, vec![Some(0), None]);
-        assert_eq!(applied[1].version, Version(3));
+        assert_eq!(applied, vec![plan(1, 2), plan(2, 3), plan(3, 2)]);
+        assert_eq!(origin, vec![Some(1), None, None]);
     }
 
     #[test]
-    fn identical_batches_diff_empty() {
+    fn empty_delta_keeps_every_position() {
         let batch = vec![plan(0, 2), plan(1, 2)];
-        let delta = PlanDelta::diff(&batch, &batch.clone());
-        assert_eq!(delta.touched(), 0);
-        let (applied, origin) = delta.apply(&batch);
-        assert_eq!(applied.len(), 2);
+        let (applied, origin) = PlanDelta::default().apply(&batch);
+        assert_eq!(applied, batch);
         assert_eq!(origin, vec![Some(0), Some(1)]);
     }
 }

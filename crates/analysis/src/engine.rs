@@ -1,15 +1,17 @@
-//! `BatchAnalyzer`: the link-indexed, incremental batch linter.
+//! `BatchAnalyzer`: the batch linter, link-indexed and incremental.
 //!
-//! The reference entry point ([`crate::analyze_batch_with`]) lints one
-//! plan after another and builds the waits-for graph by an O(n²) pairwise
-//! scan. This engine produces the *byte-identical* diagnostic list (proved
-//! by the differential suites in `tests/analysis_engine_equivalence.rs`)
-//! at a cost proportional to what can interact and to what changed:
+//! It lints every plan, then checks the batch as a whole: version
+//! monotonicity per flow and waits-for cycles. Its test oracle
+//! (`conflicts::oracle`) builds the waits-for graph by an O(n²) pairwise
+//! scan, and the differentials below hold the engine to it byte for byte;
+//! `tests/analysis_engine_equivalence.rs` checks the controller's batches
+//! with a pairwise scan of its own. The engine's cost follows what can
+//! interact and what changed:
 //!
 //! - **Link-indexed**: a waits-for edge `A → B` needs a directed link on
 //!   `A`'s new path that lies on `B`'s old path, so only plan pairs that
 //!   share a directed link are examined; the cycle search over the result
-//!   is the call the reference makes.
+//!   is the oracle's.
 //! - **Incremental**: every per-plan lint is cached in the
 //!   [`BatchAnalysis`], so [`BatchAnalyzer::reanalyze`] re-lints only the
 //!   plans a [`PlanDelta`] touched. The waits-for graph is rebuilt on
@@ -58,9 +60,7 @@ impl BatchAnalyzer {
         BatchAnalyzer
     }
 
-    /// Analyze a batch from scratch. The returned
-    /// [`BatchAnalysis::diagnostics`] list is byte-identical to
-    /// [`crate::analyze_batch_with`] on the same inputs.
+    /// Analyze a batch from scratch.
     pub fn analyze(&self, plans: &[PreparedUpdate], ctx: &AnalysisContext<'_>) -> BatchAnalysis {
         let records = plans.iter().map(|p| PlanRecord::lint(p, ctx)).collect();
         self.assemble(plans.to_vec(), records, plans.len(), ctx)
@@ -98,7 +98,7 @@ impl BatchAnalyzer {
     }
 
     /// Shared back half of [`Self::analyze`] / [`Self::reanalyze`]: the batch
-    /// checks, and the diagnostic list in the reference emission order.
+    /// checks, and the diagnostic list in its emission order.
     fn assemble(
         &self,
         plans: Vec<PreparedUpdate>,
@@ -144,8 +144,8 @@ impl BatchAnalyzer {
         index.sort_unstable();
         // Ordered per-vertex sets: a pair that contends on several links
         // is one edge, and neighbours come out ascending — exactly the
-        // adjacency of the pairwise reference construction, which scans
-        // `b` upward and admits `a → b` iff *some* shared link contends.
+        // adjacency of the pairwise oracle, which scans `b` upward and
+        // admits `a → b` iff *some* shared link contends.
         let mut adj: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); plans.len()];
         for run in index.chunk_by(|x, y| x.0 == y.0) {
             let link = run[0].0;
@@ -166,9 +166,9 @@ impl BatchAnalyzer {
     }
 }
 
-/// The result of one engine pass: the analyzed plans, the diagnostic list
-/// (byte-identical to the sequential path), and the per-plan records the
-/// next [`BatchAnalyzer::reanalyze`] call draws on.
+/// The result of one engine pass: the analyzed plans, the diagnostic list,
+/// and the per-plan records the next [`BatchAnalyzer::reanalyze`] call
+/// draws on.
 #[derive(Debug, Clone)]
 pub struct BatchAnalysis {
     plans: Vec<PreparedUpdate>,
@@ -183,9 +183,8 @@ impl BatchAnalysis {
         &self.plans
     }
 
-    /// Every finding, in the exact order [`crate::analyze_batch_with`]
-    /// emits: per-plan diagnostics in plan order, then batch version
-    /// conflicts, then waits-for cycles in canonical order.
+    /// Every finding: per-plan diagnostics in plan order, then batch
+    /// version conflicts, then waits-for cycles in canonical order.
     pub fn diagnostics(&self) -> &[Diagnostic] {
         &self.diags
     }
@@ -211,7 +210,7 @@ impl BatchAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyze_batch_with;
+    use crate::conflicts::oracle::lint_batch;
     use p4update_core::{prepare_update, Strategy};
     use p4update_des::propcheck::{cases, forall};
     use p4update_des::SimRng;
@@ -223,18 +222,31 @@ mod tests {
     /// every shared link contends, so `a` waits for `b` exactly when `a`
     /// moves onto the route `b` leaves.
     fn swap(flow: usize, region: u32, old: u32, new: u32) -> PreparedUpdate {
+        swap_at(flow, region, old, new, 2)
+    }
+
+    /// [`swap`] at `version`.
+    fn swap_at(flow: usize, region: u32, old: u32, new: u32, version: u32) -> PreparedUpdate {
         let base = 10 * region;
         let route = |mid: u32| Path::new([base, base + 1 + mid, base + 9].map(NodeId).to_vec());
         let u = FlowUpdate::new(FlowId(flow as u32), Some(route(old)), route(new), 1.0);
-        prepare_update(&u, Version(2), Strategy::Auto)
+        prepare_update(&u, Version(version), Strategy::Auto)
     }
 
     /// A random [`swap`] among three routes of one of two regions: few
     /// routes make cycles common, two regions keep disjoint groups apart.
+    /// One plan in four past the first repeats an earlier plan's flow at
+    /// version 1, 2 or 3, so a batch may hold a flow's versions in any
+    /// order (P4U011) — `flow` is the plan's position.
     fn gen_swap(rng: &mut SimRng, flow: usize) -> PreparedUpdate {
-        let (region, old) = (rng.uniform_usize(2), rng.uniform_usize(3));
-        let new = (old + 1 + rng.uniform_usize(2)) % 3;
-        swap(flow, region as u32, old as u32, new as u32)
+        let (region, old) = (rng.uniform_usize(2) as u32, rng.uniform_usize(3) as u32);
+        let new = (old + 1 + rng.uniform_usize(2) as u32) % 3;
+        let (flow, version) = if flow > 0 && rng.uniform_usize(4) == 0 {
+            (rng.uniform_usize(flow), 1 + rng.uniform_usize(3) as u32)
+        } else {
+            (flow, 2)
+        };
+        swap_at(flow, region, old, new, version)
     }
 
     /// The flows of every reported cycle, in emission order.
@@ -266,9 +278,9 @@ mod tests {
             swap(6, 0, 2, 0),
         ];
         let ctx = AnalysisContext::default();
-        let engine = BatchAnalyzer::new(1);
+        let engine = BatchAnalyzer;
         let full = engine.analyze(&plans, &ctx);
-        assert_eq!(full.diagnostics(), &analyze_batch_with(&plans, &ctx)[..]);
+        assert_eq!(full.diagnostics(), &lint_batch(&plans, &ctx)[..]);
         assert_eq!(cycles(full.diagnostics()), ["f1 -> f2", "f3 -> f4 -> f5"]);
 
         let delta = PlanDelta {
@@ -282,25 +294,25 @@ mod tests {
         assert_eq!(got.plans(), &next[..]);
         assert_eq!(got.revalidated(), 1);
         assert_eq!(got.diagnostics(), engine.analyze(&next, &ctx).diagnostics());
-        assert_eq!(got.diagnostics(), &analyze_batch_with(&next, &ctx)[..]);
+        assert_eq!(got.diagnostics(), &lint_batch(&next, &ctx)[..]);
         assert_eq!(cycles(got.diagnostics()), ["f1 -> f2", "f3 -> f4"]);
     }
 
-    /// `reanalyze` over batches *with* waits-for cycles (and empty and
-    /// single-plan ones): whatever the delta removes, revises or appends,
-    /// the result equals a fresh `analyze` of the post-delta batch and the
-    /// pairwise reference.
+    /// `reanalyze` over batches *with* waits-for cycles and repeated flows
+    /// (and empty and single-plan ones): whatever the delta removes,
+    /// revises or appends, the result equals a fresh `analyze` of the
+    /// post-delta batch and the pairwise oracle.
     #[test]
     fn reanalyze_matches_analyze_on_batches_with_cycles() {
-        let with_cycles = Cell::new(0u32);
+        let (with_cycles, with_conflicts) = (Cell::new(0u32), Cell::new(0u32));
         let name = "reanalyze_matches_analyze_on_batches_with_cycles";
         forall(name, cases(256), |rng| {
             let n = rng.uniform_usize(9);
             let plans: Vec<PreparedUpdate> = (0..n).map(|i| gen_swap(rng, i)).collect();
             let ctx = AnalysisContext::default();
-            let engine = BatchAnalyzer::new(1);
+            let engine = BatchAnalyzer;
             let full = engine.analyze(&plans, &ctx);
-            assert_eq!(full.diagnostics(), &analyze_batch_with(&plans, &ctx)[..]);
+            assert_eq!(full.diagnostics(), &lint_batch(&plans, &ctx)[..]);
             assert_eq!((full.plan_count(), full.revalidated()), (n, n));
 
             // The delta, and beside it the batch it must produce.
@@ -326,11 +338,19 @@ mod tests {
             let got = engine.reanalyze(&full, &delta, &ctx);
             assert_eq!(got.plans(), &next[..]);
             assert_eq!(got.diagnostics(), engine.analyze(&next, &ctx).diagnostics());
-            assert_eq!(got.diagnostics(), &analyze_batch_with(&next, &ctx)[..]);
+            assert_eq!(got.diagnostics(), &lint_batch(&next, &ctx)[..]);
             if !cycles(got.diagnostics()).is_empty() {
                 with_cycles.set(with_cycles.get() + 1);
             }
+            let is_conflict = |d: &&Diagnostic| d.code == crate::Code::BatchVersionConflict;
+            if got.diagnostics().iter().filter(is_conflict).count() > 1 {
+                with_conflicts.set(with_conflicts.get() + 1);
+            }
         });
         assert!(with_cycles.get() > 0, "no case reported a cycle");
+        assert!(
+            with_conflicts.get() > 0,
+            "no case reported two version conflicts"
+        );
     }
 }

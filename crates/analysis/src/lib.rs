@@ -39,10 +39,9 @@
 //!
 //! - [`analyze`] — one plan against an optional topology.
 //! - [`analyze_with`] — one plan with full context (installed versions).
-//! - [`analyze_batch`] — a batch: per-plan checks plus cross-update checks.
-//! - [`engine::BatchAnalyzer`] — the link-indexed, incremental engine:
-//!   diagnostics byte-identical to [`analyze_batch_with`] without the
-//!   pairwise scan, and delta-driven revalidation ([`delta::PlanDelta`]).
+//! - [`BatchAnalyzer`] — the batch linter: per-plan checks plus the
+//!   cross-update checks over a link index, and delta-driven revalidation
+//!   ([`PlanDelta`]). Its test oracle is a pairwise O(n²) scan.
 //!
 //! Plans are linted where they are made, in memory: the analyzer takes
 //! what `prepare_update` returned, as the paper's controller does before
@@ -135,27 +134,6 @@ pub fn analyze_with(plan: &PreparedUpdate, ctx: &AnalysisContext<'_>) -> Vec<Dia
     out
 }
 
-/// Analyze a batch of plans: every per-plan check, plus batch version
-/// monotonicity (`P4U011`) and waits-for cycle detection (`P4U012`).
-pub fn analyze_batch(plans: &[PreparedUpdate], topo: Option<&Topology>) -> Vec<Diagnostic> {
-    let ctx = AnalysisContext {
-        topo,
-        installed: BTreeMap::new(),
-    };
-    analyze_batch_with(plans, &ctx)
-}
-
-/// Analyze a batch with full context.
-pub fn analyze_batch_with(plans: &[PreparedUpdate], ctx: &AnalysisContext<'_>) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for plan in plans {
-        out.extend(analyze_with(plan, ctx));
-    }
-    conflicts::check_batch_versions(plans, &mut out);
-    conflicts::check_waits_for(plans, ctx.topo, &mut out);
-    out
-}
-
 /// True when no finding is an error (warnings allowed) — the condition a
 /// plan must meet before it ships.
 pub fn is_clean(diagnostics: &[Diagnostic]) -> bool {
@@ -170,6 +148,15 @@ mod tests {
 
     fn path(ids: &[u32]) -> Path {
         Path::new(ids.iter().map(|&i| NodeId(i)).collect())
+    }
+
+    /// The batch linter's findings with no installed versions.
+    fn lint_batch(plans: &[PreparedUpdate], topo: Option<&Topology>) -> Vec<Diagnostic> {
+        let ctx = AnalysisContext {
+            topo,
+            installed: BTreeMap::new(),
+        };
+        BatchAnalyzer.analyze(plans, &ctx).diagnostics().to_vec()
     }
 
     fn fig1_update() -> FlowUpdate {
@@ -231,14 +218,14 @@ mod tests {
             prepare_update(&u, Version(3), Strategy::Auto),
             prepare_update(&u, Version(2), Strategy::Auto),
         ];
-        let diags = analyze_batch(&plans, None);
+        let diags = lint_batch(&plans, None);
         assert!(diags.iter().any(|d| d.code == Code::BatchVersionConflict));
 
         let ordered = vec![
             prepare_update(&u, Version(2), Strategy::Auto),
             prepare_update(&u, Version(3), Strategy::Auto),
         ];
-        assert!(is_clean(&analyze_batch(&ordered, None)));
+        assert!(is_clean(&lint_batch(&ordered, None)));
     }
 
     #[test]
@@ -251,7 +238,7 @@ mod tests {
             prepare_update(&a, Version(2), Strategy::Auto),
             prepare_update(&b, Version(2), Strategy::Auto),
         ];
-        let diags = analyze_batch(&plans, None);
+        let diags = lint_batch(&plans, None);
         assert!(diags.iter().any(|d| d.code == Code::WaitsForCycle));
         // A deadlock risk is a warning, not an error.
         assert!(is_clean(&diags));
@@ -274,7 +261,7 @@ mod tests {
             prepare_update(&b, Version(2), Strategy::Auto),
         ];
         // Capacity 10 holds both unit flows: no contention, no cycle.
-        let diags = analyze_batch(&plans, Some(&topo));
+        let diags = lint_batch(&plans, Some(&topo));
         assert!(
             !diags.iter().any(|d| d.code == Code::WaitsForCycle),
             "{diags:?}"

@@ -3,7 +3,9 @@
 //! produce exactly the expected stable code — and the uncorrupted plan
 //! must be clean. This pins both the analyzer's sensitivity and its codes.
 
-use p4update_analysis::{analyze, analyze_batch, is_clean, AnalysisContext, Code, Severity};
+use p4update_analysis::{
+    analyze, is_clean, AnalysisContext, BatchAnalyzer, Code, Diagnostic, Severity,
+};
 use p4update_core::{prepare_update, PreparedUpdate, Strategy};
 use p4update_net::{FlowId, FlowUpdate, NodeId, Path, Version};
 
@@ -20,6 +22,12 @@ fn fig1_update() -> FlowUpdate {
         path(&[0, 1, 2, 3, 4, 5, 6, 7]),
         1.0,
     )
+}
+
+/// The batch linter's findings with no topology and no installed versions.
+fn lint_batch(plans: &[PreparedUpdate]) -> Vec<Diagnostic> {
+    let analysis = BatchAnalyzer.analyze(plans, &AnalysisContext::default());
+    analysis.diagnostics().to_vec()
 }
 
 fn fig1_plan() -> PreparedUpdate {
@@ -230,15 +238,30 @@ fn forced_single_layer_is_an_advisory() {
     assert!(is_clean(&diags));
 }
 
+/// A flow's entries must rise strictly in batch order; each is judged
+/// against the highest earlier version of its flow, not the last, so after
+/// V3 and V2 a second V3 is as dead on arrival as the V2.
 #[test]
 fn batch_with_non_increasing_versions() {
-    let u = fig1_update();
-    let plans = vec![
-        prepare_update(&u, Version(2), Strategy::Auto),
-        prepare_update(&u, Version(2), Strategy::Auto),
-    ];
-    let diags = analyze_batch(&plans, None);
-    assert!(diags.iter().any(|d| d.code == Code::BatchVersionConflict));
+    let conflicts = |versions: &[u32]| -> Vec<String> {
+        let u = fig1_update();
+        let plans: Vec<_> = versions
+            .iter()
+            .map(|&v| prepare_update(&u, Version(v), Strategy::Auto))
+            .collect();
+        let diags = lint_batch(&plans).into_iter();
+        let conflicts = diags.filter(|d| d.code == Code::BatchVersionConflict);
+        conflicts.map(|d| d.to_string()).collect()
+    };
+    let rendered = |pair: &str| {
+        format!("error[P4U011]: f0: batch contains f0 twice with non-increasing versions ({pair})")
+    };
+    assert_eq!(conflicts(&[2, 2]), [rendered("V2 then V2")]);
+    assert_eq!(
+        conflicts(&[3, 2, 3]),
+        [rendered("V3 then V2"), rendered("V3 then V3")]
+    );
+    assert!(conflicts(&[1, 2, 3]).is_empty());
 }
 
 #[test]
@@ -249,7 +272,7 @@ fn waits_for_cycle_between_swapping_flows() {
         prepare_update(&a, Version(2), Strategy::Auto),
         prepare_update(&b, Version(2), Strategy::Auto),
     ];
-    let diags = analyze_batch(&plans, None);
+    let diags = lint_batch(&plans);
     let cycles: Vec<_> = diags
         .iter()
         .filter(|d| d.code == Code::WaitsForCycle)
@@ -266,7 +289,7 @@ fn independent_updates_have_no_cycle() {
         prepare_update(&a, Version(2), Strategy::Auto),
         prepare_update(&b, Version(2), Strategy::Auto),
     ];
-    assert!(analyze_batch(&plans, None).is_empty());
+    assert!(lint_batch(&plans).is_empty());
 }
 
 #[test]

@@ -12,7 +12,7 @@
 //! corrupted distance label, a stale version, and an off-topology edge, each
 //! of which must produce an error diagnostic.
 
-use p4update::analysis::{analyze_batch_with, AnalysisContext, Severity};
+use p4update::analysis::{AnalysisContext, BatchAnalyzer, Severity};
 use p4update::core::{prepare_update, PreparedUpdate, Strategy};
 use p4update::net::{topologies, FlowId, FlowUpdate, NodeId, Path, Version};
 
@@ -65,8 +65,9 @@ fn main() {
     }
 
     let ctx = AnalysisContext::with_topo(&topo).install(FlowId(0), Version(1));
-    let diagnostics = analyze_batch_with(&plans, &ctx);
-    for d in &diagnostics {
+    let analysis = BatchAnalyzer.analyze(&plans, &ctx);
+    let diagnostics = analysis.diagnostics();
+    for d in diagnostics {
         println!("{d}");
     }
     let errors = diagnostics

@@ -8,7 +8,8 @@
 # in RUNS.md), formatting, the debug-only-check grep, the `Rc<Topology>` and
 # `dyn SwitchLogic` greps,
 # the grep for per-link maps keyed by node pairs, the clippy lint wall, rustdoc with warnings denied, the full offline test suite, the static plan linter over its sample plans
-# (including the mutated ones, which must make it exit non-zero), the five
+# (including the mutated ones, which must make it exit non-zero; both outputs
+# must equal the pinned text in tests/lint_cli/), the five
 # examples that assert or print the paper's claims (any non-zero exit fails),
 # the corpus and explorer smokes, the ft512 lint pass's and world's
 # heap-footprint counts (which a deep topology copy, a per-switch map or a
@@ -18,7 +19,7 @@
 # property suites and the differentials — the path solver, the pruned
 # centroid, the bridge classification and `multi_flow` against their oracles,
 # the UIB against its map model, `reanalyze` against `analyze` and the
-# pairwise reference — at 16x the default case count, and the benchmark
+# pairwise oracle — at 16x the default case count, and the benchmark
 # package's own gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -102,14 +103,18 @@ cargo build --release -q
 echo "==> cargo test (workspace)"
 cargo test --workspace -q
 
-echo "==> p4update-lint over sample plans (must be error-free)"
-cargo run -q --example p4update_lint
+# The CLI's text is pinned: a finding, its order or its rendering that
+# moves shows here as a diff against tests/lint_cli/.
+echo "==> p4update-lint over sample plans (must be error-free, output as pinned)"
+cargo run -q --example p4update_lint > "$tmpdir/lint-sample.out"
+diff -u tests/lint_cli/sample.out "$tmpdir/lint-sample.out"
 
-echo "==> p4update-lint over mutated plans (must flag errors)"
-if cargo run -q --example p4update_lint -- --mutate; then
+echo "==> p4update-lint over mutated plans (must flag errors, output as pinned)"
+if cargo run -q --example p4update_lint -- --mutate > "$tmpdir/lint-mutate.out"; then
     echo "error: the lint binary accepted corrupted plans" >&2
     exit 1
 fi
+diff -u tests/lint_cli/mutate.out "$tmpdir/lint-mutate.out"
 
 # `quickstart`, `inconsistent_update`, `wan_migration` and
 # `congestion_multiflow` assert the paper's claims and `fast_forward` prints
@@ -158,7 +163,8 @@ fi
 # `two_paths` against that oracle and `multi_flow` against the
 # search-as-you-draw loop it replaced (workloads, free capacity and the RNG
 # word after them), the UIB against its map model, the linter's `reanalyze`
-# over batches with waits-for cycles (the only differential that has any) and
+# and its pairwise oracle over batches with waits-for cycles and repeated
+# flows (the only differential that has either) and
 # the root property suites at the same scale (nothing else ever runs them
 # above their default counts), and the benchmark package's own gate: a library change that
 # breaks the API surface pinned in benchmark/README.md must fail here, not
@@ -192,7 +198,7 @@ if [[ "${FAST:-0}" != 1 ]]; then
     echo "==> UIB vs map model, PROPCHECK_SCALE=16 (release)"
     PROPCHECK_SCALE=16 cargo test -q --release -p p4update-dataplane uib_agrees_with_map_model
 
-    echo "==> reanalyze vs analyze vs the pairwise reference on batches with cycles, PROPCHECK_SCALE=16 (release)"
+    echo "==> reanalyze vs analyze vs the pairwise oracle on batches with cycles, PROPCHECK_SCALE=16 (release)"
     PROPCHECK_SCALE=16 cargo test -q --release -p p4update-analysis reanalyze_matches
 
     echo "==> root property suites, PROPCHECK_SCALE=16 (release)"

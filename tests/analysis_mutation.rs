@@ -11,8 +11,7 @@
 //!    that the runtime verifiers never fire.
 
 use p4update::analysis::{
-    analyze, analyze_batch, analyze_batch_with, is_clean, AnalysisContext, BatchAnalyzer, Code,
-    Severity,
+    analyze, is_clean, AnalysisContext, BatchAnalyzer, Code, Diagnostic, PlanDelta, Severity,
 };
 use p4update::core::{prepare_update, PreparedUpdate, Strategy};
 use p4update::des::propcheck::{cases, forall};
@@ -155,26 +154,30 @@ fn analysis_is_deterministic() {
     });
 }
 
-/// Run a batch through the pairwise reference analyzer and through the
-/// link-indexed [`BatchAnalyzer`]; assert the two diagnostic lists are
-/// identical and return one of them.
-fn analyze_both_paths(
-    plans: &[PreparedUpdate],
-    ctx: &AnalysisContext<'_>,
-) -> Vec<p4update::analysis::Diagnostic> {
-    let reference = analyze_batch_with(plans, ctx);
-    let engine = BatchAnalyzer::new(1).analyze(plans, ctx);
+/// Lint a batch on the engine's two paths — a fresh `analyze`, and a
+/// `reanalyze` that appends every plan but the first to an analysis of the
+/// first alone — assert the two diagnostic lists are identical and return
+/// one of them. (The engine's propcheck in `crates/analysis/src/engine.rs`
+/// holds both to the pairwise oracle on batches like these.)
+fn analyze_both_paths(plans: &[PreparedUpdate], ctx: &AnalysisContext<'_>) -> Vec<Diagnostic> {
+    let fresh = BatchAnalyzer.analyze(plans, ctx);
+    let (first, rest) = plans.split_at(1);
+    let delta = PlanDelta {
+        added: rest.to_vec(),
+        ..PlanDelta::default()
+    };
+    let incremental = BatchAnalyzer.reanalyze(&BatchAnalyzer.analyze(first, ctx), &delta, ctx);
     assert_eq!(
-        engine.diagnostics(),
-        reference.as_slice(),
-        "the engine diverged from the reference analyzer"
+        incremental.diagnostics(),
+        fresh.diagnostics(),
+        "reanalyze diverged from analyze"
     );
-    reference
+    fresh.diagnostics().to_vec()
 }
 
 /// Batch-level mutation: duplicating a flow's plan at a non-increasing
-/// version must trip P4U011 (batch version conflict) as an error — on the
-/// reference path and on the engine. The well-ordered batch (strictly
+/// version must trip P4U011 (batch version conflict) as an error — on a
+/// fresh and on an incremental analysis. The well-ordered batch (strictly
 /// increasing versions) must stay clean.
 #[test]
 fn batch_version_regression_is_flagged_on_both_paths() {
@@ -214,7 +217,7 @@ fn batch_version_regression_is_flagged_on_both_paths() {
 
 /// Batch-level mutation: two flows exchanging routes form a waits-for
 /// cycle — each needs capacity the other frees — and must trip P4U012 on
-/// both the reference path and the engine.
+/// a fresh and on an incremental analysis.
 #[test]
 fn forced_waits_for_cycle_is_flagged_on_both_paths() {
     forall("forced_waits_for_cycle_is_flagged", cases(128), |rng| {
@@ -304,8 +307,10 @@ fn analyzer_clean_plans_run_violation_free() {
         // Static pass first: the plan the controller will prepare is clean.
         let topo = topologies::fig1();
         let plan = prepare_update(&update, Version(2), Strategy::Auto);
-        let diags = analyze_batch(std::slice::from_ref(&plan), Some(&topo));
-        assert!(is_clean(&diags), "expected clean plan, got {diags:?}");
+        let ctx = AnalysisContext::with_topo(&topo);
+        let analysis = BatchAnalyzer.analyze(std::slice::from_ref(&plan), &ctx);
+        let diags = analysis.diagnostics();
+        assert!(is_clean(diags), "expected clean plan, got {diags:?}");
 
         // Then the dynamic pass: deploy it under the paranoid checker.
         let config = SimConfig::new(TimingConfig::wan_multi_flow(topo.centroid()), 1).paranoid();
