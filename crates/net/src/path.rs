@@ -10,8 +10,6 @@
 
 use crate::graph::{LinkId, NodeId, Topology};
 use p4update_des::SimDuration;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// A simple (loop-free) path through the topology, as an ordered node list
 /// from ingress to egress. Consecutive nodes are guaranteed adjacent when the
@@ -109,25 +107,150 @@ fn latency_along(topo: &Topology, nodes: &[NodeId]) -> SimDuration {
     })
 }
 
-#[derive(PartialEq)]
-pub(crate) struct HeapEntry {
-    cost: f64,
-    node: NodeId,
+/// A monotone priority queue on non-negative `f64` costs: a radix heap
+/// keyed by `cost.to_bits()`, which orders finite non-negative costs (and
+/// `INFINITY`) as their values and never sets bit 63. Bucket 0 holds the
+/// items whose key is `last`, the key popped last; bucket `i` those whose
+/// highest bit differing from `last` is bit `i - 1`. A pop that finds
+/// bucket 0 empty takes the lowest non-empty bucket: a lone item is the
+/// minimum and comes straight out; otherwise the bucket's smallest key
+/// becomes `last` and the bucket spreads over the ones below, so an item
+/// moves at most 63 times however many it waits behind. Bucket 0 pops last
+/// in, first out.
+///
+/// Keys must not fall below `last`: `push` raises one that does to `last`
+/// and never lowers a key. A bucket is a list threaded through one vector
+/// of slots, so a spill relinks indices and moves no item; a popped slot is
+/// linked into a free list and taken by the next push, so the vector holds
+/// at most as many slots as the queue ever held items at once. A queue
+/// allocates as a vector does: nothing until the first push, and no more
+/// after a `clear`.
+pub(crate) struct RadixHeap<T> {
+    slots: Vec<Slot<T>>,
+    /// The slot last linked into each bucket, [`END`] when empty.
+    heads: [u32; 64],
+    /// The slot popped last, threaded through `next` to the ones popped
+    /// before it; [`END`] when every slot is queued.
+    free: u32,
+    /// Bit `i` set iff bucket `i` is not empty.
+    occupied: u64,
+    last: u64,
 }
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+
+struct Slot<T> {
+    key: u64,
+    item: T,
+    /// The slot linked into the bucket before this one.
+    next: u32,
+}
+
+/// The end of a list.
+const END: u32 = u32::MAX;
+
+impl<T: Copy> RadixHeap<T> {
+    pub(crate) fn new() -> Self {
+        RadixHeap {
+            slots: Vec::new(),
+            heads: [END; 64],
+            free: END,
+            occupied: 0,
+            last: 0,
+        }
     }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // min-heap on cost, tie-broken by node id for determinism
-        other
-            .cost
-            .partial_cmp(&self.cost)
-            .expect("costs are finite")
-            .then_with(|| other.node.cmp(&self.node))
+
+    /// Empty the queue and let its keys start again from 0.
+    pub(crate) fn clear(&mut self) {
+        self.slots.clear();
+        self.free = END;
+        while self.occupied != 0 {
+            self.heads[self.occupied.trailing_zeros() as usize] = END;
+            self.occupied &= self.occupied - 1;
+        }
+        self.last = 0;
+    }
+
+    /// Link slot `s`, holding `key`, into the bucket `key` belongs in.
+    fn link(&mut self, s: u32, key: u64) {
+        // Below 64: neither `key` nor `last` has bit 63 set.
+        let i = (u64::BITS - (key ^ self.last).leading_zeros()) as usize & 63;
+        self.slots[s as usize].next = self.heads[i];
+        self.heads[i] = s;
+        self.occupied |= 1 << i;
+    }
+
+    /// Queue `item` at `cost`, or at the last popped cost if that is
+    /// higher. Panics on a negative or NaN cost.
+    pub(crate) fn push(&mut self, cost: f64, item: T) {
+        let key = cost.to_bits();
+        assert!(
+            key <= f64::INFINITY.to_bits(),
+            "a queued cost is non-negative: {cost}"
+        );
+        let key = key.max(self.last);
+        let slot = Slot {
+            key,
+            item,
+            next: END,
+        };
+        let s = match self.free {
+            END => {
+                self.slots.push(slot);
+                u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 queued items")
+            }
+            s => {
+                self.free = self.slots[s as usize].next;
+                self.slots[s as usize] = slot;
+                s
+            }
+        };
+        self.link(s, key);
+    }
+
+    /// Give slot `s`, just unlinked, to the free list, and return its key
+    /// as a cost and its item.
+    fn release(&mut self, s: u32) -> (f64, T) {
+        let slot = &mut self.slots[s as usize];
+        slot.next = self.free;
+        self.free = s;
+        (f64::from_bits(slot.key), slot.item)
+    }
+
+    /// The item with the lowest key and that key as a cost; among equal
+    /// keys the one pushed last.
+    pub(crate) fn pop(&mut self) -> Option<(f64, T)> {
+        if self.occupied & 1 == 0 {
+            if self.occupied == 0 {
+                return None;
+            }
+            let i = self.occupied.trailing_zeros() as usize;
+            let head = std::mem::replace(&mut self.heads[i], END);
+            self.occupied &= !(1 << i);
+            let first = &self.slots[head as usize];
+            if first.next == END {
+                self.last = first.key;
+                return Some(self.release(head));
+            }
+            let mut s = head;
+            self.last = u64::MAX;
+            while s != END {
+                self.last = self.last.min(self.slots[s as usize].key);
+                s = self.slots[s as usize].next;
+            }
+            // Every key here shares its bits from `i` up with the new
+            // `last`, so it lands in a bucket below `i`.
+            let mut s = head;
+            while s != END {
+                let Slot { key, next, .. } = self.slots[s as usize];
+                self.link(s, key);
+                s = next;
+            }
+        }
+        let s = self.heads[0];
+        self.heads[0] = self.slots[s as usize].next;
+        if self.heads[0] == END {
+            self.occupied &= !1;
+        }
+        Some(self.release(s))
     }
 }
 
@@ -140,27 +263,28 @@ thread_local! {
 /// Dijkstra from `src` over `weight` (milliseconds per link) into `dist`,
 /// which the caller hands over filled with `f64::INFINITY`. `stop` is asked
 /// at every pop, with the popped cost and the labels so far, and ends the
-/// search by returning true. Costs pop in nondecreasing order, so at that
-/// moment every label below the cost is final and every other node is at
-/// least that far away: `min(label, cost)` is `min(distance, cost)` at every
-/// node, whatever the cost the search was stopped at. Returns that cost,
-/// or `f64::INFINITY` when the search ran out of labels and every one is
-/// final.
+/// search by returning true. Costs pop in nondecreasing order: a label
+/// pushed from a popped `cost` is `cost + w >= cost` in IEEE arithmetic, so
+/// the queue never raises one. At a stop every label below the cost is
+/// therefore final and every other node is at least that far away:
+/// `min(label, cost)` is `min(distance, cost)` at every node, whatever the
+/// cost the search was stopped at. Returns that cost, or `f64::INFINITY`
+/// when the search ran out of labels and every one is final. A final label
+/// is the least `dist[u] + w` over the node's neighbours, so what a caller
+/// reads, `min(label, cost)` and that cost, does not depend on the order
+/// equal costs pop in.
 pub(crate) fn sssp(
     topo: &Topology,
     weight: impl Fn(LinkId) -> f64,
     src: NodeId,
     dist: &mut [f64],
-    heap: &mut BinaryHeap<HeapEntry>,
+    heap: &mut RadixHeap<NodeId>,
     stop: impl Fn(f64, &[f64]) -> bool,
 ) -> f64 {
     heap.clear();
     dist[src.index()] = 0.0;
-    heap.push(HeapEntry {
-        cost: 0.0,
-        node: src,
-    });
-    while let Some(HeapEntry { cost, node }) = heap.pop() {
+    heap.push(0.0, src);
+    while let Some((cost, node)) = heap.pop() {
         if stop(cost, dist) {
             return cost;
         }
@@ -173,10 +297,7 @@ pub(crate) fn sssp(
             let nd = cost + weight(link);
             if nd < dist[next.index()] {
                 dist[next.index()] = nd;
-                heap.push(HeapEntry {
-                    cost: nd,
-                    node: next,
-                });
+                heap.push(nd, next);
             }
         }
     }
@@ -201,39 +322,10 @@ pub fn latency_distances_from(topo: &Topology, src: NodeId) -> Vec<f64> {
         |l| topo.link(l).latency.as_millis_f64(),
         src,
         &mut dist,
-        &mut BinaryHeap::new(),
+        &mut RadixHeap::new(),
         |_, _| false,
     );
     dist
-}
-
-/// A label waiting in the point-to-point search: `g` is the distance from
-/// the source, `f` is `g` plus the node's potential.
-#[derive(PartialEq)]
-struct Label {
-    f: f64,
-    g: f64,
-    node: NodeId,
-}
-impl Eq for Label {}
-impl PartialOrd for Label {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Label {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // min-heap on f; among equals the label farthest from the source
-        // first, so the destination gets its distance — and the search its
-        // bound — after one dive down the corridor. The order decides only
-        // how much is pushed, never which path comes back.
-        other
-            .f
-            .partial_cmp(&self.f)
-            .expect("costs are finite")
-            .then_with(|| self.g.partial_cmp(&other.g).expect("costs are finite"))
-            .then_with(|| other.node.cmp(&self.node))
-    }
 }
 
 /// `prev` of a node no search has reached, and of the source.
@@ -276,7 +368,21 @@ pub(crate) const TIE_SLACK: f64 = 1e-9;
 /// the destination's distance; every node lying on some equally short path
 /// qualifies, so every neighbour the walk-back rule could step to is
 /// expanded with its final distance, and `prev` ends up holding the rule's
-/// answer however the heap ordered the ties.
+/// answer however the queue ordered the ties.
+///
+/// Labels wait in a `RadixHeap` keyed by `f`. Across a link `f` never
+/// falls in exact arithmetic, so a label can come in below the key just
+/// popped only by rounding, and the queue raises it to that key. Among
+/// equal keys the last label pushed pops first: the destination gets its
+/// distance, and the search its bound, after one dive down the corridor.
+/// The order decides how much is pushed, never which path comes back. The
+/// search stops at the first key above the bound, and no label with `f`
+/// within the bound is left behind: a raised key is one popped earlier, and
+/// the bound only falls once `dst` is labelled from some `x`, to `(g + w) *
+/// (1 + TIE_SLACK)` — at least `x`'s own key, since the potential at `x` is
+/// at most `w`, and so at least every key popped before. The first key
+/// above the bound is therefore a label's own `f`, and so is every key
+/// left, none of them lower.
 ///
 /// A spur search of Yen's loop also starts under a limit: with `r` paths
 /// still to output and at least `r` candidates in hand, a spur path that
@@ -298,8 +404,9 @@ pub struct PathSolver<'a> {
     touched: Vec<NodeId>,
     /// Nodes the running search must not enter; all false between queries.
     banned: Vec<bool>,
-    labels: BinaryHeap<Label>,
-    sssp_heap: BinaryHeap<HeapEntry>,
+    /// The point-to-point search's labels: `(g, node)` queued at `f`.
+    labels: RadixHeap<(f64, NodeId)>,
+    sssp_heap: RadixHeap<NodeId>,
     /// Labels expanded by point-to-point searches since construction.
     #[cfg(test)]
     expanded: usize,
@@ -318,8 +425,8 @@ impl<'a> PathSolver<'a> {
             prev: vec![NO_PREV; n],
             touched: Vec::new(),
             banned: vec![false; n],
-            labels: BinaryHeap::new(),
-            sssp_heap: BinaryHeap::new(),
+            labels: RadixHeap::new(),
+            sssp_heap: RadixHeap::new(),
             #[cfg(test)]
             expanded: 0,
         }
@@ -349,12 +456,10 @@ impl<'a> PathSolver<'a> {
         self.labels.clear();
         self.dist[src.index()] = 0.0;
         self.touched.push(src);
-        self.labels.push(Label {
-            f: self.potential[src.index()],
-            g: 0.0,
-            node: src,
-        });
-        while let Some(Label { f, g, node }) = self.labels.pop() {
+        self.labels.push(self.potential[src.index()], (0.0, src));
+        // `f` is the label's key: its own `f`, or the key popped before it
+        // if rounding put it lower (the type's docs).
+        while let Some((f, (g, node))) = self.labels.pop() {
             if f > bound {
                 break;
             }
@@ -386,11 +491,7 @@ impl<'a> PathSolver<'a> {
                     if next == dst {
                         bound = bound.min(nd * (1.0 + TIE_SLACK));
                     }
-                    self.labels.push(Label {
-                        f,
-                        g: nd,
-                        node: next,
-                    });
+                    self.labels.push(f, (nd, next));
                 } else if nd == known {
                     // Equally short: the lower-numbered predecessor wins,
                     // and the label already queued for `next` still stands.

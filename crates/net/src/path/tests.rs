@@ -7,33 +7,56 @@ use p4update_des::propcheck::{cases, forall};
 use p4update_des::SimRng;
 
 /// The search as it stood before [`PathSolver`]: a full Dijkstra per query
-/// and per spur, kept verbatim (plus one counter) as the reference the
-/// solver is compared against.
+/// and per spur on a `BinaryHeap`, kept (plus one counter, and with its
+/// distances readable) as the reference the solver and
+/// `latency_distances_from` are compared against.
 mod oracle {
     use super::*;
     use std::cell::Cell;
+    use std::cmp::Ordering;
+    use std::collections::BinaryHeap;
 
     thread_local! {
-        /// Nodes expanded by `shortest_path_filtered` on this thread.
+        /// Nodes expanded by `dijkstra` on this thread.
         pub static EXPANDED: Cell<usize> = const { Cell::new(0) };
     }
 
-    /// Dijkstra over link latency, with an edge filter (needed by Yen's spur
-    /// computation). Ties broken deterministically by node id.
-    fn shortest_path_filtered(
+    #[derive(PartialEq)]
+    struct HeapEntry {
+        cost: f64,
+        node: NodeId,
+    }
+    impl Eq for HeapEntry {}
+    impl PartialOrd for HeapEntry {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for HeapEntry {
+        fn cmp(&self, other: &Self) -> Ordering {
+            // min-heap on cost, tie-broken by node id for determinism
+            other
+                .cost
+                .partial_cmp(&self.cost)
+                .expect("costs are finite")
+                .then_with(|| other.node.cmp(&self.node))
+        }
+    }
+
+    /// Dijkstra over link latency from `src`, with an edge filter (needed
+    /// by Yen's spur computation), stopping when `dst` pops: the labels and
+    /// predecessors. Ties broken deterministically by node id.
+    fn dijkstra(
         topo: &Topology,
         src: NodeId,
-        dst: NodeId,
+        dst: Option<NodeId>,
         banned_nodes: &[bool],
         banned_edges: &[(NodeId, NodeId)],
-    ) -> Option<Path> {
+    ) -> (Vec<f64>, Vec<Option<NodeId>>) {
         let n = topo.node_count();
         let mut dist = vec![f64::INFINITY; n];
         let mut prev: Vec<Option<NodeId>> = vec![None; n];
         let mut heap = BinaryHeap::new();
-        if banned_nodes[src.index()] || banned_nodes[dst.index()] {
-            return None;
-        }
         dist[src.index()] = 0.0;
         heap.push(HeapEntry {
             cost: 0.0,
@@ -43,7 +66,7 @@ mod oracle {
             if cost > dist[node.index()] {
                 continue;
             }
-            if node == dst {
+            if Some(node) == dst {
                 break;
             }
             EXPANDED.with(|c| c.set(c.get() + 1));
@@ -71,6 +94,26 @@ mod oracle {
                 }
             }
         }
+        (dist, prev)
+    }
+
+    /// Latency-weighted distances from `src` to every node.
+    pub fn distances_from(topo: &Topology, src: NodeId) -> Vec<f64> {
+        dijkstra(topo, src, None, &vec![false; topo.node_count()], &[]).0
+    }
+
+    /// The shortest path from `src` to `dst` under the filters.
+    fn shortest_path_filtered(
+        topo: &Topology,
+        src: NodeId,
+        dst: NodeId,
+        banned_nodes: &[bool],
+        banned_edges: &[(NodeId, NodeId)],
+    ) -> Option<Path> {
+        if banned_nodes[src.index()] || banned_nodes[dst.index()] {
+            return None;
+        }
+        let (dist, prev) = dijkstra(topo, src, Some(dst), banned_nodes, banned_edges);
         if !dist[dst.index()].is_finite() {
             return None;
         }
@@ -623,4 +666,143 @@ fn reverse_search_stops_short_of_the_graph_on_ft4096() {
     assert_eq!(solver.k_shortest(src, dst, 2).len(), 2);
     assert_eq!((solver.expanded, SETTLED.get()), (90, 578));
     assert!(SETTLED.get() < topo.node_count());
+}
+
+#[test]
+fn radix_heap_agrees_with_a_binary_heap_model() {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+    // Equal keys, zero, subnormals, the largest finite value and infinity
+    // beside ordinary costs; any of them may fall below the last pop.
+    const EDGES: [f64; 8] = [
+        0.0,
+        f64::from_bits(1),
+        f64::MIN_POSITIVE / 3.0,
+        f64::MIN_POSITIVE,
+        1.0,
+        1e300,
+        f64::MAX,
+        f64::INFINITY,
+    ];
+    forall("radix_heap_vs_model", cases(256), |rng| {
+        let pool: Vec<f64> = (0..1 + rng.uniform_usize(12))
+            .map(|_| match rng.uniform_usize(3) {
+                0 => EDGES[rng.uniform_usize(EDGES.len())],
+                1 => (1 + rng.uniform_usize(4)) as f64 * 0.05,
+                _ => rng.uniform_range(0.0, 100.0),
+            })
+            .collect();
+        let mut heap = RadixHeap::new();
+        // The model queues each item at the key the queue promises:
+        // its cost's bits, raised to the last key popped.
+        let mut model = BinaryHeap::new();
+        let mut last = 0u64;
+        // The most items queued at once since the last clear: the queue
+        // holds no more slots than that.
+        let mut most = 0;
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for id in 0..rng.uniform_usize(200) {
+            match rng.uniform_usize(10) {
+                // The items already popped may differ among equal keys
+                // from the model's, and so may the ones cleared away.
+                0 => {
+                    heap.clear();
+                    model.clear();
+                    last = 0;
+                    most = 0;
+                    got.clear();
+                    want.clear();
+                }
+                1..=5 => {
+                    let cost = pool[rng.uniform_usize(pool.len())];
+                    heap.push(cost, id);
+                    model.push(Reverse((cost.to_bits().max(last), id)));
+                    most = most.max(model.len());
+                    assert!(heap.slots.len() <= most, "a popped slot is reused");
+                }
+                _ => {
+                    let popped = heap.pop();
+                    let Some(Reverse((key, item))) = model.pop() else {
+                        assert!(popped.is_none());
+                        continue;
+                    };
+                    let (cost, id) = popped.expect("the model holds an item");
+                    assert_eq!(cost.to_bits(), key, "pops follow the model's keys");
+                    assert!(key >= last, "pops are nondecreasing");
+                    last = key;
+                    got.push((key, id));
+                    want.push((key, item));
+                }
+            }
+        }
+        while let Some(Reverse(entry)) = model.pop() {
+            let (cost, id) = heap.pop().expect("the model holds an item");
+            assert_eq!(cost.to_bits(), entry.0);
+            got.push((entry.0, id));
+            want.push(entry);
+        }
+        assert!(heap.pop().is_none());
+        // Equal keys may pop in another order, but since the last clear
+        // each key's items are the model's.
+        got.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(got, want);
+    });
+}
+
+/// `latency_distances_from` from every source of `topo`, bit for bit
+/// against the oracle's `BinaryHeap` Dijkstra.
+fn assert_latency_rows_agree(topo: &Topology) {
+    for src in topo.node_ids() {
+        let bits = |row: Vec<f64>| row.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(
+            bits(latency_distances_from(topo, src)),
+            bits(oracle::distances_from(topo, src)),
+            "{}: latency_distances_from({src})",
+            topo.name
+        );
+    }
+}
+
+#[test]
+fn latency_rows_agree_with_the_oracle_on_random_graphs() {
+    forall("latency_rows_vs_oracle", cases(96), |rng| {
+        let n = 1 + rng.uniform_usize(24);
+        let split = n >= 4 && rng.chance(0.2);
+        let (backbone, extra) = if rng.chance(0.5) {
+            let len = 1 + rng.uniform_usize(n);
+            (Backbone::Cycle { len }, rng.uniform_usize(3))
+        } else {
+            (Backbone::Tree, rng.uniform_usize(3 * n))
+        };
+        let topo = match rng.uniform_usize(3) {
+            0 => random_graph(rng, n, backbone, extra, split, |r| {
+                SimDuration::from_millis(1 + r.uniform_usize(3) as u64)
+            }),
+            // Equal sums taken in a different order differ in the last
+            // bit: the row must be the oracle's sum, not an equal one.
+            1 => random_graph(rng, n, backbone, extra, split, |r| {
+                SimDuration::from_micros([50, 70, 130][r.uniform_usize(3)])
+            }),
+            _ => random_graph(rng, n, backbone, extra, split, |r| {
+                SimDuration::from_nanos(50_000 + r.uniform_usize(20_000_000) as u64)
+            }),
+        };
+        assert_latency_rows_agree(&topo);
+    });
+}
+
+#[test]
+fn latency_rows_agree_with_the_oracle_on_the_evaluation_topologies() {
+    use crate::topologies as t;
+    for topo in [
+        t::fat_tree(4),
+        t::b4(),
+        t::internet2(),
+        t::att_mpls(),
+        t::chinanet(),
+        t::synthetic_fat_tree_512(),
+    ] {
+        assert_latency_rows_agree(&topo);
+    }
 }
