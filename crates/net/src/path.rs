@@ -4,9 +4,11 @@
 //! [`PathSolver`] answers those, and the single shortest-path queries, with
 //! one goal-directed search whose tie-break is a specification and which
 //! stops where no answer can depend on what lies beyond: the potential is
-//! computed out to the source's distance, a spur search out to the best
-//! candidate in hand. The free functions are one query on a throw-away
-//! solver; callers with a batch build one solver and keep it.
+//! computed once per destination, out to its sources' distance, a spur
+//! search out to the best candidate in hand, and the last round of Yen's
+//! loop searches only the spurs that can still win. The free functions are
+//! one query on a throw-away solver; callers with a batch build one solver
+//! and keep it.
 
 use crate::graph::{LinkId, NodeId, Topology};
 use p4update_des::SimDuration;
@@ -279,7 +281,7 @@ pub(crate) fn sssp(
     src: NodeId,
     dist: &mut [f64],
     heap: &mut RadixHeap<NodeId>,
-    stop: impl Fn(f64, &[f64]) -> bool,
+    mut stop: impl FnMut(f64, &[f64]) -> bool,
 ) -> f64 {
     heap.clear();
     dist[src.index()] = 0.0;
@@ -358,12 +360,13 @@ pub(crate) const TIE_SLACK: f64 = 1e-9;
 /// # How it is found
 ///
 /// Every search is A* with a potential that never overestimates the
-/// remaining distance — zero for a single query; for [`Self::k_shortest`],
-/// whose first search and every spur search share it, the distance to
-/// `dst` (bans ignored) capped at the source's own: one Dijkstra from `dst`
-/// that stops as soon as the source's distance `D` is final, every node it
-/// did not settle taking `D`. That is `min(distance, D)` at every node,
-/// which differs across a link by no more than the distance does. A label
+/// remaining distance — zero for a single query; for
+/// [`Self::k_shortest_batch`], whose first searches and spur searches to
+/// one destination all share it, the distance to `dst` (bans ignored)
+/// capped at the cost `R` of one Dijkstra from `dst` that stops as soon as
+/// every source's distance is final, every node it did not settle taking
+/// `R`. That is `min(distance, R)` at every node, which differs across a
+/// link by no more than the distance does. A label
 /// is expanded only while `f = g + potential` stays within `TIE_SLACK` of
 /// the destination's distance; every node lying on some equally short path
 /// qualifies, so every neighbour the walk-back rule could step to is
@@ -389,7 +392,9 @@ pub(crate) const TIE_SLACK: f64 = 1e-9;
 /// would make a candidate dearer than the `r`-th cheapest of them is never
 /// output, so the search gives up where only such paths remain. The limit
 /// is not strict, leaving equally dear candidates to the `(cost, node
-/// list)` tie-break.
+/// list)` tie-break. In the last round, only the cheapest candidate is
+/// output, so a spur that can neither tie the newest path nor beat a tie
+/// in hand on the node list is not searched (`final_round`).
 pub struct PathSolver<'a> {
     topo: &'a Topology,
     /// Latency in milliseconds, by link id.
@@ -407,6 +412,10 @@ pub struct PathSolver<'a> {
     /// The point-to-point search's labels: `(g, node)` queued at `f`.
     labels: RadixHeap<(f64, NodeId)>,
     sssp_heap: RadixHeap<NodeId>,
+    /// Yen's round scratch: the cost of the newest path up to each of its
+    /// nodes, and the spurs the final round postponed.
+    root_costs: Vec<SimDuration>,
+    postponed: Vec<usize>,
     /// Labels expanded by point-to-point searches since construction.
     #[cfg(test)]
     expanded: usize,
@@ -427,6 +436,8 @@ impl<'a> PathSolver<'a> {
             banned: vec![false; n],
             labels: RadixHeap::new(),
             sssp_heap: RadixHeap::new(),
+            root_costs: Vec::new(),
+            postponed: Vec::new(),
             #[cfg(test)]
             expanded: 0,
         }
@@ -558,38 +569,68 @@ impl<'a> PathSolver<'a> {
 
     /// Yen's algorithm: the `k` shortest loopless paths from `src` to `dst`,
     /// in nondecreasing latency order. Returns fewer than `k` if the graph
-    /// does not contain that many distinct simple paths.
+    /// does not contain that many distinct simple paths. A batch of one.
     pub fn k_shortest(&mut self, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
-        if src == dst || k == 0 {
-            return Vec::new();
-        }
-        // The potential is the distance to `dst`, bans ignored, capped at
-        // the source's own distance `d`: the search from `dst` stops once
-        // `d` is final, which leaves `min(label, d)` equal to
-        // `min(distance, d)` everywhere. A ban can only lengthen a path, so
-        // that stays a lower bound for the first search and for every spur
-        // search. An unreachable source never stops the search, and the
-        // first search then fails on its own infinite potential.
-        self.potential.fill(f64::INFINITY);
-        let weight = &self.weight;
-        sssp(
-            self.topo,
-            |l| weight[l.index()],
-            dst,
-            &mut self.potential,
-            &mut self.sssp_heap,
-            |cost, label| cost >= label[src.index()],
-        );
-        let d = self.potential[src.index()];
-        for h in &mut self.potential {
-            *h = h.min(d);
-        }
-        let result = self.yen(src, dst, k);
-        self.potential.fill(0.0);
-        result
+        self.k_shortest_batch(&[(src, dst)], k)
+            .pop()
+            .expect("one answer per query")
     }
 
-    /// Yen's loop for `k >= 1`, on the potential `k_shortest` has laid out.
+    /// [`Self::k_shortest`] for every `(src, dst)` of `queries`, answered in
+    /// query order, each exactly as a query of its own: the queries sharing
+    /// a destination share its reverse search.
+    pub fn k_shortest_batch(&mut self, queries: &[(NodeId, NodeId)], k: usize) -> Vec<Vec<Path>> {
+        let mut answers = vec![Vec::new(); queries.len()];
+        if k == 0 {
+            return answers;
+        }
+        let mut order: Vec<usize> = (0..queries.len())
+            .filter(|&i| queries[i].0 != queries[i].1)
+            .collect();
+        order.sort_by_key(|&i| queries[i].1);
+        for group in order.chunk_by(|&a, &b| queries[a].1 == queries[b].1) {
+            let dst = queries[group[0]].1;
+            // The potential is the distance to `dst`, bans ignored, capped
+            // at the cost the search from `dst` stopped at: the first pop
+            // at or above every source's label, by which each source's
+            // distance is final. That leaves `min(label, cost)` equal to
+            // `min(distance, cost)` everywhere, at least each source's own
+            // distance, and a ban can only lengthen a path, so it stays a
+            // lower bound for the first search and for every spur search.
+            // A source is done for good once reached: labels only fall and
+            // pops only rise. An unreachable source never stops the
+            // search, and its first search fails on its infinite potential.
+            self.potential.fill(f64::INFINITY);
+            let weight = &self.weight;
+            let mut done = 0;
+            let stop = sssp(
+                self.topo,
+                |l| weight[l.index()],
+                dst,
+                &mut self.potential,
+                &mut self.sssp_heap,
+                |cost, label| {
+                    while let Some(&i) = group.get(done) {
+                        if cost < label[queries[i].0.index()] {
+                            return false;
+                        }
+                        done += 1;
+                    }
+                    true
+                },
+            );
+            for h in &mut self.potential {
+                *h = h.min(stop);
+            }
+            for &i in group {
+                answers[i] = self.yen(queries[i].0, dst, k);
+            }
+            self.potential.fill(0.0);
+        }
+        answers
+    }
+
+    /// Yen's loop for `k >= 1`, on the potential laid out for `dst`.
     fn yen(&mut self, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
         let mut total = Vec::new();
         if !self.search(src, dst, &[], f64::MAX, &mut total) {
@@ -602,65 +643,34 @@ impl<'a> PathSolver<'a> {
         let mut banned_hops = Vec::new();
 
         while result.len() < k {
-            let last = result.last().expect("result non-empty");
-            let mut root_cost = SimDuration::ZERO;
-            // Each node of the previous path (except egress) is a spur point.
-            for spur_idx in 0..last.nodes().len() - 1 {
-                let spur_node = last.nodes()[spur_idx];
-                let root = &last.nodes()[..=spur_idx];
-
-                // Ban the hops out of the spur node that would recreate an
-                // already-found path with the same root, and ban root nodes
-                // (except the spur) to keep the total path simple.
-                banned_hops.clear();
-                for p in result
-                    .iter()
-                    .map(Path::nodes)
-                    .chain(candidates.iter().map(|(_, p)| p.nodes()))
-                {
-                    if p.len() > spur_idx + 1 && p[..=spur_idx] == *root {
-                        banned_hops.push(p[spur_idx + 1]);
-                    }
-                }
-
-                // Only `k - result.len()` more paths will be output,
-                // cheapest first, so once that many candidates are held a
-                // path dearer than the dearest of them never will be, and
-                // the spur search need not find it. An equally dear one
-                // still reaches the node-list tie-break. The limit never
-                // rises (an output takes the cheapest candidate and one
-                // slot with it), so a path it hid from the scan above can
-                // later only be found and hidden again.
-                let limit = candidates
-                    .get(k - result.len() - 1)
-                    .map_or(f64::MAX, |(t, _)| {
-                        let spur = t.as_nanos().saturating_sub(root_cost.as_nanos());
-                        SimDuration::from_nanos(spur).as_millis_f64() * (1.0 + TIE_SLACK)
-                    });
-                // The candidate is assembled in `total`, root then spur
-                // path, and becomes a `Path` only if it is kept.
-                total.clear();
-                total.extend_from_slice(&root[..spur_idx]);
-                if self.search_avoiding(
-                    spur_node,
-                    dst,
-                    &root[..spur_idx],
-                    &banned_hops,
-                    limit,
-                    &mut total,
-                ) {
-                    let cost = root_cost + latency_along(self.topo, &total[spur_idx..]);
-                    let at = candidates
-                        .partition_point(|(c, p)| (*c, p.nodes()) < (cost, total.as_slice()));
-                    let held = candidates.get(at).is_some_and(|(_, p)| p.nodes() == total);
-                    if !held && !result.iter().any(|p| p.nodes() == total) {
-                        candidates.insert(at, (cost, Path::new(total.clone())));
-                    }
-                }
-                root_cost += self
+            let last = result.last().expect("result non-empty").nodes();
+            // The cost of `last` up to each of its nodes.
+            self.root_costs.clear();
+            self.root_costs.push(SimDuration::ZERO);
+            for w in last.windows(2) {
+                let hop = self
                     .topo
-                    .latency_between(spur_node, last.nodes()[spur_idx + 1])
+                    .latency_between(w[0], w[1])
                     .expect("path edge must be a topology link");
+                self.root_costs
+                    .push(*self.root_costs.last().expect("pushed") + hop);
+            }
+            let mut round = Round {
+                dst,
+                result: &result,
+                candidates: &mut candidates,
+                wanted: k - result.len(),
+                total: &mut total,
+                banned_hops: &mut banned_hops,
+            };
+            if round.wanted == 1 {
+                self.final_round(&mut round);
+            } else {
+                // Each node of the previous path (except egress) is a spur
+                // point.
+                for spur_idx in 0..last.len() - 1 {
+                    self.spur(&mut round, spur_idx);
+                }
             }
             if candidates.is_empty() {
                 break;
@@ -669,6 +679,140 @@ impl<'a> PathSolver<'a> {
         }
         result
     }
+
+    /// The round with one path left to output, which only the cheapest
+    /// candidate survives. No candidate is cheaper than `last`, so the
+    /// spurs that could tie it are searched first, deepest first, and a
+    /// spur that could not is postponed: none of its hops passes the spur
+    /// search's own first step against `last`'s cost. Once the cheapest
+    /// candidate does cost as much as `last`, it is beaten only on the node
+    /// list, by an equally dear path, so a spur is skipped unless one of
+    /// the hops that could tie would put it first. The postponed spurs are
+    /// searched, in the usual order, only if no tie turned up.
+    fn final_round(&mut self, round: &mut Round<'_>) {
+        let result = round.result;
+        let last = result.last().expect("result non-empty").nodes();
+        let cost = self.root_costs[last.len() - 1];
+        self.postponed.clear();
+        for spur_idx in (0..last.len() - 1).rev() {
+            let root = &last[..=spur_idx];
+            // Only a hop numbered below `below` can put the spur's path
+            // ahead of a tie in hand.
+            let mut below = None;
+            let tied = round.candidates.first().is_some_and(|(c, _)| *c == cost);
+            if tied {
+                let best = round.candidates[0].1.nodes();
+                match best.iter().zip(root).position(|(b, r)| b != r) {
+                    // Every path from this spur follows the root, past
+                    // where the tie leaves it for a lower node.
+                    Some(d) if best[d] < root[d] => continue,
+                    Some(_) => {}
+                    // A path through the root does not end inside it.
+                    None => below = Some(best[spur_idx + 1]),
+                }
+            }
+            let tie = spur_budget(cost, self.root_costs[spur_idx]);
+            let next = last[spur_idx + 1];
+            let can_tie = self
+                .topo
+                .neighbors(root[spur_idx])
+                .iter()
+                .any(|&(u, link)| {
+                    self.weight[link.index()] + self.potential[u.index()] <= tie
+                        && below.is_none_or(|b| u < b)
+                        && u != next
+                        && !root.contains(&u)
+                });
+            if can_tie {
+                self.spur(round, spur_idx);
+            } else if !tied {
+                self.postponed.push(spur_idx);
+            }
+        }
+        if round.candidates.first().is_none_or(|(c, _)| *c != cost) {
+            for i in (0..self.postponed.len()).rev() {
+                self.spur(round, self.postponed[i]);
+            }
+        }
+    }
+
+    /// Search the spur of `last`, the newest result path, at `spur_idx`,
+    /// and hold the path it finds as a candidate.
+    fn spur(&mut self, round: &mut Round<'_>, spur_idx: usize) {
+        let result = round.result;
+        let last = result.last().expect("result non-empty").nodes();
+        let spur_node = last[spur_idx];
+        let root = &last[..=spur_idx];
+
+        // Ban the hops out of the spur node that would recreate an
+        // already-found path with the same root, and ban root nodes
+        // (except the spur) to keep the total path simple.
+        round.banned_hops.clear();
+        for p in result
+            .iter()
+            .map(Path::nodes)
+            .chain(round.candidates.iter().map(|(_, p)| p.nodes()))
+        {
+            if p.len() > spur_idx + 1 && p[..=spur_idx] == *root {
+                round.banned_hops.push(p[spur_idx + 1]);
+            }
+        }
+
+        // Only `wanted` more paths will be output, cheapest first, so once
+        // that many candidates are held a path dearer than the dearest of
+        // them never will be, and the spur search need not find it. An
+        // equally dear one still reaches the node-list tie-break. The limit
+        // never rises (an output takes the cheapest candidate and one slot
+        // with it), so a path it hid from the scan above can later only be
+        // found and hidden again.
+        let root_cost = self.root_costs[spur_idx];
+        let limit = round
+            .candidates
+            .get(round.wanted - 1)
+            .map_or(f64::MAX, |(t, _)| spur_budget(*t, root_cost));
+        // The candidate is assembled in `total`, root then spur path, and
+        // becomes a `Path` only if it is kept. A path already held or
+        // output would share this root and leave it by a banned hop, or
+        // differ inside the root, which does not hold `dst`.
+        round.total.clear();
+        round.total.extend_from_slice(&root[..spur_idx]);
+        if self.search_avoiding(
+            spur_node,
+            round.dst,
+            &root[..spur_idx],
+            round.banned_hops,
+            limit,
+            round.total,
+        ) {
+            let total = &round.total[..];
+            let cost = root_cost + latency_along(self.topo, &total[spur_idx..]);
+            let at = round
+                .candidates
+                .partition_point(|(c, p)| (*c, p.nodes()) < (cost, total));
+            round
+                .candidates
+                .insert(at, (cost, Path::new(total.to_vec())));
+        }
+    }
+}
+
+/// One round of Yen's loop: the paths output so far, the candidates held,
+/// how many paths are still wanted, and the round's buffers.
+struct Round<'r> {
+    dst: NodeId,
+    result: &'r [Path],
+    candidates: &'r mut Vec<(SimDuration, Path)>,
+    wanted: usize,
+    total: &'r mut Vec<NodeId>,
+    banned_hops: &'r mut Vec<NodeId>,
+}
+
+/// What a spur path may cost, in milliseconds, for its candidate to cost no
+/// more than `total` after a root costing `root`: the limit a spur search
+/// starts under, with `TIE_SLACK` for the rounding between the two.
+fn spur_budget(total: SimDuration, root: SimDuration) -> f64 {
+    let spur = total.as_nanos().saturating_sub(root.as_nanos());
+    SimDuration::from_nanos(spur).as_millis_f64() * (1.0 + TIE_SLACK)
 }
 
 /// Latency-weighted shortest path from `src` to `dst`.

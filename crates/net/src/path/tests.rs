@@ -432,38 +432,45 @@ pub(crate) fn random_graph(
     b.build()
 }
 
+/// A random graph on 2 to 24 nodes for the solver's differentials, split
+/// in two a fifth of the time.
+fn solver_test_graph(rng: &mut SimRng) -> Topology {
+    let n = 2 + rng.uniform_usize(23);
+    let split = n >= 4 && rng.chance(0.2);
+    // Half the graphs are dense, half a cycle with at most two chords,
+    // where leaving the shortest path is a long detour.
+    let (backbone, extra) = match rng.uniform_usize(4) {
+        0 => (Backbone::Cycle { len: n }, rng.uniform_usize(3)),
+        1 => {
+            let len = 1 + rng.uniform_usize(n);
+            (Backbone::Cycle { len }, rng.uniform_usize(3))
+        }
+        _ => (Backbone::Tree, rng.uniform_usize(3 * n)),
+    };
+    match rng.uniform_usize(3) {
+        // Whole milliseconds from {1, 2, 3}: equally short paths
+        // everywhere, so every answer is a tie-break.
+        0 => random_graph(rng, n, backbone, extra, split, |r| {
+            SimDuration::from_millis(1 + r.uniform_usize(3) as u64)
+        }),
+        // As many ties, but 0.05, 0.07 and 0.13 ms are inexact in
+        // floating point: equal sums taken in a different order differ
+        // in the last bit, which is what TIE_SLACK absorbs.
+        1 => random_graph(rng, n, backbone, extra, split, |r| {
+            SimDuration::from_micros([50, 70, 130][r.uniform_usize(3)])
+        }),
+        // Geo-like: 50 us to 20 ms in whole nanoseconds.
+        _ => random_graph(rng, n, backbone, extra, split, |r| {
+            SimDuration::from_nanos(50_000 + r.uniform_usize(20_000_000) as u64)
+        }),
+    }
+}
+
 #[test]
 fn solver_agrees_with_the_oracle_on_random_graphs() {
     forall("path_solver_vs_oracle", cases(96), |rng| {
-        let n = 2 + rng.uniform_usize(23);
-        let split = n >= 4 && rng.chance(0.2);
-        // Half the graphs are dense, half a cycle with at most two
-        // chords, where leaving the shortest path is a long detour.
-        let (backbone, extra) = match rng.uniform_usize(4) {
-            0 => (Backbone::Cycle { len: n }, rng.uniform_usize(3)),
-            1 => {
-                let len = 1 + rng.uniform_usize(n);
-                (Backbone::Cycle { len }, rng.uniform_usize(3))
-            }
-            _ => (Backbone::Tree, rng.uniform_usize(3 * n)),
-        };
-        let topo = match rng.uniform_usize(3) {
-            // Whole milliseconds from {1, 2, 3}: equally short paths
-            // everywhere, so every answer is a tie-break.
-            0 => random_graph(rng, n, backbone, extra, split, |r| {
-                SimDuration::from_millis(1 + r.uniform_usize(3) as u64)
-            }),
-            // As many ties, but 0.05, 0.07 and 0.13 ms are inexact in
-            // floating point: equal sums taken in a different order
-            // differ in the last bit, which is what TIE_SLACK absorbs.
-            1 => random_graph(rng, n, backbone, extra, split, |r| {
-                SimDuration::from_micros([50, 70, 130][r.uniform_usize(3)])
-            }),
-            // Geo-like: 50 us to 20 ms in whole nanoseconds.
-            _ => random_graph(rng, n, backbone, extra, split, |r| {
-                SimDuration::from_nanos(50_000 + r.uniform_usize(20_000_000) as u64)
-            }),
-        };
+        let topo = solver_test_graph(rng);
+        let n = topo.node_count();
         let mut solver = PathSolver::new(&topo);
         for _ in 0..12 {
             let src = NodeId(rng.uniform_usize(n) as u32);
@@ -504,6 +511,79 @@ fn solver_agrees_with_the_oracle_on_every_pair_of_the_evaluation_topologies() {
         assert_agrees_on_every_pair(&topo, 5);
     }
     assert_agrees_on_every_pair(&t::synthetic_fat_tree_64(), 3);
+}
+
+/// `k_shortest_batch` on `queries` against one `k_shortest` per query and
+/// against the oracle, leaving the solver idle.
+fn assert_batch_agrees(solver: &mut PathSolver<'_>, queries: &[(NodeId, NodeId)], k: usize) {
+    let topo = solver.topo;
+    let batch = solver.k_shortest_batch(queries, k);
+    solver.assert_idle();
+    assert_eq!(batch.len(), queries.len());
+    for (&(src, dst), answer) in queries.iter().zip(&batch) {
+        assert_eq!(
+            *answer,
+            solver.k_shortest(src, dst, k),
+            "{}: batch vs single k_shortest({src}, {dst}, {k})",
+            topo.name
+        );
+        // The oracle returns the shortest path even for `k = 0`.
+        let want = match k {
+            0 => Vec::new(),
+            _ => oracle::k_shortest_paths(topo, src, dst, k),
+        };
+        assert_eq!(
+            *answer, want,
+            "{}: batch vs oracle k_shortest({src}, {dst}, {k})",
+            topo.name
+        );
+    }
+    solver.assert_idle();
+}
+
+#[test]
+fn solver_agrees_with_the_oracle_on_random_graphs_in_a_batch() {
+    forall("path_solver_batch_vs_oracle", cases(96), |rng| {
+        let topo = solver_test_graph(rng);
+        let n = topo.node_count();
+        let mut solver = PathSolver::new(&topo);
+        // Destinations from a pool of at most three, so groups share one,
+        // a split graph's sources sit on both sides of it, and a source
+        // may be its own destination.
+        let pool: Vec<NodeId> = (0..1 + rng.uniform_usize(3))
+            .map(|_| NodeId(rng.uniform_usize(n) as u32))
+            .collect();
+        for _ in 0..3 {
+            let queries: Vec<(NodeId, NodeId)> = (0..rng.uniform_usize(12))
+                .map(|_| {
+                    let src = NodeId(rng.uniform_usize(n) as u32);
+                    (src, pool[rng.uniform_usize(pool.len())])
+                })
+                .collect();
+            assert_batch_agrees(&mut solver, &queries, rng.uniform_usize(6));
+        }
+    });
+}
+
+#[test]
+fn solver_agrees_with_the_oracle_on_split_graphs_and_every_ft64_pair_in_a_batch() {
+    // Sources on both sides of the split share a destination: the search
+    // from it floods its side, and the far sources find nothing.
+    let split = unit_graph("split", 5, &[(0, 1), (1, 2), (2, 0), (3, 4)]);
+    let mut solver = PathSolver::new(&split);
+    let queries =
+        [(0, 2), (3, 2), (2, 2), (1, 2), (4, 3), (0, 4)].map(|(a, b)| (NodeId(a), NodeId(b)));
+    for k in 0..=3 {
+        assert_batch_agrees(&mut solver, &queries, k);
+    }
+    // Every pair of ft64 at `k = 2`: most 2nd paths tie the first, so
+    // the final round's skip decides nearly every spur.
+    let topo = crate::topologies::synthetic_fat_tree_64();
+    let queries: Vec<_> = topo
+        .node_ids()
+        .flat_map(|src| topo.node_ids().map(move |dst| (src, dst)))
+        .collect();
+    assert_batch_agrees(&mut PathSolver::new(&topo), &queries, 2);
 }
 
 /// `two_paths` against what it stands in for — whether the oracle's Yen
@@ -622,13 +702,14 @@ fn a_spur_search_stops_at_the_candidate_in_hand() {
         solver.k_shortest(NodeId(0), NodeId(3), 2),
         [path(&[0, 1, 3]), path(&[0, 2, 3])]
     );
-    // Three labels for the first path (0, 1, 2), two for the spur at 0
-    // that finds the tie (0, 2), and for the spur at 1 only 1 itself:
-    // 1 ms of root and 1 ms to go fit under the 2 ms in hand, 4's
-    // 1 + 2 ms do not. Unbounded, that search expands 4 and 5 as well.
-    assert_eq!(solver.expanded, 6);
-    // With two slots left the same spur has no limit yet, so the
-    // detour is found, held, and comes out third.
+    // Three labels for the first path (0, 1, 2) and two for the spur at
+    // 0 that finds the tie (0, 2). The spur at 1 comes first but is
+    // postponed: 1 ms of its root leaves 1 ms to tie, and its one free
+    // hop, to 4, starts 1 + 2 ms of path. The tie then rules it out, so
+    // it is never searched; unbounded, it would expand 1, 4 and 5.
+    assert_eq!(solver.expanded, 5);
+    // With two slots left the first round searches every spur with no
+    // limit yet, so the detour is found, held, and comes out third.
     assert_eq!(
         solver.k_shortest(NodeId(0), NodeId(3), 3),
         [path(&[0, 1, 3]), path(&[0, 2, 3]), path(&[0, 1, 4, 5, 3])]
@@ -651,7 +732,7 @@ fn goal_direction_confines_the_search_on_ft512() {
     assert_eq!(solver.k_shortest(src, dst, 2), expected);
     // Deterministic counts, pinned so a lost potential, stop or bound
     // shows as a number and not as a slow benchmark.
-    assert_eq!((flooded, solver.expanded, SETTLED.get()), (2325, 184, 301));
+    assert_eq!((flooded, solver.expanded, SETTLED.get()), (2325, 181, 301));
     assert!(solver.expanded * 10 <= flooded);
     assert!(SETTLED.get() < topo.node_count());
 }
@@ -664,8 +745,40 @@ fn reverse_search_stops_short_of_the_graph_on_ft4096() {
     let mut solver = PathSolver::new(&topo);
     SETTLED.set(0);
     assert_eq!(solver.k_shortest(src, dst, 2).len(), 2);
-    assert_eq!((solver.expanded, SETTLED.get()), (90, 578));
+    assert_eq!((solver.expanded, SETTLED.get()), (45, 578));
     assert!(SETTLED.get() < topo.node_count());
+}
+
+#[test]
+fn a_batch_shares_each_destinations_reverse_search_on_ft512() {
+    // One drawn destination per node, as `multi_flow` draws them.
+    let topo = crate::topologies::synthetic_fat_tree_512();
+    let n = topo.node_count();
+    let mut rng = SimRng::new(1);
+    let queries: Vec<(NodeId, NodeId)> = topo
+        .node_ids()
+        .map(|src| {
+            let mut dst = NodeId(rng.uniform_usize(n) as u32);
+            while dst == src {
+                dst = NodeId(rng.uniform_usize(n) as u32);
+            }
+            (src, dst)
+        })
+        .collect();
+    let mut singles = PathSolver::new(&topo);
+    SETTLED.set(0);
+    let single: Vec<_> = queries
+        .iter()
+        .map(|&(src, dst)| singles.k_shortest(src, dst, 2))
+        .collect();
+    let single_settled = SETTLED.get();
+    let mut solver = PathSolver::new(&topo);
+    SETTLED.set(0);
+    assert_eq!(solver.k_shortest_batch(&queries, 2), single);
+    // Deterministic counts, pinned so a lost grouping or a lost skip
+    // shows as a number.
+    assert_eq!((SETTLED.get(), solver.expanded), (62775, 42074));
+    assert!(SETTLED.get() < single_settled);
 }
 
 #[test]

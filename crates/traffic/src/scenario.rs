@@ -191,7 +191,7 @@ pub(crate) struct Work {
     old_infeasible: usize,
     /// Attempts whose old paths fit and whose new paths overflow a link.
     new_infeasible: usize,
-    /// `k_shortest` calls.
+    /// Pairs searched.
     queries: usize,
 }
 
@@ -232,9 +232,10 @@ pub fn multi_flow(topo: &Topology, rng: &mut SimRng, load_factor: f64) -> Worklo
 /// read off [`Topology::bridge_classes`], not searched for; so the draws
 /// come first — the gravity masses, then one destination per node in node
 /// order, stopping at the first pair with one path — and the matrix is
-/// scaled and the searches run only for an attempt none of whose pairs
-/// can fail. Neither draws anything, so the stream is consumed exactly as
-/// if each pair had been searched as it was drawn.
+/// scaled and the attempt's pairs searched, as one batch, only for an
+/// attempt none of whose pairs can fail. Neither draws anything, so the
+/// stream is consumed exactly as if each pair had been searched as it was
+/// drawn.
 fn try_multi_flow(topo: &Topology, rng: &mut SimRng, load_factor: f64) -> Option<Workload> {
     let nodes: Vec<NodeId> = topo.node_ids().collect();
     let n = nodes.len();
@@ -242,13 +243,13 @@ fn try_multi_flow(topo: &Topology, rng: &mut SimRng, load_factor: f64) -> Option
     let target_total = total_capacity * load_factor;
     let mut solver = PathSolver::new(topo);
     let classes = topo.bridge_classes();
-    let mut dsts: Vec<NodeId> = Vec::with_capacity(n);
+    let mut pairs: Vec<(NodeId, NodeId)> = Vec::with_capacity(n);
 
     'attempt: for _attempt in 0..200 {
         #[cfg(test)]
         count(|w| w.attempts += 1);
         let masses = TrafficMatrix::draw(rng, n);
-        dsts.clear();
+        pairs.clear();
         for &src in &nodes {
             // Uniformly random destination other than the source.
             let mut dst = nodes[rng.uniform_usize(n)];
@@ -260,31 +261,26 @@ fn try_multi_flow(topo: &Topology, rng: &mut SimRng, load_factor: f64) -> Option
                 count(|w| w.one_path += 1);
                 continue 'attempt;
             }
-            dsts.push(dst);
+            pairs.push((src, dst));
         }
         let tm = masses.scaled_to(target_total);
+        #[cfg(test)]
+        count(|w| w.queries += n);
+        let answers = solver.k_shortest_batch(&pairs, 2);
         let mut updates = Vec::with_capacity(n);
-        for (i, (&src, &dst)) in nodes.iter().zip(&dsts).enumerate() {
-            #[cfg(test)]
-            count(|w| w.queries += 1);
-            let paths = solver.k_shortest(src, dst, 2);
+        for (i, (&(src, dst), paths)) in pairs.iter().zip(answers).enumerate() {
             // Enforced in release too: skipping the pair instead would
             // move the stream against its specification.
-            assert_eq!(
-                paths.len(),
-                2,
-                "{}: two_paths({src}, {dst}) holds, the search disagrees",
-                topo.name
-            );
+            let Ok([old, new]) = <[Path; 2]>::try_from(paths) else {
+                panic!(
+                    "{}: two_paths({src}, {dst}) holds, the search disagrees",
+                    topo.name
+                );
+            };
             let size = tm
                 .demand(src, dst)
                 .max(target_total / (n as f64 * n as f64));
-            updates.push(FlowUpdate::new(
-                FlowId(i as u32),
-                Some(paths[0].clone()),
-                paths[1].clone(),
-                size,
-            ));
+            updates.push(FlowUpdate::new(FlowId(i as u32), Some(old), new, size));
         }
         // Feasible before the migration and after it, or generate again.
         let Some(free) = free_capacity_after(topo, &updates, |u| u.old_path.as_ref()) else {

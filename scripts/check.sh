@@ -159,9 +159,10 @@ fi
 # `dc-scale` workload's digest (4096 k-shortest-path queries on ft4096) and
 # its two heap high-water marks (the lint pass and the run, as counts),
 # the Fig. 4 and Fig. 7 means EXPERIMENTS.md quotes (seven 30-run
-# experiments), the path solver and the pruned centroid against their
-# oracles on 16x the default random graphs (both prune, and a pruning rule
-# fails on a rare tie: 96 cases are thin),
+# experiments), the path solver (single queries, and batches against
+# single queries: `solver_agrees_*_in_a_batch`) and the pruned centroid
+# against their oracles on 16x the default random graphs (both prune, and
+# a pruning rule fails on a rare tie: 96 cases are thin),
 # the radix queue under both against a `BinaryHeap` model and the latency
 # rows (`latency_distances_from`, which the simulator's WAN control
 # latencies and the centroid's reference read) bit for bit against the

@@ -134,26 +134,28 @@ fn experiments_md_quotes_the_tree() {
 
 /// Fig. 8 (§9.3): P4Update's preparation is cheaper than ez-Segway's in
 /// both regimes, and dramatically so once ez-Segway must compute the
-/// congestion dependency graph.
+/// congestion dependency graph. Compared on each system's fastest run: a
+/// batch takes well under a millisecond, and a mean over three runs is
+/// one preemption away from any ratio.
 #[test]
 fn fig8_preparation_ratios() {
-    let without = fig8::run(false, 3);
-    let with = fig8::run(true, 3);
+    let without = fig8::run(false, 5);
+    let with = fig8::run(true, 5);
     for (a, b) in without.iter().zip(&with) {
         assert!(
-            a.ratios.mean() < 1.0,
+            a.fastest_ratio() < 1.0,
             "{}: P4Update prep must be cheaper (ratio {:.3})",
             a.name,
-            a.ratios.mean()
+            a.fastest_ratio()
         );
         assert!(
-            b.ratios.mean() < 0.25,
+            b.fastest_ratio() < 0.25,
             "{}: congestion-freedom prep must be dramatically cheaper (ratio {:.4})",
             b.name,
-            b.ratios.mean()
+            b.fastest_ratio()
         );
         assert!(
-            b.ratios.mean() < a.ratios.mean(),
+            b.fastest_ratio() < a.fastest_ratio(),
             "{}: congestion must widen the gap",
             b.name
         );
