@@ -154,7 +154,7 @@ impl InFlight {
 pub const MAX_RETRIES: u32 = 25;
 
 /// Size bound assigned to flows set up from FRMs.
-const DEFAULT_FLOW_SIZE: f64 = 1.0;
+pub const DEFAULT_FLOW_SIZE: f64 = 1.0;
 
 /// The P4Update controller.
 pub struct P4UpdateController {

@@ -457,7 +457,7 @@ impl P4UpdateLogic {
                     // two flows each blocked on the link the other wants
                     // would otherwise re-raise and retry each other forever.
                     let mut raised = Vec::new();
-                    for (g, ge) in state.uib.iter_mut() {
+                    state.uib.for_each_mut(|g, ge| {
                         if g != unm.flow
                             && ge.priority != FlowPriority::High
                             && ge.active_next_hop.get() == Some(new_hop)
@@ -467,7 +467,7 @@ impl P4UpdateLogic {
                             ge.priority = FlowPriority::High;
                             raised.push(g);
                         }
-                    }
+                    });
                     // A raised flow blocked only by priority yielding can
                     // now pass: retry its move.
                     for g in raised {

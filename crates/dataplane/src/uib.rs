@@ -161,6 +161,12 @@ impl UibEntry {
         self.has_active_rule() && self.active_next_hop == HopRegister::NONE
     }
 
+    /// What a data packet of the flow sees here: whether a rule is active,
+    /// and the port it names.
+    fn rule(&self) -> (bool, HopRegister) {
+        (self.has_active_rule(), self.active_next_hop)
+    }
+
     /// Apply the staged configuration as a **single-layer** flip: the
     /// staged labels become the applied configuration, and the inheritance
     /// layer is reset to the applied values (Appendix B).
@@ -217,6 +223,10 @@ pub struct Uib {
     /// than the registers they index).
     index: Vec<FlowId>,
     entries: Vec<UibEntry>,
+    /// Flows whose rule ([`UibEntry::rule`]) a write changed since the last
+    /// [`Uib::drain_flips`], in write order: the simulator's consistency
+    /// checker re-walks exactly these.
+    flips: Vec<FlowId>,
 }
 
 impl Uib {
@@ -271,7 +281,19 @@ impl Uib {
             self.entries.insert(at, UibEntry::default());
             at
         });
-        f(&mut self.entries[at])
+        let entry = &mut self.entries[at];
+        let rule = entry.rule();
+        let out = f(entry);
+        if entry.rule() != rule {
+            self.flips.push(flow);
+        }
+        out
+    }
+
+    /// The flows whose rule changed since the last call, in write order (a
+    /// flow that changed twice comes twice).
+    pub fn drain_flips(&mut self) -> std::vec::Drain<'_, FlowId> {
+        self.flips.drain(..)
     }
 
     /// The active next hop data packets follow, if an active rule exists.
@@ -284,9 +306,16 @@ impl Uib {
         self.index.iter().copied()
     }
 
-    /// Every flow's registers, writable in place, in ascending flow order.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (FlowId, &mut UibEntry)> {
-        self.index.iter().copied().zip(&mut self.entries)
+    /// Call `f` on every flow's registers, writable in place, in ascending
+    /// flow order (each write logged like [`Self::update`]'s).
+    pub fn for_each_mut(&mut self, mut f: impl FnMut(FlowId, &mut UibEntry)) {
+        for (&flow, entry) in self.index.iter().zip(&mut self.entries) {
+            let rule = entry.rule();
+            f(flow, entry);
+            if entry.rule() != rule {
+                self.flips.push(flow);
+            }
+        }
     }
 }
 
@@ -514,7 +543,8 @@ mod tests {
 
     /// Random `write`/`update`/`read`/`knows`/`flows`/`provision` sequences
     /// against a `BTreeMap` model: every flow reads back what was last
-    /// stored under it and nothing else. First uses come in descending
+    /// stored under it and nothing else, and the flip log, drained after
+    /// every step, names the step's flow iff its rule changed. First uses come in descending
     /// runs, ascending runs and anywhere, with known flows repeated in
     /// between — a new flow lands at the front, at the back or inside the
     /// sorted index — and `flows()` and `knows()` are compared after every
@@ -548,6 +578,7 @@ mod tests {
                 };
                 cursor = flow.0;
                 pool.push(flow);
+                let before = model.get(&flow).copied();
                 match rng.uniform_usize(8) {
                     0 => {
                         let e = random_entry(rng);
@@ -616,6 +647,12 @@ mod tests {
                     // Drawn and not touched: a first use stays unknown.
                     _ => (),
                 }
+                // A step logs its flow iff it changed the flow's rule.
+                let before = before.unwrap_or_default().rule();
+                let after = model.get(&flow).copied().unwrap_or_default().rule();
+                let logged: Vec<FlowId> = uib.drain_flips().collect();
+                let flipped = if before == after { vec![] } else { vec![flow] };
+                assert_eq!(logged, flipped, "{before:?} -> {after:?}");
                 if let Some(slots) = provisioned {
                     if model.len() <= slots {
                         assert_eq!(uib.entries.capacity(), slots, "grew within its count");

@@ -6,7 +6,7 @@
 //! same-timestamp tie-breaks and per-message fault injection — as a
 //! numbered *choice point* (`p4update_des::Chooser`). This crate searches
 //! the space of choice sequences for schedules that break the paper's
-//! consistency properties (the paranoid checker is the oracle), shrinks
+//! consistency properties (the simulator's checker is the oracle), shrinks
 //! any counterexample to a minimal set of forced decisions with delta
 //! debugging, and stores the result as a text [`Trace`] that replays
 //! byte-identically in CI.
@@ -40,7 +40,7 @@ pub struct RunReport {
     pub events: u64,
     /// Whether the event queue drained before the horizon.
     pub drained: bool,
-    /// Violations the paranoid checker recorded, in detection order
+    /// Violations the checker recorded, in detection order
     /// (deduplicated by the simulator).
     pub violations: Vec<Violation>,
     /// Every choice point consulted, in consultation order.

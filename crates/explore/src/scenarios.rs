@@ -7,7 +7,7 @@
 //! [`crate::Trace`] then only needs `(scenario, seed, choices)` to
 //! reproduce a schedule bit-for-bit.
 //!
-//! Every scenario enables `paranoid` checking (the oracle). Every control
+//! Every run is checked after every event (the oracle). Every control
 //! message of any world is a fault choice point, and nothing a run does
 //! depends on the build profile, so a committed trace replays identically
 //! in debug and release.
@@ -176,10 +176,6 @@ fn parse_mods(name: &str) -> Option<(&str, Mods)> {
     Some((base, mods))
 }
 
-fn explore_config(timing: TimingConfig, seed: u64) -> SimConfig {
-    SimConfig::new(timing, seed).paranoid()
-}
-
 /// The Fig. 2 deployment (§4.1), starting from the paper's inconsistent
 /// premise: config (a) is what the switches actually run, but the
 /// controller believes (b) is in place (its push to `v2` was lost) and
@@ -198,7 +194,7 @@ fn fig2(system: System, seed: u64, mods: Mods) -> BuiltScenario {
     let config_b = Path::new(topologies::fig2_config_b());
     let config_c = Path::new(topologies::fig2_config_c());
     let config = mods.apply(
-        explore_config(TimingConfig::wan_multi_flow(topo.centroid()), seed),
+        SimConfig::new(TimingConfig::wan_multi_flow(topo.centroid()), seed),
         100.0,
     );
     let mut world = NetworkSim::new(topo, system, config, None);
@@ -224,7 +220,7 @@ fn fig1(strategy: Strategy, seed: u64, mods: Mods) -> BuiltScenario {
     let old = Path::new(topologies::fig1_old_path());
     let new = Path::new(topologies::fig1_new_path());
     let config = mods.apply(
-        explore_config(TimingConfig::wan_multi_flow(topo.centroid()), seed),
+        SimConfig::new(TimingConfig::wan_multi_flow(topo.centroid()), seed),
         0.0,
     );
     let world = NetworkSim::new(topo, System::P4Update(strategy), config, None);
@@ -243,7 +239,7 @@ fn multi_gateway(seed: u64, mods: Mods) -> BuiltScenario {
     let old = Path::new(topologies::multi_gateway_old_path());
     let new = Path::new(topologies::multi_gateway_new_path());
     let config = mods.apply(
-        explore_config(TimingConfig::wan_multi_flow(topo.centroid()), seed),
+        SimConfig::new(TimingConfig::wan_multi_flow(topo.centroid()), seed),
         0.0,
     );
     let world = NetworkSim::new(topo, System::P4Update(Strategy::ForceDual), config, None);
@@ -263,7 +259,7 @@ fn multi_gateway(seed: u64, mods: Mods) -> BuiltScenario {
 fn ft512(seed: u64, mods: Mods) -> BuiltScenario {
     let topo = topologies::synthetic_fat_tree_512();
     let edges = topologies::fat_tree_edge_switches(&topo);
-    let config = mods.apply(explore_config(TimingConfig::fat_tree(), seed), 0.0);
+    let config = mods.apply(SimConfig::new(TimingConfig::fat_tree(), seed), 0.0);
     let world = NetworkSim::new(
         topo.clone(),
         System::P4Update(Strategy::ForceDual),
@@ -340,14 +336,5 @@ mod tests {
         }
         assert_eq!(base_name("fig2-ez+byz-dep-k1+repl"), "fig2-ez");
         assert_eq!(base_name("fig2-ez"), "fig2-ez");
-    }
-
-    #[test]
-    fn scenarios_are_paranoid() {
-        for info in SCENARIOS {
-            let built = build(info.name, 1).unwrap();
-            let cfg = built.sim.world().config();
-            assert!(cfg.paranoid, "{}: paranoid off", info.name);
-        }
     }
 }

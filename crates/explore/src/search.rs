@@ -2,7 +2,7 @@
 //! over the choice-point space.
 //!
 //! Both searches share the oracle: run a scenario under an adversarial
-//! chooser and ask the paranoid checker whether any consistency property
+//! chooser and ask the checker whether any consistency property
 //! broke. A hit is returned as a canonicalized, pinned [`Trace`]
 //! (ready for [`crate::shrink`] or the corpus).
 

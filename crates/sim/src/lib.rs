@@ -11,11 +11,13 @@
 
 pub mod checker;
 pub mod config;
+#[cfg(test)]
+mod differential;
 pub mod metrics;
 pub mod network;
 pub mod table;
 
-pub use checker::{check, FlowSpec, Violation};
+pub use checker::{FlowSpec, Violation};
 pub use config::{
     ByzantineConfig, ControlLatency, FaultConfig, InstallDelay, SimConfig, TimingConfig,
 };

@@ -6,7 +6,7 @@
 //! processing, same controller queueing — so measured differences come
 //! from protocol structure alone.
 
-use crate::checker::{check, FlowSpec, Violation};
+use crate::checker::{Checker, FlowSpec, Violation};
 use crate::config::{
     ms, ControlLatency, InstallDelay, SimConfig, ADVERSARY_DELAY_MS, CTRL_LATENCY_FLOOR_MS,
     CTRL_LATENCY_MEAN_MS, CTRL_LATENCY_STD_DEV_MS, CTRL_SERVICE_MEAN_MS, CTRL_TX_MS,
@@ -15,6 +15,7 @@ use crate::config::{
 use crate::metrics::Metrics;
 use crate::table::SwitchTable;
 use p4update_baselines::{CentralController, CentralSwitchLogic, EzController, EzSwitchLogic};
+use p4update_core::controller::DEFAULT_FLOW_SIZE;
 use p4update_core::{P4UpdateController, P4UpdateLogic, Strategy};
 use p4update_dataplane::{ControllerLogic, CtrlEffect, Effect, Endpoint, SwitchLogic, SwitchState};
 use p4update_des::{ChoiceKind, Scheduler, SimDuration, SimRng, SimTime, Simulation, World};
@@ -328,15 +329,15 @@ pub struct NetworkSim {
     ctrl_busy: SimTime,
     /// Update batches by trigger index.
     batches: Vec<Vec<FlowUpdate>>,
-    /// Flow specs for the checker and metrics.
-    pub flows: BTreeMap<FlowId, FlowSpec>,
     /// The run's measurements.
     metrics: Metrics,
     /// Reusable effect buffer (see [`Self::switch_pass`]).
     scratch: Vec<Effect>,
     /// Its controller-side twin (see [`Self::controller_pass`]).
     ctrl_scratch: Vec<CtrlEffect>,
-    /// Violations found by per-event checking (paranoid mode).
+    /// The consistency checker, run after every event.
+    checker: Checker,
+    /// What it found: each violation once, when it first appeared.
     pub violations: Vec<(SimTime, Violation)>,
     /// Switches that have taken a lying alternative at a byzantine choice
     /// point, in first-lie order (bounds enforcement for
@@ -401,6 +402,7 @@ impl NetworkSim {
         // (golden cells, the trace corpus, the benchmark's statistics)
         // starts after it.
         rng.next_u64();
+        let checker = Checker::new(&topo);
         NetworkSim {
             switch_busy: vec![SimTime::ZERO; n],
             polling: vec![false; n],
@@ -412,8 +414,8 @@ impl NetworkSim {
             tables: PathTables::new(n),
             ctrl_busy: SimTime::ZERO,
             batches: Vec::new(),
-            flows: BTreeMap::new(),
             metrics: Metrics::default(),
+            checker,
             violations: Vec::new(),
             scratch: Vec::new(),
             ctrl_scratch: Vec::new(),
@@ -524,6 +526,7 @@ impl NetworkSim {
                 let ok = sw.state.reserve_capacity(next, size);
                 assert!(ok, "initial allocation exceeds capacity at {node}");
             }
+            self.checker.flipped(node, &mut sw.state.uib);
         }
         if let ControllerImpl::P4(c) = &mut self.controller {
             c.register_flow(flow, Version(1));
@@ -533,13 +536,14 @@ impl NetworkSim {
         if let Some(ControllerImpl::P4(c)) = &mut self.standby {
             c.register_flow(flow, Version(1));
         }
-        self.flows.insert(
-            flow,
-            FlowSpec {
-                ingress: path.ingress(),
-                size,
-            },
-        );
+        let ingress = path.ingress();
+        self.checker.register(flow, FlowSpec { ingress, size });
+    }
+
+    /// The flows the checker walks, ascending: every flow with an
+    /// installed initial path, in a batch, or reported by an FRM.
+    pub fn checked_flows(&self) -> impl Iterator<Item = (FlowId, FlowSpec)> + '_ {
+        self.checker.flows()
     }
 
     /// Enable the §11 two-phase-commit mode on every switch: ingresses
@@ -563,6 +567,9 @@ impl NetworkSim {
     /// count did not foresee still gets its record; one twice in a batch is
     /// counted twice. The count is one counter per switch and two passes
     /// over the batch's path nodes.
+    ///
+    /// A batch flow the checker does not know yet (a fresh deployment) is
+    /// checked from here on.
     pub fn add_batch(&mut self, updates: Vec<FlowUpdate>) -> usize {
         // Per switch, the batch's flows it will hold for the first time;
         // `u32::MAX` once the switch is provisioned.
@@ -581,6 +588,10 @@ impl NetworkSim {
                 if count != u32::MAX {
                     self.switches[node].state.uib.provision(count as usize);
                 }
+            }
+            if !self.checker.knows(u.flow) {
+                let (ingress, size) = (u.new_path.ingress(), u.size);
+                self.checker.register(u.flow, FlowSpec { ingress, size });
             }
         }
         self.batches.push(updates);
@@ -1012,19 +1023,6 @@ impl NetworkSim {
         }
         true
     }
-
-    /// Record what the checker finds at `now`. A violation that persists
-    /// across events is recorded once, when it first appears.
-    fn run_checker(&mut self, now: SimTime) {
-        if !self.config.paranoid {
-            return;
-        }
-        for v in check(&self.topo, &self.switches, &self.flows) {
-            if !self.violations.iter().any(|(_, recorded)| *recorded == v) {
-                self.violations.push((now, v));
-            }
-        }
-    }
 }
 
 impl World for NetworkSim {
@@ -1035,8 +1033,11 @@ impl World for NetworkSim {
             Event::DeliverToSwitch { node, .. }
             | Event::InstallComplete { node, .. }
             | Event::InjectPacket { node, .. } => {
-                if !self.switch_pass(now, node, event, sched) {
-                    return; // requeued: nothing changed, nothing to check
+                // A requeued event changed nothing, and no other switch
+                // changes on a switch-side event.
+                if self.switch_pass(now, node, event, sched) {
+                    self.checker
+                        .flipped(node, &mut self.switches[node].state.uib);
                 }
             }
             Event::DeliverToController { from, msg, lie } => {
@@ -1049,6 +1050,13 @@ impl World for NetworkSim {
                 sched.schedule_at(done, Event::ControllerExec { from, msg, lie });
             }
             Event::ControllerExec { from, msg, lie } => {
+                if let Message::Frm(frm) = &msg {
+                    // The controller may set the reported flow up.
+                    if !self.checker.knows(frm.flow) {
+                        let (ingress, size) = (frm.ingress, DEFAULT_FLOW_SIZE);
+                        self.checker.register(frm.flow, FlowSpec { ingress, size });
+                    }
+                }
                 if let Some(vector) = lie {
                     self.byz_outcomes.push(ByzOutcome {
                         at: now,
@@ -1119,7 +1127,9 @@ impl World for NetworkSim {
                 }
             }
         }
-        self.run_checker(now);
+        // What changed was marked above; the checker records what is new.
+        self.checker
+            .recheck(now, &self.topo, &self.switches, &mut self.violations);
     }
 }
 
@@ -1219,7 +1229,9 @@ mod tests {
             .read(FlowId(0))
             .is_egress());
         // Checker is clean.
-        assert!(check(&sim.topo, &sim.switches, &sim.flows).is_empty());
+        let flows: Vec<_> = sim.checked_flows().collect();
+        let uib = |n| sim.switches.get(n).map(|sw| &sw.state.uib);
+        assert!(crate::checker::oracle::check(&sim.topo, uib, &flows).is_empty());
     }
 
     #[test]
@@ -1389,13 +1401,55 @@ mod tests {
                 }
             }
         }
-        let world = fig1_world(System::P4Update(Strategy::Auto), SimConfig::paranoid);
+        let world = fig1_world(System::P4Update(Strategy::Auto), |c| c);
         let mut sim = fig1_run(world).with_chooser(Box::new(DropAll));
         assert!(sim.run().drained());
         let world = sim.into_world();
         assert!(world.metrics().completions.is_empty());
         assert!(world.violations.is_empty(), "{:?}", world.violations);
         assert!(world.metrics().counts().control_drops > 0);
+    }
+
+    /// A flow the batch deploys fresh is checked like a migrated one: once
+    /// it is up, a rule bent back upstream is a recorded loop.
+    #[test]
+    fn a_freshly_deployed_flow_is_checked() {
+        let new = Path::new(topologies::fig1_new_path());
+        let update = FlowUpdate::new(FlowId(0), None, new, 1.0);
+        let world = basic_sim(System::P4Update(Strategy::ForceSingle));
+        let mut sim = batch_simulation(world, vec![update], SimTime::ZERO);
+        assert!(sim.run().drained());
+        assert_eq!(sim.world().metrics().counts().completions, 1);
+        assert!(sim.world().violations.is_empty());
+        // v5 forwards back to v4, which forwards to v5.
+        let bent = NodeId(5);
+        sim.world_mut().switches[bent]
+            .state
+            .uib
+            .update(FlowId(0), |e| {
+                e.active_next_hop = Some(NodeId(4)).into();
+            });
+        let pkt = DataPacket {
+            flow: FlowId(0),
+            seq: 0,
+            ttl: 8,
+            tag: None,
+        };
+        let at = sim.now();
+        let egress_hint = NodeId(7);
+        let inject = Event::InjectPacket {
+            node: bent,
+            pkt,
+            egress_hint,
+        };
+        sim.schedule_at(at, inject);
+        assert!(sim.run().drained());
+        let cycle = vec![NodeId(4), NodeId(5)];
+        let looped = Violation::Loop {
+            flow: FlowId(0),
+            cycle,
+        };
+        assert_eq!(sim.world().violations, vec![(at, looped)]);
     }
 
     /// End-of-run accounting assigns: asked twice, a run with one completed
@@ -1425,7 +1479,6 @@ mod tests {
     fn byzantine_catalog_with_default_chooser_changes_nothing() {
         let run = |byz: bool| {
             let world = fig1_world(System::P4Update(Strategy::Auto), |c| {
-                let c = c.paranoid();
                 if byz {
                     c.with_byzantine(crate::config::ByzantineConfig::default())
                 } else {
@@ -1461,7 +1514,7 @@ mod tests {
             }
         }
         let world = fig1_world(System::P4Update(Strategy::Auto), |c| {
-            c.paranoid().with_byzantine(crate::config::ByzantineConfig {
+            c.with_byzantine(crate::config::ByzantineConfig {
                 vector: Some(ByzVector::DependencyLie),
                 ..Default::default()
             })
@@ -1484,7 +1537,7 @@ mod tests {
     #[test]
     fn controller_failover_mid_update_still_completes() {
         let world = fig1_world(System::P4Update(Strategy::Auto), |c| {
-            c.paranoid().with_retry_ms(40.0).with_failover_at_ms(50.0)
+            c.with_retry_ms(40.0).with_failover_at_ms(50.0)
         });
         let mut sim = fig1_run(world);
         assert!(sim.run().drained());
@@ -1538,7 +1591,7 @@ mod tests {
             let edges = topologies::fat_tree_edge_switches(&topo);
             let paths = p4update_net::k_shortest_paths(&topo, edges[0], *edges.last().unwrap(), 2);
             let (old, new) = (paths[0].clone(), paths[1].clone());
-            let config = SimConfig::new(TimingConfig::fat_tree(), 1).paranoid();
+            let config = SimConfig::new(TimingConfig::fat_tree(), 1);
             let world = NetworkSim::new(topo, System::P4Update(Strategy::Auto), config, None);
             let there = FlowUpdate::new(FlowId(0), Some(old.clone()), new.clone(), 1.0);
             let seen = Rc::new(Cell::new(0));

@@ -18,7 +18,7 @@ fn fig1_update() -> FlowUpdate {
 /// Run the Fig. 1 migration under `system`; return the completed world.
 fn run_fig1(system: System, seed: u64) -> NetworkSim {
     let topo = topologies::fig1();
-    let config = SimConfig::new(TimingConfig::wan_multi_flow(topo.centroid()), seed).paranoid();
+    let config = SimConfig::new(TimingConfig::wan_multi_flow(topo.centroid()), seed);
     let world = NetworkSim::new(topo, system, config, None);
     let mut sim = batch_simulation(world, vec![fig1_update()], SimTime::ZERO);
     let outcome = sim.run();

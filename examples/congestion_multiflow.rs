@@ -42,7 +42,7 @@ fn main() {
     let flow_a = FlowId(0);
     let flow_b = FlowId(1);
 
-    let config = SimConfig::new(TimingConfig::wan_multi_flow(topo.centroid()), 3).paranoid();
+    let config = SimConfig::new(TimingConfig::wan_multi_flow(topo.centroid()), 3);
     let world = NetworkSim::new(topo, System::P4Update(Strategy::Auto), config, None);
 
     // Swap the flows' second hops. The updates race: whoever's

@@ -6,7 +6,7 @@
 //!
 //! 1. replays the base schedule and pins it (it must be violation-free),
 //! 2. runs a budgeted search — deterministic bounded-systematic
-//!    enumeration first, then random walks — for a schedule the paranoid
+//!    enumeration first, then random walks — for a schedule the
 //!    checker rejects,
 //! 3. shrinks any counterexample with ddmin to a minimal set of forced
 //!    decisions, and

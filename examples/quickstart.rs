@@ -38,7 +38,7 @@ fn main() {
     }
 
     // Assemble the network, install the old path, and trigger the update.
-    let config = SimConfig::new(TimingConfig::wan_single_flow(topo.centroid()), 7).paranoid();
+    let config = SimConfig::new(TimingConfig::wan_single_flow(topo.centroid()), 7);
     let world = NetworkSim::new(topo, System::P4Update(Strategy::Auto), config, None);
     let mut sim = batch_simulation(world, vec![update], SimTime::ZERO);
     assert!(sim.run().drained());

@@ -15,8 +15,10 @@
 # heap-footprint counts (which a deep topology copy, a per-switch map or a
 # retained batch-sized buffer fails), the large fat-tree tests (among them
 # `dc-scale`'s two heap high-water marks on ft4096), the experiment means
-# EXPERIMENTS.md quotes, the root
-# property suites and the differentials — the path solver, the pruned
+# EXPERIMENTS.md quotes and B4's backward-segment claim, the benchmark's
+# WAN cells with P4Update violation-free, the root
+# property suites and the differentials — the incremental checker against
+# its from-scratch oracle, the path solver, the pruned
 # centroid, the bridge classification and `multi_flow` against their oracles,
 # the path search's radix queue against a `BinaryHeap` model, the latency
 # rows against the oracle's Dijkstra,
@@ -82,12 +84,9 @@ fi
 
 # Per-directed-link state is one value per arc id (`p4update_net::ArcMap`,
 # DESIGN.md section 3): a map keyed by node pairs is the tree node per link
-# on its way back. The one exemption is the checker: a forged next hop can
-# name a pair that is no link, and its per-call link load is what ROADMAP's
-# "A checker cheap enough to leave on" replaces.
+# on its way back.
 echo "==> no BTreeMap<(NodeId, NodeId) under crates/ src/ examples/ (use ArcMap)"
-if grep -rn 'BTreeMap<(NodeId, NodeId)' crates/ src/ examples/ \
-    | grep -v '^crates/sim/src/checker\.rs:'; then
+if grep -rn 'BTreeMap<(NodeId, NodeId)' crates/ src/ examples/; then
     echo "error: per-link state keyed by node pairs (use p4update_net::ArcMap)" >&2
     exit 1
 fi
@@ -159,7 +158,11 @@ fi
 # `dc-scale` workload's digest (4096 k-shortest-path queries on ft4096) and
 # its two heap high-water marks (the lint pass and the run, as counts),
 # the Fig. 4 and Fig. 7 means EXPERIMENTS.md quotes (seven 30-run
-# experiments), the path solver (single queries, and batches against
+# experiments) and the B4 segment claim its Fig. 7c deviation cites, the
+# benchmark's `wan-sweep` and `wan-lossy` cells (P4Update must record no
+# violation), the incremental checker against its from-scratch oracle after
+# every event (registry, byzantine scenarios, four systems under faults),
+# the path solver (single queries, and batches against
 # single queries: `solver_agrees_*_in_a_batch`) and the pruned centroid
 # against their oracles on 16x the default random graphs (both prune, and
 # a pruning rule fails on a rare tie: 96 cases are thin),
@@ -189,8 +192,14 @@ if [[ "${FAST:-0}" != 1 ]]; then
     echo "==> ft4096 lint-pass and run heap peaks under their bounds (ignored test, release)"
     cargo test -q --release --test world_footprint -- --ignored
 
-    echo "==> Fig. 4 and Fig. 7 means at 30 runs equal EXPERIMENTS.md's (ignored test, release)"
+    echo "==> Fig. 4 and Fig. 7 means at 30 runs equal EXPERIMENTS.md's; B4 has no backward segment with an interior (ignored tests, release)"
     cargo test -q --release --test paper_scenarios -- --ignored
+
+    echo "==> wan-sweep and wan-lossy cells: P4Update records no violation (ignored test, release)"
+    cargo test -q --release --test evaluation_checked -- --ignored
+
+    echo "==> incremental checker vs the from-scratch oracle after every event, PROPCHECK_SCALE=16 (release)"
+    PROPCHECK_SCALE=16 cargo test -q --release -p p4update-sim differential
 
     echo "==> path solver vs oracle, PROPCHECK_SCALE=16 (release)"
     PROPCHECK_SCALE=16 cargo test -q --release -p p4update-net solver_agrees
@@ -219,7 +228,7 @@ if [[ "${FAST:-0}" != 1 ]]; then
     echo "==> benchmark/check.sh (the benchmark builds and smokes against this tree)"
     benchmark/check.sh
 else
-    echo "==> ft32768, ft4096 digest and heap peaks, experiment means, scaled differentials (path solver, centroid, radix queue, latency rows, two_paths, multi_flow, UIB, reanalyze) and property suites and benchmark/check.sh skipped (FAST=1)"
+    echo "==> ft32768, ft4096 digest and heap peaks, experiment means and the B4 claim, the checked benchmark cells, scaled differentials (checker, path solver, centroid, radix queue, latency rows, two_paths, multi_flow, UIB, reanalyze) and property suites and benchmark/check.sh skipped (FAST=1)"
 
     echo "==> cargo check of the benchmark package (its pinned API surface still compiles)"
     cargo check -q --offline --manifest-path benchmark/Cargo.toml

@@ -20,7 +20,7 @@
 //! use p4update::des::SimTime;
 //!
 //! let topo = topologies::fig1();
-//! let config = SimConfig::new(TimingConfig::wan_multi_flow(topo.centroid()), 1).paranoid();
+//! let config = SimConfig::new(TimingConfig::wan_multi_flow(topo.centroid()), 1);
 //! let world = NetworkSim::new(topo, System::P4Update(Strategy::Auto), config, None);
 //!
 //! // The old path is installed at version 1, then the update is triggered at t = 0.

@@ -161,7 +161,8 @@ fn engine_matches_sequential_on_every_registry_scenario() {
                 .unwrap_or_else(|| panic!("registry name {name:?} must build"));
             let world = built.sim.into_world();
             for strategy in STRATEGIES {
-                let installed = world.flows.keys().copied();
+                let batches = world.batches().iter().flatten();
+                let installed = batches.filter(|u| u.old_path.is_some()).map(|u| u.flow);
                 let prepared = controller_plans(installed, world.batches(), strategy);
                 for batch in &prepared {
                     let what = format!("{name} seed {seed} {strategy:?}");

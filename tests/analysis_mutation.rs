@@ -6,7 +6,7 @@
 //!    field the proof-labeling scheme depends on, and the analyzer must
 //!    report at least one *error*. The unmutated plan must report zero.
 //! 2. **Soundness of "clean"** — an analyzer-clean plan, deployed in the
-//!    paranoid discrete-event simulation, must finish with zero
+//!    checked discrete-event simulation, must finish with zero
 //!    consistency-checker `Violation`s. The analyzer's promise is exactly
 //!    that the runtime verifiers never fire.
 
@@ -291,8 +291,8 @@ fn gen_fig1_migration(rng: &mut SimRng, flow: FlowId) -> Option<FlowUpdate> {
     ))
 }
 
-/// Cross-validation: an analyzer-clean plan, run end-to-end in the paranoid
-/// simulation (consistency checker on every packet), produces zero runtime
+/// Cross-validation: an analyzer-clean plan, run end-to-end in the
+/// simulation (consistency checker after every event), produces zero runtime
 /// `Violation`s.
 #[test]
 fn analyzer_clean_plans_run_violation_free() {
@@ -312,8 +312,8 @@ fn analyzer_clean_plans_run_violation_free() {
         let diags = analysis.diagnostics();
         assert!(is_clean(diags), "expected clean plan, got {diags:?}");
 
-        // Then the dynamic pass: deploy it under the paranoid checker.
-        let config = SimConfig::new(TimingConfig::wan_multi_flow(topo.centroid()), 1).paranoid();
+        // Then the dynamic pass: deploy it under the checker.
+        let config = SimConfig::new(TimingConfig::wan_multi_flow(topo.centroid()), 1);
         let world = NetworkSim::new(topo, System::P4Update(Strategy::Auto), config, None);
         assert!(update.old_path.is_some(), "a migration has an old path");
         let mut sim = batch_simulation(world, vec![update.clone()], SimTime::ZERO);

@@ -19,7 +19,7 @@ fn run_workload(
 ) -> NetworkSim {
     let mut rng = SimRng::new(seed);
     let workload = multi_flow(&topo, &mut rng, load);
-    let config = SimConfig::new(TimingConfig::wan_multi_flow(topo.centroid()), seed).paranoid();
+    let config = SimConfig::new(TimingConfig::wan_multi_flow(topo.centroid()), seed);
     let world = NetworkSim::new(topo, System::P4Update(strategy), config, None);
     let mut sim = batch_simulation(world, workload.updates, SimTime::ZERO);
     let _ = sim.run_until(SimTime::ZERO + SimDuration::from_secs(300));
@@ -72,7 +72,7 @@ fn moderate_load_multi_flow_completes() {
         let mut rng = SimRng::new(9000 + seed);
         let workload = multi_flow(&topo, &mut rng, 0.25);
         let flows: Vec<FlowId> = workload.updates.iter().map(|u| u.flow).collect();
-        let config = SimConfig::new(TimingConfig::wan_multi_flow(topo.centroid()), seed).paranoid();
+        let config = SimConfig::new(TimingConfig::wan_multi_flow(topo.centroid()), seed);
         let world = NetworkSim::new(topo, System::P4Update(Strategy::Auto), config, None);
         let mut sim = batch_simulation(world, workload.updates, SimTime::ZERO);
         let _ = sim.run_until(SimTime::ZERO + SimDuration::from_secs(300));
@@ -97,7 +97,7 @@ fn fat_tree_multi_flow_is_consistent() {
         let topo = topologies::fat_tree(4);
         let mut rng = SimRng::new(11_000 + seed);
         let workload = multi_flow(&topo, &mut rng, 0.3);
-        let config = SimConfig::new(TimingConfig::fat_tree(), seed).paranoid();
+        let config = SimConfig::new(TimingConfig::fat_tree(), seed);
         let world = NetworkSim::new(topo, System::P4Update(Strategy::Auto), config, None);
         let mut sim = batch_simulation(world, workload.updates, SimTime::ZERO);
         let _ = sim.run_until(SimTime::ZERO + SimDuration::from_secs(300));
@@ -134,7 +134,7 @@ fn mutually_blocked_flows_park_instead_of_recursing() {
         );
         assert_eq!(world.metrics().counts().alarms, 0, "{name}");
         let stranded = world.record_stranded_flows();
-        assert_eq!(world.flows.len(), flows, "{name}");
+        assert_eq!(world.checked_flows().count(), flows, "{name}");
         assert_eq!(flows - stranded.len(), completed, "{name}: {stranded:?}");
         for &f in &stranded {
             let waits_on_a_stranded_holder = world.switches.values().any(|sw| {

@@ -33,7 +33,7 @@ fn cleanup_clears_abandoned_old_path() {
     let flow = FlowId(0);
     let old = p(&[0, 1, 3, 5]);
     let new = p(&[0, 2, 3, 5]);
-    let config = SimConfig::new(TimingConfig::wan_multi_flow(topo.centroid()), 5).paranoid();
+    let config = SimConfig::new(TimingConfig::wan_multi_flow(topo.centroid()), 5);
     let world = NetworkSim::new(topo, System::P4Update(Strategy::ForceSingle), config, None);
     let update = FlowUpdate::new(flow, Some(old), new, 2.0);
     let mut sim = batch_simulation(world, vec![update], SimTime::ZERO);
@@ -73,7 +73,6 @@ fn recovery_completes_update_despite_unm_loss() {
     for seed in 0..runs {
         let topo = topologies::fig1();
         let config = SimConfig::new(TimingConfig::wan_multi_flow(topo.centroid()), seed)
-            .paranoid()
             .with_faults(FaultConfig {
                 drop_switch_to_switch: 0.2,
                 ..FaultConfig::NONE
@@ -149,7 +148,7 @@ fn frm_sets_up_a_new_flow_end_to_end() {
     let ingress = NodeId(0);
     let egress = NodeId(15);
     let flow = FlowId(42);
-    let config = SimConfig::new(TimingConfig::wan_multi_flow(topo.centroid()), 3).paranoid();
+    let config = SimConfig::new(TimingConfig::wan_multi_flow(topo.centroid()), 3);
     let world = NetworkSim::new(topo, System::P4Update(Strategy::Auto), config, None);
     let mut sim = simulation(world);
     // A packet stream starts with no rules anywhere.
@@ -185,4 +184,7 @@ fn frm_sets_up_a_new_flow_end_to_end() {
     assert_eq!(e.applied_version, Version(1));
     // Earlier packets were lost while rules were absent (expected).
     assert!(delivered.len() < 40);
+    // The checker learned the flow from its FRM and walked it clean.
+    assert!(world.checked_flows().any(|(f, _)| f == flow));
+    assert!(world.violations.is_empty(), "{:?}", world.violations);
 }

@@ -23,9 +23,8 @@ fn fig1_update() -> FlowUpdate {
 
 fn run_with_faults(strategy: Strategy, seed: u64, faults: FaultConfig) -> NetworkSim {
     let topo = topologies::fig1();
-    let config = SimConfig::new(TimingConfig::wan_single_flow(topo.centroid()), seed)
-        .paranoid()
-        .with_faults(faults);
+    let config =
+        SimConfig::new(TimingConfig::wan_single_flow(topo.centroid()), seed).with_faults(faults);
     let world = NetworkSim::new(topo, System::P4Update(strategy), config, None);
     let mut sim = batch_simulation(world, vec![fig1_update()], SimTime::ZERO);
     let _ = sim.run_until(SimTime::ZERO + SimDuration::from_secs(120));
@@ -123,7 +122,6 @@ fn fast_forward_completes_under_unm_loss_with_controller_retry() {
         let (v1, v2, v3) = (n(&[0, 1, 3, 5]), n(&[0, 2, 4, 3, 1, 5]), n(&[0, 5]));
         let flow = FlowId(0);
         let config = SimConfig::new(TimingConfig::wan_single_flow(topo.centroid()), seed)
-            .paranoid()
             .with_faults(FaultConfig {
                 drop_switch_to_switch: 0.3,
                 ..FaultConfig::NONE
@@ -196,7 +194,6 @@ fn multi_gateway_backward_segments_wait_for_inherited_distance() {
         let old = Path::new(topologies::multi_gateway_old_path());
         let new = Path::new(new_path.clone());
         let config = SimConfig::new(TimingConfig::wan_multi_flow(topo.centroid()), seed)
-            .paranoid()
             .with_faults(FaultConfig {
                 jitter_ms: 150.0,
                 ..FaultConfig::NONE
@@ -276,9 +273,8 @@ fn fig2_reordering_loops_ez_segway_but_not_p4update() {
         System::P4Update(Strategy::ForceSingle),
         System::EzSegway { congestion: false },
     ] {
-        let config = SimConfig::new(TimingConfig::wan_multi_flow(topo.centroid()), 1)
-            .paranoid()
-            .with_faults(faults);
+        let config =
+            SimConfig::new(TimingConfig::wan_multi_flow(topo.centroid()), 1).with_faults(faults);
         let mut world = NetworkSim::new(topo.clone(), system, config, None);
         // Assembled by hand: (a) is installed while the update names (b) as
         // the old path (the §4.1 premise).

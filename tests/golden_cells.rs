@@ -6,7 +6,8 @@
 //! `fig1` (seeds 1-2) and `ft64` (seed 1) for all four systems, on the
 //! sequential engine with every library default. They pin what no other
 //! test compares *across commits*: event counts, peak queue depth and the
-//! FCT percentiles. A change that moves any of them has changed simulated
+//! FCT percentiles, and the violations the checker recorded (none, for
+//! every system). A change that moves any of them has changed simulated
 //! behaviour (timing model, path-table values, RNG stream, protocol
 //! logic), not just its implementation.
 //!
@@ -32,6 +33,8 @@ struct Cell {
     unm_deliveries: u64,
     fct_p50_ms: f64,
     fct_p99_ms: f64,
+    /// Loops, blackholes and overloads the checker recorded.
+    violations: usize,
 }
 
 const SL: System = System::P4Update(Strategy::ForceSingle);
@@ -41,26 +44,26 @@ const CENTRAL: System = System::Central { congestion: true };
 
 #[rustfmt::skip]
 const FIG1: [Cell; 4] = [
-    Cell { system: SL, events: 261, completed_flows: 16, stranded_flows: 0, peak_queue_depth: 35, control_drops: 0, unm_deliveries: 53, fct_p50_ms: 208.19797, fct_p99_ms: 320.60632515 },
-    Cell { system: DL, events: 505, completed_flows: 16, stranded_flows: 0, peak_queue_depth: 36, control_drops: 0, unm_deliveries: 106, fct_p50_ms: 213.3396865, fct_p99_ms: 326.79234125 },
-    Cell { system: EZ, events: 220, completed_flows: 16, stranded_flows: 0, peak_queue_depth: 36, control_drops: 0, unm_deliveries: 0, fct_p50_ms: 215.02139499999998, fct_p99_ms: 346.60632515 },
-    Cell { system: CENTRAL, events: 215, completed_flows: 16, stranded_flows: 0, peak_queue_depth: 10, control_drops: 0, unm_deliveries: 0, fct_p50_ms: 290.2380665, fct_p99_ms: 402.55549345 },
+    Cell { system: SL, events: 261, completed_flows: 16, stranded_flows: 0, peak_queue_depth: 35, control_drops: 0, unm_deliveries: 53, fct_p50_ms: 208.19797, fct_p99_ms: 320.60632515, violations: 0 },
+    Cell { system: DL, events: 505, completed_flows: 16, stranded_flows: 0, peak_queue_depth: 36, control_drops: 0, unm_deliveries: 106, fct_p50_ms: 213.3396865, fct_p99_ms: 326.79234125, violations: 0 },
+    Cell { system: EZ, events: 220, completed_flows: 16, stranded_flows: 0, peak_queue_depth: 36, control_drops: 0, unm_deliveries: 0, fct_p50_ms: 215.02139499999998, fct_p99_ms: 346.60632515, violations: 0 },
+    Cell { system: CENTRAL, events: 215, completed_flows: 16, stranded_flows: 0, peak_queue_depth: 10, control_drops: 0, unm_deliveries: 0, fct_p50_ms: 290.2380665, fct_p99_ms: 402.55549345, violations: 0 },
 ];
 
 // Fat-tree timing draws each switch report's control latency when the
 // report is sent, one event per report fewer than a controller-side draw.
 #[rustfmt::skip]
 const FT64: [Cell; 4] = [
-    Cell { system: SL, events: 1466, completed_flows: 64, stranded_flows: 0, peak_queue_depth: 254, control_drops: 0, unm_deliveries: 190, fct_p50_ms: 1689.4414794999998, fct_p99_ms: 1973.22786909 },
-    Cell { system: DL, events: 2205, completed_flows: 64, stranded_flows: 0, peak_queue_depth: 254, control_drops: 0, unm_deliveries: 380, fct_p50_ms: 1685.139865, fct_p99_ms: 1899.9036900899998 },
-    Cell { system: EZ, events: 1098, completed_flows: 64, stranded_flows: 0, peak_queue_depth: 294, control_drops: 0, unm_deliveries: 0, fct_p50_ms: 1763.1608740000001, fct_p99_ms: 2071.64752008 },
-    Cell { system: CENTRAL, events: 764, completed_flows: 64, stranded_flows: 0, peak_queue_depth: 104, control_drops: 0, unm_deliveries: 0, fct_p50_ms: 2245.8760389999998, fct_p99_ms: 2628.98635576 },
+    Cell { system: SL, events: 1466, completed_flows: 64, stranded_flows: 0, peak_queue_depth: 254, control_drops: 0, unm_deliveries: 190, fct_p50_ms: 1689.4414794999998, fct_p99_ms: 1973.22786909, violations: 0 },
+    Cell { system: DL, events: 2205, completed_flows: 64, stranded_flows: 0, peak_queue_depth: 254, control_drops: 0, unm_deliveries: 380, fct_p50_ms: 1685.139865, fct_p99_ms: 1899.9036900899998, violations: 0 },
+    Cell { system: EZ, events: 1098, completed_flows: 64, stranded_flows: 0, peak_queue_depth: 294, control_drops: 0, unm_deliveries: 0, fct_p50_ms: 1763.1608740000001, fct_p99_ms: 2071.64752008, violations: 0 },
+    Cell { system: CENTRAL, events: 764, completed_flows: 64, stranded_flows: 0, peak_queue_depth: 104, control_drops: 0, unm_deliveries: 0, fct_p50_ms: 2245.8760389999998, fct_p99_ms: 2628.98635576, violations: 0 },
 ];
 
 #[rustfmt::skip]
 const FIG1_LOSSY: [Cell; 2] = [
-    Cell { system: SL, events: 292, completed_flows: 16, stranded_flows: 0, peak_queue_depth: 35, control_drops: 5, unm_deliveries: 66, fct_p50_ms: 251.9361055, fct_p99_ms: 460.21337044999996 },
-    Cell { system: DL, events: 503, completed_flows: 16, stranded_flows: 0, peak_queue_depth: 36, control_drops: 8, unm_deliveries: 134, fct_p50_ms: 244.995302, fct_p99_ms: 471.50103519999993 },
+    Cell { system: SL, events: 292, completed_flows: 16, stranded_flows: 0, peak_queue_depth: 35, control_drops: 5, unm_deliveries: 66, fct_p50_ms: 251.9361055, fct_p99_ms: 460.21337044999996, violations: 0 },
+    Cell { system: DL, events: 503, completed_flows: 16, stranded_flows: 0, peak_queue_depth: 36, control_drops: 8, unm_deliveries: 134, fct_p50_ms: 244.995302, fct_p99_ms: 471.50103519999993, violations: 0 },
 ];
 
 const LOSSY: FaultConfig = FaultConfig {
@@ -75,7 +78,7 @@ const LOSSY: FaultConfig = FaultConfig {
 /// bit.
 fn check(scale: &str, topo: &Topology, base: SimConfig, seeds: u64, cell: &Cell) {
     let (mut events, mut peak, mut stranded) = (0u64, 0usize, 0usize);
-    let (mut drops, mut unms) = (0u64, 0u64);
+    let (mut drops, mut unms, mut violations) = (0u64, 0u64, 0usize);
     let mut fct = Samples::new();
     for seed in 1..=seeds {
         let workload = multi_flow(topo, &mut SimRng::new(seed), 0.55);
@@ -90,6 +93,7 @@ fn check(scale: &str, topo: &Topology, base: SimConfig, seeds: u64, cell: &Cell)
         stranded += world.record_stranded_flows().len();
         drops += world.metrics().counts().control_drops;
         unms += world.metrics().counts().unm_deliveries;
+        violations += world.violations.len();
         for u in &workload.updates {
             if let Some(t) = world.metrics().last_completion(&[u.flow]) {
                 fct.push(t.as_millis_f64());
@@ -97,7 +101,17 @@ fn check(scale: &str, topo: &Topology, base: SimConfig, seeds: u64, cell: &Cell)
         }
     }
     let ps = fct.percentiles(&[50.0, 99.0]);
-    let got = (events, fct.len(), stranded, peak, drops, unms, ps[0], ps[1]);
+    let got = (
+        events,
+        fct.len(),
+        stranded,
+        peak,
+        drops,
+        unms,
+        ps[0],
+        ps[1],
+        violations,
+    );
     let want = (
         cell.events,
         cell.completed_flows,
@@ -107,6 +121,7 @@ fn check(scale: &str, topo: &Topology, base: SimConfig, seeds: u64, cell: &Cell)
         cell.unm_deliveries,
         cell.fct_p50_ms,
         cell.fct_p99_ms,
+        cell.violations,
     );
     assert_eq!(got, want, "{scale} {:?}", cell.system);
 }

@@ -25,7 +25,7 @@ fn run_batches(
     batches: Vec<(u64, Vec<FlowUpdate>)>,
     topo: p4update::net::Topology,
 ) -> NetworkSim {
-    let config = SimConfig::new(TimingConfig::wan_single_flow(topo.centroid()), seed).paranoid();
+    let config = SimConfig::new(TimingConfig::wan_single_flow(topo.centroid()), seed);
     let world = NetworkSim::new(topo, System::P4Update(strategy), config, None);
     let at = |ms: u64| SimTime::ZERO + SimDuration::from_millis(ms);
     let mut batches = batches.into_iter();

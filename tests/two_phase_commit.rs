@@ -46,7 +46,7 @@ fn tagged_packets_never_mix_generations() {
 
     // Single-layer migration with slow installs, so the mixed window is
     // long and heavily exercised by traffic.
-    let config = SimConfig::new(TimingConfig::wan_single_flow(topo.centroid()), 21).paranoid();
+    let config = SimConfig::new(TimingConfig::wan_single_flow(topo.centroid()), 21);
     let mut world = NetworkSim::new(topo, System::P4Update(Strategy::ForceSingle), config, None);
     world.enable_two_phase_commit();
     // Trigger at 100 ms; stream packets from 0 to 2 s (the migration takes
@@ -119,7 +119,7 @@ fn tagged_packets_never_mix_generations() {
 fn untagged_packets_do_mix_generations() {
     let (topo, old, new) = pivot_topology();
     let flow = FlowId(0);
-    let config = SimConfig::new(TimingConfig::wan_single_flow(topo.centroid()), 21).paranoid();
+    let config = SimConfig::new(TimingConfig::wan_single_flow(topo.centroid()), 21);
     // No enable_two_phase_commit().
     let world = NetworkSim::new(topo, System::P4Update(Strategy::ForceSingle), config, None);
     let update = FlowUpdate::new(flow, Some(old.clone()), new.clone(), 1.0);
