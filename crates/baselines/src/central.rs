@@ -48,9 +48,6 @@ impl FlowMigration {
         if self.applied.contains(&node) {
             return true;
         }
-        if node == self.update.new_path.egress() {
-            return true; // egress terminates in every configuration
-        }
         self.update
             .old_path
             .as_ref()

@@ -433,7 +433,11 @@ impl EzSwitchLogic {
             return;
         }
         if role.initiator {
-            // Start the in-segment chain: notify upstream.
+            // Start the in-segment chain: notify upstream. A fresh
+            // deployment's egress first writes its terminating rule.
+            if role.next_hop.is_none() && !state.uib.read(flow).has_active_rule() {
+                state.uib.update(flow, |e| e.applied_version = Version(2));
+            }
             let up = role.upstream;
             self.roles
                 .get_mut(&(flow, segment))

@@ -255,10 +255,11 @@ impl P4UpdateLogic {
             // second-layer chain at indication time (§8: "the
             // intra-segment UNM is generated at the egress node of each
             // segment") — they are on both paths, so interior nodes can
-            // safely point at their old rule.
+            // safely point at their old rule (a node holding none is not).
             let e = state.uib.read(uim.flow);
             if let Some(upstream) = uim.upstream {
-                if uim.kind == UpdateKind::Dual && e.applied_version.next() == uim.version {
+                let gateway = e.has_active_rule() && e.applied_version.next() == uim.version;
+                if uim.kind == UpdateKind::Dual && gateway {
                     let unm = Unm {
                         flow: uim.flow,
                         v_new: uim.version,

@@ -101,9 +101,10 @@ pub fn verify_dl(entry: &UibEntry, unm: &Unm) -> Verdict {
 
     let applied = entry.applied_version;
 
-    // Lines 9–16: nodes inside a segment — lagging more than one version
-    // (fresh nodes, or fast-forwarding over skipped versions).
-    if Version(applied.0 + 1) < unm.v_new {
+    // Lines 9–16: nodes inside a segment — holding no rule (fresh nodes,
+    // a fresh deployment's too) or lagging more than one version
+    // (fast-forwarding over skipped versions).
+    if !entry.has_active_rule() || Version(applied.0 + 1) < unm.v_new {
         return if entry.uim_distance == unm.d_new.wrapping_add(1) {
             Verdict::AcceptInterior
         } else {

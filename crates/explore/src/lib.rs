@@ -15,7 +15,8 @@
 //!
 //! 1. [`scenarios`] — named deterministic setups (Fig. 1, Fig. 2,
 //!    many-gateway dual-layer).
-//! 2. [`search`] — random-walk and bounded systematic exploration.
+//! 2. [`search`] — every schedule within d deviations from the default,
+//!    for d = 0, 1, 2, … ([`search::exhaustive`]), and random walks.
 //! 3. [`shrink`] — ddmin minimization of a failing trace.
 //! 4. [`trace`] — the replayable choice-trace format; [`verify_replay`]
 //!    re-executes a trace and checks its pinned outcome.

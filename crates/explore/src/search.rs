@@ -1,5 +1,5 @@
-//! Interleaving search: random walks and bounded systematic enumeration
-//! over the choice-point space.
+//! Interleaving search: random walks and an exhaustive enumeration of
+//! every schedule within a bound on deviations from the default.
 //!
 //! Both searches share the oracle: run a scenario under an adversarial
 //! chooser and ask the checker whether any consistency property
@@ -9,7 +9,7 @@
 use crate::trace::{ForcedChoice, FreePolicy, Trace};
 use crate::{pin, run, RunReport};
 use p4update_des::SimRng;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 /// A found counterexample plus search accounting.
 #[derive(Debug, Clone)]
@@ -23,21 +23,24 @@ pub struct SearchOutcome {
     pub runs_used: u32,
 }
 
+/// What [`exhaustive`] concluded.
+#[derive(Debug, Clone)]
+pub enum Exhaustive {
+    /// A violating schedule with the fewest deviations of any.
+    Hit(SearchOutcome),
+    /// Every schedule within `bound` deviations ran clean.
+    Clean {
+        /// The largest bound whose every schedule ran (`None` only for a
+        /// budget of 0 runs).
+        bound: Option<usize>,
+        /// Simulation runs spent.
+        runs: u32,
+    },
+}
+
 /// Per-tie probability of a non-FIFO pick in a random walk: light
 /// tie-break noise, so a hit is attributable to the faults or the lies.
 const WALK_TIE_P: f64 = 0.05;
-
-/// Search depth of [`systematic`]: the number of simultaneously forced
-/// decisions. Depth 1 suffices for the Fig. 2 loop (one lost or delayed
-/// configuration message, §4.1); 2 also reaches every pair of deviations
-/// inside the window.
-const SYSTEMATIC_DEPTH: usize = 2;
-
-/// Expansion window of [`systematic`]: from each explored run, only the
-/// first this many choice points *after* its last forced index are
-/// branched on. Keeps the frontier from exploding on long schedules while
-/// still reaching any bounded-depth combination eventually.
-const SYSTEMATIC_WINDOW: usize = 24;
 
 /// Random-walk search parameters.
 #[derive(Debug, Clone, Copy)]
@@ -86,72 +89,70 @@ pub fn random_walk(
         };
         let report = run(scenario, seed, BTreeMap::new(), free)?;
         if !report.violations.is_empty() {
-            let mut trace = Trace::from_choices(scenario, seed, &report.choices);
-            let pinned = pin(&mut trace)?;
-            assert_eq!(pinned.violations, report.violations);
-            return Ok(Some(SearchOutcome {
-                trace,
-                report: pinned,
-                runs_used: i + 2,
-            }));
+            return outcome(scenario, seed, &report, i + 1).map(Some);
         }
     }
     Ok(None)
 }
 
-/// Bounded systematic exploration (breadth-first over forced-decision
-/// sets): deterministically enumerates schedules with up to two
-/// deviations (`SYSTEMATIC_DEPTH`), branching each explored run on the
-/// alternatives of the 24 choice points after its last forced one
-/// (`SYSTEMATIC_WINDOW`). Stops at the first violation or after `runs`
-/// simulation runs (`Ok(None)`).
+/// Exhaustive exploration within a deviation bound: for d = 0, 1, 2, …
+/// runs every schedule that takes a non-default alternative at no more
+/// than d choice points, of any kind (tie, fault or lie alike), until a
+/// run violates or `runs` simulation runs are spent.
 ///
-/// Children only force indices strictly beyond the parent's last forced
-/// index, so every deviation *set* is visited at most once.
-pub fn systematic(scenario: &str, seed: u64, runs: u32) -> Result<Option<SearchOutcome>, String> {
-    let mut frontier: VecDeque<BTreeMap<u64, ForcedChoice>> = VecDeque::new();
-    frontier.push_back(BTreeMap::new());
-    let mut runs_used = 0;
-    while let Some(forced) = frontier.pop_front() {
-        if runs_used >= runs {
-            return Ok(None);
-        }
-        runs_used += 1;
+/// A stateless depth-first search with prefix replay: after each run, the
+/// deepest choice point that still has an untried alternative and room in
+/// the bound takes its next alternative, every forced decision after it
+/// is dropped, and the scenario runs again. Each bound starts over from
+/// the base schedule (iterative context bounding, as in CHESS: Musuvathi
+/// & Qadeer, PLDI 2007), so a hit has the fewest deviations of any
+/// violating schedule.
+pub fn exhaustive(scenario: &str, seed: u64, runs: u32) -> Result<Exhaustive, String> {
+    let mut forced: BTreeMap<u64, ForcedChoice> = BTreeMap::new();
+    let mut bound = 0;
+    for used in 1..=runs {
         let report = run(scenario, seed, forced.clone(), FreePolicy::Default)?;
         if !report.violations.is_empty() {
-            let mut trace = Trace::from_choices(scenario, seed, &report.choices);
-            let pinned = pin(&mut trace)?;
-            return Ok(Some(SearchOutcome {
-                trace,
-                report: pinned,
-                runs_used: runs_used + 1,
-            }));
+            return outcome(scenario, seed, &report, used).map(Exhaustive::Hit);
         }
-        if forced.len() >= SYSTEMATIC_DEPTH {
-            continue;
-        }
-        let min_index = forced.keys().next_back().map_or(0, |last| last + 1);
-        let expand = report
+        // The forced decisions are exactly the run's deviations.
+        let next = report
             .choices
             .iter()
-            .filter(|r| r.index >= min_index)
-            .take(SYSTEMATIC_WINDOW);
-        for record in expand {
-            for pick in 1..record.arity {
-                let mut child = forced.clone();
-                child.insert(
-                    record.index,
-                    ForcedChoice {
-                        kind: record.kind,
-                        arity: record.arity,
-                        pick,
-                    },
-                );
-                frontier.push_back(child);
+            .rev()
+            .find(|r| r.pick + 1 < r.arity && forced.range(..r.index).count() < bound);
+        match next {
+            Some(r) => {
+                forced.retain(|&index, _| index < r.index);
+                let (kind, arity, pick) = (r.kind, r.arity, r.pick + 1);
+                forced.insert(r.index, ForcedChoice { kind, arity, pick });
+            }
+            None => {
+                bound += 1;
+                forced.clear();
             }
         }
     }
-    Ok(None)
+    let bound = bound.checked_sub(1);
+    Ok(Exhaustive::Clean { bound, runs })
+}
+
+/// Pin the violating run `report`, found after `runs` search runs, as a
+/// trace (the pinning replay is one run more).
+fn outcome(
+    scenario: &str,
+    seed: u64,
+    report: &RunReport,
+    runs: u32,
+) -> Result<SearchOutcome, String> {
+    let mut trace = Trace::from_choices(scenario, seed, &report.choices);
+    let pinned = pin(&mut trace)?;
+    assert_eq!(pinned.violations, report.violations);
+    Ok(SearchOutcome {
+        trace,
+        report: pinned,
+        runs_used: runs + 1,
+    })
 }
 
 #[cfg(test)]
@@ -186,21 +187,89 @@ mod tests {
         );
     }
 
-    /// Systematic search reaches the Fig. 2 loop with a single forced
-    /// deviation (breadth-first, so depth 1 is exhausted first): one
+    /// Exhaustive search reaches the Fig. 2 loop with a single forced
+    /// deviation (every bound is finished before the next starts): one
     /// dropped or delayed configuration message is enough, exactly as the
     /// paper's §4.1 narrative says.
     #[test]
-    fn systematic_depth_one_finds_the_fig2_loop() {
-        let hit = systematic("fig2-ez", 1, 256)
-            .unwrap()
-            .expect("one deviation must suffice");
+    fn exhaustive_finds_the_fig2_loop_at_one_deviation() {
+        let Exhaustive::Hit(hit) = exhaustive("fig2-ez", 1, 256).unwrap() else {
+            panic!("one deviation must suffice");
+        };
         assert_eq!(hit.trace.forced_count(), 1);
         assert!(hit
             .report
             .violations
             .iter()
             .any(|v| matches!(v, Violation::Loop { .. })));
+    }
+
+    /// The enumeration is exact: a schedule with one deviation shares the
+    /// base schedule's prefix up to it, so bound 1 runs the base plus one
+    /// schedule per non-default alternative of each of the base's choice
+    /// points. A budget of exactly bounds 0 and 1 completes bound 1, and
+    /// one run less does not.
+    #[test]
+    fn bound_one_runs_every_single_deviation_of_the_base_schedule() {
+        for (scenario, schedules) in [
+            ("fig2-p4", 43),
+            ("fig1-single", 62),
+            ("fig1-dual", 91),
+            ("multigw-dual", 155),
+        ] {
+            let base = run(scenario, 1, BTreeMap::new(), FreePolicy::Default).unwrap();
+            let alternatives: u32 = base.choices.iter().map(|r| r.arity - 1).sum();
+            assert_eq!(1 + alternatives, schedules, "{scenario}");
+            let budget = 1 + schedules;
+            assert_eq!(clean(scenario, budget), Some(1), "{scenario}");
+            assert_eq!(clean(scenario, budget - 1), Some(0), "{scenario}");
+        }
+    }
+
+    /// The bound a clean exhaustive search of `scenario` at seed 1
+    /// finishes within `runs`, which it spends whole.
+    fn clean(scenario: &str, runs: u32) -> Option<usize> {
+        match exhaustive(scenario, 1, runs).unwrap() {
+            Exhaustive::Clean { bound, runs: used } => {
+                assert_eq!(used, runs, "{scenario}");
+                bound
+            }
+            Exhaustive::Hit(hit) => panic!("{scenario}: {:?}", hit.report.violations),
+        }
+    }
+
+    /// The completeness table of DESIGN §9, at seed 1: the deviation
+    /// bound `d` and the runs `runs` of every registered scenario. A safe
+    /// scenario finishes bound `d` in exactly `runs` runs (one run less
+    /// leaves it unfinished); the vulnerable one's loop is found at `d`
+    /// deviations after exactly `runs` runs, the pinning replay included.
+    #[test]
+    #[ignore = "about 36,000 runs, a few seconds in release; scripts/check.sh runs it"]
+    fn every_registered_scenario_is_exhausted_to_its_pinned_bound() {
+        let table: [(&str, usize, u32); 6] = [
+            ("fig2-ez", 1, 13),
+            ("fig2-p4", 2, 805),
+            ("fig1-single", 2, 1_662),
+            ("fig1-dual", 2, 4_053),
+            ("multigw-dual", 2, 11_310),
+            ("ft512-dual", 1, 218),
+        ];
+        for info in crate::scenarios::SCENARIOS {
+            let &(_, d, runs) = table
+                .iter()
+                .find(|row| row.0 == info.name)
+                .unwrap_or_else(|| panic!("{} has no row", info.name));
+            if info.vulnerable {
+                let Exhaustive::Hit(hit) = exhaustive(info.name, 1, runs).unwrap() else {
+                    panic!("{}: no hit within {runs} runs", info.name);
+                };
+                assert_eq!((hit.trace.forced_count(), hit.runs_used), (d, runs));
+                assert!(matches!(hit.report.violations[0], Violation::Loop { .. }));
+            } else {
+                assert_eq!(clean(info.name, runs), Some(d), "{}", info.name);
+                assert_eq!(clean(info.name, runs - 1), d.checked_sub(1));
+            }
+        }
     }
 
     #[test]

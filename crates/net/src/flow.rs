@@ -89,14 +89,15 @@ impl FlowUpdate {
     }
 
     /// Nodes that need new forwarding rules: every node on the new path
-    /// except the egress (which only receives).
+    /// but the egress, whose old rule terminates the flow — unless the
+    /// flow deploys fresh.
     pub fn nodes_to_update(&self) -> impl Iterator<Item = NodeId> + '_ {
         let egress = self.new_path.egress();
         self.new_path
             .nodes()
             .iter()
             .copied()
-            .filter(move |&n| n != egress)
+            .filter(move |&n| n != egress || self.old_path.is_none())
     }
 }
 

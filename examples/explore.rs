@@ -5,9 +5,9 @@
 //! this binary:
 //!
 //! 1. replays the base schedule and pins it (it must be violation-free),
-//! 2. runs a budgeted search — deterministic bounded-systematic
-//!    enumeration first, then random walks — for a schedule the
-//!    checker rejects,
+//! 2. runs a budgeted search — every schedule within d = 0, 1, 2, …
+//!    deviations from the default first, then random walks — for a
+//!    schedule the checker rejects,
 //! 3. shrinks any counterexample with ddmin to a minimal set of forced
 //!    decisions, and
 //! 4. prints the minimized trace in the replayable text format.
@@ -24,14 +24,14 @@
 //! ```
 
 use p4update::explore::scenarios::{base_name, SCENARIOS};
-use p4update::explore::search::{random_walk, systematic, SearchOutcome, WalkOptions};
+use p4update::explore::search::{exhaustive, random_walk, Exhaustive, SearchOutcome, WalkOptions};
 use p4update::explore::shrink::shrink;
 use p4update::explore::{pin, Trace};
 
 struct Args {
     scenarios: Vec<String>,
     seed: u64,
-    sys_runs: u32,
+    runs: u32,
     walk_runs: u32,
     corpus: Option<std::path::PathBuf>,
     byzantine: bool,
@@ -55,7 +55,7 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         scenarios: Vec::new(),
         seed: 1,
-        sys_runs: 256,
+        runs: 256,
         walk_runs: WalkOptions::default().runs,
         corpus: None,
         byzantine: false,
@@ -70,7 +70,7 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("--seed: {e}"))?;
             }
             "--runs" => {
-                args.sys_runs = value("--runs")?
+                args.runs = value("--runs")?
                     .parse()
                     .map_err(|e| format!("--runs: {e}"))?;
             }
@@ -113,12 +113,22 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn write_trace(dir: &std::path::Path, stem: &str, trace: &Trace) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
+fn write_trace(dir: &std::path::Path, stem: &str, trace: &Trace) -> Result<(), String> {
     let path = dir.join(format!("{stem}.trace"));
-    std::fs::write(&path, trace.to_text())?;
+    std::fs::create_dir_all(dir)
+        .and_then(|()| std::fs::write(&path, trace.to_text()))
+        .map_err(|e| format!("writing {}: {e}", path.display()))?;
     println!("  wrote {}", path.display());
     Ok(())
+}
+
+/// The value of `result`, or exit 2 with its error: a usage or I/O error,
+/// not a finding.
+fn or_exit<T>(result: Result<T, String>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
 }
 
 /// Search one scenario; returns the counterexample, if any.
@@ -146,15 +156,20 @@ fn search(name: &str, args: &Args) -> Result<Option<SearchOutcome>, String> {
             }
         };
     }
-    if let Some(hit) = systematic(name, args.seed, args.sys_runs)? {
-        println!(
-            "  systematic search: violation after {} runs ({} forced decisions)",
-            hit.runs_used,
-            hit.trace.forced_count()
-        );
-        return Ok(Some(hit));
+    match exhaustive(name, args.seed, args.runs)? {
+        Exhaustive::Hit(hit) => {
+            let d = hit.trace.forced_count();
+            println!(
+                "  exhaustive search: violation at d = {d} after {} runs",
+                hit.runs_used
+            );
+            return Ok(Some(hit));
+        }
+        Exhaustive::Clean { bound, runs } => {
+            let done = bound.map_or("no bound".into(), |d| format!("d <= {d}"));
+            println!("  exhaustive search: clean at {done} after {runs} runs");
+        }
     }
-    println!("  systematic search: clean after {} runs", args.sys_runs);
     let walk = WalkOptions {
         runs: args.walk_runs,
         ..WalkOptions::default()
@@ -172,13 +187,7 @@ fn search(name: &str, args: &Args) -> Result<Option<SearchOutcome>, String> {
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
+    let args = or_exit(parse_args());
 
     let mut failures = Vec::new();
     for name in &args.scenarios {
@@ -199,13 +208,7 @@ fn main() {
         // Base schedule: must be clean, and pinning it yields a corpus
         // regression trace (replaying the default schedule byte-exactly).
         let mut base = Trace::new(name.clone(), args.seed);
-        let base_report = match pin(&mut base) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-        };
+        let base_report = or_exit(pin(&mut base));
         println!(
             "  base schedule: {} events, {} choice points, {} violations",
             base_report.events,
@@ -216,23 +219,10 @@ fn main() {
             failures.push(format!("{name}: base schedule already violates"));
             continue;
         }
-        let hit = match search(name, &args) {
-            Ok(h) => h,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-        };
-        match hit {
+        match or_exit(search(name, &args)) {
             Some(outcome) => {
                 let target = outcome.report.violations[0].clone();
-                let shrunk = match shrink(&outcome.trace, &target) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        std::process::exit(2);
-                    }
-                };
+                let shrunk = or_exit(shrink(&outcome.trace, &target));
                 println!(
                     "  shrink: {} -> {} forced decisions in {} runs",
                     outcome.trace.forced_count(),
@@ -246,10 +236,7 @@ fn main() {
                 if let Some(dir) = &args.corpus {
                     let kind = target.to_string();
                     let kind = kind.split_whitespace().next().unwrap_or("violation");
-                    if let Err(e) = write_trace(dir, &format!("{name}-{kind}"), &shrunk.trace) {
-                        eprintln!("error writing corpus trace: {e}");
-                        std::process::exit(2);
-                    }
+                    or_exit(write_trace(dir, &format!("{name}-{kind}"), &shrunk.trace));
                 }
                 if !expect_break {
                     failures.push(format!(
@@ -259,10 +246,7 @@ fn main() {
             }
             None => {
                 if let Some(dir) = &args.corpus {
-                    if let Err(e) = write_trace(dir, &format!("{name}-base"), &base) {
-                        eprintln!("error writing corpus trace: {e}");
-                        std::process::exit(2);
-                    }
+                    or_exit(write_trace(dir, &format!("{name}-base"), &base));
                 }
                 if expect_break {
                     failures.push(format!(

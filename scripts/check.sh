@@ -11,11 +11,14 @@
 # (including the mutated ones, which must make it exit non-zero; both outputs
 # must equal the pinned text in tests/lint_cli/), the five
 # examples that assert or print the paper's claims (any non-zero exit fails),
-# the corpus and explorer smokes, the ft512 lint pass's and world's
+# the corpus and explorer smokes (P4Update's Fig. 2 scenario runs every
+# schedule within two deviations from the default), the ft512 lint pass's and world's
 # heap-footprint counts (which a deep topology copy, a per-switch map or a
 # retained batch-sized buffer fails), the large fat-tree tests (among them
 # `dc-scale`'s two heap high-water marks on ft4096), the experiment means
-# EXPERIMENTS.md quotes and B4's backward-segment claim, the benchmark's
+# EXPERIMENTS.md quotes and B4's backward-segment claim, the explorer's
+# completeness table (the deviation bound every registered scenario is
+# exhausted to, and in how many runs), the benchmark's
 # WAN cells with P4Update violation-free, the root
 # property suites and the differentials — the incremental checker against
 # its from-scratch oracle, the path solver, the pruned
@@ -140,8 +143,9 @@ cargo test -q --release --test corpus_replay
 echo "==> ft512 lint and world heap footprint: peaks under their bounds, topology and resting world at their counts (release profile)"
 cargo test -q --release --test world_footprint
 
-echo "==> exploration smoke run (small budget; P4Update must stay clean)"
-cargo run -q --release --example explore -- fig2-ez fig2-p4 --runs 64 --walks 32
+# fig2-p4 finishes every schedule within two deviations in 805 runs.
+echo "==> exploration smoke run (exhaustive to d <= 2, then walks; P4Update must stay clean)"
+cargo run -q --release --example explore -- fig2-ez fig2-p4 --runs 1000 --walks 32
 
 # The byzantine corpus-replay coverage rides the corpus_replay step above
 # (the v2 traces live in tests/corpus/ with the rest). The smoke below
@@ -159,6 +163,8 @@ fi
 # its two heap high-water marks (the lint pass and the run, as counts),
 # the Fig. 4 and Fig. 7 means EXPERIMENTS.md quotes (seven 30-run
 # experiments) and the B4 segment claim its Fig. 7c deviation cites, the
+# explorer's completeness table (each registered scenario exhausted to its
+# pinned deviation bound in its pinned runs), the
 # benchmark's `wan-sweep` and `wan-lossy` cells (P4Update must record no
 # violation), the incremental checker against its from-scratch oracle after
 # every event (registry, byzantine scenarios, four systems under faults),
@@ -195,6 +201,9 @@ if [[ "${FAST:-0}" != 1 ]]; then
     echo "==> Fig. 4 and Fig. 7 means at 30 runs equal EXPERIMENTS.md's; B4 has no backward segment with an interior (ignored tests, release)"
     cargo test -q --release --test paper_scenarios -- --ignored
 
+    echo "==> every registered scenario exhausted to its pinned deviation bound in its pinned runs (ignored test, release)"
+    cargo test -q --release -p p4update-explore every_registered_scenario_is_exhausted -- --ignored
+
     echo "==> wan-sweep and wan-lossy cells: P4Update records no violation (ignored test, release)"
     cargo test -q --release --test evaluation_checked -- --ignored
 
@@ -228,7 +237,7 @@ if [[ "${FAST:-0}" != 1 ]]; then
     echo "==> benchmark/check.sh (the benchmark builds and smokes against this tree)"
     benchmark/check.sh
 else
-    echo "==> ft32768, ft4096 digest and heap peaks, experiment means and the B4 claim, the checked benchmark cells, scaled differentials (checker, path solver, centroid, radix queue, latency rows, two_paths, multi_flow, UIB, reanalyze) and property suites and benchmark/check.sh skipped (FAST=1)"
+    echo "==> ft32768, ft4096 digest and heap peaks, experiment means and the B4 claim, the explorer's completeness table, the checked benchmark cells, scaled differentials (checker, path solver, centroid, radix queue, latency rows, two_paths, multi_flow, UIB, reanalyze) and property suites and benchmark/check.sh skipped (FAST=1)"
 
     echo "==> cargo check of the benchmark package (its pinned API surface still compiles)"
     cargo check -q --offline --manifest-path benchmark/Cargo.toml
