@@ -6,19 +6,17 @@
 //! same-timestamp tie-breaks and per-message fault injection — as a
 //! numbered *choice point* (`p4update_des::Chooser`). This crate searches
 //! the space of choice sequences for schedules that break the paper's
-//! consistency properties (the simulator's checker is the oracle), shrinks
-//! any counterexample to a minimal set of forced decisions with delta
-//! debugging, and stores the result as a text [`Trace`] that replays
-//! byte-identically in CI.
+//! consistency properties (the simulator's checker is the oracle) and
+//! stores a counterexample, which has the fewest forced decisions of any,
+//! as a text [`Trace`] that replays byte-identically in CI.
 //!
 //! Pipeline:
 //!
 //! 1. [`scenarios`] — named deterministic setups (Fig. 1, Fig. 2,
 //!    many-gateway dual-layer).
 //! 2. [`search`] — every schedule within d deviations from the default,
-//!    for d = 0, 1, 2, … ([`search::exhaustive`]), and random walks.
-//! 3. [`shrink`] — ddmin minimization of a failing trace.
-//! 4. [`trace`] — the replayable choice-trace format; [`verify_replay`]
+//!    for d = 0, 1, 2, … ([`search::exhaustive`]).
+//! 3. [`trace`] — the replayable choice-trace format; [`verify_replay`]
 //!    re-executes a trace and checks its pinned outcome.
 
 #![forbid(unsafe_code)]
@@ -26,7 +24,6 @@
 
 pub mod scenarios;
 pub mod search;
-pub mod shrink;
 pub mod trace;
 
 pub use trace::{ChoiceRecord, ForcedChoice, FreePolicy, Trace, TraceChooser};

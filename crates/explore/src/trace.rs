@@ -31,8 +31,8 @@
 //!   lying decision, `p4update_des::ChoiceKind`). Kind and arity document the decision; replay applies the
 //!   pick by index and ignores a forced entry whose pick is out of range
 //!   for the arity actually encountered (that only happens to stale or
-//!   hand-edited traces — the shrinker relies on this no-op semantic while
-//!   it perturbs prefixes).
+//!   hand-edited traces, and [`crate::pin`] canonicalizes one by dropping
+//!   such entries).
 //! - `#`-prefixed lines and blank lines are comments.
 
 use p4update_core::Violation;

@@ -8,8 +8,7 @@
 //! acknowledgements — as *pure message transformations*, so the
 //! simulation seam (`p4update-sim`) can offer each applicable vector as a
 //! `ChoiceKind::Byzantine` choice point and the schedule explorer can
-//! search, replay, and ddmin-shrink lying schedules exactly like fault
-//! schedules.
+//! search and replay lying schedules exactly like fault schedules.
 //!
 //! Every transformation is a deterministic function of the honest
 //! message. Alternative `0` at a byzantine choice point always means

@@ -1,16 +1,14 @@
 //! The schedule explorer: adversarial interleaving search with
-//! counterexample shrinking and replayable trace dumps.
+//! replayable trace dumps.
 //!
-//! For every registered scenario (or the ones named on the command line)
-//! this binary:
+//! For every registered scenario (or the ones named on the command line,
+//! or the byzantine smoke matrix under `--byzantine`) this binary:
 //!
 //! 1. replays the base schedule and pins it (it must be violation-free),
-//! 2. runs a budgeted search — every schedule within d = 0, 1, 2, …
-//!    deviations from the default first, then random walks — for a
-//!    schedule the checker rejects,
-//! 3. shrinks any counterexample with ddmin to a minimal set of forced
-//!    decisions, and
-//! 4. prints the minimized trace in the replayable text format.
+//! 2. runs every schedule within d = 0, 1, 2, … deviations from the
+//!    default until one violates or the `--runs` budget is spent, and
+//! 3. prints a hit, which has the fewest deviations of any violating
+//!    schedule, in the replayable text format.
 //!
 //! The exit code encodes the paper's claim: scenarios marked vulnerable
 //! (ez-Segway on the Fig. 2 race) must yield a counterexample within the
@@ -20,25 +18,23 @@
 //!
 //! ```sh
 //! cargo run --release --example explore
-//! cargo run --release --example explore -- fig2-ez --corpus tests/corpus
+//! cargo run --release --example explore -- fig2-ez --corpus target/corpus
 //! ```
 
 use p4update::explore::scenarios::{base_name, SCENARIOS};
-use p4update::explore::search::{exhaustive, random_walk, Exhaustive, SearchOutcome, WalkOptions};
-use p4update::explore::shrink::shrink;
+use p4update::explore::search::{exhaustive, Exhaustive};
 use p4update::explore::{pin, Trace};
 
 struct Args {
     scenarios: Vec<String>,
     seed: u64,
     runs: u32,
-    walk_runs: u32,
     corpus: Option<std::path::PathBuf>,
     byzantine: bool,
 }
 
 /// The byzantine smoke matrix: scenario-with-modifier names and whether
-/// the byzantine-only search budget is expected to break them. The split
+/// the search budget is expected to break them. The split
 /// is the paper's §7 claim under lying switches: one forged-ack liar
 /// collapses ez-Segway's loop freedom, while P4Update locally rejects or
 /// ignores every catalog vector.
@@ -56,7 +52,6 @@ fn parse_args() -> Result<Args, String> {
         scenarios: Vec::new(),
         seed: 1,
         runs: 256,
-        walk_runs: WalkOptions::default().runs,
         corpus: None,
         byzantine: false,
     };
@@ -74,16 +69,11 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--runs: {e}"))?;
             }
-            "--walks" => {
-                args.walk_runs = value("--walks")?
-                    .parse()
-                    .map_err(|e| format!("--walks: {e}"))?;
-            }
             "--corpus" => args.corpus = Some(value("--corpus")?.into()),
             "--byzantine" => args.byzantine = true,
             "--help" | "-h" => {
                 println!(
-                    "usage: explore [SCENARIO ...] [--seed N] [--runs N] [--walks N] [--corpus DIR]\n\n\
+                    "usage: explore [SCENARIO ...] [--seed N] [--runs N] [--corpus DIR]\n\n\
                      scenarios:"
                 );
                 println!(
@@ -131,61 +121,6 @@ fn or_exit<T>(result: Result<T, String>) -> T {
     })
 }
 
-/// Search one scenario; returns the counterexample, if any.
-fn search(name: &str, args: &Args) -> Result<Option<SearchOutcome>, String> {
-    if args.byzantine {
-        // Byzantine-only walks: no faults, so any hit is attributable to
-        // the lies rather than message loss.
-        let walk = WalkOptions {
-            runs: args.walk_runs,
-            fault_p: 0.0,
-            byz_p: 0.5,
-        };
-        return match random_walk(name, args.seed, walk)? {
-            Some(hit) => {
-                println!(
-                    "  byzantine walk: violation after {} runs ({} forced decisions)",
-                    hit.runs_used,
-                    hit.trace.forced_count()
-                );
-                Ok(Some(hit))
-            }
-            None => {
-                println!("  byzantine walk: clean after {} runs", args.walk_runs);
-                Ok(None)
-            }
-        };
-    }
-    match exhaustive(name, args.seed, args.runs)? {
-        Exhaustive::Hit(hit) => {
-            let d = hit.trace.forced_count();
-            println!(
-                "  exhaustive search: violation at d = {d} after {} runs",
-                hit.runs_used
-            );
-            return Ok(Some(hit));
-        }
-        Exhaustive::Clean { bound, runs } => {
-            let done = bound.map_or("no bound".into(), |d| format!("d <= {d}"));
-            println!("  exhaustive search: clean at {done} after {runs} runs");
-        }
-    }
-    let walk = WalkOptions {
-        runs: args.walk_runs,
-        ..WalkOptions::default()
-    };
-    if let Some(hit) = random_walk(name, args.seed, walk)? {
-        println!(
-            "  random walk: violation after {} runs ({} forced decisions)",
-            hit.runs_used,
-            hit.trace.forced_count()
-        );
-        return Ok(Some(hit));
-    }
-    println!("  random walk: clean after {} runs", args.walk_runs);
-    Ok(None)
-}
-
 fn main() {
     let args = or_exit(parse_args());
 
@@ -219,24 +154,21 @@ fn main() {
             failures.push(format!("{name}: base schedule already violates"));
             continue;
         }
-        match or_exit(search(name, &args)) {
-            Some(outcome) => {
-                let target = outcome.report.violations[0].clone();
-                let shrunk = or_exit(shrink(&outcome.trace, &target));
+        match or_exit(exhaustive(name, args.seed, args.runs)) {
+            Exhaustive::Hit(hit) => {
+                let target = &hit.report.violations[0];
                 println!(
-                    "  shrink: {} -> {} forced decisions in {} runs",
-                    outcome.trace.forced_count(),
-                    shrunk.trace.forced_count(),
-                    shrunk.runs_used
+                    "  exhaustive search: violation at d = {} after {} runs",
+                    hit.trace.forced_count(),
+                    hit.runs_used
                 );
-                println!("  minimized trace:");
-                for line in shrunk.trace.to_text().lines() {
+                for line in hit.trace.to_text().lines() {
                     println!("  | {line}");
                 }
                 if let Some(dir) = &args.corpus {
                     let kind = target.to_string();
                     let kind = kind.split_whitespace().next().unwrap_or("violation");
-                    or_exit(write_trace(dir, &format!("{name}-{kind}"), &shrunk.trace));
+                    or_exit(write_trace(dir, &format!("{name}-{kind}"), &hit.trace));
                 }
                 if !expect_break {
                     failures.push(format!(
@@ -244,7 +176,9 @@ fn main() {
                     ));
                 }
             }
-            None => {
+            Exhaustive::Clean { bound, runs } => {
+                let done = bound.map_or("no bound".into(), |d| format!("d <= {d}"));
+                println!("  exhaustive search: clean at {done} after {runs} runs");
                 if let Some(dir) = &args.corpus {
                     or_exit(write_trace(dir, &format!("{name}-base"), &base));
                 }

@@ -17,10 +17,11 @@
 # retained batch-sized buffer fails), the large fat-tree tests (among them
 # `dc-scale`'s two heap high-water marks on ft4096), the experiment means
 # EXPERIMENTS.md quotes and B4's backward-segment claim, the explorer's
-# completeness table (the deviation bound every registered scenario is
-# exhausted to, and in how many runs), the benchmark's
-# WAN cells with P4Update violation-free, the root
-# property suites and the differentials — the incremental checker against
+# completeness table (the deviation bound every registered scenario and
+# every byzantine smoke variant is exhausted to, and in how many runs),
+# the benchmark's WAN cells with P4Update violation-free, the root
+# property suites (the trace and wire parsers' mutation fuzz among them)
+# and the differentials — the incremental checker against
 # its from-scratch oracle, the path solver, the pruned
 # centroid, the bridge classification and `multi_flow` against their oracles,
 # the path search's radix queue against a `BinaryHeap` model, the latency
@@ -144,16 +145,18 @@ echo "==> ft512 lint and world heap footprint: peaks under their bounds, topolog
 cargo test -q --release --test world_footprint
 
 # fig2-p4 finishes every schedule within two deviations in 805 runs.
-echo "==> exploration smoke run (exhaustive to d <= 2, then walks; P4Update must stay clean)"
-cargo run -q --release --example explore -- fig2-ez fig2-p4 --runs 1000 --walks 32
+echo "==> exploration smoke run (exhaustive to d <= 2; ez-Segway must loop, P4Update must stay clean)"
+cargo run -q --release --example explore -- fig2-ez fig2-p4 --runs 1000
 
 # The byzantine corpus-replay coverage rides the corpus_replay step above
 # (the v2 traces live in tests/corpus/ with the rest). The smoke below
 # re-derives the headline split live: forged acks must break ez-Segway
 # and P4Update must survive every vector, or the explorer exits non-zero.
+# 2,000 runs finish every schedule within two deviations of each P4Update
+# variant (985 runs for the most expensive, `+byz-equiv-k1`).
 if [[ "${FAST:-0}" != 1 ]]; then
-    echo "==> byzantine smoke (ez-Segway breaks, P4Update survives)"
-    cargo run -q --release --example explore -- --byzantine --walks 64
+    echo "==> byzantine smoke (exhaustive to d <= 2; ez-Segway breaks, P4Update survives)"
+    cargo run -q --release --example explore -- --byzantine --runs 2000
 else
     echo "==> byzantine smoke skipped (FAST=1)"
 fi
@@ -163,8 +166,9 @@ fi
 # its two heap high-water marks (the lint pass and the run, as counts),
 # the Fig. 4 and Fig. 7 means EXPERIMENTS.md quotes (seven 30-run
 # experiments) and the B4 segment claim its Fig. 7c deviation cites, the
-# explorer's completeness table (each registered scenario exhausted to its
-# pinned deviation bound in its pinned runs), the
+# explorer's completeness table (each registered scenario and byzantine
+# smoke variant exhausted to its pinned deviation bound in its pinned
+# runs), the
 # benchmark's `wan-sweep` and `wan-lossy` cells (P4Update must record no
 # violation), the incremental checker against its from-scratch oracle after
 # every event (registry, byzantine scenarios, four systems under faults),
@@ -201,7 +205,7 @@ if [[ "${FAST:-0}" != 1 ]]; then
     echo "==> Fig. 4 and Fig. 7 means at 30 runs equal EXPERIMENTS.md's; B4 has no backward segment with an interior (ignored tests, release)"
     cargo test -q --release --test paper_scenarios -- --ignored
 
-    echo "==> every registered scenario exhausted to its pinned deviation bound in its pinned runs (ignored test, release)"
+    echo "==> every registered scenario and byzantine smoke variant exhausted to its pinned deviation bound in its pinned runs (ignored test, release)"
     cargo test -q --release -p p4update-explore every_registered_scenario_is_exhausted -- --ignored
 
     echo "==> wan-sweep and wan-lossy cells: P4Update records no violation (ignored test, release)"
@@ -230,9 +234,10 @@ if [[ "${FAST:-0}" != 1 ]]; then
     echo "==> reanalyze vs analyze vs the pairwise oracle on batches with cycles, PROPCHECK_SCALE=16 (release)"
     PROPCHECK_SCALE=16 cargo test -q --release -p p4update-analysis reanalyze_matches
 
-    echo "==> root property suites, PROPCHECK_SCALE=16 (release)"
+    echo "==> root property suites and the parser mutation fuzz, PROPCHECK_SCALE=16 (release)"
     PROPCHECK_SCALE=16 cargo test -q --release \
-        --test properties --test version_monotonicity --test analysis_mutation --test byzantine
+        --test properties --test version_monotonicity --test analysis_mutation --test byzantine \
+        --test parser_fuzz
 
     echo "==> benchmark/check.sh (the benchmark builds and smokes against this tree)"
     benchmark/check.sh

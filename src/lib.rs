@@ -48,7 +48,7 @@
 //! | [`traffic`] | gravity-model traffic and the §9.1 workload scenarios |
 //! | [`sim`] | the deterministic event-driven harness + consistency checker |
 //! | [`des`] | the discrete-event engine, RNG, statistics |
-//! | [`explore`] | adversarial schedule search, ddmin shrinking, replayable choice traces |
+//! | [`explore`] | exhaustive adversarial schedule search, replayable choice traces |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

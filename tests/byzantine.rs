@@ -21,7 +21,7 @@
 //! locally rejected or harmless, and no safety property falls. ez-Segway
 //! trusts its neighbors' GoodToMove/SegmentDone claims outright, and a
 //! single forged-ack liar collapses loop freedom under search (the
-//! shrunk counterexamples live in `tests/corpus/`).
+//! counterexamples live in `tests/corpus/`).
 //!
 //! The file also holds the satellite walls: the no-drift differential
 //! (catalog installed but no lie taken ⇒ byte-identical behavior), the
@@ -32,7 +32,7 @@ use p4update::dataplane::Endpoint;
 use p4update::des::propcheck::{cases, forall};
 use p4update::des::{ChoiceKind, Scheduler, SimDuration, SimRng, SimTime, Simulation, World};
 use p4update::explore::scenarios::{self, SCENARIOS};
-use p4update::explore::search::{random_walk, WalkOptions};
+use p4update::explore::search::{exhaustive, Exhaustive};
 use p4update::explore::trace::{ForcedChoice, FreePolicy, Trace, TraceChooser};
 use p4update::explore::{run, ChoiceRecord};
 use p4update::messages::{Message, RejectReason};
@@ -515,34 +515,57 @@ fn detector_completeness_no_vector_silently_passes() {
 
 // ---------- search: the headline split ----------
 
-/// Byzantine-only random walks (no faults, light tie-break noise) find
-/// the forged-ack loop against ez-Segway within a small budget and find
-/// nothing against P4Update with double the budget. The hit's shrunk
-/// form is committed as `tests/corpus/fig2-ez+byz-ack-k1-loop.trace`.
+/// One lie, and nothing else, breaks ez-Segway: forcing a single
+/// byzantine choice point of the base schedule, with no fault and no tie,
+/// closes the §4.1 loop, and the committed
+/// `tests/corpus/fig2-ez+byz-ack-k1-loop.trace` is one such lie. Against
+/// P4Update every vector of the catalog survives every schedule within
+/// two deviations of any kind.
 #[test]
 fn search_splits_the_systems_on_forged_acks() {
-    let walk = |runs| WalkOptions {
-        runs,
-        fault_p: 0.0,
-        byz_p: 0.5,
-    };
-    let hit = random_walk("fig2-ez+byz-ack-k1", 1, walk(16))
-        .expect("scenario builds")
-        .expect("forged acks must break ez-Segway within 16 walks");
+    let ez = "fig2-ez+byz-ack-k1";
+    let base = run(ez, 1, BTreeMap::new(), FreePolicy::Default).expect("scenario builds");
+    let lies = base
+        .choices
+        .iter()
+        .filter(|c| c.kind == ChoiceKind::Byzantine);
+    let loops: Vec<(u64, ForcedChoice)> = lies
+        .flat_map(|c| {
+            (1..c.arity).map(|pick| {
+                let (kind, arity) = (c.kind, c.arity);
+                (c.index, ForcedChoice { kind, arity, pick })
+            })
+        })
+        .filter(|&(index, lie)| {
+            let report = run(ez, 1, BTreeMap::from([(index, lie)]), FreePolicy::Default)
+                .expect("scenario builds");
+            report
+                .violations
+                .iter()
+                .any(|v| matches!(v, p4update::core::Violation::Loop { .. }))
+        })
+        .collect();
+    assert!(!loops.is_empty(), "no single forged ack broke ez-Segway");
+    let committed = Trace::parse(include_str!("corpus/fig2-ez+byz-ack-k1-loop.trace"))
+        .expect("the committed trace parses");
+    let committed: Vec<_> = committed.choices.into_iter().collect();
     assert!(
-        hit.trace
-            .expect_violations
-            .iter()
-            .any(|v| matches!(v, p4update::core::Violation::Loop { .. })),
-        "ez-Segway breach must be a forwarding loop: {:?}",
-        hit.trace.expect_violations
+        committed.len() == 1 && loops.contains(&committed[0]),
+        "the committed trace {committed:?} is not one of the loop-closing lies {loops:?}"
     );
-    let clean = random_walk("fig2-p4+byz-ack-k1", 1, walk(32)).expect("scenario builds");
-    assert!(
-        clean.is_none(),
-        "P4Update must survive the same forged-ack adversary: {:?}",
-        clean.map(|o| o.trace.expect_violations)
-    );
+
+    for vector in ["ack", "dep", "equiv", "stale"] {
+        let p4 = format!("fig2-p4+byz-{vector}-k1");
+        match exhaustive(&p4, 1, 2_000).expect("scenario builds") {
+            Exhaustive::Clean { bound, .. } => {
+                assert!(
+                    bound >= Some(2),
+                    "{p4}: finished only {bound:?} in 2,000 runs"
+                );
+            }
+            Exhaustive::Hit(hit) => panic!("{p4}: {:?}", hit.report.violations),
+        }
+    }
 }
 
 // ---------- no-drift differential wall ----------

@@ -4,7 +4,9 @@
 
 use p4update::core::Strategy;
 use p4update::des::Samples;
-use p4update::net::{segment_update, topologies, FlowId, FlowUpdate, NodeId, Path, Topology};
+use p4update::net::{
+    k_shortest_paths, segment_update, topologies, FlowId, FlowUpdate, NodeId, Path, Topology,
+};
 use p4update::sim::System;
 use p4update_experiments::{fig2, fig4, fig7, fig8};
 
@@ -174,6 +176,45 @@ fn b4_has_no_backward_segment_with_an_interior() {
         }
     }
     println!("B4: {pairs} ordered pairs of simple paths, none with a fresh backward interior");
+}
+
+/// Where the dual layer has work among the paths a workload draws from:
+/// for each topology, the ordered (old, new) pairs among every ordered
+/// node pair's 8 shortest paths whose segmentation has a backward
+/// segment, and how many of those have one with a fresh interior. B4 has
+/// none of the latter (Fig. 7c's deviation; the test above checks every
+/// simple path); half of the fat-tree's backward pairs have one.
+#[test]
+fn backward_pairs_among_the_eight_shortest_paths() {
+    let count = |topo: &Topology| {
+        let (mut backward, mut fresh) = (0u32, 0u32);
+        for src in topo.node_ids() {
+            for dst in topo.node_ids().filter(|&d| d != src) {
+                let paths = k_shortest_paths(topo, src, dst, 8);
+                for old in &paths {
+                    for new in paths.iter().filter(|&new| new != old) {
+                        let update =
+                            FlowUpdate::new(FlowId(0), Some(old.clone()), new.clone(), 1.0);
+                        let segmentation = segment_update(&update);
+                        let mut segments = segmentation.backward().peekable();
+                        if segments.peek().is_some() {
+                            backward += 1;
+                            fresh += u32::from(segments.any(|s| !s.interior.is_empty()));
+                        }
+                    }
+                }
+            }
+        }
+        (backward, fresh)
+    };
+    for (topo, pinned) in [
+        (topologies::b4(), (184, 0)),
+        (topologies::internet2(), (912, 10)),
+        (topologies::att_mpls(), (792, 22)),
+        (topologies::fat_tree(4), (896, 448)),
+    ] {
+        assert_eq!(count(&topo), pinned, "{}", topo.name);
+    }
 }
 
 /// Fig. 8 (§9.3): P4Update's preparation is cheaper than ez-Segway's in
