@@ -25,7 +25,9 @@ impl fmt::Display for Severity {
 }
 
 /// Stable diagnostic codes. The numeric part never changes meaning across
-/// versions; retired codes are not reused.
+/// versions; retired codes are not reused. `P4U005`-`P4U007` are retired:
+/// they checked the segmentation a plan once carried, which no switch
+/// receives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Code {
     /// `P4U001`: a distance label breaks the strictly-decreasing chain
@@ -40,21 +42,11 @@ pub enum Code {
     /// `P4U004`: the plan's version does not strictly exceed the installed
     /// version (switches would reject it as out of date, §3).
     VersionNotNewer,
-    /// `P4U005`: segmentation is malformed — gateways off the shared paths,
-    /// segments not tiling the new path, or broken gateway chaining (§3.2).
-    SegmentationMalformed,
-    /// `P4U006`: a segment's direction class disagrees with its old
-    /// distances (Forward iff the ingress gateway's old distance exceeds
-    /// the egress gateway's).
-    SegmentDirectionMisclassified,
-    /// `P4U007`: a gateway's recorded old distance disagrees with its
-    /// position on the old path (the inherited "segment ID" of §3.2).
-    OldDistanceMismatch,
     /// `P4U008`: mechanism-choice advisory — single-layer deployment on a
     /// plan the §7.5 rule says needs dual-layer (backward segments or too
     /// many nodes).
     MechanismAdvisory,
-    /// `P4U009`: a message of the plan fails to round-trip through the wire
+    /// `P4U009`: a UIM of the plan fails to round-trip through the wire
     /// codec — the switch pipeline would parse a different update.
     WireRoundTripFailed,
     /// `P4U010`: the UIM set does not match the new path's nodes (missing,
@@ -80,9 +72,6 @@ impl Code {
             Code::UimChainMismatch => "P4U002",
             Code::UnroutableEdge => "P4U003",
             Code::VersionNotNewer => "P4U004",
-            Code::SegmentationMalformed => "P4U005",
-            Code::SegmentDirectionMisclassified => "P4U006",
-            Code::OldDistanceMismatch => "P4U007",
             Code::MechanismAdvisory => "P4U008",
             Code::WireRoundTripFailed => "P4U009",
             Code::UimSetMismatch => "P4U010",

@@ -1,9 +1,11 @@
-//! Label soundness: the distance/version proof carried by the plan's UIMs
-//! (P4U001, P4U002, P4U004, P4U010, P4U013) and routability (P4U003).
+//! The per-plan checks: label soundness, the distance/version proof carried
+//! by the plan's UIMs (P4U001, P4U002, P4U004, P4U010, P4U013), routability
+//! (P4U003) and the §7.5 mechanism-choice advisory (P4U008).
 
 use crate::diagnostic::{Code, Diagnostic};
-use p4update_core::PreparedUpdate;
-use p4update_net::{Topology, Version};
+use p4update_core::{PreparedUpdate, SL_NODE_THRESHOLD};
+use p4update_messages::UpdateKind;
+use p4update_net::{segment_update, Topology, Version};
 
 /// Verify the UIM set against the new path: one indication per path node,
 /// egress first, each carrying the exact distance label and neighbor
@@ -221,5 +223,40 @@ pub(crate) fn check_topology(plan: &PreparedUpdate, topo: &Topology, out: &mut V
                 ),
             ));
         }
+    }
+}
+
+/// The §7.5 deployment rule, as an advisory: single-layer is only intended
+/// for forward-only updates touching at most [`SL_NODE_THRESHOLD`] nodes.
+/// A forced-SL plan outside that envelope still completes (SL is
+/// loop-limited, not loop-free, on backward stretches) but forfeits the
+/// paper's consistency argument, so the analyzer flags it as a warning.
+pub(crate) fn check_mechanism(plan: &PreparedUpdate, out: &mut Vec<Diagnostic>) {
+    if plan.kind != UpdateKind::Single {
+        return;
+    }
+    let backward = segment_update(&plan.update).backward_count();
+    if backward > 0 {
+        out.push(Diagnostic::new(
+            Code::MechanismAdvisory,
+            plan.flow,
+            None,
+            format!(
+                "single-layer deployment of a plan with {backward} backward segment(s); \
+                 the §7.5 rule calls for dual-layer"
+            ),
+        ));
+    }
+    let nodes_to_update = plan.update.new_path.nodes().len();
+    if nodes_to_update > SL_NODE_THRESHOLD {
+        out.push(Diagnostic::new(
+            Code::MechanismAdvisory,
+            plan.flow,
+            None,
+            format!(
+                "single-layer deployment across {nodes_to_update} nodes \
+                 (threshold {SL_NODE_THRESHOLD}); dual-layer converges faster"
+            ),
+        ));
     }
 }

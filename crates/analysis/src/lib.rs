@@ -7,7 +7,7 @@
 //! The data-plane verifiers (Algorithms 1 and 2) catch inconsistent updates
 //! at runtime, hop by hop. This crate is the complementary tool: given a
 //! [`PreparedUpdate`] (and optionally the [`Topology`] it targets), it
-//! re-derives what the labels, segmentation, and messages *must* look like
+//! re-derives what the labels and messages a plan ships *must* look like
 //! and reports every divergence as a [`Diagnostic`] with a stable
 //! `P4Unnn` code, rustc-style:
 //!
@@ -23,10 +23,14 @@
 //! | `P4U001`, `P4U002`, `P4U010`, `P4U013` | label soundness: distances strictly decrease toward the egress, next-hop/upstream pointers mirror the new path, one UIM per path node (egress first), usable flow sizes |
 //! | `P4U004` | versions strictly exceed installed versions |
 //! | `P4U003` | every path edge is a topology link |
-//! | `P4U005`, `P4U006`, `P4U007` | segmentation well-formedness: gateways on both paths, segments tile the new path, direction classes and old distances match Algorithm 2's construction |
 //! | `P4U008` | §7.5 mechanism-choice advisory (warning) |
-//! | `P4U009` | every UIM/UNM round-trips the wire codec |
+//! | `P4U009` | every UIM round-trips the wire codec |
 //! | `P4U011`, `P4U012` | batch-level: version monotonicity per flow, waits-for cycles between concurrent updates (warning) |
+//!
+//! The linter checks what a plan ships: its UIMs, their labels and its
+//! version. `P4U005`-`P4U007` are retired: they checked a segmentation the
+//! plan once carried, which no switch ever receives (a dual-layer switch
+//! inherits its segment ID from its own old distance, Alg. 2).
 //!
 //! Errors mean the plan violates an invariant the paper's correctness
 //! argument needs; warnings mean the plan is legal but leans on runtime
@@ -55,7 +59,6 @@ pub mod delta;
 mod diagnostic;
 pub mod engine;
 mod labels;
-mod segmentation;
 mod wire_check;
 
 pub use delta::PlanDelta;
@@ -111,7 +114,7 @@ impl<'a> AnalysisContext<'a> {
 }
 
 /// Analyze one prepared plan. `topo` enables routability checking; pass
-/// `None` when the plan is synthetic (pure label/segmentation linting).
+/// `None` when the plan is synthetic (pure label linting).
 pub fn analyze(plan: &PreparedUpdate, topo: Option<&Topology>) -> Vec<Diagnostic> {
     let ctx = AnalysisContext {
         topo,
@@ -128,8 +131,7 @@ pub fn analyze_with(plan: &PreparedUpdate, ctx: &AnalysisContext<'_>) -> Vec<Dia
     if let Some(topo) = ctx.topo {
         labels::check_topology(plan, topo, &mut out);
     }
-    segmentation::check_segmentation(plan, &mut out);
-    segmentation::check_mechanism(plan, &mut out);
+    labels::check_mechanism(plan, &mut out);
     wire_check::check_wire(plan, &mut out);
     out
 }

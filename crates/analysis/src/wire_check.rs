@@ -1,74 +1,29 @@
-//! Wire well-formedness (P4U009): every message the plan will inject must
-//! survive the codec unchanged, or the switch pipeline parses a different
-//! update than the controller verified.
+//! Wire well-formedness (P4U009): every UIM the plan ships must survive
+//! the codec unchanged, or the switch pipeline parses a different update
+//! than the controller verified. (A plan ships no UNM: switches build
+//! those, and the codec's own tests cover them.)
 
 use crate::diagnostic::{Code, Diagnostic};
 use p4update_core::PreparedUpdate;
-use p4update_messages::{wire, Message, Unm, UnmLayer};
-use p4update_net::Version;
+use p4update_messages::{wire, Message};
 
-/// Round-trip every UIM of the plan — and the UNM each node would clone
-/// from it — through the wire codec.
-///
-/// The UIMs are the literal control messages the plan ships. The UNMs are
-/// synthesized the way the data plane builds them (new version/distance
-/// from the staged UIM, old state from the pre-update configuration), which
-/// exercises the notification header with the plan's real field values
-/// rather than arbitrary ones.
+/// Round-trip every UIM of the plan through the wire codec.
 pub(crate) fn check_wire(plan: &PreparedUpdate, out: &mut Vec<Diagnostic>) {
     for (node, uim) in &plan.uims {
         let msg = Message::Uim(*uim);
-        match wire::encode(&msg) {
+        let problem = match wire::encode(&msg) {
             Ok(buf) => match wire::decode(&buf) {
-                Ok(back) if back == msg => {}
-                Ok(_) => out.push(Diagnostic::new(
-                    Code::WireRoundTripFailed,
-                    plan.flow,
-                    Some(*node),
-                    "UIM decodes to a different message than was encoded",
-                )),
-                Err(e) => out.push(Diagnostic::new(
-                    Code::WireRoundTripFailed,
-                    plan.flow,
-                    Some(*node),
-                    format!("encoded UIM fails to decode: {e}"),
-                )),
+                Ok(back) if back == msg => continue,
+                Ok(_) => "UIM decodes to a different message than was encoded".to_string(),
+                Err(e) => format!("encoded UIM fails to decode: {e}"),
             },
-            Err(e) => out.push(Diagnostic::new(
-                Code::WireRoundTripFailed,
-                plan.flow,
-                Some(*node),
-                format!("UIM fails to encode: {e}"),
-            )),
-        }
-
-        let old_d = plan
-            .update
-            .old_path
-            .as_ref()
-            .and_then(|p| p.distance_to_egress(*node))
-            .unwrap_or(u32::MAX);
-        let unm = Message::Unm(Unm {
-            flow: uim.flow,
-            v_new: uim.version,
-            v_old: Version(uim.version.0.saturating_sub(1)),
-            d_new: uim.new_distance,
-            d_old: old_d,
-            counter: 0,
-            kind: uim.kind,
-            layer: UnmLayer::Inter,
-        });
-        let ok = wire::encode(&unm)
-            .ok()
-            .and_then(|buf| wire::decode(&buf).ok())
-            .is_some_and(|back| back == unm);
-        if !ok {
-            out.push(Diagnostic::new(
-                Code::WireRoundTripFailed,
-                plan.flow,
-                Some(*node),
-                "the UNM this node would emit does not round-trip the codec",
-            ));
-        }
+            Err(e) => format!("UIM fails to encode: {e}"),
+        };
+        out.push(Diagnostic::new(
+            Code::WireRoundTripFailed,
+            plan.flow,
+            Some(*node),
+            problem,
+        ));
     }
 }

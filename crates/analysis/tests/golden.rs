@@ -150,82 +150,6 @@ fn unusable_flow_size() {
     assert_eq!(error_codes(&plan), vec![Code::BadFlowSize]);
 }
 
-// ---- segmentation (P4U005/P4U006/P4U007), including the DL backward
-// ---- segment edge cases.
-
-#[test]
-fn dropped_gateway() {
-    let mut plan = fig1_plan();
-    // Remove gateway v2 and merge its two segments into one — tiling still
-    // holds, so the specific finding is the missing shared node.
-    plan.segmentation.gateways.retain(|&g| g != NodeId(2));
-    let s0 = plan.segmentation.segments[0].clone();
-    let s1 = plan.segmentation.segments[1].clone();
-    let merged = p4update_core::Segment {
-        ingress_gateway: s0.ingress_gateway,
-        egress_gateway: s1.egress_gateway,
-        interior: {
-            let mut v = s0.interior.clone();
-            v.push(s0.egress_gateway);
-            v.extend(&s1.interior);
-            v
-        },
-        ingress_old_distance: s0.ingress_old_distance,
-        egress_old_distance: s1.egress_old_distance,
-    };
-    plan.segmentation.segments.splice(0..2, [merged]);
-    assert_eq!(error_codes(&plan), vec![Code::SegmentationMalformed]);
-}
-
-#[test]
-fn interior_node_on_old_path() {
-    let mut plan = fig1_plan();
-    // Claim old-path node v4 is an interior of segment 0.
-    plan.segmentation.segments[0].interior.push(NodeId(4));
-    let codes = error_codes(&plan);
-    assert!(codes.contains(&Code::SegmentationMalformed), "{codes:?}");
-}
-
-#[test]
-fn backward_segment_distance_corruption_flips_direction() {
-    let mut plan = fig1_plan();
-    // Fig. 1's middle segment (v2 -> v4) is backward: D_o = 1 -> 2. Forging
-    // the ingress distance to 5 makes direction() report Forward — the
-    // dangerous misclassification (the segment would update before its
-    // downstream segments and can transiently loop). The analyzer must see
-    // both the forged distance and the flipped class.
-    let s = &mut plan.segmentation.segments[1];
-    assert_eq!(s.direction(), p4update_core::SegmentDir::Backward);
-    s.ingress_old_distance = 5;
-    assert_eq!(s.direction(), p4update_core::SegmentDir::Forward);
-    let codes = error_codes(&plan);
-    assert!(codes.contains(&Code::OldDistanceMismatch), "{codes:?}");
-    assert!(
-        codes.contains(&Code::SegmentDirectionMisclassified),
-        "{codes:?}"
-    );
-}
-
-#[test]
-fn forward_segment_distance_corruption_without_flip() {
-    let mut plan = fig1_plan();
-    // Segment 0 (v0 -> v2) is forward: D_o = 3 -> 1. Forging 3 to 7 keeps
-    // the class Forward; only the distance mismatch fires.
-    plan.segmentation.segments[0].ingress_old_distance = 7;
-    assert_eq!(error_codes(&plan), vec![Code::OldDistanceMismatch]);
-}
-
-#[test]
-fn fresh_deployment_synthetic_distances_are_checked() {
-    let u = FlowUpdate::new(FlowId(1), None, path(&[0, 2, 5]), 1.0);
-    let mut plan = prepare_update(&u, Version(1), Strategy::Auto);
-    assert!(analyze(&plan, None).is_empty());
-    // The fresh-deployment convention: egress 0, ingress u32::MAX.
-    plan.segmentation.segments[0].egress_old_distance = 3;
-    let codes = error_codes(&plan);
-    assert!(codes.contains(&Code::OldDistanceMismatch), "{codes:?}");
-}
-
 // ---- advisory and batch-level codes.
 
 #[test]

@@ -1,6 +1,6 @@
 //! The P4Update control plane (§6, §8): flow database, network information
-//! base, update preparation (distance labeling + segmentation + mechanism
-//! choice), UIM generation, and feedback handling.
+//! base, update preparation (distance labeling + mechanism choice), UIM
+//! generation, and feedback handling.
 //!
 //! The preparation path is a pure function ([`prepare_update`] /
 //! [`prepare_batch`]) so the Fig. 8 experiment can time exactly the work
@@ -11,7 +11,7 @@ use crate::label::{label_path, uim_for};
 use p4update_dataplane::{ControllerLogic, CtrlEffect};
 use p4update_des::SimTime;
 use p4update_messages::{Message, UfmStatus, Uim, UpdateKind};
-use p4update_net::{segment_update, FlowId, FlowUpdate, NodeId, Segmentation, Topology, Version};
+use p4update_net::{segment_update, FlowId, FlowUpdate, NodeId, Topology, Version};
 use std::collections::BTreeMap;
 
 /// The §7.5 deployment strategy: single-layer for updates that install new
@@ -34,14 +34,15 @@ pub enum Strategy {
 }
 
 impl Strategy {
-    /// Resolve the mechanism for one update.
-    pub fn choose(self, update: &FlowUpdate, seg: &Segmentation) -> UpdateKind {
+    /// Resolve the mechanism for one update; only [`Strategy::Auto`]
+    /// segments it.
+    pub fn choose(self, update: &FlowUpdate) -> UpdateKind {
         match self {
             Strategy::ForceSingle => UpdateKind::Single,
             Strategy::ForceDual => UpdateKind::Dual,
             Strategy::Auto => {
                 let nodes_to_update = update.new_path.nodes().len();
-                if seg.forward_only() && nodes_to_update <= SL_NODE_THRESHOLD {
+                if nodes_to_update <= SL_NODE_THRESHOLD && segment_update(update).forward_only() {
                     UpdateKind::Single
                 } else {
                     UpdateKind::Dual
@@ -61,32 +62,28 @@ pub struct PreparedUpdate {
     /// Flow being updated.
     pub flow: FlowId,
     /// The update request this plan was prepared from (kept so static
-    /// analysis can re-derive the expected labels and segmentation).
+    /// analysis can re-derive the expected labels).
     pub update: FlowUpdate,
     /// Version assigned to the new configuration.
     pub version: Version,
     /// Chosen mechanism.
     pub kind: UpdateKind,
-    /// The segmentation (computed for the mechanism choice; DL updates rely
-    /// on it implicitly through the data plane's old distances).
-    pub segmentation: Segmentation,
     /// `(switch, UIM)` pairs to push, egress first (the egress starts the
     /// chain, so its indication matters most under in-flight loss).
     pub uims: Vec<(NodeId, Uim)>,
 }
 
-/// Prepare one flow update: label the new path, segment it, choose the
-/// mechanism, and build all UIMs. This is the complete control-plane
-/// computation P4Update needs per update.
+/// Prepare one flow update: choose the mechanism, label the new path and
+/// build all UIMs. This is the complete control-plane computation P4Update
+/// needs per update; a segmentation is never shipped, because a dual-layer
+/// switch inherits its segment ID from its own old distance (Alg. 2).
 pub fn prepare_update(update: &FlowUpdate, version: Version, strategy: Strategy) -> PreparedUpdate {
-    let seg = segment_update(update);
-    let kind = strategy.choose(update, &seg);
+    let kind = strategy.choose(update);
     PreparedUpdate {
         flow: update.flow,
         update: update.clone(),
         version,
         kind,
-        segmentation: seg,
         uims: indications(update, version, kind).collect(),
     }
 }
@@ -240,7 +237,7 @@ impl ControllerLogic for P4UpdateController {
             let in_flight = Box::new(InFlight {
                 update: update.clone(),
                 version,
-                kind: self.strategy.choose(update, &segment_update(update)),
+                kind: self.strategy.choose(update),
                 retries: 0,
             });
             in_flight.push(out);
@@ -348,15 +345,13 @@ mod tests {
     fn auto_strategy_picks_dl_for_fig1() {
         // Backward segment present → dual-layer.
         let u = fig1_update();
-        let seg = segment_update(&u);
-        assert_eq!(Strategy::Auto.choose(&u, &seg), UpdateKind::Dual);
+        assert_eq!(Strategy::Auto.choose(&u), UpdateKind::Dual);
     }
 
     #[test]
     fn auto_strategy_picks_sl_for_small_forward_detour() {
         let u = FlowUpdate::new(FlowId(0), Some(path(&[0, 1, 5])), path(&[0, 2, 3, 5]), 1.0);
-        let seg = segment_update(&u);
-        assert_eq!(Strategy::Auto.choose(&u, &seg), UpdateKind::Single);
+        assert_eq!(Strategy::Auto.choose(&u), UpdateKind::Single);
     }
 
     #[test]
@@ -368,17 +363,15 @@ mod tests {
             path(&[0, 1, 2, 3, 4, 5, 7]),
             1.0,
         );
-        let seg = segment_update(&u);
-        assert!(seg.forward_only());
-        assert_eq!(Strategy::Auto.choose(&u, &seg), UpdateKind::Dual);
+        assert!(segment_update(&u).forward_only());
+        assert_eq!(Strategy::Auto.choose(&u), UpdateKind::Dual);
     }
 
     #[test]
     fn forced_strategies_override() {
         let u = fig1_update();
-        let seg = segment_update(&u);
-        assert_eq!(Strategy::ForceSingle.choose(&u, &seg), UpdateKind::Single);
-        assert_eq!(Strategy::ForceDual.choose(&u, &seg), UpdateKind::Dual);
+        assert_eq!(Strategy::ForceSingle.choose(&u), UpdateKind::Single);
+        assert_eq!(Strategy::ForceDual.choose(&u), UpdateKind::Dual);
     }
 
     #[test]

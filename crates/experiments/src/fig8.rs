@@ -1,7 +1,8 @@
 //! Figure 8 (§9.3): control-plane preparation time.
 //!
-//! Wall-clock ratio of DL-P4Update's preparation (distance labeling +
-//! segmentation + UIM generation) to ez-Segway's (segmentation +
+//! Wall-clock ratio of DL-P4Update's preparation (distance labeling + UIM
+//! generation; a DL switch inherits its segment ID, so the controller does
+//! not segment) to ez-Segway's (segmentation +
 //! dependency wiring + message generation; plus the global congestion
 //! dependency graph when congestion freedom is on), per topology, for a
 //! 1000-update batch timed over `runs` repetitions. The paper reports

@@ -266,4 +266,92 @@ mod tests {
         }
         assert_eq!(covered, u.new_path.nodes());
     }
+
+    /// A random (old, new) pair of simple paths with shared endpoints: the
+    /// old path visits a random subset of the new interior in random order
+    /// (so backward segments appear) and fresh nodes of its own; one case
+    /// in eight is a fresh deployment.
+    fn gen_update(rng: &mut p4update_des::SimRng) -> FlowUpdate {
+        let mut pool: Vec<u32> = (0..24).collect();
+        rng.shuffle(&mut pool);
+        let new_len = 2 + rng.uniform_usize(9);
+        let (new, rest) = pool.split_at(new_len);
+        let new_path = path(new);
+        if rng.uniform_usize(8) == 0 {
+            return FlowUpdate::new(FlowId(0), None, new_path, 1.0);
+        }
+        let mut interior: Vec<u32> = new[1..new_len - 1]
+            .iter()
+            .copied()
+            .filter(|_| rng.chance(0.5))
+            .collect();
+        interior.extend(rest.iter().take(rng.uniform_usize(4)));
+        rng.shuffle(&mut interior);
+        let mut old = vec![new[0]];
+        old.extend(interior);
+        old.push(new[new_len - 1]);
+        FlowUpdate::new(FlowId(0), Some(path(&old)), new_path, 1.0)
+    }
+
+    /// `segment_update` is Algorithm 2's construction: the gateways are
+    /// exactly the shared nodes in new-path order, endpoints included; the
+    /// segments tile the new path; interiors are off the old path; each
+    /// recorded old distance is the old path's; a segment is forward iff
+    /// its ingress gateway lies farther from the egress on the old path.
+    /// A fresh deployment is one forward segment with the synthetic
+    /// distances (ingress `u32::MAX`, egress 0).
+    #[test]
+    fn segment_update_follows_algorithm_2() {
+        use p4update_des::propcheck::{cases, forall};
+        use std::cell::Cell;
+        let backward = Cell::new(0u32);
+        forall("segment_update_follows_algorithm_2", cases(512), |rng| {
+            let update = gen_update(rng);
+            let new = &update.new_path;
+            let seg = segment_update(&update);
+            let Some(old) = &update.old_path else {
+                assert_eq!(seg.gateways, vec![new.ingress(), new.egress()]);
+                assert_eq!(seg.segments.len(), 1);
+                let s = &seg.segments[0];
+                assert_eq!(s.nodes(), new.nodes());
+                assert_eq!(
+                    (s.ingress_old_distance, s.egress_old_distance),
+                    (u32::MAX, 0)
+                );
+                assert_eq!(s.direction(), SegmentDir::Forward);
+                return;
+            };
+            let shared: Vec<NodeId> = new
+                .nodes()
+                .iter()
+                .copied()
+                .filter(|&n| old.contains(n))
+                .collect();
+            assert_eq!(seg.gateways, shared);
+            assert_eq!(seg.gateways.first(), Some(&new.ingress()));
+            assert_eq!(seg.gateways.last(), Some(&new.egress()));
+            assert_eq!(seg.segments.len() + 1, seg.gateways.len());
+            let mut covered = vec![new.ingress()];
+            for (s, g) in seg.segments.iter().zip(seg.gateways.windows(2)) {
+                assert_eq!((s.ingress_gateway, s.egress_gateway), (g[0], g[1]));
+                assert!(s.interior.iter().all(|&n| !old.contains(n)));
+                covered.extend(&s.interior);
+                covered.push(s.egress_gateway);
+                let d_in = old.distance_to_egress(s.ingress_gateway);
+                let d_out = old.distance_to_egress(s.egress_gateway);
+                assert_eq!(d_in, Some(s.ingress_old_distance));
+                assert_eq!(d_out, Some(s.egress_old_distance));
+                let forward = d_in > d_out;
+                assert_eq!(s.direction() == SegmentDir::Forward, forward);
+                if !forward {
+                    backward.set(backward.get() + 1);
+                }
+            }
+            assert_eq!(covered, new.nodes());
+        });
+        assert!(
+            backward.get() > 0,
+            "the generator never made a backward segment"
+        );
+    }
 }

@@ -12,16 +12,19 @@
 # must equal the pinned text in tests/lint_cli/), the five
 # examples that assert or print the paper's claims (any non-zero exit fails),
 # the corpus and explorer smokes (P4Update's Fig. 2 scenario runs every
-# schedule within two deviations from the default), the ft512 lint pass's and world's
+# schedule within two deviations from the default, and the traces the
+# explorer writes must equal tests/corpus/), the ft512 lint pass's and world's
 # heap-footprint counts (which a deep topology copy, a per-switch map or a
 # retained batch-sized buffer fails), the large fat-tree tests (among them
 # `dc-scale`'s two heap high-water marks on ft4096), the experiment means
 # EXPERIMENTS.md quotes and B4's backward-segment claim, the explorer's
 # completeness table (the deviation bound every registered scenario and
 # every byzantine smoke variant is exhausted to, and in how many runs),
-# the benchmark's WAN cells with P4Update violation-free, the root
+# the benchmark's WAN cells with P4Update violation-free, P4Update
+# stranding a flow only where no atomic order exists, the root
 # property suites (the trace and wire parsers' mutation fuzz among them)
-# and the differentials — the incremental checker against
+# and the differentials — `segment_update` against Algorithm 2's
+# construction, the incremental checker against
 # its from-scratch oracle, the path solver, the pruned
 # centroid, the bridge classification and `multi_flow` against their oracles,
 # the path search's radix queue against a `BinaryHeap` model, the latency
@@ -144,19 +147,30 @@ cargo test -q --release --test corpus_replay
 echo "==> ft512 lint and world heap footprint: peaks under their bounds, topology and resting world at their counts (release profile)"
 cargo test -q --release --test world_footprint
 
-# fig2-p4 finishes every schedule within two deviations in 805 runs.
-echo "==> exploration smoke run (exhaustive to d <= 2; ez-Segway must loop, P4Update must stay clean)"
-cargo run -q --release --example explore -- fig2-ez fig2-p4 --runs 1000
+# fig2-p4 finishes every schedule within two deviations in 805 runs. The
+# traces the search writes are the committed ones: a moved choice point or
+# event count shows as a diff against tests/corpus/.
+echo "==> exploration smoke run (exhaustive to d <= 2; ez-Segway must loop, P4Update must stay clean; traces as committed)"
+cargo run -q --release --example explore -- fig2-ez fig2-p4 --runs 1000 --corpus "$tmpdir/corpus"
+for trace in "$tmpdir"/corpus/*.trace; do
+    diff -u "tests/corpus/$(basename "$trace")" "$trace"
+done
 
 # The byzantine corpus-replay coverage rides the corpus_replay step above
 # (the v2 traces live in tests/corpus/ with the rest). The smoke below
 # re-derives the headline split live: forged acks must break ez-Segway
 # and P4Update must survive every vector, or the explorer exits non-zero.
 # 2,000 runs finish every schedule within two deviations of each P4Update
-# variant (985 runs for the most expensive, `+byz-equiv-k1`).
+# variant (985 runs for the most expensive, `+byz-equiv-k1`). Their base
+# traces are the committed ones; the two ez-Segway loop traces in
+# tests/corpus/ are hand-pinned lie schedules, not the search's first hit
+# (a plain drop), so only the `-base` traces are diffed.
 if [[ "${FAST:-0}" != 1 ]]; then
-    echo "==> byzantine smoke (exhaustive to d <= 2; ez-Segway breaks, P4Update survives)"
-    cargo run -q --release --example explore -- --byzantine --runs 2000
+    echo "==> byzantine smoke (exhaustive to d <= 2; ez-Segway breaks, P4Update survives; base traces as committed)"
+    cargo run -q --release --example explore -- --byzantine --runs 2000 --corpus "$tmpdir/byz-corpus"
+    for trace in "$tmpdir"/byz-corpus/*-base.trace; do
+        diff -u "tests/corpus/$(basename "$trace")" "$trace"
+    done
 else
     echo "==> byzantine smoke skipped (FAST=1)"
 fi
@@ -211,8 +225,14 @@ if [[ "${FAST:-0}" != 1 ]]; then
     echo "==> wan-sweep and wan-lossy cells: P4Update records no violation (ignored test, release)"
     cargo test -q --release --test evaluation_checked -- --ignored
 
+    echo "==> P4Update strands a flow only where no atomic order exists: wan-sweep cells, Fig. 7b/7d/7f workloads (ignored test, release)"
+    cargo test -q --release --test optimal_oracle -- --ignored
+
     echo "==> incremental checker vs the from-scratch oracle after every event, PROPCHECK_SCALE=16 (release)"
     PROPCHECK_SCALE=16 cargo test -q --release -p p4update-sim differential
+
+    echo "==> segment_update against Algorithm 2's construction, PROPCHECK_SCALE=16 (release)"
+    PROPCHECK_SCALE=16 cargo test -q --release -p p4update-net segment_update_follows_algorithm_2
 
     echo "==> path solver vs oracle, PROPCHECK_SCALE=16 (release)"
     PROPCHECK_SCALE=16 cargo test -q --release -p p4update-net solver_agrees
@@ -242,7 +262,7 @@ if [[ "${FAST:-0}" != 1 ]]; then
     echo "==> benchmark/check.sh (the benchmark builds and smokes against this tree)"
     benchmark/check.sh
 else
-    echo "==> ft32768, ft4096 digest and heap peaks, experiment means and the B4 claim, the explorer's completeness table, the checked benchmark cells, scaled differentials (checker, path solver, centroid, radix queue, latency rows, two_paths, multi_flow, UIB, reanalyze) and property suites and benchmark/check.sh skipped (FAST=1)"
+    echo "==> ft32768, ft4096 digest and heap peaks, experiment means and the B4 claim, the explorer's completeness table, the checked benchmark cells, the atomic-order oracle, scaled differentials (segmentation, checker, path solver, centroid, radix queue, latency rows, two_paths, multi_flow, UIB, reanalyze) and property suites and benchmark/check.sh skipped (FAST=1)"
 
     echo "==> cargo check of the benchmark package (its pinned API surface still compiles)"
     cargo check -q --offline --manifest-path benchmark/Cargo.toml

@@ -50,66 +50,42 @@ fn gen_update(rng: &mut SimRng) -> FlowUpdate {
 /// short name for failure reporting.
 fn mutate(plan: &mut PreparedUpdate, rng: &mut SimRng) -> &'static str {
     let n_uims = plan.uims.len();
-    let n_segs = plan.segmentation.segments.len();
-    loop {
-        match rng.uniform_usize(10) {
-            0 => {
-                let i = rng.uniform_usize(n_uims);
-                plan.uims[i].1.new_distance = plan.uims[i]
-                    .1
-                    .new_distance
-                    .wrapping_add(1 + rng.uniform_usize(5) as u32);
-                return "distance label";
-            }
-            1 => {
-                let i = rng.uniform_usize(n_uims);
-                plan.uims[i].1.next_hop = Some(NodeId(1000));
-                return "next hop";
-            }
-            2 => {
-                let i = rng.uniform_usize(n_uims);
-                plan.uims[i].1.upstream = Some(NodeId(1000));
-                return "upstream";
-            }
-            3 => {
-                let i = rng.uniform_usize(n_uims);
-                plan.uims[i].1.version = Version(plan.version.0 + 1);
-                return "UIM version";
-            }
-            4 => {
-                let i = rng.uniform_usize(n_uims);
-                plan.uims[i].1.flow = FlowId(4096);
-                return "UIM flow";
-            }
-            5 => {
-                let i = rng.uniform_usize(n_uims);
-                plan.uims[i].1.flow_size = -1.0;
-                return "flow size";
-            }
-            6 => {
-                plan.uims.swap_remove(rng.uniform_usize(n_uims));
-                return "dropped UIM";
-            }
-            7 => {
-                let i = rng.uniform_usize(n_uims);
-                plan.uims[i].0 = NodeId(1000);
-                return "UIM target";
-            }
-            8 if n_segs > 0 => {
-                let i = rng.uniform_usize(n_segs);
-                let s = &mut plan.segmentation.segments[i];
-                s.ingress_old_distance = s
-                    .ingress_old_distance
-                    .wrapping_add(1 + rng.uniform_usize(5) as u32);
-                return "segment old distance";
-            }
-            9 if n_segs > 0 => {
-                plan.segmentation.segments[rng.uniform_usize(n_segs)]
-                    .interior
-                    .push(NodeId(1000));
-                return "segment interior";
-            }
-            _ => {} // retry: variant inapplicable to this plan
+    let variant = rng.uniform_usize(8);
+    if variant == 6 {
+        plan.uims.swap_remove(rng.uniform_usize(n_uims));
+        return "dropped UIM";
+    }
+    let (target, uim) = &mut plan.uims[rng.uniform_usize(n_uims)];
+    match variant {
+        0 => {
+            uim.new_distance = uim
+                .new_distance
+                .wrapping_add(1 + rng.uniform_usize(5) as u32);
+            "distance label"
+        }
+        1 => {
+            uim.next_hop = Some(NodeId(1000));
+            "next hop"
+        }
+        2 => {
+            uim.upstream = Some(NodeId(1000));
+            "upstream"
+        }
+        3 => {
+            uim.version = Version(plan.version.0 + 1);
+            "UIM version"
+        }
+        4 => {
+            uim.flow = FlowId(4096);
+            "UIM flow"
+        }
+        5 => {
+            uim.flow_size = -1.0;
+            "flow size"
+        }
+        _ => {
+            *target = NodeId(1000);
+            "UIM target"
         }
     }
 }

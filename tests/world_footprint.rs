@@ -143,9 +143,10 @@ const PEAK_BOUND: usize = 1_488_630;
 /// pairs and the waits-for link index a map of two vectors per link;
 /// 1,305,994 with the adjacency one array, free capacity one value per arc
 /// and the link index one sorted vector of `(link, side, plan)` entries;
-/// 1,226,266 with a plan's edge sets sorted vectors. The bound sits halfway
-/// between the last two.
-const LINT_PEAK_BOUND: usize = 1_266_130;
+/// 1,226,266 with a plan's edge sets sorted vectors; 1,068,794 with a
+/// prepared plan carrying no segmentation. The bound sits halfway between
+/// the last two.
+const LINT_PEAK_BOUND: usize = 1_147_530;
 
 /// What the world holds above the baseline once the run is over and the
 /// queue is empty, to the byte: 2,519,872 at bad153b, 1,901,496 at dfbc3c2,
@@ -177,9 +178,10 @@ const FT512_TOPOLOGY_BYTES: usize = 338_570;
 
 /// `dc-scale`'s lint-pass high-water mark on ft4096, live bytes above the
 /// start (the phase table's "lint peak"): 11,684,930 with a plan's edge
-/// sets `BTreeSet`s, 11,223,474 with them sorted vectors. The bound sits
-/// halfway between the two.
-const FT4096_LINT_PEAK_BOUND: usize = 11_454_202;
+/// sets `BTreeSet`s, 11,223,474 with them sorted vectors, 9,059,506 with a
+/// prepared plan carrying no segmentation. The bound sits halfway between
+/// the last two.
+const FT4096_LINT_PEAK_BOUND: usize = 10_141_490;
 
 /// `dc-scale`'s run high-water mark on ft4096, live bytes above the start
 /// (the phase table's "run peak"): 14,239,914 with 88-byte UIB records
