@@ -12,7 +12,7 @@
 //! thereby steer the run through a different interleaving.
 
 use crate::choice::{ChoiceKind, Chooser, FifoChooser};
-use crate::queue::CalendarQueue;
+use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 
 /// A world that reacts to events of type `E`.
@@ -29,10 +29,11 @@ pub trait World {
 
 /// The event queue handed to [`World::handle`]; schedules future events.
 ///
-/// Events wait in a calendar queue and leave it in strict `(time, seq)`
-/// order, `seq` being the order they were scheduled in.
+/// Events wait in a monotone radix heap and leave it in strict
+/// `(time, seq)` order, `seq` being the order they were scheduled in; the
+/// heap holds as many slots as events were ever pending at once.
 pub struct Scheduler<E> {
-    queue: CalendarQueue<E>,
+    queue: EventQueue<E>,
     next_seq: u64,
     now: SimTime,
     chooser: Box<dyn Chooser>,
@@ -53,7 +54,7 @@ impl<E> Scheduler<E> {
     /// An empty scheduler at t = 0 with the default FIFO tie-break policy.
     pub fn new() -> Self {
         Scheduler {
-            queue: CalendarQueue::new(),
+            queue: EventQueue::new(),
             next_seq: 0,
             now: SimTime::ZERO,
             chooser: Box::new(FifoChooser),
@@ -119,24 +120,25 @@ impl<E> Scheduler<E> {
         self.peak_pending
     }
 
-    /// Remove and return the next event to deliver.
+    /// Remove and return the next event to deliver, if its time is at or
+    /// before `horizon`.
     ///
     /// With the trivial (FIFO) chooser this is a plain queue pop. With an
     /// exploring chooser, all events tied at the earliest timestamp are
     /// gathered in FIFO order and presented as a [`ChoiceKind::TieBreak`]
     /// choice point; the unchosen ones go back on the queue (their original
     /// sequence numbers keep the relative FIFO order stable).
-    fn pop(&mut self) -> Option<(SimTime, u64, E)> {
+    fn pop_until(&mut self, horizon: SimTime) -> Option<(SimTime, u64, E)> {
+        let first = self.queue.pop_until(horizon)?;
         if self.trivial {
-            return self.queue.pop();
+            return Some(first);
         }
-        let first = self.queue.pop()?;
         let at = first.0;
         // The queue pops same-time events in increasing sequence order, so
         // `tied` is in FIFO order and index 0 is the historical pick.
         let mut tied = vec![first];
-        while self.queue.peek_key().is_some_and(|(t, _)| t == at) {
-            tied.push(self.queue.pop().expect("peeked event exists"));
+        while let Some(next) = self.queue.pop_until(at) {
+            tied.push(next);
         }
         let pick = if tied.len() == 1 {
             0
@@ -273,27 +275,33 @@ impl<W: World> Simulation<W> {
                     budget: self.event_budget,
                 };
             }
-            // Look before popping: what leaves the queue is delivered.
-            let Some((at, _)) = self.sched.queue.peek_key() else {
-                return RunOutcome::QueueDrained {
-                    finished_at: self.sched.now(),
-                    events: self.events_delivered,
-                };
-            };
-            if at > horizon {
-                return RunOutcome::HorizonReached {
-                    horizon,
-                    events: self.events_delivered,
+            // What leaves the queue is delivered: an event beyond the
+            // horizon stays where it is.
+            if self.step_until(horizon).is_none() {
+                return if self.sched.pending() == 0 {
+                    RunOutcome::QueueDrained {
+                        finished_at: self.sched.now(),
+                        events: self.events_delivered,
+                    }
+                } else {
+                    RunOutcome::HorizonReached {
+                        horizon,
+                        events: self.events_delivered,
+                    }
                 };
             }
-            self.step();
         }
     }
 
     /// Deliver exactly one event, if any is pending. Returns its timestamp.
     /// Useful for lock-step tests that interleave assertions with events.
     pub fn step(&mut self) -> Option<SimTime> {
-        let (at, _seq, event) = self.sched.pop()?;
+        self.step_until(SimTime::from_nanos(u64::MAX))
+    }
+
+    /// Deliver the next event if its time is at or before `horizon`.
+    fn step_until(&mut self, horizon: SimTime) -> Option<SimTime> {
+        let (at, _seq, event) = self.sched.pop_until(horizon)?;
         self.sched.now = at;
         self.events_delivered += 1;
         self.world.handle(at, event, &mut self.sched);
@@ -361,10 +369,9 @@ mod tests {
         assert_eq!(sim.world().seen.len(), 2);
     }
 
-    /// Stopping at a horizon looks at the head, which takes the queue's
-    /// cursor to it; an event scheduled afterwards for an earlier time is
-    /// still delivered first, whether the head sits in the queue's near
-    /// window (20 ms) or beyond it (10 s).
+    /// Stopping at a horizon leaves the head queued and the queue where it
+    /// was; an event scheduled afterwards for an earlier time is still
+    /// delivered first, whether the head is near (20 ms) or far (10 s).
     #[test]
     fn a_later_schedule_below_a_looked_at_head_is_delivered_first() {
         for head in [ms(20), ms(10_000)] {

@@ -16,8 +16,8 @@
 //! - [`SimTime`] / [`SimDuration`]: integer-nanosecond simulated time.
 //! - [`World`] / [`Simulation`] / [`Scheduler`]: the event loop. Ties are
 //!   broken FIFO by default, so same-instant events are delivered in
-//!   scheduling order; pending events wait in a calendar queue (O(1)
-//!   amortized schedule and pop).
+//!   scheduling order; pending events wait in a monotone radix heap
+//!   (O(log T) amortized schedule and pop for times up to T).
 //! - [`Chooser`] / [`ChoiceKind`]: the choice-point seam. Tie-breaks (and
 //!   world-defined decisions like per-message faults) route through a
 //!   pluggable policy, which is how the `p4update-explore` crate drives

@@ -1,11 +1,12 @@
 //! The event queue.
 //!
 //! The engine extracts pending events in strict `(time, seq)` order, and
-//! [`CalendarQueue`] is what keeps that order: a calendar queue / timing
-//! wheel. The near future is a window of power-of-two-width buckets
-//! indexed by `time >> log2(width)` — O(1) amortized schedule and pop —
-//! and anything beyond the window overflows into a far-future binary heap
-//! that is drained into the wheel when the window rotates forward.
+//! [`EventQueue`] is what keeps that order: a monotone radix heap. No key
+//! goes below the last popped one (the scheduler clamps new events to
+//! `now`), so a key is filed by the highest bit in which its time differs
+//! from the last popped time, and an entry only ever moves to a lower
+//! bucket: O(log T) amortized per event for times up to T, with nothing
+//! to tune.
 //!
 //! Every pop returns the unique minimum `(time, seq)` key among pending
 //! events, so the delivery sequence is a pure function of the push/pop
@@ -13,292 +14,204 @@
 //! plain binary heap of the same keys.
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
-/// An event with its scheduling key. Ordered *inverted* so Rust's max-heap
-/// `BinaryHeap` pops the earliest (then lowest-sequence) entry first.
-struct Scheduled<E> {
-    at: SimTime,
-    seq: u64,
-    event: E,
-}
+/// Bucket 0 holds the times equal to the last popped one; bucket `i > 0`
+/// those whose highest bit differing from it is bit `i - 1`.
+const BUCKETS: usize = 65;
 
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Scheduled<E> {}
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
+/// The end of a list.
+const END: u32 = u32::MAX;
 
-/// Number of buckets in the wheel window (power of two).
-const NUM_BUCKETS: usize = 1024;
-/// log2 of the initial bucket width in nanoseconds: 2^16 ns ≈ 65.5 µs, a
-/// few events per bucket under the millisecond-scale timing configs.
-const INITIAL_LOG2_WIDTH: u32 = 16;
-/// Bucket-width adaptation bounds: 2^8 ns = 256 ns up to 2^32 ns ≈ 4.3 s.
-const MIN_LOG2_WIDTH: u32 = 8;
-const MAX_LOG2_WIDTH: u32 = 32;
-/// Window rotations delivering fewer near events than this double the
-/// bucket width (window too fine); more than `NUM_BUCKETS * 8` halve it
-/// (buckets too coarse).
-const SPARSE_WINDOW: u64 = (NUM_BUCKETS as u64) / 4;
-const DENSE_WINDOW: u64 = (NUM_BUCKETS as u64) * 8;
+/// Where a slot waits: its time and the next slot in its list, or on the
+/// free list.
+#[derive(Clone, Copy)]
+struct Link {
+    at: u64,
+    next: u32,
+}
 
 /// The scheduler's priority queue of events keyed by `(SimTime, seq)`,
-/// extracted in strictly increasing key order: a near-future wheel plus a
-/// far-future heap.
+/// extracted in strictly increasing key order.
 ///
-/// The scheduler clamps new events to `now` and pops only what it delivers
-/// (or re-pushes at the instant it delivers, when gathering ties), so keys
-/// never go below the last popped key and therefore never below the
-/// window, which moves only in `pop`: `push` asserts that. Looking at the
-/// head (`peek_key`) never moves the window but does move the cursor to
-/// the head's bucket, which may lie past `now`; `push` moves the cursor
-/// back when a later key lands before it.
+/// Every entry lives in one slot, each bucket a list threaded through the
+/// slots and every free slot on a free list, so the queue holds at most as
+/// many slots as events were ever pending at once. Each list is in `seq`
+/// order, which is why a bucket's first entry at a time is the one to
+/// deliver first: a push appends, and every push but one carries the
+/// newest `seq`; the one is tie gathering's re-push at the last popped
+/// time, into bucket 0 after gathering emptied it, in ascending `seq`
+/// (`push` asserts the order). A spill empties the lowest non-empty bucket
+/// into empty lower ones in list order, so it keeps the order too.
 ///
-/// The window covers `[win_start, win_start + NUM_BUCKETS << log2_width)`;
-/// an event lands in bucket `(at - win_start) >> log2_width`. Buckets are
-/// unsorted until the cursor reaches them, then sorted *descending* once so
-/// pops are O(1) `Vec::pop` calls from the back; an event pushed into the
-/// already-sorted current bucket is binary-inserted at its position. A
-/// 1-bit-per-bucket occupancy bitmap makes skipping empty buckets a
-/// `trailing_zeros` scan rather than a walk. When the wheel drains, the
-/// window rotates to the far heap's minimum and every far event now inside
-/// the window moves into its bucket; bucket width adapts (×2 / ÷2,
-/// deterministically — it is a pure function of the push/pop history)
-/// when a window turns out sparse or dense.
-pub(crate) struct CalendarQueue<E> {
-    /// `buckets[i]` holds events for `[win_start + i·W, win_start + (i+1)·W)`.
-    buckets: Vec<Vec<Scheduled<E>>>,
-    /// One bit per bucket: set iff the bucket is non-empty.
-    occupied: [u64; NUM_BUCKETS / 64],
-    /// Window origin (multiple of the bucket width).
-    win_start: u64,
-    log2_width: u32,
-    /// Cursor: buckets below `cur` are empty; `buckets[cur]` is sorted
-    /// descending iff `cur_sorted`.
-    cur: usize,
-    cur_sorted: bool,
-    /// Events at or beyond the window end.
-    far: BinaryHeap<Scheduled<E>>,
-    /// Pending events in the wheel (excludes `far`).
-    near_len: usize,
-    /// Near events delivered since the last rotation, for width adaptation.
-    delivered_this_window: u64,
+/// A pop refused because the head lies beyond its limit (`run_until` at
+/// its horizon) reads the lowest bucket's earliest time and spills
+/// nothing, so the last popped time stays where it is and a caller may
+/// still schedule between it and the head; a key below it panics.
+pub(crate) struct EventQueue<E> {
+    /// Each slot's link, apart from its payload: a spill reads links only,
+    /// 16 bytes a slot.
+    links: Vec<Link>,
+    /// Each slot's `seq` and event, `None` while the slot is free.
+    entries: Vec<(u64, Option<E>)>,
+    /// First and last slot of each bucket's list, [`END`] when empty.
+    heads: [u32; BUCKETS],
+    tails: [u32; BUCKETS],
+    /// The earliest and latest time in each non-empty bucket above 0.
+    mins: [u64; BUCKETS],
+    maxs: [u64; BUCKETS],
+    /// Bit `i` set iff bucket `i` is not empty.
+    occupied: u128,
+    /// The slots not queued, threaded through `next`.
+    free: u32,
+    /// The last popped time.
+    last: u64,
+    len: usize,
 }
 
-impl<E> CalendarQueue<E> {
-    /// An empty queue with the window at t = 0.
+impl<E> EventQueue<E> {
+    /// An empty queue at t = 0.
     pub(crate) fn new() -> Self {
-        CalendarQueue {
-            buckets: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
-            occupied: [0; NUM_BUCKETS / 64],
-            win_start: 0,
-            log2_width: INITIAL_LOG2_WIDTH,
-            cur: 0,
-            cur_sorted: false,
-            far: BinaryHeap::new(),
-            near_len: 0,
-            delivered_this_window: 0,
+        EventQueue {
+            links: Vec::new(),
+            entries: Vec::new(),
+            heads: [END; BUCKETS],
+            tails: [END; BUCKETS],
+            mins: [0; BUCKETS],
+            maxs: [0; BUCKETS],
+            occupied: 0,
+            free: END,
+            last: 0,
+            len: 0,
         }
     }
 
-    /// Bucket index for `at`, or `None` when it falls beyond the window.
-    fn bucket_of(&self, at: u64) -> Option<usize> {
-        let idx = (at - self.win_start) >> self.log2_width;
-        (idx < NUM_BUCKETS as u64).then_some(idx as usize)
+    /// The bucket time `at` belongs in.
+    fn bucket(&self, at: u64) -> usize {
+        (u64::BITS - (at ^ self.last).leading_zeros()) as usize
     }
 
-    fn mark(&mut self, idx: usize) {
-        self.occupied[idx / 64] |= 1 << (idx % 64);
+    /// Append slot `s`, holding time `at`, to bucket `i`.
+    fn append(&mut self, i: usize, s: u32, at: u64) {
+        self.links[s as usize].next = END;
+        match self.tails[i] {
+            END => (self.heads[i], self.mins[i], self.maxs[i]) = (s, at, at),
+            tail => {
+                self.links[tail as usize].next = s;
+                self.mins[i] = self.mins[i].min(at);
+                self.maxs[i] = self.maxs[i].max(at);
+            }
+        }
+        self.tails[i] = s;
+        self.occupied |= 1 << i;
     }
 
-    fn unmark(&mut self, idx: usize) {
-        self.occupied[idx / 64] &= !(1 << (idx % 64));
+    /// Insert an event with its total-order key; `at` must not lie before
+    /// the last popped time.
+    pub(crate) fn push(&mut self, at: SimTime, seq: u64, event: E) {
+        let at = at.as_nanos();
+        assert!(
+            at >= self.last,
+            "key {at} ns pushed below the last popped key {} ns",
+            self.last
+        );
+        let link = Link { at, next: END };
+        let s = match self.free {
+            END => {
+                self.links.push(link);
+                self.entries.push((seq, Some(event)));
+                u32::try_from(self.links.len() - 1).expect("fewer than 2^32 pending events")
+            }
+            s => {
+                self.free = self.links[s as usize].next;
+                self.links[s as usize] = link;
+                self.entries[s as usize] = (seq, Some(event));
+                s
+            }
+        };
+        let i = self.bucket(at);
+        if let Some(&(prev, _)) = self.entries.get(self.tails[i] as usize) {
+            assert!(prev < seq, "seq {seq} queued behind seq {prev}");
+        }
+        self.append(i, s, at);
+        self.len += 1;
     }
 
-    /// Smallest occupied bucket index ≥ `from`, via the bitmap.
-    fn next_occupied(&self, from: usize) -> Option<usize> {
-        if from >= NUM_BUCKETS {
+    /// Empty bucket `i`, the lowest non-empty one and not bucket 0, into
+    /// the buckets below it: its earliest time becomes the last popped
+    /// time, so the entries at that time land in bucket 0.
+    fn spill(&mut self, i: usize) {
+        let (mut s, tail) = (self.heads[i], self.tails[i]);
+        self.heads[i] = END;
+        self.tails[i] = END;
+        self.occupied &= !(1 << i);
+        self.last = self.mins[i];
+        if self.last == self.maxs[i] {
+            // One instant: the list becomes bucket 0 whole.
+            (self.heads[0], self.tails[0]) = (s, tail);
+            self.occupied |= 1;
+            return;
+        }
+        while s != END {
+            let Link { at, next } = self.links[s as usize];
+            self.append(self.bucket(at), s, at);
+            s = next;
+        }
+    }
+
+    /// Remove and return the minimum-key event if its time is at or
+    /// before `limit`; otherwise change nothing, so a later push may still
+    /// land between the last popped time and the head.
+    pub(crate) fn pop_until(&mut self, limit: SimTime) -> Option<(SimTime, u64, E)> {
+        let limit = limit.as_nanos();
+        if self.occupied & 1 == 0 {
+            if self.occupied == 0 {
+                return None;
+            }
+            let i = self.occupied.trailing_zeros() as usize;
+            if self.mins[i] > limit {
+                return None;
+            }
+            self.spill(i);
+        } else if self.last > limit {
             return None;
         }
-        let (mut word, bit) = (from / 64, from % 64);
-        let mut bits = self.occupied[word] & (!0u64 << bit);
-        loop {
-            if bits != 0 {
-                return Some(word * 64 + bits.trailing_zeros() as usize);
-            }
-            word += 1;
-            if word == NUM_BUCKETS / 64 {
-                return None;
-            }
-            bits = self.occupied[word];
+        let s = self.heads[0];
+        let link = &mut self.links[s as usize];
+        self.heads[0] = std::mem::replace(&mut link.next, self.free);
+        if self.heads[0] == END {
+            self.tails[0] = END;
+            self.occupied &= !1;
         }
-    }
-
-    /// Position the cursor on the next non-empty *near* bucket, sorted and
-    /// ready to pop. Never rotates the window (callers that may mutate
-    /// window position do so explicitly in `pop`; `peek_key` must not move
-    /// it, or events popped for a tie-break could no longer be pushed
-    /// back). Returns `false` when the wheel is empty.
-    fn advance_near(&mut self) -> bool {
-        if self.near_len == 0 {
-            return false;
-        }
-        loop {
-            if !self.buckets[self.cur].is_empty() {
-                if !self.cur_sorted {
-                    // Descending by (at, seq): the minimum ends at the
-                    // back, so popping is `Vec::pop`.
-                    self.buckets[self.cur]
-                        .sort_unstable_by_key(|s| std::cmp::Reverse((s.at, s.seq)));
-                    self.cur_sorted = true;
-                }
-                return true;
-            }
-            let idx = self
-                .next_occupied(self.cur + 1)
-                .expect("near_len > 0 ⇒ some bucket is occupied");
-            self.cur = idx;
-            self.cur_sorted = false;
-        }
-    }
-
-    /// Move the window so it starts at the far heap's minimum and pull
-    /// every far event now inside it into the wheel.
-    fn rotate(&mut self) {
-        // Adapt the bucket width from the density of the window just
-        // finished — deterministic: depends only on the event history.
-        if self.delivered_this_window < SPARSE_WINDOW && self.log2_width < MAX_LOG2_WIDTH {
-            self.log2_width += 1;
-        } else if self.delivered_this_window > DENSE_WINDOW && self.log2_width > MIN_LOG2_WIDTH {
-            self.log2_width -= 1;
-        }
-        self.delivered_this_window = 0;
-
-        let min_at = self
-            .far
-            .peek()
-            .expect("rotate with far events")
-            .at
-            .as_nanos();
-        // The (empty) wheel starts at the bucket boundary at or below the
-        // minimum.
-        self.win_start = min_at & !((1u64 << self.log2_width) - 1);
-        self.cur_sorted = false;
-        while let Some(head) = self.far.peek() {
-            match self.bucket_of(head.at.as_nanos()) {
-                Some(idx) => {
-                    let s = self.far.pop().expect("peeked entry exists");
-                    self.buckets[idx].push(s);
-                    self.mark(idx);
-                    self.near_len += 1;
-                }
-                None => break,
-            }
-        }
-        self.cur = self.next_occupied(0).expect("rotation moved ≥ 1 event");
-    }
-
-    /// Insert an event with its total-order key, which must not lie before
-    /// the window (see the type's documentation).
-    pub(crate) fn push(&mut self, at: SimTime, seq: u64, event: E) {
-        let ns = at.as_nanos();
-        assert!(
-            ns >= self.win_start,
-            "key {ns} ns pushed before the window start {} ns",
-            self.win_start
-        );
-        match self.bucket_of(ns) {
-            Some(idx) => {
-                let s = Scheduled { at, seq, event };
-                if idx == self.cur && self.cur_sorted {
-                    // Keep the ready bucket sorted: binary-insert into the
-                    // descending run. New keys are usually near the back
-                    // (they are ≥ the last pop), so the memmove is short.
-                    let bucket = &mut self.buckets[idx];
-                    let pos = bucket.partition_point(|s2| (s2.at, s2.seq) > (at, seq));
-                    bucket.insert(pos, s);
-                } else {
-                    self.buckets[idx].push(s);
-                    if idx < self.cur {
-                        // Only after a look at the head (`peek_key`)
-                        // took the cursor past `now`.
-                        self.cur = idx;
-                        self.cur_sorted = false;
-                    }
-                }
-                self.mark(idx);
-                self.near_len += 1;
-            }
-            None => self.far.push(Scheduled { at, seq, event }),
-        }
-    }
-
-    /// Remove and return the minimum-key event.
-    pub(crate) fn pop(&mut self) -> Option<(SimTime, u64, E)> {
-        if !self.advance_near() {
-            if self.far.is_empty() {
-                return None;
-            }
-            self.rotate();
-            let ready = self.advance_near();
-            assert!(ready, "rotation populates the wheel");
-        }
-        let s = self.buckets[self.cur]
-            .pop()
-            .expect("advance found an event");
-        if self.buckets[self.cur].is_empty() {
-            self.unmark(self.cur);
-        }
-        self.near_len -= 1;
-        self.delivered_this_window += 1;
-        Some((s.at, s.seq, s.event))
-    }
-
-    /// The key the next `pop` would return. Takes `&mut self` because it
-    /// sorts the current bucket on demand.
-    pub(crate) fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        if self.advance_near() {
-            let s = self.buckets[self.cur]
-                .last()
-                .expect("advance found an event");
-            return Some((s.at, s.seq));
-        }
-        // Wheel empty: the far heap's minimum is the global minimum. Read
-        // it without rotating so a peek never moves the window.
-        self.far.peek().map(|s| (s.at, s.seq))
+        self.free = s;
+        self.len -= 1;
+        let (seq, event) = &mut self.entries[s as usize];
+        let event = event.take().expect("a queued slot holds its event");
+        Some((SimTime::from_nanos(self.last), *seq, event))
     }
 
     /// Number of pending events.
     pub(crate) fn len(&self) -> usize {
-        self.near_len + self.far.len()
+        self.len
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::propcheck::{cases, forall};
     use crate::rng::SimRng;
     use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
-    /// The reference the calendar queue is compared against: a binary heap
-    /// of the bare `(time, seq)` keys (every test event carries its `seq`
-    /// as payload, so keys are all there is to compare).
+    impl<E> EventQueue<E> {
+        fn pop(&mut self) -> Option<(SimTime, u64, E)> {
+            self.pop_until(SimTime::from_nanos(u64::MAX))
+        }
+    }
+
+    /// The reference the queue is compared against: a binary heap of the
+    /// bare `(time, seq)` keys (every test event carries its `seq` as
+    /// payload, so keys are all there is to compare).
     #[derive(Default)]
     struct HeapOracle {
         heap: BinaryHeap<Reverse<(SimTime, u64)>>,
@@ -309,12 +222,13 @@ mod tests {
             self.heap.push(Reverse((at, seq)));
         }
 
-        fn pop(&mut self) -> Option<(SimTime, u64)> {
-            self.heap.pop().map(|Reverse(key)| key)
+        fn pop_until(&mut self, limit: SimTime) -> Option<(SimTime, u64)> {
+            let &Reverse(key) = self.heap.peek()?;
+            (key.0 <= limit).then(|| self.heap.pop().map(|Reverse(key)| key))?
         }
 
-        fn peek_key(&self) -> Option<(SimTime, u64)> {
-            self.heap.peek().map(|&Reverse(key)| key)
+        fn head(&self) -> Option<SimTime> {
+            self.heap.peek().map(|&Reverse((at, _))| at)
         }
 
         fn len(&self) -> usize {
@@ -322,7 +236,7 @@ mod tests {
         }
     }
 
-    fn drain<E>(q: &mut CalendarQueue<E>) -> Vec<(u64, u64)> {
+    fn drain<E>(q: &mut EventQueue<E>) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
         while let Some((at, seq, _)) = q.pop() {
             out.push((at.as_nanos(), seq));
@@ -331,9 +245,18 @@ mod tests {
     }
 
     #[test]
-    fn calendar_pops_in_key_order() {
-        let mut q: CalendarQueue<u32> = CalendarQueue::new();
-        let keys: [u64; 7] = [5_000_000, 0, 0, 1 << 40, 77, 5_000_000, 123_456_789];
+    fn queue_pops_in_key_order() {
+        let mut q: EventQueue<u32> = EventQueue::new();
+        let keys: [u64; 8] = [
+            5_000_000,
+            0,
+            0,
+            1 << 40,
+            77,
+            5_000_000,
+            123_456_789,
+            1 << 63,
+        ];
         for (seq, &ns) in keys.iter().enumerate() {
             q.push(SimTime::from_nanos(ns), seq as u64, 0);
         }
@@ -347,98 +270,145 @@ mod tests {
         assert_eq!(order, expect);
     }
 
-    /// Pop the head of both queues, assert they agree (key and payload),
-    /// and return the key.
-    fn pop_both(heap: &mut HeapOracle, cal: &mut CalendarQueue<u64>, seed: u64) -> (SimTime, u64) {
-        assert_eq!(heap.peek_key(), cal.peek_key(), "seed {seed}");
-        let key = heap.pop().expect("caller checked non-empty");
-        assert_eq!(cal.pop(), Some((key.0, key.1, key.1)), "seed {seed}");
+    /// Pop the head of both queues if its time is at or before `limit`,
+    /// assert they agree (key and payload, or nothing), and return the key.
+    fn pop_both(
+        heap: &mut HeapOracle,
+        q: &mut EventQueue<u64>,
+        limit: SimTime,
+    ) -> Option<(SimTime, u64)> {
+        let key = heap.pop_until(limit);
+        assert_eq!(q.pop_until(limit), key.map(|(at, seq)| (at, seq, seq)));
         key
     }
 
+    /// A random mixture of the four things the engine does to its queue,
+    /// compared step for step with the oracle: schedule (times at or above
+    /// the last pop, as the scheduler guarantees, in bands from exact ties
+    /// to a time that differs from it only in bit 63), deliver the head,
+    /// gather every event tied at the head instant and re-push all but one
+    /// under their original keys (`Scheduler::pop` with a non-trivial
+    /// chooser), and stop at a horizon (`run_until`), which, when the head
+    /// lies beyond it, is followed by a schedule between the last pop and
+    /// that head. The queue never holds more slots than events were ever
+    /// pending.
     #[test]
-    fn calendar_matches_heap_on_random_interleaved_workload() {
-        // Random mixture of the four things the engine does to its queue,
-        // compared step for step: schedule (keys floored at the last pop,
-        // as the scheduler guarantees), deliver the head, gather every
-        // event tied at the head instant and re-push all but one under
-        // their original keys (`Scheduler::pop` with a non-trivial
-        // chooser; the re-push lands in the already sorted bucket), and
-        // look at the head without popping it (`run_until` at its
-        // horizon), after which a schedule may land below the cursor.
-        for seed in 0..20 {
-            let mut rng = SimRng::new(seed);
+    fn queue_matches_heap_on_random_interleaved_workload() {
+        let never = SimTime::from_nanos(u64::MAX);
+        forall("queue_matches_heap", cases(20), |rng: &mut SimRng| {
             let mut heap = HeapOracle::default();
-            let mut cal: CalendarQueue<u64> = CalendarQueue::new();
-            let mut seq = 0u64;
-            let mut now = 0u64;
-            let (mut gathered_ties, mut peeked) = (0, 0);
+            let mut q: EventQueue<u64> = EventQueue::new();
+            let (mut seq, mut now, mut peak) = (0u64, 0u64, 0usize);
+            let (mut gathered_ties, mut stopped) = (0, 0);
             for _ in 0..3_000 {
-                let op = rng.uniform_usize(8);
-                if op < 5 || heap.peek_key().is_none() {
-                    // Delays spanning exact ties and sub-bucket to
-                    // far-band scales.
-                    let delay = match rng.uniform_usize(5) {
-                        0 => 0,
-                        1 => rng.uniform_usize(1_000) as u64,
-                        2 => rng.uniform_usize(1 << 16) as u64,
-                        3 => rng.uniform_usize(1 << 26) as u64,
-                        _ => rng.uniform_usize(1 << 36) as u64,
-                    };
-                    let at = SimTime::from_nanos(now + delay);
-                    heap.push(at, seq);
-                    cal.push(at, seq, seq);
-                    seq += 1;
-                } else if op == 5 {
-                    let (at, _) = pop_both(&mut heap, &mut cal, seed);
-                    now = at.as_nanos();
-                } else if op == 6 {
-                    let first = pop_both(&mut heap, &mut cal, seed);
-                    let mut tied = vec![first];
-                    while heap.peek_key().is_some_and(|(t, _)| t == first.0) {
-                        tied.push(pop_both(&mut heap, &mut cal, seed));
+                match (rng.uniform_usize(8), heap.head().map(SimTime::as_nanos)) {
+                    (5, Some(_)) => {
+                        now = pop_both(&mut heap, &mut q, never)
+                            .expect("non-empty")
+                            .0
+                            .as_nanos();
                     }
-                    gathered_ties += usize::from(tied.len() > 1);
-                    tied.remove(rng.uniform_usize(tied.len()));
-                    for (at, s) in tied {
-                        heap.push(at, s);
-                        cal.push(at, s, s);
+                    (6, Some(_)) => {
+                        let first = pop_both(&mut heap, &mut q, never).expect("non-empty");
+                        let mut tied = vec![first];
+                        while let Some(key) = pop_both(&mut heap, &mut q, first.0) {
+                            tied.push(key);
+                        }
+                        gathered_ties += usize::from(tied.len() > 1);
+                        tied.remove(rng.uniform_usize(tied.len()));
+                        for (at, s) in tied {
+                            heap.push(at, s);
+                            q.push(at, s, s);
+                        }
+                        now = first.0.as_nanos();
                     }
-                    now = first.0.as_nanos();
-                } else {
-                    // The head stays where it is, so `now` does not move.
-                    assert_eq!(heap.peek_key(), cal.peek_key(), "seed {seed}");
-                    peeked += 1;
+                    (7, Some(head)) => {
+                        let mut below_head = || {
+                            SimTime::from_nanos(
+                                now + rng.next_u64() % (head - now).saturating_add(1),
+                            )
+                        };
+                        let (horizon, at) = (below_head(), below_head());
+                        if let Some((at, _)) = pop_both(&mut heap, &mut q, horizon) {
+                            now = at.as_nanos();
+                        } else {
+                            heap.push(at, seq);
+                            q.push(at, seq, seq);
+                            seq += 1;
+                            stopped += 1;
+                        }
+                    }
+                    _ => {
+                        let at = match rng.uniform_usize(6) {
+                            0 => now,
+                            1 => now + rng.uniform_usize(4) as u64,
+                            2 => now + rng.uniform_usize(1_000) as u64,
+                            3 => now + rng.uniform_usize(1 << 26) as u64,
+                            4 => now + rng.uniform_usize(1 << 36) as u64,
+                            _ => now | 1 << 63,
+                        };
+                        let at = SimTime::from_nanos(at);
+                        heap.push(at, seq);
+                        q.push(at, seq, seq);
+                        seq += 1;
+                    }
                 }
-                assert_eq!(heap.len(), cal.len(), "seed {seed}");
+                assert_eq!(heap.len(), q.len());
+                peak = peak.max(q.len());
+                assert_eq!(q.links.len(), peak);
             }
-            assert!(gathered_ties > 0 && peeked > 0, "seed {seed}");
-            while heap.peek_key().is_some() {
-                pop_both(&mut heap, &mut cal, seed);
+            assert!(gathered_ties > 0 && stopped > 0);
+            while pop_both(&mut heap, &mut q, never).is_some() {}
+            assert_eq!(q.len(), 0);
+        });
+    }
+
+    /// A bucket that holds entries a spill relinked from a higher bucket
+    /// and, behind them, a later push at the same time delivers them in
+    /// `seq` order, whether its own spill moves it whole (one instant) or
+    /// relinks it (two).
+    #[test]
+    fn relinked_entries_and_a_later_push_at_one_time_leave_in_seq_order() {
+        for extra in [None, Some(21)] {
+            let mut q: EventQueue<u64> = EventQueue::new();
+            let t = SimTime::from_nanos;
+            q.push(t(16), 0, 0);
+            q.push(t(20), 1, 1);
+            q.push(t(2), 2, 2);
+            assert_eq!(q.pop(), Some((t(2), 2, 2)));
+            q.push(t(20), 3, 3);
+            q.push(t(16), 4, 4);
+            // Spills 16, 20, 20, 16: the 20s go to a bucket of their own.
+            assert_eq!(q.pop(), Some((t(16), 0, 0)));
+            assert_eq!(q.pop(), Some((t(16), 4, 4)));
+            q.push(t(20), 5, 5);
+            if let Some(at) = extra {
+                q.push(t(at), 6, 6);
             }
-            assert_eq!(cal.pop(), None, "seed {seed}");
+            let rest: Vec<u64> = drain(&mut q).into_iter().map(|(_, s)| s).collect();
+            assert_eq!(rest[..3], [1, 3, 5]);
         }
     }
 
-    /// Keys never go below the window: popping the 10 s head rotated the
-    /// window there, and nothing the scheduler does can then push 1 s.
+    /// Times never go below the last pop: popping the 10 s head, nothing
+    /// the scheduler does can then push 1 s.
     #[test]
-    #[should_panic(expected = "pushed before the window")]
-    fn push_before_the_window_panics() {
-        let mut q: CalendarQueue<u64> = CalendarQueue::new();
+    #[should_panic(expected = "pushed below the last popped key")]
+    fn push_below_the_last_pop_panics() {
+        let mut q: EventQueue<u64> = EventQueue::new();
         q.push(SimTime::from_nanos(10_000_000_000), 0, 0);
         q.pop();
         q.push(SimTime::from_nanos(1_000_000_000), 1, 1);
     }
 
     #[test]
-    fn calendar_handles_same_instant_bursts_fifo() {
-        let mut q: CalendarQueue<u64> = CalendarQueue::new();
+    fn queue_handles_same_instant_bursts_fifo() {
+        let mut q: EventQueue<u64> = EventQueue::new();
         let t = SimTime::from_nanos(42);
         for seq in 0..500 {
             q.push(t, seq, seq);
         }
-        // Interleave pops with same-time pushes into the sorted bucket.
+        // Interleave pops with pushes at the instant being delivered.
         let mut seen = Vec::new();
         for _ in 0..100 {
             seen.push(q.pop().unwrap().1);
@@ -453,12 +423,11 @@ mod tests {
     }
 
     #[test]
-    fn calendar_rotates_through_sparse_far_future() {
-        // Events far apart force repeated rotations (and width doubling).
-        let mut q: CalendarQueue<u64> = CalendarQueue::new();
+    fn queue_handles_a_sparse_far_future() {
+        let mut q: EventQueue<u64> = EventQueue::new();
         let mut expect = Vec::new();
         for i in 0..50u64 {
-            let ns = i * (1 << 34); // ~17 s apart: always in the far band
+            let ns = i * (1 << 34); // ~17 s apart
             q.push(SimTime::from_nanos(ns), i, i);
             expect.push((ns, i));
         }

@@ -43,8 +43,8 @@ impl World for Churn {
             return;
         }
         self.budget -= 1;
-        // 0–3 follow-ups spanning the queue's interesting bands: exact
-        // ties, sub-bucket offsets, in-window jumps, far-band timers.
+        // 0–3 follow-ups at the scales a network sim mixes: exact ties,
+        // nanosecond offsets, microsecond jumps, second-scale timers.
         for _ in 0..self.rng.uniform_usize(4) {
             let delay = match self.rng.uniform_usize(8) {
                 0 | 1 => SimDuration::ZERO,
@@ -92,9 +92,8 @@ fn transcripts_are_strictly_increasing_in_time_then_schedule_order() {
     }
 }
 
-/// Advancing in horizon chunks (each boundary pops the head and pushes it
-/// back undelivered) delivers the same transcript as one uninterrupted
-/// run.
+/// Advancing in horizon chunks (at each boundary the head stays queued)
+/// delivers the same transcript as one uninterrupted run.
 #[test]
 fn chunked_run_until_equals_one_run() {
     let mut whole = seeded(99, 2_000, 16);

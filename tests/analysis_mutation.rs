@@ -13,16 +13,18 @@
 use p4update::analysis::{
     analyze, is_clean, AnalysisContext, BatchAnalyzer, Code, Diagnostic, PlanDelta, Severity,
 };
-use p4update::core::{prepare_update, PreparedUpdate, Strategy};
+use p4update::core::{prepare_update, segment_update, PreparedUpdate, Strategy};
 use p4update::des::propcheck::{cases, forall};
 use p4update::des::{SimRng, SimTime};
 use p4update::net::{k_shortest_paths, topologies, FlowId, FlowUpdate, NodeId, Path, Version};
 use p4update::sim::{batch_simulation, NetworkSim, SimConfig, System, TimingConfig};
+use std::cell::Cell;
 
-/// A random migration: old and new path share endpoints, old interior is a
-/// random subset of the new interior (same generator family as
-/// `tests/properties.rs`, so both SL and DL plans with forward and backward
-/// segments appear).
+/// A random migration: old and new path share endpoints, and the old
+/// interior is a random subset of the new interior, in new-path order or,
+/// in a quarter of the cases, shuffled (the generator of
+/// `tests/properties.rs`). Shuffled shared nodes make backward segments,
+/// so SL and DL plans with forward and backward segments appear.
 fn gen_update(rng: &mut SimRng) -> FlowUpdate {
     let len = 3 + rng.uniform_usize(7);
     let mut pool: Vec<u32> = (0..32).collect();
@@ -35,6 +37,9 @@ fn gen_update(rng: &mut SimRng) -> FlowUpdate {
         if rng.chance(0.5) {
             old.push(n);
         }
+    }
+    if rng.chance(0.25) {
+        rng.shuffle(&mut old[1..]);
     }
     old.push(egress);
     let to_path = |v: &[u32]| Path::new(v.iter().map(|&i| NodeId(i)).collect());
@@ -91,21 +96,26 @@ fn mutate(plan: &mut PreparedUpdate, rng: &mut SimRng) -> &'static str {
 }
 
 /// Every single-field mutation is flagged with at least one error; the
-/// pristine plan is error-free.
+/// pristine plan is error-free. Some cases have a backward segment, and
+/// some are forced single-layer where the plan needs both layers, which
+/// draws P4U008's advisory.
 #[test]
 fn every_mutation_is_flagged() {
+    let (backward, advised) = (Cell::new(0u32), Cell::new(0u32));
     forall("every_mutation_is_flagged", cases(128), |rng| {
         let update = gen_update(rng);
+        backward.set(backward.get() + u32::from(!segment_update(&update).forward_only()));
         let version = Version(1 + rng.uniform_usize(9) as u32);
-        let strategy = if rng.chance(0.5) {
-            Strategy::Auto
-        } else {
-            Strategy::ForceDual
-        };
+        let strategy =
+            [Strategy::Auto, Strategy::ForceDual, Strategy::ForceSingle][rng.uniform_usize(3)];
         let plan = prepare_update(&update, version, strategy);
+        let diags = analyze(&plan, None);
         assert!(
-            is_clean(&analyze(&plan, None)),
+            is_clean(&diags),
             "pristine plan must be analyzer-clean: {update:?}"
+        );
+        advised.set(
+            advised.get() + u32::from(diags.iter().any(|d| d.code == Code::MechanismAdvisory)),
         );
 
         let mut mutant = plan.clone();
@@ -116,6 +126,8 @@ fn every_mutation_is_flagged() {
             "mutation '{what}' went undetected on {update:?}"
         );
     });
+    assert!(backward.get() > 0, "no case had a backward segment");
+    assert!(advised.get() > 0, "no case drew P4U008's advisory");
 }
 
 /// The analyzer is a pure function of the plan: same plan, same findings.

@@ -12,6 +12,7 @@ use p4update::messages::{
     UpdateKind,
 };
 use p4update::net::{FlowId, FlowUpdate, NodeId, Path, Version};
+use std::cell::Cell;
 
 // ---------- generators ----------
 
@@ -25,7 +26,9 @@ fn gen_simple_path(rng: &mut SimRng, max_len: usize) -> Vec<u32> {
 }
 
 /// Old and new path share ingress and egress; the old interior is a random
-/// subset of the new interior so both overlapping and disjoint cases appear.
+/// subset of the new interior so both overlapping and disjoint cases
+/// appear, in new-path order or, in a quarter of the cases, shuffled, so
+/// backward segments appear too.
 fn gen_update(rng: &mut SimRng) -> FlowUpdate {
     let nodes = gen_simple_path(rng, 10);
     let ingress = nodes[0];
@@ -36,6 +39,9 @@ fn gen_update(rng: &mut SimRng) -> FlowUpdate {
         if rng.chance(0.5) {
             old.push(n);
         }
+    }
+    if rng.chance(0.25) {
+        rng.shuffle(&mut old[1..]);
     }
     old.push(egress);
     let to_path = |v: &[u32]| Path::new(v.iter().map(|&i| NodeId(i)).collect());
@@ -125,12 +131,15 @@ fn labels_are_a_valid_distance_proof() {
 }
 
 /// Segmentation: gateways appear on both paths in new-path order; segments
-/// tile the new path exactly; interiors are fresh nodes.
+/// tile the new path exactly; interiors are fresh nodes. Some cases have a
+/// backward segment.
 #[test]
 fn segmentation_tiles_the_new_path() {
+    let backward = Cell::new(0u32);
     forall("segmentation_tiles_the_new_path", cases(256), |rng| {
         let update = gen_update(rng);
         let seg = segment_update(&update);
+        backward.set(backward.get() + u32::from(!seg.forward_only()));
         let old = update.old_path.as_ref().expect("generated with old path");
         for &g in &seg.gateways {
             assert!(update.new_path.contains(g));
@@ -147,6 +156,7 @@ fn segmentation_tiles_the_new_path() {
         }
         assert_eq!(covered.as_slice(), update.new_path.nodes());
     });
+    assert!(backward.get() > 0, "no case had a backward segment");
 }
 
 /// Algorithm 1 soundness: an accepting verdict implies the version matches

@@ -133,9 +133,11 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// then 1,622,024 with an in-flight update kept as its update, version and
 /// mechanism, its UIMs built on every push. Then 1,355,236 with the
 /// register files provisioned where the batch is added, a 64-byte UIB
-/// record and a 12-byte port; the bound sits halfway between 1,622,024 and
-/// that.
-const PEAK_BOUND: usize = 1_488_630;
+/// record and a 12-byte port. Then 1,469,268 with the checker every run
+/// keeps, and 1,159,796 with the event queue a radix heap whose slots are
+/// only what is pending, not a calendar whose buckets keep their largest
+/// size; the bound sits halfway between the last two.
+const PEAK_BOUND: usize = 1_314_532;
 
 /// Peak live bytes of the lint pass above the start: the topology, the
 /// batch, its prepared plans and the linter's working set. 1,846,542 with
@@ -162,13 +164,16 @@ const LINT_PEAK_BOUND: usize = 1_147_530;
 /// pointed at a separate 176-byte `P4UpdateLogic`). Then 1,418,068: the
 /// checker every run keeps, 122,224 bytes — a 4-byte load on each of
 /// 15,360 arcs, each of 512 flows' spec and last walk, and a rule-flip
-/// log in each switch's UIB. The peak's
+/// log in each switch's UIB. Then 1,108,596, 309,472 fewer: the event
+/// queue is a radix heap with as many slots as the run's peak queue (to
+/// the next power of two), where a calendar's empty buckets kept the
+/// largest size each had held. The peak's
 /// bound has room for any one of the things this count is for — a
 /// per-switch map back in place of a sorted vector, a whole-batch trigger
 /// pass keeping its buffer, register files left with their growth slack —
 /// so each fails here. Re-record it, on purpose, when the world's state
 /// changes.
-const REST_BYTES: usize = 1_418_068;
+const REST_BYTES: usize = 1_108_596;
 
 /// What a built `synthetic_fat_tree_512` keeps live, to the byte: the
 /// handle's `Rc` box, `nodes`, `links` and the adjacency's offsets and arc
@@ -188,9 +193,10 @@ const FT4096_LINT_PEAK_BOUND: usize = 10_141_490;
 /// grown by doubling (33,640 records in 46,552 slots) and a port's capacity
 /// stored beside its neighbour's id in one 16-byte entry; 11,735,370 with
 /// the register files provisioned where the batch is added (33,640 records
-/// in 33,640 slots), 64-byte records and 12 bytes a port. The bound sits
-/// halfway between the two.
-const FT4096_RUN_PEAK_BOUND: usize = 12_987_642;
+/// in 33,640 slots), 64-byte records and 12 bytes a port; 12,644,818 with
+/// the checker every run keeps, 12,421,874 with the event queue a radix
+/// heap. The bound sits halfway between the last two.
+const FT4096_RUN_PEAK_BOUND: usize = 12_533_346;
 
 /// The counters are global: the test that counts holds this. It guards no
 /// data, so a test that panicked while holding it leaves nothing to repair
