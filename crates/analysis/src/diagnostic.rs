@@ -27,7 +27,8 @@ impl fmt::Display for Severity {
 /// Stable diagnostic codes. The numeric part never changes meaning across
 /// versions; retired codes are not reused. `P4U005`-`P4U007` are retired:
 /// they checked the segmentation a plan once carried, which no switch
-/// receives.
+/// receives. `P4U009` is retired: it round-tripped each UIM through the
+/// wire codec, which no switch of the simulator parses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Code {
     /// `P4U001`: a distance label breaks the strictly-decreasing chain
@@ -46,9 +47,6 @@ pub enum Code {
     /// plan the §7.5 rule says needs dual-layer (backward segments or too
     /// many nodes).
     MechanismAdvisory,
-    /// `P4U009`: a UIM of the plan fails to round-trip through the wire
-    /// codec — the switch pipeline would parse a different update.
-    WireRoundTripFailed,
     /// `P4U010`: the UIM set does not match the new path's nodes (missing,
     /// duplicated, or mis-addressed indications; wrong flow/kind metadata).
     UimSetMismatch,
@@ -73,7 +71,6 @@ impl Code {
             Code::UnroutableEdge => "P4U003",
             Code::VersionNotNewer => "P4U004",
             Code::MechanismAdvisory => "P4U008",
-            Code::WireRoundTripFailed => "P4U009",
             Code::UimSetMismatch => "P4U010",
             Code::BatchVersionConflict => "P4U011",
             Code::WaitsForCycle => "P4U012",
@@ -155,7 +152,6 @@ mod tests {
         assert_eq!(Code::MechanismAdvisory.severity(), Severity::Warning);
         assert_eq!(Code::WaitsForCycle.severity(), Severity::Warning);
         assert_eq!(Code::LabelChainBroken.severity(), Severity::Error);
-        assert_eq!(Code::WireRoundTripFailed.severity(), Severity::Error);
     }
 
     #[test]

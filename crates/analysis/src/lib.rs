@@ -24,13 +24,14 @@
 //! | `P4U004` | versions strictly exceed installed versions |
 //! | `P4U003` | every path edge is a topology link |
 //! | `P4U008` | §7.5 mechanism-choice advisory (warning) |
-//! | `P4U009` | every UIM round-trips the wire codec |
 //! | `P4U011`, `P4U012` | batch-level: version monotonicity per flow, waits-for cycles between concurrent updates (warning) |
 //!
 //! The linter checks what a plan ships: its UIMs, their labels and its
 //! version. `P4U005`-`P4U007` are retired: they checked a segmentation the
 //! plan once carried, which no switch ever receives (a dual-layer switch
-//! inherits its segment ID from its own old distance, Alg. 2).
+//! inherits its segment ID from its own old distance, Alg. 2). `P4U009` is
+//! retired too: it round-tripped each UIM through the wire codec, which no
+//! simulated switch parses (messages travel as typed values).
 //!
 //! Errors mean the plan violates an invariant the paper's correctness
 //! argument needs; warnings mean the plan is legal but leans on runtime
@@ -59,7 +60,6 @@ pub mod delta;
 mod diagnostic;
 pub mod engine;
 mod labels;
-mod wire_check;
 
 pub use delta::PlanDelta;
 pub use diagnostic::{Code, Diagnostic, Severity};
@@ -84,14 +84,6 @@ pub struct AnalysisContext<'a> {
 }
 
 impl<'a> AnalysisContext<'a> {
-    /// Context carrying only a topology.
-    pub fn with_topo(topo: &'a Topology) -> Self {
-        AnalysisContext {
-            topo: Some(topo),
-            installed: BTreeMap::new(),
-        }
-    }
-
     /// Context carrying a topology plus installed versions in bulk, so
     /// batch callers don't insert flow-by-flow.
     pub fn with_installed(
@@ -103,24 +95,12 @@ impl<'a> AnalysisContext<'a> {
             installed: installed.into_iter().collect(),
         }
     }
-
-    /// Record the installed version of a flow. A by-value builder, so
-    /// construction chains: `AnalysisContext::with_topo(&t).install(f, v)`.
-    #[must_use = "install is a by-value builder; use the returned context"]
-    pub fn install(mut self, flow: FlowId, version: Version) -> Self {
-        self.installed.insert(flow, version);
-        self
-    }
 }
 
 /// Analyze one prepared plan. `topo` enables routability checking; pass
 /// `None` when the plan is synthetic (pure label linting).
 pub fn analyze(plan: &PreparedUpdate, topo: Option<&Topology>) -> Vec<Diagnostic> {
-    let ctx = AnalysisContext {
-        topo,
-        installed: BTreeMap::new(),
-    };
-    analyze_with(plan, &ctx)
+    analyze_with(plan, &AnalysisContext::with_installed(topo, []))
 }
 
 /// Analyze one prepared plan with full context.
@@ -132,7 +112,6 @@ pub fn analyze_with(plan: &PreparedUpdate, ctx: &AnalysisContext<'_>) -> Vec<Dia
         labels::check_topology(plan, topo, &mut out);
     }
     labels::check_mechanism(plan, &mut out);
-    wire_check::check_wire(plan, &mut out);
     out
 }
 
@@ -206,7 +185,7 @@ mod tests {
     #[test]
     fn stale_version_is_p4u004_with_context() {
         let plan = prepare_update(&fig1_update(), Version(2), Strategy::Auto);
-        let ctx = AnalysisContext::default().install(FlowId(0), Version(2));
+        let ctx = AnalysisContext::with_installed(None, [(FlowId(0), Version(2))]);
         let diags = analyze_with(&plan, &ctx);
         assert!(diags.iter().any(|d| d.code == Code::VersionNotNewer));
         // Without context the same plan is clean.

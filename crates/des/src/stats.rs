@@ -128,10 +128,8 @@ impl Samples {
     /// The empirical CDF as `(value, cumulative_probability)` points, sorted
     /// by value — exactly the series a Fig. 7-style plot consumes.
     pub fn cdf_points(&self) -> Vec<(f64, f64)> {
-        let mut sorted = self.values.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
-        let n = sorted.len() as f64;
-        sorted
+        let n = self.values.len() as f64;
+        self.sorted()
             .into_iter()
             .enumerate()
             .map(|(i, v)| (v, (i + 1) as f64 / n))

@@ -8,7 +8,7 @@
 use crate::scenarios::{run_update_once, system_label};
 use p4update_core::Strategy;
 use p4update_des::{Samples, SimRng};
-use p4update_net::{topologies, FlowId, FlowUpdate, Path, Topology};
+use p4update_net::{topologies, ArcMap, FlowId, FlowUpdate, Path, Topology};
 use p4update_sim::{System, TimingConfig};
 use p4update_traffic::{multi_flow, single_flow};
 
@@ -73,15 +73,6 @@ impl Panel {
     }
 }
 
-/// One system's measured update-time samples for a panel.
-#[derive(Debug, Clone)]
-pub struct PanelSeries {
-    /// Legend label.
-    pub label: &'static str,
-    /// Update times in milliseconds, one per run.
-    pub samples: Samples,
-}
-
 /// The systems compared in a panel: the headline three plus the SL/DL
 /// ablation variants.
 fn systems(multi: bool) -> Vec<System> {
@@ -94,13 +85,12 @@ fn systems(multi: bool) -> Vec<System> {
     ]
 }
 
-/// Free-capacity view per directed link, as the congestion-aware
-/// controllers consume it.
-type FreeCapacity = p4update_net::ArcMap<f64>;
-
 /// The workload of one run of a panel.
-fn panel_updates(panel: Panel, seed: u64) -> (Vec<FlowUpdate>, Option<FreeCapacity>) {
-    let topo = panel.topology();
+fn panel_updates(
+    panel: Panel,
+    topo: &Topology,
+    seed: u64,
+) -> (Vec<FlowUpdate>, Option<ArcMap<f64>>) {
     match panel {
         Panel::SyntheticSingle => {
             let u = FlowUpdate::new(
@@ -111,71 +101,160 @@ fn panel_updates(panel: Panel, seed: u64) -> (Vec<FlowUpdate>, Option<FreeCapaci
             );
             (vec![u], None)
         }
-        Panel::B4Single | Panel::Internet2Single => (vec![single_flow(&topo)], None),
+        Panel::B4Single | Panel::Internet2Single => (vec![single_flow(topo)], None),
         Panel::FatTreeMulti | Panel::B4Multi | Panel::Internet2Multi => {
             let mut rng = SimRng::new(seed ^ 0xFEED);
-            let w = multi_flow(&topo, &mut rng, 0.55);
+            let w = multi_flow(topo, &mut rng, 0.55);
             (w.updates, Some(w.free_capacity))
         }
     }
 }
 
-/// Run one panel for `runs` seeds; returns one series per system.
-pub fn run(panel: Panel, runs: u64) -> Vec<PanelSeries> {
+/// One panel's runs in run order. Run i gives every system the same
+/// workload and simulator seed, so the systems' times pair.
+#[derive(Debug, Clone)]
+pub struct PanelRuns {
+    /// Legend labels, in the order of each row's times.
+    pub labels: Vec<&'static str>,
+    /// Per run, each system's update time in ms; `None` where the system
+    /// stranded a flow.
+    pub rows: Vec<Vec<Option<f64>>>,
+}
+
+impl PanelRuns {
+    /// One series of update times (ms) per system, in `labels` order,
+    /// over the runs no system stranded, so every series covers the same
+    /// workloads and index i is one pair. A run that some system strands
+    /// is counted apart, never dropped from one series only.
+    pub fn series(&self) -> Vec<Samples> {
+        let paired: Vec<Vec<f64>> = self
+            .rows
+            .iter()
+            .filter_map(|row| row.iter().copied().collect())
+            .collect();
+        let series = |i| paired.iter().map(|row: &Vec<f64>| row[i]).collect();
+        (0..self.labels.len()).map(series).collect()
+    }
+}
+
+/// Run one panel for `runs` seeds.
+pub fn run(panel: Panel, runs: u64) -> PanelRuns {
     let topo = panel.topology();
     let timing = match panel {
         Panel::FatTreeMulti => TimingConfig::fat_tree(),
         p if p.is_multi() => TimingConfig::wan_multi_flow(topo.centroid()),
         _ => TimingConfig::wan_single_flow(topo.centroid()),
     };
-    let mut series: Vec<PanelSeries> = systems(panel.is_multi())
-        .into_iter()
-        .map(|s| PanelSeries {
-            label: system_label(s),
-            samples: Samples::new(),
+    let systems = systems(panel.is_multi());
+    // A single-flow panel's update is the same in every run: search it once.
+    let fixed = (!panel.is_multi()).then(|| panel_updates(panel, &topo, 0));
+    let rows = (0..runs)
+        .map(|seed| {
+            let (updates, free) = fixed
+                .clone()
+                .unwrap_or_else(|| panel_updates(panel, &topo, seed));
+            systems
+                .iter()
+                .map(|&s| run_update_once(&topo, s, timing, 2_000 + seed, &updates, free.clone()))
+                .collect()
         })
         .collect();
-    for seed in 0..runs {
-        let (updates, free) = panel_updates(panel, seed);
-        for (i, system) in systems(panel.is_multi()).into_iter().enumerate() {
-            let t = run_update_once(&topo, system, timing, 2_000 + seed, &updates, free.clone());
-            if let Some(t) = t {
-                series[i].samples.push(t);
-            }
-        }
+    PanelRuns {
+        labels: systems.into_iter().map(system_label).collect(),
+        rows,
     }
-    series
 }
 
-/// Print one panel's data as text rows.
-pub fn print(panel: Panel, runs: u64) {
-    let series = run(panel, runs);
-    println!("# Fig. 7 — {} ({} runs)", panel.caption(), runs);
-    println!("# means:");
-    for s in &series {
-        println!(
-            "#   {:<14} mean {:>8.1} ms  (n={})",
-            s.label,
-            s.samples.mean(),
-            s.samples.len()
-        );
+/// P4Update against another system over paired runs.
+#[derive(Debug, Clone, Copy)]
+pub struct Comparison {
+    /// P4Update's mean over the other's, minus one, in percent (−5: 5 %
+    /// sooner).
+    pub percent: f64,
+    /// 95 % bootstrap interval of `percent`, resampling whole pairs.
+    pub interval: (f64, f64),
+    /// Pairs P4Update finished strictly sooner.
+    pub wins: usize,
+    /// Pairs both finished at the same time.
+    pub ties: usize,
+}
+
+/// Compare two paired series (index i of each is one run). The bootstrap
+/// draws 10,000 resamples from a fixed-seed `SimRng`, so the interval is
+/// the same on every machine. Panics on empty series.
+pub fn compare(ours: &Samples, theirs: &Samples) -> Comparison {
+    let (a, b) = (ours.values(), theirs.values());
+    let mut rng = SimRng::new(0xB007);
+    let boot: Samples = (0..10_000)
+        .map(|_| {
+            let (mut x, mut y) = (0.0, 0.0);
+            for _ in 0..a.len() {
+                let i = rng.uniform_usize(a.len());
+                x += a[i];
+                y += b[i];
+            }
+            (x / y - 1.0) * 100.0
+        })
+        .collect();
+    Comparison {
+        percent: (ours.mean() / theirs.mean() - 1.0) * 100.0,
+        interval: (boot.percentile(2.5), boot.percentile(97.5)),
+        wins: a.iter().zip(b).filter(|(x, y)| x < y).count(),
+        ties: a.iter().zip(b).filter(|(x, y)| x == y).count(),
     }
-    let p4 = series
-        .iter()
-        .find(|s| s.label == "P4Update")
-        .expect("P4Update series");
-    let ez = series
-        .iter()
-        .find(|s| s.label == "ez-Segway")
-        .expect("ez series");
-    println!(
-        "# P4Update vs ez-Segway: {:+.1}%",
-        (p4.samples.mean() / ez.samples.mean() - 1.0) * 100.0
-    );
-    println!("# columns: system time_ms cdf");
-    for s in &series {
-        for (v, p) in s.samples.cdf_points() {
-            println!("{:<14} {v:>9.1} {p:.3}", s.label);
+}
+
+/// Print one panel: the paired means, P4Update against each other
+/// system, the stranded runs, and every run's row in run order.
+pub fn print(panel: Panel, runs: u64) {
+    let result = run(panel, runs);
+    let series = result.series();
+    let n = series[0].len();
+    println!("# Fig. 7 — {} ({runs} runs)", panel.caption());
+    println!("# means over the {n} runs every system completed:");
+    for (label, s) in result.labels.iter().zip(&series) {
+        println!("#   {label:<14} mean {:>8.1} ms", s.mean());
+    }
+    if n > 0 {
+        println!("# P4Update vs: mean ratio - 1, 95 % bootstrap interval, pairs won / tied");
+        for (label, s) in result.labels.iter().zip(&series).skip(1) {
+            let c = compare(&series[0], s);
+            let (pct, lo, hi) = (c.percent, c.interval.0, c.interval.1);
+            let (wins, ties) = (c.wins, c.ties);
+            println!("#   {label:<14} {pct:+6.1}% [{lo:+.1}, {hi:+.1}]  {wins} / {ties} of {n}");
         }
+    }
+    println!("# runs some system stranded ('-'): {}", runs as usize - n);
+    println!("# columns: run, then time_ms per system as above (sort a column for its CDF)");
+    for (i, row) in result.rows.iter().enumerate() {
+        let cell = |t: &Option<f64>| t.map_or("-".to_string(), |t| format!("{t:.1}"));
+        let cells: Vec<String> = row.iter().map(cell).collect();
+        println!("{i:>4} {}", cells.join(" "));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_run_one_system_strands_leaves_every_series() {
+        let runs = PanelRuns {
+            labels: vec!["P4Update", "ez-Segway"],
+            rows: vec![
+                vec![Some(1.0), Some(2.0)],
+                vec![Some(3.0), None],
+                vec![Some(5.0), Some(4.0)],
+            ],
+        };
+        let series = runs.series();
+        assert_eq!(series[0].values(), [1.0, 5.0]);
+        assert_eq!(series[1].values(), [2.0, 4.0]);
+        // Equal means; resampling the two pairs gives -50 %, 0 or +25 %.
+        let c = compare(&series[0], &series[1]);
+        assert_eq!(
+            (c.percent, c.interval, c.wins, c.ties),
+            (0.0, (-50.0, 25.0), 1, 0)
+        );
     }
 }

@@ -25,23 +25,13 @@ fn main() {
     let mut seed: u64 = 7;
     let mut i = 1;
     while i < args.len() {
-        match args[i].as_str() {
-            "--runs" => {
-                runs = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-                i += 2;
-            }
-            "--seed" => {
-                seed = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-                i += 2;
-            }
+        let value = args.get(i + 1).and_then(|v| v.parse().ok());
+        match (args[i].as_str(), value) {
+            ("--runs", Some(v)) => runs = v,
+            ("--seed", Some(v)) => seed = v,
             _ => usage(),
         }
+        i += 2;
     }
 
     match which.as_str() {

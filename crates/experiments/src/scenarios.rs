@@ -3,7 +3,7 @@
 
 use p4update_core::Strategy;
 use p4update_des::{SimDuration, SimTime};
-use p4update_net::{ArcMap, FlowId, FlowUpdate, Topology, Version};
+use p4update_net::{ArcMap, FlowId, FlowUpdate, Topology};
 use p4update_sim::{batch_simulation, NetworkSim, SimConfig, System, TimingConfig};
 
 /// Human label of a system variant as used in figure legends.
@@ -42,7 +42,3 @@ pub fn run_update_once(
         .last_completion(&flows)
         .map(p4update_des::SimTime::as_millis_f64)
 }
-
-/// The version an update completes at for freshly-installed old paths
-/// (initial install is version 1, the update version 2).
-pub const UPDATE_VERSION: Version = Version(2);

@@ -5,8 +5,10 @@
 //! - the paper's four control messages — [`Frm`] (flow report), [`Uim`]
 //!   (update indication), [`Unm`] (update notification), [`Ufm`] (update
 //!   feedback) — plus [`DataPacket`] for data-plane traffic (§6);
-//! - fixed-layout wire encodings ([`wire`]) so the pipeline crate can parse
-//!   and deparse real byte buffers, and fault injection can corrupt them;
+//! - fixed-layout wire encodings ([`wire`]) of the headers the P4 prototype
+//!   parses; the simulator passes typed messages, so only the codec's own
+//!   tests, the property and fuzz tests and the benchmark's micros reach
+//!   them;
 //! - the control messages of the two baseline systems the evaluation
 //!   compares against (Central and ez-Segway, §9.1).
 

@@ -1,11 +1,10 @@
 //! Wire layouts for the P4Update headers.
 //!
 //! The P4 prototype defines custom headers parsed/deparsed by the switch
-//! pipeline; this module fixes equivalent byte layouts, so the plan linter
-//! can check that every prepared UIM survives the trip through real bytes
-//! (`p4update-analysis`'s wire check) and a corruption has bits to flip.
-//! The simulator itself passes typed `Message`s. All multi-byte fields are
-//! big-endian (network order). Layouts:
+//! pipeline; this module fixes equivalent byte layouts. Nothing in the
+//! library calls it: the simulator and the plan linter pass typed
+//! `Message`s, which is all a simulated switch acts on. All multi-byte
+//! fields are big-endian (network order). Layouts:
 //!
 //! ```text
 //! common   : msg_type:u8  flow_id:u32

@@ -64,7 +64,7 @@ fn main() {
         plans.push(prepare_update(&hop, Version(1), Strategy::Auto));
     }
 
-    let ctx = AnalysisContext::with_topo(&topo).install(FlowId(0), Version(1));
+    let ctx = AnalysisContext::with_installed(Some(&topo), [(FlowId(0), Version(1))]);
     let analysis = BatchAnalyzer.analyze(&plans, &ctx);
     let diagnostics = analysis.diagnostics();
     for d in diagnostics {

@@ -178,8 +178,10 @@ fi
 # The 32768-switch fat-tree on the one engine (lazy path-table rows), the
 # `dc-scale` workload's digest (4096 k-shortest-path queries on ft4096) and
 # its two heap high-water marks (the lint pass and the run, as counts),
-# the Fig. 4 and Fig. 7 means EXPERIMENTS.md quotes (seven 30-run
-# experiments) and the B4 segment claim its Fig. 7c deviation cites, the
+# the Fig. 4 and Fig. 7 means and Fig. 7 margins EXPERIMENTS.md quotes
+# (30 runs, and 1,000 single-flow or 300 multi-flow runs), the signs of
+# Fig. 7c's two margins at 1,000 runs and the B4 segment claim its Fig. 7c
+# deviation cites, the
 # explorer's completeness table (each registered scenario and byzantine
 # smoke variant exhausted to its pinned deviation bound in its pinned
 # runs), the
@@ -218,7 +220,7 @@ if [[ "${FAST:-0}" != 1 ]]; then
     echo "==> ft4096 lint-pass and run heap peaks under their bounds (ignored test, release)"
     cargo test -q --release --test world_footprint -- --ignored
 
-    echo "==> Fig. 4 and Fig. 7 means at 30 runs equal EXPERIMENTS.md's; B4 has no backward segment with an interior (ignored tests, release)"
+    echo "==> Fig. 4 and Fig. 7 means at 30 runs and Fig. 7 margins at 30 and 1,000/300 runs equal EXPERIMENTS.md's, 7c's signs at 1,000 runs; B4 has no backward segment with an interior (ignored tests, release)"
     cargo test -q --release --test paper_scenarios -- --ignored
 
     echo "==> every registered scenario and byzantine smoke variant exhausted to its pinned deviation bound in its pinned runs (ignored test, release)"

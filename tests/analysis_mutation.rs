@@ -295,7 +295,7 @@ fn analyzer_clean_plans_run_violation_free() {
         // Static pass first: the plan the controller will prepare is clean.
         let topo = topologies::fig1();
         let plan = prepare_update(&update, Version(2), Strategy::Auto);
-        let ctx = AnalysisContext::with_topo(&topo);
+        let ctx = AnalysisContext::with_installed(Some(&topo), []);
         let analysis = BatchAnalyzer.analyze(std::slice::from_ref(&plan), &ctx);
         let diags = analysis.diagnostics();
         assert!(is_clean(diags), "expected clean plan, got {diags:?}");

@@ -347,7 +347,7 @@ fn timing_of(topo: &Topology) -> TimingConfig {
 }
 
 #[test]
-#[ignore = "3,000 + 270 runs and the oracle: run in release with --ignored"]
+#[ignore = "3,000 + 2,700 runs and the oracle: run in release with --ignored"]
 fn p4update_strands_a_flow_only_where_no_atomic_order_exists() {
     let wan = [
         topologies::b4(),
@@ -366,15 +366,20 @@ fn p4update_strands_a_flow_only_where_no_atomic_order_exists() {
     });
     assert_eq!(check_cells("wan-sweep", sweep), ["Internet2 seed 172"]);
 
-    // Fig. 7b/7d/7f: run `r` draws its workload from `r ^ 0xFEED` and runs
-    // at seed 2000 + r. Fig. 7d's run 29 is the one EXPERIMENTS.md leaves
-    // out of every system's series.
+    // Fig. 7b/7d/7f at the 300 runs EXPERIMENTS.md's multi-flow column
+    // pairs: run `r` draws its workload from `r ^ 0xFEED` and runs at seed
+    // 2000 + r. Fig. 7d's runs 29 and 194 are the ones every system
+    // strands.
     for (panel, topo, expected) in [
         ("Fig. 7b", topologies::fat_tree(4), &[][..]),
-        ("Fig. 7d", topologies::b4(), &["B4 seed 2029"][..]),
+        (
+            "Fig. 7d",
+            topologies::b4(),
+            &["B4 seed 2029", "B4 seed 2194"][..],
+        ),
         ("Fig. 7f", topologies::internet2(), &[][..]),
     ] {
-        let runs = (0..30u64).map(|r| {
+        let runs = (0..300u64).map(|r| {
             let workload = multi_flow(&topo, &mut SimRng::new(r ^ 0xFEED), 0.55);
             (topo.clone(), timing_of(&topo), 2_000 + r, workload)
         });
