@@ -7,7 +7,6 @@
 //! the controller does per update — the paper's point being that P4Update
 //! needs *no* congestion dependency computation here, unlike ez-Segway.
 
-use crate::label::{label_path, uim_for};
 use p4update_dataplane::{ControllerLogic, CtrlEffect};
 use p4update_des::SimTime;
 use p4update_messages::{Message, UfmStatus, Uim, UpdateKind};
@@ -90,15 +89,28 @@ pub fn prepare_update(update: &FlowUpdate, version: Version, strategy: Strategy)
 
 /// The `(switch, UIM)` pairs of `update` at `version` under `kind`, egress
 /// first: the one place a UIM is built, for a prepared plan and for every
-/// push of the controller's loss recovery alike.
+/// push of the controller's loss recovery alike. Each node's UIM carries
+/// the labels it verifies locally (§3): its hop distance to the egress on
+/// the new path (`D_n`), its next hop there and the upstream neighbour its
+/// UNM clone goes to. Egress first is the update's direction (§3.1).
 fn indications(
     update: &FlowUpdate,
     version: Version,
     kind: UpdateKind,
 ) -> impl Iterator<Item = (NodeId, Uim)> + '_ {
-    label_path(update)
-        .into_iter()
-        .map(move |l| (l.node, uim_for(update, &l, version, kind)))
+    let nodes = update.new_path.nodes();
+    (0..nodes.len()).rev().map(move |i| {
+        let uim = Uim {
+            flow: update.flow,
+            version,
+            new_distance: (nodes.len() - 1 - i) as u32,
+            flow_size: update.size,
+            next_hop: nodes.get(i + 1).copied(),
+            upstream: i.checked_sub(1).map(|p| nodes[p]),
+            kind,
+        };
+        (nodes[i], uim)
+    })
 }
 
 /// Prepare a batch of updates (the Fig. 8 measurement unit). Versions are
@@ -386,6 +398,37 @@ mod tests {
             .uims
             .iter()
             .all(|(_, u)| u.version == Version(2) && u.kind == UpdateKind::Dual));
+    }
+
+    #[test]
+    fn uims_carry_the_fig1_labels() {
+        // Paper §3: D_n(v0) = 7, D_n(v1) = 6, ..., D_n(v7) = 0.
+        let prepared = prepare_update(&fig1_update(), Version(2), Strategy::ForceDual);
+        let uims = &prepared.uims;
+        assert!(uims.iter().all(|(_, u)| u.flow == FlowId(0)
+            && u.version == Version(2)
+            && u.kind == UpdateKind::Dual
+            && u.flow_size == 1.0));
+        // Egress first.
+        let (egress, uim) = &uims[0];
+        assert_eq!(*egress, NodeId(7));
+        assert_eq!(
+            (uim.new_distance, uim.next_hop, uim.upstream),
+            (0, None, Some(NodeId(6)))
+        );
+        // Ingress last.
+        let (ingress, uim) = uims.last().unwrap();
+        assert_eq!(*ingress, NodeId(0));
+        assert_eq!(
+            (uim.new_distance, uim.next_hop, uim.upstream),
+            (7, Some(NodeId(1)), None)
+        );
+        // Each hop's distance is one more than its parent's.
+        for w in uims.windows(2) {
+            assert_eq!(w[1].1.new_distance, w[0].1.new_distance + 1);
+            assert_eq!(w[1].1.next_hop, Some(w[0].0));
+            assert_eq!(w[0].1.upstream, Some(w[1].0));
+        }
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //!
 //! The crate is organized along the paper's structure:
 //!
-//! - [`label`] — distance/version label computation (§3): the distributed
-//!   proof the controller attaches to each update.
 //! - [`segment`] — gateway detection and forward/backward segment
 //!   classification for the dual-layer mechanism (§3.2); it lives beside
 //!   the update model in `p4update-net`, where ez-Segway and the workload
@@ -30,7 +28,6 @@
 
 pub mod congestion;
 pub mod controller;
-pub mod label;
 pub mod switch_logic;
 pub mod verify;
 pub mod violation;
@@ -39,7 +36,6 @@ pub use congestion::{Admission, BlockReason, CongestionScheduler};
 pub use controller::{
     prepare_batch, prepare_update, P4UpdateController, PreparedUpdate, Strategy, SL_NODE_THRESHOLD,
 };
-pub use label::{label_path, uim_for, NodeLabel};
 pub use p4update_net::segment::{self, segment_update, Segment, SegmentDir, Segmentation};
 pub use switch_logic::P4UpdateLogic;
 pub use verify::{verify, verify_dl, verify_sl, Verdict};

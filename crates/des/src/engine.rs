@@ -12,7 +12,7 @@
 //! thereby steer the run through a different interleaving.
 
 use crate::choice::{ChoiceKind, Chooser, FifoChooser};
-use crate::queue::EventQueue;
+use crate::queue::RadixHeap;
 use crate::time::{SimDuration, SimTime};
 
 /// A world that reacts to events of type `E`.
@@ -29,11 +29,12 @@ pub trait World {
 
 /// The event queue handed to [`World::handle`]; schedules future events.
 ///
-/// Events wait in a monotone radix heap and leave it in strict
-/// `(time, seq)` order, `seq` being the order they were scheduled in; the
-/// heap holds as many slots as events were ever pending at once.
+/// Events wait in a [`RadixHeap`] keyed by their time in nanoseconds, with
+/// `seq`, the order they were scheduled in, beside them, and leave it in
+/// strict `(time, seq)` order: the heap pops equal keys first in, first
+/// out. The heap holds as many slots as events were ever pending at once.
 pub struct Scheduler<E> {
-    queue: EventQueue<E>,
+    queue: RadixHeap<(u64, E)>,
     next_seq: u64,
     now: SimTime,
     chooser: Box<dyn Chooser>,
@@ -54,7 +55,7 @@ impl<E> Scheduler<E> {
     /// An empty scheduler at t = 0 with the default FIFO tie-break policy.
     pub fn new() -> Self {
         Scheduler {
-            queue: EventQueue::new(),
+            queue: RadixHeap::new(),
             next_seq: 0,
             now: SimTime::ZERO,
             chooser: Box::new(FifoChooser),
@@ -105,7 +106,7 @@ impl<E> Scheduler<E> {
         let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.queue.push(at, seq, event);
+        self.queue.push(at.as_nanos(), (seq, event));
         self.peak_pending = self.peak_pending.max(self.queue.len());
     }
 
@@ -129,15 +130,19 @@ impl<E> Scheduler<E> {
     /// choice point; the unchosen ones go back on the queue (their original
     /// sequence numbers keep the relative FIFO order stable).
     fn pop_until(&mut self, horizon: SimTime) -> Option<(SimTime, u64, E)> {
-        let first = self.queue.pop_until(horizon)?;
+        let (at, first) = self.queue.pop_until(horizon.as_nanos())?;
+        let time = SimTime::from_nanos(at);
         if self.trivial {
-            return Some(first);
+            return Some((time, first.0, first.1));
         }
-        let at = first.0;
-        // The queue pops same-time events in increasing sequence order, so
-        // `tied` is in FIFO order and index 0 is the historical pick.
+        // Every event at `at` was pushed in increasing `seq` order (a
+        // schedule takes the next `seq`; the re-push below goes back in
+        // order into a bucket the gathering emptied), so `tied` is in FIFO
+        // order and index 0 is the historical pick.
         let mut tied = vec![first];
-        while let Some(next) = self.queue.pop_until(at) {
+        while let Some((_, next)) = self.queue.pop_until(at) {
+            let prev = tied.last().expect("non-empty").0;
+            assert!(prev < next.0, "seq {} popped behind seq {prev}", next.0);
             tied.push(next);
         }
         let pick = if tied.len() == 1 {
@@ -151,11 +156,11 @@ impl<E> Scheduler<E> {
             );
             pick
         };
-        let chosen = tied.remove(pick);
-        for (t, seq, event) in tied {
-            self.queue.push(t, seq, event);
+        let (seq, event) = tied.remove(pick);
+        for entry in tied {
+            self.queue.push(at, entry);
         }
-        Some(chosen)
+        Some((time, seq, event))
     }
 }
 

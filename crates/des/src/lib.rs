@@ -16,8 +16,11 @@
 //! - [`SimTime`] / [`SimDuration`]: integer-nanosecond simulated time.
 //! - [`World`] / [`Simulation`] / [`Scheduler`]: the event loop. Ties are
 //!   broken FIFO by default, so same-instant events are delivered in
-//!   scheduling order; pending events wait in a monotone radix heap
-//!   (O(log T) amortized schedule and pop for times up to T).
+//!   scheduling order; pending events wait in the [`RadixHeap`].
+//! - [`RadixHeap`]: the one monotone priority queue, keyed by `u64` and
+//!   first in, first out among equal keys (O(log K) amortized push and pop
+//!   for keys up to K). The engine keys events by time; `p4update-net`'s
+//!   path searches key labels by the bits of their cost.
 //! - [`Chooser`] / [`ChoiceKind`]: the choice-point seam. Tie-breaks (and
 //!   world-defined decisions like per-message faults) route through a
 //!   pluggable policy, which is how the `p4update-explore` crate drives
@@ -42,6 +45,7 @@ mod time;
 
 pub use choice::{ChoiceKind, Chooser, FifoChooser};
 pub use engine::{RunOutcome, Scheduler, Simulation, World};
+pub use queue::RadixHeap;
 pub use rng::SimRng;
 pub use stats::Samples;
 pub use time::{SimDuration, SimTime};

@@ -150,7 +150,8 @@ impl Trace {
     }
 
     /// Parse the text format. Returns a description of the first problem
-    /// on malformed input.
+    /// on malformed input, a repeated `scenario`, `seed` or `expect-events`
+    /// line or choice index among them: a trace names one run.
     pub fn parse(text: &str) -> Result<Trace, String> {
         let mut scenario: Option<String> = None;
         let mut seed: Option<u64> = None;
@@ -164,6 +165,15 @@ impl Trace {
                 continue;
             }
             let (key, rest) = line.split_once(' ').ok_or_else(|| err("missing value"))?;
+            let repeated = match key {
+                "scenario" => scenario.is_some(),
+                "seed" => seed.is_some(),
+                "expect-events" => expect_events.is_some(),
+                _ => false,
+            };
+            if repeated {
+                return Err(err(&format!("duplicate {key}")));
+            }
             match key {
                 "scenario" => scenario = Some(rest.trim().to_string()),
                 "seed" => {
@@ -388,6 +398,33 @@ mod tests {
         }
         let dup = "scenario x\nseed 1\nchoice 0 tie 3 1\nchoice 0 tie 3 2\n";
         assert!(Trace::parse(dup).unwrap_err().contains("duplicate"));
+    }
+
+    /// A trace names one run: a second `scenario`, `seed` or
+    /// `expect-events` line is an error at its own line, not a quiet
+    /// override of the first, while `expect-violation` repeats.
+    #[test]
+    fn repeated_single_directives_are_rejected_with_location() {
+        for (text, want) in [
+            (
+                "scenario x\nscenario y\nseed 1\n",
+                "line 2: duplicate scenario",
+            ),
+            (
+                "scenario x\nseed 1\n# c\nseed 2\n",
+                "line 4: duplicate seed",
+            ),
+            (
+                "scenario x\nseed 1\nexpect-events 5\nexpect-events 6\n",
+                "line 4: duplicate expect-events",
+            ),
+        ] {
+            let e = Trace::parse(text).unwrap_err();
+            assert!(e.starts_with(want), "{text:?}: {e}");
+        }
+        let loops = "expect-violation loop flow=0 cycle=1>2>3\n".repeat(2);
+        let t = Trace::parse(&format!("scenario x\nseed 1\n{loops}")).unwrap();
+        assert_eq!(t.expect_violations.len(), 2);
     }
 
     #[test]

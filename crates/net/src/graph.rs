@@ -296,7 +296,7 @@ impl Topology {
         // so a search from `v` that reaches `u` at `d` says `u` is at least
         // `d` from `v`, and one stopped at `stop` says so of `min(d, stop)`.
         let mut lower = vec![0.0; n];
-        let mut heap = crate::path::RadixHeap::new();
+        let mut heap = p4update_des::RadixHeap::new();
         for v in self.node_ids() {
             // The same distance summed from the other end may round apart
             // (parts in 10¹⁶, `TIE_SLACK`'s argument): a node is skipped

@@ -11,7 +11,7 @@
 //! and keep it.
 
 use crate::graph::{LinkId, NodeId, Topology};
-use p4update_des::SimDuration;
+use p4update_des::{RadixHeap, SimDuration};
 
 /// A simple (loop-free) path through the topology, as an ordered node list
 /// from ingress to egress. Consecutive nodes are guaranteed adjacent when the
@@ -109,151 +109,16 @@ fn latency_along(topo: &Topology, nodes: &[NodeId]) -> SimDuration {
     })
 }
 
-/// A monotone priority queue on non-negative `f64` costs: a radix heap
-/// keyed by `cost.to_bits()`, which orders finite non-negative costs (and
-/// `INFINITY`) as their values and never sets bit 63. Bucket 0 holds the
-/// items whose key is `last`, the key popped last; bucket `i` those whose
-/// highest bit differing from `last` is bit `i - 1`. A pop that finds
-/// bucket 0 empty takes the lowest non-empty bucket: a lone item is the
-/// minimum and comes straight out; otherwise the bucket's smallest key
-/// becomes `last` and the bucket spreads over the ones below, so an item
-/// moves at most 63 times however many it waits behind. Bucket 0 pops last
-/// in, first out.
-///
-/// Keys must not fall below `last`: `push` raises one that does to `last`
-/// and never lowers a key. A bucket is a list threaded through one vector
-/// of slots, so a spill relinks indices and moves no item; a popped slot is
-/// linked into a free list and taken by the next push, so the vector holds
-/// at most as many slots as the queue ever held items at once. A queue
-/// allocates as a vector does: nothing until the first push, and no more
-/// after a `clear`.
-pub(crate) struct RadixHeap<T> {
-    slots: Vec<Slot<T>>,
-    /// The slot last linked into each bucket, [`END`] when empty.
-    heads: [u32; 64],
-    /// The slot popped last, threaded through `next` to the ones popped
-    /// before it; [`END`] when every slot is queued.
-    free: u32,
-    /// Bit `i` set iff bucket `i` is not empty.
-    occupied: u64,
-    last: u64,
-}
-
-struct Slot<T> {
-    key: u64,
-    item: T,
-    /// The slot linked into the bucket before this one.
-    next: u32,
-}
-
-/// The end of a list.
-const END: u32 = u32::MAX;
-
-impl<T: Copy> RadixHeap<T> {
-    pub(crate) fn new() -> Self {
-        RadixHeap {
-            slots: Vec::new(),
-            heads: [END; 64],
-            free: END,
-            occupied: 0,
-            last: 0,
-        }
-    }
-
-    /// Empty the queue and let its keys start again from 0.
-    pub(crate) fn clear(&mut self) {
-        self.slots.clear();
-        self.free = END;
-        while self.occupied != 0 {
-            self.heads[self.occupied.trailing_zeros() as usize] = END;
-            self.occupied &= self.occupied - 1;
-        }
-        self.last = 0;
-    }
-
-    /// Link slot `s`, holding `key`, into the bucket `key` belongs in.
-    fn link(&mut self, s: u32, key: u64) {
-        // Below 64: neither `key` nor `last` has bit 63 set.
-        let i = (u64::BITS - (key ^ self.last).leading_zeros()) as usize & 63;
-        self.slots[s as usize].next = self.heads[i];
-        self.heads[i] = s;
-        self.occupied |= 1 << i;
-    }
-
-    /// Queue `item` at `cost`, or at the last popped cost if that is
-    /// higher. Panics on a negative or NaN cost.
-    pub(crate) fn push(&mut self, cost: f64, item: T) {
-        let key = cost.to_bits();
-        assert!(
-            key <= f64::INFINITY.to_bits(),
-            "a queued cost is non-negative: {cost}"
-        );
-        let key = key.max(self.last);
-        let slot = Slot {
-            key,
-            item,
-            next: END,
-        };
-        let s = match self.free {
-            END => {
-                self.slots.push(slot);
-                u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 queued items")
-            }
-            s => {
-                self.free = self.slots[s as usize].next;
-                self.slots[s as usize] = slot;
-                s
-            }
-        };
-        self.link(s, key);
-    }
-
-    /// Give slot `s`, just unlinked, to the free list, and return its key
-    /// as a cost and its item.
-    fn release(&mut self, s: u32) -> (f64, T) {
-        let slot = &mut self.slots[s as usize];
-        slot.next = self.free;
-        self.free = s;
-        (f64::from_bits(slot.key), slot.item)
-    }
-
-    /// The item with the lowest key and that key as a cost; among equal
-    /// keys the one pushed last.
-    pub(crate) fn pop(&mut self) -> Option<(f64, T)> {
-        if self.occupied & 1 == 0 {
-            if self.occupied == 0 {
-                return None;
-            }
-            let i = self.occupied.trailing_zeros() as usize;
-            let head = std::mem::replace(&mut self.heads[i], END);
-            self.occupied &= !(1 << i);
-            let first = &self.slots[head as usize];
-            if first.next == END {
-                self.last = first.key;
-                return Some(self.release(head));
-            }
-            let mut s = head;
-            self.last = u64::MAX;
-            while s != END {
-                self.last = self.last.min(self.slots[s as usize].key);
-                s = self.slots[s as usize].next;
-            }
-            // Every key here shares its bits from `i` up with the new
-            // `last`, so it lands in a bucket below `i`.
-            let mut s = head;
-            while s != END {
-                let Slot { key, next, .. } = self.slots[s as usize];
-                self.link(s, key);
-                s = next;
-            }
-        }
-        let s = self.heads[0];
-        self.heads[0] = self.slots[s as usize].next;
-        if self.heads[0] == END {
-            self.occupied &= !1;
-        }
-        Some(self.release(s))
-    }
+/// The key a path search queues a non-negative cost at in the one
+/// [`RadixHeap`]: its bits, which order finite non-negative costs (and
+/// `INFINITY`) as their values. Panics on a negative or NaN cost.
+fn key(cost: f64) -> u64 {
+    let key = cost.to_bits();
+    assert!(
+        key <= f64::INFINITY.to_bits(),
+        "a queued cost is non-negative: {cost}"
+    );
+    key
 }
 
 #[cfg(test)]
@@ -267,7 +132,7 @@ thread_local! {
 /// at every pop, with the popped cost and the labels so far, and ends the
 /// search by returning true. Costs pop in nondecreasing order: a label
 /// pushed from a popped `cost` is `cost + w >= cost` in IEEE arithmetic, so
-/// the queue never raises one. At a stop every label below the cost is
+/// no key falls below the last pop. At a stop every label below the cost is
 /// therefore final and every other node is at least that far away:
 /// `min(label, cost)` is `min(distance, cost)` at every node, whatever the
 /// cost the search was stopped at. Returns that cost, or `f64::INFINITY`
@@ -285,8 +150,9 @@ pub(crate) fn sssp(
 ) -> f64 {
     heap.clear();
     dist[src.index()] = 0.0;
-    heap.push(0.0, src);
-    while let Some((cost, node)) = heap.pop() {
+    heap.push(key(0.0), src);
+    while let Some((cost, node)) = heap.pop_until(u64::MAX) {
+        let cost = f64::from_bits(cost);
         if stop(cost, dist) {
             return cost;
         }
@@ -299,7 +165,7 @@ pub(crate) fn sssp(
             let nd = cost + weight(link);
             if nd < dist[next.index()] {
                 dist[next.index()] = nd;
-                heap.push(nd, next);
+                heap.push(key(nd), next);
             }
         }
     }
@@ -373,19 +239,18 @@ pub(crate) const TIE_SLACK: f64 = 1e-9;
 /// expanded with its final distance, and `prev` ends up holding the rule's
 /// answer however the queue ordered the ties.
 ///
-/// Labels wait in a `RadixHeap` keyed by `f`. Across a link `f` never
+/// Labels wait in the [`RadixHeap`] keyed by `f`. Across a link `f` never
 /// falls in exact arithmetic, so a label can come in below the key just
-/// popped only by rounding, and the queue raises it to that key. Among
-/// equal keys the last label pushed pops first: the destination gets its
-/// distance, and the search its bound, after one dive down the corridor.
-/// The order decides how much is pushed, never which path comes back. The
-/// search stops at the first key above the bound, and no label with `f`
-/// within the bound is left behind: a raised key is one popped earlier, and
-/// the bound only falls once `dst` is labelled from some `x`, to `(g + w) *
-/// (1 + TIE_SLACK)` — at least `x`'s own key, since the potential at `x` is
-/// at most `w`, and so at least every key popped before. The first key
-/// above the bound is therefore a label's own `f`, and so is every key
-/// left, none of them lower.
+/// popped only by rounding, and the search raises it to that key. Equal
+/// keys pop first in, first out; the order decides how much is pushed,
+/// never which path comes back. The search stops at the first key above
+/// the bound, and no label with `f` within the bound is left behind: a
+/// raised key is one popped earlier, and the bound only falls once `dst`
+/// is labelled from some `x`, to `(g + w) * (1 + TIE_SLACK)` — at least
+/// `x`'s own key, since the potential at `x` is at most `w`, and so at
+/// least every key popped before. The first key above the bound is
+/// therefore a label's own `f`, and so is every key left, none of them
+/// lower.
 ///
 /// A spur search of Yen's loop also starts under a limit: with `r` paths
 /// still to output and at least `r` candidates in hand, a spur path that
@@ -467,13 +332,12 @@ impl<'a> PathSolver<'a> {
         self.labels.clear();
         self.dist[src.index()] = 0.0;
         self.touched.push(src);
-        self.labels.push(self.potential[src.index()], (0.0, src));
-        // `f` is the label's key: its own `f`, or the key popped before it
-        // if rounding put it lower (the type's docs).
-        while let Some((f, (g, node))) = self.labels.pop() {
-            if f > bound {
-                break;
-            }
+        self.labels
+            .push(key(self.potential[src.index()]), (0.0, src));
+        // `popped` is the label's key: its own `f`, or the key popped before
+        // it if rounding put it lower (the type's docs). The search stops at
+        // the first key above the bound.
+        while let Some((popped, (g, node))) = self.labels.pop_until(bound.to_bits()) {
             // A superseded label, or the destination, which has nothing to
             // tell the nodes before it.
             if g > self.dist[node.index()] || node == dst {
@@ -502,7 +366,7 @@ impl<'a> PathSolver<'a> {
                     if next == dst {
                         bound = bound.min(nd * (1.0 + TIE_SLACK));
                     }
-                    self.labels.push(f, (nd, next));
+                    self.labels.push(key(f).max(popped), (nd, next));
                 } else if nd == known {
                     // Equally short: the lower-numbered predecessor wins,
                     // and the label already queued for `next` still stands.

@@ -782,85 +782,23 @@ fn a_batch_shares_each_destinations_reverse_search_on_ft512() {
 }
 
 #[test]
-fn radix_heap_agrees_with_a_binary_heap_model() {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    // Equal keys, zero, subnormals, the largest finite value and infinity
-    // beside ordinary costs; any of them may fall below the last pop.
-    const EDGES: [f64; 8] = [
-        0.0,
-        f64::from_bits(1),
-        f64::MIN_POSITIVE / 3.0,
-        f64::MIN_POSITIVE,
-        1.0,
-        1e300,
-        f64::MAX,
-        f64::INFINITY,
-    ];
-    forall("radix_heap_vs_model", cases(256), |rng| {
-        let pool: Vec<f64> = (0..1 + rng.uniform_usize(12))
-            .map(|_| match rng.uniform_usize(3) {
-                0 => EDGES[rng.uniform_usize(EDGES.len())],
-                1 => (1 + rng.uniform_usize(4)) as f64 * 0.05,
-                _ => rng.uniform_range(0.0, 100.0),
-            })
-            .collect();
-        let mut heap = RadixHeap::new();
-        // The model queues each item at the key the queue promises:
-        // its cost's bits, raised to the last key popped.
-        let mut model = BinaryHeap::new();
-        let mut last = 0u64;
-        // The most items queued at once since the last clear: the queue
-        // holds no more slots than that.
-        let mut most = 0;
-        let (mut got, mut want) = (Vec::new(), Vec::new());
-        for id in 0..rng.uniform_usize(200) {
-            match rng.uniform_usize(10) {
-                // The items already popped may differ among equal keys
-                // from the model's, and so may the ones cleared away.
-                0 => {
-                    heap.clear();
-                    model.clear();
-                    last = 0;
-                    most = 0;
-                    got.clear();
-                    want.clear();
-                }
-                1..=5 => {
-                    let cost = pool[rng.uniform_usize(pool.len())];
-                    heap.push(cost, id);
-                    model.push(Reverse((cost.to_bits().max(last), id)));
-                    most = most.max(model.len());
-                    assert!(heap.slots.len() <= most, "a popped slot is reused");
-                }
-                _ => {
-                    let popped = heap.pop();
-                    let Some(Reverse((key, item))) = model.pop() else {
-                        assert!(popped.is_none());
-                        continue;
-                    };
-                    let (cost, id) = popped.expect("the model holds an item");
-                    assert_eq!(cost.to_bits(), key, "pops follow the model's keys");
-                    assert!(key >= last, "pops are nondecreasing");
-                    last = key;
-                    got.push((key, id));
-                    want.push((key, item));
-                }
-            }
-        }
-        while let Some(Reverse(entry)) = model.pop() {
-            let (cost, id) = heap.pop().expect("the model holds an item");
-            assert_eq!(cost.to_bits(), entry.0);
-            got.push((entry.0, id));
-            want.push(entry);
-        }
-        assert!(heap.pop().is_none());
-        // Equal keys may pop in another order, but since the last clear
-        // each key's items are the model's.
-        got.sort_unstable();
-        want.sort_unstable();
-        assert_eq!(got, want);
-    });
+fn a_label_rounded_below_the_last_pop_is_raised_and_expanded() {
+    // A line 0-1-2-3 of 0.3, 0.2 and 0.1 ms. The potential sums from 3,
+    // the labels from 0, and the two sums round apart: 2's `f`, (0.3 +
+    // 0.2) + 0.1, falls below 1's, 0.3 + (0.2 + 0.1), popped just before.
+    let mut b = TopologyBuilder::new("rounding-line");
+    let v: Vec<_> = (0..4).map(|i| b.add_node(format!("n{i}"))).collect();
+    for (w, us) in v.windows(2).zip([300, 200, 100]) {
+        b.add_link(w[0], w[1], SimDuration::from_micros(us), 10.0);
+    }
+    let line = b.build();
+    let (w01, w12, w23) = (0.3, 0.2, 0.1);
+    assert!((w01 + w12) + w23 < w01 + (w12 + w23));
+    let mut solver = PathSolver::new(&line);
+    assert_eq!(solver.k_shortest(v[0], v[3], 1), [path(&[0, 1, 2, 3])]);
+    // 0, 1 and 2, the raised label among them.
+    assert_eq!(solver.expanded, 3);
+    solver.assert_idle();
 }
 
 /// `latency_distances_from` from every source of `topo`, bit for bit

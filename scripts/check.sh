@@ -27,8 +27,8 @@
 # construction, the incremental checker against
 # its from-scratch oracle, the path solver, the pruned
 # centroid, the bridge classification and `multi_flow` against their oracles,
-# the path search's radix queue and the event queue against a `BinaryHeap`
-# model, the latency rows against the oracle's Dijkstra,
+# the one radix heap (the event queue and every path search's) against a
+# `BinaryHeap` model, the latency rows against the oracle's Dijkstra,
 # the UIB against its map model, `reanalyze` against `analyze` and the
 # pairwise oracle — at 16x the default case count, and the benchmark
 # package's own gate.
@@ -192,12 +192,12 @@ fi
 # single queries: `solver_agrees_*_in_a_batch`) and the pruned centroid
 # against their oracles on 16x the default random graphs (both prune, and
 # a pruning rule fails on a rare tie: 96 cases are thin),
-# the radix queue under both against a `BinaryHeap` model and the latency
-# rows (`latency_distances_from`, which the simulator's WAN control
-# latencies and the centroid's reference read) bit for bit against the
-# oracle's Dijkstra, the event queue (interleaved schedules, pops, tie
-# gathering, and schedules below the head after a horizon stop) against a
-# `BinaryHeap`,
+# the latency rows (`latency_distances_from`, which the simulator's WAN
+# control latencies and the centroid's reference read) bit for bit against
+# the oracle's Dijkstra, the one radix heap, which the event queue and
+# every path search share (interleaved pushes, pops, tie gathering, pushes
+# below the head after a limit stop, clears and `f64` edge costs as keys),
+# against a `BinaryHeap`,
 # `two_paths` against that oracle and `multi_flow` against the
 # search-as-you-draw loop it replaced (workloads, free capacity and the RNG
 # word after them), the UIB against its map model, the linter's `reanalyze`
@@ -244,11 +244,10 @@ if [[ "${FAST:-0}" != 1 ]]; then
     echo "==> pruned centroid vs one full search per source, PROPCHECK_SCALE=16 (release)"
     PROPCHECK_SCALE=16 cargo test -q --release -p p4update-net centroid_agrees
 
-    echo "==> radix queue vs a BinaryHeap model, latency rows vs the oracle's Dijkstra, PROPCHECK_SCALE=16 (release)"
-    PROPCHECK_SCALE=16 cargo test -q --release -p p4update-net radix_heap_agrees
+    echo "==> latency rows vs the oracle's Dijkstra, PROPCHECK_SCALE=16 (release)"
     PROPCHECK_SCALE=16 cargo test -q --release -p p4update-net latency_rows_agree
 
-    echo "==> the event queue vs a BinaryHeap model, PROPCHECK_SCALE=16 (release)"
+    echo "==> the radix heap vs a BinaryHeap model, PROPCHECK_SCALE=16 (release)"
     PROPCHECK_SCALE=16 cargo test -q --release -p p4update-des queue_matches_heap
 
     echo "==> two_paths vs oracle, multi_flow vs the loop it replaced, PROPCHECK_SCALE=16 (release)"
@@ -269,7 +268,7 @@ if [[ "${FAST:-0}" != 1 ]]; then
     echo "==> benchmark/check.sh (the benchmark builds and smokes against this tree)"
     benchmark/check.sh
 else
-    echo "==> ft32768, ft4096 digest and heap peaks, experiment means and the B4 claim, the explorer's completeness table, the checked benchmark cells, the atomic-order oracle, scaled differentials (segmentation, checker, path solver, centroid, radix queue, event queue, latency rows, two_paths, multi_flow, UIB, reanalyze) and property suites and benchmark/check.sh skipped (FAST=1)"
+    echo "==> ft32768, ft4096 digest and heap peaks, experiment means and the B4 claim, the explorer's completeness table, the checked benchmark cells, the atomic-order oracle, scaled differentials (segmentation, checker, path solver, centroid, latency rows, radix heap, two_paths, multi_flow, UIB, reanalyze) and property suites and benchmark/check.sh skipped (FAST=1)"
 
     echo "==> cargo check of the benchmark package (its pinned API surface still compiles)"
     cargo check -q --offline --manifest-path benchmark/Cargo.toml

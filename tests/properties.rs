@@ -3,7 +3,7 @@
 //! `p4update::des::propcheck`). `PROPCHECK_SCALE=16` multiplies the case
 //! counts for an exhaustive run.
 
-use p4update::core::{label_path, segment_update, verify, verify_sl, Verdict};
+use p4update::core::{prepare_update, segment_update, verify, verify_sl, Strategy, Verdict};
 use p4update::dataplane::{FlowPriority, Uib, UibEntry};
 use p4update::des::propcheck::{cases, forall};
 use p4update::des::{Samples, SimRng};
@@ -112,20 +112,21 @@ fn gen_entry(rng: &mut SimRng) -> UibEntry {
 
 // ---------- properties ----------
 
-/// Labels: distances strictly decrease toward the egress; successors and
-/// upstreams mirror each other; egress-first ordering.
+/// Labels: the UIMs a prepared plan ships carry distances that strictly
+/// decrease toward the egress; successors and upstreams mirror each other;
+/// egress-first ordering.
 #[test]
 fn labels_are_a_valid_distance_proof() {
     forall("labels_are_a_valid_distance_proof", cases(256), |rng| {
         let update = gen_update(rng);
-        let labels = label_path(&update);
-        assert_eq!(labels.len(), update.new_path.nodes().len());
-        assert_eq!(labels[0].new_distance, 0);
-        assert!(labels[0].next_hop.is_none());
-        for w in labels.windows(2) {
-            assert_eq!(w[1].new_distance, w[0].new_distance + 1);
-            assert_eq!(w[1].next_hop, Some(w[0].node));
-            assert_eq!(w[0].upstream, Some(w[1].node));
+        let uims = prepare_update(&update, Version(1), Strategy::Auto).uims;
+        assert_eq!(uims.len(), update.new_path.nodes().len());
+        assert_eq!(uims[0].1.new_distance, 0);
+        assert!(uims[0].1.next_hop.is_none());
+        for w in uims.windows(2) {
+            assert_eq!(w[1].1.new_distance, w[0].1.new_distance + 1);
+            assert_eq!(w[1].1.next_hop, Some(w[0].0));
+            assert_eq!(w[0].1.upstream, Some(w[1].0));
         }
     });
 }
