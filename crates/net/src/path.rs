@@ -12,6 +12,7 @@
 
 use crate::graph::{LinkId, NodeId, Topology};
 use p4update_des::{RadixHeap, SimDuration};
+use std::ops::Range;
 
 /// A simple (loop-free) path through the topology, as an ordered node list
 /// from ingress to egress. Consecutive nodes are guaranteed adjacent when the
@@ -27,10 +28,7 @@ impl Path {
     /// nodes (paths are simple by definition in the update model).
     pub fn new(nodes: Vec<NodeId>) -> Self {
         assert!(nodes.len() >= 2, "a path needs at least ingress and egress");
-        let mut seen = nodes.clone();
-        seen.sort_unstable();
-        seen.dedup();
-        assert_eq!(seen.len(), nodes.len(), "path visits a node twice");
+        assert!(is_simple(&nodes), "path visits a node twice");
         Path { nodes }
     }
 
@@ -98,6 +96,15 @@ impl Path {
     pub fn validate(&self, topo: &Topology) -> bool {
         self.edges().all(|(a, b)| topo.link_between(a, b).is_some())
     }
+}
+
+/// Whether no node appears twice in `nodes`, checked pair by pair in
+/// place: a search's path is short, so checking it allocates nothing.
+fn is_simple(nodes: &[NodeId]) -> bool {
+    nodes
+        .iter()
+        .enumerate()
+        .all(|(i, v)| !nodes[..i].contains(v))
 }
 
 /// Sum of link latencies along the walk `nodes`.
@@ -277,6 +284,8 @@ pub struct PathSolver<'a> {
     /// The point-to-point search's labels: `(g, node)` queued at `f`.
     labels: RadixHeap<(f64, NodeId)>,
     sssp_heap: RadixHeap<NodeId>,
+    /// Yen's paths and buffers, kept across queries.
+    scratch: Scratch,
     /// Yen's round scratch: the cost of the newest path up to each of its
     /// nodes, and the spurs the final round postponed.
     root_costs: Vec<SimDuration>,
@@ -301,6 +310,7 @@ impl<'a> PathSolver<'a> {
             banned: vec![false; n],
             labels: RadixHeap::new(),
             sssp_heap: RadixHeap::new(),
+            scratch: Scratch::default(),
             root_costs: Vec::new(),
             postponed: Vec::new(),
             #[cfg(test)]
@@ -395,24 +405,11 @@ impl<'a> PathSolver<'a> {
         found
     }
 
-    /// Run `search` with `nodes` banned, and lift the ban again.
-    fn search_avoiding(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        nodes: &[NodeId],
-        banned_hops: &[NodeId],
-        bound: f64,
-        out: &mut Vec<NodeId>,
-    ) -> bool {
+    /// Mark `nodes` banned (`on`) or lift the ban.
+    fn ban(&mut self, nodes: &[NodeId], on: bool) {
         for &v in nodes {
-            self.banned[v.index()] = true;
+            self.banned[v.index()] = on;
         }
-        let found = self.search(src, dst, banned_hops, bound, out);
-        for &v in nodes {
-            self.banned[v.index()] = false;
-        }
-        found
     }
 
     /// Latency-weighted shortest path from `src` to `dst` that visits none
@@ -427,8 +424,10 @@ impl<'a> PathSolver<'a> {
             return None;
         }
         let mut nodes = Vec::new();
-        self.search_avoiding(src, dst, banned, &[], f64::MAX, &mut nodes)
-            .then(|| Path::new(nodes))
+        self.ban(banned, true);
+        let found = self.search(src, dst, &[], f64::MAX, &mut nodes);
+        self.ban(banned, false);
+        found.then(|| Path::new(nodes))
     }
 
     /// Yen's algorithm: the `k` shortest loopless paths from `src` to `dst`,
@@ -452,6 +451,7 @@ impl<'a> PathSolver<'a> {
             .filter(|&i| queries[i].0 != queries[i].1)
             .collect();
         order.sort_by_key(|&i| queries[i].1);
+        let mut scratch = std::mem::take(&mut self.scratch);
         for group in order.chunk_by(|&a, &b| queries[a].1 == queries[b].1) {
             let dst = queries[group[0]].1;
             // The potential is the distance to `dst`, bans ignored, capped
@@ -487,27 +487,27 @@ impl<'a> PathSolver<'a> {
                 *h = h.min(stop);
             }
             for &i in group {
-                answers[i] = self.yen(queries[i].0, dst, k);
+                answers[i] = self.yen(queries[i].0, dst, k, &mut scratch);
             }
             self.potential.fill(0.0);
         }
+        self.scratch = scratch;
         answers
     }
 
-    /// Yen's loop for `k >= 1`, on the potential laid out for `dst`.
-    fn yen(&mut self, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
-        let mut total = Vec::new();
-        if !self.search(src, dst, &[], f64::MAX, &mut total) {
+    /// Yen's loop for `k >= 1`, on the potential laid out for `dst`, in
+    /// `scratch`; only the answer is allocated.
+    fn yen(&mut self, src: NodeId, dst: NodeId, k: usize, scratch: &mut Scratch) -> Vec<Path> {
+        scratch.nodes.clear();
+        scratch.result.clear();
+        scratch.candidates.clear();
+        if !self.search(src, dst, &[], f64::MAX, &mut scratch.nodes) {
             return Vec::new();
         }
-        let mut result = vec![Path::new(total.clone())];
-        // Kept in the order they will be output: by cost in whole
-        // nanoseconds, then by node list.
-        let mut candidates: Vec<(SimDuration, Path)> = Vec::new();
-        let mut banned_hops = Vec::new();
+        scratch.result.push(0..scratch.nodes.len());
 
-        while result.len() < k {
-            let last = result.last().expect("result non-empty").nodes();
+        while scratch.result.len() < k {
+            let last = &scratch.nodes[scratch.last()];
             // The cost of `last` up to each of its nodes.
             self.root_costs.clear();
             self.root_costs.push(SimDuration::ZERO);
@@ -519,29 +519,32 @@ impl<'a> PathSolver<'a> {
                 self.root_costs
                     .push(*self.root_costs.last().expect("pushed") + hop);
             }
+            let spurs = last.len() - 1;
             let mut round = Round {
                 dst,
-                result: &result,
-                candidates: &mut candidates,
-                wanted: k - result.len(),
-                total: &mut total,
-                banned_hops: &mut banned_hops,
+                wanted: k - scratch.result.len(),
+                scratch: &mut *scratch,
             };
             if round.wanted == 1 {
                 self.final_round(&mut round);
             } else {
                 // Each node of the previous path (except egress) is a spur
                 // point.
-                for spur_idx in 0..last.len() - 1 {
+                for spur_idx in 0..spurs {
                     self.spur(&mut round, spur_idx);
                 }
             }
-            if candidates.is_empty() {
+            if scratch.candidates.is_empty() {
                 break;
             }
-            result.push(candidates.remove(0).1);
+            let (_, next) = scratch.candidates.remove(0);
+            scratch.result.push(next);
         }
-        result
+        scratch
+            .result
+            .iter()
+            .map(|span| Path::new(scratch.nodes[span.clone()].to_vec()))
+            .collect()
     }
 
     /// The round with one path left to output, which only the cheapest
@@ -554,18 +557,20 @@ impl<'a> PathSolver<'a> {
     /// the hops that could tie would put it first. The postponed spurs are
     /// searched, in the usual order, only if no tie turned up.
     fn final_round(&mut self, round: &mut Round<'_>) {
-        let result = round.result;
-        let last = result.last().expect("result non-empty").nodes();
-        let cost = self.root_costs[last.len() - 1];
+        let span = round.scratch.last();
+        let cost = self.root_costs[span.len() - 1];
         self.postponed.clear();
-        for spur_idx in (0..last.len() - 1).rev() {
+        for spur_idx in (0..span.len() - 1).rev() {
+            let scratch = &*round.scratch;
+            let last = &scratch.nodes[span.clone()];
             let root = &last[..=spur_idx];
             // Only a hop numbered below `below` can put the spur's path
             // ahead of a tie in hand.
             let mut below = None;
-            let tied = round.candidates.first().is_some_and(|(c, _)| *c == cost);
-            if tied {
-                let best = round.candidates[0].1.nodes();
+            let best = scratch.candidates.first().filter(|(c, _)| *c == cost);
+            let tied = best.is_some();
+            if let Some((_, best)) = best {
+                let best = &scratch.nodes[best.clone()];
                 match best.iter().zip(root).position(|(b, r)| b != r) {
                     // Every path from this spur follows the root, past
                     // where the tie leaves it for a lower node.
@@ -593,7 +598,12 @@ impl<'a> PathSolver<'a> {
                 self.postponed.push(spur_idx);
             }
         }
-        if round.candidates.first().is_none_or(|(c, _)| *c != cost) {
+        if round
+            .scratch
+            .candidates
+            .first()
+            .is_none_or(|(c, _)| *c != cost)
+        {
             for i in (0..self.postponed.len()).rev() {
                 self.spur(round, self.postponed[i]);
             }
@@ -603,22 +613,23 @@ impl<'a> PathSolver<'a> {
     /// Search the spur of `last`, the newest result path, at `spur_idx`,
     /// and hold the path it finds as a candidate.
     fn spur(&mut self, round: &mut Round<'_>, spur_idx: usize) {
-        let result = round.result;
-        let last = result.last().expect("result non-empty").nodes();
-        let spur_node = last[spur_idx];
-        let root = &last[..=spur_idx];
+        let scratch = &mut *round.scratch;
+        let last = scratch.last();
+        let root = &scratch.nodes[last.start..=last.start + spur_idx];
+        let spur_node = root[spur_idx];
 
         // Ban the hops out of the spur node that would recreate an
         // already-found path with the same root, and ban root nodes
         // (except the spur) to keep the total path simple.
-        round.banned_hops.clear();
-        for p in result
+        scratch.banned_hops.clear();
+        for span in scratch
+            .result
             .iter()
-            .map(Path::nodes)
-            .chain(round.candidates.iter().map(|(_, p)| p.nodes()))
+            .chain(scratch.candidates.iter().map(|(_, span)| span))
         {
+            let p = &scratch.nodes[span.clone()];
             if p.len() > spur_idx + 1 && p[..=spur_idx] == *root {
-                round.banned_hops.push(p[spur_idx + 1]);
+                scratch.banned_hops.push(p[spur_idx + 1]);
             }
         }
 
@@ -630,45 +641,72 @@ impl<'a> PathSolver<'a> {
         // with it), so a path it hid from the scan above can later only be
         // found and hidden again.
         let root_cost = self.root_costs[spur_idx];
-        let limit = round
+        let limit = scratch
             .candidates
             .get(round.wanted - 1)
             .map_or(f64::MAX, |(t, _)| spur_budget(*t, root_cost));
-        // The candidate is assembled in `total`, root then spur path, and
-        // becomes a `Path` only if it is kept. A path already held or
-        // output would share this root and leave it by a banned hop, or
-        // differ inside the root, which does not hold `dst`.
-        round.total.clear();
-        round.total.extend_from_slice(&root[..spur_idx]);
-        if self.search_avoiding(
+        // The candidate is assembled at the end of the arena, root then
+        // spur path, and stays only if the search finds one. A path
+        // already held or output would share this root and leave it by a
+        // banned hop, or differ inside the root, which does not hold `dst`.
+        let start = scratch.nodes.len();
+        scratch
+            .nodes
+            .extend_from_within(last.start..last.start + spur_idx);
+        self.ban(&scratch.nodes[start..], true);
+        let found = self.search(
             spur_node,
             round.dst,
-            &root[..spur_idx],
-            round.banned_hops,
+            &scratch.banned_hops,
             limit,
-            round.total,
-        ) {
-            let total = &round.total[..];
+            &mut scratch.nodes,
+        );
+        self.ban(&scratch.nodes[start..start + spur_idx], false);
+        if found {
+            let total = &scratch.nodes[start..];
             let cost = root_cost + latency_along(self.topo, &total[spur_idx..]);
-            let at = round
+            let at = scratch
                 .candidates
-                .partition_point(|(c, p)| (*c, p.nodes()) < (cost, total));
-            round
+                .partition_point(|(c, span)| (*c, &scratch.nodes[span.clone()]) < (cost, total));
+            scratch
                 .candidates
-                .insert(at, (cost, Path::new(total.to_vec())));
+                .insert(at, (cost, start..scratch.nodes.len()));
+        } else {
+            scratch.nodes.truncate(start);
         }
     }
 }
 
-/// One round of Yen's loop: the paths output so far, the candidates held,
-/// how many paths are still wanted, and the round's buffers.
+/// The paths a query holds, kept across queries so that a query allocates
+/// only its answer: every path output or held as a candidate is a span of
+/// one node arena, and becomes a [`Path`] only when it is output.
+#[derive(Default)]
+struct Scratch {
+    /// The running query's paths, one after another; a candidate's span
+    /// stays until the query ends, output or not.
+    nodes: Vec<NodeId>,
+    /// The paths output so far.
+    result: Vec<Range<usize>>,
+    /// The candidates held, in the order they will be output: by cost in
+    /// whole nanoseconds, then by node list.
+    candidates: Vec<(SimDuration, Range<usize>)>,
+    /// The hops the running spur search may not take first.
+    banned_hops: Vec<NodeId>,
+}
+
+impl Scratch {
+    /// The span of the newest path output.
+    fn last(&self) -> Range<usize> {
+        self.result.last().expect("result non-empty").clone()
+    }
+}
+
+/// One round of Yen's loop: how many paths are still wanted, and the
+/// query's paths so far.
 struct Round<'r> {
     dst: NodeId,
-    result: &'r [Path],
-    candidates: &'r mut Vec<(SimDuration, Path)>,
     wanted: usize,
-    total: &'r mut Vec<NodeId>,
-    banned_hops: &'r mut Vec<NodeId>,
+    scratch: &'r mut Scratch,
 }
 
 /// What a spur path may cost, in milliseconds, for its candidate to cost no

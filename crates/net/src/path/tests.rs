@@ -252,6 +252,32 @@ fn looping_path_panics() {
 }
 
 #[test]
+#[should_panic(expected = "path visits a node twice")]
+fn a_revisit_in_a_three_node_path_panics() {
+    path(&[0, 1, 1]);
+}
+
+#[test]
+#[should_panic(expected = "path visits a node twice")]
+fn an_egress_equal_to_the_ingress_panics() {
+    path(&[0, 1, 2, 0]);
+}
+
+#[test]
+#[should_panic(expected = "path visits a node twice")]
+fn a_revisit_far_along_a_long_path_panics() {
+    let mut ids: Vec<u32> = (0..99).collect();
+    ids.push(0);
+    path(&ids);
+}
+
+#[test]
+fn a_long_simple_path_is_accepted() {
+    let ids: Vec<u32> = (0..100).rev().collect();
+    assert_eq!(path(&ids).hop_count(), 99);
+}
+
+#[test]
 fn dijkstra_picks_the_fast_branch() {
     let t = diamond();
     let p = shortest_path(&t, NodeId(0), NodeId(3)).unwrap();

@@ -34,15 +34,28 @@ impl TrafficMatrix {
     /// share products.
     pub(crate) fn draw(rng: &mut SimRng, n: usize) -> Self {
         assert!(n >= 2, "a traffic matrix needs at least two nodes");
-        // Per-node in/out masses: exponential, as in Roughan's synthesis.
-        let out_mass: Vec<f64> = (0..n).map(|_| rng.exponential(1.0)).collect();
-        let in_mass: Vec<f64> = (0..n).map(|_| rng.exponential(1.0)).collect();
-        let out_sum: f64 = out_mass.iter().sum();
-        let in_sum: f64 = in_mass.iter().sum();
+        // Per-node in/out masses: exponential, as in Roughan's synthesis,
+        // each divided by its vector's sum in place.
+        let mut shares = || {
+            let mut mass: Vec<f64> = (0..n).map(|_| rng.exponential(1.0)).collect();
+            let sum: f64 = mass.iter().sum();
+            for m in &mut mass {
+                *m /= sum;
+            }
+            mass
+        };
         TrafficMatrix {
-            out_share: out_mass.iter().map(|m| m / out_sum).collect(),
-            in_share: in_mass.iter().map(|m| m / in_sum).collect(),
+            out_share: shares(),
+            in_share: shares(),
             scale: 1.0,
+        }
+    }
+
+    /// Step `rng` past the words [`Self::draw`] takes for `n` nodes, one
+    /// per exponential, without computing the masses.
+    pub(crate) fn skip_draw(rng: &mut SimRng, n: usize) {
+        for _ in 0..2 * n {
+            rng.next_u64();
         }
     }
 
@@ -141,6 +154,16 @@ mod tests {
                     "n {n} seed {seed}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn skip_draw_leaves_the_stream_where_draw_does() {
+        for n in 2..=12 {
+            let (mut drawn, mut skipped) = (SimRng::new(n as u64), SimRng::new(n as u64));
+            TrafficMatrix::draw(&mut drawn, n);
+            TrafficMatrix::skip_draw(&mut skipped, n);
+            assert_eq!(drawn.next_u64(), skipped.next_u64(), "n {n}");
         }
     }
 

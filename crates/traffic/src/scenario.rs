@@ -230,15 +230,20 @@ pub fn multi_flow(topo: &Topology, rng: &mut SimRng, load_factor: f64) -> Worklo
 /// An attempt is decided before it is searched. A pair with fewer than two
 /// simple paths voids the whole attempt, and whether a pair has two is
 /// read off [`Topology::bridge_classes`], not searched for; so the draws
-/// come first — the gravity masses, then one destination per node in node
-/// order, stopping at the first pair with one path — and the matrix is
-/// scaled and the attempt's pairs searched, as one batch, only for an
-/// attempt none of whose pairs can fail. Neither draws anything, so the
-/// stream is consumed exactly as if each pair had been searched as it was
-/// drawn.
+/// come first — the stream steps past the words of the gravity masses,
+/// then one destination per node is drawn in node order, stopping at the
+/// first pair with one path — and the masses are computed (from a copy of
+/// the stream taken before their words), the matrix scaled and the
+/// attempt's pairs searched, as one batch, only for an attempt none of
+/// whose pairs can fail. None of that draws from the stream, so it is
+/// consumed exactly as if each pair had been searched as it was drawn.
+///
+/// # Panics
+/// On a topology of fewer than two nodes, where no pair can be drawn.
 fn try_multi_flow(topo: &Topology, rng: &mut SimRng, load_factor: f64) -> Option<Workload> {
     let nodes: Vec<NodeId> = topo.node_ids().collect();
     let n = nodes.len();
+    assert!(n >= 2, "{}: multi_flow needs at least two nodes", topo.name);
     let total_capacity: f64 = topo.links().iter().map(|l| l.capacity).sum();
     let target_total = total_capacity * load_factor;
     let mut solver = PathSolver::new(topo);
@@ -248,7 +253,8 @@ fn try_multi_flow(topo: &Topology, rng: &mut SimRng, load_factor: f64) -> Option
     'attempt: for _attempt in 0..200 {
         #[cfg(test)]
         count(|w| w.attempts += 1);
-        let masses = TrafficMatrix::draw(rng, n);
+        let mut masses_at = rng.clone();
+        TrafficMatrix::skip_draw(rng, n);
         pairs.clear();
         for &src in &nodes {
             // Uniformly random destination other than the source.
@@ -263,7 +269,7 @@ fn try_multi_flow(topo: &Topology, rng: &mut SimRng, load_factor: f64) -> Option
             }
             pairs.push((src, dst));
         }
-        let tm = masses.scaled_to(target_total);
+        let tm = TrafficMatrix::draw(&mut masses_at, n).scaled_to(target_total);
         #[cfg(test)]
         count(|w| w.queries += n);
         let answers = solver.k_shortest_batch(&pairs, 2);
@@ -522,6 +528,16 @@ mod tests {
                 topo.name
             );
         }
+    }
+
+    /// No pair can be drawn on one node: the draw loop would never find a
+    /// destination, so the generator refuses up front.
+    #[test]
+    #[should_panic(expected = "at least two nodes")]
+    fn multi_flow_needs_two_nodes() {
+        let mut b = p4update_net::TopologyBuilder::new("one-node");
+        b.add_node("n0");
+        multi_flow(&b.build(), &mut SimRng::new(1), 0.55);
     }
 
     #[test]

@@ -15,7 +15,10 @@
 # schedule within two deviations from the default, and the traces the
 # explorer writes must equal tests/corpus/), the ft512 lint pass's and world's
 # heap-footprint counts (which a deep topology copy, a per-switch map or a
-# retained batch-sized buffer fails), the large fat-tree tests (among them
+# retained batch-sized buffer fails) and the exact allocation requests of
+# one `multi_flow` call on Chinanet and on ft512 (which a per-query path
+# search buffer or a voided attempt's gravity masses fail; well under a
+# second, so FAST=1 runs it too), the large fat-tree tests (among them
 # `dc-scale`'s two heap high-water marks on ft4096), the experiment means
 # EXPERIMENTS.md quotes and B4's backward-segment claim, the explorer's
 # completeness table (the deviation bound every registered scenario and
@@ -144,7 +147,11 @@ cargo test -q --release --test corpus_replay
 # growth slack (the world at rest is pinned to the byte; the peak has a
 # bound). (A fat message variant or UIB record fails `cargo build`: the
 # size assertions beside `Message`, `Effect`, `Event` and `UibEntry`.)
-echo "==> ft512 lint and world heap footprint: peaks under their bounds, topology and resting world at their counts (release profile)"
+# The same binary pins `multi_flow`'s allocation requests
+# (`multi_flow_makes_its_pinned_allocation_requests`): a k-shortest query
+# allocates only its answer, and an attempt a one-path pair voids
+# computes no gravity masses.
+echo "==> ft512 lint and world heap footprint: peaks under their bounds, topology and resting world at their counts; multi_flow's allocation requests at their counts (release profile)"
 cargo test -q --release --test world_footprint
 
 # fig2-p4 finishes every schedule within two deviations in 805 runs. The

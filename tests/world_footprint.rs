@@ -20,11 +20,14 @@
 //! provisioned where its batch is added fails there. The ignored test does
 //! it on `synthetic_fat_tree_4096`, `dc-scale`'s own topology, and bounds
 //! its two high-water marks. `--nocapture` prints live bytes after each
-//! phase.
+//! phase. A third test pins how many allocation requests one `multi_flow`
+//! call makes on Chinanet and on ft512: the path search's buffers live in
+//! its solver, and a voided attempt computes no masses, so either one
+//! coming back moves the count.
 //!
 //! This test crate hosts a counting `#[global_allocator]`, which is why it
-//! contains an `unsafe` block. The counters are global, so the two tests
-//! hold one lock while they count. Only the thread that measures is
+//! contains an `unsafe` block. The counters are global, so the tests hold
+//! one lock while they count. Only the thread that measures is
 //! counted: libtest's main thread allocates some bookkeeping after it
 //! spawns the test thread, and whether that lands before or after the
 //! baseline is read is up to the scheduler, so counting every thread made
@@ -42,11 +45,13 @@ use p4update::net::{topologies, Topology, Version};
 use p4update::sim::{simulation, Event, NetworkSim, SimConfig, System, TimingConfig};
 use p4update::traffic::{multi_flow, Workload};
 
-/// Tracks requested bytes: live now, and the most ever live.
+/// Tracks requested bytes, live now and the most ever live, and the
+/// number of requests (`alloc` and `realloc` calls).
 struct CountingAlloc;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+static REQUESTS: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     /// Set on the measuring thread only; every other thread goes uncounted.
@@ -80,6 +85,12 @@ impl Drop for Counting {
     }
 }
 
+fn requested() {
+    if counting() {
+        REQUESTS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 fn grew(by: usize) {
     if counting() {
         let live = LIVE.fetch_add(by, Ordering::Relaxed) + by;
@@ -98,6 +109,7 @@ fn shrank(by: usize) {
 // allocator hands out.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        requested();
         grew(layout.size());
         // SAFETY: the caller's obligations are passed through as they are.
         unsafe { SystemAlloc.alloc(layout) }
@@ -108,6 +120,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         unsafe { SystemAlloc.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        requested();
         if new_size >= layout.size() {
             grew(new_size - layout.size());
         } else {
@@ -363,4 +376,38 @@ fn ft4096_stays_under_its_recorded_peaks() {
         "peak live heap of the ft4096 run is {} bytes, bound {FT4096_RUN_PEAK_BOUND}",
         f.run_peak
     );
+}
+
+/// Allocation requests one `multi_flow` call makes at seed 1, topology
+/// built beforehand: on Chinanet, and on ft512 (`dc-scale`'s generator on
+/// the default footprint test's topology). 561 and 5,171 while a
+/// k-shortest query allocated its own buffers and a `Path` per candidate,
+/// `Path::new` checked a path on a sorted copy, and every attempt computed
+/// its gravity masses, even one a one-path pair voids; 172 and 1,619 with
+/// the buffers kept by the solver, a candidate a span of its node arena,
+/// and the masses computed only for an attempt that is searched. Each
+/// count is exact: a per-query buffer or a voided attempt's masses coming
+/// back fails it.
+const MULTI_FLOW_REQUESTS: [(fn() -> Topology, usize); 2] = [
+    (topologies::chinanet, 172),
+    (topologies::synthetic_fat_tree_512, 1_619),
+];
+
+#[test]
+fn multi_flow_makes_its_pinned_allocation_requests() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    for (build, pinned) in MULTI_FLOW_REQUESTS {
+        let topo = build();
+        let counting = Counting::start();
+        let before = REQUESTS.load(Ordering::Relaxed);
+        let batch = multi_flow(&topo, &mut SimRng::new(1), 0.55);
+        let requests = REQUESTS.load(Ordering::Relaxed) - before;
+        drop(counting);
+        assert_eq!(batch.updates.len(), topo.node_count());
+        assert_eq!(
+            requests, pinned,
+            "{}: multi_flow made {requests} allocation requests, pinned {pinned}",
+            topo.name
+        );
+    }
 }
