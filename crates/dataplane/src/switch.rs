@@ -35,7 +35,7 @@ impl<L: SwitchLogic + ?Sized> Switch<L> {
     /// Build a switch for node `id` with the given protocol logic, which
     /// the switch unboxes and holds by value.
     // `benchmark/` passes a box, and only a change to the benchmark
-    // itself may edit it (ROADMAP, "The benchmark-category PR").
+    // itself may edit it (ROADMAP item 2 (a) lists the box for deletion).
     #[allow(clippy::boxed_local)]
     pub fn new(id: NodeId, topo: &Topology, logic: Box<L>) -> Self
     where

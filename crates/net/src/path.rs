@@ -287,12 +287,16 @@ pub struct PathSolver<'a> {
     /// Yen's paths and buffers, kept across queries.
     scratch: Scratch,
     /// Yen's round scratch: the cost of the newest path up to each of its
-    /// nodes, and the spurs the final round postponed.
+    /// nodes, and the spurs the final round postponed, each with the least
+    /// its candidate could cost, in milliseconds.
     root_costs: Vec<SimDuration>,
-    postponed: Vec<usize>,
+    postponed: Vec<(f64, usize)>,
     /// Labels expanded by point-to-point searches since construction.
     #[cfg(test)]
     expanded: usize,
+    /// Spur searches run since construction.
+    #[cfg(test)]
+    spur_searches: usize,
 }
 
 impl<'a> PathSolver<'a> {
@@ -315,6 +319,8 @@ impl<'a> PathSolver<'a> {
             postponed: Vec::new(),
             #[cfg(test)]
             expanded: 0,
+            #[cfg(test)]
+            spur_searches: 0,
         }
     }
 
@@ -555,7 +561,10 @@ impl<'a> PathSolver<'a> {
     /// candidate does cost as much as `last`, it is beaten only on the node
     /// list, by an equally dear path, so a spur is skipped unless one of
     /// the hops that could tie would put it first. The postponed spurs are
-    /// searched, in the usual order, only if no tie turned up.
+    /// searched only if no tie turned up, by the least their candidates
+    /// can cost, the root's cost plus the cheapest first hop: the first
+    /// candidate found is then likely the cheapest, and `spur` starts no
+    /// search whose first hops all cost more than it.
     fn final_round(&mut self, round: &mut Round<'_>) {
         let span = round.scratch.last();
         let cost = self.root_costs[span.len() - 1];
@@ -582,20 +591,27 @@ impl<'a> PathSolver<'a> {
             }
             let tie = spur_budget(cost, self.root_costs[spur_idx]);
             let next = last[spur_idx + 1];
-            let can_tie = self
+            // What the spur search's first step would add to each hop.
+            let mut hops = self
                 .topo
                 .neighbors(root[spur_idx])
                 .iter()
-                .any(|&(u, link)| {
-                    self.weight[link.index()] + self.potential[u.index()] <= tie
-                        && below.is_none_or(|b| u < b)
-                        && u != next
-                        && !root.contains(&u)
-                });
-            if can_tie {
+                .filter(|&&(u, _)| u != next && !root.contains(&u))
+                .map(|&(u, link)| (u, self.weight[link.index()] + self.potential[u.index()]));
+            if tied {
+                if hops.any(|(u, f)| f <= tie && below.is_none_or(|b| u < b)) {
+                    self.spur(round, spur_idx);
+                }
+                continue;
+            }
+            let cheapest = hops.map(|(_, f)| f).fold(f64::INFINITY, f64::min);
+            if cheapest <= tie {
                 self.spur(round, spur_idx);
-            } else if !tied {
-                self.postponed.push(spur_idx);
+            } else {
+                // No candidate of this spur costs less than its root and
+                // its cheapest first hop.
+                let root_cost = self.root_costs[spur_idx].as_millis_f64();
+                self.postponed.push((root_cost + cheapest, spur_idx));
             }
         }
         if round
@@ -604,8 +620,10 @@ impl<'a> PathSolver<'a> {
             .first()
             .is_none_or(|(c, _)| *c != cost)
         {
-            for i in (0..self.postponed.len()).rev() {
-                self.spur(round, self.postponed[i]);
+            self.postponed
+                .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            for i in 0..self.postponed.len() {
+                self.spur(round, self.postponed[i].1);
             }
         }
     }
@@ -645,6 +663,21 @@ impl<'a> PathSolver<'a> {
             .candidates
             .get(round.wanted - 1)
             .map_or(f64::MAX, |(t, _)| spur_budget(*t, root_cost));
+        // The search's own first step: with no hop out of the spur node
+        // that it may take and that fits under the limit, it would find
+        // nothing, so it is not started.
+        let fits = self.topo.neighbors(spur_node).iter().any(|&(u, link)| {
+            self.weight[link.index()] + self.potential[u.index()] <= limit
+                && !root[..spur_idx].contains(&u)
+                && !scratch.banned_hops.contains(&u)
+        });
+        if !fits {
+            return;
+        }
+        #[cfg(test)]
+        {
+            self.spur_searches += 1;
+        }
         // The candidate is assembled at the end of the arena, root then
         // spur path, and stays only if the search finds one. A path
         // already held or output would share this root and leave it by a

@@ -28,8 +28,8 @@
 # property suites (the trace and wire parsers' mutation fuzz among them)
 # and the differentials — `segment_update` against Algorithm 2's
 # construction, the incremental checker against
-# its from-scratch oracle, the path solver, the pruned
-# centroid, the bridge classification and `multi_flow` against their oracles,
+# its from-scratch oracle, the path solver, the centroid under its
+# eccentricity bounds, the bridge classification and `multi_flow` against their oracles,
 # the one radix heap (the event queue and every path search's) against a
 # `BinaryHeap` model, the latency rows against the oracle's Dijkstra,
 # the UIB against its map model, `reanalyze` against `analyze` and the
@@ -196,9 +196,10 @@ fi
 # violation), the incremental checker against its from-scratch oracle after
 # every event (registry, byzantine scenarios, four systems under faults),
 # the path solver (single queries, and batches against
-# single queries: `solver_agrees_*_in_a_batch`) and the pruned centroid
-# against their oracles on 16x the default random graphs (both prune, and
-# a pruning rule fails on a rare tie: 96 cases are thin),
+# single queries: `solver_agrees_*_in_a_batch`) and the centroid under its
+# eccentricity bounds against their oracles on 16x the default random
+# graphs (both prune, and a pruning rule fails on a rare tie: 96 cases are
+# thin; the centroid also on the evaluation topologies and ft512's ties),
 # the latency rows (`latency_distances_from`, which the simulator's WAN
 # control latencies and the centroid's reference read) bit for bit against
 # the oracle's Dijkstra, the one radix heap, which the event queue and
@@ -248,8 +249,8 @@ if [[ "${FAST:-0}" != 1 ]]; then
     echo "==> path solver vs oracle, PROPCHECK_SCALE=16 (release)"
     PROPCHECK_SCALE=16 cargo test -q --release -p p4update-net solver_agrees
 
-    echo "==> pruned centroid vs one full search per source, PROPCHECK_SCALE=16 (release)"
-    PROPCHECK_SCALE=16 cargo test -q --release -p p4update-net centroid_agrees
+    echo "==> centroid under eccentricity bounds vs one full search per source (random graphs, evaluation topologies, ft512), PROPCHECK_SCALE=16 (release)"
+    PROPCHECK_SCALE=16 cargo test -q --release -p p4update-net full_searches
 
     echo "==> latency rows vs the oracle's Dijkstra, PROPCHECK_SCALE=16 (release)"
     PROPCHECK_SCALE=16 cargo test -q --release -p p4update-net latency_rows_agree
