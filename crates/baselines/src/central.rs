@@ -115,20 +115,13 @@ pub struct CentralController {
 }
 
 impl CentralController {
-    /// Controller without congestion awareness (blackhole/loop only).
-    pub fn new() -> Self {
+    /// Controller whose rounds respect `capacity`, a global view seeded
+    /// from link capacities minus the old paths' allocations, when it has
+    /// one (blackhole/loop freedom only otherwise).
+    pub fn new(capacity: Option<ArcMap<f64>>) -> Self {
         CentralController {
             flows: BTreeMap::new(),
-            capacity: None,
-        }
-    }
-
-    /// Controller with a global capacity view seeded from link capacities
-    /// minus the old paths' allocations.
-    pub fn with_congestion(capacity: ArcMap<f64>) -> Self {
-        CentralController {
-            flows: BTreeMap::new(),
-            capacity: Some(capacity),
+            capacity,
         }
     }
 
@@ -166,30 +159,23 @@ impl CentralController {
                 continue;
             }
             // Capacity feasibility under congestion awareness: the move
-            // claims the new outgoing link before releasing the old one.
-            if let Some(cap) = &self.capacity {
-                let new_hop = m.update.new_path.successor(node);
-                let old_hop = m.update.old_path.as_ref().and_then(|p| p.successor(node));
-                if let Some(nh) = new_hop {
-                    if Some(nh) != old_hop {
-                        let free = cap.get(node, nh).copied().unwrap_or(f64::INFINITY);
-                        if free + CAPACITY_SLACK < m.update.size {
-                            continue;
-                        }
-                    }
-                }
-            }
-            selected.insert(node);
-            // Reserve immediately so later selections in this round see it.
+            // claims the new outgoing link before releasing the old one,
+            // and claims it at once, so later selections in this round see
+            // it.
             if let Some(cap) = &mut self.capacity {
                 let new_hop = m.update.new_path.successor(node);
                 let old_hop = m.update.old_path.as_ref().and_then(|p| p.successor(node));
-                if let (Some(nh), true) = (new_hop, new_hop != old_hop) {
-                    if let Some(c) = cap.get_mut(node, nh) {
-                        *c -= m.update.size;
+                let claimed = new_hop
+                    .filter(|&nh| Some(nh) != old_hop)
+                    .and_then(|nh| cap.get_mut(node, nh));
+                if let Some(free) = claimed {
+                    if *free + CAPACITY_SLACK < m.update.size {
+                        continue;
                     }
+                    *free -= m.update.size;
                 }
             }
+            selected.insert(node);
         }
 
         if selected.is_empty() {
@@ -202,7 +188,6 @@ impl CentralController {
         m.round += 1;
         let round = m.round;
         m.in_flight = selected.clone();
-        let size = m.update.size;
         let hops: Vec<(NodeId, Option<NodeId>)> = selected
             .iter()
             .map(|&n| (n, m.update.new_path.successor(n)))
@@ -214,7 +199,6 @@ impl CentralController {
                     flow,
                     next_hop,
                     round,
-                    size,
                 }),
             });
         }
@@ -231,12 +215,6 @@ impl CentralController {
         for f in stalled {
             self.schedule_round(f, out);
         }
-    }
-}
-
-impl Default for CentralController {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -295,17 +273,13 @@ impl ControllerLogic for CentralController {
 }
 
 /// The Central switch logic: install on command, acknowledge on completion.
+/// Capacity is the controller's to account; the switch keeps none.
 #[derive(Debug, Default)]
 pub struct CentralSwitchLogic {
-    pending: BTreeMap<u64, (FlowId, Option<NodeId>, u32, f64)>,
+    /// Rule writes in flight: the next hop and round of each
+    /// `(flow, token)`.
+    pending: BTreeMap<(FlowId, u64), (Option<NodeId>, u32)>,
     next_token: u64,
-}
-
-impl CentralSwitchLogic {
-    /// Fresh logic.
-    pub fn new() -> Self {
-        Self::default()
-    }
 }
 
 impl SwitchLogic for CentralSwitchLogic {
@@ -321,14 +295,13 @@ impl SwitchLogic for CentralSwitchLogic {
             flow,
             next_hop,
             round,
-            size,
         }) = msg
         else {
             return;
         };
         let token = self.next_token;
         self.next_token += 1;
-        self.pending.insert(token, (flow, next_hop, round, size));
+        self.pending.insert((flow, token), (next_hop, round));
         out.push(Effect::BeginInstall { flow, token });
     }
 
@@ -340,28 +313,14 @@ impl SwitchLogic for CentralSwitchLogic {
         token: u64,
         out: &mut Vec<Effect>,
     ) {
-        let Some((f, next_hop, round, size)) = self.pending.remove(&token) else {
+        // A token names one flow's rule write. A completion quoting it for
+        // another flow is not that write finishing: leave it pending.
+        let Some((next_hop, round)) = self.pending.remove(&(flow, token)) else {
             return;
         };
-        assert_eq!(f, flow);
-        // Move capacity accounting from the old link to the new one.
-        let entry = state.uib.read(flow);
-        if let Some(old) = entry.active_next_hop.get() {
-            if Some(old) != next_hop {
-                state.release_capacity(old, entry.flow_size.max(size));
-            }
-        }
-        if let Some(new) = next_hop {
-            if entry.active_next_hop.get() != Some(new) {
-                state.reserve_capacity(new, size);
-            }
-        }
         state.uib.update(flow, |e| {
             e.applied_version = Version(e.applied_version.0.max(1) + 1);
             e.active_next_hop = next_hop.into();
-            if e.flow_size == 0.0 {
-                e.flow_size = size;
-            }
         });
         out.push(Effect::SendController {
             msg: Message::Central(CentralMsg::Ack {
@@ -400,7 +359,7 @@ mod tests {
     fn first_round_covers_safe_nodes() {
         // Old 0-1-5, new 0-2-3-5: 2 and 3 are fresh (need rules bottom-up);
         // 0 must wait for 2.
-        let mut c = CentralController::new();
+        let mut c = CentralController::new(None);
         let mut out = Vec::new();
         c.start_update(
             SimTime::ZERO,
@@ -414,7 +373,7 @@ mod tests {
 
     #[test]
     fn rounds_progress_with_acks() {
-        let mut c = CentralController::new();
+        let mut c = CentralController::new(None);
         let mut out = Vec::new();
         c.start_update(
             SimTime::ZERO,
@@ -468,7 +427,7 @@ mod tests {
         // backward dependency resolves would loop. Round 1 must not
         // contain v2 (whose flip creates 2->3->4->2 with old rules).
         let u = update(&[0, 4, 2, 7], &[0, 1, 2, 3, 4, 5, 6, 7]);
-        let mut c = CentralController::new();
+        let mut c = CentralController::new(None);
         let mut out = Vec::new();
         c.start_update(SimTime::ZERO, &[u], &mut out);
         let nodes = sent_nodes(&out);
@@ -479,7 +438,7 @@ mod tests {
 
     #[test]
     fn stale_acks_are_ignored() {
-        let mut c = CentralController::new();
+        let mut c = CentralController::new(None);
         let mut out = Vec::new();
         c.start_update(
             SimTime::ZERO,
@@ -510,7 +469,7 @@ mod tests {
         b.add_link(v[1], v[2], SimDuration::from_millis(1), 10.0);
         b.add_link(v[0], v[2], SimDuration::from_millis(1), 0.5);
         let cap = ArcMap::new(&b.build(), |l| l.capacity);
-        let mut c = CentralController::with_congestion(cap);
+        let mut c = CentralController::new(Some(cap));
         let mut out = Vec::new();
         c.start_update(SimTime::ZERO, &[update(&[0, 1, 2], &[0, 2])], &mut out);
         // The only node to update is 0, and it does not fit.
@@ -527,7 +486,7 @@ mod tests {
         b.add_link(v[0], v[1], SimDuration::from_millis(1), 10.0);
         b.add_link(v[1], v[2], SimDuration::from_millis(1), 10.0);
         let t = b.build();
-        let mut sw = Switch::new(NodeId(1), &t, Box::new(CentralSwitchLogic::new()));
+        let mut sw = Switch::new(NodeId(1), &t, Box::new(CentralSwitchLogic::default()));
         let effects = sw.handle_message(
             SimTime::ZERO,
             Endpoint::Controller,
@@ -535,7 +494,6 @@ mod tests {
                 flow: FlowId(0),
                 next_hop: Some(NodeId(2)),
                 round: 1,
-                size: 1.0,
             }),
         );
         let token = match effects[0] {
@@ -548,6 +506,52 @@ mod tests {
             Effect::SendController {
                 msg: Message::Central(CentralMsg::Ack { node, round: 1, .. })
             } if *node == NodeId(1)
+        ));
+        assert_eq!(sw.state.uib.active_next_hop(FlowId(0)), Some(NodeId(2)));
+    }
+
+    /// `Switch::handle_installed` takes the flow and the token from its
+    /// caller: a token quoted for the wrong flow must neither flip that
+    /// flow's slot nor consume the real flow's pending install.
+    #[test]
+    fn completion_for_another_flow_leaves_the_install_pending() {
+        use p4update_dataplane::Switch;
+        use p4update_des::SimDuration;
+        use p4update_net::TopologyBuilder;
+        let mut b = TopologyBuilder::new("t");
+        let v: Vec<_> = (0..3).map(|i| b.add_node(format!("n{i}"))).collect();
+        b.add_link(v[0], v[1], SimDuration::from_millis(1), 10.0);
+        b.add_link(v[1], v[2], SimDuration::from_millis(1), 10.0);
+        let t = b.build();
+        let mut sw = Switch::new(NodeId(1), &t, Box::new(CentralSwitchLogic::default()));
+        let effects = sw.handle_message(
+            SimTime::ZERO,
+            Endpoint::Controller,
+            Message::Central(CentralMsg::Install {
+                flow: FlowId(0),
+                next_hop: Some(NodeId(2)),
+                round: 1,
+            }),
+        );
+        let token = match effects[0] {
+            Effect::BeginInstall { token, .. } => token,
+            ref o => panic!("unexpected {o:?}"),
+        };
+        let effects = sw.handle_installed(SimTime::ZERO, FlowId(7), token);
+        assert!(effects.is_empty(), "{effects:?}");
+        assert!(!sw.state.uib.knows(FlowId(7)));
+        assert_eq!(sw.state.uib.active_next_hop(FlowId(0)), None);
+        // The real completion still flips flow 0 and acknowledges it.
+        let effects = sw.handle_installed(SimTime::ZERO, FlowId(0), token);
+        assert!(matches!(
+            &effects[..],
+            [Effect::SendController {
+                msg: Message::Central(CentralMsg::Ack {
+                    flow: FlowId(0),
+                    round: 1,
+                    ..
+                })
+            }]
         ));
         assert_eq!(sw.state.uib.active_next_hop(FlowId(0)), Some(NodeId(2)));
     }

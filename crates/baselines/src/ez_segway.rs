@@ -12,11 +12,23 @@
 
 use p4update_dataplane::{ControllerLogic, CtrlEffect, Effect, Endpoint, SwitchLogic, SwitchState};
 use p4update_des::SimTime;
-use p4update_messages::{EzMsg, EzPriority, EzSegmentKind, EzUpdate, Message};
+use p4update_messages::{EzMsg, EzPriority, EzUpdate, Message};
 use p4update_net::{
     segment_update, ArcMap, FlowId, FlowUpdate, NodeId, SegmentDir, Version, CAPACITY_SLACK,
 };
 use std::collections::{BTreeMap, BTreeSet};
+
+/// Segment classification in ez-Segway (Nguyen et al.; §9.1): segments
+/// whose activation cannot create a loop update immediately, `InLoop`
+/// segments wait for their dependencies. A switch needs no copy of it: an
+/// `InLoop` initiator's [`EzUpdate::depends_on`] lists what it waits for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EzSegmentKind {
+    /// Safe to update independently.
+    NotInLoop,
+    /// Must wait for downstream segments to finish first.
+    InLoop,
+}
 
 /// One segment of an ez-Segway update plan.
 #[derive(Debug, Clone)]
@@ -112,7 +124,6 @@ pub fn ez_prepare(update: &FlowUpdate, priority: EzPriority) -> EzPlan {
                     next_hop,
                     upstream,
                     segment: s.id,
-                    kind: s.kind,
                     depends_on: if is_initiator {
                         s.depends_on.clone()
                     } else {
@@ -296,19 +307,11 @@ pub struct EzController {
 }
 
 impl EzController {
-    /// Controller without congestion awareness.
-    pub fn new() -> Self {
+    /// Controller that computes priorities from the global capacity view
+    /// when it has one, and sends every update at low priority otherwise.
+    pub fn new(capacity: Option<ArcMap<f64>>) -> Self {
         EzController {
-            capacity: None,
-            pending: BTreeSet::new(),
-            queued: Vec::new(),
-        }
-    }
-
-    /// Controller with the global capacity view for priority computation.
-    pub fn with_congestion(capacity: ArcMap<f64>) -> Self {
-        EzController {
-            capacity: Some(capacity),
+            capacity,
             pending: BTreeSet::new(),
             queued: Vec::new(),
         }
@@ -330,12 +333,6 @@ impl EzController {
                 });
             }
         }
-    }
-}
-
-impl Default for EzController {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -370,24 +367,15 @@ impl ControllerLogic for EzController {
     }
 }
 
-/// Per-(flow, segment) role data at a switch.
-#[derive(Debug, Clone)]
+/// A switch's role in one (flow, segment): the update it received and
+/// whether its action (chain start / install) ran.
 struct Role {
-    next_hop: Option<NodeId>,
-    upstream: Option<NodeId>,
-    kind: EzSegmentKind,
-    depends_on: BTreeSet<u32>,
-    initiator: bool,
-    finalizer: bool,
-    priority: EzPriority,
-    size: f64,
-    notify_on_done: Vec<NodeId>,
-    total_segments: Option<u32>,
-    /// Set once this role's action (chain start / install / flip) ran.
+    update: Box<EzUpdate>,
     acted: bool,
 }
 
 /// The ez-Segway switch logic.
+#[derive(Default)]
 pub struct EzSwitchLogic {
     roles: BTreeMap<(FlowId, u32), Role>,
     /// GoodToMove notifications that arrived before their Update message.
@@ -397,32 +385,14 @@ pub struct EzSwitchLogic {
     /// Done segments seen at this node (for dependency resolution and
     /// whole-flow tracking at the global ingress).
     done_segments: BTreeMap<FlowId, BTreeSet<u32>>,
-    pending: BTreeMap<u64, (FlowId, u32)>,
+    /// Rule writes in flight: the segment each `(flow, token)` installs.
+    pending: BTreeMap<(FlowId, u64), u32>,
     next_token: u64,
     /// Moves deferred on capacity: (flow, segment) parked per link.
     parked: BTreeMap<NodeId, Vec<(FlowId, u32)>>,
 }
 
-impl Default for EzSwitchLogic {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl EzSwitchLogic {
-    /// Fresh logic.
-    pub fn new() -> Self {
-        EzSwitchLogic {
-            roles: BTreeMap::new(),
-            early: Vec::new(),
-            early_done: Vec::new(),
-            done_segments: BTreeMap::new(),
-            pending: BTreeMap::new(),
-            next_token: 0,
-            parked: BTreeMap::new(),
-        }
-    }
-
     /// Start acting on a role whose trigger fired: initiators forward the
     /// chain, others install their rule (capacity permitting).
     fn act(&mut self, state: &mut SwitchState, flow: FlowId, segment: u32, out: &mut Vec<Effect>) {
@@ -432,13 +402,14 @@ impl EzSwitchLogic {
         if role.acted {
             return;
         }
-        if role.initiator {
+        let u = &*role.update;
+        if u.initiator {
             // Start the in-segment chain: notify upstream. A fresh
             // deployment's egress first writes its terminating rule.
-            if role.next_hop.is_none() && !state.uib.read(flow).has_active_rule() {
+            if u.next_hop.is_none() && !state.uib.read(flow).has_active_rule() {
                 state.uib.update(flow, |e| e.applied_version = Version(2));
             }
-            let up = role.upstream;
+            let up = u.upstream;
             self.roles
                 .get_mut(&(flow, segment))
                 .expect("role exists")
@@ -451,31 +422,29 @@ impl EzSwitchLogic {
             }
             return;
         }
-        // Interior or finalizer: install the new rule. Capacity gate first.
-        let entry = state.uib.read(flow);
-        let new_hop = role.next_hop;
-        let needs_capacity = new_hop.is_some() && entry.active_next_hop.get() != new_hop;
-        if needs_capacity {
-            let to = new_hop.expect("checked");
-            let remaining = state.remaining_capacity(to).unwrap_or(0.0);
-            let my_prio = role.priority;
-            let higher_waiting = self.parked.get(&to).into_iter().flatten().any(|&(f, s)| {
+        // Interior or finalizer: install the new rule, once it holds the
+        // link it moves onto. A move parks behind a higher-priority one
+        // waiting for the link, and where the reservation does not fit.
+        let moves_onto = u
+            .next_hop
+            .filter(|&to| state.uib.read(flow).active_next_hop.get() != Some(to));
+        if let Some(to) = moves_onto {
+            let higher_waiting = self.parked.get(&to).into_iter().flatten().any(|key| {
                 self.roles
-                    .get(&(f, s))
-                    .is_some_and(|r| r.priority > my_prio)
+                    .get(key)
+                    .is_some_and(|r| r.update.priority > u.priority)
             });
-            if remaining + CAPACITY_SLACK < role.size || higher_waiting {
+            if higher_waiting || !state.reserve_capacity(to, u.size) {
                 let q = self.parked.entry(to).or_default();
                 if !q.contains(&(flow, segment)) {
                     q.push((flow, segment));
                 }
                 return;
             }
-            state.reserve_capacity(to, role.size);
         }
         let token = self.next_token;
         self.next_token += 1;
-        self.pending.insert(token, (flow, segment));
+        self.pending.insert((flow, token), segment);
         self.roles
             .get_mut(&(flow, segment))
             .expect("role exists")
@@ -497,10 +466,12 @@ impl EzSwitchLogic {
         let ready: Vec<u32> = self
             .roles
             .iter()
-            .filter(|(&(f, _), r)| f == flow && r.initiator && !r.acted && !r.depends_on.is_empty())
+            .filter(|(&(f, _), r)| {
+                f == flow && r.update.initiator && !r.acted && !r.update.depends_on.is_empty()
+            })
             .filter(|(_, r)| {
                 let done = self.done_segments.get(&flow).expect("inserted above");
-                r.depends_on.iter().all(|d| done.contains(d))
+                r.update.depends_on.iter().all(|d| done.contains(d))
             })
             .map(|(&(_, s), _)| s)
             .collect();
@@ -516,8 +487,8 @@ impl EzSwitchLogic {
         let Some(total) = self
             .roles
             .iter()
-            .find(|(&(f, _), r)| f == flow && r.total_segments.is_some())
-            .and_then(|(_, r)| r.total_segments)
+            .find(|(&(f, _), r)| f == flow && r.update.total_segments.is_some())
+            .and_then(|(_, r)| r.update.total_segments)
         else {
             return;
         };
@@ -539,7 +510,7 @@ impl EzSwitchLogic {
             std::cmp::Reverse(
                 self.roles
                     .get(&(f, s))
-                    .map_or(EzPriority::Low, |r| r.priority),
+                    .map_or(EzPriority::Low, |r| r.update.priority),
             )
         });
         for (f, s) in q {
@@ -568,51 +539,28 @@ impl SwitchLogic for EzSwitchLogic {
         };
         match msg {
             EzMsg::Update(update) => {
-                let EzUpdate {
-                    flow,
-                    next_hop,
-                    upstream,
-                    segment,
-                    kind,
-                    depends_on,
-                    initiator,
-                    finalizer,
-                    priority,
-                    size,
-                    notify_on_done,
-                    total_segments,
-                } = *update;
-                self.roles.insert(
-                    (flow, segment),
-                    Role {
-                        next_hop,
-                        upstream,
-                        kind,
-                        depends_on: depends_on.into_iter().collect(),
-                        initiator,
-                        finalizer,
-                        priority,
-                        size,
-                        notify_on_done,
-                        total_segments,
-                        acted: false,
-                    },
-                );
+                let (flow, segment) = (update.flow, update.segment);
                 if state.uib.read(flow).flow_size == 0.0 {
-                    state.uib.update(flow, |e| e.flow_size = size);
+                    state.uib.update(flow, |e| e.flow_size = update.size);
                 }
-                // Initiators of independent segments start immediately;
-                // dependent ones may already be satisfied by early dones.
-                let role = self.roles.get(&(flow, segment)).expect("just inserted");
-                if role.initiator {
-                    let deps_met = role.depends_on.iter().all(|d| {
+                // An initiator starts once every segment it depends on is
+                // done: at once when it depends on none, and a dependent one
+                // may already be satisfied by early dones.
+                let starts = update.initiator
+                    && update.depends_on.iter().all(|d| {
                         self.done_segments
                             .get(&flow)
                             .is_some_and(|set| set.contains(d))
                     });
-                    if role.kind == EzSegmentKind::NotInLoop || deps_met {
-                        self.act(state, flow, segment, out);
-                    }
+                self.roles.insert(
+                    (flow, segment),
+                    Role {
+                        update,
+                        acted: false,
+                    },
+                );
+                if starts {
+                    self.act(state, flow, segment, out);
                 }
                 // A GoodToMove that raced ahead of this Update can fire now.
                 if let Some(pos) = self
@@ -655,52 +603,58 @@ impl SwitchLogic for EzSwitchLogic {
         token: u64,
         out: &mut Vec<Effect>,
     ) {
-        let Some((f, segment)) = self.pending.remove(&token) else {
+        // A token names one flow's rule write. A completion quoting it for
+        // another flow is not that write finishing: leave it pending.
+        let Some(segment) = self.pending.remove(&(flow, token)) else {
             return;
         };
-        assert_eq!(f, flow);
-        let Some(role) = self.roles.get(&(flow, segment)).cloned() else {
+        let Some(role) = self.roles.get(&(flow, segment)) else {
             return;
         };
+        let u = &*role.update;
+        let (next_hop, upstream) = (u.next_hop, u.upstream);
+        let notify_on_done = u.finalizer.then(|| u.notify_on_done.clone());
         // Move capacity off the old link and flip the rule.
         let entry = state.uib.read(flow);
-        let old_link = entry.active_next_hop.get();
-        if let Some(old) = old_link {
-            if role.next_hop != Some(old) {
-                state.release_capacity(old, entry.flow_size.max(role.size));
-            }
+        let left = entry
+            .active_next_hop
+            .get()
+            .filter(|&old| next_hop != Some(old));
+        if let Some(old) = left {
+            state.release_capacity(old, entry.flow_size.max(u.size));
         }
         state.uib.update(flow, |e| {
             e.applied_version = Version(e.applied_version.0.max(1) + 1);
-            e.active_next_hop = role.next_hop.into();
+            e.active_next_hop = next_hop.into();
         });
 
-        if role.finalizer {
+        match notify_on_done {
             // Segment complete: notify dependents and the global ingress.
-            for &target in &role.notify_on_done {
-                if target == state.id {
-                    self.on_segment_done(state, flow, segment, out);
-                } else {
+            Some(targets) => {
+                for target in targets {
+                    if target == state.id {
+                        self.on_segment_done(state, flow, segment, out);
+                    } else {
+                        out.push(Effect::SendSwitch {
+                            to: target,
+                            msg: Message::Ez(EzMsg::SegmentDone { flow, segment }),
+                        });
+                    }
+                }
+            }
+            // Interior: pass the chain upstream.
+            None => {
+                if let Some(up) = upstream {
                     out.push(Effect::SendSwitch {
-                        to: target,
-                        msg: Message::Ez(EzMsg::SegmentDone { flow, segment }),
+                        to: up,
+                        msg: Message::Ez(EzMsg::GoodToMove { flow, segment }),
                     });
                 }
             }
-        } else {
-            // Interior: pass the chain upstream.
-            if let Some(up) = role.upstream {
-                out.push(Effect::SendSwitch {
-                    to: up,
-                    msg: Message::Ez(EzMsg::GoodToMove { flow, segment }),
-                });
-            }
         }
 
-        if let Some(old) = old_link {
-            if role.next_hop != Some(old) {
-                self.retry_parked(state, old, out);
-            }
+        if let Some(old) = left {
+            self.retry_parked(state, old, out);
         }
     }
 }
@@ -790,7 +744,7 @@ mod tests {
 
     #[test]
     fn controller_queues_second_update_for_same_flow() {
-        let mut c = EzController::new();
+        let mut c = EzController::new(None);
         let mut out = Vec::new();
         c.start_update(SimTime::ZERO, &[fig1_update()], &mut out);
         let first_count = out.len();
@@ -823,14 +777,13 @@ mod tests {
         b.add_link(v[0], v[1], SimDuration::from_millis(1), 10.0);
         b.add_link(v[1], v[2], SimDuration::from_millis(1), 10.0);
         let t = b.build();
-        let mut s1 = Switch::new(NodeId(1), &t, Box::new(EzSwitchLogic::new()));
+        let mut s1 = Switch::new(NodeId(1), &t, Box::new(EzSwitchLogic::default()));
 
         let upd = Message::Ez(EzMsg::Update(Box::new(EzUpdate {
             flow: FlowId(0),
             next_hop: Some(NodeId(2)),
             upstream: Some(NodeId(0)),
             segment: 0,
-            kind: EzSegmentKind::NotInLoop,
             depends_on: vec![],
             initiator: false,
             finalizer: false,
@@ -872,7 +825,7 @@ mod tests {
         b.add_link(v[0], v[1], SimDuration::from_millis(1), 10.0);
         b.add_link(v[1], v[2], SimDuration::from_millis(1), 10.0);
         let t = b.build();
-        let mut s1 = Switch::new(NodeId(1), &t, Box::new(EzSwitchLogic::new()));
+        let mut s1 = Switch::new(NodeId(1), &t, Box::new(EzSwitchLogic::default()));
         let effects = s1.handle_message(
             SimTime::ZERO,
             Endpoint::Switch(NodeId(2)),
@@ -887,7 +840,6 @@ mod tests {
             next_hop: Some(NodeId(2)),
             upstream: Some(NodeId(0)),
             segment: 0,
-            kind: EzSegmentKind::NotInLoop,
             depends_on: vec![],
             initiator: false,
             finalizer: false,
@@ -913,7 +865,7 @@ mod tests {
         let v: Vec<_> = (0..2).map(|i| b.add_node(format!("n{i}"))).collect();
         b.add_link(v[0], v[1], SimDuration::from_millis(1), 10.0);
         let t = b.build();
-        let mut s0 = Switch::new(NodeId(0), &t, Box::new(EzSwitchLogic::new()));
+        let mut s0 = Switch::new(NodeId(0), &t, Box::new(EzSwitchLogic::default()));
         // Segments 2 and 1 finish before the ingress learns its own role.
         for segment in [2, 1] {
             let done = Message::Ez(EzMsg::SegmentDone {
@@ -930,7 +882,6 @@ mod tests {
             next_hop: Some(NodeId(1)),
             upstream: None,
             segment: 0,
-            kind: EzSegmentKind::NotInLoop,
             depends_on: vec![],
             initiator: false,
             finalizer: true,
@@ -964,5 +915,144 @@ mod tests {
             )),
             "{effects:?}"
         );
+    }
+
+    /// The 0 - 1 - 2 line of the switch tests, links of capacity 10.
+    fn line3() -> p4update_net::Topology {
+        use p4update_des::SimDuration;
+        let mut b = p4update_net::TopologyBuilder::new("t");
+        let v: Vec<_> = (0..3).map(|i| b.add_node(format!("n{i}"))).collect();
+        b.add_link(v[0], v[1], SimDuration::from_millis(1), 10.0);
+        b.add_link(v[1], v[2], SimDuration::from_millis(1), 10.0);
+        b.build()
+    }
+
+    /// Node 1's share of segment `segment` of flow 0 on [`line3`], moving
+    /// onto the link toward 2.
+    fn update_at_v1(segment: u32, initiator: bool, depends_on: Vec<u32>, size: f64) -> Message {
+        Message::Ez(EzMsg::Update(Box::new(EzUpdate {
+            flow: FlowId(0),
+            next_hop: Some(NodeId(2)),
+            upstream: Some(NodeId(0)),
+            segment,
+            depends_on,
+            initiator,
+            finalizer: false,
+            priority: EzPriority::Low,
+            size,
+            notify_on_done: vec![],
+            total_segments: None,
+        })))
+    }
+
+    fn good_to_move(segment: u32) -> Message {
+        Message::Ez(EzMsg::GoodToMove {
+            flow: FlowId(0),
+            segment,
+        })
+    }
+
+    /// An initiator starts on its `Update` when it depends on nothing,
+    /// whatever its segment's class: a `NotInLoop` segment never has
+    /// dependencies, and an `InLoop` one has none when no segment lies
+    /// downstream of it. So the wire carries no class, and an initiator
+    /// that does depend on a segment starts on that segment's `SegmentDone`.
+    #[test]
+    fn an_initiator_starts_once_its_dependencies_are_done() {
+        use p4update_dataplane::Switch;
+        let starts = |effects: &[Effect]| {
+            matches!(
+                effects,
+                [Effect::SendSwitch {
+                    to: NodeId(0),
+                    msg: Message::Ez(EzMsg::GoodToMove { .. })
+                }]
+            )
+        };
+        let t = line3();
+        let mut free = Switch::new(NodeId(1), &t, Box::new(EzSwitchLogic::default()));
+        let effects = free.handle_message(
+            SimTime::ZERO,
+            Endpoint::Controller,
+            update_at_v1(1, true, vec![], 1.0),
+        );
+        assert!(starts(&effects), "{effects:?}");
+
+        let mut bound = Switch::new(NodeId(1), &t, Box::new(EzSwitchLogic::default()));
+        let effects = bound.handle_message(
+            SimTime::ZERO,
+            Endpoint::Controller,
+            update_at_v1(1, true, vec![2], 1.0),
+        );
+        assert!(effects.is_empty(), "{effects:?}");
+        let done = Message::Ez(EzMsg::SegmentDone {
+            flow: FlowId(0),
+            segment: 2,
+        });
+        let effects = bound.handle_message(SimTime::ZERO, Endpoint::Switch(NodeId(2)), done);
+        assert!(starts(&effects), "{effects:?}");
+
+        // On a plan: only an InLoop initiator with segments downstream
+        // waits. Fig. 1's segment 1 is InLoop and waits for segment 2.
+        let plan = ez_prepare(&fig1_update(), EzPriority::Low);
+        for (_, msg) in &plan.msgs {
+            let EzMsg::Update(u) = msg else {
+                unreachable!()
+            };
+            let seg = &plan.segments[u.segment as usize];
+            let waits = u.initiator
+                && seg.kind == EzSegmentKind::InLoop
+                && u.segment + 1 < plan.segments.len() as u32;
+            assert_eq!(!u.depends_on.is_empty(), waits, "{u:?}");
+        }
+    }
+
+    /// A size no link can hold (NaN) fails the reservation, so the move
+    /// parks, as at P4Update, and takes nothing from the link it never
+    /// holds.
+    #[test]
+    fn a_move_that_reserves_nothing_parks() {
+        use p4update_dataplane::Switch;
+        let t = line3();
+        let mut s1 = Switch::new(NodeId(1), &t, Box::new(EzSwitchLogic::default()));
+        s1.handle_message(
+            SimTime::ZERO,
+            Endpoint::Controller,
+            update_at_v1(0, false, vec![], f64::NAN),
+        );
+        let effects =
+            s1.handle_message(SimTime::ZERO, Endpoint::Switch(NodeId(2)), good_to_move(0));
+        assert!(effects.is_empty(), "no install began: {effects:?}");
+        assert_eq!(s1.logic.parked[&NodeId(2)], [(FlowId(0), 0)]);
+        assert_eq!(s1.state.remaining_capacity(NodeId(2)), Some(10.0));
+    }
+
+    /// `Switch::handle_installed` takes the flow and the token from its
+    /// caller: a token quoted for the wrong flow must neither flip that
+    /// flow's slot nor consume the real flow's pending install.
+    #[test]
+    fn completion_for_another_flow_leaves_the_install_pending() {
+        use p4update_dataplane::Switch;
+        let t = line3();
+        let mut s1 = Switch::new(NodeId(1), &t, Box::new(EzSwitchLogic::default()));
+        s1.handle_message(
+            SimTime::ZERO,
+            Endpoint::Controller,
+            update_at_v1(0, false, vec![], 1.0),
+        );
+        let effects =
+            s1.handle_message(SimTime::ZERO, Endpoint::Switch(NodeId(2)), good_to_move(0));
+        let token = match effects[0] {
+            Effect::BeginInstall { token, .. } => token,
+            ref o => panic!("unexpected {o:?}"),
+        };
+        let effects = s1.handle_installed(SimTime::ZERO, FlowId(7), token);
+        assert!(effects.is_empty(), "{effects:?}");
+        assert!(!s1.state.uib.knows(FlowId(7)));
+        assert_eq!(s1.state.uib.active_next_hop(FlowId(0)), None);
+        // The real completion still flips flow 0 and passes the chain on.
+        let effects = s1.handle_installed(SimTime::ZERO, FlowId(0), token);
+        assert_eq!(effects.len(), 1, "{effects:?}");
+        assert_eq!(s1.state.uib.active_next_hop(FlowId(0)), Some(NodeId(2)));
     }
 }

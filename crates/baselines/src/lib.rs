@@ -20,5 +20,6 @@ pub mod ez_segway;
 
 pub use central::{CentralController, CentralSwitchLogic};
 pub use ez_segway::{
-    ez_prepare, ez_prepare_congestion, EzController, EzPlan, EzSegment, EzSwitchLogic,
+    ez_prepare, ez_prepare_congestion, EzController, EzPlan, EzSegment, EzSegmentKind,
+    EzSwitchLogic,
 };

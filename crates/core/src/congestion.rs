@@ -19,27 +19,8 @@
 //! drive it without a full switch.
 
 use p4update_dataplane::FlowPriority;
-use p4update_net::{FlowId, NodeId, CAPACITY_SLACK};
+use p4update_net::{FlowId, NodeId};
 use std::collections::BTreeMap;
-
-/// Why a move was not admitted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BlockReason {
-    /// The link lacks remaining capacity for the flow's size.
-    NoCapacity,
-    /// Capacity suffices but a high-priority flow is waiting for the link
-    /// and this flow is low priority.
-    YieldToHighPriority,
-}
-
-/// Admission decision for a flow wanting to move onto a link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Admission {
-    /// Reserve and go.
-    Go,
-    /// Park at the link's wait queue.
-    Blocked(BlockReason),
-}
 
 /// Per-switch wait queues: flows parked per outgoing link.
 #[derive(Debug, Clone, Default)]
@@ -53,34 +34,26 @@ impl CongestionScheduler {
         Self::default()
     }
 
-    /// Decide whether `flow` (with `size` and `priority`) may move onto the
-    /// link toward `to`, given `remaining` capacity there.
-    pub fn admit(
+    /// §7.4's priority rule: whether `flow`, at `priority`, must yield the
+    /// link toward `to` to a high-priority flow waiting for it. A high flow
+    /// never yields, and a flow never yields to its own waiting entry.
+    /// Whether the flow fits is the reservation's question
+    /// ([`p4update_dataplane::SwitchState::reserve_capacity`]), asked after
+    /// this one.
+    pub fn must_yield(
         &self,
         flow: FlowId,
         to: NodeId,
-        size: f64,
-        remaining: f64,
         priority: FlowPriority,
         priority_of: impl Fn(FlowId) -> FlowPriority,
-    ) -> Admission {
-        if remaining + CAPACITY_SLACK < size {
-            return Admission::Blocked(BlockReason::NoCapacity);
-        }
-        if priority == FlowPriority::High {
-            return Admission::Go;
-        }
-        let high_waiting = self
-            .waiting
-            .get(&to)
-            .into_iter()
-            .flatten()
-            .any(|&f| f != flow && priority_of(f) == FlowPriority::High);
-        if high_waiting {
-            Admission::Blocked(BlockReason::YieldToHighPriority)
-        } else {
-            Admission::Go
-        }
+    ) -> bool {
+        priority == FlowPriority::Low
+            && self
+                .waiting
+                .get(&to)
+                .into_iter()
+                .flatten()
+                .any(|&f| f != flow && priority_of(f) == FlowPriority::High)
     }
 
     /// Park `flow` in the wait queue of the link toward `to` (idempotent).
@@ -119,19 +92,6 @@ mod tests {
     }
 
     #[test]
-    fn capacity_shortfall_blocks() {
-        let s = CongestionScheduler::new();
-        assert_eq!(
-            s.admit(FlowId(1), NodeId(0), 5.0, 4.0, FlowPriority::Low, lows),
-            Admission::Blocked(BlockReason::NoCapacity)
-        );
-        assert_eq!(
-            s.admit(FlowId(1), NodeId(0), 5.0, 5.0, FlowPriority::Low, lows),
-            Admission::Go
-        );
-    }
-
-    #[test]
     fn low_priority_yields_to_waiting_high() {
         let mut s = CongestionScheduler::new();
         s.park(NodeId(0), FlowId(9));
@@ -142,34 +102,22 @@ mod tests {
                 FlowPriority::Low
             }
         };
-        assert_eq!(
-            s.admit(FlowId(1), NodeId(0), 1.0, 10.0, FlowPriority::Low, prio),
-            Admission::Blocked(BlockReason::YieldToHighPriority)
-        );
+        assert!(s.must_yield(FlowId(1), NodeId(0), FlowPriority::Low, prio));
         // The high flow itself goes.
-        assert_eq!(
-            s.admit(FlowId(9), NodeId(0), 1.0, 10.0, FlowPriority::High, prio),
-            Admission::Go
-        );
+        assert!(!s.must_yield(FlowId(9), NodeId(0), FlowPriority::High, prio));
         // A different link is unaffected.
-        assert_eq!(
-            s.admit(FlowId(1), NodeId(2), 1.0, 10.0, FlowPriority::Low, prio),
-            Admission::Go
-        );
+        assert!(!s.must_yield(FlowId(1), NodeId(2), FlowPriority::Low, prio));
     }
 
     #[test]
     fn high_priority_moves_immediately() {
         let mut s = CongestionScheduler::new();
         s.park(NodeId(0), FlowId(9));
-        // Even with another high flow waiting, a high flow with capacity
-        // goes (§7.4: "high priority flows can move immediately with
-        // sufficient capacity").
+        // Even with another high flow waiting, a high flow does not yield
+        // (§7.4: "high priority flows can move immediately with sufficient
+        // capacity").
         let prio = |_: FlowId| FlowPriority::High;
-        assert_eq!(
-            s.admit(FlowId(1), NodeId(0), 1.0, 10.0, FlowPriority::High, prio),
-            Admission::Go
-        );
+        assert!(!s.must_yield(FlowId(1), NodeId(0), FlowPriority::High, prio));
     }
 
     #[test]
@@ -183,13 +131,9 @@ mod tests {
                 FlowPriority::Low
             }
         };
-        // FlowId(1) is the only (high) waiter: a retry of FlowId(1) itself
-        // as low would... it is high here, but the self-exclusion also
-        // covers the low case:
-        assert_eq!(
-            s.admit(FlowId(1), NodeId(0), 1.0, 10.0, FlowPriority::Low, prio),
-            Admission::Go
-        );
+        // FlowId(1)'s own entry reads high, yet a retry of FlowId(1) at low
+        // priority does not yield to it.
+        assert!(!s.must_yield(FlowId(1), NodeId(0), FlowPriority::Low, prio));
     }
 
     #[test]

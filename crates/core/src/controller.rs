@@ -170,27 +170,20 @@ pub struct P4UpdateController {
     strategy: Strategy,
     flows: BTreeMap<FlowId, FlowRecord>,
     /// The Network Information Base: the controller's topology view, used
-    /// to set up paths for flows reported via FRM (§6). Optional — update
-    /// scenarios that pre-install flows do not need it. A handle on the
+    /// to set up paths for flows reported via FRM (§6). A handle on the
     /// graph the simulator runs on, like every replica's.
-    nib: Option<Topology>,
+    nib: Topology,
 }
 
 impl P4UpdateController {
-    /// Controller with the given mechanism strategy.
-    pub fn new(strategy: Strategy) -> Self {
+    /// Controller with the given mechanism strategy and Network
+    /// Information Base.
+    pub fn new(strategy: Strategy, nib: Topology) -> Self {
         P4UpdateController {
             strategy,
             flows: BTreeMap::new(),
-            nib: None,
+            nib,
         }
-    }
-
-    /// Attach the Network Information Base, enabling path setup for flows
-    /// reported through FRMs.
-    pub fn with_nib(mut self, topo: Topology) -> Self {
-        self.nib = Some(topo);
-        self
     }
 
     /// Register a flow at an already-deployed version (scenario bootstrap:
@@ -303,10 +296,8 @@ impl ControllerLogic for P4UpdateController {
                 if self.flows.contains_key(&frm.flow) {
                     return; // already known (duplicate report)
                 }
-                let Some(topo) = &self.nib else {
-                    return; // no topology view: ignore reports
-                };
-                let Some(path) = p4update_net::shortest_path(topo, frm.ingress, frm.egress) else {
+                let Some(path) = p4update_net::shortest_path(&self.nib, frm.ingress, frm.egress)
+                else {
                     return;
                 };
                 let update = FlowUpdate::new(frm.flow, None, path, DEFAULT_FLOW_SIZE);
@@ -339,6 +330,10 @@ mod tests {
     use super::*;
     use p4update_messages::Ufm;
     use p4update_net::Path;
+
+    fn controller() -> P4UpdateController {
+        P4UpdateController::new(Strategy::Auto, p4update_net::topologies::fig1())
+    }
 
     fn path(ids: &[u32]) -> Path {
         Path::new(ids.iter().map(|&i| NodeId(i)).collect())
@@ -434,14 +429,13 @@ mod tests {
     #[test]
     fn the_nib_is_a_handle_on_the_callers_graph() {
         let topo = p4update_net::topologies::fig1();
-        let c = P4UpdateController::new(Strategy::Auto).with_nib(topo.clone());
-        let nib = c.nib.as_ref().expect("attached");
-        assert!(std::ptr::eq(nib.links().as_ptr(), topo.links().as_ptr()));
+        let c = P4UpdateController::new(Strategy::Auto, topo.clone());
+        assert!(std::ptr::eq(c.nib.links().as_ptr(), topo.links().as_ptr()));
     }
 
     #[test]
     fn controller_versions_increment_per_flow() {
-        let mut c = P4UpdateController::new(Strategy::Auto);
+        let mut c = controller();
         assert_eq!(c.next_version(FlowId(0)), Version(1));
         c.register_flow(FlowId(0), Version(3));
         assert_eq!(c.next_version(FlowId(0)), Version(4));
@@ -454,7 +448,7 @@ mod tests {
     /// `batch_versions` promised.
     #[test]
     fn batch_versions_count_earlier_entries_of_the_batch() {
-        let mut c = P4UpdateController::new(Strategy::Auto);
+        let mut c = controller();
         c.register_flow(FlowId(0), Version(3));
         let other = FlowUpdate::new(FlowId(5), None, path(&[0, 1]), 1.0);
         let batch = [fig1_update(), other, fig1_update()];
@@ -485,7 +479,7 @@ mod tests {
         let other = FlowUpdate::new(FlowId(5), None, path(&[0, 1]), 1.0);
         let batch = [fig1_update(), other, fig1_update()];
         let fresh = || {
-            let mut c = P4UpdateController::new(Strategy::Auto);
+            let mut c = controller();
             c.register_flow(FlowId(0), Version(3));
             c
         };
@@ -524,7 +518,7 @@ mod tests {
 
     #[test]
     fn start_update_emits_one_uim_per_path_node() {
-        let mut c = P4UpdateController::new(Strategy::Auto);
+        let mut c = controller();
         c.register_flow(FlowId(0), Version(1));
         let mut out = Vec::new();
         c.start_update(SimTime::ZERO, &[fig1_update()], &mut out);
@@ -541,7 +535,7 @@ mod tests {
 
     #[test]
     fn success_ufm_completes_the_update() {
-        let mut c = P4UpdateController::new(Strategy::Auto);
+        let mut c = controller();
         c.register_flow(FlowId(0), Version(1));
         let mut out = Vec::new();
         c.start_update(SimTime::ZERO, &[fig1_update()], &mut out);
@@ -577,7 +571,7 @@ mod tests {
     fn a_recovery_push_is_the_first_push_again() {
         let single = FlowUpdate::new(FlowId(5), Some(path(&[0, 1, 5])), path(&[0, 2, 3, 5]), 1.5);
         let batch = [fig1_update(), single];
-        let mut c = P4UpdateController::new(Strategy::Auto);
+        let mut c = controller();
         c.register_flow(FlowId(0), Version(1));
         let mut first = Vec::new();
         c.start_update(SimTime::ZERO, &batch, &mut first);
@@ -638,7 +632,7 @@ mod tests {
     #[test]
     fn alarm_ufm_is_recorded() {
         use p4update_messages::RejectReason;
-        let mut c = P4UpdateController::new(Strategy::Auto);
+        let mut c = controller();
         let mut out = Vec::new();
         c.on_message(
             SimTime::ZERO,

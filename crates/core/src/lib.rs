@@ -32,7 +32,7 @@ pub mod switch_logic;
 pub mod verify;
 pub mod violation;
 
-pub use congestion::{Admission, BlockReason, CongestionScheduler};
+pub use congestion::CongestionScheduler;
 pub use controller::{
     prepare_batch, prepare_update, P4UpdateController, PreparedUpdate, Strategy, SL_NODE_THRESHOLD,
 };

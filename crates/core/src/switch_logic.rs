@@ -15,7 +15,7 @@
 //!   wait queues and raise the priority of flows that could free the
 //!   contended link.
 
-use crate::congestion::{Admission, CongestionScheduler};
+use crate::congestion::CongestionScheduler;
 use crate::verify::{verify, Verdict};
 use p4update_dataplane::{Effect, Endpoint, FlowPriority, SwitchLogic, SwitchState, UibEntry};
 use p4update_des::SimTime;
@@ -309,6 +309,32 @@ impl P4UpdateLogic {
         }
     }
 
+    /// Carry a `kind`/`layer` chain past this switch once its rule is in
+    /// place: a UNM built from its registers goes upstream, and at the
+    /// ingress the single layer or the first layer reports success (§8:
+    /// "if the first-layer UNM arrives at the ingress node, it is
+    /// transformed to UFM"; deduplicated per version).
+    fn continue_chain(
+        &mut self,
+        state: &SwitchState,
+        flow: FlowId,
+        kind: UpdateKind,
+        layer: UnmLayer,
+        out: &mut Vec<Effect>,
+    ) {
+        let e = state.uib.read(flow);
+        match e.active_upstream.get() {
+            Some(up) => {
+                let fwd = Self::unm_from_entry(&e, flow, kind, layer);
+                self.send_unm(up, fwd, out);
+            }
+            None if layer == UnmLayer::Inter || kind == UpdateKind::Single => {
+                self.send_ufm(state, flow, e.applied_version, UfmStatus::Success, out);
+            }
+            None => {}
+        }
+    }
+
     /// Verify a notification and act on the verdict.
     fn process_unm(
         &mut self,
@@ -363,26 +389,7 @@ impl P4UpdateLogic {
                         e.counter = unm.counter + 1;
                     });
                 }
-                let e = state.uib.read(unm.flow);
-                match e.active_upstream.get() {
-                    Some(up) => {
-                        let fwd = Self::unm_from_entry(&e, unm.flow, unm.kind, unm.layer);
-                        self.send_unm(up, fwd, out);
-                    }
-                    None => {
-                        // The chain reached the (already updated) ingress:
-                        // report completion (deduplicated per version).
-                        if unm.layer == UnmLayer::Inter || unm.kind == UpdateKind::Single {
-                            self.send_ufm(
-                                state,
-                                unm.flow,
-                                e.applied_version,
-                                UfmStatus::Success,
-                                out,
-                            );
-                        }
-                    }
-                }
+                self.continue_chain(state, unm.flow, unm.kind, unm.layer, out);
                 self.retry_held(now, state, unm.flow, out);
             }
             Verdict::Accept => {
@@ -429,57 +436,45 @@ impl P4UpdateLogic {
         // (§A.2: "if the flow was routed on e under the prior forwarding
         // rules ... capacity is already allocated").
         let needs_capacity = entry.active_next_hop.get() != Some(new_hop);
-        let mut reserved = None;
         if needs_capacity {
-            let remaining = state.remaining_capacity(new_hop).unwrap_or(0.0);
-            let uib_priority = |uib: &p4update_dataplane::Uib, f: FlowId| uib.read(f).priority;
-            let admission = self.scheduler.admit(
-                unm.flow,
-                new_hop,
-                entry.flow_size,
-                remaining,
-                entry.priority,
-                |f| uib_priority(&state.uib, f),
-            );
-            match admission {
-                Admission::Go if state.reserve_capacity(new_hop, entry.flow_size) => {
-                    reserved = Some((new_hop, entry.flow_size));
-                }
-                // Blocked — or admitted but with nothing reserved (a size no
-                // link can hold, a staged hop that is not a port): recording
-                // `reserved` then would later hand back capacity this flow
-                // never took.
-                _ => {
-                    self.scheduler.park(new_hop, unm.flow);
-                    self.blocked.insert(unm.flow, BlockedMove { from, unm });
-                    // Raise the priority of flows that could free the
-                    // contended link: active on it, staged to leave it.
-                    // Only flows whose priority actually rises are retried:
-                    // two flows each blocked on the link the other wants
-                    // would otherwise re-raise and retry each other forever.
-                    let mut raised = Vec::new();
-                    state.uib.for_each_mut(|g, ge| {
-                        if g != unm.flow
-                            && ge.priority != FlowPriority::High
-                            && ge.active_next_hop.get() == Some(new_hop)
-                            && ge.uim_version > ge.applied_version
-                            && ge.staged_next_hop.get() != Some(new_hop)
-                        {
-                            ge.priority = FlowPriority::High;
-                            raised.push(g);
-                        }
-                    });
-                    // A raised flow blocked only by priority yielding can
-                    // now pass: retry its move.
-                    for g in raised {
-                        if let Some(bm) = self.blocked.remove(&g) {
-                            self.process_unm(now, state, bm.from, bm.unm, out);
-                        }
+            let must_yield = self
+                .scheduler
+                .must_yield(unm.flow, new_hop, entry.priority, |f| {
+                    state.uib.read(f).priority
+                });
+            // The reservation is the fit test: it refuses a shortfall, a
+            // size no link can hold and a staged hop that is not a port.
+            if must_yield || !state.reserve_capacity(new_hop, entry.flow_size) {
+                self.scheduler.park(new_hop, unm.flow);
+                self.blocked.insert(unm.flow, BlockedMove { from, unm });
+                // Raise the priority of flows that could free the contended
+                // link: active on it, staged to leave it. Only flows whose
+                // priority actually rises are retried: two flows each
+                // blocked on the link the other wants would otherwise
+                // re-raise and retry each other forever.
+                let mut raised = Vec::new();
+                state.uib.for_each_mut(|g, ge| {
+                    if g != unm.flow
+                        && ge.priority != FlowPriority::High
+                        && ge.active_next_hop.get() == Some(new_hop)
+                        && ge.uim_version > ge.applied_version
+                        && ge.staged_next_hop.get() != Some(new_hop)
+                    {
+                        ge.priority = FlowPriority::High;
+                        raised.push(g);
                     }
-                    return;
+                });
+                // A raised flow blocked only by priority yielding can now
+                // pass: retry its move.
+                for g in raised {
+                    if let Some(bm) = self.blocked.remove(&g) {
+                        self.process_unm(now, state, bm.from, bm.unm, out);
+                    }
                 }
+                return;
             }
         }
+        let reserved = needs_capacity.then_some((new_hop, entry.flow_size));
 
         let token = self.next_token;
         self.next_token += 1;
@@ -645,46 +640,30 @@ impl SwitchLogic for P4UpdateLogic {
         });
         state.uib.update(flow, |e| e.priority = FlowPriority::Low);
         self.blocked.remove(&flow);
-        let e = state.uib.read(flow);
 
         // Continue the chain upstream — except second-layer notifications
         // at gateways, which die here (§8).
-        let continues = !(p.via_gateway && p.layer == UnmLayer::Intra);
-        match e.active_upstream.get() {
-            Some(up) if continues => {
-                let kind = if p.apply == ApplyKind::Single {
-                    UpdateKind::Single
-                } else {
-                    UpdateKind::Dual
-                };
-                let fwd = Self::unm_from_entry(&e, flow, kind, p.layer);
-                self.send_unm(up, fwd, out);
-            }
-            // The ingress completed the path: report success for the
-            // single layer or the first layer (§8: "if the first-layer
-            // UNM arrives at the ingress node, it is transformed to UFM").
-            None if p.layer == UnmLayer::Inter || p.apply == ApplyKind::Single => {
-                self.send_ufm(state, flow, e.applied_version, UfmStatus::Success, out);
-            }
-            _ => {}
+        if !(p.via_gateway && p.layer == UnmLayer::Intra) {
+            let kind = match p.apply {
+                ApplyKind::Single => UpdateKind::Single,
+                ApplyKind::Dual { .. } => UpdateKind::Dual,
+            };
+            self.continue_chain(state, flow, kind, p.layer, out);
         }
 
         // Rule cleanup (§11): tell the abandoned old parent no further
         // packets will come, so it can release rules and capacity
-        // downstream.
+        // downstream. The freed capacity may unblock deferred moves.
         if moves_off {
+            let old = old_link.expect("checked");
             out.push(Effect::SendSwitch {
-                to: old_link.expect("checked"),
+                to: old,
                 msg: Message::Cleanup(p4update_messages::Cleanup {
                     flow,
-                    version: e.applied_version,
+                    version: state.uib.read(flow).applied_version,
                 }),
             });
-        }
-
-        // Freed capacity may unblock deferred moves.
-        if moves_off {
-            self.retry_parked(now, state, old_link.expect("checked"), out);
+            self.retry_parked(now, state, old, out);
         }
         self.retry_held(now, state, flow, out);
         self.drain_deferred(now, state, flow, out);

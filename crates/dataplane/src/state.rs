@@ -74,7 +74,11 @@ impl SwitchState {
     }
 
     /// Reserve `size` units toward `neighbor`. Returns `false` (and
-    /// reserves nothing) when capacity is insufficient.
+    /// reserves nothing) when capacity is insufficient, when `neighbor` is
+    /// not a port, or when `size` is NaN. This is the one fit test of a
+    /// switch-side move (§7.4), so its verdict must be read: a move that
+    /// goes ahead on a `false` later releases capacity it never took.
+    #[must_use = "a move whose reservation failed must not go ahead"]
     pub fn reserve_capacity(&mut self, neighbor: NodeId, size: f64) -> bool {
         match self.port(neighbor) {
             Some(i) if self.ports[i].capacity + CAPACITY_SLACK >= size => {

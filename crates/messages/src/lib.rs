@@ -21,7 +21,7 @@ pub mod wire;
 
 pub use byzantine::{ByzDelivery, ByzVector};
 pub use types::{
-    CentralMsg, Cleanup, DataPacket, EzMsg, EzPriority, EzSegmentKind, EzUpdate, Frm, Message,
-    RejectReason, Ufm, UfmStatus, Uim, Unm, UnmLayer, UpdateKind,
+    CentralMsg, Cleanup, DataPacket, EzMsg, EzPriority, EzUpdate, Frm, Message, RejectReason, Ufm,
+    UfmStatus, Uim, Unm, UnmLayer, UpdateKind,
 };
 pub use wire::{decode, encode, WireError, WireType};

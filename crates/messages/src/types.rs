@@ -197,8 +197,6 @@ pub enum CentralMsg {
         next_hop: Option<NodeId>,
         /// Scheduling round this installation belongs to.
         round: u32,
-        /// Flow size (kept for capacity bookkeeping at the switch).
-        size: f64,
     },
     /// Switch → controller: the rule of `round` is installed.
     Ack {
@@ -209,17 +207,6 @@ pub enum CentralMsg {
         /// Round acknowledged.
         round: u32,
     },
-}
-
-/// Segment classification in ez-Segway (Nguyen et al.; §9.1): segments whose
-/// activation cannot create a loop update immediately, `InLoop` segments
-/// wait for their dependencies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EzSegmentKind {
-    /// Safe to update independently.
-    NotInLoop,
-    /// Must wait for downstream segments to finish first.
-    InLoop,
 }
 
 /// Congestion priority assigned centrally by ez-Segway's dependency-graph
@@ -250,10 +237,9 @@ pub struct EzUpdate {
     pub upstream: Option<NodeId>,
     /// Segment this node belongs to on the new path.
     pub segment: u32,
-    /// Segment classification.
-    pub kind: EzSegmentKind,
-    /// Segments that must complete before this one may start
-    /// (non-empty only for `InLoop`).
+    /// Segments that must complete before this one may start: at the
+    /// initiator of a backward (`InLoop`) segment, every segment
+    /// downstream of it; empty otherwise.
     pub depends_on: Vec<u32>,
     /// True when this node initiates its segment's update (the
     /// segment's egress gateway).
@@ -360,7 +346,6 @@ mod tests {
             next_hop: Some(NodeId(2)),
             upstream: None,
             segment: 1,
-            kind: EzSegmentKind::InLoop,
             depends_on: vec![0, 2],
             initiator: true,
             finalizer: false,

@@ -367,8 +367,8 @@ impl NetworkSim {
         let mut rng = SimRng::new(config.seed);
         let switches = SwitchTable::build(&topo, || match system {
             System::P4Update(_) => SwitchImpl::P4(P4UpdateLogic::new()),
-            System::EzSegway { .. } => SwitchImpl::Ez(EzSwitchLogic::new()),
-            System::Central { .. } => SwitchImpl::Central(CentralSwitchLogic::new()),
+            System::EzSegway { .. } => SwitchImpl::Ez(EzSwitchLogic::default()),
+            System::Central { .. } => SwitchImpl::Central(CentralSwitchLogic::default()),
         });
         let capacity_view = match system {
             System::EzSegway { congestion } | System::Central { congestion } if congestion => {
@@ -377,19 +377,13 @@ impl NetworkSim {
             _ => None,
         };
         let make_controller = |capacity: Option<ArcMap<f64>>| match system {
+            // The NIB lets the controller set up paths for flows the data
+            // plane reports via FRMs (§6).
             System::P4Update(strategy) => {
-                // The NIB lets the controller set up paths for flows the
-                // data plane reports via FRMs (§6).
-                ControllerImpl::P4(P4UpdateController::new(strategy).with_nib(topo.clone()))
+                ControllerImpl::P4(P4UpdateController::new(strategy, topo.clone()))
             }
-            System::EzSegway { .. } => ControllerImpl::Ez(match capacity {
-                Some(capacity) => EzController::with_congestion(capacity),
-                None => EzController::new(),
-            }),
-            System::Central { .. } => ControllerImpl::Central(match capacity {
-                Some(capacity) => CentralController::with_congestion(capacity),
-                None => CentralController::new(),
-            }),
+            System::EzSegway { .. } => ControllerImpl::Ez(EzController::new(capacity)),
+            System::Central { .. } => ControllerImpl::Central(CentralController::new(capacity)),
         };
         // The standby is an identically-constructed shadow state machine
         // with a copy of the capacity view; the primary takes the original.

@@ -44,11 +44,12 @@ type Prepared = (Vec<PreparedUpdate>, BTreeMap<FlowId, Version>);
 /// with `start_update`, so a later batch is prepared while the earlier
 /// ones are in flight.
 fn controller_plans(
+    topo: &Topology,
     installed: impl IntoIterator<Item = FlowId>,
     batches: &[Vec<FlowUpdate>],
     strategy: Strategy,
 ) -> Vec<Prepared> {
-    let mut controller = P4UpdateController::new(strategy);
+    let mut controller = P4UpdateController::new(strategy, topo.clone());
     for flow in installed {
         controller.register_flow(flow, Version(1));
     }
@@ -71,12 +72,12 @@ fn controller_plans(
 }
 
 /// [`controller_plans`] for one batch whose old paths are installed.
-fn controller_batch(batch: &[FlowUpdate], strategy: Strategy) -> Prepared {
+fn controller_batch(topo: &Topology, batch: &[FlowUpdate], strategy: Strategy) -> Prepared {
     let installed = batch
         .iter()
         .filter(|u| u.old_path.is_some())
         .map(|u| u.flow);
-    let mut prepared = controller_plans(installed, &[batch.to_vec()], strategy);
+    let mut prepared = controller_plans(topo, installed, &[batch.to_vec()], strategy);
     prepared.pop().expect("one batch in, one out")
 }
 
@@ -163,7 +164,8 @@ fn engine_matches_sequential_on_every_registry_scenario() {
             for strategy in STRATEGIES {
                 let batches = world.batches().iter().flatten();
                 let installed = batches.filter(|u| u.old_path.is_some()).map(|u| u.flow);
-                let prepared = controller_plans(installed, world.batches(), strategy);
+                let prepared =
+                    controller_plans(world.topology(), installed, world.batches(), strategy);
                 for batch in &prepared {
                     let what = format!("{name} seed {seed} {strategy:?}");
                     assert_lints_clean(world.topology(), batch, &what);
@@ -189,7 +191,7 @@ fn controller_plans_of_the_paper_scenarios_lint_error_free() {
     let new = Path::new(topologies::fig1_new_path());
     let migration = FlowUpdate::new(FlowId(0), Some(old), new, 1.0);
     for strategy in STRATEGIES {
-        let prepared = controller_batch(std::slice::from_ref(&migration), strategy);
+        let prepared = controller_batch(&fig1, std::slice::from_ref(&migration), strategy);
         assert_lints_clean(&fig1, &prepared, &format!("fig1 {strategy:?}"));
     }
 
@@ -200,7 +202,7 @@ fn controller_plans_of_the_paper_scenarios_lint_error_free() {
     let (v1, v2, v3) = (p(&[0, 1, 3, 5]), p(&[0, 2, 4, 3, 1, 5]), p(&[0, 5]));
     let u2 = FlowUpdate::new(FlowId(0), Some(v1), v2.clone(), 1.0);
     let u3 = FlowUpdate::new(FlowId(0), Some(v2), v3, 1.0);
-    let prepared = controller_plans([FlowId(0)], &[vec![u2], vec![u3]], Strategy::Auto);
+    let prepared = controller_plans(&fig4, [FlowId(0)], &[vec![u2], vec![u3]], Strategy::Auto);
     assert_eq!(prepared[1].0[0].version, Version(3));
     assert_eq!(prepared[1].1[&FlowId(0)], Version(1));
     for (i, batch) in prepared.iter().enumerate() {
@@ -213,7 +215,7 @@ fn controller_plans_of_the_paper_scenarios_lint_error_free() {
     ] {
         let update = single_flow(&topo);
         for strategy in STRATEGIES {
-            let prepared = controller_batch(std::slice::from_ref(&update), strategy);
+            let prepared = controller_batch(&topo, std::slice::from_ref(&update), strategy);
             assert_lints_clean(
                 &topo,
                 &prepared,
@@ -238,7 +240,7 @@ fn controller_plans_of_wan_multi_flow_batches_lint_error_free() {
         for seed in 1..=8u64 {
             let batch = multi_flow(&topo, &mut SimRng::new(seed), 0.55).updates;
             for strategy in STRATEGIES {
-                let prepared = controller_batch(&batch, strategy);
+                let prepared = controller_batch(&topo, &batch, strategy);
                 let what = format!("multi_flow {name} seed {seed} {strategy:?}");
                 assert_lints_clean(&topo, &prepared, &what);
             }
@@ -255,7 +257,7 @@ fn engine_matches_sequential_on_generated_fat_tree_batches() {
         ("ft64", topologies::synthetic_fat_tree_64()),
         ("ft512", topologies::synthetic_fat_tree_512()),
     ] {
-        let prepared = controller_batch(&bench_workload(&topo, 1).updates, Strategy::Auto);
+        let prepared = controller_batch(&topo, &bench_workload(&topo, 1).updates, Strategy::Auto);
         assert_lints_clean(&topo, &prepared, name);
     }
 }
@@ -266,7 +268,8 @@ fn engine_matches_sequential_on_generated_fat_tree_batches() {
 #[test]
 fn incremental_reanalysis_revalidates_strictly_fewer_plans() {
     let topo = topologies::synthetic_fat_tree_64();
-    let (plans, installed) = controller_batch(&bench_workload(&topo, 1).updates, Strategy::Auto);
+    let (plans, installed) =
+        controller_batch(&topo, &bench_workload(&topo, 1).updates, Strategy::Auto);
     let ctx = AnalysisContext::with_installed(Some(&topo), installed);
     let engine = BatchAnalyzer;
     let full = engine.analyze(&plans, &ctx);
@@ -305,7 +308,8 @@ fn incremental_reanalysis_revalidates_strictly_fewer_plans() {
 #[test]
 fn empty_delta_revalidates_nothing() {
     let topo = topologies::synthetic_fat_tree_64();
-    let (plans, installed) = controller_batch(&bench_workload(&topo, 1).updates, Strategy::Auto);
+    let (plans, installed) =
+        controller_batch(&topo, &bench_workload(&topo, 1).updates, Strategy::Auto);
     let ctx = AnalysisContext::with_installed(Some(&topo), installed);
     let engine = BatchAnalyzer;
     let full = engine.analyze(&plans, &ctx);

@@ -7,7 +7,7 @@
 use p4update::core::Strategy;
 use p4update::dataplane::SwitchLogic;
 use p4update::des::{SimDuration, SimRng, SimTime};
-use p4update::net::{topologies, FlowId};
+use p4update::net::{topologies, FlowId, CAPACITY_SLACK};
 use p4update::sim::{batch_simulation, NetworkSim, SimConfig, System, TimingConfig, Violation};
 use p4update::traffic::multi_flow;
 
@@ -154,6 +154,109 @@ fn mutually_blocked_flows_park_instead_of_recursing() {
                 waits_on_a_stranded_holder,
                 "{name}: {f:?} is stranded outside the circular capacity wait"
             );
+        }
+    }
+}
+
+/// The baselines' strands in `wan-sweep` (DESIGN §10), where P4Update
+/// completes every flow: each stranded flow waits for a link on its new
+/// path that lacks room for it, and the room it lacks is held by the old
+/// rule of a flow that completed along another path, or (fat-tree 13's
+/// flow 11) by a stranded flow that waits so. Neither baseline
+/// removes the rules, or frees the capacity, of the nodes an update leaves
+/// behind; P4Update's cleanup (§11) does, and without that load each
+/// stranded flow would fit. Internet2 172, where no atomic order exists,
+/// is `tests/optimal_oracle.rs`'s.
+#[test]
+fn baselines_strand_behind_rules_a_completed_update_left_behind() {
+    type MkTopo = fn() -> p4update::net::Topology;
+    let fat_tree_k4: MkTopo = || topologies::fat_tree(4);
+    for (mk_topo, seed, ez_stranded, central_stranded) in [
+        (
+            topologies::internet2 as MkTopo,
+            169u64,
+            &[10u32][..],
+            &[6u32][..],
+        ),
+        (topologies::att_mpls, 48, &[21], &[20]),
+        (topologies::att_mpls, 123, &[11], &[11]),
+        (fat_tree_k4, 13, &[3, 11], &[3, 11]),
+    ] {
+        let topo = mk_topo();
+        let timing = if topo.name.starts_with("fat-tree") {
+            TimingConfig::fat_tree()
+        } else {
+            TimingConfig::wan_multi_flow(topo.centroid())
+        };
+        let workload = multi_flow(&topo, &mut SimRng::new(seed), 0.55);
+        for (system, expected) in [
+            (System::P4Update(Strategy::ForceSingle), &[][..]),
+            (System::EzSegway { congestion: true }, ez_stranded),
+            (System::Central { congestion: true }, central_stranded),
+        ] {
+            let cell = format!("{} seed {seed} {system:?}", topo.name);
+            let config = SimConfig::new(timing, seed);
+            let free = Some(workload.free_capacity.clone());
+            let world = NetworkSim::new(topo.clone(), system, config, free);
+            let mut sim = batch_simulation(world, workload.updates.clone(), SimTime::ZERO);
+            let _ = sim.run_until(SimTime::ZERO + SimDuration::from_secs(600));
+            let mut world = sim.into_world();
+            let stranded = world.record_stranded_flows();
+            let expected: Vec<FlowId> = expected.iter().copied().map(FlowId).collect();
+            assert_eq!(stranded, expected, "{cell}");
+            let sizes: Vec<(FlowId, f64)> =
+                world.checked_flows().map(|(f, s)| (f, s.size)).collect();
+            // Per stranded flow and link of its new path it has not moved
+            // onto and lacks room on: what it lacks, the load of rules that
+            // completed flows left behind there, and the stranded holders.
+            let mut waits = Vec::new();
+            for &f in &stranded {
+                let update = &workload.updates[f.0 as usize];
+                assert_eq!(update.flow, f);
+                for (a, b) in update.new_path.edges() {
+                    let uib = &world.switches[a].state.uib;
+                    let holds = |g: FlowId| uib.read(g).active_next_hop.get() == Some(b);
+                    if holds(f) {
+                        continue;
+                    }
+                    let link = topo.link_between(a, b).expect("a link");
+                    let mut room = topo.link(link).capacity;
+                    let (mut left_behind, mut holders) = (0.0, Vec::new());
+                    for &(g, size) in sizes.iter().filter(|&&(g, _)| holds(g)) {
+                        room -= size;
+                        if stranded.contains(&g) {
+                            holders.push((g, size));
+                        } else if workload.updates[g.0 as usize].new_path.successor(a) != Some(b) {
+                            left_behind += size;
+                        }
+                    }
+                    if update.size > room + CAPACITY_SLACK {
+                        waits.push((f, update.size - room, left_behind, holders));
+                    }
+                }
+            }
+            // A flow waits behind a left-behind rule when that rule's load
+            // covers what it lacks; one that does not waits for a stranded
+            // flow that waits so.
+            let direct: Vec<FlowId> = waits
+                .iter()
+                .filter(|(_, short, left, _)| left + CAPACITY_SLACK >= *short)
+                .map(|w| w.0)
+                .collect();
+            for &f in &stranded {
+                let chained = waits.iter().any(|(g, short, left, holders)| {
+                    let freed: f64 = holders
+                        .iter()
+                        .filter(|(h, _)| direct.contains(h))
+                        .map(|h| h.1)
+                        .sum();
+                    *g == f && left + freed + CAPACITY_SLACK >= *short
+                });
+                assert!(
+                    direct.contains(&f) || chained,
+                    "{cell}: {f:?} waits on something else: {waits:?}"
+                );
+            }
         }
     }
 }

@@ -325,8 +325,10 @@ fn percentiles_are_monotone() {
     });
 }
 
-/// Congestion scheduler: drained flows are exactly the parked ones,
-/// high-priority first.
+/// Congestion scheduler: a low-priority flow must yield a link exactly
+/// when another flow parked there is high priority, a high one never
+/// yields, and drained flows are exactly the parked ones, high-priority
+/// first.
 #[test]
 fn scheduler_drain_is_a_priority_ordered_permutation() {
     forall(
@@ -352,6 +354,18 @@ fn scheduler_drain_is_a_priority_ordered_permutation() {
                     FlowPriority::Low
                 }
             };
+            // One parked flow and one never parked.
+            for probe in [FlowId(flows[0]), FlowId(1000)] {
+                let high_other = unique
+                    .iter()
+                    .any(|&f| FlowId(f) != probe && prio(FlowId(f)) == FlowPriority::High);
+                assert_eq!(
+                    s.must_yield(probe, NodeId(0), FlowPriority::Low, prio),
+                    high_other
+                );
+                assert!(!s.must_yield(probe, NodeId(0), FlowPriority::High, prio));
+                assert!(!s.must_yield(probe, NodeId(1), FlowPriority::Low, prio));
+            }
             let order = s.drain(NodeId(0), prio);
             assert_eq!(order.len(), unique.len());
             // Permutation of the parked set.
