@@ -139,12 +139,18 @@ impl PanelRuns {
 
 /// Run one panel for `runs` seeds.
 pub fn run(panel: Panel, runs: u64) -> PanelRuns {
+    run_timed(panel, runs, |_| {})
+}
+
+/// [`run`] under the panel's timing model as `adjust` changes it.
+pub fn run_timed(panel: Panel, runs: u64, adjust: impl FnOnce(&mut TimingConfig)) -> PanelRuns {
     let topo = panel.topology();
-    let timing = match panel {
+    let mut timing = match panel {
         Panel::FatTreeMulti => TimingConfig::fat_tree(),
         p if p.is_multi() => TimingConfig::wan_multi_flow(topo.centroid()),
         _ => TimingConfig::wan_single_flow(topo.centroid()),
     };
+    adjust(&mut timing);
     let systems = systems(panel.is_multi());
     // A single-flow panel's update is the same in every run: search it once.
     let fixed = (!panel.is_multi()).then(|| panel_updates(panel, &topo, 0));

@@ -6,14 +6,15 @@
 //! p4update-experiments fig7a [--runs N]   (panels a..f)
 //! p4update-experiments fig8a [--runs N]
 //! p4update-experiments fig8b [--runs N]
+//! p4update-experiments sweep [--runs N]   (Fig. 7 under scaled timing costs)
 //! p4update-experiments all   [--runs N]
 //! ```
 
-use p4update_experiments::{fig2, fig4, fig7, fig8, table1};
+use p4update_experiments::{fig2, fig4, fig7, fig8, sweep, table1};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: p4update-experiments <fig2|fig4|fig7a..fig7f|fig8a|fig8b|table1|all> [--runs N] [--seed S]"
+        "usage: p4update-experiments <fig2|fig4|fig7a..fig7f|fig8a|fig8b|sweep|table1|all> [--runs N] [--seed S]"
     );
     std::process::exit(2);
 }
@@ -45,6 +46,7 @@ fn main() {
         }
         "fig8a" => fig8::print(false, runs),
         "fig8b" => fig8::print(true, runs),
+        "sweep" => sweep::print(runs),
         "table1" => table1::print(),
         "all" => {
             fig2::print(seed);

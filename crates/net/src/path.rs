@@ -4,11 +4,11 @@
 //! [`PathSolver`] answers those, and the single shortest-path queries, with
 //! one goal-directed search whose tie-break is a specification and which
 //! stops where no answer can depend on what lies beyond: the potential is
-//! computed once per destination, out to its sources' distance, a spur
-//! search out to the best candidate in hand, and the last round of Yen's
-//! loop searches only the spurs that can still win. The free functions are
-//! one query on a throw-away solver; callers with a batch build one solver
-//! and keep it.
+//! computed once per destination, out to a lightest link short of its
+//! farthest source, a spur search out to the best candidate in hand, and
+//! the last round of Yen's loop searches only the spurs that can still win.
+//! The free functions are one query on a throw-away solver; callers with a
+//! batch build one solver and keep it.
 
 use crate::graph::{LinkId, NodeId, Topology};
 use p4update_des::{RadixHeap, SimDuration};
@@ -188,6 +188,28 @@ pub(crate) fn link_weights(topo: &Topology) -> Vec<f64> {
         .collect()
 }
 
+/// The least of `weights`, `INFINITY` if there are none. Eight running
+/// minima instead of one chain of dependent comparisons: a throw-away
+/// solver pays this pass on every query, and on ft4096 one chain costs
+/// about as much as the reverse search saves a single query.
+fn lightest(weights: &[f64]) -> f64 {
+    let chunks = weights.chunks_exact(8);
+    let rest = chunks
+        .remainder()
+        .iter()
+        .copied()
+        .fold(f64::INFINITY, f64::min);
+    let mut least = [f64::INFINITY; 8];
+    for chunk in chunks {
+        for (m, &w) in least.iter_mut().zip(chunk) {
+            if w < *m {
+                *m = w;
+            }
+        }
+    }
+    least.into_iter().fold(rest, f64::min)
+}
+
 /// Latency-weighted shortest-path distances (in milliseconds) from `src` to
 /// every node; `f64::INFINITY` for unreachable nodes.
 pub fn latency_distances_from(topo: &Topology, src: NodeId) -> Vec<f64> {
@@ -236,10 +258,13 @@ pub(crate) const TIE_SLACK: f64 = 1e-9;
 /// remaining distance — zero for a single query; for
 /// [`Self::k_shortest_batch`], whose first searches and spur searches to
 /// one destination all share it, the distance to `dst` (bans ignored)
-/// capped at the cost `R` of one Dijkstra from `dst` that stops as soon as
-/// every source's distance is final, every node it did not settle taking
-/// `R`. That is `min(distance, R)` at every node, which differs across a
-/// link by no more than the distance does. A label
+/// capped at `R = c + w_min`: `c` is the pop at which one Dijkstra from
+/// `dst` stops, the first at which every source's distance is certified to
+/// be at most `R`, and `w_min` is the lightest link. Every node not reached
+/// through the nodes settled before `c` lies at `R` or beyond, so the field
+/// is `min(distance, R)` at every node and exact at every source, and it
+/// differs across a link by no more than the distance does
+/// (`lay_potential` gives the proof). A label
 /// is expanded only while `f = g + potential` stays within `TIE_SLACK` of
 /// the destination's distance; every node lying on some equally short path
 /// qualifies, so every neighbour the walk-back rule could step to is
@@ -271,6 +296,8 @@ pub struct PathSolver<'a> {
     topo: &'a Topology,
     /// Latency in milliseconds, by link id.
     weight: Vec<f64>,
+    /// The least of `weight`, `INFINITY` without links.
+    w_min: f64,
     /// Lower bound on the distance to the current destination, by node;
     /// all zero between queries.
     potential: Vec<f64>,
@@ -304,9 +331,11 @@ impl<'a> PathSolver<'a> {
     /// node-sized allocations; nothing is added to the topology.
     pub fn new(topo: &'a Topology) -> Self {
         let n = topo.node_count();
+        let weight = link_weights(topo);
         PathSolver {
             topo,
-            weight: link_weights(topo),
+            w_min: lightest(&weight),
+            weight,
             potential: vec![0.0; n],
             dist: vec![f64::INFINITY; n],
             prev: vec![NO_PREV; n],
@@ -460,38 +489,7 @@ impl<'a> PathSolver<'a> {
         let mut scratch = std::mem::take(&mut self.scratch);
         for group in order.chunk_by(|&a, &b| queries[a].1 == queries[b].1) {
             let dst = queries[group[0]].1;
-            // The potential is the distance to `dst`, bans ignored, capped
-            // at the cost the search from `dst` stopped at: the first pop
-            // at or above every source's label, by which each source's
-            // distance is final. That leaves `min(label, cost)` equal to
-            // `min(distance, cost)` everywhere, at least each source's own
-            // distance, and a ban can only lengthen a path, so it stays a
-            // lower bound for the first search and for every spur search.
-            // A source is done for good once reached: labels only fall and
-            // pops only rise. An unreachable source never stops the
-            // search, and its first search fails on its infinite potential.
-            self.potential.fill(f64::INFINITY);
-            let weight = &self.weight;
-            let mut done = 0;
-            let stop = sssp(
-                self.topo,
-                |l| weight[l.index()],
-                dst,
-                &mut self.potential,
-                &mut self.sssp_heap,
-                |cost, label| {
-                    while let Some(&i) = group.get(done) {
-                        if cost < label[queries[i].0.index()] {
-                            return false;
-                        }
-                        done += 1;
-                    }
-                    true
-                },
-            );
-            for h in &mut self.potential {
-                *h = h.min(stop);
-            }
+            self.lay_potential(dst, group.iter().map(|&i| queries[i].0));
             for &i in group {
                 answers[i] = self.yen(queries[i].0, dst, k, &mut scratch);
             }
@@ -499,6 +497,79 @@ impl<'a> PathSolver<'a> {
         }
         self.scratch = scratch;
         answers
+    }
+
+    /// Lay out the potential to `dst` for the first and spur searches from
+    /// `sources`, and return its cap: the distance to `dst`, bans ignored,
+    /// capped at `cap = c + w_min`, where `c` is the first pop of the search
+    /// from `dst` at which every source is certified and `w_min` the
+    /// lightest link.
+    ///
+    /// At a pop `c` every node the search has not expanded lies at `c` or
+    /// beyond, so a node whose shortest path arrives from such a node lies
+    /// at `c + w_min` or beyond (IEEE addition is monotone), and every
+    /// other node already holds its distance: `min(label, cap)` is
+    /// `min(distance, cap)` at every node. That field differs across a link
+    /// by no more than the distance does, and a ban can only lengthen a
+    /// path, so it is a lower bound for the first search and for every spur
+    /// search. A source is certified once its label is at most `cap`, or
+    /// once a link of weight `w_min` joins it to a node labelled at most
+    /// `c`: either way its distance is at most `cap`, so the field holds
+    /// its distance exactly.
+    ///
+    /// The farthest source's own pop is where the search stopped when it
+    /// waited for every source's label to be final, so it stops no later
+    /// now, and `cap` is at least that cost: the field is pointwise at
+    /// least the one capped there, so no search expands more, and the rule
+    /// in the type's docs fixes every answer as before. Labels only fall
+    /// and pops only rise, so a source stays certified and the sources are
+    /// taken in turn. The neighbour check reads the links of the source in
+    /// turn once per cost popped, and never again once it has no link of
+    /// weight `w_min`: on a WAN nearly every pop is a new cost and few
+    /// nodes have a lightest link. An unreachable source never stops the
+    /// search, and its first search fails on its infinite potential.
+    fn lay_potential(&mut self, dst: NodeId, sources: impl Iterator<Item = NodeId>) -> f64 {
+        self.potential.fill(f64::INFINITY);
+        let (topo, weight, w_min) = (self.topo, &self.weight, self.w_min);
+        let mut sources = sources.peekable();
+        // The cost at which the source in turn last had its lightest
+        // links read; `INFINITY` once it has none.
+        let mut probed = f64::NEG_INFINITY;
+        let stop = sssp(
+            topo,
+            |l| weight[l.index()],
+            dst,
+            &mut self.potential,
+            &mut self.sssp_heap,
+            |cost, label| {
+                while let Some(&src) = sources.peek() {
+                    if label[src.index()] > cost + w_min {
+                        if probed >= cost {
+                            return false;
+                        }
+                        let mut lightest = false;
+                        let near = topo.neighbors(src).iter().any(|&(x, link)| {
+                            weight[link.index()] == w_min && {
+                                lightest = true;
+                                label[x.index()] <= cost
+                            }
+                        });
+                        if !near {
+                            probed = if lightest { cost } else { f64::INFINITY };
+                            return false;
+                        }
+                    }
+                    sources.next();
+                    probed = f64::NEG_INFINITY;
+                }
+                true
+            },
+        );
+        let cap = stop + w_min;
+        for h in &mut self.potential {
+            *h = h.min(cap);
+        }
+        cap
     }
 
     /// Yen's loop for `k >= 1`, on the potential laid out for `dst`, in

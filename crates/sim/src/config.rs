@@ -4,9 +4,10 @@
 //!
 //! The calibration is a property of the model, not of a run: every system
 //! is compared on one substrate (§9.1), so the values no scenario varies
-//! are the constants below and [`TimingConfig`] holds only what the
-//! paper's setups set differently. DESIGN.md §5 gives each constant's
-//! source.
+//! are the constants below. [`TimingConfig`] holds what the paper's setups
+//! set differently, and the four costs a sensitivity sweep varies
+//! (`p4update-experiments sweep`), which default to their constants.
+//! DESIGN.md §5 gives each constant's source.
 
 use p4update_des::SimDuration;
 use p4update_messages::ByzVector;
@@ -31,9 +32,9 @@ pub const RELAY_HOP_MS: f64 = 0.5;
 /// waiting mechanism).
 pub const RESUBMIT_POLL_MS: f64 = 2.0;
 
-/// Mean of [`InstallDelay::Exponential`] in milliseconds ("each node is
-/// slowed by a random delay when updating rules, generated by exp(100)
-/// ms", §9.1).
+/// Mean of [`InstallDelay::Exponential`] in milliseconds, by default
+/// ("each node is slowed by a random delay when updating rules, generated
+/// by exp(100) ms", §9.1).
 pub const INSTALL_MEAN_MS: f64 = 100.0;
 
 /// Mean of [`ControlLatency::Normal`] in milliseconds (Huang et al. \[38\]).
@@ -83,8 +84,8 @@ pub enum ControlLatency {
     Normal,
 }
 
-/// What the paper's setups set differently; the rest of the timing model
-/// is this module's constants.
+/// What the paper's setups set differently, and the costs a sweep varies;
+/// the rest of the timing model is this module's constants.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimingConfig {
     /// Per-message processing time at a switch (BMv2-scale software
@@ -94,6 +95,17 @@ pub struct TimingConfig {
     pub install: InstallDelay,
     /// Control-plane latency model.
     pub control: ControlLatency,
+    /// Serialization cost per outbound controller message
+    /// ([`CTRL_TX_MS`] in every setup).
+    pub ctrl_tx_ms: f64,
+    /// Mean controller service time per message
+    /// ([`CTRL_SERVICE_MEAN_MS`] in every setup).
+    pub ctrl_service_mean_ms: f64,
+    /// Resubmission poll interval ([`RESUBMIT_POLL_MS`] in every setup).
+    pub resubmit_poll_ms: f64,
+    /// Mean of [`InstallDelay::Exponential`] ([`INSTALL_MEAN_MS`] in
+    /// every setup).
+    pub install_mean_ms: f64,
 }
 
 impl TimingConfig {
@@ -104,6 +116,10 @@ impl TimingConfig {
             switch_proc_ms: 2.0,
             install: InstallDelay::Exponential,
             control: ControlLatency::ShortestPathFrom(controller),
+            ctrl_tx_ms: CTRL_TX_MS,
+            ctrl_service_mean_ms: CTRL_SERVICE_MEAN_MS,
+            resubmit_poll_ms: RESUBMIT_POLL_MS,
+            install_mean_ms: INSTALL_MEAN_MS,
         }
     }
 
@@ -119,9 +135,8 @@ impl TimingConfig {
     /// install delay.
     pub fn fat_tree() -> Self {
         TimingConfig {
-            switch_proc_ms: 2.0,
-            install: InstallDelay::None,
             control: ControlLatency::Normal,
+            ..Self::wan_multi_flow(NodeId(0))
         }
     }
 }
@@ -276,6 +291,31 @@ mod tests {
         assert_eq!(single.install, InstallDelay::Exponential);
         assert_eq!(multi.install, InstallDelay::None);
         assert_eq!(single.control, multi.control);
+    }
+
+    #[test]
+    fn every_setup_takes_the_swept_costs_from_their_constants() {
+        for t in [
+            TimingConfig::wan_single_flow(NodeId(0)),
+            TimingConfig::wan_multi_flow(NodeId(0)),
+            TimingConfig::fat_tree(),
+        ] {
+            let costs = [
+                t.ctrl_tx_ms,
+                t.ctrl_service_mean_ms,
+                t.resubmit_poll_ms,
+                t.install_mean_ms,
+            ];
+            assert_eq!(
+                costs,
+                [
+                    CTRL_TX_MS,
+                    CTRL_SERVICE_MEAN_MS,
+                    RESUBMIT_POLL_MS,
+                    INSTALL_MEAN_MS
+                ]
+            );
+        }
     }
 
     #[test]

@@ -9,8 +9,7 @@
 use crate::checker::{Checker, FlowSpec, Violation};
 use crate::config::{
     ms, ControlLatency, InstallDelay, SimConfig, ADVERSARY_DELAY_MS, CTRL_LATENCY_FLOOR_MS,
-    CTRL_LATENCY_MEAN_MS, CTRL_LATENCY_STD_DEV_MS, CTRL_SERVICE_MEAN_MS, CTRL_TX_MS,
-    INSTALL_MEAN_MS, RELAY_HOP_MS, REPLICATION_LAG_MS, RESUBMIT_POLL_MS,
+    CTRL_LATENCY_MEAN_MS, CTRL_LATENCY_STD_DEV_MS, RELAY_HOP_MS, REPLICATION_LAG_MS,
 };
 use crate::metrics::Metrics;
 use crate::table::SwitchTable;
@@ -621,7 +620,9 @@ impl NetworkSim {
     fn install_delay(&mut self) -> SimDuration {
         match self.config.timing.install {
             InstallDelay::None => SimDuration::ZERO,
-            InstallDelay::Exponential => ms(self.rng.exponential(INSTALL_MEAN_MS)),
+            InstallDelay::Exponential => {
+                ms(self.rng.exponential(self.config.timing.install_mean_ms))
+            }
         }
     }
 
@@ -879,7 +880,7 @@ impl NetworkSim {
         effects: &mut Vec<CtrlEffect>,
         sched: &mut Scheduler<Event>,
     ) {
-        let tx = ms(CTRL_TX_MS);
+        let tx = ms(self.config.timing.ctrl_tx_ms);
         let mut send_time = base;
         for effect in effects.drain(..) {
             match effect {
@@ -946,7 +947,10 @@ impl NetworkSim {
             return;
         }
         self.polling[node.index()] = true;
-        sched.schedule_in(ms(RESUBMIT_POLL_MS), Event::PollTick { node });
+        sched.schedule_in(
+            ms(self.config.timing.resubmit_poll_ms),
+            Event::PollTick { node },
+        );
     }
 
     /// One pass of `node`'s serial pipeline for a switch-side event
@@ -1038,7 +1042,9 @@ impl World for NetworkSim {
                 // FIFO single-threaded controller: queue behind the busy
                 // horizon, then serve with an exponential service time.
                 let start = now.max(self.ctrl_busy);
-                let svc = ms(self.rng.exponential(CTRL_SERVICE_MEAN_MS));
+                let svc = ms(self
+                    .rng
+                    .exponential(self.config.timing.ctrl_service_mean_ms));
                 let done = start + svc;
                 self.ctrl_busy = done;
                 sched.schedule_at(done, Event::ControllerExec { from, msg, lie });
@@ -1073,7 +1079,8 @@ impl World for NetworkSim {
                     let spin = ms(self.config.timing.switch_proc_ms).saturating_mul(parked as u64);
                     let done = start + spin;
                     self.switch_busy[node.index()] = done;
-                    sched.schedule_at(done + ms(RESUBMIT_POLL_MS), Event::PollTick { node });
+                    let poll = ms(self.config.timing.resubmit_poll_ms);
+                    sched.schedule_at(done + poll, Event::PollTick { node });
                 }
             }
             Event::Trigger { batch } => {

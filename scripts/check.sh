@@ -19,8 +19,9 @@
 # one `multi_flow` call on Chinanet and on ft512 (which a per-query path
 # search buffer or a voided attempt's gravity masses fail; well under a
 # second, so FAST=1 runs it too), the large fat-tree tests (among them
-# `dc-scale`'s two heap high-water marks on ft4096), the experiment means
-# EXPERIMENTS.md quotes and B4's backward-segment claim, the explorer's
+# `dc-scale`'s two heap high-water marks on ft4096 and the nodes an ft4096
+# batch's reverse searches settle), the experiment means
+# EXPERIMENTS.md quotes (the timing sweep's among them) and B4's backward-segment claim, the explorer's
 # completeness table (the deviation bound every registered scenario and
 # every byzantine smoke variant is exhausted to, and in how many runs),
 # the benchmark's WAN cells with P4Update violation-free, P4Update
@@ -28,7 +29,9 @@
 # property suites (the trace and wire parsers' mutation fuzz among them)
 # and the differentials — `segment_update` against Algorithm 2's
 # construction, the incremental checker against
-# its from-scratch oracle, the path solver, the centroid under its
+# its from-scratch oracle, the path solver (uniform-latency graphs among
+# them), the reverse search's potential (exact at every source, capped
+# elsewhere), the centroid under its
 # eccentricity bounds, the bridge classification and `multi_flow` against their oracles,
 # the one radix heap (the event queue and every path search's) against a
 # `BinaryHeap` model, the latency rows against the oracle's Dijkstra,
@@ -185,10 +188,13 @@ fi
 # The 32768-switch fat-tree on the one engine (lazy path-table rows), the
 # `dc-scale` workload's digest (4096 k-shortest-path queries on ft4096) and
 # its two heap high-water marks (the lint pass and the run, as counts),
+# the nodes the reverse searches of one ft4096 batch settle (a lost
+# certificate or cap shows as a number),
 # the Fig. 4 and Fig. 7 means and Fig. 7 margins EXPERIMENTS.md quotes
 # (30 runs, and 1,000 single-flow or 300 multi-flow runs), the signs of
 # Fig. 7c's two margins at 1,000 runs and the B4 segment claim its Fig. 7c
-# deviation cites, the
+# deviation cites, the cells and claims EXPERIMENTS.md quotes from the
+# 87-cell timing sweep (`p4update-experiments sweep`), the
 # explorer's completeness table (each registered scenario and byzantine
 # smoke variant exhausted to its pinned deviation bound in its pinned
 # runs), the
@@ -196,7 +202,10 @@ fi
 # violation), the incremental checker against its from-scratch oracle after
 # every event (registry, byzantine scenarios, four systems under faults),
 # the path solver (single queries, and batches against
-# single queries: `solver_agrees_*_in_a_batch`) and the centroid under its
+# single queries: `solver_agrees_*_in_a_batch`; uniform-latency graphs,
+# where sources are certified through their lightest links), the reverse
+# search's potential against the oracle's distances (`potential_is_exact`:
+# capped everywhere, exact at every source) and the centroid under its
 # eccentricity bounds against their oracles on 16x the default random
 # graphs (both prune, and a pruning rule fails on a rare tie: 96 cases are
 # thin; the centroid also on the evaluation topologies and ft512's ties),
@@ -228,7 +237,10 @@ if [[ "${FAST:-0}" != 1 ]]; then
     echo "==> ft4096 lint-pass and run heap peaks under their bounds (ignored test, release)"
     cargo test -q --release --test world_footprint -- --ignored
 
-    echo "==> Fig. 4 and Fig. 7 means at 30 runs and Fig. 7 margins at 30 and 1,000/300 runs equal EXPERIMENTS.md's, 7c's signs at 1,000 runs; B4 has no backward segment with an interior (ignored tests, release)"
+    echo "==> ft4096 batch: the reverse searches settle their pinned count (ignored test, release)"
+    cargo test -q --release -p p4update-net a_batch_certifies_its_sources_early_on_ft4096 -- --ignored
+
+    echo "==> Fig. 4 and Fig. 7 means at 30 runs and Fig. 7 margins at 30 and 1,000/300 runs equal EXPERIMENTS.md's, 7c's signs at 1,000 runs, the timing sweep's quoted cells and claims; B4 has no backward segment with an interior (ignored tests, release)"
     cargo test -q --release --test paper_scenarios -- --ignored
 
     echo "==> every registered scenario and byzantine smoke variant exhausted to its pinned deviation bound in its pinned runs (ignored test, release)"
@@ -246,8 +258,8 @@ if [[ "${FAST:-0}" != 1 ]]; then
     echo "==> segment_update against Algorithm 2's construction, PROPCHECK_SCALE=16 (release)"
     PROPCHECK_SCALE=16 cargo test -q --release -p p4update-net segment_update_follows_algorithm_2
 
-    echo "==> path solver vs oracle, PROPCHECK_SCALE=16 (release)"
-    PROPCHECK_SCALE=16 cargo test -q --release -p p4update-net solver_agrees
+    echo "==> path solver and the reverse search's potential vs oracle, PROPCHECK_SCALE=16 (release)"
+    PROPCHECK_SCALE=16 cargo test -q --release -p p4update-net -- solver_agrees potential_is_exact
 
     echo "==> centroid under eccentricity bounds vs one full search per source (random graphs, evaluation topologies, ft512), PROPCHECK_SCALE=16 (release)"
     PROPCHECK_SCALE=16 cargo test -q --release -p p4update-net full_searches
@@ -276,7 +288,7 @@ if [[ "${FAST:-0}" != 1 ]]; then
     echo "==> benchmark/check.sh (the benchmark builds and smokes against this tree)"
     benchmark/check.sh
 else
-    echo "==> ft32768, ft4096 digest and heap peaks, experiment means and the B4 claim, the explorer's completeness table, the checked benchmark cells, the atomic-order oracle, scaled differentials (segmentation, checker, path solver, centroid, latency rows, radix heap, two_paths, multi_flow, UIB, reanalyze) and property suites and benchmark/check.sh skipped (FAST=1)"
+    echo "==> ft32768, ft4096 digest, heap peaks and reverse-search count, experiment means and the B4 claim, the explorer's completeness table, the checked benchmark cells, the atomic-order oracle, scaled differentials (segmentation, checker, path solver and potential, centroid, latency rows, radix heap, two_paths, multi_flow, UIB, reanalyze) and property suites and benchmark/check.sh skipped (FAST=1)"
 
     echo "==> cargo check of the benchmark package (its pinned API surface still compiles)"
     cargo check -q --offline --manifest-path benchmark/Cargo.toml

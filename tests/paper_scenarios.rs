@@ -182,6 +182,123 @@ fn experiments_md_quotes_the_margins() {
     }
 }
 
+/// EXPERIMENTS.md's reading of the timing sweep is the tree's: every cell
+/// it quotes, and every claim it says holds across the grid, over all 87
+/// cells at 30 runs.
+#[test]
+#[ignore = "the 87-cell timing sweep at 30 runs, a few seconds in release: scripts/check.sh runs it"]
+fn experiments_md_quotes_the_sweep() {
+    use p4update_experiments::sweep::{self, Knob, FACTORS};
+    // P4Update against each other system, in `fig7::PanelRuns` order.
+    const SL: usize = 0;
+    const DL: usize = 1;
+    const EZ: usize = 2;
+    const CENTRAL: usize = 3;
+    let versus = |runs: &fig7::PanelRuns| -> Vec<fig7::Comparison> {
+        let series = runs.series();
+        (1..5)
+            .map(|o| fig7::compare(&series[0], &series[o]))
+            .collect()
+    };
+    // (panel, knob, factor, margins); the model is `None` at ×1.
+    let mut cells = Vec::new();
+    for letter in ["a", "b", "c", "d", "e", "f"] {
+        let panel = fig7::Panel::from_letter(letter).expect("a panel letter");
+        cells.push((letter, None, 1.0, versus(&fig7::run(panel, 30))));
+        for knob in Knob::ALL.into_iter().filter(|k| k.applies(panel)) {
+            for factor in FACTORS {
+                let margins = versus(&sweep::cell(panel, knob, factor, 30).0);
+                cells.push((letter, Some(knob), factor, margins));
+            }
+        }
+    }
+    assert_eq!(cells.len(), 87);
+    let at = |letter: &str, knob: Option<Knob>, factor: f64| {
+        let cell = cells
+            .iter()
+            .find(|c| (c.0, c.1, c.2) == (letter, knob, factor));
+        &cell.expect("a cell of the grid").3
+    };
+    let shown = |c: &fig7::Comparison| {
+        let (lo, hi) = c.interval;
+        format!("{:+.1} [{lo:+.1}, {hi:+.1}]", c.percent)
+    };
+    let tx = Some(Knob::CtrlTx);
+    assert_eq!(shown(&at("b", tx, 0.1)[EZ]), "-2.6 [-10.1, +5.3]");
+    assert_eq!(shown(&at("d", tx, 0.1)[EZ]), "+0.1 [-0.4, +0.8]");
+    assert_eq!(shown(&at("b", tx, 0.1)[DL]), "-9.3 [-15.1, -2.9]");
+    assert_eq!(shown(&at("f", tx, 0.1)[SL]), "+0.4 [+0.1, +0.6]");
+    assert_eq!(shown(&at("b", tx, 2.0)[CENTRAL]), "+0.4 [-1.9, +2.8]");
+    assert_eq!(shown(&at("f", tx, 2.0)[CENTRAL]), "-3.1 [-6.2, +0.1]");
+    let service = Some(Knob::CtrlService);
+    let fastest_central =
+        ["b", "d", "f"].map(|l| format!("{:+.1}", at(l, service, 0.1)[CENTRAL].percent));
+    assert_eq!(fastest_central, ["+18.1", "+11.7", "+51.6"]);
+    let install = Some(Knob::InstallMean);
+    let dl_over_sl =
+        |factor| ["a", "c", "e"].map(|l| format!("{:+.1}", at(l, install, factor)[SL].percent));
+    assert_eq!(dl_over_sl(0.1), ["-9.1", "-16.4", "-15.9"]);
+    assert_eq!(dl_over_sl(2.0), ["-32.8", "-48.3", "-39.1"]);
+
+    let below = |c: &fig7::Comparison| c.interval.1 < 0.0;
+    let count = |letter: &str, pick: &dyn Fn(&[fig7::Comparison]) -> bool| {
+        cells.iter().filter(|c| c.0 == letter && pick(&c.3)).count()
+    };
+    for (letter, knob, factor, m) in &cells {
+        let cell = format!("7{letter} {knob:?} x{factor}");
+        // P4Update beats ez-Segway everywhere in 7a, 7e and 7f, and in 7b
+        // and 7d but at the cheapest controller transmit.
+        let ez_exempt = *letter == "c" || (*knob == tx && *factor == 0.1);
+        assert!(
+            ez_exempt || below(&m[EZ]),
+            "{cell}: vs ez-Segway {}",
+            shown(&m[EZ])
+        );
+        if ["b", "d"].contains(letter) && *knob == tx && *factor == 0.1 {
+            assert!(!below(&m[EZ]), "{cell}");
+        }
+        // DL beats SL in every single-flow cell; multi-flow SL and DL
+        // stay within 2.4 % but for 7b at the cheapest transmit.
+        if ["a", "c", "e"].contains(letter) {
+            assert!(below(&m[SL]), "{cell}: vs SL {}", shown(&m[SL]));
+        } else if !(*letter == "b" && *knob == tx && *factor == 0.1) {
+            // SL's mean over DL's, from P4Update's ratio to each.
+            let sl_over_dl = (1.0 + m[DL].percent / 100.0) / (1.0 + m[SL].percent / 100.0);
+            let gap = (sl_over_dl - 1.0).abs() * 100.0;
+            assert!(gap <= 2.4 + 0.05, "{cell}: SL vs DL {gap}");
+        }
+        // The auto strategy is never slower than the better of SL and DL
+        // beyond its interval, but in 7f at the cheapest transmit.
+        let better = if m[SL].percent >= m[DL].percent {
+            SL
+        } else {
+            DL
+        };
+        let slower = m[better].interval.0 > 0.0;
+        assert_eq!(
+            slower,
+            *letter == "f" && *knob == tx && *factor == 0.1,
+            "{cell}"
+        );
+        // The poll interval barely moves a margin over a baseline, nor
+        // does the switch's time in multi-flow.
+        let model = at(letter, None, 1.0);
+        let bound = match knob {
+            Some(Knob::ResubmitPoll) => 1.1,
+            Some(Knob::SwitchProc) if !["a", "c", "e"].contains(letter) => 2.5,
+            _ => f64::INFINITY,
+        };
+        for o in [EZ, CENTRAL] {
+            let moved = (m[o].percent - model[o].percent).abs();
+            assert!(moved <= bound + 0.05, "{cell}: moved {moved}");
+        }
+    }
+    assert_eq!(count("c", &|m| !below(&m[EZ])), 10);
+    assert_eq!(count("a", &|m| below(&m[CENTRAL])), 11);
+    assert_eq!(count("e", &|m| below(&m[CENTRAL])), 16);
+    assert_eq!(count("c", &|m| below(&m[CENTRAL])), 0);
+}
+
 /// The two signs EXPERIMENTS.md's Fig. 7c reading rests on, at 1,000
 /// runs: P4Update beats ez-Segway (the whole interval lies below zero)
 /// and ties Central (the interval contains zero).
