@@ -4,9 +4,10 @@
 //! [`PathSolver`] answers those, and the single shortest-path queries, with
 //! one goal-directed search whose tie-break is a specification and which
 //! stops where no answer can depend on what lies beyond: the potential is
-//! computed once per destination, out to a lightest link short of its
-//! farthest source, a spur search out to the best candidate in hand, and
-//! the last round of Yen's loop searches only the spurs that can still win.
+//! computed once per class of twin destinations, out to a lightest link
+//! short of its farthest source, a spur search out to the best candidate in
+//! hand, and the last round of Yen's loop searches only the spurs that can
+//! still win.
 //! The free functions are one query on a throw-away solver; callers with a
 //! batch build one solver and keep it.
 
@@ -210,6 +211,42 @@ fn lightest(weights: &[f64]) -> f64 {
     least.into_iter().fold(rest, f64::min)
 }
 
+/// Each node's lowest twin, by node: two nodes are twins when their sorted
+/// neighbour lists are equal, each link's weight bit for bit. Twins are
+/// never neighbours (a node is not its own), so exchanging two of them maps
+/// the weighted graph onto itself. A fat-tree pod's edge switches are one
+/// class; a WAN has none, and a node without links is its own. Every twin
+/// of `v` is a neighbour of each of `v`'s neighbours, whose lists ascend,
+/// so the first one below `v` in the shortest of those lists is the
+/// lowest.
+fn twins(topo: &Topology, weight: &[f64]) -> Vec<NodeId> {
+    let links = |v: NodeId| {
+        topo.neighbors(v)
+            .iter()
+            .map(|&(u, link)| (u, weight[link.index()].to_bits()))
+    };
+    topo.node_ids()
+        .map(|v| {
+            let Some(hub) = topo
+                .neighbors(v)
+                .iter()
+                .map(|&(u, _)| u)
+                .min_by_key(|&u| topo.neighbors(u).len())
+            else {
+                return v;
+            };
+            topo.neighbors(hub)
+                .iter()
+                .map(|&(x, _)| x)
+                .take_while(|&x| x < v)
+                .find(|&x| {
+                    topo.neighbors(x).len() == topo.neighbors(v).len() && links(x).eq(links(v))
+                })
+                .unwrap_or(v)
+        })
+        .collect()
+}
+
 /// Latency-weighted shortest-path distances (in milliseconds) from `src` to
 /// every node; `f64::INFINITY` for unreachable nodes.
 pub fn latency_distances_from(topo: &Topology, src: NodeId) -> Vec<f64> {
@@ -264,9 +301,10 @@ pub(crate) const TIE_SLACK: f64 = 1e-9;
 /// through the nodes settled before `c` lies at `R` or beyond, so the field
 /// is `min(distance, R)` at every node and exact at every source, and it
 /// differs across a link by no more than the distance does
-/// (`lay_potential` gives the proof). A label
-/// is expanded only while `f = g + potential` stays within `TIE_SLACK` of
-/// the destination's distance; every node lying on some equally short path
+/// (`lay_potential` gives the proof); twin destinations share one such
+/// Dijkstra (`k_shortest_batch`). A label is expanded only while
+/// `f = g + potential` stays within `TIE_SLACK` of the destination's
+/// distance; every node lying on some equally short path
 /// qualifies, so every neighbour the walk-back rule could step to is
 /// expanded with its final distance, and `prev` ends up holding the rule's
 /// answer however the queue ordered the ties.
@@ -301,6 +339,9 @@ pub struct PathSolver<'a> {
     /// Lower bound on the distance to the current destination, by node;
     /// all zero between queries.
     potential: Vec<f64>,
+    /// Each node's lowest twin ([`twins`]); empty until the first batch
+    /// with two destinations.
+    twin: Vec<NodeId>,
     /// Search labels, `INFINITY`/[`NO_PREV`] between queries; `touched`
     /// lists the entries the running search has written.
     dist: Vec<f64>,
@@ -337,6 +378,7 @@ impl<'a> PathSolver<'a> {
             w_min: lightest(&weight),
             weight,
             potential: vec![0.0; n],
+            twin: Vec::new(),
             dist: vec![f64::INFINITY; n],
             prev: vec![NO_PREV; n],
             touched: Vec::new(),
@@ -475,27 +517,52 @@ impl<'a> PathSolver<'a> {
     }
 
     /// [`Self::k_shortest`] for every `(src, dst)` of `queries`, answered in
-    /// query order, each exactly as a query of its own: the queries sharing
-    /// a destination share its reverse search.
+    /// query order, each exactly as a query of its own: the queries whose
+    /// destinations are twins (`twins`) share one reverse search.
+    ///
+    /// A class's search runs from its lowest destination `r` in the batch
+    /// and certifies every destination of the class's queries and every
+    /// source.
+    /// Exchanging `r` and another destination `d` maps the graph onto
+    /// itself, weights bit for bit, so exchanging their two entries of the
+    /// field gives the field from `d`, capped where the search from `r`
+    /// stopped. The certified set holds the image of `d`'s sources (a
+    /// source at `r` maps to `d`), so that search stopped no earlier than
+    /// `d`'s own would have: the field is exact at `d`'s sources and
+    /// pointwise no lower, and the answers are as before (`lay_potential`).
+    /// A class of one destination searches as it would alone; twins are
+    /// found once per solver, by the first batch with two destinations.
     pub fn k_shortest_batch(&mut self, queries: &[(NodeId, NodeId)], k: usize) -> Vec<Vec<Path>> {
         let mut answers = vec![Vec::new(); queries.len()];
         if k == 0 {
             return answers;
         }
+        let dst = |i: usize| queries[i].1;
         let mut order: Vec<usize> = (0..queries.len())
-            .filter(|&i| queries[i].0 != queries[i].1)
+            .filter(|&i| queries[i].0 != dst(i))
             .collect();
-        order.sort_by_key(|&i| queries[i].1);
+        if self.twin.is_empty() && order.iter().any(|&i| dst(i) != dst(order[0])) {
+            self.twin = twins(self.topo, &self.weight);
+        }
+        let twin = std::mem::take(&mut self.twin);
+        let class = |i: usize| twin.get(dst(i).index()).copied().unwrap_or(dst(i));
+        order.sort_by_key(|&i| (class(i), dst(i)));
         let mut scratch = std::mem::take(&mut self.scratch);
-        for group in order.chunk_by(|&a, &b| queries[a].1 == queries[b].1) {
-            let dst = queries[group[0]].1;
-            self.lay_potential(dst, group.iter().map(|&i| queries[i].0));
-            for &i in group {
-                answers[i] = self.yen(queries[i].0, dst, k, &mut scratch);
+        for members in order.chunk_by(|&a, &b| class(a) == class(b)) {
+            let root = dst(members[0]);
+            self.lay_potential(root, members.iter().flat_map(|&i| [queries[i].0, dst(i)]));
+            for group in members.chunk_by(|&a, &b| dst(a) == dst(b)) {
+                let d = dst(group[0]);
+                self.potential.swap(root.index(), d.index());
+                for &i in group {
+                    answers[i] = self.yen(queries[i].0, d, k, &mut scratch);
+                }
+                self.potential.swap(root.index(), d.index());
             }
             self.potential.fill(0.0);
         }
         self.scratch = scratch;
+        self.twin = twin;
         answers
     }
 
@@ -520,14 +587,23 @@ impl<'a> PathSolver<'a> {
     /// The farthest source's own pop is where the search stopped when it
     /// waited for every source's label to be final, so it stops no later
     /// now, and `cap` is at least that cost: the field is pointwise at
-    /// least the one capped there, so no search expands more, and the rule
-    /// in the type's docs fixes every answer as before. Labels only fall
+    /// least the one capped there, and the rule in the type's docs fixes
+    /// every answer as before. A higher field narrows each corridor, but it
+    /// also reorders the last round's postponed spurs, so a batch can
+    /// expand a few more labels than its queries alone. Labels only fall
     /// and pops only rise, so a source stays certified and the sources are
     /// taken in turn. The neighbour check reads the links of the source in
     /// turn once per cost popped, and never again once it has no link of
     /// weight `w_min`: on a WAN nearly every pop is a new cost and few
     /// nodes have a lightest link. An unreachable source never stops the
     /// search, and its first search fails on its infinite potential.
+    ///
+    /// Whether a source is certified at a pop does not depend on the order
+    /// equal costs pop in, so `c` is a property of the graph and the set of
+    /// sources, and a superset of sources stops no earlier. A twin class's
+    /// search certifies its destinations and all their sources
+    /// (`k_shortest_batch`), so each destination's swapped field is capped
+    /// no lower than its own search's.
     fn lay_potential(&mut self, dst: NodeId, sources: impl Iterator<Item = NodeId>) -> f64 {
         self.potential.fill(f64::INFINITY);
         let (topo, weight, w_min) = (self.topo, &self.weight, self.w_min);

@@ -578,27 +578,145 @@ fn assert_batch_agrees(solver: &mut PathSolver<'_>, queries: &[(NodeId, NodeId)]
     solver.assert_idle();
 }
 
+/// `topo` with one new node per entry of `of`, linked to that node's
+/// neighbours at the same latencies: its planted twin. Naming one node
+/// several times plants a class of several.
+fn with_twins(topo: &Topology, of: &[NodeId]) -> Topology {
+    let mut b = TopologyBuilder::new(format!("{}+twins", topo.name));
+    for v in topo.node_ids() {
+        b.add_node(topo.node(v).name.clone());
+    }
+    for l in topo.links() {
+        b.add_link(l.a, l.b, l.latency, l.capacity);
+    }
+    for (i, &v) in of.iter().enumerate() {
+        let t = b.add_node(format!("twin{i}"));
+        for &(u, link) in topo.neighbors(v) {
+            b.add_link(t, u, topo.link(link).latency, 1.0);
+        }
+    }
+    b.build()
+}
+
+/// How many twin classes `topo` has.
+fn class_count(topo: &Topology) -> usize {
+    let twin = twins(topo, &link_weights(topo));
+    topo.node_ids().filter(|&v| twin[v.index()] == v).count()
+}
+
 #[test]
 fn solver_agrees_with_the_oracle_on_random_graphs_in_a_batch() {
     forall("path_solver_batch_vs_oracle", cases(96), |rng| {
-        let topo = solver_test_graph(rng);
+        // Up to three twins planted beside one node of a random graph.
+        let base = solver_test_graph(rng);
+        let planted = NodeId(rng.uniform_usize(base.node_count()) as u32);
+        let topo = with_twins(&base, &vec![planted; rng.uniform_usize(4)]);
         let n = topo.node_count();
+        let class: Vec<NodeId> = std::iter::once(planted)
+            .chain((base.node_count()..n).map(|v| NodeId(v as u32)))
+            .collect();
         let mut solver = PathSolver::new(&topo);
         // Destinations from a pool of at most three, so groups share one,
         // a split graph's sources sit on both sides of it, and a source
-        // may be its own destination.
-        let pool: Vec<NodeId> = (0..1 + rng.uniform_usize(3))
+        // may be its own destination; and the planted twins, so a class
+        // has several destinations and its lowest twin, the planted node,
+        // is often none of them. A third of the sources are in the class.
+        let mut pool: Vec<NodeId> = (0..1 + rng.uniform_usize(3))
             .map(|_| NodeId(rng.uniform_usize(n) as u32))
             .collect();
+        pool.extend(&class[1..]);
         for _ in 0..3 {
             let queries: Vec<(NodeId, NodeId)> = (0..rng.uniform_usize(12))
                 .map(|_| {
-                    let src = NodeId(rng.uniform_usize(n) as u32);
+                    let src = match rng.uniform_usize(3) {
+                        0 => class[rng.uniform_usize(class.len())],
+                        _ => NodeId(rng.uniform_usize(n) as u32),
+                    };
                     (src, pool[rng.uniform_usize(pool.len())])
                 })
                 .collect();
             assert_batch_agrees(&mut solver, &queries, rng.uniform_usize(6));
         }
+    });
+}
+
+/// Each node's distances, bit for bit, against its lowest twin's with the
+/// two entries exchanged: the automorphism a shared reverse search rests
+/// on.
+fn assert_twins_mirror(topo: &Topology) {
+    let bits = |row: Vec<f64>| row.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+    let twin = twins(topo, &link_weights(topo));
+    for v in topo.node_ids() {
+        let r = twin[v.index()];
+        assert!(r <= v && twin[r.index()] == r, "{}: twin of {v}", topo.name);
+        let mut mirrored = latency_distances_from(topo, r);
+        mirrored.swap(r.index(), v.index());
+        assert_eq!(
+            bits(latency_distances_from(topo, v)),
+            bits(mirrored),
+            "{}: distances from {v} against its twin {r}",
+            topo.name
+        );
+    }
+}
+
+#[test]
+fn a_twin_class_search_certifies_its_destinations() {
+    // fat_tree(4)'s pod 0: aggregation switches 4 and 5, edge switches 6
+    // and 7, twins. Both are destinations, so the search runs from 6 and
+    // the query from 6 to 7 reads its field with 6 and 7 exchanged: 6,
+    // its source, holds the field's value at 7, exact only if the search
+    // certified 7. It settles 6 and stops at the aggregation switches'
+    // pop, which certifies 7 through its links. Certifying only 4, a
+    // source, stops it at the first pop, settling nothing, and the
+    // searches then expand 14 labels, not 11.
+    let topo = crate::topologies::fat_tree(4);
+    let queries = [(6, 7), (4, 6)].map(|(a, b)| (NodeId(a), NodeId(b)));
+    let mut solver = PathSolver::new(&topo);
+    SETTLED.set(0);
+    let answers = solver.k_shortest_batch(&queries, 2);
+    assert_eq!(answers[0][0], path(&[6, 4, 7]));
+    assert_eq!((SETTLED.get(), solver.expanded), (1, 11));
+    assert_batch_agrees(&mut solver, &queries, 2);
+}
+
+#[test]
+fn twin_classes_are_a_fat_trees_pods_and_no_wan_has_any() {
+    use crate::topologies as t;
+    // A pod's edge switches are one class, and so are the cores that
+    // share their aggregation switches in `fat_tree(4)` (two classes of
+    // two); every other switch has a neighbour list of its own. ft4096's
+    // 2,206 classes are pinned with its batch.
+    for (topo, classes) in [
+        (t::synthetic_fat_tree_512(), 280),
+        (t::synthetic_fat_tree_64(), 40),
+        (t::fat_tree(4), 14),
+    ] {
+        assert_eq!(class_count(&topo), classes, "{}", topo.name);
+    }
+    for topo in [t::b4(), t::internet2(), t::att_mpls(), t::chinanet()] {
+        assert_eq!(class_count(&topo), topo.node_count(), "{}", topo.name);
+    }
+    assert_twins_mirror(&t::synthetic_fat_tree_64());
+    assert_twins_mirror(&t::fat_tree(4));
+}
+
+#[test]
+fn planted_twins_mirror_each_others_distances_on_random_graphs() {
+    forall("twins_mirror", cases(96), |rng| {
+        let base = solver_test_graph(rng);
+        let planted = NodeId(rng.uniform_usize(base.node_count()) as u32);
+        let topo = with_twins(&base, &vec![planted; 1 + rng.uniform_usize(3)]);
+        let twin = twins(&topo, &link_weights(&topo));
+        for v in base.node_count()..topo.node_count() {
+            assert_eq!(
+                twin[v],
+                twin[planted.index()],
+                "{}: planted twin",
+                topo.name
+            );
+        }
+        assert_twins_mirror(&topo);
     });
 }
 
@@ -886,11 +1004,13 @@ fn a_batch_shares_each_destinations_reverse_search_on_ft512() {
     let mut solver = PathSolver::new(&topo);
     SETTLED.set(0);
     assert_eq!(solver.k_shortest_batch(&queries, 2), single);
-    // Deterministic counts, pinned so a lost grouping, a lost skip or a
-    // lost certificate shows as a number. When each reverse search ran on
-    // until every source's label was final it settled 62,775 nodes; the
-    // expanded labels did not move.
-    assert_eq!((SETTLED.get(), solver.expanded), (17419, 42074));
+    // Deterministic counts, pinned so a lost grouping, a lost skip, a lost
+    // certificate or a lost twin class shows as a number. When each
+    // reverse search ran on until every source's label was final it
+    // settled 62,775 nodes; with one search per destination, each stopped
+    // at its own sources, (17,419, 42,074). A pod's edge switches now
+    // share one search, certified for the whole class.
+    assert_eq!((SETTLED.get(), solver.expanded), (8793, 41631));
     assert!(SETTLED.get() < single_settled);
 }
 
@@ -911,14 +1031,16 @@ fn a_batch_certifies_its_sources_early_on_ft4096() {
             (src, dst)
         })
         .collect();
+    assert_eq!(class_count(&topo), 2_206);
     let mut solver = PathSolver::new(&topo);
     SETTLED.set(0);
     let answers = solver.k_shortest_batch(&queries, 2);
     assert!(answers.iter().all(|paths| paths.len() == 2));
     // Deterministic counts: when each reverse search ran on until every
-    // source's label was final it settled 5,310,949 nodes; the expanded
-    // labels did not move.
-    assert_eq!((SETTLED.get(), solver.expanded), (4_022_649, 1_188_492));
+    // source's label was final it settled 5,310,949 nodes; with one search
+    // per destination, each stopped at its own sources, (4,022,649,
+    // 1,188,492). A pod's 16 edge switches now share one search.
+    assert_eq!((SETTLED.get(), solver.expanded), (2_417_807, 1_187_484));
 }
 
 /// One `k_shortest_batch` at k = 2 over every ordered pair of each

@@ -237,7 +237,7 @@ if [[ "${FAST:-0}" != 1 ]]; then
     echo "==> ft4096 lint-pass and run heap peaks under their bounds (ignored test, release)"
     cargo test -q --release --test world_footprint -- --ignored
 
-    echo "==> ft4096 batch: the reverse searches settle their pinned count (ignored test, release)"
+    echo "==> ft4096 batch: its twin classes and the reverse searches' settled count at their pins (ignored test, release)"
     cargo test -q --release -p p4update-net a_batch_certifies_its_sources_early_on_ft4096 -- --ignored
 
     echo "==> Fig. 4 and Fig. 7 means at 30 runs and Fig. 7 margins at 30 and 1,000/300 runs equal EXPERIMENTS.md's, 7c's signs at 1,000 runs, the timing sweep's quoted cells and claims; B4 has no backward segment with an interior (ignored tests, release)"
@@ -258,8 +258,8 @@ if [[ "${FAST:-0}" != 1 ]]; then
     echo "==> segment_update against Algorithm 2's construction, PROPCHECK_SCALE=16 (release)"
     PROPCHECK_SCALE=16 cargo test -q --release -p p4update-net segment_update_follows_algorithm_2
 
-    echo "==> path solver and the reverse search's potential vs oracle, PROPCHECK_SCALE=16 (release)"
-    PROPCHECK_SCALE=16 cargo test -q --release -p p4update-net -- solver_agrees potential_is_exact
+    echo "==> path solver, the reverse search's potential and twins' mirrored distances vs oracle, PROPCHECK_SCALE=16 (release)"
+    PROPCHECK_SCALE=16 cargo test -q --release -p p4update-net -- solver_agrees potential_is_exact twins_mirror
 
     echo "==> centroid under eccentricity bounds vs one full search per source (random graphs, evaluation topologies, ft512), PROPCHECK_SCALE=16 (release)"
     PROPCHECK_SCALE=16 cargo test -q --release -p p4update-net full_searches
